@@ -138,6 +138,9 @@ CellResult run_cell(const CongestionGame& game, const Protocol& protocol,
   // the monomorphized kernel — the pre-ProtocolKernel batched path,
   // bitwise-identical output by contract, so only wall-clock moves.
   call.options.virtual_frontend = virtual_frontend;
+  // β is computed on its first read (an O(m·n) instance cost, not engine
+  // work); take it before the clock starts.
+  game.beta_slope();
   const WallTimer timer;
   const RunResult rr = run_dynamics(game, x, protocol, rng, call);
   return finish_cell(timer, rr.rounds, rr.latency_evals, rr.total_movers,

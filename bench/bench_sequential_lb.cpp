@@ -3,7 +3,7 @@
 // through (quadratic) threshold games, then triples every player so that
 // the dynamics are pure *imitation* moves.
 //
-// What this bench reproduces (see DESIGN.md §4 for the substitution note):
+// What this bench reproduces (the substitution is noted at the end):
 //   1. the reduction machinery given in §3.2 itself — quadratic threshold
 //      games from MaxCut and the ×3 tripling — with its invariants checked
 //      at runtime (improvement sets match MaxCut flips; copies never

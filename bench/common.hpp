@@ -1,9 +1,9 @@
 // Shared helpers for the experiment binaries (bench/).
 //
 // Each bench binary E1..E12 regenerates one of the paper's claims as a
-// table (see DESIGN.md's experiment index and EXPERIMENTS.md for
-// paper-vs-measured). These helpers standardize instance construction and
-// hitting-time measurement so benches stay declarative.
+// table; its header comment names the claim and what it reproduces. These
+// helpers standardize instance construction and hitting-time measurement
+// so benches stay declarative.
 #pragma once
 
 #include <cstdint>

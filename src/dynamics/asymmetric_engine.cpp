@@ -11,12 +11,13 @@ void AsymmetricLatencyContext::recompute_resource(std::size_t e) {
   const std::int64_t load = x_->congestion(static_cast<Resource>(e));
   // Exactly the evaluations the uncached game methods perform, so cached
   // reads reproduce them bit-for-bit; under CID_SIMD they route through
-  // the flattened LatencyTable (bitwise-equal by contract), a =0 build
-  // keeps the virtual dispatch.
+  // the game's flattened LatencyTable (bitwise-equal by contract), a =0
+  // build keeps the virtual dispatch.
   non_monotone_ -= ell_plus_[e] < ell_[e] ? 1 : 0;
   if constexpr (kSimdCompiled) {
-    ell_[e] = table_.value(e, static_cast<double>(load));
-    ell_plus_[e] = table_.value(e, static_cast<double>(load + 1));
+    const LatencyTable& table = game_->latency_table();
+    ell_[e] = table.value(e, static_cast<double>(load));
+    ell_plus_[e] = table.value(e, static_cast<double>(load + 1));
   } else {
     const LatencyFunction& fn = game_->latency(static_cast<Resource>(e));
     ell_[e] = fn.value(static_cast<double>(load));
@@ -35,14 +36,6 @@ void AsymmetricLatencyContext::reset(const AsymmetricGame& game,
   const auto num_classes = static_cast<std::size_t>(game.num_classes());
   ell_.assign(m, 0.0);
   ell_plus_.assign(m, 0.0);
-  if constexpr (kSimdCompiled) {
-    // Classify every latency function once per reset (cold path).
-    table_.clear();
-    table_.reserve(m);
-    for (std::size_t e = 0; e < m; ++e) {
-      table_.add(game.latency(static_cast<Resource>(e)));
-    }
-  }
   load_.resize(m);
   strat_.resize(num_classes);
   strat_epoch_.resize(num_classes);

@@ -109,7 +109,6 @@ class AsymmetricLatencyContext {
 
   const AsymmetricGame* game_ = nullptr;
   const AsymmetricState* x_ = nullptr;
-  LatencyTable table_;  // devirtualized ℓ_e evaluation (CID_SIMD fast path)
   std::vector<double> ell_;
   std::vector<double> ell_plus_;
   std::vector<std::int64_t> load_;

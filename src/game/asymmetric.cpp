@@ -52,6 +52,8 @@ AsymmetricGame::AsymmetricGame(std::vector<LatencyPtr> latencies,
       nu_ = std::max(nu_, acc);
     }
   }
+  table_.reserve(latencies_.size());
+  for (const auto& fn : latencies_) table_.add(*fn);
 }
 
 const PlayerClass& AsymmetricGame::player_class(std::int32_t c) const {
@@ -110,15 +112,7 @@ double AsymmetricGame::class_average_latency(const AsymmetricState& x,
 }
 
 double AsymmetricGame::potential(const AsymmetricState& x) const {
-  long double acc = 0.0L;
-  for (Resource e = 0; e < num_resources(); ++e) {
-    const std::int64_t load = x.congestion(e);
-    const LatencyFunction& fn = latency(e);
-    for (std::int64_t i = 1; i <= load; ++i) {
-      acc += fn.value(static_cast<double>(i));
-    }
-  }
-  return static_cast<double>(acc);
+  return table_.potential(x.congestions());
 }
 
 std::string AsymmetricGame::describe() const {

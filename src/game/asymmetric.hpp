@@ -48,6 +48,9 @@ class AsymmetricGame {
   std::int64_t num_players() const noexcept { return total_players_; }
   const PlayerClass& player_class(std::int32_t c) const;
   const LatencyFunction& latency(Resource e) const;
+  /// The latency functions flattened once at construction, as in
+  /// CongestionGame::latency_table().
+  const LatencyTable& latency_table() const noexcept { return table_; }
 
   /// Elasticity bound d over (0, n] (floored at 1) and slope bound ν, as in
   /// the symmetric game (§2.2); ν maximizes over all classes' strategies.
@@ -75,6 +78,7 @@ class AsymmetricGame {
   std::int64_t total_players_ = 0;
   double elasticity_ = 1.0;
   double nu_ = 0.0;
+  LatencyTable table_;
 };
 
 /// One aggregated migration within a class.
@@ -108,6 +112,9 @@ class AsymmetricState {
 
   std::int64_t count(std::int32_t c, StrategyId p) const;
   std::int64_t congestion(Resource e) const;
+  std::span<const std::int64_t> congestions() const noexcept {
+    return congestion_;
+  }
 
   /// Per-class per-strategy counts, counts()[c][p] == count(c, p) — the
   /// serialization view (src/persist/codec.hpp encodes states from it).

@@ -91,15 +91,30 @@ void CongestionGame::compute_parameters() {
     lmin_ = std::min(lmin_, fn->value(1.0));
   }
 
-  beta_ = 0.0;
-  for (const auto& st : strategies_) {
-    double acc = 0.0;
-    for (Resource e : st) {
-      acc += max_step_slope(*latencies_[static_cast<std::size_t>(e)],
-                            num_players_);
+  table_.reserve(latencies_.size());
+  for (const auto& fn : latencies_) table_.add(*fn);
+}
+
+void CongestionGame::compute_beta() const {
+  std::call_once(beta_->once, [this] {
+    // One max_step_slope per used resource, then the same per-strategy
+    // sums in the same order as summing it per (strategy, resource) pair,
+    // so β has the same bits for a fraction of the scans.
+    std::vector<double> slope(latencies_.size(), 0.0);
+    for (std::size_t e = 0; e < latencies_.size(); ++e) {
+      if (!users_[e].empty()) {
+        slope[e] = max_step_slope(*latencies_[e], num_players_);
+      }
     }
-    beta_ = std::max(beta_, acc);
-  }
+    double beta = 0.0;
+    for (const auto& st : strategies_) {
+      double acc = 0.0;
+      for (Resource e : st) acc += slope[static_cast<std::size_t>(e)];
+      beta = std::max(beta, acc);
+    }
+    beta_->value = beta;
+    beta_->ready.store(true, std::memory_order_release);
+  });
 }
 
 const Strategy& CongestionGame::strategy(StrategyId p) const {
@@ -186,15 +201,7 @@ double CongestionGame::plus_average_latency(const State& x) const {
 }
 
 double CongestionGame::potential(const State& x) const {
-  long double acc = 0.0L;
-  for (Resource e = 0; e < num_resources(); ++e) {
-    const std::int64_t load = x.congestion(e);
-    const LatencyFunction& fn = latency(e);
-    for (std::int64_t i = 1; i <= load; ++i) {
-      acc += fn.value(static_cast<double>(i));
-    }
-  }
-  return static_cast<double>(acc);
+  return table_.potential(x.congestions());
 }
 
 std::string CongestionGame::describe() const {

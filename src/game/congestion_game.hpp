@@ -9,14 +9,20 @@
 //
 // The protocol parameters derived from the latency functions — the
 // elasticity bound d (≥ 1, as the damping factor 1/d must not amplify) and
-// the slope bound ν = max_P Σ_{e∈P} ν_e — are computed once at construction.
+// the slope bound ν = max_P Σ_{e∈P} ν_e — are computed at construction.
+// The exploration slope bound β scans every load 1..n, so it is computed on
+// first read instead: imitation-only runs never pay for it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "latency/kernel.hpp"
 #include "latency/latency.hpp"
 
 namespace cid {
@@ -47,6 +53,11 @@ class CongestionGame {
   const Strategy& strategy(StrategyId p) const;
   const LatencyFunction& latency(Resource e) const;
   LatencyPtr latency_ptr(Resource e) const;
+
+  /// The latency functions flattened once at construction
+  /// (latency/kernel.hpp): potential() and the round kernels' LatencyContext
+  /// evaluate through it without virtual dispatch.
+  const LatencyTable& latency_table() const noexcept { return table_; }
 
   /// All strategies, unchecked-indexable (hot paths that already hold an
   /// in-range id — the batched round kernel — read through this span
@@ -82,8 +93,13 @@ class CongestionGame {
   /// (EXPLORATION PROTOCOL damping, §6).
   double min_nonempty_latency() const noexcept { return lmin_; }
 
-  /// β ≥ max_P max-step slope of ℓ_P over loads 1..n (EXPLORATION damping).
-  double beta_slope() const noexcept { return beta_; }
+  /// β = max_P Σ_{e∈P} max_step_slope(ℓ_e, n) (EXPLORATION damping). O(m·n)
+  /// on the first call, which computes it once for this game and every
+  /// copy of it (thread-safe); later calls read the cached value.
+  double beta_slope() const {
+    if (!beta_->ready.load(std::memory_order_acquire)) compute_beta();
+    return beta_->value;
+  }
 
   // ---- State-dependent quantities ----
 
@@ -114,8 +130,17 @@ class CongestionGame {
   std::string describe() const;
 
  private:
+  // `once` serializes the first computation; `ready` lets the exploration
+  // row fills, which read β once per pair, skip call_once afterwards.
+  struct LazyBeta {
+    std::once_flag once;
+    std::atomic<bool> ready{false};
+    double value = 0.0;
+  };
+
   void validate() const;
   void compute_parameters();
+  void compute_beta() const;
 
   std::vector<LatencyPtr> latencies_;
   std::vector<Strategy> strategies_;
@@ -130,7 +155,9 @@ class CongestionGame {
   double nu_ = 0.0;
   double lmax_upper_ = 0.0;
   double lmin_ = 0.0;
-  double beta_ = 0.0;
+  // Shared, not copied, so a copy made before the first read agrees too.
+  std::shared_ptr<LazyBeta> beta_ = std::make_shared<LazyBeta>();
+  LatencyTable table_;
 };
 
 }  // namespace cid

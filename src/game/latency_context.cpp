@@ -8,13 +8,14 @@ void LatencyContext::recompute_resource(std::size_t e) {
   const std::int64_t load = x_->congestion(static_cast<Resource>(e));
   // Exactly the evaluations the uncached game methods perform, so cached
   // reads reproduce them bit-for-bit. Under CID_SIMD they route through
-  // the flattened LatencyTable (latency/kernel.hpp), whose value() is
-  // bitwise equal to the virtual call by contract; a =0 build keeps the
+  // the game's flattened LatencyTable (latency/kernel.hpp), whose value()
+  // is bitwise equal to the virtual call by contract; a =0 build keeps the
   // original virtual dispatch.
   non_monotone_ -= ell_plus_[e] < ell_[e] ? 1 : 0;
   if constexpr (kSimdCompiled) {
-    ell_[e] = table_.value(e, static_cast<double>(load));
-    ell_plus_[e] = table_.value(e, static_cast<double>(load + 1));
+    const LatencyTable& table = game_->latency_table();
+    ell_[e] = table.value(e, static_cast<double>(load));
+    ell_plus_[e] = table.value(e, static_cast<double>(load + 1));
   } else {
     const LatencyFunction& fn = game_->latency(static_cast<Resource>(e));
     ell_[e] = fn.value(static_cast<double>(load));
@@ -37,16 +38,6 @@ void LatencyContext::reset(const CongestionGame& game, const State& x) {
   // decrement-old/increment-new bookkeeping starts from a clean slate.
   ell_.assign(m, 0.0);
   ell_plus_.assign(m, 0.0);
-  if constexpr (kSimdCompiled) {
-    // Classify every latency function once per reset (cold path); the
-    // per-round recompute_resource calls then evaluate without virtual
-    // dispatch.
-    table_.clear();
-    table_.reserve(m);
-    for (std::size_t e = 0; e < m; ++e) {
-      table_.add(game.latency(static_cast<Resource>(e)));
-    }
-  }
   load_.resize(m);
   strat_.resize(k);
   strat_epoch_.assign(k, 0);

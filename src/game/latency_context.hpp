@@ -106,7 +106,6 @@ class LatencyContext {
 
   const CongestionGame* game_ = nullptr;
   const State* x_ = nullptr;
-  LatencyTable table_;  // devirtualized ℓ_e evaluation (CID_SIMD fast path)
   std::vector<double> ell_;
   std::vector<double> ell_plus_;
   std::vector<double> strat_;

@@ -36,4 +36,28 @@ void LatencyTable::add(const LatencyFunction& fn) {
   entries_.push_back(en);
 }
 
+double LatencyTable::potential(std::span<const std::int64_t> loads) const {
+  CID_ENSURE(loads.size() == entries_.size(),
+             "potential needs one load per resource");
+  long double acc = 0.0L;
+  for (std::size_t e = 0; e < entries_.size(); ++e) {
+    const Entry& en = entries_[e];
+    switch (kSimdCompiled ? en.kind : Kind::kOpaque) {
+      case Kind::kConstant:
+        add_prefix<Kind::kConstant>(en, loads[e], acc);
+        break;
+      case Kind::kMonomial:
+        add_prefix<Kind::kMonomial>(en, loads[e], acc);
+        break;
+      case Kind::kPolynomial:
+        add_prefix<Kind::kPolynomial>(en, loads[e], acc);
+        break;
+      case Kind::kOpaque:
+        add_prefix<Kind::kOpaque>(en, loads[e], acc);
+        break;
+    }
+  }
+  return static_cast<double>(acc);
+}
+
 }  // namespace cid

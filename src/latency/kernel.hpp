@@ -5,7 +5,7 @@
 // run, and every call used to be a virtual LatencyFunction::value dispatch —
 // exactly the indirection that blocks the optimizer from vectorizing the
 // LatencyContext refresh. LatencyTable flattens a game's latency functions
-// into one contiguous parameter array at context-reset time (a cold path):
+// into one contiguous parameter array when the game is built (a cold path):
 // each resource is classified once by dynamic_cast into constant / monomial
 // / polynomial (with one level of ScaledLatency recognized as a divisor),
 // and the hot-path value() is a non-virtual switch over plain arithmetic —
@@ -16,7 +16,8 @@
 // Bitwise contract: value(e, x) reproduces game.latency(e).value(x)
 // bit-for-bit — same expressions, same evaluation order, including
 // ScaledLatency's x/n pre-division (the always-applied divisor defaults to
-// 1.0, and x / 1.0 == x bitwise). The only delta is deliberate: the
+// 1.0, and x / 1.0 == x bitwise); monomials call the same monomial_value
+// helper as MonomialLatency::value. The only delta is deliberate: the
 // argument-range CID_ENSUREs of the virtual implementations are demoted to
 // CID_DCHECK here (hot loop; the engines only ever pass loads >= 0).
 //
@@ -26,10 +27,10 @@
 // the two paths byte-identical end to end.
 #pragma once
 
-#include <cmath>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "latency/latency.hpp"
@@ -57,18 +58,12 @@ concept LatencyKernel = requires(const K k, std::size_t e, double x) {
 
 class LatencyTable {
  public:
-  /// Drops every entry (the table can be rebuilt against a new game).
-  void clear() noexcept {
-    entries_.clear();
-    coef_.clear();
-  }
-
   void reserve(std::size_t m) { entries_.reserve(m); }
 
   /// Appends the next resource (index size()) backed by `fn`, classifying
-  /// it into a flat fast-path entry. `fn` must outlive the table — opaque
-  /// entries keep a pointer for the virtual fallback (the LatencyContexts
-  /// already hold their game for the same duration).
+  /// it into a flat fast-path entry. `fn` must outlive the table — every
+  /// entry keeps a pointer for the virtual fallback (the games and the
+  /// LatencyContexts hold the functions for at least as long).
   void add(const LatencyFunction& fn);
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -79,31 +74,24 @@ class LatencyTable {
     const Entry& en = entries_[e];
     switch (en.kind) {
       case Kind::kConstant:
-        return en.a;
-      case Kind::kMonomial: {
-        const double xx = x / en.divisor;
-        CID_DCHECK(xx >= 0.0, "latency argument must be non-negative");
-        if (en.b == 0.0) return en.a;
-        return en.a * std::pow(xx, en.b);
-      }
-      case Kind::kPolynomial: {
-        const double xx = x / en.divisor;
-        CID_DCHECK(xx >= 0.0, "latency argument must be non-negative");
-        // Horner in descending order — the exact loop
-        // PolynomialLatency::value runs, over the shared coefficient pool.
-        double acc = 0.0;
-        const double* c = coef_.data() + en.offset;
-        for (std::size_t i = en.len; i-- > 0;) acc = acc * xx + c[i];
-        return acc;
-      }
+        return eval<Kind::kConstant>(en, x);
+      case Kind::kMonomial:
+        return eval<Kind::kMonomial>(en, x);
+      case Kind::kPolynomial:
+        return eval<Kind::kPolynomial>(en, x);
       case Kind::kOpaque:
-        // Unrecognized type: the original virtual call (which applies any
-        // scaling itself — opaque entries keep divisor at the neutral 1.0).
-        return en.fn->value(x);
+        return eval<Kind::kOpaque>(en, x);
     }
     CID_ENSURE(false, "unreachable latency kind");
     return 0.0;
   }
+
+  /// Rosenthal's Φ = Σ_e Σ_{i=1..loads[e]} ℓ_e(i), the one loop behind both
+  /// game classes' potential(). The latency kind is chosen once per
+  /// resource, not once per step; the terms are value(e, i) and are added
+  /// left to right into one long double, so Φ keeps its exact bits. A
+  /// CID_SIMD=0 build evaluates every term through the virtual function.
+  double potential(std::span<const std::int64_t> loads) const;
 
  private:
   enum class Kind : std::uint8_t {
@@ -119,8 +107,41 @@ class LatencyTable {
     double divisor = 1.0;  // ScaledLatency n; x / 1.0 == x bitwise otherwise
     std::uint32_t offset = 0;  // polynomial slice [offset, offset+len) of coef_
     std::uint32_t len = 0;
-    const LatencyFunction* fn = nullptr;  // opaque fallback target
+    const LatencyFunction* fn = nullptr;  // fallback target (every entry)
   };
+
+  /// ℓ(x) for an entry of kind K: the one formula per kind.
+  template <Kind K>
+  double eval(const Entry& en, double x) const {
+    if constexpr (K == Kind::kConstant) {
+      return en.a;
+    } else if constexpr (K == Kind::kMonomial) {
+      const double xx = x / en.divisor;
+      CID_DCHECK(xx >= 0.0, "latency argument must be non-negative");
+      return monomial_value(en.a, en.b, xx);
+    } else if constexpr (K == Kind::kPolynomial) {
+      const double xx = x / en.divisor;
+      CID_DCHECK(xx >= 0.0, "latency argument must be non-negative");
+      // Horner in descending order — the exact loop
+      // PolynomialLatency::value runs, over the shared coefficient pool.
+      double acc = 0.0;
+      const double* c = coef_.data() + en.offset;
+      for (std::size_t i = en.len; i-- > 0;) acc = acc * xx + c[i];
+      return acc;
+    } else {
+      // Unrecognized type: the original virtual call (which applies any
+      // scaling itself — opaque entries keep divisor at the neutral 1.0).
+      return en.fn->value(x);
+    }
+  }
+
+  /// acc += ℓ(1) + ℓ(2) + ... + ℓ(load), left to right.
+  template <Kind K>
+  void add_prefix(const Entry& en, std::int64_t load, long double& acc) const {
+    for (std::int64_t i = 1; i <= load; ++i) {
+      acc += eval<K>(en, static_cast<double>(i));
+    }
+  }
 
   std::vector<Entry> entries_;
   std::vector<double> coef_;  // every polynomial's coefficients, contiguous

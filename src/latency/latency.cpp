@@ -58,8 +58,7 @@ MonomialLatency::MonomialLatency(double coefficient, double degree)
 
 double MonomialLatency::value(double x) const {
   CID_ENSURE(x >= 0.0, "latency argument must be non-negative");
-  if (degree_ == 0.0) return coefficient_;
-  return coefficient_ * std::pow(x, degree_);
+  return monomial_value(coefficient_, degree_, x);
 }
 
 double MonomialLatency::derivative(double x) const {
@@ -233,10 +232,14 @@ double slope_nu(const LatencyFunction& fn, double elasticity_d) {
 
 double max_step_slope(const LatencyFunction& fn, std::int64_t n) {
   CID_ENSURE(n >= 1, "max_step_slope needs n >= 1");
+  // ℓ(x−1) carries over from the previous step: value() is a pure function,
+  // so each step subtracts the same two doubles a fresh evaluation would.
   double beta = 0.0;
+  double prev = fn.value(0.0);
   for (std::int64_t x = 1; x <= n; ++x) {
-    beta = std::max(beta, fn.value(static_cast<double>(x)) -
-                              fn.value(static_cast<double>(x - 1)));
+    const double cur = fn.value(static_cast<double>(x));
+    beta = std::max(beta, cur - prev);
+    prev = cur;
   }
   return beta;
 }

@@ -13,12 +13,29 @@
 // supplies a conservative numeric fallback on a geometric grid.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace cid {
+
+/// a·x^d: the one monomial formula, shared by MonomialLatency::value and
+/// LatencyTable::value. Degree 0 is the constant a. Degree 1 returns a·x,
+/// since pow(x, 1) is exactly x. Degree 2 at a whole x ≤ 9e7 returns
+/// a·(x·x): x·x < 2^53 is then exact, and a faithful pow returns an exactly
+/// representable result unchanged. Every other input goes through std::pow,
+/// so for d > 0 the result is bitwise a * std::pow(x, d).
+inline double monomial_value(double a, double d, double x) {
+  if (d == 0.0) return a;
+  if (d == 1.0) return a * x;
+  if (d == 2.0 && x >= 0.0 && x <= 9e7 &&
+      static_cast<double>(static_cast<std::int64_t>(x)) == x) {
+    return a * (x * x);
+  }
+  return a * std::pow(x, d);
+}
 
 class LatencyFunction {
  public:

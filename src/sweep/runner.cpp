@@ -164,9 +164,11 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   // that n's cells and trials.
   std::vector<std::unique_ptr<ScenarioInstance>> instances;
   instances.reserve(grid.ns.size());
+  const std::int64_t build_start_ns = obs::now_ns();
   for (std::int64_t n : grid.ns) {
     instances.push_back(make_scenario(grid.scenario, n));
   }
+  const std::int64_t instance_build_ns = obs::now_ns() - build_start_ns;
 
   const std::size_t num_protocols = grid.protocols.size();
   const std::size_t num_cells = grid.ns.size() * num_protocols;
@@ -183,8 +185,11 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   // of the grid master), then one split per trial — a pure function of
   // master_seed, so scheduling cannot perturb it. derive_trial_rng is the
   // shared authority (the cid_serve worker derives leased trials through
-  // the same function); re-deriving per trial costs O(trials²) splits per
-  // cell, a few ns each — noise against any real trial.
+  // the same function). Re-deriving per trial costs O(trials²) splits per
+  // cell, about 7% of wall time on e2ebench's lease-resume workload
+  // (2000-trial cells of tiny trials). A keyed split would remove it but
+  // changes every stream, so it waits for ROADMAP item 3's
+  // outcome-semantics version.
   for (std::size_t cell = 0; cell < num_cells; ++cell) {
     for (std::size_t t = 0; t < trials_per_cell; ++t) {
       Job job;
@@ -550,6 +555,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   }
   result.queue_wait_ns = queue_wait_ns.load(std::memory_order_relaxed);
   result.trial_run_ns = trial_run_ns.load(std::memory_order_relaxed);
+  result.instance_build_ns = instance_build_ns;
   result.stats = std::move(stats);
   // Cells stay un-aggregated when the grid was not fully run here: budget
   // cut (complete = false) or sharding (other shards hold the rest).

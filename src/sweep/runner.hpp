@@ -109,9 +109,12 @@ struct SweepResult {
   /// CID_METRICS=0): queue_wait_ns sums, over executed trials, the time
   /// between sweep launch and that trial's start on a worker —
   /// scheduling-dependent, reported in summaries only. trial_run_ns sums
-  /// the in-trial time.
+  /// the in-trial time. instance_build_ns is the serial per-n instance
+  /// build before any trial starts (β is not part of it: exploration and
+  /// combined trials compute it on first use, inside their first trial).
   std::int64_t queue_wait_ns = 0;
   std::int64_t trial_run_ns = 0;
+  std::int64_t instance_build_ns = 0;
   /// Per-trial stats, index-aligned with `trials` (cell-major,
   /// trial-minor). Zeros for manifest-resumed or budget-skipped trials.
   std::vector<TrialStats> stats;

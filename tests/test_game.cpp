@@ -1,8 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "game/builders.hpp"
 #include "game/congestion_game.hpp"
 #include "game/state.hpp"
+#include "persist/snapshot.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -132,6 +143,117 @@ TEST(NetworkGame, RequiresMatchingLatencyCount) {
   EXPECT_THROW(
       make_network_game(net, {make_linear(1.0)}, 2),
       invariant_violation);
+}
+
+// ---- Lazy β ----------------------------------------------------------------
+
+/// The original β: max_step_slope re-evaluated for every (strategy,
+/// resource) pair, each step evaluating both ℓ(x) and ℓ(x−1) afresh.
+double beta_oracle(const CongestionGame& game) {
+  const std::int64_t n = game.num_players();
+  double beta = 0.0;
+  for (StrategyId p = 0; p < game.num_strategies(); ++p) {
+    double acc = 0.0;
+    for (Resource e : game.strategy(p)) {
+      const LatencyFunction& fn = game.latency(e);
+      double slope = 0.0;
+      for (std::int64_t x = 1; x <= n; ++x) {
+        slope = std::max(slope, fn.value(static_cast<double>(x)) -
+                                    fn.value(static_cast<double>(x - 1)));
+      }
+      acc += slope;
+    }
+    beta = std::max(beta, acc);
+  }
+  return beta;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The symmetric registry families at their defaults (the asymmetric and
+// threshold families have no β).
+CongestionGame singleton_uniform_game(std::int64_t n) {
+  return make_monomial_fan_game(10, 1.0, 0.0, n);
+}
+
+CongestionGame load_balancing_game(std::int64_t n) {
+  std::vector<LatencyPtr> fns;
+  for (int e = 0; e < 10; ++e) {
+    fns.push_back(make_linear(1.0 + static_cast<double>(e) / 10.0));
+  }
+  return make_singleton_game(std::move(fns), n);
+}
+
+CongestionGame network_routing_game(std::int64_t n) {
+  const auto net = make_layered_network(3, 2);
+  Rng latency_rng(7);
+  std::vector<LatencyPtr> fns;
+  for (EdgeId e = 0; e < net.graph.num_edges(); ++e) {
+    const double a = 0.5 + latency_rng.uniform();
+    fns.push_back(latency_rng.bernoulli(0.5) ? make_linear(a)
+                                             : make_monomial(0.05 * a, 2.0));
+  }
+  return make_network_game(net, std::move(fns), n);
+}
+
+TEST(LazyBeta, MatchesPerPairOracleOnRegistryFamilies) {
+  for (const std::int64_t n : {std::int64_t{777}, std::int64_t{54321}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    for (const CongestionGame& game :
+         {singleton_uniform_game(n), load_balancing_game(n),
+          network_routing_game(n)}) {
+      EXPECT_EQ(bits(game.beta_slope()), bits(beta_oracle(game)))
+          << game.describe();
+    }
+  }
+}
+
+TEST(LazyBeta, MatchesOracleWithSharedAndUnusedResources) {
+  // Resource 1 is shared by both strategies, resource 3 by none; scaled,
+  // polynomial and exponential latencies take the non-monomial paths.
+  std::vector<LatencyPtr> fns{make_scaled(make_monomial(2.0, 2.0), 300),
+                              make_polynomial({1.0, 0.5, 0.01}),
+                              make_exponential(1.0, 0.001), make_linear(9.0)};
+  const CongestionGame game(std::move(fns), {{0, 1}, {1, 2}}, 2500);
+  EXPECT_EQ(bits(game.beta_slope()), bits(beta_oracle(game)));
+}
+
+TEST(LazyBeta, ConcurrentFirstReadsAgree) {
+  const CongestionGame game = network_routing_game(200000);
+  const double expected = beta_oracle(game);
+  constexpr int kThreads = 8;
+  std::array<double, kThreads> seen{};
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Spin until every thread is up, so the first reads overlap.
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      seen[static_cast<std::size_t>(t)] = game.beta_slope();
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const double v : seen) EXPECT_EQ(bits(v), bits(expected));
+}
+
+TEST(LazyBeta, CopiesAndSnapshotDecodesAgree) {
+  const CongestionGame game = network_routing_game(30000);
+  const double expected = beta_oracle(game);
+  const CongestionGame copy_before = game;  // copied before the first read
+  EXPECT_EQ(bits(copy_before.beta_slope()), bits(expected));
+  EXPECT_EQ(bits(game.beta_slope()), bits(expected));
+  const CongestionGame copy_after = game;
+  EXPECT_EQ(bits(copy_after.beta_slope()), bits(expected));
+
+  Rng rng(3);
+  const State x = State::uniform_random(game, rng);
+  const std::string path = ::testing::TempDir() + "/lazy_beta.cidsnap";
+  persist::save_snapshot(persist::make_snapshot(game, x, rng, 0, {}), path);
+  const persist::Snapshot snap = persist::load_snapshot(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(bits(snap.game.beta_slope()), bits(expected));
+  EXPECT_EQ(bits(snap.game.potential(snap.state())), bits(game.potential(x)));
 }
 
 }  // namespace

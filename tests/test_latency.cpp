@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "latency/latency.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace cid {
 namespace {
@@ -112,6 +116,76 @@ TEST(MaxStepSlope, ScansFullRange) {
   // Steps up to n=5: 1,3,5,7,9.
   EXPECT_DOUBLE_EQ(max_step_slope(*quad, 5), 9.0);
   EXPECT_THROW(max_step_slope(*quad, 0), invariant_violation);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The network-routing scenario's coefficients (latency_seed 7, 3x2 layered
+/// network: 15 edges), linear a and quadratic 0.05·a alike.
+std::vector<double> network_routing_coefficients() {
+  Rng latency_rng(7);
+  std::vector<double> out;
+  for (int e = 0; e < 15; ++e) {
+    const double a = 0.5 + latency_rng.uniform();
+    out.push_back(latency_rng.bernoulli(0.5) ? a : 0.05 * a);
+  }
+  return out;
+}
+
+/// An exponent the compiler cannot see: with a literal 2.0 it folds
+/// pow(x, 2.0) into x*x and the reference would not call pow at all.
+double runtime_exponent(double d) {
+  volatile double hidden = d;
+  return hidden;
+}
+
+TEST(MonomialValue, ExactPowersMatchPowOnEveryWholeNumberUpTo2Pow23) {
+  // The degree-1 and degree-2 shortcuts are exact; this pins that pow
+  // agrees bit for bit on every whole load the engines reach at n <= 2^23.
+  const std::vector<double> coefficients = network_routing_coefficients();
+  const double d1 = runtime_exponent(1.0);
+  const double d2 = runtime_exponent(2.0);
+  std::int64_t mismatches = 0;
+  for (std::int64_t i = 0; i <= (std::int64_t{1} << 23); ++i) {
+    const auto x = static_cast<double>(i);
+    const double p1 = std::pow(x, d1);
+    const double p2 = std::pow(x, d2);
+    for (const double a : coefficients) {
+      mismatches += bits(monomial_value(a, d1, x)) != bits(a * p1);
+      mismatches += bits(monomial_value(a, d2, x)) != bits(a * p2);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(MonomialValue, OtherInputsTakeThePowFallback) {
+  // Fractional, beyond-the-exact-range, and ScaledLatency (x/n) arguments,
+  // plus non-integer and higher degrees: all bitwise a * pow(x, d). For a
+  // fractional x, pow(x, 2) and x*x can differ in the last bit (glibc does
+  // at several of the scaled loads below), so these checks fail if such
+  // an argument took the x*x shortcut.
+  const std::vector<double> xs{0.5,    2.25,   1e-3,        12345.678,
+                               9e7,    9e7 + 1.0, 1.5e8,    0x1p40,
+                               0x1p53, 7.0 / 300.0, 805.0 / 300.0, 1e300};
+  for (const double a : network_routing_coefficients()) {
+    for (const double degree : {1.0, 2.0, 0.5, 3.0, 2.5}) {
+      const double d = runtime_exponent(degree);
+      for (const double x : xs) {
+        EXPECT_EQ(bits(monomial_value(a, d, x)), bits(a * std::pow(x, d)))
+            << "a=" << a << " d=" << d << " x=" << x;
+      }
+    }
+  }
+  EXPECT_EQ(bits(monomial_value(3.0, 0.0, 5.0)), bits(3.0));
+  const double d2 = runtime_exponent(2.0);
+  for (const double a : {0.05, 0.7, 1.3}) {
+    const ScaledLatency scaled(make_monomial(a, 2.0), 300);
+    for (std::int64_t load = 0; load <= 2000; ++load) {
+      const auto x = static_cast<double>(load);
+      ASSERT_EQ(bits(scaled.value(x)), bits(a * std::pow(x / 300.0, d2)))
+          << "a=" << a << " load=" << load;
+    }
+  }
 }
 
 TEST(Factories, DescribeStrings) {

@@ -538,6 +538,7 @@ int main(int argc, char** argv) {
       registry.add_named("sweep.latency_evals", result.latency_evals);
       registry.add_named("sweep.queue_wait_ns", result.queue_wait_ns);
       registry.add_named("sweep.trial_run_ns", result.trial_run_ns);
+      registry.add_named("sweep.instance_build_ns", result.instance_build_ns);
       registry.add_named("sweep.trial_retries", result.trial_retries);
       registry.add_named("sweep.trial_failures",
                          static_cast<std::int64_t>(result.failures.size()));
