@@ -93,8 +93,7 @@ struct CellResult {
   /// Deterministic work counter from the metrics layer: the fraction of
   /// support rows the kernel proved zero and skipped (row fill AND draw).
   /// Gated by scripts/check_bench_regression.py — a drop means the engine
-  /// started paying for rows it used to prune. 0 under CID_METRICS=0
-  /// (and not emitted into the JSON, so the gate skips it).
+  /// started paying for rows it used to prune.
   double rows_pruned_fraction = 0.0;
 };
 
@@ -171,13 +170,15 @@ CellResult run_stopcheck_cell(const CongestionGame& game,
                                   std::int64_t) {
       return !(imitation_gap(g, s) > 0.0);
     };
-    rr = run_dynamics(game, x, protocol, rng, options, stop);
+    rr = run_dynamics(game, x, protocol, rng,
+                      {.options = options, .stop = stop});
   } else {
     const CachedStopPredicate stop = [](const LatencyContext& ctx,
                                         std::int64_t) {
       return !(imitation_gap(ctx) > 0.0);
     };
-    rr = run_dynamics(game, x, protocol, rng, options, stop);
+    rr = run_dynamics(game, x, protocol, rng,
+                      {.options = options, .cached_stop = stop});
   }
   return finish_cell(timer, rr.rounds, rr.latency_evals, rr.total_movers,
                      metrics);
@@ -272,12 +273,8 @@ int main(int argc, char** argv) {
         .metric("wall_cell_seconds", cell.wall_seconds)
         .metric("rounds_per_sec", cell.rounds_per_sec)
         .metric("evals_per_round", cell.evals_per_round)
-        .metric("movers", static_cast<double>(cell.movers));
-    // Omitted (not zero) under CID_METRICS=0, so the regression gate
-    // only compares it when both reports actually measured it.
-    if (cid::obs::kMetricsCompiled) {
-      json.metric("rows_pruned_fraction", cell.rows_pruned_fraction);
-    }
+        .metric("movers", static_cast<double>(cell.movers))
+        .metric("rows_pruned_fraction", cell.rows_pruned_fraction);
   };
   for (const Spec& spec : specs) {
     const std::int64_t rounds = quick ? spec.quick_rounds : spec.rounds;

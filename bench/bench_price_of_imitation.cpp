@@ -58,8 +58,9 @@ int main() {
         RunOptions options;
         options.max_rounds = 200000;
         options.check_interval = 8;
-        run_dynamics(game, x, protocol, rng, options,
-                     bench::stop_at_imitation_stable());
+        run_dynamics(game, x, protocol, rng,
+                     {.options = options,
+                      .stop = bench::stop_at_imitation_stable()});
         if (any_resource_extinct(initial, x)) ++extinctions;
         const double ratio =
             social_cost(game, x) / analysis.fractional_cost;

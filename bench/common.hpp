@@ -143,7 +143,8 @@ HittingTime time_to(const CongestionGame& game, const Protocol& protocol,
     RunOptions options;
     options.max_rounds = max_rounds;
     options.check_interval = check_interval;
-    const RunResult rr = run_dynamics(game, x, protocol, rng, options, stop);
+    const RunResult rr = run_dynamics(game, x, protocol, rng,
+                                      {.options = options, .stop = stop});
     if (rr.converged) ++converged;
     return static_cast<double>(rr.rounds);
   });

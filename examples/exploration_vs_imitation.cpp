@@ -27,10 +27,10 @@ Outcome run(const cid::CongestionGame& game, const cid::Protocol& protocol,
   options.max_rounds = max_rounds;
   options.check_interval = 32;
   const auto result = cid::run_dynamics(
-      game, x, protocol, rng, options,
-      [](const cid::CongestionGame& g, const cid::State& s, std::int64_t) {
-        return cid::is_nash(g, s);
-      });
+      game, x, protocol, rng,
+      {.options = options,
+       .stop = [](const cid::CongestionGame& g, const cid::State& s,
+                  std::int64_t) { return cid::is_nash(g, s); }});
   return Outcome{result.rounds, cid::is_nash(game, x),
                  cid::social_cost(game, x), x.count(2)};
 }

@@ -40,10 +40,12 @@ int main() {
     options.max_rounds = 100000;
     options.check_interval = 8;
     const auto result = cid::run_dynamics(
-        game, x, protocol, rng, options,
-        [](const cid::CongestionGame& g, const cid::State& s, std::int64_t) {
-          return cid::is_imitation_stable(g, s, g.nu());
-        });
+        game, x, protocol, rng,
+        {.options = options,
+         .stop = [](const cid::CongestionGame& g, const cid::State& s,
+                    std::int64_t) {
+           return cid::is_imitation_stable(g, s, g.nu());
+         }});
     const double sc = cid::social_cost(game, x);
     const double ratio = sc / analysis.fractional_cost;
     worst_ratio = std::max(worst_ratio, ratio);

@@ -41,16 +41,17 @@ int main() {
   cid::RunOptions options;
   options.max_rounds = 100000;
   const auto result = cid::run_dynamics(
-      game, x, protocol, rng, options,
-      [&](const cid::CongestionGame& g, const cid::State& s,
-          std::int64_t round) {
-        if (first_approx_round < 0 &&
-            cid::is_delta_eps_equilibrium(g, s, delta, eps)) {
-          first_approx_round = round;
-        }
-        return cid::is_imitation_stable(g, s, g.nu());
-      },
-      trace.observer());
+      game, x, protocol, rng,
+      {.options = options,
+       .stop = [&](const cid::CongestionGame& g, const cid::State& s,
+                   std::int64_t round) {
+         if (first_approx_round < 0 &&
+             cid::is_delta_eps_equilibrium(g, s, delta, eps)) {
+           first_approx_round = round;
+         }
+         return cid::is_imitation_stable(g, s, g.nu());
+       },
+       .observer = trace.observer()});
 
   trace.to_table().print("imitation on a 3x2 layered network (n=5000)");
   const auto report = cid::check_delta_eps_nu(game, x, delta, eps, game.nu());

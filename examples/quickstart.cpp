@@ -29,7 +29,8 @@ int main() {
     return cid::is_imitation_stable(g, s, g.nu());
   };
   const cid::RunResult result = cid::run_dynamics(
-      game, x, protocol, rng, options, stop, trace.observer());
+      game, x, protocol, rng,
+      {.options = options, .stop = stop, .observer = trace.observer()});
 
   trace.to_table().print("imitation dynamics trace (every 10th round)");
   std::printf("\nconverged: %s after %lld rounds (%lld migrations)\n",

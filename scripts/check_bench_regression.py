@@ -17,8 +17,10 @@ round, or pruning a SMALLER fraction of support rows, than the
 checked-in baseline fails the gate — those are the exact quantities the
 engine PRs optimised, and runner hardware cannot move them.
 Improvements (fewer evals, more pruning) only warn, as a nudge to
-refresh the baseline. Work counters missing from either report (e.g. a
-CID_METRICS=0 build omits rows_pruned_fraction) are skipped.
+refresh the baseline. A work counter present in a baseline cell but
+missing from the matching candidate cell fails the gate: every build
+emits every counter, so a missing one means the bench stopped measuring
+it. A counter only the candidate emits (newly added) is skipped.
 
 Works for every JsonReport bench: cells are keyed by their "id" metric when
 present (bench_engine_micro) or by "n" (bench_convergence_n), and every
@@ -143,7 +145,11 @@ def main():
             continue
         shared = set(base_cells[key]) & set(cand_cells[key])
         for name, bad_direction, tol in WORK_COUNTER_GATES:
-            if name not in shared:
+            if name not in base_cells[key]:
+                continue
+            if name not in cand_cells[key]:
+                errors.append(f"{label} {name} missing from the candidate "
+                              f"(the baseline measured it)")
                 continue
             err = gate_work_counter(label, name, bad_direction, tol,
                                     base_cells[key][name],

@@ -11,7 +11,7 @@
 //                   std::int64_t) {
 //     return cid::is_delta_eps_equilibrium(g, s, 0.05, 0.05);
 //   };
-//   auto run = cid::run_dynamics(game, x, protocol, rng, {}, stop);
+//   auto run = cid::run_dynamics(game, x, protocol, rng, {.stop = stop});
 #pragma once
 
 #include "analysis/experiment.hpp"    // IWYU pragma: export
@@ -46,6 +46,7 @@
 #include "persist/snapshot.hpp"       // IWYU pragma: export
 #include "protocols/combined.hpp"     // IWYU pragma: export
 #include "protocols/exploration.hpp"  // IWYU pragma: export
+#include "protocols/factory.hpp"      // IWYU pragma: export
 #include "protocols/imitation.hpp"    // IWYU pragma: export
 #include "sweep/output.hpp"           // IWYU pragma: export
 #include "sweep/pool.hpp"             // IWYU pragma: export

@@ -380,22 +380,21 @@ void draw_asymmetric_round(const AsymmetricGame& game,
                            AsymmetricRoundResult& out, int row_threads = 1,
                            obs::EngineMetrics* metrics = nullptr,
                            bool trace = false) {
-  obs::EngineMetrics* const m = obs::kMetricsCompiled ? metrics : nullptr;
-  const bool tr = obs::kMetricsCompiled && trace;
   out.moves.clear();
   out.movers = 0;
   if (!ws.ready) {
     // The initial full cache build lands in the first round's row-fill
     // phase, mirroring the symmetric kernel's accounting.
-    obs::PhaseTimer prep_timer(m != nullptr ? &m->row_fill_ns : nullptr);
+    obs::PhaseTimer prep_timer(metrics != nullptr ? &metrics->row_fill_ns
+                                                  : nullptr);
     ws.ctx.reset(game, x);
     ws.ready = true;
   }
-  if (row_threads <= 1 && m == nullptr && !tr) {
+  if (row_threads <= 1 && metrics == nullptr && !trace) {
     asymmetric_detail::draw_serial(game, x, kernel, rng, ws, out);
   } else {
     asymmetric_detail::draw_threaded(game, x, kernel, rng, ws, out,
-                                     row_threads, m, tr);
+                                     row_threads, metrics, trace);
   }
 }
 

@@ -79,37 +79,4 @@ RunResult run_dynamics(const CongestionGame& game, State& x,
       });
 }
 
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options, const StopPredicate& stop,
-                       const RoundObserver& observer) {
-  EngineInvocation call;
-  call.options = options;
-  call.stop = stop;
-  call.observer = observer;
-  return run_dynamics(game, x, protocol, rng, call);
-}
-
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options,
-                       const CachedStopPredicate& stop,
-                       const RoundObserver& observer) {
-  EngineInvocation call;
-  call.options = options;
-  call.cached_stop = stop;
-  call.observer = observer;
-  return run_dynamics(game, x, protocol, rng, call);
-}
-
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options, std::nullptr_t,
-                       const RoundObserver& observer) {
-  EngineInvocation call;
-  call.options = options;
-  call.observer = observer;
-  return run_dynamics(game, x, protocol, rng, call);
-}
-
 }  // namespace cid

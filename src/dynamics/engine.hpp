@@ -149,8 +149,8 @@ struct RunOptions : EngineTuning {
   /// (ctx refresh, row fill, draw, apply, stop check) and work counters
   /// into it. Consumes zero RNG and never changes results — metrics-on
   /// and metrics-off runs are bitwise identical (tests/test_metrics.cpp).
-  /// Compiled out entirely under CID_METRICS=0. The pointed-to struct
-  /// must outlive the run; it is accumulated into, not reset.
+  /// The pointed-to struct must outlive the run; it is accumulated into,
+  /// not reset.
   obs::EngineMetrics* metrics = nullptr;
 };
 
@@ -238,15 +238,15 @@ using CachedStopPredicate =
 /// One complete run_dynamics call, as data: options plus the (optional)
 /// stop predicate — at most one of `stop` / `cached_stop` may be non-empty;
 /// both empty means "run to max_rounds" — plus the (optional) observer.
-/// This replaces the old three-overload set (StopPredicate /
-/// CachedStopPredicate / nullptr_t disambiguator) with one entrypoint
-/// that composes: build it field by field, pass it anywhere, extend it
-/// without another overload.
+/// An aggregate, so a call site can name just the fields it sets:
+/// `run_dynamics(game, x, protocol, rng, {.options = opts, .stop = s})`.
+/// (The default member initializers keep -Wmissing-field-initializers
+/// quiet for the omitted ones.)
 struct EngineInvocation {
-  RunOptions options;
-  StopPredicate stop;
-  CachedStopPredicate cached_stop;
-  RoundObserver observer;
+  RunOptions options = {};
+  StopPredicate stop = {};
+  CachedStopPredicate cached_stop = {};
+  RoundObserver observer = {};
 };
 
 /// THE run entrypoint: runs until the invocation's stop predicate fires or
@@ -257,31 +257,5 @@ struct EngineInvocation {
 RunResult run_dynamics(const CongestionGame& game, State& x,
                        const Protocol& protocol, Rng& rng,
                        const EngineInvocation& call);
-
-// ---- Deprecated shims -------------------------------------------------------
-// The pre-EngineInvocation overload set, kept so existing callers compile.
-// Each one just packs its arguments into an EngineInvocation. Deprecated:
-// new code should build an EngineInvocation (these carry no attribute only
-// because the repo builds with -Werror and existing tests still call them).
-
-/// DEPRECATED shim for run_dynamics(game, x, protocol, rng, invocation).
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options, const StopPredicate& stop,
-                       const RoundObserver& observer = nullptr);
-
-/// DEPRECATED shim (cached-stop variant).
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options,
-                       const CachedStopPredicate& stop,
-                       const RoundObserver& observer = nullptr);
-
-/// DEPRECATED shim (the PR 5 nullptr_t disambiguator: "no stop predicate"
-/// — run to max_rounds).
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options, std::nullptr_t,
-                       const RoundObserver& observer = nullptr);
 
 }  // namespace cid

@@ -333,25 +333,24 @@ void draw_round(const CongestionGame& game, const State& x, const K& kernel,
                 Rng& rng, EngineMode mode, RoundWorkspace& ws,
                 RoundResult& out, int row_threads = 1,
                 obs::EngineMetrics* metrics = nullptr, bool trace = false) {
-  obs::EngineMetrics* const m = obs::kMetricsCompiled ? metrics : nullptr;
-  const bool tr = obs::kMetricsCompiled && trace;
   out.moves.clear();
   out.movers = 0;
   {
     // A cold workspace rebuilds the full latency cache here, so that cost
     // lands in the first round's row-fill phase; steady-state prepare()
     // calls only resize-to-fit (no-ops) and recompute the support list.
-    obs::PhaseTimer prep_timer(m != nullptr ? &m->row_fill_ns : nullptr);
+    obs::PhaseTimer prep_timer(metrics != nullptr ? &metrics->row_fill_ns
+                                                  : nullptr);
     engine_detail::prepare(game, x, ws);
   }
   switch (mode) {
     case EngineMode::kAggregate:
       engine_detail::draw_aggregate(game, x, kernel, rng, ws, out,
-                                    row_threads, m, tr);
+                                    row_threads, metrics, trace);
       return;
     case EngineMode::kPerPlayer:
       engine_detail::draw_per_player(game, x, kernel, rng, ws, out,
-                                     row_threads, m, tr);
+                                     row_threads, metrics, trace);
       return;
   }
   CID_ENSURE(false, "unreachable engine mode");
@@ -392,10 +391,7 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
   CID_ENSURE(!(static_cast<bool>(call.stop) &&
                static_cast<bool>(call.cached_stop)),
              "EngineInvocation: at most one stop predicate may be set");
-  // Null under CID_METRICS=0 regardless of the caller, so the constant
-  // folds every metering branch below away.
-  obs::EngineMetrics* const m = obs::kMetricsCompiled ? options.metrics
-                                                      : nullptr;
+  obs::EngineMetrics* const m = options.metrics;
   RunResult result;
   result.rounds = options.start_round;
   // One workspace for the whole run: after the first round's full cache

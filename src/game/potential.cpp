@@ -100,11 +100,9 @@ void PotentialTracker::apply(const CongestionGame& game, const State& x,
 void PotentialTracker::resync(const CongestionGame& game, const State& x) {
   // Counts construction-time syncs too — every resync is a full O(m·n)
   // potential recomputation, which is exactly what the counter is for.
-  if constexpr (obs::kMetricsCompiled) {
-    static const auto id =
-        obs::global_metrics().counter("analysis.potential_resyncs");
-    obs::global_metrics().add(id, 1);
-  }
+  static const auto id =
+      obs::global_metrics().counter("analysis.potential_resyncs");
+  obs::global_metrics().add(id, 1);
   phi_ = static_cast<long double>(game.potential(x));
 }
 

@@ -170,7 +170,6 @@ const PersistIoIds& persist_io_ids() {
 }  // namespace
 
 void record_persist_write(std::uint64_t bytes, int fsyncs) noexcept {
-  if constexpr (!kMetricsCompiled) return;
   const PersistIoIds& ids = persist_io_ids();
   MetricsRegistry& reg = global_metrics();
   reg.add(ids.bytes, static_cast<std::int64_t>(bytes));
@@ -179,22 +178,18 @@ void record_persist_write(std::uint64_t bytes, int fsyncs) noexcept {
 }
 
 void record_persist_flush() noexcept {
-  if constexpr (!kMetricsCompiled) return;
   global_metrics().add(persist_io_ids().fflushes, 1);
 }
 
 void record_persist_write_failure() noexcept {
-  if constexpr (!kMetricsCompiled) return;
   global_metrics().add(persist_io_ids().write_failures, 1);
 }
 
 void record_persist_write_retry() noexcept {
-  if constexpr (!kMetricsCompiled) return;
   global_metrics().add(persist_io_ids().write_retries, 1);
 }
 
 PersistIoTotals persist_io_totals() noexcept {
-  if constexpr (!kMetricsCompiled) return {};
   const PersistIoIds& ids = persist_io_ids();
   const MetricsRegistry& reg = global_metrics();
   return {reg.value(ids.bytes),          reg.value(ids.writes),

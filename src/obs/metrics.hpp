@@ -10,10 +10,6 @@
 //     Hot-path hooks are nullable-pointer based (EngineMetrics* on
 //     RunOptions), so "off" is the default nullptr and costs one
 //     predictable branch per phase.
-//   * Compile-out. Building with -DCID_METRICS=0 (CMake option
-//     CID_METRICS) turns PhaseTimer and every hot-path hook into empty
-//     shells the optimizer deletes; the registry/sink machinery still
-//     compiles so CLIs keep their flags (they just report zeros).
 //   * Thread model. EngineMetrics is single-writer (one per trial, owned
 //     by that trial's thread; the sweep merges them after the pool
 //     drains). MetricsRegistry is shared: registration takes a mutex,
@@ -32,10 +28,6 @@
 #include <utility>
 #include <vector>
 
-#ifndef CID_METRICS
-#define CID_METRICS 1
-#endif
-
 namespace cid::obs {
 
 /// JSONL snapshot schema version (the "metrics_version" field every
@@ -43,44 +35,29 @@ namespace cid::obs {
 /// additive fields do not require a bump.
 inline constexpr int kMetricsVersion = 1;
 
-/// Whether instrumentation is compiled in (CID_METRICS != 0). Hot paths
-/// branch on this `if constexpr`, so a =0 build strips them entirely.
-inline constexpr bool kMetricsCompiled = CID_METRICS != 0;
-
 /// Monotonic nanoseconds (steady_clock) — the one clock every timer uses.
 inline std::int64_t now_ns() noexcept {
-#if CID_METRICS
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-#else
-  return 0;
-#endif
 }
 
 /// Scoped phase timer: accumulates the scope's elapsed nanoseconds into
-/// `*sink` on destruction. A null sink is a no-op (the metrics-off path),
-/// and CID_METRICS=0 reduces the whole class to nothing. Deliberately not
-/// reentrant-aware: phases do not nest in the engines.
+/// `*sink` on destruction. A null sink is a no-op (the metrics-off path).
+/// Deliberately not reentrant-aware: phases do not nest in the engines.
 class PhaseTimer {
  public:
-#if CID_METRICS
   explicit PhaseTimer(std::int64_t* sink) noexcept
       : sink_(sink), start_(sink != nullptr ? now_ns() : 0) {}
   ~PhaseTimer() {
     if (sink_ != nullptr) *sink_ += now_ns() - start_;
   }
-#else
-  explicit PhaseTimer(std::int64_t* /*sink*/) noexcept {}
-#endif
   PhaseTimer(const PhaseTimer&) = delete;
   PhaseTimer& operator=(const PhaseTimer&) = delete;
 
  private:
-#if CID_METRICS
   std::int64_t* sink_;
   std::int64_t start_;
-#endif
 };
 
 /// Hot-path engine counters, one struct per trial/run. Plain non-atomic
@@ -217,10 +194,10 @@ MetricsRegistry& global_metrics();
 
 // ---- Persistence I/O counters ----------------------------------------------
 
-/// Totals of the global "persist.*" counters (all zero under
-/// CID_METRICS=0). One code path feeds them — every persist/sweep writer
-/// reports through record_persist_write/record_persist_flush — so
-/// cid_sweep summaries and cid_replay report I/O from the same numbers.
+/// Totals of the global "persist.*" counters. One code path feeds them —
+/// every persist/sweep writer reports through
+/// record_persist_write/record_persist_flush — so cid_sweep summaries and
+/// cid_replay report I/O from the same numbers.
 struct PersistIoTotals {
   std::int64_t bytes_written = 0;  // payload bytes handed to fwrite
   std::int64_t writes = 0;         // write calls (records, blocks, files)
@@ -231,7 +208,7 @@ struct PersistIoTotals {
 };
 
 /// Registers `bytes` written and `fsyncs` fsync calls on the global
-/// registry. No-op (and no atomics touched) under CID_METRICS=0.
+/// registry.
 void record_persist_write(std::uint64_t bytes, int fsyncs) noexcept;
 void record_persist_flush() noexcept;
 /// One failed persist operation (write, flush, or rotation) / one recovery

@@ -116,7 +116,6 @@ AsymmetricRoundObserver TelemetryRecorder::asymmetric_observer() {
 void TelemetryRecorder::observe(const CongestionGame& game, const State& x,
                                 std::span<const Migration> moves,
                                 std::int64_t round, bool final) {
-  if constexpr (!kMetricsCompiled) return;
   if (final) {
     pending_final_ = make_telemetry_record(game, x, moves, round, true);
     pending_ = true;
@@ -130,7 +129,6 @@ void TelemetryRecorder::observe(const AsymmetricGame& game,
                                 const AsymmetricState& x,
                                 std::span<const ClassMigration> moves,
                                 std::int64_t round, bool final) {
-  if constexpr (!kMetricsCompiled) return;
   if (final) {
     pending_final_ = make_telemetry_record(game, x, moves, round, true);
     pending_ = true;
@@ -141,7 +139,6 @@ void TelemetryRecorder::observe(const AsymmetricGame& game,
 }
 
 void TelemetryRecorder::finish(bool converged) {
-  if constexpr (!kMetricsCompiled) return;
   if (pending_ && converged) records_.push_back(pending_final_);
   pending_ = false;
 }

@@ -22,9 +22,7 @@
 // final record and its series concatenates bitwise with the resumed
 // leg's.
 //
-// PR 6 contract: zero RNG, null/off paths byte-identical, and
-// -DCID_METRICS=0 reduces the recorder to a no-op (files come out empty;
-// the CLI flags stay accepted).
+// Observability contract: zero RNG, null/off paths byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +73,6 @@ TelemetryRecord make_telemetry_record(const AsymmetricGame& game,
                                       std::int64_t round, bool final);
 
 /// Accumulates a downsampled series through either engine's observer hook.
-/// Under CID_METRICS=0 every method is a no-op and records() stays empty.
 class TelemetryRecorder {
  public:
   /// Records every `every`-th round (round % every == 0) plus, when the

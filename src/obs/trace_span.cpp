@@ -72,12 +72,10 @@ void append_us(std::string& out, std::int64_t ns) {
 }  // namespace
 
 bool trace_enabled() noexcept {
-  if constexpr (!kMetricsCompiled) return false;
   return collector().enabled.load(std::memory_order_relaxed);
 }
 
 void start_tracing() {
-  if constexpr (!kMetricsCompiled) return;
   Collector& c = collector();
   const std::lock_guard<std::mutex> lock(c.mutex);
   c.buffers.clear();

@@ -12,9 +12,8 @@
 //
 // The PR 6 observability contract applies unchanged: spans read the steady
 // clock and nothing else (zero RNG, no effect on any output byte), a
-// disarmed collector costs one relaxed atomic load per hook, and
-// -DCID_METRICS=0 compiles the whole layer down to constant-false checks
-// the optimizer deletes. Engine phases are sampled (every
+// disarmed collector costs one relaxed atomic load per hook. Engine
+// phases are sampled (every
 // trace_engine_sample_interval() rounds) so multi-million-round runs
 // produce bounded traces.
 #pragma once
@@ -26,22 +25,19 @@
 
 namespace cid::obs {
 
-/// True between start_tracing() and stop_tracing_to(); constant false
-/// under CID_METRICS=0. Hook call sites branch on this before building
-/// span names/args so the disabled path stays one atomic load.
+/// True between start_tracing() and stop_tracing_to(). Hook call sites
+/// branch on this before building span names/args so the disabled path
+/// stays one atomic load.
 bool trace_enabled() noexcept;
 
 /// Arms the collector: clears previous buffers, fixes the trace epoch
-/// (timestamps are reported relative to this call). No-op under
-/// CID_METRICS=0.
+/// (timestamps are reported relative to this call).
 void start_tracing();
 
 /// Writes every buffered event as Chrome trace-event JSON to `path`
 /// (fails loudly on I/O errors), disarms the collector, and returns the
-/// number of events written (always 0 under CID_METRICS=0 — the file is
-/// still written, with an empty traceEvents array, so CLI flags behave
-/// uniformly). Not thread-safe against concurrent emitters: callers stop
-/// tracing only after worker threads have joined.
+/// number of events written. Not thread-safe against concurrent emitters:
+/// callers stop tracing only after worker threads have joined.
 std::size_t stop_tracing_to(const std::string& path);
 
 /// Engine-phase sampling interval K: rounds with round % K == 0 emit
@@ -66,24 +62,18 @@ void trace_instant(const char* name, std::string args_json = {});
 /// `TraceSpan span(sampled ? "engine.draw" : nullptr);`.
 class TraceSpan {
  public:
-#if CID_METRICS
   explicit TraceSpan(const char* name) noexcept
       : name_(trace_enabled() ? name : nullptr),
         start_(name_ != nullptr ? now_ns() : 0) {}
   ~TraceSpan() {
     if (name_ != nullptr) trace_emit(name_, start_, now_ns());
   }
-#else
-  explicit TraceSpan(const char* /*name*/) noexcept {}
-#endif
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-#if CID_METRICS
   const char* name_;
   std::int64_t start_;
-#endif
 };
 
 }  // namespace cid::obs

@@ -8,9 +8,7 @@
 
 #include "dynamics/equilibrium.hpp"
 #include "persist/binio.hpp"
-#include "protocols/combined.hpp"
-#include "protocols/exploration.hpp"
-#include "protocols/imitation.hpp"
+#include "protocols/factory.hpp"
 
 namespace cid::persist {
 
@@ -186,22 +184,9 @@ ResumedRun resume_run(const std::string& snapshot_path) {
   auto game = std::make_unique<CongestionGame>(std::move(snapshot.game));
   State state(*game, std::move(snapshot.counts));
 
-  ImitationParams ip;
-  ip.lambda = snapshot.config.lambda;
-  ip.nu_cutoff = snapshot.config.nu_cutoff;
-  ip.damping = snapshot.config.damping;
-  ip.virtual_agents = snapshot.config.virtual_agents;
-  ExplorationParams ep;
-  ep.lambda = snapshot.config.lambda;
-  std::unique_ptr<Protocol> protocol;
-  if (snapshot.config.protocol == "imitation") {
-    protocol = std::make_unique<ImitationProtocol>(ip);
-  } else if (snapshot.config.protocol == "exploration") {
-    protocol = std::make_unique<ExplorationProtocol>(ep);
-  } else if (snapshot.config.protocol == "combined") {
-    protocol = std::make_unique<CombinedProtocol>(ip, ep,
-                                                  snapshot.config.p_explore);
-  } else {
+  std::unique_ptr<Protocol> protocol =
+      make_protocol(snapshot.config.protocol_spec());
+  if (protocol == nullptr) {
     throw persist_error(snapshot_path + ": unknown protocol '" +
                         snapshot.config.protocol + "' in snapshot");
   }

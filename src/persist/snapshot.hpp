@@ -37,6 +37,7 @@
 #include "game/congestion_game.hpp"
 #include "game/state.hpp"
 #include "lowerbound/maxcut.hpp"
+#include "protocols/factory.hpp"
 #include "util/rng.hpp"
 
 namespace cid::persist {
@@ -64,6 +65,11 @@ struct SimConfig {
   std::int64_t virtual_agents = 0;
   std::uint8_t engine = 0;  // EngineMode underlying value
   std::string stop = "stable";
+
+  /// The protocol fields, for make_protocol.
+  ProtocolSpec protocol_spec() const {
+    return {protocol, lambda, p_explore, nu_cutoff, damping, virtual_agents};
+  }
 
   friend bool operator==(const SimConfig&, const SimConfig&) = default;
 };

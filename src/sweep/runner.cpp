@@ -306,19 +306,13 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   // in-memory results stay complete; only resumability is lost).
   bool manifest_live = manifest.has_value();
   std::string manifest_err;
-  // Watchdog bookkeeping: one start stamp per pending slot (-1 = not
-  // currently running), on the steady clock (obs::now_ns is compiled out
-  // under CID_METRICS=0; the watchdog must work regardless).
+  // Watchdog bookkeeping: one obs::now_ns start stamp per pending slot
+  // (-1 = not currently running).
   struct TrialClock {
     std::atomic<std::int64_t> start_ns{-1};
     std::atomic<bool> flagged{false};
   };
   std::deque<TrialClock> clocks(pending.size());
-  const auto steady_ns = [] {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  };
   {
     // Heartbeat thread, RAII-stopped so a throwing trial cannot leak it.
     struct Monitor {
@@ -360,7 +354,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
         std::unique_lock<std::mutex> lock(watchdog.mutex);
         while (!watchdog.cv.wait_for(lock, poll,
                                      [&] { return watchdog.stop; })) {
-          const std::int64_t now = steady_ns();
+          const std::int64_t now = obs::now_ns();
           for (std::size_t p = 0; p < pending.size(); ++p) {
             const std::int64_t start =
                 clocks[p].start_ns.load(std::memory_order_relaxed);
@@ -390,7 +384,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
           queue_wait_ns.fetch_add(start_ns - launch_ns,
                                   std::memory_order_relaxed);
           clocks[static_cast<std::size_t>(p)].start_ns.store(
-              steady_ns(), std::memory_order_relaxed);
+              start_ns, std::memory_order_relaxed);
           const WallTimer timer;
           const int max_attempts = std::max(1, options.trial_max_attempts);
           TrialOutcome outcome;

@@ -105,13 +105,13 @@ struct SweepResult {
   /// deterministic per grid; the *_ns fields are wall time. Populated only
   /// under DynamicsConfig::collect_metrics (zeros otherwise).
   obs::EngineMetrics engine;
-  /// Pool-level wall accounting (steady-clock ns, zero under
-  /// CID_METRICS=0): queue_wait_ns sums, over executed trials, the time
-  /// between sweep launch and that trial's start on a worker —
-  /// scheduling-dependent, reported in summaries only. trial_run_ns sums
-  /// the in-trial time. instance_build_ns is the serial per-n instance
-  /// build before any trial starts (β is not part of it: exploration and
-  /// combined trials compute it on first use, inside their first trial).
+  /// Pool-level wall accounting (steady-clock ns): queue_wait_ns sums,
+  /// over executed trials, the time between sweep launch and that trial's
+  /// start on a worker — scheduling-dependent, reported in summaries
+  /// only. trial_run_ns sums the in-trial time. instance_build_ns is the
+  /// serial per-n instance build before any trial starts (β is not part
+  /// of it: exploration and combined trials compute it on first use,
+  /// inside their first trial).
   std::int64_t queue_wait_ns = 0;
   std::int64_t trial_run_ns = 0;
   std::int64_t instance_build_ns = 0;

@@ -20,9 +20,6 @@
 #include "persist/binio.hpp"
 #include "persist/codec.hpp"
 #include "persist/snapshot.hpp"
-#include "protocols/combined.hpp"
-#include "protocols/exploration.hpp"
-#include "protocols/imitation.hpp"
 
 namespace cid::sweep {
 
@@ -52,24 +49,6 @@ ProtocolSpec parse_protocol_spec(const std::string& token) {
   }
   spec.name = name;
   return spec;
-}
-
-std::unique_ptr<Protocol> build_protocol(const ProtocolSpec& spec) {
-  ImitationParams ip;
-  ip.lambda = spec.lambda;
-  ip.nu_cutoff = spec.nu_cutoff;
-  ip.damping = spec.damping;
-  ip.virtual_agents = spec.virtual_agents;
-  ExplorationParams ep;
-  ep.lambda = spec.lambda;
-  if (spec.name == "imitation") return std::make_unique<ImitationProtocol>(ip);
-  if (spec.name == "exploration") {
-    return std::make_unique<ExplorationProtocol>(ep);
-  }
-  if (spec.name == "combined") {
-    return std::make_unique<CombinedProtocol>(ip, ep, spec.p_explore);
-  }
-  throw std::runtime_error("unknown protocol '" + spec.name + "'");
 }
 
 namespace {
@@ -218,7 +197,10 @@ class SymmetricInstance final : public ScenarioInstance {
                         std::int64_t start_round, std::int64_t base_movers,
                         const TrialCheckpoint* checkpoint,
                         TrialStats* stats) const {
-    const auto proto = build_protocol(protocol);
+    const auto proto = make_protocol(protocol);
+    if (proto == nullptr) {
+      throw std::runtime_error("unknown protocol '" + protocol.name + "'");
+    }
     RunOptions options;
     // Tuning knobs flow through wholesale (shared EngineTuning base); the
     // scenario-layer collect_metrics flag is realized as the metrics
@@ -497,9 +479,8 @@ class AsymmetricInstance final : public ScenarioInstance {
     // caller asked, so the unmetered loop is branch-for-branch identical
     // to the pre-metrics code.
     obs::EngineMetrics* const m =
-        (obs::kMetricsCompiled && stats != nullptr && dynamics.collect_metrics)
-            ? &stats->engine
-            : nullptr;
+        (stats != nullptr && dynamics.collect_metrics) ? &stats->engine
+                                                       : nullptr;
     // Telemetry mirrors the symmetric engine's observer protocol: one
     // pure record per sampled round against the PRE-round state + the
     // round's moves, one buffered final record (emitted iff converged).

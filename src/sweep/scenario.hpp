@@ -42,6 +42,7 @@
 
 #include "dynamics/engine.hpp"
 #include "obs/telemetry.hpp"
+#include "protocols/factory.hpp"
 #include "protocols/protocol.hpp"
 #include "util/rng.hpp"
 
@@ -63,26 +64,16 @@ enum class StartKind : int {
   kTrap = 3,
 };
 
-/// Which protocol a trial runs. For the symmetric scenarios all three of
-/// the paper's protocols apply; the asymmetric scenarios support class-
-/// local imitation only (the paper's §3 remark), and threshold-lb maps
-/// "imitation" to the tripled sequential imitation dynamics and any other
-/// name to plain best response.
-struct ProtocolSpec {
-  std::string name = "imitation";  // imitation | exploration | combined
-  double lambda = 0.25;
-  double p_explore = 0.5;          // combined only
-  bool nu_cutoff = true;
-  bool damping = true;
-  std::int64_t virtual_agents = 0;
-};
+/// Which protocol a trial runs (protocols/factory.hpp). For the symmetric
+/// scenarios all three of the paper's protocols apply; the asymmetric
+/// scenarios support class-local imitation only (the paper's §3 remark),
+/// and threshold-lb maps "imitation" to the tripled sequential imitation
+/// dynamics and any other name to plain best response.
+using cid::ProtocolSpec;
 
 /// Parses "imitation", "exploration", "combined" or "combined:P" (explore
 /// probability). Throws std::runtime_error on anything else.
 ProtocolSpec parse_protocol_spec(const std::string& token);
-
-/// Builds the corresponding symmetric-game Protocol.
-std::unique_ptr<Protocol> build_protocol(const ProtocolSpec& spec);
 
 /// Asymmetric scenarios have no Definition-1 evaluation (the paper states
 /// it for symmetric games), so they check kDeltaEps as class-wise
@@ -101,11 +92,11 @@ enum class StopRule {
 /// option surfaces cannot drift: reference_kernel / virtual_frontend /
 /// row_threads flow straight into the engine, collect_metrics /
 /// telemetry_every are realized here (as a RunOptions::metrics pointer and
-/// a telemetry RoundObserver; both no-ops without a TrialStats or under
-/// CID_METRICS=0; threshold-lb runs sequential dynamics and ignores the
-/// engine hooks entirely). Every EngineTuning field is EXCLUDED from
-/// manifest grid fingerprints — only the six semantic fields below enter
-/// them — so flipping a tuning knob resumes an existing sweep.
+/// a telemetry RoundObserver; both no-ops without a TrialStats;
+/// threshold-lb runs sequential dynamics and ignores the engine hooks
+/// entirely). Every EngineTuning field is EXCLUDED from manifest grid
+/// fingerprints — only the six semantic fields below enter them — so
+/// flipping a tuning knob resumes an existing sweep.
 struct DynamicsConfig : EngineTuning {
   std::int64_t max_rounds = 100'000;
   std::int64_t check_interval = 1;

@@ -161,13 +161,11 @@ std::shared_ptr<FaultSchedule> parse_spec(const std::string& spec) {
 }  // namespace
 
 void configure_faults(const std::string& spec) {
-  // Parse unconditionally so a CID_FAULTS=0 build still validates CLI
-  // specs (the flag stays accepted everywhere); arm only when compiled in.
   auto schedule = parse_spec(spec);
   const bool any = !schedule->rules.empty();
   const std::lock_guard<std::mutex> lock(g_mutex);
   g_schedule = any ? std::move(schedule) : nullptr;
-  g_armed.store(kFaultsCompiled && any, std::memory_order_release);
+  g_armed.store(any, std::memory_order_release);
 }
 
 void clear_faults() noexcept {
@@ -189,10 +187,6 @@ std::int64_t faults_injected() noexcept {
 }
 
 FaultAction fault_point(const char* site) {
-  if constexpr (!kFaultsCompiled) {
-    (void)site;
-    return {};
-  }
   if (!g_armed.load(std::memory_order_acquire)) return {};
   std::shared_ptr<FaultSchedule> schedule;
   {
@@ -224,9 +218,7 @@ FaultAction fault_point(const char* site) {
       continue;  // budget exhausted (fetch_add keeps it saturated)
     }
     g_injected.fetch_add(1, std::memory_order_relaxed);
-    if constexpr (obs::kMetricsCompiled) {
-      obs::global_metrics().add_named("fault.injected", 1);
-    }
+    obs::global_metrics().add_named("fault.injected", 1);
     FaultAction action;
     action.kind = rule.kind;
     action.detail = std::string(site) + ":" +

@@ -2,9 +2,8 @@
 //
 // A process-global, seeded schedule of failures at named sites. Writers
 // consult fault_point("site") at every injectable operation; with no
-// schedule armed that is one relaxed atomic load, and under
-// -DCID_FAULTS=OFF (CMake option CID_FAULTS) the whole layer compiles to
-// nothing, so production builds take the exact pre-fault code path.
+// schedule armed that is one relaxed atomic load, so production runs take
+// the exact pre-fault code path.
 //
 // Spec grammar (CLI --inject-faults SPEC; parts separated by ';'):
 //
@@ -55,14 +54,7 @@
 #include <stdexcept>
 #include <string>
 
-#ifndef CID_FAULTS
-#define CID_FAULTS 1
-#endif
-
 namespace cid::util {
-
-/// Whether the fault layer is compiled in (CID_FAULTS != 0).
-inline constexpr bool kFaultsCompiled = CID_FAULTS != 0;
 
 enum class FaultKind : int {
   kNone = 0,
@@ -88,21 +80,18 @@ class fault_crash : public std::runtime_error {
 };
 
 /// Parses and arms `spec` (replacing any previous schedule). Throws
-/// std::runtime_error on bad grammar. An empty spec disarms. Under
-/// CID_FAULTS=0 the spec is still parsed and validated — so CLIs accept
-/// the flag everywhere — but nothing is armed.
+/// std::runtime_error on bad grammar. An empty spec disarms.
 void configure_faults(const std::string& spec);
 
 /// Disarms and forgets the schedule (and resets per-rule counters).
 void clear_faults() noexcept;
 
-/// True when any schedule is armed (always false under CID_FAULTS=0).
+/// True when any schedule is armed.
 bool faults_armed() noexcept;
 
 /// Consults the schedule at `site`. Almost always returns kNone — with no
-/// schedule armed this is a single relaxed atomic load, and under
-/// CID_FAULTS=0 it is a constant. For kCrash, the crash handler runs
-/// first; the default handler does not return.
+/// schedule armed this is a single relaxed atomic load. For kCrash, the
+/// crash handler runs first; the default handler does not return.
 FaultAction fault_point(const char* site);
 
 /// Replaces the crash behavior (nullptr restores the default _Exit(137)).

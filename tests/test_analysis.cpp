@@ -67,18 +67,14 @@ TEST(PotentialTracker, ResyncMatchesFullRebuildAndCountsIt) {
                                   std::int64_t, bool final) {
     if (!final) tracker.apply(g, s, moves);
   };
-  run_dynamics(game, x, protocol, rng, opts, nullptr, track);
+  run_dynamics(game, x, protocol, rng, {.options = opts, .observer = track});
   EXPECT_NEAR(tracker.value(), game.potential(x),
               1e-7 * (1.0 + game.potential(x)));
 
   tracker.resync(game, x);
   EXPECT_EQ(tracker.value(), game.potential(x));
-  if (obs::kMetricsCompiled) {
-    EXPECT_EQ(registry.value(resyncs) - before, 1);
-    EXPECT_GE(before, 1);
-  } else {
-    EXPECT_EQ(registry.value(resyncs), 0);
-  }
+  EXPECT_EQ(registry.value(resyncs) - before, 1);
+  EXPECT_GE(before, 1);
 }
 
 TEST(TraceRecorder, PotentialMatchesExactRecomputation) {
@@ -89,7 +85,8 @@ TEST(TraceRecorder, PotentialMatchesExactRecomputation) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 25;
-  run_dynamics(game, x, protocol, rng, opts, nullptr, recorder.observer());
+  run_dynamics(game, x, protocol, rng,
+               {.options = opts, .observer = recorder.observer()});
   EXPECT_NEAR(recorder.current_potential(), game.potential(x),
               1e-7 * (1.0 + game.potential(x)));
   // Records: rounds 0..24 at interval 1, plus final flush.
@@ -106,7 +103,8 @@ TEST(TraceRecorder, SamplingIntervalDownsamples) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 35;
-  run_dynamics(game, x, protocol, rng, opts, nullptr, recorder.observer());
+  run_dynamics(game, x, protocol, rng,
+               {.options = opts, .observer = recorder.observer()});
   // Rounds 0, 10, 20, 30 + final flush at 35.
   EXPECT_EQ(recorder.records().size(), 5u);
   // Potential tracker must remain exact despite downsampling.
@@ -121,7 +119,8 @@ TEST(TraceRecorder, TableHasExpectedShape) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 3;
-  run_dynamics(game, x, protocol, rng, opts, nullptr, recorder.observer());
+  run_dynamics(game, x, protocol, rng,
+               {.options = opts, .observer = recorder.observer()});
   const Table t = recorder.to_table();
   EXPECT_EQ(t.num_rows(), 4u);
   EXPECT_NE(t.to_string().find("potential"), std::string::npos);

@@ -136,10 +136,11 @@ TEST(Engine, RunStopsOnPredicate) {
   RunOptions opts;
   opts.max_rounds = 10000;
   const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame&, const State& s, std::int64_t) {
-        return std::abs(s.count(0) - s.count(1)) <= 10;
-      });
+      game, x, protocol, rng,
+      {.options = opts,
+       .stop = [](const CongestionGame&, const State& s, std::int64_t) {
+         return std::abs(s.count(0) - s.count(1)) <= 10;
+       }});
   EXPECT_TRUE(rr.converged);
   EXPECT_LT(rr.rounds, 10000);
   EXPECT_LE(std::abs(x.count(0) - x.count(1)), 10);
@@ -153,10 +154,11 @@ TEST(Engine, RunHonoursMaxRounds) {
   RunOptions opts;
   opts.max_rounds = 5;
   const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame&, const State&, std::int64_t) {
-        return false;
-      });
+      game, x, protocol, rng,
+      {.options = opts,
+       .stop = [](const CongestionGame&, const State&, std::int64_t) {
+         return false;
+       }});
   EXPECT_FALSE(rr.converged);
   EXPECT_EQ(rr.rounds, 5);
 }
@@ -171,15 +173,17 @@ TEST(Engine, ObserverSeesEveryRoundAndFinalState) {
   std::int64_t calls = 0;
   bool saw_final = false;
   run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame&, const State&, std::int64_t) {
-        return false;
-      },
-      [&](const CongestionGame&, const State&,
-          std::span<const Migration> moves, std::int64_t round, bool final) {
-        ++calls;
-        if (final && moves.empty() && round == 7) saw_final = true;
-      });
+      game, x, protocol, rng,
+      {.options = opts,
+       .stop = [](const CongestionGame&, const State&, std::int64_t) {
+         return false;
+       },
+       .observer = [&](const CongestionGame&, const State&,
+                       std::span<const Migration> moves, std::int64_t round,
+                       bool final) {
+         ++calls;
+         if (final && moves.empty() && round == 7) saw_final = true;
+       }});
   EXPECT_EQ(calls, 8);  // 7 rounds + final flush
   EXPECT_TRUE(saw_final);
 }
@@ -193,11 +197,12 @@ TEST(Engine, CheckIntervalSkipsPredicateEvaluations) {
   opts.max_rounds = 100;
   opts.check_interval = 10;
   std::int64_t evaluations = 0;
-  run_dynamics(game, x, protocol, rng, opts,
-               [&](const CongestionGame&, const State&, std::int64_t) {
-                 ++evaluations;
-                 return false;
-               });
+  run_dynamics(game, x, protocol, rng,
+               {.options = opts,
+                .stop = [&](const CongestionGame&, const State&, std::int64_t) {
+                  ++evaluations;
+                  return false;
+                }});
   EXPECT_EQ(evaluations, 11);  // rounds 0,10,...,90 plus the final check
 }
 
@@ -208,7 +213,7 @@ TEST(Engine, ValidatesOptions) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.check_interval = 0;
-  EXPECT_THROW(run_dynamics(game, x, protocol, rng, opts, nullptr),
+  EXPECT_THROW(run_dynamics(game, x, protocol, rng, {.options = opts}),
                invariant_violation);
 }
 

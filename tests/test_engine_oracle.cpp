@@ -170,12 +170,12 @@ TEST(EngineOracle, RunDynamicsMatchesAcrossKernels) {
     Rng batched_rng(7);
     State batched_x = State::uniform_random(game, batched_rng);
     const RunResult batched = run_dynamics(game, batched_x, protocol,
-                                           batched_rng, options, nullptr);
+                                           batched_rng, {.options = options});
     options.reference_kernel = true;
     Rng reference_rng(7);
     State reference_x = State::uniform_random(game, reference_rng);
     const RunResult reference = run_dynamics(
-        game, reference_x, protocol, reference_rng, options, nullptr);
+        game, reference_x, protocol, reference_rng, {.options = options});
     EXPECT_EQ(batched.rounds, reference.rounds);
     EXPECT_EQ(batched.total_movers, reference.total_movers);
     EXPECT_TRUE(batched_x == reference_x);
@@ -363,7 +363,7 @@ TEST(EngineOracle, RowThreadsByteIdenticalRunsBothModes) {
       options.row_threads = row_threads;
       Rng rng(5);
       State x = State::uniform_random(game, rng);
-      run_dynamics(game, x, protocol, rng, options, nullptr);
+      run_dynamics(game, x, protocol, rng, {.options = options});
       if (!first_x.has_value()) {
         first_x.emplace(std::move(x));
         first_rng = rng.state();

@@ -10,15 +10,13 @@
 // as a comparison failure here. All sweeps run --threads 1 so the
 // fault-schedule consultation order (and with it hit= targeting) is
 // deterministic.
-//
-// Every firing-dependent test skips under -DCID_FAULTS=OFF — there the
-// layer parses specs but never fires, which is itself asserted below.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "persist/binio.hpp"
 #include "persist/manifest.hpp"
 #include "sweep/runner.hpp"
@@ -75,7 +73,7 @@ std::string reference_manifest_bytes(const SweepGrid& grid,
   return bytes;
 }
 
-TEST_F(FaultTest, SpecGrammarIsValidatedEvenWhenCompiledOut) {
+TEST_F(FaultTest, SpecGrammarIsValidated) {
   EXPECT_NO_THROW(util::configure_faults(
       "seed=9;manifest.append:err:hit=2;eventlog.*:short:p=0.5:count=3"));
   util::clear_faults();
@@ -91,16 +89,7 @@ TEST_F(FaultTest, SpecGrammarIsValidatedEvenWhenCompiledOut) {
   EXPECT_FALSE(util::faults_armed());
 }
 
-TEST_F(FaultTest, CompiledOutLayerNeverArmsOrFires) {
-  if (util::kFaultsCompiled) GTEST_SKIP() << "CID_FAULTS is ON";
-  util::configure_faults("seed=1;manifest.append:err:every=1");
-  EXPECT_FALSE(util::faults_armed());
-  EXPECT_EQ(util::fault_point("manifest.append").kind,
-            util::FaultKind::kNone);
-}
-
 TEST_F(FaultTest, SameSeedSameSchedule) {
-  if (!util::kFaultsCompiled) GTEST_SKIP() << "CID_FAULTS is OFF";
   const auto firings = [](const std::string& spec) {
     util::configure_faults(spec);
     std::vector<int> fired;
@@ -121,7 +110,9 @@ TEST_F(FaultTest, SameSeedSameSchedule) {
 }
 
 TEST_F(FaultTest, HitTargetsExactlyOneConsultation) {
-  if (!util::kFaultsCompiled) GTEST_SKIP() << "CID_FAULTS is OFF";
+  obs::MetricsRegistry& registry = obs::global_metrics();
+  const auto injected = registry.counter("fault.injected");
+  const std::int64_t injected_before = registry.value(injected);
   util::configure_faults("seed=1;s.a:short:hit=3");
   std::vector<util::FaultKind> kinds;
   for (int i = 0; i < 5; ++i) kinds.push_back(util::fault_point("s.a").kind);
@@ -130,13 +121,14 @@ TEST_F(FaultTest, HitTargetsExactlyOneConsultation) {
       util::FaultKind::kShortWrite, util::FaultKind::kNone,
       util::FaultKind::kNone};
   EXPECT_EQ(kinds, expected);
+  // Every firing bumps the global counter exactly once.
+  EXPECT_EQ(registry.value(injected) - injected_before, 1);
 }
 
 // Every transient write-failure kind on the manifest hot path must be
 // absorbed by the writer's truncate-and-rewrite recovery, leaving a file
 // byte-identical to a fault-free run's.
 TEST_F(FaultTest, ManifestWriteFaultsRecoverByteIdentical) {
-  if (!util::kFaultsCompiled) GTEST_SKIP() << "CID_FAULTS is OFF";
   const SweepGrid grid = small_grid("load-balancing", 200, 500);
   const std::string reference =
       reference_manifest_bytes(grid, "fault_ref.manifest");
@@ -170,7 +162,6 @@ TEST_F(FaultTest, ManifestWriteFaultsRecoverByteIdentical) {
 // in-process crash handler throws fault_crash, which the runner's retry
 // logic deliberately refuses to treat as a retryable trial error.
 TEST_F(FaultTest, CrashAndResumeIsByteIdenticalForAllSixFamilies) {
-  if (!util::kFaultsCompiled) GTEST_SKIP() << "CID_FAULTS is OFF";
   struct FamilyCase {
     const char* scenario;
     std::int64_t n;
@@ -209,7 +200,6 @@ TEST_F(FaultTest, CrashAndResumeIsByteIdenticalForAllSixFamilies) {
 // fresh copy of its Rng stream, so the retried sweep's manifest equals
 // the fault-free one byte for byte.
 TEST_F(FaultTest, TransientTrialFaultIsRetriedToTheIdenticalResult) {
-  if (!util::kFaultsCompiled) GTEST_SKIP() << "CID_FAULTS is OFF";
   const SweepGrid grid = small_grid("load-balancing", 200, 500);
   const std::string reference =
       reference_manifest_bytes(grid, "retry_ref.manifest");
@@ -229,7 +219,6 @@ TEST_F(FaultTest, TransientTrialFaultIsRetriedToTheIdenticalResult) {
 // SweepResult::failures, and is excluded from aggregation — without
 // killing the sweep or poisoning the other trials' records.
 TEST_F(FaultTest, PermanentTrialFailureIsIsolatedAndReported) {
-  if (!util::kFaultsCompiled) GTEST_SKIP() << "CID_FAULTS is OFF";
   const SweepGrid grid = small_grid("load-balancing", 200, 500);
   const std::string path = temp_path("permfail.manifest");
   SweepOptions options = manifest_options(path);
@@ -271,7 +260,6 @@ TEST_F(FaultTest, PermanentTrialFailureIsIsolatedAndReported) {
 // Rotation failure degrades to unrotated output instead of aborting; the
 // record CONTENT (not framing) must match the fault-free run.
 TEST_F(FaultTest, FailedRotationDegradesToUnrotatedOutput) {
-  if (!util::kFaultsCompiled) GTEST_SKIP() << "CID_FAULTS is OFF";
   const SweepGrid grid = small_grid("load-balancing", 200, 500);
   const std::string path = temp_path("degrade.manifest");
   SweepOptions options = manifest_options(path);

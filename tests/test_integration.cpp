@@ -33,8 +33,8 @@ TEST(Integration, ImitationReachesImitationStableOnSingleton) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 20000;
-  const RunResult rr = run_dynamics(game, x, protocol, rng, opts,
-                                    stable_stop());
+  const RunResult rr = run_dynamics(game, x, protocol, rng,
+                                    {.options = opts, .stop = stable_stop()});
   EXPECT_TRUE(rr.converged);
   EXPECT_TRUE(is_imitation_stable(game, x, game.nu()));
   // With ν=1 and identical linear links, stable means near-balanced.
@@ -56,10 +56,11 @@ TEST(Integration, ImitationReachesApproxEquilibriumOnBraess) {
   opts.max_rounds = 50000;
   const double eps = 0.1, delta = 0.1;
   const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [&](const CongestionGame& g, const State& s, std::int64_t) {
-        return is_delta_eps_equilibrium(g, s, delta, eps);
-      });
+      game, x, protocol, rng,
+      {.options = opts,
+       .stop = [&](const CongestionGame& g, const State& s, std::int64_t) {
+         return is_delta_eps_equilibrium(g, s, delta, eps);
+       }});
   EXPECT_TRUE(rr.converged);
 }
 
@@ -96,10 +97,11 @@ TEST(Integration, ExplorationConvergesToNashDespiteEmptyStart) {
   opts.max_rounds = 2000000;
   opts.check_interval = 16;
   const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame& g, const State& s, std::int64_t) {
-        return is_nash(g, s);
-      });
+      game, x, protocol, rng,
+      {.options = opts,
+       .stop = [](const CongestionGame& g, const State& s, std::int64_t) {
+         return is_nash(g, s);
+       }});
   EXPECT_TRUE(rr.converged) << "exploration should find the unused link";
   EXPECT_GT(x.count(2), 0);
 }
@@ -115,10 +117,11 @@ TEST(Integration, CombinedProtocolConvergesToNash) {
   opts.max_rounds = 2000000;
   opts.check_interval = 16;
   const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame& g, const State& s, std::int64_t) {
-        return is_nash(g, s);
-      });
+      game, x, protocol, rng,
+      {.options = opts,
+       .stop = [](const CongestionGame& g, const State& s, std::int64_t) {
+         return is_nash(g, s);
+       }});
   EXPECT_TRUE(rr.converged);
 }
 
@@ -133,7 +136,8 @@ TEST(Integration, ImitationAloneStabilizesWithoutDiscovering) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 5000;
-  run_dynamics(game, x, protocol, rng, opts, stable_stop());
+  run_dynamics(game, x, protocol, rng,
+               {.options = opts, .stop = stable_stop()});
   EXPECT_EQ(x.count(2), 0);
   EXPECT_FALSE(is_nash(game, x));
   EXPECT_TRUE(is_imitation_stable(game, x, game.nu()));
@@ -155,10 +159,11 @@ TEST(Integration, VirtualAgentImitationEscapesTheTrap) {
   opts.max_rounds = 500000;
   opts.check_interval = 16;
   const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame& g, const State& s, std::int64_t) {
-        return is_nash(g, s);
-      });
+      game, x, protocol, rng,
+      {.options = opts,
+       .stop = [](const CongestionGame& g, const State& s, std::int64_t) {
+         return is_nash(g, s);
+       }});
   EXPECT_TRUE(rr.converged);
   EXPECT_GT(x.count(2), 0);
 }
@@ -172,7 +177,7 @@ TEST(Integration, LargePlayerCountRunsFastWithAggregateEngine) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 50;
-  const RunResult rr = run_dynamics(game, x, protocol, rng, opts, nullptr);
+  const RunResult rr = run_dynamics(game, x, protocol, rng, {.options = opts});
   EXPECT_EQ(rr.rounds, 50);
   x.check_consistent(game);
 }
@@ -195,13 +200,15 @@ TEST(Integration, NoExtinctionInLargeScaledSingleton) {
   RunOptions opts;
   opts.max_rounds = 400;
   bool extinct = false;
-  run_dynamics(game, x, protocol, rng, opts,
-               [&](const CongestionGame&, const State& s, std::int64_t) {
-                 for (StrategyId p = 0; p < 4; ++p) {
-                   if (s.count(p) == 0) extinct = true;
-                 }
-                 return extinct;
-               });
+  run_dynamics(
+      game, x, protocol, rng,
+      {.options = opts,
+       .stop = [&](const CongestionGame&, const State& s, std::int64_t) {
+         for (StrategyId p = 0; p < 4; ++p) {
+           if (s.count(p) == 0) extinct = true;
+         }
+         return extinct;
+       }});
   EXPECT_FALSE(extinct);
 }
 

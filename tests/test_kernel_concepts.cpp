@@ -471,62 +471,40 @@ TEST(KernelTrials, CheckpointsInterchangeableAcrossFrontends) {
   std::remove(snap.c_str());
 }
 
-// ---- 7. EngineInvocation vs deprecated shims --------------------------------
+// ---- 7. EngineInvocation ----------------------------------------------------
 
-TEST(EngineInvocationApi, MatchesStopPredicateShim) {
+TEST(EngineInvocationApi, StopAndCachedStopFireAtTheSameRound) {
+  // The two predicate forms are consulted on the same rounds, so equal
+  // predicates end bitwise-identical runs.
   const auto game = make_monomial_fan_game(10, 1.0, 1.0, 8000);
   const ImitationProtocol protocol;
   RunOptions options;
   options.max_rounds = 500;
   options.check_interval = 5;
-  const StopPredicate stop = [](const CongestionGame&, const State&,
-                                std::int64_t round) { return round >= 85; };
 
-  Rng shim_rng(17);
-  State shim_x = State::uniform_random(game, shim_rng);
-  const RunResult via_shim =
-      run_dynamics(game, shim_x, protocol, shim_rng, options, stop);
+  Rng stop_rng(17);
+  State stop_x = State::uniform_random(game, stop_rng);
+  const RunResult via_stop = run_dynamics(
+      game, stop_x, protocol, stop_rng,
+      {.options = options,
+       .stop = [](const CongestionGame&, const State&,
+                  std::int64_t round) { return round >= 85; }});
 
-  EngineInvocation call;
-  call.options = options;
-  call.stop = stop;
-  Rng call_rng(17);
-  State call_x = State::uniform_random(game, call_rng);
-  const RunResult via_call =
-      run_dynamics(game, call_x, protocol, call_rng, call);
+  Rng cached_rng(17);
+  State cached_x = State::uniform_random(game, cached_rng);
+  const RunResult via_cached = run_dynamics(
+      game, cached_x, protocol, cached_rng,
+      {.options = options,
+       .cached_stop = [](const LatencyContext&, std::int64_t round) {
+         return round >= 85;
+       }});
 
-  EXPECT_EQ(via_call.rounds, via_shim.rounds);
-  EXPECT_EQ(via_call.converged, via_shim.converged);
-  EXPECT_EQ(via_call.total_movers, via_shim.total_movers);
-  EXPECT_TRUE(call_x == shim_x);
-  EXPECT_EQ(call_rng.state(), shim_rng.state());
-  EXPECT_TRUE(via_call.converged);  // the predicate actually fired
-}
-
-TEST(EngineInvocationApi, MatchesNullptrShim) {
-  // The PR 5 nullptr_t disambiguator == an EngineInvocation with no stop.
-  const auto game = network_game_k8(1000);
-  const ExplorationProtocol protocol;
-  RunOptions options;
-  options.max_rounds = 40;
-
-  Rng shim_rng(19);
-  State shim_x = State::uniform_random(game, shim_rng);
-  const RunResult via_shim =
-      run_dynamics(game, shim_x, protocol, shim_rng, options, nullptr);
-
-  EngineInvocation call;
-  call.options = options;
-  Rng call_rng(19);
-  State call_x = State::uniform_random(game, call_rng);
-  const RunResult via_call =
-      run_dynamics(game, call_x, protocol, call_rng, call);
-
-  EXPECT_EQ(via_call.rounds, via_shim.rounds);
-  EXPECT_EQ(via_call.total_movers, via_shim.total_movers);
-  EXPECT_TRUE(call_x == shim_x);
-  EXPECT_EQ(call_rng.state(), shim_rng.state());
-  EXPECT_FALSE(via_call.converged);  // no predicate, ran to max_rounds
+  EXPECT_EQ(via_cached.rounds, via_stop.rounds);
+  EXPECT_EQ(via_cached.converged, via_stop.converged);
+  EXPECT_EQ(via_cached.total_movers, via_stop.total_movers);
+  EXPECT_TRUE(cached_x == stop_x);
+  EXPECT_EQ(cached_rng.state(), stop_rng.state());
+  EXPECT_TRUE(via_stop.converged);  // the predicate actually fired
 }
 
 TEST(EngineInvocationApi, RejectsTwoStopPredicates) {

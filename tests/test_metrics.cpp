@@ -177,7 +177,8 @@ EngineRun run_engine(EngineMode mode, int row_threads,
   auto stop = [](const CongestionGame& g, const State& s, std::int64_t) {
     return is_imitation_stable(g, s, g.nu());
   };
-  const RunResult result = run_dynamics(game, x, protocol, rng, options, stop);
+  const RunResult result = run_dynamics(game, x, protocol, rng,
+                                        {.options = options, .stop = stop});
   return {result, std::move(x), rng.state()};
 }
 
@@ -198,13 +199,9 @@ TEST(MetricsZeroPerturbation, EngineOutputsIdenticalOnAndOff) {
       // The strongest form of "zero RNG": the generator is at the exact
       // same stream position after a metered run.
       EXPECT_EQ(on.rng_state, off.rng_state);
-      if (obs::kMetricsCompiled) {
-        EXPECT_EQ(metrics.rounds, on.result.rounds);
-        EXPECT_GT(metrics.rows_filled, 0);
-        EXPECT_GT(metrics.stop_checks, 0);
-      } else {
-        EXPECT_EQ(metrics, obs::EngineMetrics{});
-      }
+      EXPECT_EQ(metrics.rounds, on.result.rounds);
+      EXPECT_GT(metrics.rows_filled, 0);
+      EXPECT_GT(metrics.stop_checks, 0);
     }
   }
 }
@@ -221,18 +218,14 @@ TEST(MetricsCounters, UncappedRunCountsExactly) {
   // No stop predicate: exactly max_rounds rounds, zero stop checks —
   // every counter is hand-computable.
   const RunResult result =
-      run_dynamics(game, x, protocol, rng, options, nullptr);
+      run_dynamics(game, x, protocol, rng, {.options = options});
   EXPECT_EQ(result.rounds, 25);
   EXPECT_FALSE(result.converged);
-  if (obs::kMetricsCompiled) {
-    EXPECT_EQ(metrics.rounds, 25);
-    EXPECT_EQ(metrics.stop_checks, 0);
-    EXPECT_EQ(metrics.stop_check_ns, 0);
-    EXPECT_GT(metrics.rows_filled + metrics.rows_pruned, 0);
-    EXPECT_GT(metrics.row_fill_ns + metrics.draw_ns, 0);
-  } else {
-    EXPECT_EQ(metrics, obs::EngineMetrics{});
-  }
+  EXPECT_EQ(metrics.rounds, 25);
+  EXPECT_EQ(metrics.stop_checks, 0);
+  EXPECT_EQ(metrics.stop_check_ns, 0);
+  EXPECT_GT(metrics.rows_filled + metrics.rows_pruned, 0);
+  EXPECT_GT(metrics.row_fill_ns + metrics.draw_ns, 0);
 }
 
 // ---- Zero perturbation: scenario families and the sweep ---------------------
@@ -277,9 +270,7 @@ TEST(MetricsZeroPerturbation, AllScenarioFamiliesIdenticalOnAndOff) {
     // every family meters its latency evaluations (the threshold family
     // through its sequential sweeps — ISSUE 6 satellite fix).
     EXPECT_EQ(stats.ran_rounds, static_cast<std::int64_t>(on.rounds));
-    if (obs::kMetricsCompiled) {
-      EXPECT_GT(stats.latency_evals, 0);
-    }
+    EXPECT_GT(stats.latency_evals, 0);
   }
 }
 
@@ -353,12 +344,8 @@ TEST(MetricsSweep, CollectMetricsChangesNoOutcomeAndFillsStats) {
   }
   EXPECT_EQ(on.engine, merged);
   EXPECT_EQ(on.ran_rounds, ran_rounds);
-  if (obs::kMetricsCompiled) {
-    EXPECT_EQ(on.engine.rounds, on.ran_rounds);
-    EXPECT_GT(on.engine.rows_filled, 0);
-  } else {
-    EXPECT_EQ(on.engine, obs::EngineMetrics{});
-  }
+  EXPECT_EQ(on.engine.rounds, on.ran_rounds);
+  EXPECT_GT(on.engine.rows_filled, 0);
 }
 
 // ---- Sinks ------------------------------------------------------------------
@@ -452,9 +439,7 @@ TEST(Progress, MeterAggregatesPerKeyAndFormats) {
   const std::string line = obs::format_progress(snap);
   EXPECT_NE(line.find("3/5 trials"), std::string::npos);
   EXPECT_NE(line.find("imitation n=100 1/2"), std::string::npos);
-  if (obs::kMetricsCompiled) {
-    EXPECT_GE(snap.elapsed_seconds, 0.0);
-  }
+  EXPECT_GE(snap.elapsed_seconds, 0.0);
 }
 
 // ---- Persist I/O counters ---------------------------------------------------
@@ -465,15 +450,10 @@ TEST(PersistIo, CountersAccumulateThroughOneCodePath) {
   obs::record_persist_write(28, /*fsyncs=*/0);
   obs::record_persist_flush();
   const obs::PersistIoTotals after = obs::persist_io_totals();
-  if (obs::kMetricsCompiled) {
-    EXPECT_EQ(after.bytes_written - before.bytes_written, 128);
-    EXPECT_EQ(after.writes - before.writes, 2);
-    EXPECT_EQ(after.fsyncs - before.fsyncs, 2);
-    EXPECT_EQ(after.fflushes - before.fflushes, 1);
-  } else {
-    EXPECT_EQ(after.bytes_written, 0);
-    EXPECT_EQ(after.writes, 0);
-  }
+  EXPECT_EQ(after.bytes_written - before.bytes_written, 128);
+  EXPECT_EQ(after.writes - before.writes, 2);
+  EXPECT_EQ(after.fsyncs - before.fsyncs, 2);
+  EXPECT_EQ(after.fflushes - before.fflushes, 1);
 }
 
 }  // namespace

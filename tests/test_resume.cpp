@@ -85,8 +85,10 @@ RunArtifacts uninterrupted(const std::string& log_path) {
   RunOptions options;
   options.max_rounds = kTotalRounds;
   const RunResult result =
-      run_dynamics(game, x, *protocol, rng, options, nullptr,
-                   chain_observers(trace.observer(), log.observer()));
+      run_dynamics(
+          game, x, *protocol, rng,
+          {.options = options,
+           .observer = chain_observers(trace.observer(), log.observer())});
   log.close();
   EXPECT_EQ(result.rounds, kTotalRounds);
 
@@ -116,10 +118,11 @@ TEST(KillAndResume, ByteIdenticalToUninterruptedRun) {
                                     make_config());
     RunOptions options;
     options.max_rounds = kKillRound;
-    run_dynamics(game, x, *protocol, rng, options, nullptr,
-                 chain_observers(
-                     chain_observers(trace.observer(), log.observer()),
-                     checkpointer.observer()));
+    run_dynamics(game, x, *protocol, rng,
+                 {.options = options,
+                  .observer = chain_observers(
+                      chain_observers(trace.observer(), log.observer()),
+                      checkpointer.observer())});
     log.close();
   }
 
@@ -136,8 +139,9 @@ TEST(KillAndResume, ByteIdenticalToUninterruptedRun) {
   options.start_round = resumed.round;
   options.mode = resumed.mode;
   const RunResult result = run_dynamics(
-      *resumed.game, resumed.state, *resumed.protocol, resumed.rng, options,
-      nullptr, chain_observers(trace.observer(), log.observer()));
+      *resumed.game, resumed.state, *resumed.protocol, resumed.rng,
+      {.options = options,
+       .observer = chain_observers(trace.observer(), log.observer())});
   log.close();
   EXPECT_EQ(result.rounds, kTotalRounds);
 
@@ -197,8 +201,10 @@ TEST(Replay, ReconstructsFinalStateWithZeroRngDraws) {
     EventLogWriter log = EventLogWriter::create(log_path);
     RunOptions options;
     options.max_rounds = kTotalRounds;
-    run_dynamics(game, x, *protocol, rng, options, nullptr,
-                 chain_observers(log.observer(), checkpointer.observer()));
+    run_dynamics(
+        game, x, *protocol, rng,
+        {.options = options,
+         .observer = chain_observers(log.observer(), checkpointer.observer())});
     log.close();
   }
 
@@ -227,8 +233,8 @@ TEST(Replay, ReconstructsFinalStateWithZeroRngDraws) {
         make_config());
     RunOptions options;
     options.max_rounds = kKillRound;  // last cadence write IS round 60
-    run_dynamics(game, y, *protocol, rng, options, nullptr,
-                 checkpointer.observer());
+    run_dynamics(game, y, *protocol, rng,
+                 {.options = options, .observer = checkpointer.observer()});
   }
   const Snapshot mid = load_snapshot(cadence_snap);
   EXPECT_EQ(mid.round, kKillRound);

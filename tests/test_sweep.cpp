@@ -229,8 +229,11 @@ TEST(SweepProtocols, ParsingAndConstruction) {
   EXPECT_EQ(specs[2].name, "combined");
   EXPECT_DOUBLE_EQ(specs[2].p_explore, 0.3);
   for (const ProtocolSpec& spec : specs) {
-    EXPECT_FALSE(build_protocol(spec)->name().empty());
+    const auto protocol = make_protocol(spec);
+    ASSERT_NE(protocol, nullptr);
+    EXPECT_FALSE(protocol->name().empty());
   }
+  EXPECT_EQ(make_protocol({.name = "mutation"}), nullptr);
   EXPECT_THROW(parse_protocol_list("imitation,,combined"),
                std::runtime_error);
   EXPECT_THROW(parse_protocol_spec("mutation"), std::runtime_error);

@@ -67,11 +67,6 @@ TEST(TelemetryRecorder, SamplesEveryNthRoundAndBuffersTheFinal) {
     recorder.observe(game, x, {}, round, false);
   }
   recorder.observe(game, x, {}, 7, true);
-  if (!obs::kMetricsCompiled) {
-    recorder.finish(true);
-    EXPECT_TRUE(recorder.records().empty());
-    return;
-  }
   // Rounds 0, 3, 6 sampled; the final observation is held back until the
   // caller resolves convergence.
   ASSERT_EQ(recorder.records().size(), 3u);
@@ -115,8 +110,11 @@ EngineRun run_engine(EngineMode mode, int row_threads, bool telemetry) {
   };
   obs::TelemetryRecorder recorder(2);
   const RunResult result =
-      run_dynamics(game, x, protocol, rng, options, stop,
-                   telemetry ? recorder.observer() : RoundObserver{});
+      run_dynamics(
+          game, x, protocol, rng,
+          {.options = options,
+           .stop = stop,
+           .observer = telemetry ? recorder.observer() : RoundObserver{}});
   recorder.finish(result.converged);
   return {result, std::move(x), rng.state(), recorder.take_records()};
 }
@@ -138,11 +136,7 @@ TEST(TelemetryZeroPerturbation, EngineOutputsIdenticalOnAndOff) {
       // The strongest form of "zero RNG": the generator is at the exact
       // same stream position after a recorded run.
       EXPECT_EQ(on.rng_state, off.rng_state);
-      if (obs::kMetricsCompiled) {
-        EXPECT_FALSE(on.telemetry.empty());
-      } else {
-        EXPECT_TRUE(on.telemetry.empty());
-      }
+      EXPECT_FALSE(on.telemetry.empty());
       // The series itself is a pure function of the trial, so every
       // row-thread count records the identical records.
       if (row_threads == 1) baseline = on.telemetry;
@@ -184,7 +178,7 @@ TEST(TelemetryZeroPerturbation, ScenarioTrialsIdenticalOnAndOff) {
 
     EXPECT_EQ(on, off);
     EXPECT_EQ(rng_on.state(), rng_off.state());
-    if (c.expects_series && obs::kMetricsCompiled) {
+    if (c.expects_series) {
       ASSERT_FALSE(stats.telemetry.empty());
       EXPECT_EQ(stats.telemetry.front().round, 0);
       if (on.converged) {
@@ -221,9 +215,7 @@ TEST(TelemetryZeroPerturbation,
   // are bitwise-equivalent, and row fills are thread-count invariant —
   // the telemetry series must inherit both properties exactly.
   const auto baseline = run(false, 1);
-  if (obs::kMetricsCompiled) {
-    ASSERT_FALSE(baseline.empty());
-  }
+  ASSERT_FALSE(baseline.empty());
   EXPECT_EQ(run(true, 1), baseline);
   EXPECT_EQ(run(false, 2), baseline);
   EXPECT_EQ(run(false, 4), baseline);
@@ -272,12 +264,10 @@ TEST(TelemetryResume, KilledPlusResumedSeriesConcatenatesBitwise) {
   joined.insert(joined.end(), second_leg.telemetry.begin(),
                 second_leg.telemetry.end());
   EXPECT_EQ(joined, uninterrupted.telemetry);
-  if (obs::kMetricsCompiled) {
-    ASSERT_FALSE(first_leg.telemetry.empty());
-    EXPECT_FALSE(first_leg.telemetry.back().final_record);
-    ASSERT_FALSE(second_leg.telemetry.empty());
-    EXPECT_GE(second_leg.telemetry.front().round, 10);
-  }
+  ASSERT_FALSE(first_leg.telemetry.empty());
+  EXPECT_FALSE(first_leg.telemetry.back().final_record);
+  ASSERT_FALSE(second_leg.telemetry.empty());
+  EXPECT_GE(second_leg.telemetry.front().round, 10);
 
   // And the serialized artifacts concatenate bitwise too.
   const std::string f_full = temp_path("cid_telemetry_full.jsonl");
@@ -317,8 +307,11 @@ TEST(TelemetryReplay, ReplayedSeriesIsByteIdenticalToLiveCapture) {
   {
     auto writer = persist::EventLogWriter::create(elog);
     result = run_dynamics(
-        game, x, protocol, rng, options, persist::stop_from_spec(config.stop),
-        persist::chain_observers(writer.observer(), live.observer()));
+        game, x, protocol, rng,
+        {.options = options,
+         .stop = persist::stop_from_spec(config.stop),
+         .observer = persist::chain_observers(writer.observer(),
+                                              live.observer())});
     writer.close();
   }
   live.finish(result.converged);
@@ -403,10 +396,8 @@ TEST(TelemetrySerialization, JsonCsvAndSummary) {
   const std::string text = persist::slurp_file(f_csv);
   EXPECT_EQ(text.size(), bytes);
   EXPECT_EQ(text.rfind(obs::telemetry_csv_header(), 0), 0u);
-  if (obs::kMetricsCompiled) {
-    EXPECT_EQ(obs::persist_io_totals().bytes_written - before.bytes_written,
-              static_cast<std::int64_t>(bytes));
-  }
+  EXPECT_EQ(obs::persist_io_totals().bytes_written - before.bytes_written,
+            static_cast<std::int64_t>(bytes));
   std::remove(f_csv.c_str());
 }
 

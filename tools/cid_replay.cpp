@@ -382,12 +382,8 @@ int replay(int argc, char** argv) {
     save_state(x, save_state_path);
     const std::int64_t bytes =
         obs::persist_io_totals().bytes_written - before.bytes_written;
-    if (obs::kMetricsCompiled) {
-      std::printf("state written to %s (%lld bytes)\n",
-                  save_state_path.c_str(), static_cast<long long>(bytes));
-    } else {
-      std::printf("state written to %s\n", save_state_path.c_str());
-    }
+    std::printf("state written to %s (%lld bytes)\n",
+                save_state_path.c_str(), static_cast<long long>(bytes));
   }
   // Observability exports: replay.* counters plus persist I/O deltas
   // accumulated since entry (snapshot/log reads leave the write counters
@@ -530,22 +526,16 @@ int export_snapshot(int argc, char** argv) {
   }
   const persist::Snapshot snapshot = persist::load_snapshot(snapshot_path);
   // Byte counts come from the persist I/O registry (src/obs/metrics.hpp)
-  // — the same counters cid_sweep's summary reports — with a slurp
-  // fallback for CID_METRICS=0 builds where the registry stays zero.
-  auto written_bytes = [](const obs::PersistIoTotals& before,
-                          const std::string& path) {
-    const std::int64_t delta =
-        obs::persist_io_totals().bytes_written - before.bytes_written;
-    return obs::kMetricsCompiled
-               ? static_cast<std::uint64_t>(delta)
-               : static_cast<std::uint64_t>(
-                     persist::slurp_file(path).size());
+  // — the same counters cid_sweep's summary reports.
+  auto written_bytes = [](const obs::PersistIoTotals& before) {
+    return static_cast<std::uint64_t>(obs::persist_io_totals().bytes_written -
+                                      before.bytes_written);
   };
   std::uint64_t text_bytes = 0;
   if (!game_path.empty()) {
     const obs::PersistIoTotals before = obs::persist_io_totals();
     save_game(snapshot.game, game_path);
-    const std::uint64_t bytes = written_bytes(before, game_path);
+    const std::uint64_t bytes = written_bytes(before);
     text_bytes += bytes;
     std::printf("game written to %s (%llu bytes)\n", game_path.c_str(),
                 static_cast<unsigned long long>(bytes));
@@ -553,7 +543,7 @@ int export_snapshot(int argc, char** argv) {
   if (!state_path.empty()) {
     const obs::PersistIoTotals before = obs::persist_io_totals();
     save_state(snapshot.state(), state_path);
-    const std::uint64_t bytes = written_bytes(before, state_path);
+    const std::uint64_t bytes = written_bytes(before);
     text_bytes += bytes;
     std::printf("state written to %s (%llu bytes)\n", state_path.c_str(),
                 static_cast<unsigned long long>(bytes));

@@ -195,14 +195,7 @@ Options parse_args(int argc, char** argv) {
   if (opt.serve.max_requeues < 1) usage("--max-requeues must be >= 1");
   if (opt.serve.max_seconds < 0.0) usage("--max-seconds must be >= 0");
   if (lambda <= 0.0 || lambda > 1.0) usage("lambda out of (0,1]");
-  if (!opt.fault_spec.empty()) {
-    util::configure_faults(opt.fault_spec);
-    if (!util::kFaultsCompiled) {
-      std::fprintf(stderr,
-                   "cid_serve: note: built with CID_FAULTS=OFF — "
-                   "--inject-faults accepted but inert\n");
-    }
-  }
+  if (!opt.fault_spec.empty()) util::configure_faults(opt.fault_spec);
   for (auto& protocol : opt.grid.protocols) protocol.lambda = lambda;
   return opt;
 }

@@ -102,8 +102,7 @@ using namespace cid;
       "                       (tests/CI): \"seed=S;SITE:KIND[:hit=N]\n"
       "                       [:every=N][:p=P][:count=K]\", kinds\n"
       "                       err|short|enospc|crash at persist sites like\n"
-      "                       eventlog.block, snapshot.write (accepted but\n"
-      "                       inert when built -DCID_FAULTS=OFF)\n");
+      "                       eventlog.block, snapshot.write\n");
   std::exit(error == nullptr ? 0 : 2);
 }
 
@@ -223,38 +222,10 @@ Options parse_args(int argc, char** argv) {
   if (opt.trace_sample > 0 && opt.trace_path.empty()) {
     usage("--trace-sample requires --trace PATH");
   }
-  // Parse (and, when compiled in, arm) the fault schedule so a bad spec
-  // exits 2 like any other flag-value error; a -DCID_FAULTS=OFF build
-  // still accepts and validates the flag, it just never fires.
-  if (!opt.fault_spec.empty()) {
-    util::configure_faults(opt.fault_spec);
-    if (!util::kFaultsCompiled) {
-      std::fprintf(stderr,
-                   "cid_sim: note: built with CID_FAULTS=OFF — "
-                   "--inject-faults accepted but inert\n");
-    }
-  }
+  // Parse and arm the fault schedule so a bad spec exits 2 like any
+  // other flag-value error.
+  if (!opt.fault_spec.empty()) util::configure_faults(opt.fault_spec);
   return opt;
-}
-
-std::unique_ptr<Protocol> build_protocol(const Options& opt) {
-  ImitationParams ip;
-  ip.lambda = opt.lambda;
-  ip.nu_cutoff = !opt.no_nu;
-  ip.damping = !opt.no_damping;
-  ip.virtual_agents = opt.virtual_agents;
-  ExplorationParams ep;
-  ep.lambda = opt.lambda;
-  if (opt.protocol == "imitation") {
-    return std::make_unique<ImitationProtocol>(ip);
-  }
-  if (opt.protocol == "exploration") {
-    return std::make_unique<ExplorationProtocol>(ep);
-  }
-  if (opt.protocol == "combined") {
-    return std::make_unique<CombinedProtocol>(ip, ep, 0.5);
-  }
-  usage("unknown protocol");
 }
 
 State build_start(const Options& opt, const CongestionGame& game, Rng& rng) {
@@ -326,8 +297,9 @@ int main(int argc, char** argv) {
       game = std::make_unique<CongestionGame>(load_game(opt.game_path));
       std::printf("loaded %s\n", game->describe().c_str());
       x.emplace(build_start(opt, *game, rng));
-      protocol = build_protocol(opt);
       config = sim_config(opt);
+      protocol = make_protocol(config.protocol_spec());
+      if (protocol == nullptr) usage("unknown protocol");
     }
     if (opt.rounds <= start_round && opt.rounds != 0) {
       usage("--rounds (total cap) must exceed the snapshot's round");
@@ -435,8 +407,11 @@ int main(int argc, char** argv) {
     if (metrics_sink != nullptr) run_options.metrics = &engine_metrics;
     const WallTimer run_timer;
     const RunResult result =
-        run_dynamics(*game, *x, *protocol, rng, run_options,
-                     persist::cached_stop_from_spec(config.stop), observer);
+        run_dynamics(
+            *game, *x, *protocol, rng,
+            {.options = run_options,
+             .cached_stop = persist::cached_stop_from_spec(config.stop),
+             .observer = observer});
     const double run_seconds = run_timer.seconds();
     if (event_log.has_value()) event_log->close();
 

@@ -155,8 +155,6 @@ using namespace cid;
       "                    [:p=P][:count=K]\", kinds err|short|enospc|crash"
       "\n"
       "                    at sites like manifest.append, eventlog.block\n"
-      "                    (accepted but inert when built -DCID_FAULTS=OFF)"
-      "\n"
       "  --connect HOST:PORT  worker mode: lease trials from a cid_serve\n"
       "                    coordinator serving the SAME grid flags (the\n"
       "                    handshake checks the grid fingerprint) and\n"
@@ -375,18 +373,9 @@ Options parse_args(int argc, char** argv) {
   if (!opt.worker_name.empty() && opt.connect.empty()) {
     usage("--worker-name requires --connect");
   }
-  // Parse (and, when compiled in, arm) the fault schedule here so a bad
-  // spec exits 2 like any other flag-value error. A -DCID_FAULTS=OFF
-  // build still accepts and validates the flag — the CLI surface is
-  // identical — it just never fires.
-  if (!opt.fault_spec.empty()) {
-    util::configure_faults(opt.fault_spec);
-    if (!util::kFaultsCompiled) {
-      std::fprintf(stderr,
-                   "cid_sweep: note: built with CID_FAULTS=OFF — "
-                   "--inject-faults accepted but inert\n");
-    }
-  }
+  // Parse and arm the fault schedule here so a bad spec exits 2 like any
+  // other flag-value error.
+  if (!opt.fault_spec.empty()) util::configure_faults(opt.fault_spec);
   for (auto& protocol : opt.grid.protocols) protocol.lambda = lambda;
   // Per-trial engine metering is opt-in: only pay for the phase timers
   // when something will report them.
