@@ -34,13 +34,14 @@
 // Flags: --quick (CI-sized round counts), --json PATH (see bench/common.hpp),
 // --baseline (run cells 5/6 on the pre-PR paths — uncached stop
 // predicates / per-pair asymmetric rounds — and cells 7/8 on the
-// virtual-frontend batched path (EngineTuning::virtual_frontend), i.e.
-// the pre-ProtocolKernel engine, to reproduce the speedup ratios quoted
-// above; not used by CI).
+// virtual-frontend batched path, run_dynamics<VirtualKernel> from
+// dynamics/engine_kernel.hpp, i.e. the pre-ProtocolKernel engine, to
+// reproduce the speedup ratios quoted above; not used by CI).
 #include <cstring>
 #include <string>
 
 #include "common.hpp"
+#include "dynamics/engine_kernel.hpp"
 
 namespace {
 
@@ -125,7 +126,7 @@ CellResult finish_cell(const WallTimer& timer, std::int64_t rounds,
 /// CI gate catches a hot-path metrics regression as a wall-clock one.
 CellResult run_cell(const CongestionGame& game, const Protocol& protocol,
                     EngineMode mode, std::int64_t rounds,
-                    bool virtual_frontend = false) {
+                    bool pin_virtual_kernel = false) {
   Rng rng(1);
   State x = State::uniform_random(game, rng);
   obs::EngineMetrics metrics;
@@ -133,15 +134,18 @@ CellResult run_cell(const CongestionGame& game, const Protocol& protocol,
   call.options.max_rounds = rounds;
   call.options.mode = mode;
   call.options.metrics = &metrics;
-  // Pins the VirtualKernel adapter (virtual dispatch per row) instead of
-  // the monomorphized kernel — the pre-ProtocolKernel batched path,
-  // bitwise-identical output by contract, so only wall-clock moves.
-  call.options.virtual_frontend = virtual_frontend;
   // β is computed on its first read (an O(m·n) instance cost, not engine
   // work); take it before the clock starts.
   game.beta_slope();
   const WallTimer timer;
-  const RunResult rr = run_dynamics(game, x, protocol, rng, call);
+  // pin_virtual_kernel runs the VirtualKernel adapter (virtual dispatch
+  // per row) instead of the monomorphized kernel — the pre-ProtocolKernel
+  // batched path, bitwise-identical output by contract, so only
+  // wall-clock moves.
+  const RunResult rr =
+      pin_virtual_kernel
+          ? run_dynamics(game, x, VirtualKernel(protocol), rng, call)
+          : run_dynamics(game, x, protocol, rng, call);
   return finish_cell(timer, rr.rounds, rr.latency_evals, rr.total_movers,
                      metrics);
 }

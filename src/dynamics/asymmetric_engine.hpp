@@ -24,8 +24,7 @@
 //     sweep-pool workers with a deterministic serial draw phase. The
 //     params-taking overload is the type-erased-free frontend the CLIs
 //     and scenario layer call (imitation is the only asymmetric protocol,
-//     so there is no dispatch chain here — EngineTuning::virtual_frontend
-//     is inert for this engine);
+//     so there is no dispatch chain here);
 //   * cached overloads of the class-wise stop predicates.
 //
 // Bitwise contract: identical migrations and identical RNG stream to

@@ -35,11 +35,10 @@ void draw_round(const CongestionGame& game, const State& x,
                 const Protocol& protocol, Rng& rng, EngineMode mode,
                 RoundWorkspace& ws, RoundResult& out, int row_threads,
                 obs::EngineMetrics* metrics, bool trace) {
-  dispatch_protocol_kernel(protocol, /*force_virtual=*/false,
-                           [&](const auto& kernel) {
-                             draw_round(game, x, kernel, rng, mode, ws, out,
-                                        row_threads, metrics, trace);
-                           });
+  dispatch_protocol_kernel(protocol, [&](const auto& kernel) {
+    draw_round(game, x, kernel, rng, mode, ws, out, row_threads, metrics,
+               trace);
+  });
 }
 
 RoundResult draw_round(const CongestionGame& game, const State& x,
@@ -68,15 +67,9 @@ RoundResult step_round(const CongestionGame& game, State& x,
 RunResult run_dynamics(const CongestionGame& game, State& x,
                        const Protocol& protocol, Rng& rng,
                        const EngineInvocation& call) {
-  // reference_kernel implies the virtual frontend: the per-pair oracle is
-  // defined over Protocol::move_probability, so the audit hook must not
-  // swap in a monomorphized kernel underneath it.
-  const bool force_virtual =
-      call.options.reference_kernel || call.options.virtual_frontend;
-  return dispatch_protocol_kernel(
-      protocol, force_virtual, [&](const auto& kernel) {
-        return run_dynamics(game, x, kernel, rng, call);
-      });
+  return dispatch_protocol_kernel(protocol, [&](const auto& kernel) {
+    return run_dynamics(game, x, kernel, rng, call);
+  });
 }
 
 }  // namespace cid

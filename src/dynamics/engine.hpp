@@ -40,14 +40,13 @@
 // phase.
 //
 // Every kernel consumes the RNG stream identically to the per-pair
-// reference path (draw_round_reference / EngineTuning::reference_kernel)
-// and produces bitwise-identical rounds — enforced by
-// tests/test_engine_oracle.cpp and tests/test_kernel_concepts.cpp — so
-// checkpoints, event logs, and sweep manifests are interchangeable
-// between all of them. (One deliberate pre-refactor delta, invisible at
-// any realistic scale: the per-player engine now locates the destination
-// bucket against cumulative sums instead of iterated subtraction, which
-// can shift a boundary by an ulp.)
+// reference oracle (draw_round_reference) and produces bitwise-identical
+// rounds — enforced by tests/test_engine_oracle.cpp and
+// tests/test_kernel_concepts.cpp — so checkpoints, event logs, and sweep
+// manifests are interchangeable between all of them. (One deliberate
+// pre-refactor delta, invisible at any realistic scale: the per-player
+// engine now locates the destination bucket against cumulative sums
+// instead of iterated subtraction, which can shift a boundary by an ulp.)
 //
 // Migrations are collected against the pre-round state and applied
 // atomically — the definition of concurrency in this model.
@@ -107,23 +106,9 @@ RowBounds compute_row_bounds(const CongestionGame& game, const State& x,
 /// them enters a sweep-manifest grid fingerprint (persist/manifest.*
 /// serializes only the semantic DynamicsConfig fields).
 struct EngineTuning {
-  /// Testing hook: drive every round through the per-pair reference oracle
-  /// (draw_round_reference) instead of the batched kernel. Bitwise-
-  /// identical output either way — the oracle-equivalence suite flips this
-  /// flag to prove it on whole runs.
-  bool reference_kernel = false;
-  /// Audit hook: keep the batched round kernel but force the VirtualKernel
-  /// adapter (virtual dispatch per row) instead of the monomorphized
-  /// kernel dispatch_protocol_kernel would pick — i.e. the exact
-  /// pre-redesign batched path. Bitwise-identical by contract; the kernel
-  /// identity tests and bench_engine_micro --baseline flip this to prove
-  /// and to price the devirtualized/SIMD path. Implied by
-  /// reference_kernel; inert in the asymmetric engine (whose only kernel
-  /// is imitation).
-  bool virtual_frontend = false;
   /// Worker threads for the per-origin probability-row fills inside one
   /// round (see draw_round). 1 = serial (default); results are bitwise
-  /// identical for every value. Ignored by the reference kernel.
+  /// identical for every value.
   int row_threads = 1;
   /// Scenario-layer switch: collect per-trial obs::EngineMetrics. The core
   /// engine ignores it (RunOptions::metrics, the pointer the scenario
@@ -160,8 +145,7 @@ struct RunResult {
   std::int64_t total_movers = 0;  // migrations summed over THIS invocation
   /// Latency-function evaluations the batched kernel performed this
   /// invocation (cache resets + incremental refreshes; stop predicates and
-  /// observers are not counted). 0 under reference_kernel, which does not
-  /// meter its per-pair evaluations.
+  /// observers are not counted).
   std::int64_t latency_evals = 0;
 };
 
@@ -229,9 +213,7 @@ using StopPredicate = std::function<bool(const CongestionGame&,
 /// Cache-backed stop predicate: receives the run's own LatencyContext,
 /// already consistent with the current state, so equilibrium checks
 /// (dynamics/equilibrium.hpp cached overloads) reuse the round kernel's
-/// ℓ_P/ℓ_e tables instead of recomputing every latency per check. Under
-/// EngineTuning::reference_kernel the engine hands it a freshly rebuilt
-/// context instead (no cache reuse — the oracle path stays cache-free).
+/// ℓ_P/ℓ_e tables instead of recomputing every latency per check.
 using CachedStopPredicate =
     std::function<bool(const LatencyContext&, std::int64_t round)>;
 

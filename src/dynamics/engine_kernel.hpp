@@ -10,11 +10,11 @@
 // public API in engine.hpp stays exactly as stable as the Protocol class.
 //
 // Templated callers (tests, benches, future engines) can use this API
-// directly with any ProtocolKernel model; everything here obeys the same
-// bitwise contract as the frontend: identical rows, identical RNG
-// consumption, interchangeable checkpoints (tests/test_kernel_concepts.cpp
-// proves it against both the VirtualKernel adapter and the per-pair
-// reference oracle).
+// directly with any ProtocolKernel model, VirtualKernel included;
+// everything here obeys the same bitwise contract as the frontend:
+// identical rows, identical RNG consumption, interchangeable checkpoints
+// (tests/test_kernel_concepts.cpp proves it against both the
+// VirtualKernel adapter and the per-pair reference oracle).
 #pragma once
 
 #include <algorithm>
@@ -375,12 +375,11 @@ RoundResult draw_round_reference(const CongestionGame& game, const State& x,
 }
 
 /// Monomorphized run loop — the kernel-typed core of the engine.hpp
-/// run_dynamics frontend. At most one of call.stop / call.cached_stop may
-/// be non-empty; both empty means "run to max_rounds". The cached
-/// predicate is handed the run's own workspace context on the batched
-/// path (reset lazily before the first check, incrementally refreshed
-/// afterwards) and a freshly rebuilt context per check on the reference
-/// path, so the oracle path stays free of incremental-cache state.
+/// run_dynamics frontend. Each round draws, observes, applies, and
+/// refreshes the cache. At most one of call.stop / call.cached_stop may be
+/// non-empty; both empty means "run to max_rounds". The cached predicate
+/// is handed the run's own workspace context (reset lazily before the
+/// first check, incrementally refreshed afterwards).
 template <ProtocolKernel K>
 RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
                        Rng& rng, const EngineInvocation& call) {
@@ -399,15 +398,10 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
   // dirtied and performs no heap allocation.
   RoundWorkspace ws;
   RoundResult rr;
-  LatencyContext reference_ctx;  // reference-path cached-stop scratch
   const bool has_stop = static_cast<bool>(call.stop) ||
                         static_cast<bool>(call.cached_stop);
   const auto stop_now = [&](std::int64_t round) -> bool {
     if (static_cast<bool>(call.cached_stop)) {
-      if (options.reference_kernel) {
-        reference_ctx.reset(game, x);
-        return call.cached_stop(reference_ctx, round);
-      }
       if (!ws.ready) {
         ws.ctx.reset(game, x);
         ws.ready = true;
@@ -437,30 +431,18 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
         break;
       }
     }
-    if (options.reference_kernel) {
-      {
-        obs::PhaseTimer draw_timer(m != nullptr ? &m->draw_ns : nullptr);
-        obs::TraceSpan draw_span(tr ? "engine.draw" : nullptr);
-        rr = draw_round_reference(game, x, kernel, rng, options.mode);
-      }
-      if (call.observer) call.observer(game, x, rr.moves, round, false);
+    draw_round(game, x, kernel, rng, options.mode, ws, rr,
+               options.row_threads, m, tr);
+    if (call.observer) call.observer(game, x, rr.moves, round, false);
+    {
       obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
       obs::TraceSpan apply_span(tr ? "engine.apply" : nullptr);
-      x.apply(game, rr.moves);
-    } else {
-      draw_round(game, x, kernel, rng, options.mode, ws, rr,
-                 options.row_threads, m, tr);
-      if (call.observer) call.observer(game, x, rr.moves, round, false);
-      {
-        obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
-        obs::TraceSpan apply_span(tr ? "engine.apply" : nullptr);
-        x.apply(game, rr.moves, ws.apply_scratch);
-      }
-      obs::PhaseTimer refresh_timer(m != nullptr ? &m->ctx_refresh_ns
-                                                 : nullptr);
-      obs::TraceSpan refresh_span(tr ? "engine.ctx_refresh" : nullptr);
-      ws.ctx.refresh(ws.apply_scratch.touched);
+      x.apply(game, rr.moves, ws.apply_scratch);
     }
+    obs::PhaseTimer refresh_timer(m != nullptr ? &m->ctx_refresh_ns
+                                               : nullptr);
+    obs::TraceSpan refresh_span(tr ? "engine.ctx_refresh" : nullptr);
+    ws.ctx.refresh(ws.apply_scratch.touched);
     result.total_movers += rr.movers;
     ++result.rounds;
     if (m != nullptr) ++m->rounds;

@@ -72,9 +72,9 @@ concept ProtocolKernel =
 
 /// Type-erasure adapter: any virtual Protocol, presented as a kernel. This
 /// is the pre-redesign batched path, bit for bit — dispatch_protocol_kernel
-/// falls back to it for unrecognized protocols, and the engines force it
-/// (EngineTuning::virtual_frontend) when a caller wants the virtual
-/// frontend audited against the monomorphized kernels.
+/// falls back to it for unrecognized protocols, and tests and benches pass
+/// it to the templated engine (dynamics/engine_kernel.hpp) directly to
+/// audit and price the virtual frontend against the monomorphized kernels.
 class VirtualKernel {
  public:
   explicit VirtualKernel(const Protocol& protocol) noexcept
@@ -338,25 +338,21 @@ static_assert(ProtocolKernel<CombinedKernel>);
 
 /// Resolves a type-erased Protocol to its concrete kernel and invokes
 /// `f(kernel)` — THE frontend/kernel boundary: one dynamic_cast chain per
-/// run (or per standalone draw), never per round. `force_virtual` pins the
-/// VirtualKernel adapter regardless of the dynamic type (the
-/// reference-oracle and virtual-frontend audit paths).
+/// run (or per standalone draw), never per round. Unrecognized protocols
+/// fall back to the VirtualKernel adapter.
 template <typename F>
-decltype(auto) dispatch_protocol_kernel(const Protocol& protocol,
-                                        bool force_virtual, F&& f) {
-  if (!force_virtual) {
-    if (const auto* imitation =
-            dynamic_cast<const ImitationProtocol*>(&protocol)) {
-      return f(ImitationKernel(*imitation));
-    }
-    if (const auto* exploration =
-            dynamic_cast<const ExplorationProtocol*>(&protocol)) {
-      return f(ExplorationKernel(*exploration));
-    }
-    if (const auto* combined =
-            dynamic_cast<const CombinedProtocol*>(&protocol)) {
-      return f(CombinedKernel(*combined));
-    }
+decltype(auto) dispatch_protocol_kernel(const Protocol& protocol, F&& f) {
+  if (const auto* imitation =
+          dynamic_cast<const ImitationProtocol*>(&protocol)) {
+    return f(ImitationKernel(*imitation));
+  }
+  if (const auto* exploration =
+          dynamic_cast<const ExplorationProtocol*>(&protocol)) {
+    return f(ExplorationKernel(*exploration));
+  }
+  if (const auto* combined =
+          dynamic_cast<const CombinedProtocol*>(&protocol)) {
+    return f(CombinedKernel(*combined));
   }
   return f(VirtualKernel(protocol));
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <memory>
@@ -135,6 +136,88 @@ std::vector<ProtocolSpec> parse_protocol_list(const std::string& csv) {
     pos = next + 1;
   }
   return out;
+}
+
+GridFlags::GridFlags() {
+  grid.ns = parse_grid_axis("1000:100000:log");
+  grid.protocols = parse_protocol_list("imitation");
+}
+
+bool parse_grid_flag(int argc, char** argv, int& i, GridFlags& flags) {
+  const std::string flag = argv[i];
+  const auto value = [&]() -> std::string {
+    if (i + 1 >= argc) throw UsageError("missing value for flag");
+    return argv[++i];
+  };
+  SweepGrid& grid = flags.grid;
+  DynamicsConfig& dynamics = grid.dynamics;
+  if (flag == "--scenario") {
+    grid.scenario.name = value();
+  } else if (flag == "--grid") {
+    grid.ns = parse_grid_axis(value());
+  } else if (flag == "--protocols") {
+    grid.protocols = parse_protocol_list(value());
+  } else if (flag == "--trials") {
+    grid.trials = std::atoi(value().c_str());
+  } else if (flag == "--seed") {
+    grid.master_seed =
+        static_cast<std::uint64_t>(std::atoll(value().c_str()));
+  } else if (flag == "--rounds") {
+    dynamics.max_rounds = std::atoll(value().c_str());
+  } else if (flag == "--check-interval") {
+    dynamics.check_interval = std::atoll(value().c_str());
+  } else if (flag == "--stop") {
+    const std::string v = value();
+    if (v == "stable") {
+      dynamics.stop = StopRule::kImitationStable;
+    } else if (v == "nash") {
+      dynamics.stop = StopRule::kNash;
+    } else if (v.rfind("deltaeps:", 0) == 0) {
+      dynamics.stop = StopRule::kDeltaEps;
+      if (std::sscanf(v.c_str(), "deltaeps:%lf,%lf", &dynamics.delta,
+                      &dynamics.eps) != 2) {
+        throw UsageError("expected --stop deltaeps:D,E");
+      }
+    } else {
+      throw UsageError("unknown stop condition");
+    }
+  } else if (flag == "--engine") {
+    const std::string v = value();
+    if (v == "aggregate") {
+      dynamics.mode = EngineMode::kAggregate;
+    } else if (v == "perplayer") {
+      dynamics.mode = EngineMode::kPerPlayer;
+    } else {
+      throw UsageError("unknown engine");
+    }
+  } else if (flag == "--param") {
+    const std::string kv = value();
+    const auto eq = kv.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      throw UsageError("expected --param K=V");
+    }
+    grid.scenario.params[kv.substr(0, eq)] = std::atof(kv.c_str() + eq + 1);
+  } else if (flag == "--lambda") {
+    flags.lambda = std::atof(value().c_str());
+  } else {
+    return false;
+  }
+  return true;
+}
+
+SweepGrid finish_grid_flags(const GridFlags& flags) {
+  SweepGrid grid = flags.grid;
+  if (grid.scenario.name.empty()) throw UsageError("--scenario is required");
+  if (grid.trials < 1) throw UsageError("--trials must be >= 1");
+  if (grid.dynamics.check_interval < 1) {
+    throw UsageError("--check-interval must be >= 1");
+  }
+  if (grid.dynamics.max_rounds < 0) throw UsageError("--rounds must be >= 0");
+  if (flags.lambda <= 0.0 || flags.lambda > 1.0) {
+    throw UsageError("lambda out of (0,1]");
+  }
+  for (ProtocolSpec& protocol : grid.protocols) protocol.lambda = flags.lambda;
+  return grid;
 }
 
 Rng derive_trial_rng(std::uint64_t master_seed, std::uint32_t cell,

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -217,5 +218,32 @@ std::vector<std::int64_t> parse_grid_axis(const std::string& spec);
 
 /// Parses a comma-separated protocol list, e.g. "imitation,combined:0.3".
 std::vector<ProtocolSpec> parse_protocol_list(const std::string& csv);
+
+/// A malformed or out-of-range command-line flag: the tools print it
+/// above their usage text and exit 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The grid flags cid_sweep and cid_serve share, so a coordinator and its
+/// workers cannot disagree on a grid fingerprint: --scenario --grid
+/// --protocols --trials --seed --rounds --check-interval --stop --engine
+/// --param --lambda. Defaults: n 1000:100000:log, imitation, lambda 0.25.
+struct GridFlags {
+  SweepGrid grid;
+  double lambda = 0.25;
+  GridFlags();
+};
+
+/// When argv[i] is a grid flag, consumes it and its value (advancing i)
+/// and returns true; otherwise returns false and leaves i alone. Throws
+/// UsageError on a missing or malformed value, std::runtime_error on a
+/// bad --grid / --protocols value.
+bool parse_grid_flag(int argc, char** argv, int& i, GridFlags& flags);
+
+/// Checks the parsed grid flags and returns the grid with lambda applied
+/// to every protocol. Throws UsageError on a missing --scenario or an
+/// out-of-range --trials, --check-interval, --rounds or --lambda.
+SweepGrid finish_grid_flags(const GridFlags& flags);
 
 }  // namespace cid::sweep

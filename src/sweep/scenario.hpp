@@ -89,10 +89,10 @@ enum class StopRule {
 /// The scenario layer's dynamics options. The tuning knobs — everything
 /// that can never change a trial's bits — live in the shared EngineTuning
 /// base (dynamics/engine.hpp), embedded by RunOptions too, so the two
-/// option surfaces cannot drift: reference_kernel / virtual_frontend /
-/// row_threads flow straight into the engine, collect_metrics /
-/// telemetry_every are realized here (as a RunOptions::metrics pointer and
-/// a telemetry RoundObserver; both no-ops without a TrialStats;
+/// option surfaces cannot drift: row_threads flows straight into the
+/// engine, collect_metrics / telemetry_every are realized here (as a
+/// RunOptions::metrics pointer and a telemetry RoundObserver; both no-ops
+/// without a TrialStats;
 /// threshold-lb runs sequential dynamics and ignores the engine hooks
 /// entirely). Every EngineTuning field is EXCLUDED from manifest grid
 /// fingerprints — only the six semantic fields below enter them — so
@@ -135,9 +135,8 @@ struct TrialCheckpoint {
 struct TrialStats {
   /// Latency-function evaluations the trial performed: the batched round
   /// kernel's cached-context count for the symmetric and asymmetric
-  /// scenarios (0 under reference_kernel, which does not meter its
-  /// per-pair evaluations), and the sequential dynamics' per-step
-  /// latency_of/latency_if_toggled sweeps for the threshold family.
+  /// scenarios, and the sequential dynamics' per-step latency_of /
+  /// latency_if_toggled sweeps for the threshold family.
   std::int64_t latency_evals = 0;
   /// Rounds (or sequential steps, for threshold-lb) this trial executed.
   std::int64_t ran_rounds = 0;

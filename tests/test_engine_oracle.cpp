@@ -13,16 +13,20 @@
 //   2. probability level — fill_move_probabilities rows match the
 //      move_probability oracle bit-for-bit, including after incremental
 //      refreshes;
-//   3. trial level — every registry scenario family produces an identical
-//      TrialOutcome with DynamicsConfig::reference_kernel on and off: the
-//      symmetric families audit the batched kernel + cached stop
-//      predicates, the asymmetric families the batched class-local kernel
-//      (dynamics/asymmetric_engine.hpp) + cached class-wise predicates,
-//      and threshold-lb proves the flag is inert for sequential dynamics;
+//   3. trial level — every engine-backed registry scenario family's trial
+//      equals a per-pair replay of the same seed: the trial runs with an
+//      exit-only checkpoint, and tests/support/reference_run.hpp replays
+//      the seed on the snapshot's game through the reference loop with
+//      the context-free stop predicates. The symmetric families audit
+//      the batched kernel + cached stop predicates, the asymmetric
+//      families the batched class-local kernel
+//      (dynamics/asymmetric_engine.hpp) + cached class-wise predicates;
+//      the exit snapshot's (round, counts, RNG state, movers) and the
+//      trial outcome (Φ and social cost included) must match bit for bit;
 //   4. persistence level — a batched-kernel trial that is checkpointed,
-//      killed, and resumed bitwise-matches an uninterrupted REFERENCE-
-//      kernel trial, so checkpoint artifacts are interchangeable between
-//      kernels (symmetric AND asymmetric snapshot codecs);
+//      killed, and resumed bitwise-matches the uninterrupted REFERENCE
+//      replay, so checkpoint artifacts carry no trace of the kernel
+//      (symmetric AND asymmetric snapshot codecs);
 //   5. thread level — RunOptions/DynamicsConfig::row_threads ∈ {1, 2, 4}
 //      produce byte-identical trials and RNG streams (the parallel row
 //      fills are pure; the draw phase is serial either way).
@@ -37,12 +41,17 @@
 
 #include "dynamics/asymmetric_engine.hpp"
 #include "dynamics/engine.hpp"
+#include "dynamics/equilibrium.hpp"
 #include "game/asymmetric.hpp"
 #include "game/builders.hpp"
 #include "game/latency_context.hpp"
+#include "game/singleton.hpp"
+#include "persist/snapshot.hpp"
 #include "protocols/combined.hpp"
 #include "protocols/exploration.hpp"
+#include "protocols/factory.hpp"
 #include "protocols/imitation.hpp"
+#include "support/reference_run.hpp"
 #include "sweep/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -160,23 +169,28 @@ TEST(EngineOracle, BatchedRowsMatchMoveProbabilityOracle) {
 }
 
 TEST(EngineOracle, RunDynamicsMatchesAcrossKernels) {
-  // Whole-run equivalence incl. stop predicate and mover accounting.
+  // Whole-run equivalence incl. stop predicate and mover accounting: the
+  // batched run loop against the per-pair reference loop.
   const auto game = make_monomial_fan_game(10, 2.0, 1.0, 20000);
   const ImitationProtocol protocol;
   for (EngineMode mode : {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
-    RunOptions options;
-    options.max_rounds = mode == EngineMode::kAggregate ? 200 : 40;
-    options.mode = mode;
+    EngineInvocation call;
+    call.options.max_rounds = mode == EngineMode::kAggregate ? 200 : 40;
+    call.options.check_interval = 7;
+    call.options.mode = mode;
+    call.cached_stop = [](const LatencyContext& ctx, std::int64_t) {
+      return is_imitation_stable(ctx, 0.0);
+    };
     Rng batched_rng(7);
     State batched_x = State::uniform_random(game, batched_rng);
-    const RunResult batched = run_dynamics(game, batched_x, protocol,
-                                           batched_rng, {.options = options});
-    options.reference_kernel = true;
+    const RunResult batched =
+        run_dynamics(game, batched_x, protocol, batched_rng, call);
     Rng reference_rng(7);
     State reference_x = State::uniform_random(game, reference_rng);
-    const RunResult reference = run_dynamics(
-        game, reference_x, protocol, reference_rng, {.options = options});
+    const RunResult reference =
+        test::run_reference(game, reference_x, protocol, reference_rng, call);
     EXPECT_EQ(batched.rounds, reference.rounds);
+    EXPECT_EQ(batched.converged, reference.converged);
     EXPECT_EQ(batched.total_movers, reference.total_movers);
     EXPECT_TRUE(batched_x == reference_x);
     EXPECT_EQ(batched_rng.state(), reference_rng.state());
@@ -269,50 +283,139 @@ TEST(EngineOracle, AsymmetricRowThreadsBitwiseInvariant) {
   EXPECT_EQ(rng_states[0], rng_states[2]);
 }
 
-// ---- All six registry scenario families -------------------------------------
+// ---- Engine-backed registry scenario families -------------------------------
 
 struct FamilyCase {
   const char* scenario;
   std::int64_t n;
   const char* protocol;
   std::int64_t rounds;
+  bool asymmetric;
 };
 
+// threshold-lb runs sequential dynamics with no round kernel, so it has no
+// reference replay here (tests/test_resume_families.cpp covers its trials).
 const FamilyCase kFamilies[] = {
-    {"singleton-uniform", 2000, "imitation", 60},
-    {"load-balancing", 2000, "combined", 60},
-    {"network-routing", 1500, "exploration", 60},
-    {"asymmetric", 900, "imitation", 60},
-    {"multicommodity", 900, "imitation", 60},
-    {"threshold-lb", 12, "imitation", 4000},
+    {"singleton-uniform", 2000, "imitation", 60, false},
+    {"load-balancing", 2000, "combined", 60, false},
+    {"network-routing", 1500, "exploration", 60, false},
+    {"asymmetric", 900, "imitation", 60, true},
+    {"multicommodity", 900, "imitation", 60, true},
 };
 
-sweep::DynamicsConfig family_dynamics(std::int64_t rounds, bool reference) {
+sweep::DynamicsConfig family_dynamics(std::int64_t rounds) {
   sweep::DynamicsConfig dynamics;
   dynamics.max_rounds = rounds;
   dynamics.stop = sweep::StopRule::kNash;
   dynamics.check_interval = 3;
-  dynamics.reference_kernel = reference;
   return dynamics;
 }
 
-TEST(EngineOracle, AllSixScenarioFamiliesMatchReferenceKernel) {
+/// A scenario trial replayed through the reference loop: its outcome plus
+/// the final (counts, RNG state) an exit snapshot must hold.
+template <typename Counts>
+struct ReferenceTrial {
+  sweep::TrialOutcome outcome;
+  Counts counts;
+  std::array<std::uint64_t, 4> rng_state{};
+};
+
+/// Replays a symmetric trial of `seed` on `game` with the scenario's
+/// default (uniform-random) start.
+ReferenceTrial<std::vector<std::int64_t>> replay_symmetric(
+    const CongestionGame& game, std::uint64_t seed,
+    const sweep::ProtocolSpec& protocol,
+    const sweep::DynamicsConfig& dynamics) {
+  const auto proto = make_protocol(protocol);
+  EngineInvocation call;
+  call.options.max_rounds = dynamics.max_rounds;
+  call.options.check_interval = dynamics.check_interval;
+  call.options.mode = dynamics.mode;
+  call.stop = test::make_stop(dynamics);
+  Rng rng(seed);
+  State x = State::uniform_random(game, rng);
+  const RunResult run = test::run_reference(game, x, *proto, rng, call);
+  ReferenceTrial<std::vector<std::int64_t>> ref;
+  ref.outcome.rounds = static_cast<double>(run.rounds);
+  ref.outcome.converged = run.converged;
+  ref.outcome.movers = run.total_movers;
+  ref.outcome.potential = game.potential(x);
+  ref.outcome.social_cost = social_cost(game, x);
+  ref.counts.assign(x.counts().begin(), x.counts().end());
+  ref.rng_state = rng.state();
+  return ref;
+}
+
+ReferenceTrial<std::vector<std::vector<std::int64_t>>> replay_asymmetric(
+    const AsymmetricGame& game, std::uint64_t seed,
+    const sweep::ProtocolSpec& protocol,
+    const sweep::DynamicsConfig& dynamics) {
+  AsymmetricImitationParams params;
+  params.lambda = protocol.lambda;
+  params.nu_cutoff = protocol.nu_cutoff;
+  params.damping = protocol.damping;
+  Rng rng(seed);
+  AsymmetricState x = AsymmetricState::uniform_random(game, rng);
+  const test::AsymmetricReferenceRun run =
+      test::run_asymmetric_reference(game, x, params, rng, dynamics);
+  ReferenceTrial<std::vector<std::vector<std::int64_t>>> ref;
+  ref.outcome.rounds = static_cast<double>(run.rounds);
+  ref.outcome.converged = run.converged;
+  ref.outcome.movers = run.total_movers;
+  ref.outcome.potential = game.potential(x);
+  for (std::int32_t c = 0; c < game.num_classes(); ++c) {
+    ref.outcome.social_cost +=
+        game.class_average_latency(x, c) *
+        static_cast<double>(game.player_class(c).num_players);
+  }
+  ref.counts = x.counts();
+  ref.rng_state = rng.state();
+  return ref;
+}
+
+/// A finished trial against its reference replay: every outcome field (Φ
+/// and social cost included), the caller's RNG stream, and the exit
+/// snapshot's run tuple.
+template <typename Snapshot, typename Counts>
+void expect_trial_is_reference(const sweep::TrialOutcome& outcome,
+                               const Rng& rng, const Snapshot& exit,
+                               const ReferenceTrial<Counts>& ref) {
+  EXPECT_EQ(outcome, ref.outcome);
+  EXPECT_EQ(rng.state(), ref.rng_state);
+  EXPECT_EQ(exit.round, static_cast<std::int64_t>(ref.outcome.rounds));
+  EXPECT_EQ(exit.counts, ref.counts);
+  EXPECT_EQ(exit.rng_state, ref.rng_state);
+  EXPECT_EQ(exit.movers, ref.outcome.movers);
+}
+
+TEST(EngineOracle, EngineFamiliesMatchReferenceReplay) {
   for (const FamilyCase& c : kFamilies) {
     SCOPED_TRACE(c.scenario);
     sweep::ScenarioSpec spec;
     spec.name = c.scenario;
     const auto instance = sweep::make_scenario(spec, c.n);
     const auto protocol = sweep::parse_protocol_spec(c.protocol);
+    const sweep::DynamicsConfig dynamics = family_dynamics(c.rounds);
     const std::uint64_t seed = 4321;
+    const std::string snap = ::testing::TempDir() + "/oracle_family_" +
+                             std::string(c.scenario) + ".snap";
 
-    Rng batched_rng(seed);
-    const sweep::TrialOutcome batched = instance->run_trial(
-        protocol, family_dynamics(c.rounds, false), batched_rng);
-    Rng reference_rng(seed);
-    const sweep::TrialOutcome reference = instance->run_trial(
-        protocol, family_dynamics(c.rounds, true), reference_rng);
-    EXPECT_EQ(batched, reference);
-    EXPECT_EQ(batched_rng.state(), reference_rng.state());
+    Rng rng(seed);
+    const sweep::TrialOutcome outcome = instance->run_trial_checkpointed(
+        protocol, dynamics, rng, sweep::TrialCheckpoint{snap, 0});
+    if (c.asymmetric) {
+      const persist::AsymmetricSnapshot exit =
+          persist::load_asymmetric_snapshot(snap);
+      expect_trial_is_reference(
+          outcome, rng, exit,
+          replay_asymmetric(exit.game, seed, protocol, dynamics));
+    } else {
+      const persist::Snapshot exit = persist::load_snapshot(snap);
+      expect_trial_is_reference(
+          outcome, rng, exit,
+          replay_symmetric(exit.game, seed, protocol, dynamics));
+    }
+    std::remove(snap.c_str());
   }
 }
 
@@ -331,7 +434,7 @@ TEST(EngineOracle, RowThreadsByteIdenticalTrials) {
     sweep::TrialOutcome first;
     std::array<std::uint64_t, 4> first_rng{};
     for (const int row_threads : {1, 2, 4}) {
-      sweep::DynamicsConfig dynamics = family_dynamics(50, false);
+      sweep::DynamicsConfig dynamics = family_dynamics(50);
       dynamics.row_threads = row_threads;
       Rng rng(77);
       const sweep::TrialOutcome outcome =
@@ -378,7 +481,7 @@ TEST(EngineOracle, RowThreadsByteIdenticalRunsBothModes) {
 TEST(EngineOracle, AsymmetricCheckpointKillResumeMatchesReferenceRun) {
   // Asymmetric persistence-level interchange: a BATCHED-kernel trial of
   // each asymmetric family checkpointed at round 9, killed, and resumed
-  // must bitwise-match the uninterrupted PER-PAIR reference trial —
+  // must bitwise-match the uninterrupted PER-PAIR reference replay —
   // asymmetric snapshots carry no trace of which kernel wrote them.
   for (const char* scenario : {"asymmetric", "multicommodity"}) {
     SCOPED_TRACE(scenario);
@@ -389,20 +492,19 @@ TEST(EngineOracle, AsymmetricCheckpointKillResumeMatchesReferenceRun) {
     const std::uint64_t seed = 88;
     const std::int64_t total_rounds = 60;
 
-    Rng reference_rng(seed);
-    const sweep::TrialOutcome reference = instance->run_trial(
-        protocol, family_dynamics(total_rounds, true), reference_rng);
-
     const std::string snap = ::testing::TempDir() + "/oracle_asym_" +
                              std::string(scenario) + ".snap";
     Rng killed_rng(seed);
-    instance->run_trial_checkpointed(protocol, family_dynamics(9, false),
+    instance->run_trial_checkpointed(protocol, family_dynamics(9),
                                      killed_rng,
                                      sweep::TrialCheckpoint{snap, 0});
+    const AsymmetricGame game = persist::load_asymmetric_snapshot(snap).game;
     const sweep::TrialOutcome resumed = instance->resume_trial(
-        protocol, family_dynamics(total_rounds, false), snap);
-    EXPECT_EQ(resumed, reference);
-    EXPECT_GT(reference.rounds, 9.0);  // the resumed leg did real work
+        protocol, family_dynamics(total_rounds), snap);
+    const auto reference =
+        replay_asymmetric(game, seed, protocol, family_dynamics(total_rounds));
+    EXPECT_EQ(resumed, reference.outcome);
+    EXPECT_GT(reference.outcome.rounds, 9.0);  // the resumed leg did work
     std::remove(snap.c_str());
   }
 }
@@ -410,8 +512,8 @@ TEST(EngineOracle, AsymmetricCheckpointKillResumeMatchesReferenceRun) {
 TEST(EngineOracle, BatchedCheckpointKillResumeMatchesReferenceRun) {
   // Persistence-level interchange: a batched trial checkpointed at round 9,
   // killed, and resumed (all on the batched kernel) must bitwise-match the
-  // uninterrupted run on the REFERENCE kernel — checkpoints carry no trace
-  // of which kernel wrote them.
+  // uninterrupted REFERENCE replay — checkpoints carry no trace of which
+  // kernel wrote them.
   sweep::ScenarioSpec spec;
   spec.name = "network-routing";
   const auto instance = sweep::make_scenario(spec, 1500);
@@ -419,20 +521,18 @@ TEST(EngineOracle, BatchedCheckpointKillResumeMatchesReferenceRun) {
   const std::uint64_t seed = 99;
   const std::int64_t total_rounds = 60;
 
-  Rng reference_rng(seed);
-  const sweep::TrialOutcome reference = instance->run_trial(
-      protocol, family_dynamics(total_rounds, true), reference_rng);
-
   const std::string snap =
       ::testing::TempDir() + "/oracle_kill_resume.snap";
   Rng killed_rng(seed);
-  instance->run_trial_checkpointed(protocol, family_dynamics(9, false),
-                                   killed_rng,
+  instance->run_trial_checkpointed(protocol, family_dynamics(9), killed_rng,
                                    sweep::TrialCheckpoint{snap, 0});
+  const CongestionGame game = persist::load_snapshot(snap).game;
   const sweep::TrialOutcome resumed = instance->resume_trial(
-      protocol, family_dynamics(total_rounds, false), snap);
-  EXPECT_EQ(resumed, reference);
-  EXPECT_GT(reference.rounds, 9.0);  // the resumed leg did real work
+      protocol, family_dynamics(total_rounds), snap);
+  const auto reference =
+      replay_symmetric(game, seed, protocol, family_dynamics(total_rounds));
+  EXPECT_EQ(resumed, reference.outcome);
+  EXPECT_GT(reference.outcome.rounds, 9.0);  // the resumed leg did real work
   std::remove(snap.c_str());
 }
 

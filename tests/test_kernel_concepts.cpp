@@ -8,9 +8,8 @@
 //      two interfaces); LatencyTable models LatencyKernel; the asymmetric
 //      imitation kernel models AsymmetricProtocolKernel;
 //   2. dispatch level — dispatch_protocol_kernel resolves each concrete
-//      protocol to its monomorphized kernel, falls back to VirtualKernel
-//      for unrecognized protocols, and pins VirtualKernel under
-//      force_virtual;
+//      protocol to its monomorphized kernel and falls back to
+//      VirtualKernel for unrecognized protocols;
 //   3. latency level — LatencyTable::value reproduces every registered
 //      latency-function shape (constant, linear, affine, monomial,
 //      polynomial, scaled, and the opaque exponential fallback) bitwise at
@@ -26,15 +25,11 @@
 //      VirtualKernel, the type-erased Protocol frontend, and the per-pair
 //      reference oracle all produce identical Migration lists AND consume
 //      the RNG stream identically, including under row_threads ∈ {1,2,4};
-//   6. trial level — every registry scenario family is bitwise-invariant
-//      under EngineTuning::virtual_frontend, and checkpoints written by
-//      one frontend resume bitwise on the other;
-//   7. API level — the EngineInvocation entrypoint and the deprecated
-//      run_dynamics shims are interchangeable bit for bit.
+//   6. API level — EngineInvocation's two stop-predicate forms are
+//      consulted on the same rounds, and setting both is rejected.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -51,7 +46,6 @@
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
 #include "protocols/kernel.hpp"
-#include "sweep/scenario.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -82,11 +76,10 @@ static_assert(!AsymmetricProtocolKernel<ImitationKernel>);
 // ---- 2. Kernel dispatch -----------------------------------------------------
 
 template <typename Expected>
-bool dispatches_to(const Protocol& protocol, bool force_virtual) {
-  return dispatch_protocol_kernel(
-      protocol, force_virtual, [](const auto& kernel) {
-        return std::is_same_v<std::decay_t<decltype(kernel)>, Expected>;
-      });
+bool dispatches_to(const Protocol& protocol) {
+  return dispatch_protocol_kernel(protocol, [](const auto& kernel) {
+    return std::is_same_v<std::decay_t<decltype(kernel)>, Expected>;
+  });
 }
 
 TEST(KernelDispatch, ConcreteProtocolsGetMonomorphizedKernels) {
@@ -94,15 +87,9 @@ TEST(KernelDispatch, ConcreteProtocolsGetMonomorphizedKernels) {
   const ExplorationProtocol exploration;
   const CombinedProtocol combined{ImitationParams{}, ExplorationParams{},
                                   0.5};
-  EXPECT_TRUE(dispatches_to<ImitationKernel>(imitation, false));
-  EXPECT_TRUE(dispatches_to<ExplorationKernel>(exploration, false));
-  EXPECT_TRUE(dispatches_to<CombinedKernel>(combined, false));
-}
-
-TEST(KernelDispatch, ForceVirtualPinsTheAdapter) {
-  const ImitationProtocol imitation;
-  EXPECT_TRUE(dispatches_to<VirtualKernel>(imitation, true));
-  EXPECT_EQ(VirtualKernel(imitation).name(), imitation.name());
+  EXPECT_TRUE(dispatches_to<ImitationKernel>(imitation));
+  EXPECT_TRUE(dispatches_to<ExplorationKernel>(exploration));
+  EXPECT_TRUE(dispatches_to<CombinedKernel>(combined));
 }
 
 TEST(KernelDispatch, UnrecognizedProtocolFallsBackToVirtualKernel) {
@@ -122,7 +109,8 @@ TEST(KernelDispatch, UnrecognizedProtocolFallsBackToVirtualKernel) {
     ImitationProtocol inner_;
   };
   const OpaqueProtocol opaque;
-  EXPECT_TRUE(dispatches_to<VirtualKernel>(opaque, false));
+  EXPECT_TRUE(dispatches_to<VirtualKernel>(opaque));
+  EXPECT_EQ(VirtualKernel(opaque).name(), opaque.name());
 
   // And the fallback actually runs: one round on a real game.
   const auto game = make_monomial_fan_game(8, 1.0, 1.0, 500);
@@ -369,109 +357,34 @@ TEST(KernelRounds, TemplatedRowThreadsBitwiseInvariant) {
 }
 
 TEST(KernelRuns, TemplatedRunMatchesFrontendRun) {
+  // Whole runs through run_dynamics<K> over the monomorphized kernel and
+  // over VirtualKernel (the virtual frontend, pinned by passing the
+  // adapter directly) must match the type-erased entrypoint bit for bit.
   const auto game = make_monomial_fan_game(10, 2.0, 1.0, 20000);
   const ImitationProtocol protocol;
-  const ImitationKernel kernel(protocol);
   EngineInvocation call;
   call.options.max_rounds = 120;
-
-  Rng kernel_rng(13);
-  State kernel_x = State::uniform_random(game, kernel_rng);
-  const RunResult via_kernel =
-      run_dynamics(game, kernel_x, kernel, kernel_rng, call);
 
   Rng front_rng(13);
   State front_x = State::uniform_random(game, front_rng);
   const RunResult via_frontend =
       run_dynamics(game, front_x, protocol, front_rng, call);
 
-  EXPECT_EQ(via_kernel.rounds, via_frontend.rounds);
-  EXPECT_EQ(via_kernel.total_movers, via_frontend.total_movers);
-  EXPECT_EQ(via_kernel.latency_evals, via_frontend.latency_evals);
-  EXPECT_TRUE(kernel_x == front_x);
-  EXPECT_EQ(kernel_rng.state(), front_rng.state());
+  const auto expect_same_run = [&](const auto& kernel) {
+    Rng rng(13);
+    State x = State::uniform_random(game, rng);
+    const RunResult via_kernel = run_dynamics(game, x, kernel, rng, call);
+    EXPECT_EQ(via_kernel.rounds, via_frontend.rounds);
+    EXPECT_EQ(via_kernel.total_movers, via_frontend.total_movers);
+    EXPECT_EQ(via_kernel.latency_evals, via_frontend.latency_evals);
+    EXPECT_TRUE(x == front_x);
+    EXPECT_EQ(rng.state(), front_rng.state());
+  };
+  expect_same_run(ImitationKernel(protocol));
+  expect_same_run(VirtualKernel(protocol));
 }
 
-// ---- 6. Trial-level virtual_frontend invariance -----------------------------
-
-struct FamilyCase {
-  const char* scenario;
-  std::int64_t n;
-  const char* protocol;
-  std::int64_t rounds;
-};
-
-const FamilyCase kFamilies[] = {
-    {"singleton-uniform", 2000, "imitation", 60},
-    {"load-balancing", 2000, "combined", 60},
-    {"network-routing", 1500, "exploration", 60},
-    {"asymmetric", 900, "imitation", 60},
-    {"multicommodity", 900, "imitation", 60},
-    {"threshold-lb", 12, "imitation", 4000},
-};
-
-sweep::DynamicsConfig family_dynamics(std::int64_t rounds,
-                                      bool virtual_frontend) {
-  sweep::DynamicsConfig dynamics;
-  dynamics.max_rounds = rounds;
-  dynamics.stop = sweep::StopRule::kNash;
-  dynamics.check_interval = 3;
-  dynamics.virtual_frontend = virtual_frontend;
-  return dynamics;
-}
-
-TEST(KernelTrials, AllSixFamiliesInvariantUnderVirtualFrontend) {
-  // virtual_frontend keeps the batched engine but swaps the monomorphized
-  // kernel for the VirtualKernel adapter — i.e. the exact pre-redesign
-  // path. Every family (and the RNG stream) must be unable to tell.
-  for (const FamilyCase& c : kFamilies) {
-    SCOPED_TRACE(c.scenario);
-    sweep::ScenarioSpec spec;
-    spec.name = c.scenario;
-    const auto instance = sweep::make_scenario(spec, c.n);
-    const auto protocol = sweep::parse_protocol_spec(c.protocol);
-    const std::uint64_t seed = 8642;
-
-    Rng mono_rng(seed);
-    const sweep::TrialOutcome mono = instance->run_trial(
-        protocol, family_dynamics(c.rounds, false), mono_rng);
-    Rng virt_rng(seed);
-    const sweep::TrialOutcome virt = instance->run_trial(
-        protocol, family_dynamics(c.rounds, true), virt_rng);
-    EXPECT_EQ(mono, virt);
-    EXPECT_EQ(mono_rng.state(), virt_rng.state());
-  }
-}
-
-TEST(KernelTrials, CheckpointsInterchangeableAcrossFrontends) {
-  // A monomorphized-kernel trial checkpointed at round 9, killed, and
-  // resumed on the VIRTUAL frontend must bitwise-match the uninterrupted
-  // monomorphized run — snapshots carry no trace of the kernel frontend.
-  sweep::ScenarioSpec spec;
-  spec.name = "network-routing";
-  const auto instance = sweep::make_scenario(spec, 1500);
-  const auto protocol = sweep::parse_protocol_spec("combined");
-  const std::uint64_t seed = 4242;
-  const std::int64_t total_rounds = 60;
-
-  Rng full_rng(seed);
-  const sweep::TrialOutcome uninterrupted = instance->run_trial(
-      protocol, family_dynamics(total_rounds, false), full_rng);
-
-  const std::string snap =
-      ::testing::TempDir() + "/kernel_frontend_interchange.snap";
-  Rng killed_rng(seed);
-  instance->run_trial_checkpointed(protocol, family_dynamics(9, false),
-                                   killed_rng,
-                                   sweep::TrialCheckpoint{snap, 0});
-  const sweep::TrialOutcome resumed = instance->resume_trial(
-      protocol, family_dynamics(total_rounds, true), snap);
-  EXPECT_EQ(resumed, uninterrupted);
-  EXPECT_GT(uninterrupted.rounds, 9.0);  // the resumed leg did real work
-  std::remove(snap.c_str());
-}
-
-// ---- 7. EngineInvocation ----------------------------------------------------
+// ---- 6. EngineInvocation ----------------------------------------------------
 
 TEST(EngineInvocationApi, StopAndCachedStopFireAtTheSameRound) {
   // The two predicate forms are consulted on the same rounds, so equal

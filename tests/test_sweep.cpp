@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiment.hpp"
@@ -219,6 +220,86 @@ TEST(SweepGridParsing, Rejections) {
   EXPECT_THROW(parse_grid_axis("n=10:100:cubic"), std::runtime_error);
   EXPECT_THROW(parse_grid_axis("n=0:10:lin"), std::runtime_error);
   EXPECT_THROW(parse_grid_axis("n=1:10:log:1"), std::runtime_error);
+}
+
+// Runs argv through the shared cid_sweep / cid_serve grid-flag parser;
+// every argument must be a grid flag.
+SweepGrid parse_grid_flags(std::vector<std::string> args) {
+  args.insert(args.begin(), "tool");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  const int argc = static_cast<int>(argv.size());
+  GridFlags flags;
+  for (int i = 1; i < argc; ++i) {
+    if (!parse_grid_flag(argc, argv.data(), i, flags)) {
+      throw std::logic_error("not a grid flag: " + args[i]);
+    }
+  }
+  return finish_grid_flags(flags);
+}
+
+std::string grid_flag_error(std::vector<std::string> args) {
+  try {
+    parse_grid_flags(std::move(args));
+  } catch (const UsageError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(SweepGridFlags, ParsesEverySharedFlag) {
+  const SweepGrid grid = parse_grid_flags(
+      {"--scenario", "load-balancing", "--grid", "200,400", "--protocols",
+       "imitation,combined", "--trials", "3", "--seed", "9", "--rounds",
+       "70", "--check-interval", "5", "--stop", "deltaeps:0.2,0.3",
+       "--engine", "perplayer", "--param", "m=4", "--lambda", "0.5"});
+  EXPECT_EQ(grid.scenario.name, "load-balancing");
+  EXPECT_EQ(grid.scenario.param("m", 0.0), 4.0);
+  EXPECT_EQ(grid.ns, (std::vector<std::int64_t>{200, 400}));
+  ASSERT_EQ(grid.protocols.size(), 2u);
+  for (const ProtocolSpec& protocol : grid.protocols) {
+    EXPECT_EQ(protocol.lambda, 0.5);
+  }
+  EXPECT_EQ(grid.trials, 3);
+  EXPECT_EQ(grid.master_seed, 9u);
+  EXPECT_EQ(grid.dynamics.max_rounds, 70);
+  EXPECT_EQ(grid.dynamics.check_interval, 5);
+  EXPECT_EQ(grid.dynamics.stop, StopRule::kDeltaEps);
+  EXPECT_EQ(grid.dynamics.delta, 0.2);
+  EXPECT_EQ(grid.dynamics.eps, 0.3);
+  EXPECT_EQ(grid.dynamics.mode, EngineMode::kPerPlayer);
+
+  // Defaults, and a tool-specific flag left for the caller.
+  const SweepGrid defaults = parse_grid_flags({"--scenario", "asymmetric"});
+  EXPECT_EQ(defaults.ns, parse_grid_axis("1000:100000:log"));
+  ASSERT_EQ(defaults.protocols.size(), 1u);
+  EXPECT_EQ(defaults.protocols[0].name, "imitation");
+  EXPECT_EQ(defaults.protocols[0].lambda, 0.25);
+  EXPECT_THROW(parse_grid_flags({"--threads", "2"}), std::logic_error);
+}
+
+TEST(SweepGridFlags, RejectsOutOfRangeAndMalformedValues) {
+  const std::vector<std::string> base = {"--scenario", "load-balancing"};
+  const auto with = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), extra.begin(), extra.end());
+    return grid_flag_error(std::move(args));
+  };
+  EXPECT_EQ(with({}), "accepted");
+  EXPECT_EQ(with({"--check-interval", "0"}), "--check-interval must be >= 1");
+  EXPECT_EQ(with({"--rounds", "-1"}), "--rounds must be >= 0");
+  EXPECT_EQ(with({"--trials", "0"}), "--trials must be >= 1");
+  EXPECT_EQ(with({"--lambda", "0"}), "lambda out of (0,1]");
+  EXPECT_EQ(with({"--lambda", "1.5"}), "lambda out of (0,1]");
+  EXPECT_EQ(with({"--stop", "sometimes"}), "unknown stop condition");
+  EXPECT_EQ(with({"--stop", "deltaeps:0.1"}), "expected --stop deltaeps:D,E");
+  EXPECT_EQ(with({"--engine", "warp"}), "unknown engine");
+  EXPECT_EQ(with({"--param", "=3"}), "expected --param K=V");
+  EXPECT_EQ(with({"--seed"}), "missing value for flag");
+  EXPECT_EQ(grid_flag_error({"--trials", "2"}), "--scenario is required");
+  // Bad axis and protocol values stay plain runtime errors.
+  EXPECT_THROW(with({"--grid", "n=10:5:log"}), std::runtime_error);
+  EXPECT_THROW(with({"--protocols", "mutation"}), std::runtime_error);
 }
 
 TEST(SweepProtocols, ParsingAndConstruction) {

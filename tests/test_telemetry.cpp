@@ -25,6 +25,7 @@
 #include "persist/eventlog.hpp"
 #include "persist/snapshot.hpp"
 #include "protocols/imitation.hpp"
+#include "support/reference_run.hpp"
 #include "sweep/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -198,27 +199,45 @@ TEST(TelemetryZeroPerturbation,
   spec.name = "multicommodity";
   const auto instance = sweep::make_scenario(spec, 48);
   sweep::ProtocolSpec protocol;
+  sweep::DynamicsConfig dynamics;
+  dynamics.max_rounds = 300;
+  dynamics.telemetry_every = 2;
 
-  auto run = [&](bool reference_kernel, int row_threads) {
-    sweep::DynamicsConfig dynamics;
-    dynamics.max_rounds = 300;
-    dynamics.telemetry_every = 2;
-    dynamics.reference_kernel = reference_kernel;
-    dynamics.row_threads = row_threads;
+  auto run = [&](int row_threads) {
+    sweep::DynamicsConfig threaded = dynamics;
+    threaded.row_threads = row_threads;
     sweep::TrialStats stats;
     Rng rng(21);
-    instance->run_trial(protocol, dynamics, rng, &stats);
+    instance->run_trial(protocol, threaded, rng, &stats);
     return stats.telemetry;
   };
 
-  // The reference per-pair oracle and the batched cached-latency kernel
-  // are bitwise-equivalent, and row fills are thread-count invariant —
-  // the telemetry series must inherit both properties exactly.
-  const auto baseline = run(false, 1);
+  // Row fills are thread-count invariant, and the batched cached-latency
+  // kernel is bitwise-equivalent to the per-pair reference loop — the
+  // telemetry series must inherit both properties exactly.
+  const auto baseline = run(1);
   ASSERT_FALSE(baseline.empty());
-  EXPECT_EQ(run(true, 1), baseline);
-  EXPECT_EQ(run(false, 2), baseline);
-  EXPECT_EQ(run(false, 4), baseline);
+  EXPECT_EQ(run(2), baseline);
+  EXPECT_EQ(run(4), baseline);
+
+  // The reference loop runs on the trial's own game, read back from an
+  // exit snapshot, with a recorder as its observer.
+  const std::string snap = temp_path("cid_telemetry_asym_reference.snap");
+  Rng snap_rng(21);
+  instance->run_trial_checkpointed(protocol, dynamics, snap_rng, {snap, 0});
+  const AsymmetricGame game = persist::load_asymmetric_snapshot(snap).game;
+  std::remove(snap.c_str());
+  AsymmetricImitationParams params;
+  params.lambda = protocol.lambda;
+  params.nu_cutoff = protocol.nu_cutoff;
+  params.damping = protocol.damping;
+  obs::TelemetryRecorder recorder(dynamics.telemetry_every);
+  Rng rng(21);
+  AsymmetricState x = AsymmetricState::uniform_random(game, rng);
+  const test::AsymmetricReferenceRun reference = test::run_asymmetric_reference(
+      game, x, params, rng, dynamics, 0, recorder.asymmetric_observer());
+  recorder.finish(reference.converged);
+  EXPECT_EQ(recorder.take_records(), baseline);
 }
 
 // ---- Kill/resume concatenation ----------------------------------------------

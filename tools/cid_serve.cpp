@@ -23,7 +23,8 @@
 //
 // The grid flags must MATCH the workers' flags: the handshake compares
 // grid fingerprints and rejects mismatched workers, exactly like manifest
-// resume does.
+// resume does. Both tools parse and validate them with
+// sweep::parse_grid_flag / finish_grid_flags.
 //
 // --metrics-http exposes the fleet-level Prometheus text endpoint
 // (coordinator serve.*/persist.* counters, the lease-latency histogram,
@@ -100,9 +101,7 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
   Options opt;
-  opt.grid.ns = sweep::parse_grid_axis("1000:100000:log");
-  opt.grid.protocols = sweep::parse_protocol_list("imitation");
-  double lambda = 0.25;
+  sweep::GridFlags flags;
 
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage("missing value for flag");
@@ -111,48 +110,7 @@ Options parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
-    else if (flag == "--scenario") opt.grid.scenario.name = need_value(i);
-    else if (flag == "--grid") {
-      opt.grid.ns = sweep::parse_grid_axis(need_value(i));
-    } else if (flag == "--protocols") {
-      opt.grid.protocols = sweep::parse_protocol_list(need_value(i));
-    } else if (flag == "--trials") opt.grid.trials = std::atoi(need_value(i));
-    else if (flag == "--seed") {
-      opt.grid.master_seed =
-          static_cast<std::uint64_t>(std::atoll(need_value(i)));
-    } else if (flag == "--rounds") {
-      opt.grid.dynamics.max_rounds = std::atoll(need_value(i));
-    } else if (flag == "--check-interval") {
-      opt.grid.dynamics.check_interval = std::atoll(need_value(i));
-    } else if (flag == "--stop") {
-      const std::string v = need_value(i);
-      if (v == "stable") {
-        opt.grid.dynamics.stop = sweep::StopRule::kImitationStable;
-      } else if (v == "nash") {
-        opt.grid.dynamics.stop = sweep::StopRule::kNash;
-      } else if (v.rfind("deltaeps:", 0) == 0) {
-        opt.grid.dynamics.stop = sweep::StopRule::kDeltaEps;
-        if (std::sscanf(v.c_str(), "deltaeps:%lf,%lf",
-                        &opt.grid.dynamics.delta,
-                        &opt.grid.dynamics.eps) != 2) {
-          usage("expected --stop deltaeps:D,E");
-        }
-      } else {
-        usage("unknown stop condition");
-      }
-    } else if (flag == "--engine") {
-      const std::string v = need_value(i);
-      if (v == "aggregate") opt.grid.dynamics.mode = EngineMode::kAggregate;
-      else if (v == "perplayer") {
-        opt.grid.dynamics.mode = EngineMode::kPerPlayer;
-      } else usage("unknown engine");
-    } else if (flag == "--param") {
-      const std::string kv = need_value(i);
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) usage("expected --param K=V");
-      opt.grid.scenario.params[kv.substr(0, eq)] =
-          std::atof(kv.c_str() + eq + 1);
-    } else if (flag == "--lambda") lambda = std::atof(need_value(i));
+    else if (sweep::parse_grid_flag(argc, argv, i, flags)) continue;
     else if (flag == "--manifest") opt.serve.manifest_path = need_value(i);
     else if (flag == "--final-manifest") {
       opt.serve.final_manifest_path = need_value(i);
@@ -185,18 +143,15 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--verbose") opt.serve.verbose = true;
     else usage(("unknown flag: " + flag).c_str());
   }
-  if (opt.grid.scenario.name.empty()) usage("--scenario is required");
+  opt.grid = sweep::finish_grid_flags(flags);
   if (opt.serve.manifest_path.empty()) usage("--manifest is required");
-  if (opt.grid.trials < 1) usage("--trials must be >= 1");
   if (opt.serve.lease_ttl_seconds <= 0.0) {
     usage("--lease-ttl must be > 0");
   }
   if (opt.serve.tick_seconds <= 0.0) usage("--tick must be > 0");
   if (opt.serve.max_requeues < 1) usage("--max-requeues must be >= 1");
   if (opt.serve.max_seconds < 0.0) usage("--max-seconds must be >= 0");
-  if (lambda <= 0.0 || lambda > 1.0) usage("lambda out of (0,1]");
   if (!opt.fault_spec.empty()) util::configure_faults(opt.fault_spec);
-  for (auto& protocol : opt.grid.protocols) protocol.lambda = lambda;
   return opt;
 }
 
@@ -206,6 +161,8 @@ int main(int argc, char** argv) {
   Options opt;
   try {
     opt = parse_args(argc, argv);
+  } catch (const sweep::UsageError& e) {
+    usage(e.what());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -194,10 +194,8 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
   Options opt;
-  opt.grid.ns = sweep::parse_grid_axis("1000:100000:log");
-  opt.grid.protocols = sweep::parse_protocol_list("imitation");
+  sweep::GridFlags flags;
   opt.run.threads = 0;
-  double lambda = 0.25;
 
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage("missing value for flag");
@@ -206,47 +204,13 @@ Options parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
+    else if (sweep::parse_grid_flag(argc, argv, i, flags)) continue;
     else if (flag == "--list") {
       list_scenarios();
       std::exit(0);
-    } else if (flag == "--scenario") opt.grid.scenario.name = need_value(i);
-    else if (flag == "--grid") {
-      opt.grid.ns = sweep::parse_grid_axis(need_value(i));
-    } else if (flag == "--protocols") {
-      opt.grid.protocols = sweep::parse_protocol_list(need_value(i));
-    } else if (flag == "--trials") opt.grid.trials = std::atoi(need_value(i));
-    else if (flag == "--threads") opt.run.threads = std::atoi(need_value(i));
-    else if (flag == "--seed") {
-      opt.grid.master_seed =
-          static_cast<std::uint64_t>(std::atoll(need_value(i)));
-    } else if (flag == "--rounds") {
-      opt.grid.dynamics.max_rounds = std::atoll(need_value(i));
-    } else if (flag == "--check-interval") {
-      opt.grid.dynamics.check_interval = std::atoll(need_value(i));
-    } else if (flag == "--stop") {
-      const std::string v = need_value(i);
-      if (v == "stable") {
-        opt.grid.dynamics.stop = sweep::StopRule::kImitationStable;
-      } else if (v == "nash") {
-        opt.grid.dynamics.stop = sweep::StopRule::kNash;
-      } else if (v.rfind("deltaeps:", 0) == 0) {
-        opt.grid.dynamics.stop = sweep::StopRule::kDeltaEps;
-        if (std::sscanf(v.c_str(), "deltaeps:%lf,%lf",
-                        &opt.grid.dynamics.delta,
-                        &opt.grid.dynamics.eps) != 2) {
-          usage("expected --stop deltaeps:D,E");
-        }
-      } else {
-        usage("unknown stop condition");
-      }
-    } else if (flag == "--engine") {
-      const std::string v = need_value(i);
-      if (v == "aggregate") opt.grid.dynamics.mode = EngineMode::kAggregate;
-      else if (v == "perplayer") {
-        opt.grid.dynamics.mode = EngineMode::kPerPlayer;
-      } else usage("unknown engine");
-    } else if (flag == "--row-threads") {
-      opt.grid.dynamics.row_threads = std::atoi(need_value(i));
+    } else if (flag == "--threads") opt.run.threads = std::atoi(need_value(i));
+    else if (flag == "--row-threads") {
+      flags.grid.dynamics.row_threads = std::atoi(need_value(i));
     } else if (flag == "--manifest") {
       opt.run.manifest_path = need_value(i);
     } else if (flag == "--resume") {
@@ -293,22 +257,10 @@ Options parse_args(int argc, char** argv) {
       opt.connect = need_value(i);
     } else if (flag == "--worker-name") {
       opt.worker_name = need_value(i);
-    } else if (flag == "--param") {
-      const std::string kv = need_value(i);
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) usage("expected --param K=V");
-      opt.grid.scenario.params[kv.substr(0, eq)] =
-          std::atof(kv.c_str() + eq + 1);
-    } else if (flag == "--lambda") lambda = std::atof(need_value(i));
-    else if (flag == "--out") opt.out_prefix = need_value(i);
+    } else if (flag == "--out") opt.out_prefix = need_value(i);
     else usage(("unknown flag: " + flag).c_str());
   }
-  if (opt.grid.scenario.name.empty()) usage("--scenario is required");
-  if (opt.grid.trials < 1) usage("--trials must be >= 1");
-  if (opt.grid.dynamics.check_interval < 1) {
-    usage("--check-interval must be >= 1");
-  }
-  if (opt.grid.dynamics.max_rounds < 0) usage("--rounds must be >= 0");
+  opt.grid = sweep::finish_grid_flags(flags);
   if (opt.run.threads < 0) usage("--threads must be >= 0");
   if (opt.grid.dynamics.row_threads < 1) {
     usage("--row-threads must be >= 1");
@@ -324,7 +276,6 @@ Options parse_args(int argc, char** argv) {
     usage("--resume: manifest file does not exist (use --manifest to "
           "start a fresh resumable sweep)");
   }
-  if (lambda <= 0.0 || lambda > 1.0) usage("lambda out of (0,1]");
   if (opt.metrics_every < 0) usage("--metrics-every must be >= 0");
   if (opt.metrics_every > 0 && opt.metrics_path.empty()) {
     usage("--metrics-every requires --metrics");
@@ -376,7 +327,6 @@ Options parse_args(int argc, char** argv) {
   // Parse and arm the fault schedule here so a bad spec exits 2 like any
   // other flag-value error.
   if (!opt.fault_spec.empty()) util::configure_faults(opt.fault_spec);
-  for (auto& protocol : opt.grid.protocols) protocol.lambda = lambda;
   // Per-trial engine metering is opt-in: only pay for the phase timers
   // when something will report them.
   if (!opt.metrics_path.empty() || !opt.prom_path.empty()) {
@@ -398,9 +348,11 @@ int main(int argc, char** argv) {
   Options opt;
   try {
     opt = parse_args(argc, argv);
+  } catch (const sweep::UsageError& e) {
+    usage(e.what());
   } catch (const std::exception& e) {
     // Bad flag *values* (grid/protocol/param syntax) land here; bad flag
-    // *shapes* exit through usage() directly.
+    // *shapes* exit through usage().
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
