@@ -20,6 +20,7 @@
 #include "dynamics/engine.hpp"        // IWYU pragma: export
 #include "dynamics/equilibrium.hpp"   // IWYU pragma: export
 #include "dynamics/sequential.hpp"    // IWYU pragma: export
+#include "dynamics/stop_rule.hpp"     // IWYU pragma: export
 #include "game/asymmetric.hpp"        // IWYU pragma: export
 #include "game/builders.hpp"          // IWYU pragma: export
 #include "game/congestion_game.hpp"   // IWYU pragma: export

@@ -1,36 +1,25 @@
 // Batched class-local round kernel for asymmetric (multi-commodity)
-// congestion games — the asymmetric mirror of dynamics/engine.hpp.
-//
-// The class-local imitation dynamics (paper §3's closing remark, realized
-// in game/asymmetric.hpp) used to run the per-pair path only: every
-// (class, origin, destination) triple re-evaluated ℓ_P(x) and
-// ℓ_Q(x+1_Q−1_P) from the latency functions. This module ports the
-// symmetric kernel's machinery over:
+// congestion games: the class-local imitation dynamics of the paper's §3
+// closing remark (game/asymmetric.hpp) on the symmetric engine's machinery.
 //
 //   * AsymmetricLatencyContext — the shared ℓ_e(x_e)/ℓ_e(x_e+1) resource
-//     tables (classes share the resource set) plus PER-CLASS ℓ_{c,P}(x)
-//     sums, maintained incrementally from the touched-resource reports of
-//     AsymmetricState::apply(game, moves, scratch);
-//   * AsymmetricProtocolKernel — the statically-dispatched row interface
-//     (the asymmetric mirror of ProtocolKernel in protocols/kernel.hpp),
-//     modeled by AsymmetricImitationKernel over
-//     fill_asymmetric_move_probabilities: one cached row per (class,
-//     origin) over the class support, zero latency-function calls;
-//   * draw_asymmetric_round<K> — the batched aggregate draw, templated
-//     over the kernel, with the same support/improvement pruning as the
-//     symmetric engine (origins whose row is provably zero skip the fill
-//     AND the multinomial; no RNG is consumed either way) and optional
-//     row_threads fan-out of the pure row fills across persistent
-//     sweep-pool workers with a deterministic serial draw phase. The
-//     params-taking overload is the type-erased-free frontend the CLIs
-//     and scenario layer call (imitation is the only asymmetric protocol,
-//     so there is no dispatch chain here);
+//     tables plus PER-CLASS ℓ_{c,P}(x) sums, refreshed incrementally from
+//     the touched-resource reports of AsymmetricState::apply;
+//   * AsymmetricProtocolKernel — the class-local mirror of ProtocolKernel
+//     (protocols/kernel.hpp), modeled by AsymmetricImitationKernel;
+//   * draw_asymmetric_round<K> — the batched aggregate draw, with the
+//     symmetric engine's support/improvement pruning (no RNG consumed for
+//     a pruned origin) and optional row_threads fan-out of the pure row
+//     fills before a serial draw phase;
 //   * cached overloads of the class-wise stop predicates.
 //
+// A whole run is run_round_loop (dynamics/engine_kernel.hpp) over
+// draw_asymmetric_round, AsymmetricState::apply and
+// AsymmetricLatencyContext::refresh — the loop the symmetric engine runs.
+//
 // Bitwise contract: identical migrations and identical RNG stream to
-// draw_asymmetric_round_reference (the per-pair oracle retained in
-// game/asymmetric.hpp), enforced by tests/test_engine_oracle.cpp —
-// checkpoints and manifests are interchangeable between the two paths.
+// draw_asymmetric_round_reference (the per-pair oracle in
+// game/asymmetric.hpp), enforced by tests/test_engine_oracle.cpp.
 #pragma once
 
 #include <algorithm>
@@ -53,11 +42,8 @@
 
 namespace cid {
 
-/// The asymmetric mirror of RoundObserver (dynamics/engine.hpp): invoked
-/// once per round with the PRE-round state and that round's class
-/// migrations before they are applied, and once more after the final
-/// round with an empty move list and `final = true`. The sweep's
-/// asymmetric run loop feeds it; obs::TelemetryRecorder plugs in here.
+/// The asymmetric mirror of RoundObserver (dynamics/engine.hpp), with the
+/// same call protocol under run_round_loop.
 using AsymmetricRoundObserver = std::function<void(
     const AsymmetricGame&, const AsymmetricState& x,
     std::span<const ClassMigration> moves, std::int64_t round, bool final)>;

@@ -35,7 +35,7 @@
 // zero (row_provably_zero — e.g. ℓ_P within ν of the cheapest used
 // strategy under imitation), skipping both the row fill and the
 // conditional-binomial draws without touching the RNG stream, and
-// EngineTuning::row_threads can fan the remaining per-origin row fills
+// RunOptions::row_threads can fan the remaining per-origin row fills
 // across persistent sweep-pool workers with a deterministic serial draw
 // phase.
 //
@@ -99,28 +99,7 @@ struct RoundWorkspace {
 RowBounds compute_row_bounds(const CongestionGame& game, const State& x,
                              const LatencyContext& ctx);
 
-/// Engine tuning knobs shared between RunOptions and the scenario layer's
-/// DynamicsConfig (sweep/scenario.hpp embeds this same struct, so the two
-/// option surfaces can never drift apart again). None of these fields
-/// affects results — every combination is bitwise-identical — and none of
-/// them enters a sweep-manifest grid fingerprint (persist/manifest.*
-/// serializes only the semantic DynamicsConfig fields).
-struct EngineTuning {
-  /// Worker threads for the per-origin probability-row fills inside one
-  /// round (see draw_round). 1 = serial (default); results are bitwise
-  /// identical for every value.
-  int row_threads = 1;
-  /// Scenario-layer switch: collect per-trial obs::EngineMetrics. The core
-  /// engine ignores it (RunOptions::metrics, the pointer the scenario
-  /// layer derives from this flag, is what the run loop consumes).
-  bool collect_metrics = false;
-  /// Scenario-layer switch: emit one telemetry record every N rounds
-  /// (0 = off). The core engine ignores it — the scenario layer turns it
-  /// into a RoundObserver.
-  std::int64_t telemetry_every = 0;
-};
-
-struct RunOptions : EngineTuning {
+struct RunOptions {
   std::int64_t max_rounds = 1'000'000;
   std::int64_t check_interval = 1;
   EngineMode mode = EngineMode::kAggregate;
@@ -130,6 +109,10 @@ struct RunOptions : EngineTuning {
   /// with absolute round numbering, so observers, stop checks, and event
   /// logs line up bit-exactly with the uninterrupted run.
   std::int64_t start_round = 0;
+  /// Worker threads for the per-origin probability-row fills inside one
+  /// round (see draw_round). 1 = serial; results are bitwise identical for
+  /// every value.
+  int row_threads = 1;
   /// Observability hook: when non-null, the run accumulates phase timers
   /// (ctx refresh, row fill, draw, apply, stop check) and work counters
   /// into it. Consumes zero RNG and never changes results — metrics-on

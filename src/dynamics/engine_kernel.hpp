@@ -1,5 +1,6 @@
 // Monomorphized round engines: the five engine phases as templates over
-// the ProtocolKernel concept (protocols/kernel.hpp).
+// the ProtocolKernel concept (protocols/kernel.hpp), and the one round
+// loop every concurrent family runs.
 //
 // This header is the engine's actual implementation; dynamics/engine.cpp
 // is a thin type-erased frontend that resolves a virtual Protocol to its
@@ -8,6 +9,13 @@
 // multinomial/uniform draws — compiles once per kernel type with every
 // call inlined, instead of paying a virtual dispatch per row, while the
 // public API in engine.hpp stays exactly as stable as the Protocol class.
+//
+// run_round_loop owns everything around a round's draw — stop cadence,
+// tracing, phase timers, observers — for the symmetric engine
+// (run_dynamics<K>) and for the class-local asymmetric kernel
+// (dynamics/asymmetric_engine.hpp, driven from sweep/scenario.cpp), so
+// the two families cannot drift apart in when they stop or what they
+// meter.
 //
 // Templated callers (tests, benches, future engines) can use this API
 // directly with any ProtocolKernel model, VirtualKernel included;
@@ -20,6 +28,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -33,6 +42,17 @@
 #include "util/rng.hpp"
 
 namespace cid {
+
+/// The workspace's latency cache, reset against (game, x) first when the
+/// workspace is cold — for either family's workspace.
+template <typename Game, typename StateT, typename Workspace>
+const auto& warm_context(const Game& game, const StateT& x, Workspace& ws) {
+  if (!ws.ready) {
+    ws.ctx.reset(game, x);
+    ws.ready = true;
+  }
+  return ws.ctx;
+}
 
 namespace engine_detail {
 
@@ -89,10 +109,7 @@ inline void build_cumulative(std::span<const double> probs,
 /// Ensures the workspace buffers span the game and the cache matches x.
 inline void prepare(const CongestionGame& game, const State& x,
                     RoundWorkspace& ws) {
-  if (!ws.ready) {
-    ws.ctx.reset(game, x);
-    ws.ready = true;
-  }
+  warm_context(game, x, ws);
   const auto k = static_cast<std::size_t>(game.num_strategies());
   ws.probs.resize(k);
   ws.counts.resize(k);
@@ -374,89 +391,103 @@ RoundResult draw_round_reference(const CongestionGame& game, const State& x,
   return {};
 }
 
-/// Monomorphized run loop — the kernel-typed core of the engine.hpp
-/// run_dynamics frontend. Each round draws, observes, applies, and
-/// refreshes the cache. At most one of call.stop / call.cached_stop may be
-/// non-empty; both empty means "run to max_rounds". The cached predicate
-/// is handed the run's own workspace context (reset lazily before the
-/// first check, incrementally refreshed afterwards).
-template <ProtocolKernel K>
-RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
-                       Rng& rng, const EngineInvocation& call) {
-  const RunOptions& options = call.options;
+/// THE round loop, shared by run_dynamics<K> below and the asymmetric
+/// scenario family. Any workspace with a latency cache `ctx`, a `ready`
+/// flag and an `apply_scratch` serves, with a state applying moves through
+/// x.apply(game, moves, ws.apply_scratch). The family supplies
+/// `draw(trace)`: one round drawn against the pre-round x into rr. The
+/// loop owns the rest: stop checks every check_interval ABSOLUTE rounds
+/// (a resumed leg replays the uninterrupted cadence) plus a final one,
+/// trace sampling, the apply / refresh / stop-check timers and the round
+/// and stop-check counters, the observer calls, and the latency_evals
+/// read. An empty `stop` runs to max_rounds.
+template <typename Game, typename StateT, typename Workspace, typename Round,
+          typename Draw, typename Observer>
+RunResult run_round_loop(const Game& game, StateT& x, Workspace& ws,
+                         Round& rr, const RunOptions& options,
+                         const Draw& draw,
+                         const std::function<bool(std::int64_t)>& stop,
+                         const Observer& observer) {
   CID_ENSURE(options.max_rounds >= 0, "max_rounds must be >= 0");
   CID_ENSURE(options.check_interval >= 1, "check_interval must be >= 1");
   CID_ENSURE(options.start_round >= 0, "start_round must be >= 0");
-  CID_ENSURE(!(static_cast<bool>(call.stop) &&
-               static_cast<bool>(call.cached_stop)),
-             "EngineInvocation: at most one stop predicate may be set");
   obs::EngineMetrics* const m = options.metrics;
   RunResult result;
   result.rounds = options.start_round;
-  // One workspace for the whole run: after the first round's full cache
-  // build, each round re-evaluates only the latencies its migrations
-  // dirtied and performs no heap allocation.
-  RoundWorkspace ws;
-  RoundResult rr;
-  const bool has_stop = static_cast<bool>(call.stop) ||
-                        static_cast<bool>(call.cached_stop);
-  const auto stop_now = [&](std::int64_t round) -> bool {
-    if (static_cast<bool>(call.cached_stop)) {
-      if (!ws.ready) {
-        ws.ctx.reset(game, x);
-        ws.ready = true;
-      }
-      return call.cached_stop(ws.ctx, round);
-    }
-    return call.stop(game, x, round);
+  const auto stop_check = [&](bool trace) {
+    obs::PhaseTimer stop_timer(m != nullptr ? &m->stop_check_ns : nullptr);
+    obs::TraceSpan stop_span(trace ? "engine.stop_check" : nullptr);
+    if (m != nullptr) ++m->stop_checks;
+    return stop(result.rounds);
   };
   // Span tracing samples every K-th round (trace_engine_sample_interval)
   // so multi-million-round runs stay bounded; a disarmed collector makes
   // `tr` constant false at the cost of one relaxed load per round.
   const std::int64_t trace_every = obs::trace_engine_sample_interval();
-  for (std::int64_t round = options.start_round; round < options.max_rounds;
-       ++round) {
+  for (; result.rounds < options.max_rounds; ++result.rounds) {
+    const std::int64_t round = result.rounds;
     const bool tr = obs::trace_enabled() && round % trace_every == 0;
-    if (has_stop && round % options.check_interval == 0) {
-      bool stopped;
-      {
-        obs::PhaseTimer stop_timer(m != nullptr ? &m->stop_check_ns
-                                                : nullptr);
-        obs::TraceSpan stop_span(tr ? "engine.stop_check" : nullptr);
-        if (m != nullptr) ++m->stop_checks;
-        stopped = stop_now(round);
-      }
-      if (stopped) {
-        result.converged = true;
-        break;
-      }
+    if (stop && round % options.check_interval == 0 && stop_check(tr)) {
+      result.converged = true;
+      break;
     }
-    draw_round(game, x, kernel, rng, options.mode, ws, rr,
-               options.row_threads, m, tr);
-    if (call.observer) call.observer(game, x, rr.moves, round, false);
+    draw(tr);
+    if (observer) observer(game, x, rr.moves, round, false);
     {
       obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
       obs::TraceSpan apply_span(tr ? "engine.apply" : nullptr);
       x.apply(game, rr.moves, ws.apply_scratch);
     }
-    obs::PhaseTimer refresh_timer(m != nullptr ? &m->ctx_refresh_ns
-                                               : nullptr);
-    obs::TraceSpan refresh_span(tr ? "engine.ctx_refresh" : nullptr);
-    ws.ctx.refresh(ws.apply_scratch.touched);
+    {
+      obs::PhaseTimer refresh_timer(m != nullptr ? &m->ctx_refresh_ns
+                                                 : nullptr);
+      obs::TraceSpan refresh_span(tr ? "engine.ctx_refresh" : nullptr);
+      ws.ctx.refresh(ws.apply_scratch.touched);
+    }
     result.total_movers += rr.movers;
-    ++result.rounds;
     if (m != nullptr) ++m->rounds;
   }
-  if (!result.converged && has_stop) {
-    obs::PhaseTimer stop_timer(m != nullptr ? &m->stop_check_ns : nullptr);
-    obs::TraceSpan stop_span(obs::trace_enabled() ? "engine.stop_check"
-                                                  : nullptr);
-    if (m != nullptr) ++m->stop_checks;
-    if (stop_now(result.rounds)) result.converged = true;
+  if (!result.converged && stop && stop_check(obs::trace_enabled())) {
+    result.converged = true;
   }
-  if (call.observer) call.observer(game, x, {}, result.rounds, true);
+  if (observer) observer(game, x, {}, result.rounds, true);
   if (ws.ready) result.latency_evals = ws.ctx.latency_evals();
   return result;
+}
+
+/// Monomorphized run — the kernel-typed core of the engine.hpp
+/// run_dynamics frontend: run_round_loop over draw_round<K>. At most one
+/// of call.stop / call.cached_stop may be non-empty; both empty means "run
+/// to max_rounds". The cached predicate is handed the run's own workspace
+/// context (reset lazily before the first check, incrementally refreshed
+/// afterwards).
+template <ProtocolKernel K>
+RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
+                       Rng& rng, const EngineInvocation& call) {
+  CID_ENSURE(!(static_cast<bool>(call.stop) &&
+               static_cast<bool>(call.cached_stop)),
+             "EngineInvocation: at most one stop predicate may be set");
+  const RunOptions& options = call.options;
+  // One workspace for the whole run: after the first round's full cache
+  // build, each round re-evaluates only the latencies its migrations
+  // dirtied and performs no heap allocation.
+  RoundWorkspace ws;
+  RoundResult rr;
+  std::function<bool(std::int64_t)> stop;
+  if (call.cached_stop) {
+    stop = [&](std::int64_t round) {
+      return call.cached_stop(warm_context(game, x, ws), round);
+    };
+  } else if (call.stop) {
+    stop = [&](std::int64_t round) { return call.stop(game, x, round); };
+  }
+  return run_round_loop(
+      game, x, ws, rr, options,
+      [&](bool trace) {
+        draw_round(game, x, kernel, rng, options.mode, ws, rr,
+                   options.row_threads, options.metrics, trace);
+      },
+      stop, call.observer);
 }
 
 }  // namespace cid

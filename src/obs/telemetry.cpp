@@ -101,21 +101,10 @@ TelemetryRecorder::TelemetryRecorder(std::int64_t every) : every_(every) {
   if (every_ < 1) throw std::invalid_argument("telemetry every must be >= 1");
 }
 
-RoundObserver TelemetryRecorder::observer() {
-  return [this](const CongestionGame& game, const State& x,
-                std::span<const Migration> moves, std::int64_t round,
-                bool final) { observe(game, x, moves, round, final); };
-}
-
-AsymmetricRoundObserver TelemetryRecorder::asymmetric_observer() {
-  return [this](const AsymmetricGame& game, const AsymmetricState& x,
-                std::span<const ClassMigration> moves, std::int64_t round,
-                bool final) { observe(game, x, moves, round, final); };
-}
-
-void TelemetryRecorder::observe(const CongestionGame& game, const State& x,
-                                std::span<const Migration> moves,
-                                std::int64_t round, bool final) {
+template <typename Game, typename StateT, typename Move>
+void TelemetryRecorder::record(const Game& game, const StateT& x,
+                               std::span<const Move> moves,
+                               std::int64_t round, bool final) {
   if (final) {
     pending_final_ = make_telemetry_record(game, x, moves, round, true);
     pending_ = true;
@@ -123,19 +112,19 @@ void TelemetryRecorder::observe(const CongestionGame& game, const State& x,
   }
   if (round % every_ != 0) return;
   records_.push_back(make_telemetry_record(game, x, moves, round, false));
+}
+
+void TelemetryRecorder::observe(const CongestionGame& game, const State& x,
+                                std::span<const Migration> moves,
+                                std::int64_t round, bool final) {
+  record(game, x, moves, round, final);
 }
 
 void TelemetryRecorder::observe(const AsymmetricGame& game,
                                 const AsymmetricState& x,
                                 std::span<const ClassMigration> moves,
                                 std::int64_t round, bool final) {
-  if (final) {
-    pending_final_ = make_telemetry_record(game, x, moves, round, true);
-    pending_ = true;
-    return;
-  }
-  if (round % every_ != 0) return;
-  records_.push_back(make_telemetry_record(game, x, moves, round, false));
+  record(game, x, moves, round, final);
 }
 
 void TelemetryRecorder::finish(bool converged) {

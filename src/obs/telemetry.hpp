@@ -79,11 +79,15 @@ class TelemetryRecorder {
   /// run converged, the final observer state.
   explicit TelemetryRecorder(std::int64_t every = 1);
 
-  /// Observer for run_dynamics; the recorder must outlive the run.
-  RoundObserver observer();
-
-  /// Observer for the asymmetric run loop (sweep/scenario.cpp).
-  AsymmetricRoundObserver asymmetric_observer();
+  /// Observer for either family's run loop (RoundObserver or
+  /// AsymmetricRoundObserver); the recorder must outlive the run.
+  template <typename Observer = RoundObserver>
+  Observer observer() {
+    return [this](const auto& game, const auto& x, auto moves,
+                  std::int64_t round, bool final) {
+      observe(game, x, moves, round, final);
+    };
+  }
 
   void observe(const CongestionGame& game, const State& x,
                std::span<const Migration> moves, std::int64_t round,
@@ -106,6 +110,10 @@ class TelemetryRecorder {
   std::int64_t every() const noexcept { return every_; }
 
  private:
+  template <typename Game, typename StateT, typename Move>
+  void record(const Game& game, const StateT& x, std::span<const Move> moves,
+              std::int64_t round, bool final);
+
   std::int64_t every_;
   bool pending_ = false;
   TelemetryRecord pending_final_;

@@ -1,12 +1,10 @@
 #include "persist/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <utility>
 #include <vector>
 
-#include "dynamics/equilibrium.hpp"
 #include "persist/binio.hpp"
 #include "protocols/factory.hpp"
 
@@ -72,86 +70,11 @@ void Checkpointer::write_now(const State& x, std::int64_t round) const {
 }
 
 RoundObserver Checkpointer::observer() const {
-  return [this](const CongestionGame& game, const State& x,
-                std::span<const Migration> moves, std::int64_t round,
-                bool final) {
-    if (final) {
-      // Final call carries the post-run state and no moves.
-      write_now(x, round);
-      return;
-    }
-    if (checkpoint_.every <= 0 || (round + 1) % checkpoint_.every != 0) {
-      return;
-    }
-    // The RNG has consumed rounds 0..round; pairing it with the post-round
-    // state at counter round+1 is the unique consistent tuple.
-    State after = x;
-    after.apply(game, moves);
-    write_now(after, round + 1);
-  };
-}
-
-RoundObserver chain_observers(RoundObserver first, RoundObserver second) {
-  if (!first) return second;
-  if (!second) return first;
-  return [first = std::move(first), second = std::move(second)](
-             const CongestionGame& game, const State& x,
-             std::span<const Migration> moves, std::int64_t round,
-             bool final) {
-    first(game, x, moves, round, final);
-    second(game, x, moves, round, final);
-  };
-}
-
-StopPredicate stop_from_spec(const std::string& spec) {
-  if (spec == "stable") {
-    return [](const CongestionGame& g, const State& s, std::int64_t) {
-      return is_imitation_stable(g, s, g.nu());
-    };
-  }
-  if (spec == "nash") {
-    return [](const CongestionGame& g, const State& s, std::int64_t) {
-      return is_nash(g, s);
-    };
-  }
-  if (spec.rfind("deltaeps:", 0) == 0) {
-    double delta = 0.1, eps = 0.1;
-    if (std::sscanf(spec.c_str(), "deltaeps:%lf,%lf", &delta, &eps) != 2) {
-      throw persist_error("bad stop spec '" + spec +
-                          "' (expected deltaeps:D,E)");
-    }
-    return [delta, eps](const CongestionGame& g, const State& s,
-                        std::int64_t) {
-      return is_delta_eps_equilibrium(g, s, delta, eps);
-    };
-  }
-  throw persist_error("unknown stop spec '" + spec +
-                      "' (expected stable|nash|deltaeps:D,E)");
-}
-
-CachedStopPredicate cached_stop_from_spec(const std::string& spec) {
-  if (spec == "stable") {
-    return [](const LatencyContext& ctx, std::int64_t) {
-      return is_imitation_stable(ctx, ctx.game().nu());
-    };
-  }
-  if (spec == "nash") {
-    return [](const LatencyContext& ctx, std::int64_t) {
-      return is_nash(ctx);
-    };
-  }
-  if (spec.rfind("deltaeps:", 0) == 0) {
-    double delta = 0.1, eps = 0.1;
-    if (std::sscanf(spec.c_str(), "deltaeps:%lf,%lf", &delta, &eps) != 2) {
-      throw persist_error("bad stop spec '" + spec +
-                          "' (expected deltaeps:D,E)");
-    }
-    return [delta, eps](const LatencyContext& ctx, std::int64_t) {
-      return is_delta_eps_equilibrium(ctx, delta, eps);
-    };
-  }
-  throw persist_error("unknown stop spec '" + spec +
-                      "' (expected stable|nash|deltaeps:D,E)");
+  return checkpoint_cadence<RoundObserver>(
+      checkpoint_.every, 0,
+      [this](const State& x, std::int64_t round, std::int64_t) {
+        write_now(x, round);
+      });
 }
 
 std::string find_latest_checkpoint(const std::string& path) {

@@ -1,24 +1,27 @@
 // Checkpoint cadence and resume orchestration.
 //
-// Checkpointer turns the snapshot codec into a RoundObserver: every K
-// completed rounds (and at the final observer call) it writes the full
-// simulation tuple to one path, atomically, overwriting the previous
-// checkpoint. The subtlety this class owns is *when* the tuple is
-// consistent: the observer fires with the PRE-round state and that round's
-// moves, at which point the RNG has already consumed the round's draws —
-// so the snapshot must pair the post-round state (pre-state + moves) with
-// the current RNG and a round counter of round+1. Resuming from such a
-// snapshot re-draws nothing and skips nothing: the continuation is the
-// uninterrupted run, bit for bit.
+// checkpoint_cadence is the one rule for WHEN a run persists itself: every
+// K completed rounds, and at the final observer call. Checkpointer wraps
+// it around the symmetric snapshot codec for cid_sim, and the scenario
+// trials (sweep/scenario.cpp) wrap it around their family's codec. The
+// subtlety it owns is *when* the tuple is consistent: the observer fires
+// with the PRE-round state and that round's moves, at which point the RNG
+// has already consumed the round's draws — so the snapshot must pair the
+// post-round state (pre-state + moves) with the current RNG and a round
+// counter of round+1. Resuming from such a snapshot re-draws nothing and
+// skips nothing: the continuation is the uninterrupted run, bit for bit.
 //
 // resume_run() is the inverse used by cid_sim --resume: it rebuilds the
-// game, state, protocol, stop predicate, and RNG from a snapshot so the
-// caller only supplies the remaining-rounds budget and observers.
+// game, state, protocol, and RNG from a snapshot so the caller only
+// supplies the remaining-rounds budget, the stop rule (dynamics/
+// stop_rule.hpp, from the snapshot's config), and observers.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "dynamics/engine.hpp"
 #include "persist/snapshot.hpp"
@@ -50,8 +53,7 @@ class Checkpointer {
   /// draws) and by the observer.
   void write_now(const State& x, std::int64_t round) const;
 
-  /// Observer implementing the cadence (see file comment for why it
-  /// snapshots pre_state + moves at round+1).
+  /// checkpoint_cadence over this writer.
   RoundObserver observer() const;
 
  private:
@@ -61,8 +63,44 @@ class Checkpointer {
   SimConfig sim_;
 };
 
-/// Chains observers (either may be null); calls run in argument order.
-RoundObserver chain_observers(RoundObserver first, RoundObserver second);
+/// Chains observers of either engine family (either may be null); calls
+/// run in argument order.
+template <typename Observer>
+Observer chain_observers(Observer first,
+                         std::type_identity_t<Observer> second) {
+  if (!first) return second;
+  if (!second) return first;
+  return [first = std::move(first), second = std::move(second)](
+             const auto& game, const auto& x, auto moves, std::int64_t round,
+             bool final) {
+    first(game, x, moves, round, final);
+    second(game, x, moves, round, final);
+  };
+}
+
+/// THE checkpoint cadence, as an observer of either engine family (see
+/// the file comment for why it pairs pre-state + moves with round+1):
+/// `write(state, round, movers)` runs with the post-round state every
+/// `every` completed rounds (0 = never) and with the final state at the
+/// final observer call. `movers` is `base_movers` plus every migration
+/// observed so far.
+template <typename Observer, typename Write>
+Observer checkpoint_cadence(std::int64_t every, std::int64_t base_movers,
+                            Write write) {
+  return [every, movers = base_movers, write = std::move(write)](
+             const auto& game, const auto& x, auto moves, std::int64_t round,
+             bool final) mutable {
+    if (final) {
+      write(x, round, movers);
+      return;
+    }
+    for (const auto& move : moves) movers += move.count;
+    if (every <= 0 || (round + 1) % every != 0) return;
+    auto after = x;
+    after.apply(game, moves);
+    write(after, round + 1, movers);
+  };
+}
 
 /// Everything cid_sim needs to continue a snapshotted run. The game is
 /// owned here (stable address for the protocol/state that reference it).
@@ -90,14 +128,5 @@ std::string find_latest_checkpoint(const std::string& path);
 /// set (no-op when keep_last < 1). Returns the number of files removed.
 std::size_t prune_checkpoints(const std::string& path,
                               std::int64_t keep_last);
-
-/// Builds the stop predicate a SimConfig::stop spec describes ("stable",
-/// "nash", "deltaeps:D,E"); shared by cid_sim and resume paths.
-StopPredicate stop_from_spec(const std::string& spec);
-
-/// Cache-backed variant of stop_from_spec: same specs, same (bitwise)
-/// verdicts, evaluated through the run's latency cache so converged-phase
-/// checks stop dominating wall time (see dynamics/equilibrium.hpp).
-CachedStopPredicate cached_stop_from_spec(const std::string& spec);
 
 }  // namespace cid::persist

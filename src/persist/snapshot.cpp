@@ -160,9 +160,9 @@ FramedFile read_snapshot_file(const std::string& path) {
 
 Snapshot make_snapshot(const CongestionGame& game, const State& x,
                        const Rng& rng, std::int64_t round,
-                       const SimConfig& config) {
+                       const SimConfig& config, std::int64_t movers) {
   return Snapshot{round, config, rng.state(), game,
-                  {x.counts().begin(), x.counts().end()}, 0};
+                  {x.counts().begin(), x.counts().end()}, movers};
 }
 
 std::string snapshot_payload(const Snapshot& snapshot) {

@@ -118,7 +118,7 @@ struct ThresholdSnapshot {
 /// Captures the current simulation tuple. `x` must belong to `game`.
 Snapshot make_snapshot(const CongestionGame& game, const State& x,
                        const Rng& rng, std::int64_t round,
-                       const SimConfig& config);
+                       const SimConfig& config, std::int64_t movers = 0);
 
 void save_snapshot(const Snapshot& snapshot, const std::string& path);
 Snapshot load_snapshot(const std::string& path);

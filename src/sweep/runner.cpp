@@ -168,18 +168,13 @@ bool parse_grid_flag(int argc, char** argv, int& i, GridFlags& flags) {
     dynamics.check_interval = std::atoll(value().c_str());
   } else if (flag == "--stop") {
     const std::string v = value();
-    if (v == "stable") {
-      dynamics.stop = StopRule::kImitationStable;
-    } else if (v == "nash") {
-      dynamics.stop = StopRule::kNash;
-    } else if (v.rfind("deltaeps:", 0) == 0) {
-      dynamics.stop = StopRule::kDeltaEps;
-      if (std::sscanf(v.c_str(), "deltaeps:%lf,%lf", &dynamics.delta,
-                      &dynamics.eps) != 2) {
-        throw UsageError("expected --stop deltaeps:D,E");
-      }
-    } else {
-      throw UsageError("unknown stop condition");
+    try {
+      const StopSpec stop = parse_stop(v);
+      dynamics.stop = stop.rule;
+      dynamics.delta = stop.delta;
+      dynamics.eps = stop.eps;
+    } catch (const std::invalid_argument& e) {
+      throw UsageError(e.what());
     }
   } else if (flag == "--engine") {
     const std::string v = value();

@@ -1,14 +1,16 @@
 #include "sweep/scenario.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <concepts>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "dynamics/asymmetric_engine.hpp"
-#include "dynamics/equilibrium.hpp"
+#include "dynamics/engine_kernel.hpp"
 #include "game/asymmetric.hpp"
 #include "game/builders.hpp"
 #include "game/io.hpp"
@@ -16,8 +18,8 @@
 #include "game/state.hpp"
 #include "graph/generators.hpp"
 #include "lowerbound/threshold_game.hpp"
-#include "obs/trace_span.hpp"
 #include "persist/binio.hpp"
+#include "persist/checkpoint.hpp"
 #include "persist/codec.hpp"
 #include "persist/snapshot.hpp"
 
@@ -83,190 +85,157 @@ persist::SimConfig trial_config(const ProtocolSpec& protocol,
   config.damping = protocol.damping;
   config.virtual_agents = protocol.virtual_agents;
   config.engine = static_cast<std::uint8_t>(dynamics.mode);
-  switch (dynamics.stop) {
-    case StopRule::kImitationStable:
-      config.stop = "stable";
-      break;
-    case StopRule::kNash:
-      config.stop = "nash";
-      break;
-    case StopRule::kDeltaEps:
-      config.stop = "deltaeps:" + std::to_string(dynamics.delta) + "," +
-                    std::to_string(dynamics.eps);
-      break;
-  }
+  config.stop = format_stop(dynamics.stop_spec());
   return config;
 }
 
-/// Stop predicates over the run's own latency cache: the verdicts of the
-/// context-free predicates in dynamics/equilibrium.hpp, bit for bit
-/// (tests/test_equilibrium_cached.cpp), without re-evaluating every ℓ.
-CachedStopPredicate make_cached_stop(const DynamicsConfig& dynamics) {
-  switch (dynamics.stop) {
-    case StopRule::kImitationStable:
-      return [](const LatencyContext& ctx, std::int64_t) {
-        return is_imitation_stable(ctx, ctx.game().nu());
-      };
-    case StopRule::kNash:
-      return [](const LatencyContext& ctx, std::int64_t) {
-        return is_nash(ctx);
-      };
-    case StopRule::kDeltaEps: {
-      const double delta = dynamics.delta, eps = dynamics.eps;
-      return [delta, eps](const LatencyContext& ctx, std::int64_t) {
-        return is_delta_eps_equilibrium(ctx, delta, eps);
-      };
-    }
-  }
-  throw std::runtime_error("unhandled stop rule");
+persist::persist_error game_mismatch(const std::string& snapshot_path,
+                                     const std::string& label) {
+  return persist::persist_error(
+      snapshot_path + ": snapshot game does not match scenario '" + label +
+      "' — was it written by a different scenario or n?");
 }
 
-// ---- Symmetric scenarios ----------------------------------------------------
+// ---- One trial driver ------------------------------------------------------
 
-class SymmetricInstance final : public ScenarioInstance {
+/// Where a trial (re)starts: completed rounds and cumulative movers.
+struct TrialStart {
+  std::int64_t round = 0;
+  std::int64_t movers = 0;
+};
+
+/// A snapshot loaded back: the trial state, bound to the instance's game,
+/// plus the RNG stream and the point the trial continues from.
+template <typename S>
+struct Resumed {
+  S state;
+  std::array<std::uint64_t, 4> rng_state;
+  TrialStart from;
+};
+
+/// What TrialDriver needs of a scenario family: a start state, a snapshot
+/// load that refuses a snapshot of a different game, and the run body over
+/// [from.round, dynamics.max_rounds), checkpointing when `checkpoint` is
+/// non-null.
+template <typename F, typename S = typename F::TrialState>
+concept TrialFamily = requires(const F& family, const ProtocolSpec& protocol,
+                               const DynamicsConfig& dynamics, Rng& rng, S& x,
+                               const std::string& path, TrialStats* stats) {
+  { family.describe() } -> std::same_as<std::string>;
+  { family.start(protocol, rng) } -> std::same_as<S>;
+  { family.load(protocol, path) } -> std::same_as<Resumed<S>>;
+  {
+    family.run(protocol, dynamics, rng, x, TrialStart{}, nullptr, stats)
+  } -> std::same_as<TrialOutcome>;
+};
+
+/// The three trial entry points, once for every family. Checkpoint writes
+/// and snapshot loads draw no RNG, so plain, checkpointed, and resumed
+/// trials are bitwise interchangeable.
+template <TrialFamily F>
+class TrialDriver final : public ScenarioInstance {
  public:
-  SymmetricInstance(std::string label, CongestionGame game, StartKind start)
-      : label_(std::move(label)), game_(std::move(game)), start_(start) {}
+  explicit TrialDriver(F family) : family_(std::move(family)) {}
 
-  std::string describe() const override {
-    return label_ + ": " + game_.describe();
-  }
+  std::string describe() const override { return family_.describe(); }
 
   TrialOutcome run_trial(const ProtocolSpec& protocol,
                          const DynamicsConfig& dynamics, Rng& rng,
                          TrialStats* stats) const override {
-    State x = make_start(rng);
-    return run_from(protocol, dynamics, rng, x, 0, 0, nullptr, stats);
+    auto x = family_.start(protocol, rng);
+    return family_.run(protocol, dynamics, rng, x, {}, nullptr, stats);
   }
 
   TrialOutcome run_trial_checkpointed(const ProtocolSpec& protocol,
                                       const DynamicsConfig& dynamics, Rng& rng,
                                       const TrialCheckpoint& checkpoint,
                                       TrialStats* stats) const override {
-    State x = make_start(rng);
-    return run_from(protocol, dynamics, rng, x, 0, 0, &checkpoint, stats);
+    auto x = family_.start(protocol, rng);
+    return family_.run(protocol, dynamics, rng, x, {}, &checkpoint, stats);
   }
 
   TrialOutcome resume_trial(const ProtocolSpec& protocol,
                             const DynamicsConfig& dynamics,
                             const std::string& snapshot_path,
                             TrialStats* stats) const override {
-    persist::Snapshot snapshot = persist::load_snapshot(snapshot_path);
-    if (serialize_game(snapshot.game) != serialize_game(game_)) {
-      throw persist::persist_error(
-          snapshot_path + ": snapshot game does not match scenario '" +
-          label_ + "' — was it written by a different scenario or n?");
-    }
-    // Bind the state to OUR game (stable address for the whole run).
-    State x(game_, std::move(snapshot.counts));
+    auto resumed = family_.load(protocol, snapshot_path);
     Rng rng;
-    rng.set_state(snapshot.rng_state);
-    return run_from(protocol, dynamics, rng, x, snapshot.round,
-                    snapshot.movers, nullptr, stats);
+    rng.set_state(resumed.rng_state);
+    return family_.run(protocol, dynamics, rng, resumed.state, resumed.from,
+                       nullptr, stats);
   }
 
  private:
-  /// The shared trial body: runs [start_round, dynamics.max_rounds) on
-  /// `x`, optionally checkpointing. Checkpoint writes draw no RNG, so
-  /// checkpointed, resumed, and plain trials are bitwise interchangeable.
-  TrialOutcome run_from(const ProtocolSpec& protocol,
-                        const DynamicsConfig& dynamics, Rng& rng, State& x,
-                        std::int64_t start_round, std::int64_t base_movers,
-                        const TrialCheckpoint* checkpoint,
-                        TrialStats* stats) const {
-    const auto proto = make_protocol(protocol);
-    if (proto == nullptr) {
-      throw std::runtime_error("unknown protocol '" + protocol.name + "'");
-    }
-    RunOptions options;
-    // Tuning knobs flow through wholesale (shared EngineTuning base); the
-    // scenario-layer collect_metrics flag is realized as the metrics
-    // pointer the engine actually consumes.
-    static_cast<EngineTuning&>(options) = dynamics;
-    options.max_rounds = dynamics.max_rounds;
-    options.check_interval = dynamics.check_interval;
-    options.mode = dynamics.mode;
-    options.start_round = start_round;
-    options.metrics = (stats != nullptr && dynamics.collect_metrics)
-                          ? &stats->engine
-                          : nullptr;
+  F family_;
+};
 
-    // Convergence telemetry rides the engine's observer hook. Every record
-    // is a pure function of (pre-round state, moves, round), so a
-    // checkpointed or resumed leg records exactly the rows the
-    // uninterrupted run would — sampling keys off absolute round numbers.
-    std::optional<obs::TelemetryRecorder> telemetry;
-    if (stats != nullptr && dynamics.telemetry_every > 0) {
-      telemetry.emplace(dynamics.telemetry_every);
-    }
+template <TrialFamily F>
+std::unique_ptr<ScenarioInstance> drive(F family) {
+  return std::make_unique<TrialDriver<F>>(std::move(family));
+}
 
-    RoundObserver observer = nullptr;
-    std::int64_t movers = base_movers;
-    if (checkpoint != nullptr) {
-      const persist::SimConfig config = trial_config(protocol, dynamics);
-      observer = [this, checkpoint, config, &rng, &movers](
-                     const CongestionGame& game, const State& pre,
-                     std::span<const Migration> moves, std::int64_t round,
-                     bool final) {
-        if (final) {
-          persist::Snapshot snap =
-              persist::make_snapshot(game_, pre, rng, round, config);
-          snap.movers = movers;
-          persist::save_snapshot(snap, checkpoint->path);
-          return;
-        }
-        for (const Migration& m : moves) movers += m.count;
-        if (checkpoint->every <= 0 || (round + 1) % checkpoint->every != 0) {
-          return;
-        }
-        // The observer fires with the PRE-round state after the round's
-        // draws: post-round state at counter round+1 is the consistent
-        // tuple (same pairing as persist::Checkpointer).
-        State after = pre;
-        after.apply(game, moves);
-        persist::Snapshot snap =
-            persist::make_snapshot(game_, after, rng, round + 1, config);
-        snap.movers = movers;
-        persist::save_snapshot(snap, checkpoint->path);
-      };
-    }
-    if (telemetry.has_value()) {
-      RoundObserver record = telemetry->observer();
-      if (observer) {
-        observer = [record = std::move(record), rest = std::move(observer)](
-                       const CongestionGame& game, const State& pre,
-                       std::span<const Migration> moves, std::int64_t round,
-                       bool final) {
-          record(game, pre, moves, round, final);
-          rest(game, pre, moves, round, final);
-        };
-      } else {
-        observer = std::move(record);
-      }
-    }
-
-    const RunResult rr = run_dynamics(
-        game_, x, *proto, rng,
-        {.options = options, .cached_stop = make_cached_stop(dynamics),
-         .observer = std::move(observer)});
-    if (telemetry.has_value()) {
-      telemetry->finish(rr.converged);
-      stats->telemetry = telemetry->take_records();
-    }
-    if (stats != nullptr) {
-      stats->latency_evals += rr.latency_evals;
-      stats->ran_rounds += rr.rounds - start_round;
-    }
-    TrialOutcome out;
-    out.rounds = static_cast<double>(rr.rounds);
-    out.converged = rr.converged;
-    out.movers = base_movers + rr.total_movers;
-    out.potential = game_.potential(x);
-    out.social_cost = social_cost(game_, x);
-    return out;
+/// The run body the two round-engine families share. `engine(options,
+/// observer)` runs rounds [from.round, max_rounds); this wraps it in the
+/// telemetry recorder and the checkpoint cadence (`save(state, round,
+/// movers)` writes the family's snapshot) and books the result into
+/// `stats`. The caller fills in the outcome's potential and social cost.
+template <typename Observer, typename Engine, typename Save>
+TrialOutcome run_engine_trial(const DynamicsConfig& dynamics, TrialStart from,
+                              const TrialCheckpoint* checkpoint,
+                              TrialStats* stats, const Engine& engine,
+                              Save save) {
+  RunOptions options;
+  options.max_rounds = dynamics.max_rounds;
+  options.check_interval = dynamics.check_interval;
+  options.mode = dynamics.mode;
+  options.start_round = from.round;
+  options.row_threads = dynamics.row_threads;
+  options.metrics = (stats != nullptr && dynamics.collect_metrics)
+                        ? &stats->engine
+                        : nullptr;
+  // Every telemetry record is a pure function of (pre-round state, moves,
+  // round), and sampling keys off absolute round numbers, so a checkpointed
+  // or resumed leg records exactly the rows the uninterrupted run would.
+  std::optional<obs::TelemetryRecorder> telemetry;
+  Observer observer;
+  if (stats != nullptr && dynamics.telemetry_every > 0) {
+    observer = telemetry.emplace(dynamics.telemetry_every)
+                   .template observer<Observer>();
   }
+  if (checkpoint != nullptr) {
+    observer = persist::chain_observers(
+        std::move(observer),
+        persist::checkpoint_cadence<Observer>(checkpoint->every, from.movers,
+                                              std::move(save)));
+  }
+  const RunResult rr = engine(options, observer);
+  if (telemetry.has_value()) {
+    telemetry->finish(rr.converged);
+    stats->telemetry = telemetry->take_records();
+  }
+  if (stats != nullptr) {
+    stats->latency_evals += rr.latency_evals;
+    stats->ran_rounds += rr.rounds - from.round;
+  }
+  TrialOutcome out;
+  out.rounds = static_cast<double>(rr.rounds);
+  out.converged = rr.converged;
+  out.movers = from.movers + rr.total_movers;
+  return out;
+}
 
-  State make_start(Rng& rng) const {
+// ---- Symmetric scenarios ----------------------------------------------------
+
+class SymmetricFamily {
+ public:
+  using TrialState = State;
+
+  SymmetricFamily(std::string label, CongestionGame game, StartKind start)
+      : label_(std::move(label)), game_(std::move(game)), start_(start) {}
+
+  std::string describe() const { return label_ + ": " + game_.describe(); }
+
+  State start(const ProtocolSpec& /*protocol*/, Rng& rng) const {
     switch (start_) {
       case StartKind::kUniformRandom:
         return State::uniform_random(game_, rng);
@@ -280,6 +249,46 @@ class SymmetricInstance final : public ScenarioInstance {
     throw std::runtime_error("unhandled start kind");
   }
 
+  Resumed<State> load(const ProtocolSpec& /*protocol*/,
+                      const std::string& path) const {
+    persist::Snapshot snapshot = persist::load_snapshot(path);
+    if (serialize_game(snapshot.game) != serialize_game(game_)) {
+      throw game_mismatch(path, label_);
+    }
+    // Bind the state to OUR game (stable address for the whole run).
+    return {State(game_, std::move(snapshot.counts)), snapshot.rng_state,
+            {snapshot.round, snapshot.movers}};
+  }
+
+  TrialOutcome run(const ProtocolSpec& protocol,
+                   const DynamicsConfig& dynamics, Rng& rng, State& x,
+                   TrialStart from, const TrialCheckpoint* checkpoint,
+                   TrialStats* stats) const {
+    const auto proto = make_protocol(protocol);
+    if (proto == nullptr) {
+      throw std::runtime_error("unknown protocol '" + protocol.name + "'");
+    }
+    TrialOutcome out = run_engine_trial<RoundObserver>(
+        dynamics, from, checkpoint, stats,
+        [&](const RunOptions& options, const RoundObserver& observer) {
+          return run_dynamics(
+              game_, x, *proto, rng,
+              {.options = options,
+               .cached_stop = make_cached_stop(dynamics.stop_spec()),
+               .observer = observer});
+        },
+        [&](const State& s, std::int64_t round, std::int64_t movers) {
+          persist::save_snapshot(
+              persist::make_snapshot(game_, s, rng, round,
+                                     trial_config(protocol, dynamics), movers),
+              checkpoint->path);
+        });
+    out.potential = game_.potential(x);
+    out.social_cost = social_cost(game_, x);
+    return out;
+  }
+
+ private:
   std::string label_;
   CongestionGame game_;
   StartKind start_;
@@ -291,9 +300,9 @@ std::unique_ptr<ScenarioInstance> make_singleton_uniform(
   const double degree = spec.param("degree", 1.0);
   const double spread = spec.param("spread", 0.0);
   if (m < 1) throw std::runtime_error("singleton-uniform requires m >= 1");
-  return std::make_unique<SymmetricInstance>(
-      "singleton-uniform", make_monomial_fan_game(m, degree, spread, n),
-      start_kind(spec));
+  return drive(SymmetricFamily("singleton-uniform",
+                               make_monomial_fan_game(m, degree, spread, n),
+                               start_kind(spec)));
 }
 
 std::unique_ptr<ScenarioInstance> make_load_balancing(const ScenarioSpec& spec,
@@ -309,9 +318,9 @@ std::unique_ptr<ScenarioInstance> make_load_balancing(const ScenarioSpec& spec,
     key += std::to_string(e);
     fns.push_back(make_linear(spec.param(key, fallback)));
   }
-  return std::make_unique<SymmetricInstance>(
-      "load-balancing", make_singleton_game(std::move(fns), n),
-      start_kind(spec));
+  return drive(SymmetricFamily("load-balancing",
+                               make_singleton_game(std::move(fns), n),
+                               start_kind(spec)));
 }
 
 std::unique_ptr<ScenarioInstance> make_network_routing(
@@ -336,180 +345,82 @@ std::unique_ptr<ScenarioInstance> make_network_routing(
       fns.push_back(make_monomial(0.05 * a, 2.0));
     }
   }
-  return std::make_unique<SymmetricInstance>(
-      "network-routing", make_network_game(net, std::move(fns), n),
-      start_kind(spec));
+  return drive(SymmetricFamily("network-routing",
+                               make_network_game(net, std::move(fns), n),
+                               start_kind(spec)));
 }
 
 // ---- Asymmetric scenarios (class-local imitation, paper §3 remark) ----------
 
-class AsymmetricInstance final : public ScenarioInstance {
+class AsymmetricFamily {
  public:
-  AsymmetricInstance(std::string label, AsymmetricGame game)
+  using TrialState = AsymmetricState;
+
+  AsymmetricFamily(std::string label, AsymmetricGame game)
       : label_(std::move(label)), game_(std::move(game)) {}
 
-  std::string describe() const override {
-    return label_ + ": " + game_.describe();
+  std::string describe() const { return label_ + ": " + game_.describe(); }
+
+  AsymmetricState start(const ProtocolSpec& /*protocol*/, Rng& rng) const {
+    return AsymmetricState::uniform_random(game_, rng);
   }
 
-  TrialOutcome run_trial(const ProtocolSpec& protocol,
-                         const DynamicsConfig& dynamics, Rng& rng,
-                         TrialStats* stats) const override {
-    AsymmetricState x = AsymmetricState::uniform_random(game_, rng);
-    return run_loop(protocol, dynamics, rng, x, 0, 0, nullptr, stats);
-  }
-
-  TrialOutcome run_trial_checkpointed(const ProtocolSpec& protocol,
-                                      const DynamicsConfig& dynamics, Rng& rng,
-                                      const TrialCheckpoint& checkpoint,
-                                      TrialStats* stats) const override {
-    AsymmetricState x = AsymmetricState::uniform_random(game_, rng);
-    return run_loop(protocol, dynamics, rng, x, 0, 0, &checkpoint, stats);
-  }
-
-  TrialOutcome resume_trial(const ProtocolSpec& protocol,
-                            const DynamicsConfig& dynamics,
-                            const std::string& snapshot_path,
-                            TrialStats* stats) const override {
+  Resumed<AsymmetricState> load(const ProtocolSpec& /*protocol*/,
+                                const std::string& path) const {
     persist::AsymmetricSnapshot snapshot =
-        persist::load_asymmetric_snapshot(snapshot_path);
+        persist::load_asymmetric_snapshot(path);
     persist::BinWriter ours, theirs;
     persist::encode_asymmetric_game(ours, game_);
     persist::encode_asymmetric_game(theirs, snapshot.game);
-    if (ours.buffer() != theirs.buffer()) {
-      throw persist::persist_error(
-          snapshot_path + ": snapshot game does not match scenario '" +
-          label_ + "' — was it written by a different scenario or n?");
-    }
-    AsymmetricState x(game_, std::move(snapshot.counts));
-    Rng rng;
-    rng.set_state(snapshot.rng_state);
-    return run_loop(protocol, dynamics, rng, x, snapshot.round,
-                    snapshot.movers, nullptr, stats);
+    if (ours.buffer() != theirs.buffer()) throw game_mismatch(path, label_);
+    return {AsymmetricState(game_, std::move(snapshot.counts)),
+            snapshot.rng_state,
+            {snapshot.round, snapshot.movers}};
   }
 
- private:
-  /// The shared trial body over [start_round, dynamics.max_rounds).
-  /// Stop checks use absolute round numbers, so a resumed loop replays
-  /// the uninterrupted check cadence exactly. Rounds and stop checks run
-  /// on the batched class-local kernel (dynamics/asymmetric_engine.hpp).
-  TrialOutcome run_loop(const ProtocolSpec& protocol,
-                        const DynamicsConfig& dynamics, Rng& rng,
-                        AsymmetricState& x, std::int64_t start_round,
-                        std::int64_t base_movers,
-                        const TrialCheckpoint* checkpoint,
-                        TrialStats* stats) const {
+  /// The one round loop over the batched class-local kernel
+  /// (dynamics/asymmetric_engine.hpp).
+  TrialOutcome run(const ProtocolSpec& protocol,
+                   const DynamicsConfig& dynamics, Rng& rng,
+                   AsymmetricState& x, TrialStart from,
+                   const TrialCheckpoint* checkpoint,
+                   TrialStats* stats) const {
     if (protocol.name != "imitation") {
       throw std::runtime_error(
           "asymmetric scenarios support only the imitation protocol "
           "(class-local sampling, paper §3)");
     }
-    if (dynamics.check_interval < 1) {
-      throw std::runtime_error("check_interval must be >= 1");
-    }
     AsymmetricImitationParams params;
     params.lambda = protocol.lambda;
     params.nu_cutoff = protocol.nu_cutoff;
     params.damping = protocol.damping;
-
-    AsymmetricRoundWorkspace ws;
-    AsymmetricRoundResult rr;
-    // No Definition-1 evaluation exists for asymmetric games, so kDeltaEps
-    // deliberately falls back to the stricter class-wise nu-stability
-    // (documented on StopRule in scenario.hpp).
-    auto stopped = [&](const AsymmetricState& s) {
-      if (!ws.ready) {
-        ws.ctx.reset(game_, s);
-        ws.ready = true;
-      }
-      return dynamics.stop == StopRule::kNash
-                 ? is_asymmetric_nash(ws.ctx)
-                 : is_asymmetric_imitation_stable(ws.ctx, game_.nu());
-    };
-    const persist::SimConfig config =
-        checkpoint != nullptr ? trial_config(protocol, dynamics)
-                              : persist::SimConfig{};
-    auto snapshot_now = [&](std::int64_t round, std::int64_t movers) {
-      persist::AsymmetricSnapshot snap{round,  config,     rng.state(),
-                                       game_,  x.counts(), movers};
-      persist::save_asymmetric_snapshot(snap, checkpoint->path);
-    };
-
-    // Mirrors run_dynamics<K>'s metering (dynamics/engine_kernel.hpp):
-    // null unless the caller asked, so the unmetered loop is
-    // branch-for-branch identical to the pre-metrics code.
-    obs::EngineMetrics* const m =
-        (stats != nullptr && dynamics.collect_metrics) ? &stats->engine
-                                                       : nullptr;
-    // Telemetry mirrors the symmetric engine's observer protocol: one
-    // pure record per sampled round against the PRE-round state + the
-    // round's moves, one buffered final record (emitted iff converged).
-    std::optional<obs::TelemetryRecorder> telemetry;
-    if (stats != nullptr && dynamics.telemetry_every > 0) {
-      telemetry.emplace(dynamics.telemetry_every);
-    }
-    const std::int64_t trace_every = obs::trace_engine_sample_interval();
-    TrialOutcome out;
-    std::int64_t movers = base_movers;
-    std::int64_t round = start_round;
-    for (; round < dynamics.max_rounds; ++round) {
-      const bool tr = obs::trace_enabled() && round % trace_every == 0;
-      if (checkpoint != nullptr && checkpoint->every > 0 &&
-          round % checkpoint->every == 0) {
-        snapshot_now(round, movers);
-      }
-      if (round % dynamics.check_interval == 0) {
-        bool stop;
-        {
-          obs::PhaseTimer stop_timer(m != nullptr ? &m->stop_check_ns
-                                                  : nullptr);
-          obs::TraceSpan stop_span(tr ? "engine.stop_check" : nullptr);
-          if (m != nullptr) ++m->stop_checks;
-          stop = stopped(x);
-        }
-        if (stop) {
-          out.converged = true;
-          break;
-        }
-      }
-      draw_asymmetric_round(game_, x, params, rng, ws, rr,
-                            dynamics.row_threads, m, tr);
-      if (telemetry.has_value()) {
-        telemetry->observe(game_, x, rr.moves, round, false);
-      }
-      {
-        obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
-        obs::TraceSpan apply_span(tr ? "engine.apply" : nullptr);
-        x.apply(game_, rr.moves, ws.apply_scratch);
-      }
-      {
-        obs::PhaseTimer refresh_timer(m != nullptr ? &m->ctx_refresh_ns
-                                                   : nullptr);
-        obs::TraceSpan refresh_span(tr ? "engine.ctx_refresh" : nullptr);
-        ws.ctx.refresh(ws.apply_scratch.touched);
-      }
-      movers += rr.movers;
-      if (m != nullptr) ++m->rounds;
-    }
-    if (!out.converged) {
-      obs::PhaseTimer stop_timer(m != nullptr ? &m->stop_check_ns : nullptr);
-      obs::TraceSpan stop_span(obs::trace_enabled() ? "engine.stop_check"
-                                                    : nullptr);
-      if (m != nullptr) ++m->stop_checks;
-      if (stopped(x)) out.converged = true;
-    }
-    if (telemetry.has_value()) {
-      telemetry->observe(game_, x, {}, round, true);
-      telemetry->finish(out.converged);
-      stats->telemetry = telemetry->take_records();
-    }
-    if (checkpoint != nullptr) snapshot_now(round, movers);
-    if (stats != nullptr) {
-      if (ws.ready) stats->latency_evals += ws.ctx.latency_evals();
-      stats->ran_rounds += round - start_round;
-    }
-    out.rounds = static_cast<double>(round);
-    out.movers = movers;
+    const AsymmetricCachedStop stopped =
+        make_asymmetric_cached_stop(dynamics.stop_spec());
+    TrialOutcome out = run_engine_trial<AsymmetricRoundObserver>(
+        dynamics, from, checkpoint, stats,
+        [&](const RunOptions& options,
+            const AsymmetricRoundObserver& observer) {
+          AsymmetricRoundWorkspace ws;
+          AsymmetricRoundResult rr;
+          return run_round_loop(
+              game_, x, ws, rr, options,
+              [&](bool trace) {
+                draw_asymmetric_round(game_, x, params, rng, ws, rr,
+                                      options.row_threads, options.metrics,
+                                      trace);
+              },
+              [&](std::int64_t) {
+                return stopped(warm_context(game_, x, ws));
+              },
+              observer);
+        },
+        [&](const AsymmetricState& s, std::int64_t round,
+            std::int64_t movers) {
+          persist::save_asymmetric_snapshot(
+              {round, trial_config(protocol, dynamics), rng.state(), game_,
+               s.counts(), movers},
+              checkpoint->path);
+        });
     out.potential = game_.potential(x);
     double cost = 0.0;
     for (std::int32_t c = 0; c < game_.num_classes(); ++c) {
@@ -520,6 +431,7 @@ class AsymmetricInstance final : public ScenarioInstance {
     return out;
   }
 
+ private:
   std::string label_;
   AsymmetricGame game_;
 };
@@ -553,8 +465,8 @@ std::unique_ptr<ScenarioInstance> make_asymmetric(const ScenarioSpec& spec,
       throw std::runtime_error("asymmetric requires n >= classes");
     }
   }
-  return std::make_unique<AsymmetricInstance>(
-      "asymmetric", AsymmetricGame(std::move(fns), std::move(classes)));
+  return drive(AsymmetricFamily(
+      "asymmetric", AsymmetricGame(std::move(fns), std::move(classes))));
 }
 
 std::unique_ptr<ScenarioInstance> make_multicommodity(const ScenarioSpec& spec,
@@ -576,89 +488,61 @@ std::unique_ptr<ScenarioInstance> make_multicommodity(const ScenarioSpec& spec,
   classes[1].strategies = {{2}, {3}, {4}};
   classes[1].num_players = n - classes[0].num_players;
   if (n < 2) throw std::runtime_error("multicommodity requires n >= 2");
-  return std::make_unique<AsymmetricInstance>(
-      "multicommodity", AsymmetricGame(std::move(fns), std::move(classes)));
+  return drive(AsymmetricFamily(
+      "multicommodity", AsymmetricGame(std::move(fns), std::move(classes))));
 }
 
 // ---- Threshold lower-bound scenario (§3.2) ----------------------------------
 
-class ThresholdInstance final : public ScenarioInstance {
+class ThresholdFamily {
  public:
-  ThresholdInstance(MaxCutInstance inst, int nodes)
+  using TrialState = ThresholdState;
+
+  ThresholdFamily(MaxCutInstance inst, int nodes)
       : inst_(std::move(inst)), nodes_(nodes) {}
 
-  std::string describe() const override {
+  std::string describe() const {
     return "threshold-lb: tripled quadratic threshold game over " +
            std::to_string(nodes_) + "-node MaxCut";
   }
 
-  TrialOutcome run_trial(const ProtocolSpec& protocol,
-                         const DynamicsConfig& dynamics, Rng& rng,
-                         TrialStats* stats) const override {
+  ThresholdState start(const ProtocolSpec& protocol, Rng& rng) const {
     const auto cut = static_cast<std::uint32_t>(
         rng.uniform_int(std::uint64_t{1} << nodes_));
-    const bool tripled = protocol.name == "imitation";
-    ThresholdState s = initial_state(tripled, cut);
-    return run_steps(tripled, dynamics, rng, s, 0, nullptr, stats);
+    const bool tripled = is_tripled(protocol);
+    const TripledGame tg = game(tripled);
+    return tripled ? tripled_initial_state(tg, cut)
+                   : state_from_cut(tg.game, cut);
   }
 
-  TrialOutcome run_trial_checkpointed(const ProtocolSpec& protocol,
-                                      const DynamicsConfig& dynamics, Rng& rng,
-                                      const TrialCheckpoint& checkpoint,
-                                      TrialStats* stats) const override {
-    const auto cut = static_cast<std::uint32_t>(
-        rng.uniform_int(std::uint64_t{1} << nodes_));
-    const bool tripled = protocol.name == "imitation";
-    ThresholdState s = initial_state(tripled, cut);
-    return run_steps(tripled, dynamics, rng, s, 0, &checkpoint, stats);
-  }
-
-  TrialOutcome resume_trial(const ProtocolSpec& protocol,
-                            const DynamicsConfig& dynamics,
-                            const std::string& snapshot_path,
-                            TrialStats* stats) const override {
+  Resumed<ThresholdState> load(const ProtocolSpec& protocol,
+                               const std::string& path) const {
     persist::ThresholdSnapshot snapshot =
-        persist::load_threshold_snapshot(snapshot_path);
-    const bool tripled = protocol.name == "imitation";
+        persist::load_threshold_snapshot(path);
+    const bool tripled = is_tripled(protocol);
     if (snapshot.tripled != tripled ||
         snapshot.instance.weights() != inst_.weights()) {
       throw persist::persist_error(
-          snapshot_path +
+          path +
           ": snapshot does not match this threshold-lb instance "
           "(different MaxCut weights or dynamics kind)");
     }
-    const ThresholdGame game = tripled
-                                   ? triple_quadratic_threshold(inst_).game
-                                   : make_quadratic_threshold(inst_).game;
-    ThresholdState s(game, std::move(snapshot.in_bits));
-    Rng rng;
-    rng.set_state(snapshot.rng_state);
-    return run_steps(tripled, dynamics, rng, s, snapshot.round, nullptr,
-                     stats);
+    return {ThresholdState(game(tripled).game, std::move(snapshot.in_bits)),
+            snapshot.rng_state,
+            {snapshot.round, snapshot.movers}};
   }
 
- private:
-  ThresholdState initial_state(bool tripled, std::uint32_t cut) const {
-    if (tripled) {
-      return tripled_initial_state(triple_quadratic_threshold(inst_), cut);
-    }
-    return state_from_cut(make_quadratic_threshold(inst_).game, cut);
-  }
-
-  /// Shared sequential-dynamics body, chunked at the checkpoint cadence.
-  /// Both dynamics are memoryless (each step is a pure function of the
-  /// current state), so chunked execution equals one long run and a
-  /// resumed trial continues bit-exactly from a snapshot's strategy bits.
-  TrialOutcome run_steps(bool tripled, const DynamicsConfig& dynamics,
-                         const Rng& rng, ThresholdState& s,
-                         std::int64_t done_steps,
-                         const TrialCheckpoint* checkpoint,
-                         TrialStats* stats) const {
-    // Rebuilt per invocation (cheap: O(nodes^2)); pure function of inst_.
-    const TripledGame tg =
-        tripled ? triple_quadratic_threshold(inst_)
-                : TripledGame{make_quadratic_threshold(inst_).game, 0};
-    const ThresholdGame& game = tg.game;
+  /// Sequential dynamics, chunked at the checkpoint cadence. Both dynamics
+  /// are memoryless (each step is a pure function of the current state),
+  /// so chunked execution equals one long run and a resumed trial
+  /// continues bit-exactly from a snapshot's strategy bits.
+  TrialOutcome run(const ProtocolSpec& protocol,
+                   const DynamicsConfig& dynamics, const Rng& rng,
+                   ThresholdState& s, TrialStart from,
+                   const TrialCheckpoint* checkpoint,
+                   TrialStats* stats) const {
+    const bool tripled = is_tripled(protocol);
+    const TripledGame tg = game(tripled);
     const persist::SimConfig config;  // sequential dynamics: defaults only
 
     auto snapshot_now = [&](std::int64_t steps) {
@@ -669,7 +553,7 @@ class ThresholdInstance final : public ScenarioInstance {
       persist::save_threshold_snapshot(snap, checkpoint->path);
     };
 
-    std::int64_t steps = done_steps;
+    std::int64_t steps = from.round;
     bool converged = false;
     bool snapshotted = false;
     while (steps < dynamics.max_rounds) {
@@ -679,7 +563,7 @@ class ThresholdInstance final : public ScenarioInstance {
       }
       const ThresholdRun run =
           tripled ? run_tripled_imitation(tg, s, budget)
-                  : run_threshold_best_response(game, s, budget);
+                  : run_threshold_best_response(tg.game, s, budget);
       steps += run.steps;
       if (stats != nullptr) stats->latency_evals += run.latency_evals;
       if (checkpoint != nullptr) {
@@ -695,23 +579,31 @@ class ThresholdInstance final : public ScenarioInstance {
     // Covers the loop never running (budget already exhausted on entry);
     // every other exit wrote its snapshot inside the loop.
     if (checkpoint != nullptr && !snapshotted) snapshot_now(steps);
-    if (stats != nullptr) stats->ran_rounds += steps - done_steps;
+    if (stats != nullptr) stats->ran_rounds += steps - from.round;
 
     TrialOutcome out;
     out.rounds = static_cast<double>(steps);
     out.movers = steps;
     out.converged = converged;
-    out.potential = game.potential(s);
-    out.social_cost = total_latency(game, s);
+    out.potential = tg.game.potential(s);
+    for (std::int32_t i = 0; i < tg.game.num_players(); ++i) {
+      out.social_cost += tg.game.latency_of(s, i);
+    }
     return out;
   }
-  static double total_latency(const ThresholdGame& game,
-                              const ThresholdState& s) {
-    double cost = 0.0;
-    for (std::int32_t i = 0; i < game.num_players(); ++i) {
-      cost += game.latency_of(s, i);
-    }
-    return cost;
+
+ private:
+  /// threshold-lb maps "imitation" to the tripled sequential imitation
+  /// dynamics and any other protocol to plain best response.
+  static bool is_tripled(const ProtocolSpec& protocol) {
+    return protocol.name == "imitation";
+  }
+
+  /// The dynamics' game, rebuilt per call (cheap: O(nodes^2)); a pure
+  /// function of inst_.
+  TripledGame game(bool tripled) const {
+    return tripled ? triple_quadratic_threshold(inst_)
+                   : TripledGame{make_quadratic_threshold(inst_).game, 0};
   }
 
   MaxCutInstance inst_;
@@ -725,9 +617,9 @@ std::unique_ptr<ScenarioInstance> make_threshold_lb(const ScenarioSpec& spec,
   const int max_weight = static_cast<int>(spec.param("max_weight", 64.0));
   Rng instance_rng(
       static_cast<std::uint64_t>(spec.param("instance_seed", 1234.0)));
-  return std::make_unique<ThresholdInstance>(
+  return drive(ThresholdFamily(
       MaxCutInstance::random(nodes, density, max_weight, instance_rng),
-      nodes);
+      nodes));
 }
 
 // ---- Registry ---------------------------------------------------------------

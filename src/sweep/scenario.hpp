@@ -32,6 +32,15 @@
 // imbalance — what Theorem 7 wants held fixed when sweeping n), 2 even
 // split, 3 trap (all players on strategies 0 and 1; the §6 start where
 // pure imitation provably stabilizes sub-optimally).
+//
+// Every instance is one TrialDriver over a scenario family
+// (sweep/scenario.cpp): the driver implements the three trial entry points
+// below once, and a family supplies only its start state, its snapshot
+// load (with the check that the snapshot's game is this instance's), and
+// its run body. The symmetric and asymmetric families run the one round
+// loop (dynamics/engine_kernel.hpp run_round_loop) and the one checkpoint
+// cadence (persist::checkpoint_cadence); threshold-lb runs its sequential
+// dynamics in checkpoint-sized chunks.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +50,7 @@
 #include <string>
 
 #include "dynamics/engine.hpp"
+#include "dynamics/stop_rule.hpp"
 #include "obs/telemetry.hpp"
 #include "protocols/factory.hpp"
 #include "protocols/protocol.hpp"
@@ -75,35 +85,34 @@ using cid::ProtocolSpec;
 /// probability). Throws std::runtime_error on anything else.
 ProtocolSpec parse_protocol_spec(const std::string& token);
 
-/// Asymmetric scenarios have no Definition-1 evaluation (the paper states
-/// it for symmetric games), so they check kDeltaEps as class-wise
-/// nu-imitation-stability — a *stricter* criterion; kNash maps to exact
-/// class-wise Nash. threshold-lb runs sequential dynamics to their own
+/// The stop rule (dynamics/stop_rule.hpp). Asymmetric scenarios check
+/// kDeltaEps as the stricter class-wise nu-stability and kNash as exact
+/// class-wise Nash; threshold-lb runs sequential dynamics to their own
 /// local-optimum notion and ignores the stop rule entirely.
-enum class StopRule {
-  kImitationStable,  // support-restricted nu-stability
-  kNash,             // exact Nash over the full strategy space
-  kDeltaEps,         // Definition 1 (delta, eps, nu)-equilibrium
-};
+using cid::StopRule;
 
-/// The scenario layer's dynamics options. The tuning knobs — everything
-/// that can never change a trial's bits — live in the shared EngineTuning
-/// base (dynamics/engine.hpp), embedded by RunOptions too, so the two
-/// option surfaces cannot drift: row_threads flows straight into the
-/// engine, collect_metrics / telemetry_every are realized here (as a
-/// RunOptions::metrics pointer and a telemetry RoundObserver; both no-ops
-/// without a TrialStats;
-/// threshold-lb runs sequential dynamics and ignores the engine hooks
-/// entirely). Every EngineTuning field is EXCLUDED from manifest grid
-/// fingerprints — only the six semantic fields below enter them — so
-/// flipping a tuning knob resumes an existing sweep.
-struct DynamicsConfig : EngineTuning {
+/// The scenario layer's dynamics options. Only the six semantic fields
+/// (max_rounds through eps) enter manifest grid fingerprints; the three
+/// tuning fields below them can never change a trial's bits, so flipping
+/// one resumes an existing sweep. threshold-lb runs sequential dynamics
+/// and ignores everything but max_rounds.
+struct DynamicsConfig {
   std::int64_t max_rounds = 100'000;
   std::int64_t check_interval = 1;
   EngineMode mode = EngineMode::kAggregate;
   StopRule stop = StopRule::kDeltaEps;
   double delta = 0.1;
   double eps = 0.1;
+  /// Threads for the per-origin row fills inside one round
+  /// (RunOptions::row_threads).
+  int row_threads = 1;
+  /// Collect per-trial obs::EngineMetrics into TrialStats::engine.
+  bool collect_metrics = false;
+  /// Record one telemetry row every N rounds into TrialStats::telemetry
+  /// (0 = off).
+  std::int64_t telemetry_every = 0;
+
+  StopSpec stop_spec() const { return {stop, delta, eps}; }
 };
 
 /// Everything a trial reports. Deliberately wall-clock-free: these fields
@@ -121,8 +130,9 @@ struct TrialOutcome {
 
 /// Checkpoint cadence for run_trial_checkpointed: a CIDSNAP of the full
 /// trial tuple (game, state, RNG stream, round, cumulative movers) is
-/// written atomically to `path` every `every` rounds and at exit; 0 =
-/// exit only.
+/// written atomically to `path` after every `every`-th completed round
+/// (persist::checkpoint_cadence; sequential steps for threshold-lb) and at
+/// exit; 0 = exit only.
 struct TrialCheckpoint {
   std::string path;
   std::int64_t every = 0;

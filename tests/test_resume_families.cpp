@@ -1,22 +1,24 @@
-// Kill-and-resume byte-identity for EVERY registry scenario family.
+// Kill-and-resume equality for EVERY registry scenario family.
 //
 // For each of the six registered scenarios the contract is the same one
-// tests/test_resume.cpp proves for raw symmetric runs: a trial
-// checkpointed at round K and resumed produces a TrialOutcome bitwise
-// identical (doubles compared as IEEE words via operator==) to the
-// uninterrupted trial's, and the snapshot the resumed trial ends on is
-// byte-identical to the one an uninterrupted checkpointed trial writes.
-// Symmetric scenarios exercise the CIDSNAP symmetric sections, asymmetric
-// ones the class-structured sections, and threshold-lb the
+// tests/test_resume.cpp proves for raw symmetric runs: a trial resumed
+// from a snapshot produces a TrialOutcome bitwise identical (doubles
+// compared as IEEE words via operator==) to the uninterrupted trial's.
+// It holds for an exit snapshot (a trial run to an earlier round cap)
+// and for a cadence snapshot that survives a crash in the middle of the
+// run. Symmetric scenarios exercise the CIDSNAP symmetric sections,
+// asymmetric ones the class-structured sections, and threshold-lb the
 // MaxCut-instance sections — all six families through one format.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
+#include "dynamics/stop_rule.hpp"
 #include "persist/binio.hpp"
 #include "persist/snapshot.hpp"
 #include "sweep/scenario.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace cid::sweep {
@@ -107,6 +109,79 @@ TEST(FamilyKillAndResume, AllSixRegistryScenariosAreByteIdentical) {
     std::remove(full_snap.c_str());
     std::remove(kill_snap.c_str());
   }
+}
+
+std::int64_t snapshot_round(const std::string& path) {
+  switch (persist::peek_snapshot_family(path)) {
+    case persist::SnapshotFamily::kSymmetric:
+      return persist::load_snapshot(path).round;
+    case persist::SnapshotFamily::kAsymmetric:
+      return persist::load_asymmetric_snapshot(path).round;
+    case persist::SnapshotFamily::kThreshold:
+      return persist::load_threshold_snapshot(path).round;
+  }
+  return -1;
+}
+
+[[noreturn]] void throwing_crash_handler(const char* site) {
+  throw util::fault_crash(std::string("injected crash at ") + site);
+}
+
+TEST(FamilyKillAndResume, ResumesFromTheCadenceSnapshotACrashLeaves) {
+  for (const FamilyCase& c : kCases) {
+    SCOPED_TRACE(c.scenario);
+    const ScenarioSpec spec = spec_for(c);
+    const auto instance = make_scenario(spec, c.n);
+    const ProtocolSpec protocol = parse_protocol_spec(c.protocol);
+    const DynamicsConfig full = dynamics_with_budget(c.total_rounds);
+    const std::uint64_t seed = 4321;
+
+    Rng reference_rng(seed);
+    const TrialOutcome reference =
+        instance->run_trial(protocol, full, reference_rng);
+
+    // Cadence writes land after rounds 2, 4, 6, ...; the third write dies,
+    // so the file on disk is the round-4 snapshot, taken mid-run.
+    const std::string snap = temp_path(spec.name + "_crash.snap");
+    std::remove(snap.c_str());
+    util::set_fault_crash_handler(&throwing_crash_handler);
+    util::configure_faults("snapshot.write:crash:hit=3");
+    Rng crashed_rng(seed);
+    EXPECT_THROW(instance->run_trial_checkpointed(protocol, full, crashed_rng,
+                                                  TrialCheckpoint{snap, 2}),
+                 util::fault_crash);
+    util::clear_faults();
+    util::set_fault_crash_handler(nullptr);
+
+    EXPECT_EQ(snapshot_round(snap), 4);
+    const TrialOutcome resumed = instance->resume_trial(protocol, full, snap);
+    EXPECT_EQ(resumed, reference);
+    // Vacuity guard: the crash came before the trial's end.
+    EXPECT_GT(reference.rounds, 6.0);
+    std::remove(snap.c_str());
+    std::remove((snap + ".tmp").c_str());
+  }
+}
+
+TEST(FamilyKillAndResume, SnapshotRecordsTheStopRuleExactly) {
+  ScenarioSpec spec;
+  spec.name = "load-balancing";
+  const auto instance = make_scenario(spec, 300);
+  DynamicsConfig dynamics = dynamics_with_budget(5);
+  dynamics.stop = StopRule::kDeltaEps;
+  dynamics.delta = 1e-7;
+  dynamics.eps = 0.3;
+
+  const std::string snap = temp_path("stop_rule.snap");
+  Rng rng(3);
+  instance->run_trial_checkpointed(parse_protocol_spec("imitation"),
+                                   dynamics, rng, TrialCheckpoint{snap, 0});
+  const StopSpec recorded =
+      parse_stop(persist::load_snapshot(snap).config.stop);
+  EXPECT_EQ(recorded.rule, StopRule::kDeltaEps);
+  EXPECT_EQ(recorded.delta, 1e-7);
+  EXPECT_EQ(recorded.eps, 0.3);
+  std::remove(snap.c_str());
 }
 
 TEST(FamilyKillAndResume, WrongScenarioSnapshotFailsLoudly) {

@@ -293,6 +293,17 @@ TEST(SweepGridFlags, RejectsOutOfRangeAndMalformedValues) {
   EXPECT_EQ(with({"--lambda", "1.5"}), "lambda out of (0,1]");
   EXPECT_EQ(with({"--stop", "sometimes"}), "unknown stop condition");
   EXPECT_EQ(with({"--stop", "deltaeps:0.1"}), "expected --stop deltaeps:D,E");
+  EXPECT_EQ(with({"--stop", "deltaeps:0.1,0.1junk"}),
+            "expected --stop deltaeps:D,E");
+  EXPECT_EQ(with({"--stop", "deltaeps:,0.1"}), "expected --stop deltaeps:D,E");
+  EXPECT_EQ(with({"--stop", "deltaeps:0.1,0.1,0.1"}),
+            "expected --stop deltaeps:D,E");
+  const std::string out_of_range = "deltaeps:D,E needs 0 <= D <= 1 and E >= 0";
+  EXPECT_EQ(with({"--stop", "deltaeps:-1,0.1"}), out_of_range);
+  EXPECT_EQ(with({"--stop", "deltaeps:1.5,0.1"}), out_of_range);
+  EXPECT_EQ(with({"--stop", "deltaeps:0.1,-0.5"}), out_of_range);
+  EXPECT_EQ(with({"--stop", "deltaeps:nan,0.1"}), out_of_range);
+  EXPECT_EQ(with({"--stop", "deltaeps:0.1,inf"}), out_of_range);
   EXPECT_EQ(with({"--engine", "warp"}), "unknown engine");
   EXPECT_EQ(with({"--param", "=3"}), "expected --param K=V");
   EXPECT_EQ(with({"--seed"}), "missing value for flag");
@@ -300,6 +311,24 @@ TEST(SweepGridFlags, RejectsOutOfRangeAndMalformedValues) {
   // Bad axis and protocol values stay plain runtime errors.
   EXPECT_THROW(with({"--grid", "n=10:5:log"}), std::runtime_error);
   EXPECT_THROW(with({"--protocols", "mutation"}), std::runtime_error);
+}
+
+TEST(StopRuleSpelling, FormatRoundTripsEveryDoubleExactly) {
+  EXPECT_EQ(parse_stop("stable"), StopSpec{StopRule::kImitationStable});
+  EXPECT_EQ(parse_stop("nash"), StopSpec{StopRule::kNash});
+  EXPECT_EQ(format_stop({StopRule::kNash}), "nash");
+  EXPECT_EQ(format_stop({StopRule::kImitationStable}), "stable");
+  EXPECT_EQ(format_stop({StopRule::kDeltaEps, 0.1, 0.1}), "deltaeps:0.1,0.1");
+  const StopSpec edges[] = {{StopRule::kDeltaEps, 1e-7, 0.3},
+                            {StopRule::kDeltaEps, 0.0, 0.0},
+                            {StopRule::kDeltaEps, 1.0, 1e300},
+                            {StopRule::kDeltaEps, 0.1 + 0.2, 5e-324},
+                            {StopRule::kDeltaEps, 1.0 / 3.0, 2.0 / 3.0}};
+  for (const StopSpec& spec : edges) {
+    const std::string text = format_stop(spec);
+    SCOPED_TRACE(text);
+    EXPECT_EQ(parse_stop(text), spec);
+  }
 }
 
 TEST(SweepProtocols, ParsingAndConstruction) {

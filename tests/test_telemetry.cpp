@@ -16,6 +16,7 @@
 
 #include "dynamics/engine.hpp"
 #include "dynamics/equilibrium.hpp"
+#include "dynamics/stop_rule.hpp"
 #include "game/builders.hpp"
 #include "game/singleton.hpp"
 #include "game/state.hpp"
@@ -235,7 +236,8 @@ TEST(TelemetryZeroPerturbation,
   Rng rng(21);
   AsymmetricState x = AsymmetricState::uniform_random(game, rng);
   const test::AsymmetricReferenceRun reference = test::run_asymmetric_reference(
-      game, x, params, rng, dynamics, 0, recorder.asymmetric_observer());
+      game, x, params, rng, dynamics, 0,
+      recorder.observer<AsymmetricRoundObserver>());
   recorder.finish(reference.converged);
   EXPECT_EQ(recorder.take_records(), baseline);
 }
@@ -328,7 +330,7 @@ TEST(TelemetryReplay, ReplayedSeriesIsByteIdenticalToLiveCapture) {
     result = run_dynamics(
         game, x, protocol, rng,
         {.options = options,
-         .stop = persist::stop_from_spec(config.stop),
+         .stop = make_stop(parse_stop(config.stop)),
          .observer = persist::chain_observers(writer.observer(),
                                               live.observer())});
     writer.close();
@@ -352,7 +354,7 @@ TEST(TelemetryReplay, ReplayedSeriesIsByteIdenticalToLiveCapture) {
     round = events.round + 1;
   }
   offline.observe(snapshot.game, replayed, {}, round, true);
-  offline.finish(persist::stop_from_spec(snapshot.config.stop)(
+  offline.finish(make_stop(parse_stop(snapshot.config.stop))(
       snapshot.game, replayed, round));
 
   EXPECT_EQ(replayed, x);

@@ -491,8 +491,8 @@ int replay_telemetry(int argc, char** argv) {
   // The engines cannot know convergence at the final observer call and
   // neither can a replay; a live run's RunResult supplies it there, the
   // snapshot's stop spec evaluated on the final state supplies it here
-  // (bitwise-equal verdicts — see persist::stop_from_spec).
-  const StopPredicate stop = persist::stop_from_spec(snapshot.config.stop);
+  // (bitwise-equal verdicts — see dynamics/stop_rule.hpp).
+  const StopPredicate stop = make_stop(parse_stop(snapshot.config.stop));
   recorder.finish(stop(snapshot.game, x, final_round));
 
   const std::uint64_t bytes =

@@ -164,7 +164,7 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--row-threads") {
       opt.row_threads = std::atoi(need_value(i));
     } else if (flag == "--start") opt.start = need_value(i);
-    else if (flag == "--stop") opt.stop = need_value(i);
+    else if (flag == "--stop") opt.stop = format_stop(parse_stop(need_value(i)));
     else if (flag == "--trace-every") {
       opt.trace_every = std::atoll(need_value(i));
     } else if (flag == "--csv") opt.csv_path = need_value(i);
@@ -410,7 +410,7 @@ int main(int argc, char** argv) {
         run_dynamics(
             *game, *x, *protocol, rng,
             {.options = run_options,
-             .cached_stop = persist::cached_stop_from_spec(config.stop),
+             .cached_stop = make_cached_stop(parse_stop(config.stop)),
              .observer = observer});
     const double run_seconds = run_timer.seconds();
     if (event_log.has_value()) event_log->close();
