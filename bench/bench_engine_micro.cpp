@@ -17,9 +17,10 @@
 //           the kernel's latency cache). Uncached-predicate baseline on
 //           the reference dev box: ~8.8e3 rounds/s vs ~3.6e4 cached
 //           (4.1x).
-//   cell 6  asymmetric batched kernel: 4 classes x 17 strategies sharing
-//           a fast link, n=2e5, class-local imitation on the cached
-//           per-class rows. Per-pair baseline: ~1.5e4 rounds/s vs
+//   cell 6  class-local imitation: 4 classes x 17 strategies sharing a
+//           fast link, n=2e5, run as ClassImitationKernel on the round
+//           engine over the game's flat game, each row cut to its class
+//           block. Per-pair class-wise baseline: ~1.5e4 rounds/s vs
 //           ~3.7e5 batched (25x).
 //   cell 7  ROW-FILL-BOUND: per-player, singleton m=256, n=4e3,
 //           exploration — wide rows that never prune and a cheap
@@ -32,8 +33,8 @@
 //           draw work, the most fill-dominated cell in the table.
 //
 // Flags: --quick (CI-sized round counts), --json PATH (see bench/common.hpp),
-// --baseline (run cells 5/6 on the pre-PR paths — uncached stop
-// predicates / per-pair asymmetric rounds — and cells 7/8 on the
+// --baseline (run cells 5/6 on the reference paths — uncached stop
+// predicates / per-pair class-wise rounds — and cells 7/8 on the
 // virtual-frontend batched path, run_dynamics<VirtualKernel> from
 // dynamics/engine_kernel.hpp, i.e. the pre-ProtocolKernel engine, to
 // reproduce the speedup ratios quoted above; not used by CI).
@@ -188,13 +189,16 @@ CellResult run_stopcheck_cell(const CongestionGame& game,
                      metrics);
 }
 
-/// Cell 6: the class-local engine. --baseline drives the per-pair
-/// reference path (pre-batching state of the asymmetric engine).
+/// Cell 6: class-local imitation on the one round engine (draw_round with
+/// ClassImitationKernel over the flat game). --baseline drives the
+/// class-wise per-pair reference path.
 CellResult run_asymmetric_cell(const AsymmetricGame& game,
                                std::int64_t rounds, bool baseline) {
   Rng rng(1);
   AsymmetricState x = AsymmetricState::uniform_random(game, rng);
   const AsymmetricImitationParams params;
+  const CongestionGame& flat = game.flat();
+  State flat_x = game.flat_state(x);
   obs::EngineMetrics metrics;
   const WallTimer timer;
   std::int64_t movers = 0;
@@ -204,12 +208,13 @@ CellResult run_asymmetric_cell(const AsymmetricGame& game,
       movers += step_asymmetric_round(game, x, params, rng).movers;
     }
   } else {
-    AsymmetricRoundWorkspace ws;
-    AsymmetricRoundResult rr;
+    const ClassImitationKernel kernel(game, params);
+    RoundWorkspace ws;
+    RoundResult rr;
     for (std::int64_t r = 0; r < rounds; ++r) {
-      draw_asymmetric_round(game, x, params, rng, ws, rr, /*row_threads=*/1,
-                            &metrics);
-      x.apply(game, rr.moves, ws.apply_scratch);
+      draw_round(flat, flat_x, kernel, rng, EngineMode::kAggregate, ws, rr,
+                 /*row_threads=*/1, &metrics);
+      flat_x.apply(flat, rr.moves, ws.apply_scratch);
       ws.ctx.refresh(ws.apply_scratch.touched);
       movers += rr.movers;
     }

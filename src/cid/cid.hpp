@@ -16,7 +16,7 @@
 
 #include "analysis/experiment.hpp"    // IWYU pragma: export
 #include "analysis/trace.hpp"         // IWYU pragma: export
-#include "dynamics/asymmetric_engine.hpp"  // IWYU pragma: export
+#include "dynamics/engine_kernel.hpp"  // IWYU pragma: export
 #include "dynamics/engine.hpp"        // IWYU pragma: export
 #include "dynamics/equilibrium.hpp"   // IWYU pragma: export
 #include "dynamics/sequential.hpp"    // IWYU pragma: export

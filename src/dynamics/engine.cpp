@@ -13,16 +13,16 @@
 
 namespace cid {
 
-RowBounds compute_row_bounds(const CongestionGame& game, const State& x,
-                             const LatencyContext& ctx) {
+RowBounds compute_row_bounds(const State& x, const LatencyContext& ctx,
+                             RowBlock block) {
   RowBounds bounds;
   bounds.plus_dominates = ctx.plus_dominates();
   bounds.min_support_latency = std::numeric_limits<double>::infinity();
   bounds.min_latency = std::numeric_limits<double>::infinity();
   const std::span<const std::int64_t> counts = x.counts();
-  const auto k = static_cast<std::size_t>(game.num_strategies());
-  for (std::size_t p = 0; p < k; ++p) {
-    const double lp = ctx.strategy_latency(static_cast<StrategyId>(p));
+  for (StrategyId q = block.begin; q < block.end; ++q) {
+    const auto p = static_cast<std::size_t>(q);
+    const double lp = ctx.strategy_latency(q);
     bounds.min_latency = std::min(bounds.min_latency, lp);
     if (counts[p] > 0) {
       bounds.min_support_latency = std::min(bounds.min_support_latency, lp);

@@ -85,19 +85,27 @@ struct RoundWorkspace {
   std::vector<double> cumulative;
   std::vector<std::int64_t> counts;
   ApplyScratch apply_scratch;
-  /// row_threads > 1 only: one probability row per support entry (origin i
-  /// owns rows[i*k, (i+1)*k)) so the parallel fill phase writes disjoint
-  /// slices, plus the per-origin prune verdicts.
+  /// Two-phase rounds only (row_threads > 1, metrics or trace): one row
+  /// per support entry, each over its own block at its own offset in
+  /// `rows`, so the parallel fill phase writes disjoint slices, plus the
+  /// per-origin prune verdicts.
+  struct RowJob {
+    RowBlock block;
+    std::size_t offset = 0;
+    RowBounds bounds;
+  };
+  std::vector<RowJob> jobs;
   std::vector<double> rows;
   std::vector<char> skip;
   bool ready = false;  // ctx reflects the caller's current (game, x)
 };
 
 /// The per-round bounds fed to row_provably_zero (support/improvement
-/// pruning): min cached ℓ_Q(x) over the support and over all strategies,
-/// plus the plus-dominance flag. O(k) reads; ctx must be consistent with x.
-RowBounds compute_row_bounds(const CongestionGame& game, const State& x,
-                             const LatencyContext& ctx);
+/// pruning) for the rows spanning `block`: min cached ℓ_Q(x) over the
+/// block's used and over all its strategies, plus the plus-dominance flag.
+/// O(block) reads; ctx must be consistent with x.
+RowBounds compute_row_bounds(const State& x, const LatencyContext& ctx,
+                             RowBlock block);
 
 struct RunOptions {
   std::int64_t max_rounds = 1'000'000;

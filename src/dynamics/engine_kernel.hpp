@@ -10,12 +10,12 @@
 // call inlined, instead of paying a virtual dispatch per row, while the
 // public API in engine.hpp stays exactly as stable as the Protocol class.
 //
-// run_round_loop owns everything around a round's draw — stop cadence,
-// tracing, phase timers, observers — for the symmetric engine
-// (run_dynamics<K>) and for the class-local asymmetric kernel
-// (dynamics/asymmetric_engine.hpp, driven from sweep/scenario.cpp), so
-// the two families cannot drift apart in when they stop or what they
-// meter.
+// One engine serves every concurrent family: the symmetric protocols run
+// on their game, and class-local imitation (ClassImitationKernel) runs on
+// an asymmetric game's flat game with each row cut to the origin's class
+// block (ProtocolKernel::row_block). Zero-probability categories draw
+// nothing from the RNG, so a block row draws exactly what the class-wise
+// reference round (draw_asymmetric_round_reference) draws.
 //
 // Templated callers (tests, benches, future engines) can use this API
 // directly with any ProtocolKernel model, VirtualKernel included;
@@ -28,8 +28,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -43,18 +41,16 @@
 
 namespace cid {
 
-/// The workspace's latency cache, reset against (game, x) first when the
-/// workspace is cold — for either family's workspace.
-template <typename Game, typename StateT, typename Workspace>
-const auto& warm_context(const Game& game, const StateT& x, Workspace& ws) {
+namespace engine_detail {
+
+/// Resets the workspace's latency cache against (game, x) when it is cold.
+inline void warm(const CongestionGame& game, const State& x,
+                 RoundWorkspace& ws) {
   if (!ws.ready) {
     ws.ctx.reset(game, x);
     ws.ready = true;
   }
-  return ws.ctx;
 }
-
-namespace engine_detail {
 
 /// Debug-only row validation (the pre-batching engine ran these as hard
 /// checks per pair; they are pure programming-error guards, so Release
@@ -109,7 +105,7 @@ inline void build_cumulative(std::span<const double> probs,
 /// Ensures the workspace buffers span the game and the cache matches x.
 inline void prepare(const CongestionGame& game, const State& x,
                     RoundWorkspace& ws) {
-  warm_context(game, x, ws);
+  warm(game, x, ws);
   const auto k = static_cast<std::size_t>(game.num_strategies());
   ws.probs.resize(k);
   ws.counts.resize(k);
@@ -119,30 +115,54 @@ inline void prepare(const CongestionGame& game, const State& x,
 /// Parallel phase shared by both engine modes under row_threads > 1: every
 /// support origin's probability row is a pure function of (game, ctx,
 /// from), so the fills run concurrently into disjoint slices of ws.rows
-/// (plus the per-origin prune verdict in ws.skip). The RNG phase that
-/// follows is strictly serial in support order, which is what makes the
-/// round bitwise invariant in the thread count.
+/// (plus the per-origin prune verdict in ws.skip). A serial pre-pass lays
+/// the rows out over their blocks and, when pruning, computes each block's
+/// bounds once. The RNG phase that follows is strictly serial in support
+/// order, which is what makes the round bitwise invariant in the thread
+/// count.
 template <ProtocolKernel K>
-void fill_rows_parallel(const CongestionGame& game, const K& kernel,
-                        RoundWorkspace& ws, bool prune,
-                        const RowBounds& bounds, int row_threads) {
-  const auto k = static_cast<std::size_t>(game.num_strategies());
+void fill_rows_parallel(const CongestionGame& game, const State& x,
+                        const K& kernel, RoundWorkspace& ws, bool prune,
+                        int row_threads) {
   const auto s = ws.support.size();
-  ws.rows.resize(s * k);
+  ws.jobs.resize(s);
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < s; ++i) {
+    RoundWorkspace::RowJob& job = ws.jobs[i];
+    const RowBlock block = kernel.row_block(game, ws.support[i]);
+    if (prune) {
+      job.bounds = i > 0 && block == ws.jobs[i - 1].block
+                       ? ws.jobs[i - 1].bounds
+                       : compute_row_bounds(x, ws.ctx, block);
+    }
+    job.block = block;
+    job.offset = offset;
+    offset += block.size();
+  }
+  ws.rows.resize(offset);
   ws.skip.assign(s, 0);
   sweep::parallel_for(
       static_cast<std::int64_t>(s), row_threads, [&](std::int64_t i) {
-        const StrategyId from = ws.support[static_cast<std::size_t>(i)];
-        const std::span<double> row{
-            ws.rows.data() + i * static_cast<std::int64_t>(k), k};
-        if (prune && kernel.row_provably_zero(game, ws.ctx, from, bounds)) {
-          ws.skip[static_cast<std::size_t>(i)] = 1;
+        const auto ii = static_cast<std::size_t>(i);
+        const RoundWorkspace::RowJob& job = ws.jobs[ii];
+        const StrategyId from = ws.support[ii];
+        const std::span<double> row{ws.rows.data() + job.offset,
+                                    job.block.size()};
+        if (prune &&
+            kernel.row_provably_zero(game, ws.ctx, from, job.bounds)) {
+          ws.skip[ii] = 1;
           dcheck_pruned_row(game, ws.ctx, kernel, from, row);
           return;
         }
         kernel.fill_row(game, ws.ctx, from, row);
-        dcheck_row(row, from);
+        dcheck_row(row, from - job.block.begin);
       });
+}
+
+/// The row of the two-phase path's i-th support origin.
+inline std::span<const double> job_row(const RoundWorkspace& ws,
+                                       std::size_t i) {
+  return {ws.rows.data() + ws.jobs[i].offset, ws.jobs[i].block.size()};
 }
 
 template <ProtocolKernel K>
@@ -150,57 +170,65 @@ void draw_aggregate(const CongestionGame& game, const State& x,
                     const K& kernel, Rng& rng, RoundWorkspace& ws,
                     RoundResult& out, int row_threads,
                     obs::EngineMetrics* metrics, bool trace) {
-  const std::span<double> probs = ws.probs;
-  const std::span<std::int64_t> counts = ws.counts;
   // Support/improvement pruning: origins whose whole row is provably zero
   // are skipped outright — no row fill, no conditional binomials, and no
   // RNG consumed (Rng::multinomial draws nothing for zero categories, so
-  // the stream stays bitwise identical to the unpruned path).
-  const RowBounds bounds = compute_row_bounds(game, x, ws.ctx);
-  const auto emit = [&](StrategyId from, std::span<const double> row) {
+  // the stream stays bitwise identical to the unpruned path). The bounds
+  // are per row block, computed once per block per round.
+  const auto emit = [&](StrategyId from, RowBlock block,
+                        std::span<const double> row) {
+    const std::span<std::int64_t> counts{ws.counts.data(), row.size()};
     rng.multinomial(x.count(from), row, counts);
     for (std::size_t j = 0; j < counts.size(); ++j) {
       if (counts[j] == 0) continue;
-      out.moves.push_back(
-          Migration{from, static_cast<StrategyId>(j), counts[j]});
+      out.moves.push_back(Migration{
+          from, block.begin + static_cast<StrategyId>(j), counts[j]});
       out.movers += counts[j];
     }
   };
   if (row_threads <= 1 && metrics == nullptr && !trace) {
+    RowBlock block;
+    RowBounds bounds;
     for (StrategyId from : ws.support) {
+      const RowBlock from_block = kernel.row_block(game, from);
+      if (from_block != block) {
+        block = from_block;
+        bounds = compute_row_bounds(x, ws.ctx, block);
+      }
+      const std::span<double> probs{ws.probs.data(), block.size()};
       if (kernel.row_provably_zero(game, ws.ctx, from, bounds)) {
         dcheck_pruned_row(game, ws.ctx, kernel, from, probs);
         continue;
       }
       kernel.fill_row(game, ws.ctx, from, probs);
-      dcheck_row(probs, from);
-      emit(from, probs);
+      dcheck_row(probs, from - block.begin);
+      emit(from, block, probs);
     }
     return;
   }
   // Metered (or traced) serial runs take this two-phase route too:
   // parallel_for with one thread executes inline in support order, so fill
   // order, prune verdicts, and RNG consumption match the single-pass loop
-  // above bitwise — the only difference is a few extra clock reads.
+  // above bitwise — the only difference is a few extra clock reads (three
+  // a round: the fill's end is the draw's start).
+  const std::int64_t fill_start = metrics != nullptr ? obs::now_ns() : 0;
   {
-    obs::PhaseTimer fill_timer(metrics != nullptr ? &metrics->row_fill_ns
-                                                  : nullptr);
     obs::TraceSpan fill_span(trace ? "engine.row_fill" : nullptr);
-    fill_rows_parallel(game, kernel, ws, /*prune=*/true, bounds, row_threads);
+    fill_rows_parallel(game, x, kernel, ws, /*prune=*/true, row_threads);
   }
-  obs::PhaseTimer draw_timer(metrics != nullptr ? &metrics->draw_ns
-                                                : nullptr);
+  const std::int64_t draw_start = metrics != nullptr ? obs::now_ns() : 0;
+  if (metrics != nullptr) metrics->row_fill_ns += draw_start - fill_start;
   obs::TraceSpan draw_span(trace ? "engine.draw" : nullptr);
-  const auto k = static_cast<std::size_t>(game.num_strategies());
   std::int64_t pruned = 0;
   for (std::size_t i = 0; i < ws.support.size(); ++i) {
     if (ws.skip[i] != 0) {
       ++pruned;
       continue;
     }
-    emit(ws.support[i], std::span<const double>{ws.rows.data() + i * k, k});
+    emit(ws.support[i], ws.jobs[i].block, job_row(ws, i));
   }
   if (metrics != nullptr) {
+    metrics->draw_ns += obs::now_ns() - draw_start;
     metrics->rows_pruned += pruned;
     metrics->rows_filled +=
         static_cast<std::int64_t>(ws.support.size()) - pruned;
@@ -212,12 +240,12 @@ void draw_per_player(const CongestionGame& game, const State& x,
                      const K& kernel, Rng& rng, RoundWorkspace& ws,
                      RoundResult& out, int row_threads,
                      obs::EngineMetrics* metrics, bool trace) {
-  const std::span<double> probs = ws.probs;
-  const std::span<std::int64_t> tally = ws.counts;
   // No pruning here: every player consumes one uniform whether or not its
   // row is zero, so a skipped origin would shift the RNG stream.
-  const auto emit = [&](StrategyId from, std::span<const double> row) {
+  const auto emit = [&](StrategyId from, RowBlock block,
+                        std::span<const double> row) {
     build_cumulative(row, ws.cumulative);
+    const std::span<std::int64_t> tally{ws.counts.data(), row.size()};
     std::fill(tally.begin(), tally.end(), std::int64_t{0});
     const std::int64_t cohort = x.count(from);
     const auto begin = ws.cumulative.begin();
@@ -232,34 +260,34 @@ void draw_per_player(const CongestionGame& game, const State& x,
     }
     for (std::size_t j = 0; j < tally.size(); ++j) {
       if (tally[j] == 0) continue;
-      out.moves.push_back(
-          Migration{from, static_cast<StrategyId>(j), tally[j]});
+      out.moves.push_back(Migration{
+          from, block.begin + static_cast<StrategyId>(j), tally[j]});
       out.movers += tally[j];
     }
   };
   if (row_threads <= 1 && metrics == nullptr && !trace) {
     for (StrategyId from : ws.support) {
+      const RowBlock block = kernel.row_block(game, from);
+      const std::span<double> probs{ws.probs.data(), block.size()};
       kernel.fill_row(game, ws.ctx, from, probs);
-      dcheck_row(probs, from);
-      emit(from, probs);
+      dcheck_row(probs, from - block.begin);
+      emit(from, block, probs);
     }
     return;
   }
+  const std::int64_t fill_start = metrics != nullptr ? obs::now_ns() : 0;
   {
-    obs::PhaseTimer fill_timer(metrics != nullptr ? &metrics->row_fill_ns
-                                                  : nullptr);
     obs::TraceSpan fill_span(trace ? "engine.row_fill" : nullptr);
-    fill_rows_parallel(game, kernel, ws, /*prune=*/false, RowBounds{},
-                       row_threads);
+    fill_rows_parallel(game, x, kernel, ws, /*prune=*/false, row_threads);
   }
-  obs::PhaseTimer draw_timer(metrics != nullptr ? &metrics->draw_ns
-                                                : nullptr);
+  const std::int64_t draw_start = metrics != nullptr ? obs::now_ns() : 0;
+  if (metrics != nullptr) metrics->row_fill_ns += draw_start - fill_start;
   obs::TraceSpan draw_span(trace ? "engine.draw" : nullptr);
-  const auto k = static_cast<std::size_t>(game.num_strategies());
   for (std::size_t i = 0; i < ws.support.size(); ++i) {
-    emit(ws.support[i], std::span<const double>{ws.rows.data() + i * k, k});
+    emit(ws.support[i], ws.jobs[i].block, job_row(ws, i));
   }
   if (metrics != nullptr) {
+    metrics->draw_ns += obs::now_ns() - draw_start;
     metrics->rows_filled += static_cast<std::int64_t>(ws.support.size());
   }
 }
@@ -391,34 +419,45 @@ RoundResult draw_round_reference(const CongestionGame& game, const State& x,
   return {};
 }
 
-/// THE round loop, shared by run_dynamics<K> below and the asymmetric
-/// scenario family. Any workspace with a latency cache `ctx`, a `ready`
-/// flag and an `apply_scratch` serves, with a state applying moves through
-/// x.apply(game, moves, ws.apply_scratch). The family supplies
-/// `draw(trace)`: one round drawn against the pre-round x into rr. The
-/// loop owns the rest: stop checks every check_interval ABSOLUTE rounds
-/// (a resumed leg replays the uninterrupted cadence) plus a final one,
-/// trace sampling, the apply / refresh / stop-check timers and the round
-/// and stop-check counters, the observer calls, and the latency_evals
-/// read. An empty `stop` runs to max_rounds.
-template <typename Game, typename StateT, typename Workspace, typename Round,
-          typename Draw, typename Observer>
-RunResult run_round_loop(const Game& game, StateT& x, Workspace& ws,
-                         Round& rr, const RunOptions& options,
-                         const Draw& draw,
-                         const std::function<bool(std::int64_t)>& stop,
-                         const Observer& observer) {
+/// Monomorphized run — the kernel-typed core of the engine.hpp
+/// run_dynamics frontend, and THE round loop: stop checks every
+/// check_interval ABSOLUTE rounds (a resumed leg replays the uninterrupted
+/// cadence) plus a final one, trace sampling, the apply / refresh /
+/// stop-check timers and the round and stop-check counters, the observer
+/// calls, and the latency_evals read. At most one of call.stop /
+/// call.cached_stop may be non-empty; both empty means "run to
+/// max_rounds". The cached predicate is handed the run's own workspace
+/// context (reset lazily before the first check, incrementally refreshed
+/// afterwards).
+template <ProtocolKernel K>
+RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
+                       Rng& rng, const EngineInvocation& call) {
+  CID_ENSURE(!(static_cast<bool>(call.stop) &&
+               static_cast<bool>(call.cached_stop)),
+             "EngineInvocation: at most one stop predicate may be set");
+  const RunOptions& options = call.options;
   CID_ENSURE(options.max_rounds >= 0, "max_rounds must be >= 0");
   CID_ENSURE(options.check_interval >= 1, "check_interval must be >= 1");
   CID_ENSURE(options.start_round >= 0, "start_round must be >= 0");
   obs::EngineMetrics* const m = options.metrics;
+  // One workspace for the whole run: after the first round's full cache
+  // build, each round re-evaluates only the latencies its migrations
+  // dirtied and performs no heap allocation.
+  RoundWorkspace ws;
+  RoundResult rr;
   RunResult result;
   result.rounds = options.start_round;
+  const bool has_stop = static_cast<bool>(call.stop) ||
+                        static_cast<bool>(call.cached_stop);
   const auto stop_check = [&](bool trace) {
     obs::PhaseTimer stop_timer(m != nullptr ? &m->stop_check_ns : nullptr);
     obs::TraceSpan stop_span(trace ? "engine.stop_check" : nullptr);
     if (m != nullptr) ++m->stop_checks;
-    return stop(result.rounds);
+    if (call.cached_stop) {
+      engine_detail::warm(game, x, ws);
+      return call.cached_stop(ws.ctx, result.rounds);
+    }
+    return call.stop(game, x, result.rounds);
   };
   // Span tracing samples every K-th round (trace_engine_sample_interval)
   // so multi-million-round runs stay bounded; a disarmed collector makes
@@ -427,12 +466,13 @@ RunResult run_round_loop(const Game& game, StateT& x, Workspace& ws,
   for (; result.rounds < options.max_rounds; ++result.rounds) {
     const std::int64_t round = result.rounds;
     const bool tr = obs::trace_enabled() && round % trace_every == 0;
-    if (stop && round % options.check_interval == 0 && stop_check(tr)) {
+    if (has_stop && round % options.check_interval == 0 && stop_check(tr)) {
       result.converged = true;
       break;
     }
-    draw(tr);
-    if (observer) observer(game, x, rr.moves, round, false);
+    draw_round(game, x, kernel, rng, options.mode, ws, rr,
+               options.row_threads, m, tr);
+    if (call.observer) call.observer(game, x, rr.moves, round, false);
     {
       obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
       obs::TraceSpan apply_span(tr ? "engine.apply" : nullptr);
@@ -447,47 +487,12 @@ RunResult run_round_loop(const Game& game, StateT& x, Workspace& ws,
     result.total_movers += rr.movers;
     if (m != nullptr) ++m->rounds;
   }
-  if (!result.converged && stop && stop_check(obs::trace_enabled())) {
+  if (!result.converged && has_stop && stop_check(obs::trace_enabled())) {
     result.converged = true;
   }
-  if (observer) observer(game, x, {}, result.rounds, true);
+  if (call.observer) call.observer(game, x, {}, result.rounds, true);
   if (ws.ready) result.latency_evals = ws.ctx.latency_evals();
   return result;
-}
-
-/// Monomorphized run — the kernel-typed core of the engine.hpp
-/// run_dynamics frontend: run_round_loop over draw_round<K>. At most one
-/// of call.stop / call.cached_stop may be non-empty; both empty means "run
-/// to max_rounds". The cached predicate is handed the run's own workspace
-/// context (reset lazily before the first check, incrementally refreshed
-/// afterwards).
-template <ProtocolKernel K>
-RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
-                       Rng& rng, const EngineInvocation& call) {
-  CID_ENSURE(!(static_cast<bool>(call.stop) &&
-               static_cast<bool>(call.cached_stop)),
-             "EngineInvocation: at most one stop predicate may be set");
-  const RunOptions& options = call.options;
-  // One workspace for the whole run: after the first round's full cache
-  // build, each round re-evaluates only the latencies its migrations
-  // dirtied and performs no heap allocation.
-  RoundWorkspace ws;
-  RoundResult rr;
-  std::function<bool(std::int64_t)> stop;
-  if (call.cached_stop) {
-    stop = [&](std::int64_t round) {
-      return call.cached_stop(warm_context(game, x, ws), round);
-    };
-  } else if (call.stop) {
-    stop = [&](std::int64_t round) { return call.stop(game, x, round); };
-  }
-  return run_round_loop(
-      game, x, ws, rr, options,
-      [&](bool trace) {
-        draw_round(game, x, kernel, rng, options.mode, ws, rr,
-                   options.row_threads, options.metrics, trace);
-      },
-      stop, call.observer);
 }
 
 }  // namespace cid

@@ -96,14 +96,15 @@ CachedStopPredicate make_cached_stop(const StopSpec& spec) {
   throw std::invalid_argument("unhandled stop rule");
 }
 
-AsymmetricCachedStop make_asymmetric_cached_stop(const StopSpec& spec) {
+CachedStopPredicate make_cached_stop(const StopSpec& spec,
+                                     const AsymmetricGame& classes) {
   if (spec.rule == StopRule::kNash) {
-    return [](const AsymmetricLatencyContext& ctx) {
-      return is_asymmetric_nash(ctx);
+    return [&classes](const LatencyContext& ctx, std::int64_t) {
+      return is_asymmetric_nash(classes, ctx);
     };
   }
-  return [](const AsymmetricLatencyContext& ctx) {
-    return is_asymmetric_imitation_stable(ctx, ctx.game().nu());
+  return [&classes](const LatencyContext& ctx, std::int64_t) {
+    return is_asymmetric_imitation_stable(classes, ctx, classes.nu());
   };
 }
 

@@ -9,16 +9,16 @@
 // double, so a recorded spec re-evaluates exactly what the run checked.
 //
 // Asymmetric games have no Definition-1 evaluation (the paper states it
-// for symmetric games): make_asymmetric_cached_stop checks kDeltaEps as
-// the stricter class-wise ν-imitation-stability, kNash as class-wise Nash.
+// for symmetric games): their make_cached_stop overload checks kDeltaEps
+// as the stricter class-wise ν-imitation-stability, kNash as class-wise
+// Nash, over the run's LatencyContext on the game's flat game.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <string_view>
 
-#include "dynamics/asymmetric_engine.hpp"
 #include "dynamics/engine.hpp"
+#include "game/asymmetric.hpp"
 
 namespace cid {
 
@@ -53,10 +53,9 @@ StopPredicate make_stop(const StopSpec& spec);
 /// The predicate over the run's own latency cache.
 CachedStopPredicate make_cached_stop(const StopSpec& spec);
 
-using AsymmetricCachedStop =
-    std::function<bool(const AsymmetricLatencyContext&)>;
-
-/// The asymmetric mapping (see the file comment).
-AsymmetricCachedStop make_asymmetric_cached_stop(const StopSpec& spec);
+/// The class-wise mapping for a run on classes.flat() (see the file
+/// comment); `classes` must outlive the predicate.
+CachedStopPredicate make_cached_stop(const StopSpec& spec,
+                                     const AsymmetricGame& classes);
 
 }  // namespace cid

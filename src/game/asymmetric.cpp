@@ -4,56 +4,45 @@
 #include <numeric>
 #include <sstream>
 
+#include "game/latency_context.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace cid {
 
-AsymmetricGame::AsymmetricGame(std::vector<LatencyPtr> latencies,
-                               std::vector<PlayerClass> classes)
-    : latencies_(std::move(latencies)), classes_(std::move(classes)) {
-  CID_ENSURE(!latencies_.empty(), "game needs at least one resource");
-  CID_ENSURE(!classes_.empty(), "game needs at least one player class");
-  for (const auto& fn : latencies_) {
-    CID_ENSURE(fn != nullptr, "null latency function");
-  }
-  total_players_ = 0;
-  for (const auto& cls : classes_) {
+namespace {
+
+/// Checks the class structure and concatenates every class's strategies in
+/// class order; CongestionGame validates the resources.
+CongestionGame flatten(std::vector<LatencyPtr> latencies,
+                       const std::vector<PlayerClass>& classes) {
+  CID_ENSURE(!classes.empty(), "game needs at least one player class");
+  std::vector<Strategy> strategies;
+  std::int64_t total_players = 0;
+  for (const auto& cls : classes) {
     CID_ENSURE(cls.num_players >= 1, "class needs at least one player");
     CID_ENSURE(!cls.strategies.empty(), "class needs at least one strategy");
-    for (const auto& st : cls.strategies) {
-      CID_ENSURE(!st.empty(), "empty strategy");
-      for (std::size_t i = 0; i < st.size(); ++i) {
-        CID_ENSURE(st[i] >= 0 && st[i] < num_resources(),
-                   "strategy resource out of range");
-        if (i > 0) {
-          CID_ENSURE(st[i - 1] < st[i],
-                     "strategy resources must be sorted and duplicate-free");
-        }
-      }
-    }
-    total_players_ += cls.num_players;
+    strategies.insert(strategies.end(), cls.strategies.begin(),
+                      cls.strategies.end());
+    total_players += cls.num_players;
   }
+  return CongestionGame(std::move(latencies), std::move(strategies),
+                        total_players);
+}
 
-  const auto nd = static_cast<double>(total_players_);
-  double d = 0.0;
-  for (const auto& fn : latencies_) {
-    d = std::max(d, fn->elasticity_upper(nd));
+}  // namespace
+
+AsymmetricGame::AsymmetricGame(std::vector<LatencyPtr> latencies,
+                               std::vector<PlayerClass> classes)
+    : classes_(std::move(classes)),
+      flat_(flatten(std::move(latencies), classes_)) {
+  offsets_.push_back(0);
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    const auto k = static_cast<StrategyId>(classes_[c].strategies.size());
+    offsets_.push_back(offsets_.back() + k);
+    class_of_.insert(class_of_.end(), static_cast<std::size_t>(k),
+                     static_cast<std::int32_t>(c));
   }
-  elasticity_ = std::max(1.0, d);
-  nu_ = 0.0;
-  for (const auto& cls : classes_) {
-    for (const auto& st : cls.strategies) {
-      double acc = 0.0;
-      for (Resource e : st) {
-        acc += slope_nu(*latencies_[static_cast<std::size_t>(e)],
-                        elasticity_);
-      }
-      nu_ = std::max(nu_, acc);
-    }
-  }
-  table_.reserve(latencies_.size());
-  for (const auto& fn : latencies_) table_.add(*fn);
 }
 
 const PlayerClass& AsymmetricGame::player_class(std::int32_t c) const {
@@ -61,9 +50,25 @@ const PlayerClass& AsymmetricGame::player_class(std::int32_t c) const {
   return classes_[static_cast<std::size_t>(c)];
 }
 
-const LatencyFunction& AsymmetricGame::latency(Resource e) const {
-  CID_ENSURE(e >= 0 && e < num_resources(), "resource out of range");
-  return *latencies_[static_cast<std::size_t>(e)];
+State AsymmetricGame::flat_state(const AsymmetricState& x) const {
+  std::vector<std::int64_t> counts;
+  counts.reserve(static_cast<std::size_t>(flat_.num_strategies()));
+  for (const auto& row : x.counts()) {
+    counts.insert(counts.end(), row.begin(), row.end());
+  }
+  return State(flat_, std::move(counts));
+}
+
+AsymmetricState AsymmetricGame::class_state(const State& flat) const {
+  const std::span<const std::int64_t> counts = flat.counts();
+  CID_ENSURE(counts.size() == static_cast<std::size_t>(offsets_.back()),
+             "flat state does not belong to this game");
+  std::vector<std::vector<std::int64_t>> rows(classes_.size());
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    rows[c].assign(counts.begin() + offsets_[c],
+                   counts.begin() + offsets_[c + 1]);
+  }
+  return AsymmetricState(*this, std::move(rows));
 }
 
 double AsymmetricGame::strategy_latency(const AsymmetricState& x,
@@ -112,14 +117,14 @@ double AsymmetricGame::class_average_latency(const AsymmetricState& x,
 }
 
 double AsymmetricGame::potential(const AsymmetricState& x) const {
-  return table_.potential(x.congestions());
+  return flat_.latency_table().potential(x.congestions());
 }
 
 std::string AsymmetricGame::describe() const {
   std::ostringstream os;
-  os << "AsymmetricGame{n=" << total_players_ << ", m=" << num_resources()
-     << ", classes=" << num_classes() << ", d=" << elasticity_
-     << ", nu=" << nu_ << "}";
+  os << "AsymmetricGame{n=" << num_players() << ", m=" << num_resources()
+     << ", classes=" << num_classes() << ", d=" << elasticity()
+     << ", nu=" << nu() << "}";
   return os.str();
 }
 
@@ -201,37 +206,22 @@ std::int64_t AsymmetricState::congestion(Resource e) const {
 }
 
 std::vector<StrategyId> AsymmetricState::support(std::int32_t c) const {
-  std::vector<StrategyId> used;
-  support(c, used);
-  return used;
-}
-
-void AsymmetricState::support(std::int32_t c,
-                              std::vector<StrategyId>& out) const {
   CID_ENSURE(c >= 0 && static_cast<std::size_t>(c) < counts_.size(),
              "class out of range");
-  out.clear();
+  std::vector<StrategyId> used;
   const auto& row = counts_[static_cast<std::size_t>(c)];
   for (std::size_t p = 0; p < row.size(); ++p) {
-    if (row[p] > 0) out.push_back(static_cast<StrategyId>(p));
+    if (row[p] > 0) used.push_back(static_cast<StrategyId>(p));
   }
+  return used;
 }
 
 void AsymmetricState::apply(const AsymmetricGame& game,
                             std::span<const ClassMigration> moves) {
-  AsymmetricApplyScratch scratch;
-  apply(game, moves, scratch);
-}
-
-void AsymmetricState::apply(const AsymmetricGame& game,
-                            std::span<const ClassMigration> moves,
-                            AsymmetricApplyScratch& scratch) {
-  auto& outflow = scratch.outflow;
-  outflow.resize(counts_.size());
+  std::vector<std::vector<std::int64_t>> outflow(counts_.size());
   for (std::size_t c = 0; c < counts_.size(); ++c) {
     outflow[c].assign(counts_[c].size(), 0);
   }
-  scratch.touched.clear();
   for (const ClassMigration& mv : moves) {
     CID_ENSURE(mv.player_class >= 0 &&
                    static_cast<std::size_t>(mv.player_class) < counts_.size(),
@@ -260,11 +250,9 @@ void AsymmetricState::apply(const AsymmetricGame& game,
     const PlayerClass& cls = game.player_class(mv.player_class);
     for (Resource e : cls.strategies[static_cast<std::size_t>(mv.from)]) {
       congestion_[static_cast<std::size_t>(e)] -= mv.count;
-      scratch.touched.push_back(e);
     }
     for (Resource e : cls.strategies[static_cast<std::size_t>(mv.to)]) {
       congestion_[static_cast<std::size_t>(e)] += mv.count;
-      scratch.touched.push_back(e);
     }
   }
 }
@@ -374,6 +362,48 @@ bool is_asymmetric_nash(const AsymmetricGame& game,
       for (StrategyId q = 0; q < k; ++q) {
         if (q == p) continue;
         if (lp > game.expost_latency(x, c, p, q) + 1e-12) return false;
+      }
+    }
+  }
+  return true;
+}
+
+// The cached overloads iterate each class's flat counts block directly (no
+// support vectors: they run every check_interval inside the trial loop) in
+// the same ascending order as the oracles, reading the same latencies.
+bool is_asymmetric_imitation_stable(const AsymmetricGame& game,
+                                    const LatencyContext& ctx, double nu) {
+  CID_ENSURE(nu >= 0.0, "nu must be >= 0");
+  CID_ENSURE(ctx.ready(), "cached predicate needs a reset context");
+  const std::span<const std::int64_t> counts = ctx.state().counts();
+  for (std::int32_t c = 0; c < game.num_classes(); ++c) {
+    const StrategyId begin = game.class_offset(c);
+    const StrategyId end = game.class_offset(c + 1);
+    for (StrategyId p = begin; p < end; ++p) {
+      if (counts[static_cast<std::size_t>(p)] <= 0) continue;
+      const double lp = ctx.strategy_latency(p);
+      for (StrategyId q = begin; q < end; ++q) {
+        if (q == p || counts[static_cast<std::size_t>(q)] <= 0) continue;
+        if (lp > ctx.expost_latency(p, q) + nu) return false;
+      }
+    }
+  }
+  return true;
+}
+
+bool is_asymmetric_nash(const AsymmetricGame& game,
+                        const LatencyContext& ctx) {
+  CID_ENSURE(ctx.ready(), "cached predicate needs a reset context");
+  const std::span<const std::int64_t> counts = ctx.state().counts();
+  for (std::int32_t c = 0; c < game.num_classes(); ++c) {
+    const StrategyId begin = game.class_offset(c);
+    const StrategyId end = game.class_offset(c + 1);
+    for (StrategyId p = begin; p < end; ++p) {
+      if (counts[static_cast<std::size_t>(p)] <= 0) continue;
+      const double lp = ctx.strategy_latency(p);
+      for (StrategyId q = begin; q < end; ++q) {
+        if (q == p) continue;
+        if (lp > ctx.expost_latency(p, q) + 1e-12) return false;
       }
     }
   }

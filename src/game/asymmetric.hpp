@@ -12,6 +12,15 @@
 // (Φ depends only on resource loads), so the super-martingale property and
 // the convergence machinery carry over — which the tests and bench E14
 // verify empirically.
+//
+// The engines run it as exactly that: AsymmetricGame builds one flat
+// CongestionGame at construction (every class's strategies concatenated in
+// class order, same latency functions, n = the total population; flat id =
+// class_offset(c) + p), and the round engine runs ClassImitationKernel
+// (protocols/kernel.hpp) on it, each origin's row cut to its class block.
+// Class counts and flat counts convert only at the edges (trial start,
+// snapshots, outcomes). The class-wise functions below stay as the
+// per-pair reference oracle the engine is audited against.
 #pragma once
 
 #include <cstdint>
@@ -20,9 +29,11 @@
 #include <vector>
 
 #include "game/congestion_game.hpp"
+#include "game/state.hpp"
 
 namespace cid {
 
+class LatencyContext;
 class Rng;
 
 struct PlayerClass {
@@ -40,22 +51,36 @@ class AsymmetricGame {
                  std::vector<PlayerClass> classes);
 
   std::int32_t num_resources() const noexcept {
-    return static_cast<std::int32_t>(latencies_.size());
+    return flat_.num_resources();
   }
   std::int32_t num_classes() const noexcept {
     return static_cast<std::int32_t>(classes_.size());
   }
-  std::int64_t num_players() const noexcept { return total_players_; }
+  std::int64_t num_players() const noexcept { return flat_.num_players(); }
   const PlayerClass& player_class(std::int32_t c) const;
-  const LatencyFunction& latency(Resource e) const;
-  /// The latency functions flattened once at construction, as in
-  /// CongestionGame::latency_table().
-  const LatencyTable& latency_table() const noexcept { return table_; }
+  const LatencyFunction& latency(Resource e) const {
+    return flat_.latency(e);
+  }
+
+  /// The flat game the engines run on (see the file comment).
+  const CongestionGame& flat() const noexcept { return flat_; }
+  /// Flat id of class c's strategy 0; class_offset(num_classes()) is the
+  /// flat strategy count. Class c owns [class_offset(c), class_offset(c+1)).
+  StrategyId class_offset(std::int32_t c) const noexcept {
+    return offsets_[static_cast<std::size_t>(c)];
+  }
+  /// The class owning flat strategy p.
+  std::int32_t class_of(StrategyId p) const noexcept {
+    return class_of_[static_cast<std::size_t>(p)];
+  }
+  State flat_state(const AsymmetricState& x) const;
+  AsymmetricState class_state(const State& flat) const;
 
   /// Elasticity bound d over (0, n] (floored at 1) and slope bound ν, as in
   /// the symmetric game (§2.2); ν maximizes over all classes' strategies.
-  double elasticity() const noexcept { return elasticity_; }
-  double nu() const noexcept { return nu_; }
+  /// Both are the flat game's.
+  double elasticity() const noexcept { return flat_.elasticity(); }
+  double nu() const noexcept { return flat_.nu(); }
 
   double strategy_latency(const AsymmetricState& x, std::int32_t c,
                           StrategyId p) const;
@@ -73,12 +98,10 @@ class AsymmetricGame {
   std::string describe() const;
 
  private:
-  std::vector<LatencyPtr> latencies_;
   std::vector<PlayerClass> classes_;
-  std::int64_t total_players_ = 0;
-  double elasticity_ = 1.0;
-  double nu_ = 0.0;
-  LatencyTable table_;
+  CongestionGame flat_;
+  std::vector<StrategyId> offsets_;       // num_classes() + 1 entries
+  std::vector<std::int32_t> class_of_;    // flat strategy → class
 };
 
 /// One aggregated migration within a class.
@@ -87,18 +110,6 @@ struct ClassMigration {
   StrategyId from = 0;
   StrategyId to = 0;
   std::int64_t count = 0;
-};
-
-/// Reusable buffers for AsymmetricState::apply on the batched round hot
-/// path (the class-structured mirror of ApplyScratch in game/state.hpp):
-/// the feasibility tally plus the resources the batch touched, consumed by
-/// AsymmetricLatencyContext::refresh for incremental cache maintenance.
-struct AsymmetricApplyScratch {
-  std::vector<std::vector<std::int64_t>> outflow;
-  /// Superset of the resources whose congestion may have changed (repeats
-  /// and net-zero entries included; the cache dedupes against recorded
-  /// loads). Overwritten by each apply call.
-  std::vector<Resource> touched;
 };
 
 class AsymmetricState {
@@ -125,17 +136,8 @@ class AsymmetricState {
   /// Strategies of class c with positive count.
   std::vector<StrategyId> support(std::int32_t c) const;
 
-  /// Allocation-free variant: clears `out` and refills it.
-  void support(std::int32_t c, std::vector<StrategyId>& out) const;
-
   void apply(const AsymmetricGame& game,
              std::span<const ClassMigration> moves);
-
-  /// Hot-path variant: identical semantics and validation, but the
-  /// feasibility tally lives in caller-owned scratch and scratch.touched
-  /// reports the touched resources for the incremental latency cache.
-  void apply(const AsymmetricGame& game, std::span<const ClassMigration> moves,
-             AsymmetricApplyScratch& scratch);
 
   void check_consistent(const AsymmetricGame& game) const;
 
@@ -167,10 +169,10 @@ struct AsymmetricRoundResult {
 };
 
 /// PER-PAIR REFERENCE ORACLE: draws one concurrent round (without applying
-/// it) through asymmetric_move_probability, one virtual-free but uncached
-/// call per (class, origin, destination) triple. The batched class-local
-/// kernel (dynamics/asymmetric_engine.hpp) must reproduce it bitwise —
-/// same migrations, same RNG stream (tests/test_engine_oracle.cpp).
+/// it) through asymmetric_move_probability, one uncached call per (class,
+/// origin, destination) triple. The round engine running
+/// ClassImitationKernel on game.flat() must reproduce it bitwise — same
+/// migrations, same RNG stream (tests/test_engine_oracle.cpp).
 AsymmetricRoundResult draw_asymmetric_round_reference(
     const AsymmetricGame& game, const AsymmetricState& x,
     const AsymmetricImitationParams& params, Rng& rng);
@@ -188,5 +190,12 @@ bool is_asymmetric_imitation_stable(const AsymmetricGame& game,
 
 /// Exact Nash over each class's full strategy space.
 bool is_asymmetric_nash(const AsymmetricGame& game, const AsymmetricState& x);
+
+/// Cached overloads over a LatencyContext reset on game.flat(): the stop
+/// checks of a running trial. Same verdicts, bit for bit, as the
+/// context-free oracles above (tests/test_equilibrium_cached.cpp).
+bool is_asymmetric_imitation_stable(const AsymmetricGame& game,
+                                    const LatencyContext& ctx, double nu);
+bool is_asymmetric_nash(const AsymmetricGame& game, const LatencyContext& ctx);
 
 }  // namespace cid

@@ -48,45 +48,41 @@ TelemetryRecord make_telemetry_record(const CongestionGame& game,
   return rec;
 }
 
-TelemetryRecord make_telemetry_record(const AsymmetricGame& game,
-                                      const AsymmetricState& x,
-                                      std::span<const ClassMigration> moves,
+TelemetryRecord make_telemetry_record(const AsymmetricGame& classes,
+                                      const LatencyContext& ctx,
+                                      std::span<const Migration> moves,
                                       std::int64_t round, bool final) {
   TelemetryRecord rec;
   rec.round = round;
   rec.final_record = final;
-  rec.phi = game.potential(x);
-  for (const ClassMigration& mv : moves) rec.movers += mv.count;
-  AsymmetricLatencyContext ctx;
-  ctx.reset(game, x);
-  const auto n = static_cast<double>(game.num_players());
+  const State& x = ctx.state();
+  rec.phi = classes.flat().potential(x);
+  for (const Migration& mv : moves) rec.movers += mv.count;
+  const std::span<const std::int64_t> counts = x.counts();
+  const auto n = static_cast<double>(classes.num_players());
   long double av = 0.0L;
   long double plus_av = 0.0L;
   double worst = 0.0;
   double gap = 0.0;
-  for (std::int32_t c = 0; c < game.num_classes(); ++c) {
-    const PlayerClass& cls = game.player_class(c);
-    const std::vector<StrategyId> support = x.support(c);
-    rec.support += static_cast<std::int64_t>(support.size());
-    for (const StrategyId p : support) {
-      const double count = static_cast<double>(x.count(c, p));
-      const double lp = ctx.strategy_latency(c, p);
+  for (std::int32_t c = 0; c < classes.num_classes(); ++c) {
+    const StrategyId begin = classes.class_offset(c);
+    const StrategyId end = classes.class_offset(c + 1);
+    for (StrategyId p = begin; p < end; ++p) {
+      if (counts[static_cast<std::size_t>(p)] <= 0) continue;
+      ++rec.support;
+      const auto count =
+          static_cast<double>(counts[static_cast<std::size_t>(p)]);
+      const double lp = ctx.strategy_latency(p);
       av += static_cast<long double>(count) * lp;
       worst = std::max(worst, lp);
-      // ℓ⁺_P = Σ_{e∈P} ℓ_e(x_e + 1) — Definition 1's plus-latency, read
-      // from the shared resource tables.
-      double lp_plus = 0.0;
-      for (const Resource e :
-           cls.strategies[static_cast<std::size_t>(p)]) {
-        lp_plus += ctx.resource_latency_plus(e);
-      }
-      plus_av += static_cast<long double>(count) * lp_plus;
+      // ℓ⁺_P = Σ_{e∈P} ℓ_e(x_e + 1) — Definition 1's plus-latency.
+      plus_av += static_cast<long double>(count) * ctx.plus_latency(p);
       // Class-local imitation gap: the asymmetric analog of
       // imitation_gap (dynamics/equilibrium.cpp) — max improvement a
       // class-c player could realize by copying a same-class strategy.
-      for (const StrategyId q : support) {
-        if (q == p) continue;
-        gap = std::max(gap, lp - ctx.expost_latency(c, p, q));
+      for (StrategyId q = begin; q < end; ++q) {
+        if (q == p || counts[static_cast<std::size_t>(q)] <= 0) continue;
+        gap = std::max(gap, lp - ctx.expost_latency(p, q));
       }
     }
   }
@@ -97,34 +93,35 @@ TelemetryRecord make_telemetry_record(const AsymmetricGame& game,
   return rec;
 }
 
-TelemetryRecorder::TelemetryRecorder(std::int64_t every) : every_(every) {
+TelemetryRecorder::TelemetryRecorder(std::int64_t every,
+                                     const AsymmetricGame* classes)
+    : every_(every), classes_(classes) {
   if (every_ < 1) throw std::invalid_argument("telemetry every must be >= 1");
 }
 
-template <typename Game, typename StateT, typename Move>
-void TelemetryRecorder::record(const Game& game, const StateT& x,
-                               std::span<const Move> moves,
-                               std::int64_t round, bool final) {
-  if (final) {
-    pending_final_ = make_telemetry_record(game, x, moves, round, true);
-    pending_ = true;
-    return;
+TelemetryRecord TelemetryRecorder::record(const CongestionGame& game,
+                                          const State& x,
+                                          std::span<const Migration> moves,
+                                          std::int64_t round,
+                                          bool final) const {
+  if (classes_ == nullptr) {
+    return make_telemetry_record(game, x, moves, round, final);
   }
-  if (round % every_ != 0) return;
-  records_.push_back(make_telemetry_record(game, x, moves, round, false));
+  LatencyContext ctx;
+  ctx.reset(game, x);
+  return make_telemetry_record(*classes_, ctx, moves, round, final);
 }
 
 void TelemetryRecorder::observe(const CongestionGame& game, const State& x,
                                 std::span<const Migration> moves,
                                 std::int64_t round, bool final) {
-  record(game, x, moves, round, final);
-}
-
-void TelemetryRecorder::observe(const AsymmetricGame& game,
-                                const AsymmetricState& x,
-                                std::span<const ClassMigration> moves,
-                                std::int64_t round, bool final) {
-  record(game, x, moves, round, final);
+  if (final) {
+    pending_final_ = record(game, x, moves, round, true);
+    pending_ = true;
+    return;
+  }
+  if (round % every_ != 0) return;
+  records_.push_back(record(game, x, moves, round, false));
 }
 
 void TelemetryRecorder::finish(bool converged) {

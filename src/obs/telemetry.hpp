@@ -22,6 +22,10 @@
 // final record and its series concatenates bitwise with the resumed
 // leg's.
 //
+// Asymmetric games run on their flat game (game/asymmetric.hpp), so one
+// observer serves every family; a recorder given the AsymmetricGame writes
+// the class-wise record instead of the symmetric one.
+//
 // Observability contract: zero RNG, null/off paths byte-identical.
 #pragma once
 
@@ -30,8 +34,8 @@
 #include <string>
 #include <vector>
 
-#include "dynamics/asymmetric_engine.hpp"
 #include "dynamics/engine.hpp"
+#include "game/asymmetric.hpp"
 #include "obs/sink.hpp"
 
 namespace cid::obs {
@@ -56,44 +60,42 @@ struct TelemetryRecord {
       default;
 };
 
-/// One record from the symmetric engines' observer arguments (pre-round
-/// state + that round's moves). Pure, zero RNG.
+/// One record from the engine's observer arguments (pre-round state +
+/// that round's moves) on a symmetric game. Pure, zero RNG.
 TelemetryRecord make_telemetry_record(const CongestionGame& game,
                                       const State& x,
                                       std::span<const Migration> moves,
                                       std::int64_t round, bool final);
 
-/// The asymmetric (class-local) mirror: latencies read through a freshly
-/// reset AsymmetricLatencyContext; support sums the class supports and the
-/// imitation gap maximizes over same-class (origin, destination) pairs —
-/// the asymmetric analog of dynamics/equilibrium.hpp's imitation_gap.
-TelemetryRecord make_telemetry_record(const AsymmetricGame& game,
-                                      const AsymmetricState& x,
-                                      std::span<const ClassMigration> moves,
+/// The class-wise record of an asymmetric game's run on classes.flat(),
+/// read through `ctx` (reset on the flat game and the observed state):
+/// support sums the class supports and the imitation gap maximizes over
+/// same-class (origin, destination) pairs — the asymmetric analog of
+/// dynamics/equilibrium.hpp's imitation_gap.
+TelemetryRecord make_telemetry_record(const AsymmetricGame& classes,
+                                      const LatencyContext& ctx,
+                                      std::span<const Migration> moves,
                                       std::int64_t round, bool final);
 
-/// Accumulates a downsampled series through either engine's observer hook.
+/// Accumulates a downsampled series through the engine's observer hook.
 class TelemetryRecorder {
  public:
   /// Records every `every`-th round (round % every == 0) plus, when the
-  /// run converged, the final observer state.
-  explicit TelemetryRecorder(std::int64_t every = 1);
+  /// run converged, the final observer state. With `classes` set the run
+  /// is on classes->flat() and every record is the class-wise one;
+  /// `classes` must outlive the recorder.
+  explicit TelemetryRecorder(std::int64_t every = 1,
+                             const AsymmetricGame* classes = nullptr);
 
-  /// Observer for either family's run loop (RoundObserver or
-  /// AsymmetricRoundObserver); the recorder must outlive the run.
-  template <typename Observer = RoundObserver>
-  Observer observer() {
-    return [this](const auto& game, const auto& x, auto moves,
-                  std::int64_t round, bool final) {
-      observe(game, x, moves, round, final);
-    };
+  /// The engine observer; the recorder must outlive the run.
+  RoundObserver observer() {
+    return [this](const CongestionGame& game, const State& x,
+                  std::span<const Migration> moves, std::int64_t round,
+                  bool final) { observe(game, x, moves, round, final); };
   }
 
   void observe(const CongestionGame& game, const State& x,
                std::span<const Migration> moves, std::int64_t round,
-               bool final);
-  void observe(const AsymmetricGame& game, const AsymmetricState& x,
-               std::span<const ClassMigration> moves, std::int64_t round,
                bool final);
 
   /// Emits the buffered final record iff the run converged. Call once,
@@ -110,11 +112,12 @@ class TelemetryRecorder {
   std::int64_t every() const noexcept { return every_; }
 
  private:
-  template <typename Game, typename StateT, typename Move>
-  void record(const Game& game, const StateT& x, std::span<const Move> moves,
-              std::int64_t round, bool final);
+  TelemetryRecord record(const CongestionGame& game, const State& x,
+                         std::span<const Migration> moves, std::int64_t round,
+                         bool final) const;
 
   std::int64_t every_;
+  const AsymmetricGame* classes_;
   bool pending_ = false;
   TelemetryRecord pending_final_;
   std::vector<TelemetryRecord> records_;

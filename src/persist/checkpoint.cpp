@@ -70,11 +70,41 @@ void Checkpointer::write_now(const State& x, std::int64_t round) const {
 }
 
 RoundObserver Checkpointer::observer() const {
-  return checkpoint_cadence<RoundObserver>(
+  return checkpoint_cadence(
       checkpoint_.every, 0,
       [this](const State& x, std::int64_t round, std::int64_t) {
         write_now(x, round);
       });
+}
+
+RoundObserver chain_observers(RoundObserver first, RoundObserver second) {
+  if (!first) return second;
+  if (!second) return first;
+  return [first = std::move(first), second = std::move(second)](
+             const CongestionGame& game, const State& x,
+             std::span<const Migration> moves, std::int64_t round,
+             bool final) {
+    first(game, x, moves, round, final);
+    second(game, x, moves, round, final);
+  };
+}
+
+RoundObserver checkpoint_cadence(std::int64_t every, std::int64_t base_movers,
+                                 SnapshotWrite write) {
+  return [every, movers = base_movers, write = std::move(write)](
+             const CongestionGame& game, const State& x,
+             std::span<const Migration> moves, std::int64_t round,
+             bool final) mutable {
+    if (final) {
+      write(x, round, movers);
+      return;
+    }
+    for (const Migration& move : moves) movers += move.count;
+    if (every <= 0 || (round + 1) % every != 0) return;
+    State after = x;
+    after.apply(game, moves);
+    write(after, round + 1, movers);
+  };
 }
 
 std::string find_latest_checkpoint(const std::string& path) {

@@ -18,10 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
-#include <utility>
 
 #include "dynamics/engine.hpp"
 #include "persist/snapshot.hpp"
@@ -63,44 +62,21 @@ class Checkpointer {
   SimConfig sim_;
 };
 
-/// Chains observers of either engine family (either may be null); calls
-/// run in argument order.
-template <typename Observer>
-Observer chain_observers(Observer first,
-                         std::type_identity_t<Observer> second) {
-  if (!first) return second;
-  if (!second) return first;
-  return [first = std::move(first), second = std::move(second)](
-             const auto& game, const auto& x, auto moves, std::int64_t round,
-             bool final) {
-    first(game, x, moves, round, final);
-    second(game, x, moves, round, final);
-  };
-}
+/// Chains two observers (either may be null); calls run in argument order.
+RoundObserver chain_observers(RoundObserver first, RoundObserver second);
 
-/// THE checkpoint cadence, as an observer of either engine family (see
-/// the file comment for why it pairs pre-state + moves with round+1):
-/// `write(state, round, movers)` runs with the post-round state every
-/// `every` completed rounds (0 = never) and with the final state at the
-/// final observer call. `movers` is `base_movers` plus every migration
-/// observed so far.
-template <typename Observer, typename Write>
-Observer checkpoint_cadence(std::int64_t every, std::int64_t base_movers,
-                            Write write) {
-  return [every, movers = base_movers, write = std::move(write)](
-             const auto& game, const auto& x, auto moves, std::int64_t round,
-             bool final) mutable {
-    if (final) {
-      write(x, round, movers);
-      return;
-    }
-    for (const auto& move : moves) movers += move.count;
-    if (every <= 0 || (round + 1) % every != 0) return;
-    auto after = x;
-    after.apply(game, moves);
-    write(after, round + 1, movers);
-  };
-}
+/// The post-round snapshot writer checkpoint_cadence drives: (state,
+/// completed rounds, cumulative movers).
+using SnapshotWrite =
+    std::function<void(const State&, std::int64_t round, std::int64_t movers)>;
+
+/// THE checkpoint cadence, as an engine observer (see the file comment for
+/// why it pairs pre-state + moves with round+1): `write` runs with the
+/// post-round state every `every` completed rounds (0 = never) and with
+/// the final state at the final observer call. `movers` is `base_movers`
+/// plus every migration observed so far.
+RoundObserver checkpoint_cadence(std::int64_t every, std::int64_t base_movers,
+                                 SnapshotWrite write);
 
 /// Everything cid_sim needs to continue a snapshotted run. The game is
 /// owned here (stable address for the protocol/state that reference it).

@@ -1,5 +1,7 @@
 // ProtocolKernel concept: the statically-dispatched protocol interface the
 // templated round engines monomorphize over (dynamics/engine_kernel.hpp).
+// It serves the symmetric protocols and, through ClassImitationKernel, the
+// class-local imitation of asymmetric games run on their flat game.
 //
 // The virtual Protocol class stays exactly what it was — the type-erased
 // frontend the CLIs and the scenario registry hold, and the per-pair
@@ -18,6 +20,10 @@
 //     ExplorationProtocol -> ExplorationKernel   (devirtualized + SIMD row)
 //     CombinedProtocol    -> CombinedKernel      (devirtualized + SIMD row)
 //     anything else       -> VirtualKernel       (forwards virtually)
+//
+// ClassImitationKernel has no virtual Protocol: the asymmetric scenario
+// families construct it directly, and its move_probability forwards to
+// the class-wise oracle asymmetric_move_probability (game/asymmetric.hpp).
 //
 // A new protocol therefore needs NO engine changes: implement the virtual
 // Protocol (correct immediately via VirtualKernel), and optionally add a
@@ -41,6 +47,7 @@
 #include <span>
 #include <string>
 
+#include "game/asymmetric.hpp"
 #include "game/congestion_game.hpp"
 #include "game/latency_context.hpp"
 #include "game/state.hpp"
@@ -49,21 +56,27 @@
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
 #include "protocols/protocol.hpp"
+#include "util/assert.hpp"
 
 namespace cid {
 
 /// The statically-dispatched protocol interface. Semantics (and bitwise
-/// contracts) of the three members are exactly those of the virtual
-/// Protocol methods they mirror: fill_row = fill_move_probabilities,
+/// contracts) of the members are exactly those of the virtual Protocol
+/// methods they mirror: fill_row = fill_move_probabilities,
 /// row_provably_zero = row_provably_zero, move_probability = the per-pair
-/// reference oracle. Kernels are cheap value types (a pointer or two) the
-/// engines copy freely.
+/// reference oracle — with one generalization: `row_block(game, from)` is
+/// the destination range of from's row, `out` spans that block (out[j] is
+/// the probability of moving to block.begin + j), and the bounds
+/// row_provably_zero receives are computed over the block. Destinations
+/// outside the block have probability 0. Kernels are cheap value types (a
+/// pointer or two) the engines copy freely.
 template <typename K>
 concept ProtocolKernel =
     std::copy_constructible<K> &&
     requires(const K k, const CongestionGame& game, const LatencyContext& ctx,
              const State& x, StrategyId from, StrategyId to,
              std::span<double> out, const RowBounds& bounds) {
+      { k.row_block(game, from) } -> std::same_as<RowBlock>;
       { k.fill_row(game, ctx, from, out) } -> std::same_as<void>;
       { k.row_provably_zero(game, ctx, from, bounds) } -> std::same_as<bool>;
       { k.move_probability(game, x, from, to) } -> std::same_as<double>;
@@ -80,6 +93,9 @@ class VirtualKernel {
   explicit VirtualKernel(const Protocol& protocol) noexcept
       : protocol_(&protocol) {}
 
+  RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
+    return {0, game.num_strategies()};
+  }
   void fill_row(const CongestionGame& game, const LatencyContext& ctx,
                 StrategyId from, std::span<double> out) const {
     protocol_->fill_move_probabilities(game, ctx, from, out);
@@ -108,6 +124,9 @@ class ImitationKernel {
   explicit ImitationKernel(const ImitationProtocol& protocol) noexcept
       : protocol_(&protocol) {}
 
+  RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
+    return {0, game.num_strategies()};
+  }
   void fill_row(const CongestionGame& game, const LatencyContext& ctx,
                 StrategyId from, std::span<double> out) const {
     if constexpr (kSimdCompiled) {
@@ -183,6 +202,9 @@ class ExplorationKernel {
   explicit ExplorationKernel(const ExplorationProtocol& protocol) noexcept
       : protocol_(&protocol) {}
 
+  RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
+    return {0, game.num_strategies()};
+  }
   void fill_row(const CongestionGame& game, const LatencyContext& ctx,
                 StrategyId from, std::span<double> out) const {
     if constexpr (kSimdCompiled) {
@@ -248,6 +270,9 @@ class CombinedKernel {
   explicit CombinedKernel(const CombinedProtocol& protocol) noexcept
       : protocol_(&protocol) {}
 
+  RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
+    return {0, game.num_strategies()};
+  }
   void fill_row(const CongestionGame& game, const LatencyContext& ctx,
                 StrategyId from, std::span<double> out) const {
     if constexpr (kSimdCompiled) {
@@ -331,10 +356,96 @@ class CombinedKernel {
   const CombinedProtocol* protocol_;
 };
 
+/// Class-local imitation (the paper's §3 closing remark) on an asymmetric
+/// game's flat game: a class-c player samples among the other n_c − 1
+/// players of its class and accepts with Protocol 1's μ. Its rows span the
+/// origin's class block, and its pruning bound is the block's cheapest used
+/// strategy. The row fill mirrors asymmetric_move_probability term for term
+/// over cached latencies; move_probability IS that oracle.
+class ClassImitationKernel {
+ public:
+  ClassImitationKernel(const AsymmetricGame& game,
+                       const AsymmetricImitationParams& params)
+      : game_(&game), params_(params) {
+    CID_ENSURE(params.lambda > 0.0 && params.lambda <= 1.0,
+               "lambda must be in (0, 1]");
+  }
+
+  RowBlock row_block(const CongestionGame& /*game*/, StrategyId from) const {
+    const std::int32_t c = game_->class_of(from);
+    return {game_->class_offset(c), game_->class_offset(c + 1)};
+  }
+
+  void fill_row(const CongestionGame& game, const LatencyContext& ctx,
+                StrategyId from, std::span<double> out) const {
+    const std::int32_t c = game_->class_of(from);
+    if (game_->player_class(c).num_players < 2) {  // nobody to sample
+      std::fill(out.begin(), out.end(), 0.0);
+      return;
+    }
+    const std::span<const std::int64_t> counts = ctx.state().counts();
+    const StrategyId begin = game_->class_offset(c);
+    const double l_from = ctx.strategy_latency(from);
+    const double nu = params_.nu_cutoff ? game.nu() : 0.0;
+    const double d = params_.damping ? game.elasticity() : 1.0;
+    // λ/d of the same doubles is the same double every entry; hoisting it
+    // cannot change a bit (as in the symmetric row fills).
+    const double lambda_over_d = params_.lambda / d;
+    const auto pool =
+        static_cast<double>(game_->player_class(c).num_players - 1);
+    for (std::size_t j = 0; j < out.size(); ++j) {
+      const StrategyId to = begin + static_cast<StrategyId>(j);
+      const std::int64_t targets = counts[static_cast<std::size_t>(to)];
+      if (to == from || targets == 0) {
+        out[j] = 0.0;
+        continue;
+      }
+      const double l_to = ctx.expost_latency(from, to);
+      if (!(l_from > l_to + nu)) {
+        out[j] = 0.0;
+        continue;
+      }
+      const double mu =
+          std::clamp(lambda_over_d * (l_from - l_to) / l_from, 0.0, 1.0);
+      out[j] = static_cast<double>(targets) / pool * mu;
+    }
+  }
+
+  /// Provably zero when the class has nobody to sample, or — under
+  /// plus-dominance — when ℓ_P(x) is within ν of the block's cheapest used
+  /// strategy (imitation is class-local, so only the class support counts).
+  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
+                         StrategyId from, const RowBounds& bounds) const {
+    if (game_->player_class(game_->class_of(from)).num_players < 2) {
+      return true;
+    }
+    if (!bounds.plus_dominates) return false;
+    const double nu = params_.nu_cutoff ? game.nu() : 0.0;
+    return !(ctx.strategy_latency(from) > bounds.min_support_latency + nu);
+  }
+
+  /// The class-wise per-pair oracle on the flat state; 0 across classes.
+  double move_probability(const CongestionGame& /*game*/, const State& x,
+                          StrategyId from, StrategyId to) const {
+    const std::int32_t c = game_->class_of(from);
+    if (game_->class_of(to) != c) return 0.0;
+    const StrategyId begin = game_->class_offset(c);
+    return asymmetric_move_probability(*game_, game_->class_state(x), params_,
+                                       c, from - begin, to - begin);
+  }
+
+  std::string name() const { return "class-imitation"; }
+
+ private:
+  const AsymmetricGame* game_;
+  AsymmetricImitationParams params_;
+};
+
 static_assert(ProtocolKernel<VirtualKernel>);
 static_assert(ProtocolKernel<ImitationKernel>);
 static_assert(ProtocolKernel<ExplorationKernel>);
 static_assert(ProtocolKernel<CombinedKernel>);
+static_assert(ProtocolKernel<ClassImitationKernel>);
 
 /// Resolves a type-erased Protocol to its concrete kernel and invokes
 /// `f(kernel)` — THE frontend/kernel boundary: one dynamic_cast chain per

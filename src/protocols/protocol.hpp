@@ -13,6 +13,7 @@
 // joint law, since players act independently given x.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
 
@@ -22,14 +23,28 @@
 
 namespace cid {
 
+/// The destination range [begin, end) one origin's row spans: [0, k) for
+/// a symmetric protocol, the origin's class block for class-local
+/// imitation (ClassImitationKernel in protocols/kernel.hpp). Rows are
+/// filled, drawn and emitted over their block only.
+struct RowBlock {
+  StrategyId begin = 0;
+  StrategyId end = 0;
+
+  std::size_t size() const noexcept {
+    return static_cast<std::size_t>(end - begin);
+  }
+  friend bool operator==(const RowBlock&, const RowBlock&) = default;
+};
+
 /// Per-round state summary the aggregate engine hands to
 /// Protocol::row_provably_zero so a protocol can prove a whole origin row
-/// is zero without filling it. Computed once per round in O(k) (see
-/// compute_row_bounds in dynamics/engine.hpp).
+/// is zero without filling it. Computed once per row block per round in
+/// O(block) (see compute_row_bounds in dynamics/engine.hpp).
 struct RowBounds {
-  /// min_{Q : x_Q > 0} ℓ_Q(x) (+inf when the support is empty).
+  /// min ℓ_Q(x) over the block's Q with x_Q > 0 (+inf when none is used).
   double min_support_latency = 0.0;
-  /// min over ALL strategies of ℓ_Q(x).
+  /// min over ALL strategies of the block of ℓ_Q(x).
   double min_latency = 0.0;
   /// LatencyContext::plus_dominates(): ℓ_e(x_e+1) >= ℓ_e(x_e) everywhere,
   /// hence ℓ_Q(x+1_Q−1_P) >= ℓ_Q(x) for every pair (term-by-term float

@@ -211,7 +211,15 @@ SweepGrid finish_grid_flags(const GridFlags& flags) {
   if (flags.lambda <= 0.0 || flags.lambda > 1.0) {
     throw UsageError("lambda out of (0,1]");
   }
-  for (ProtocolSpec& protocol : grid.protocols) protocol.lambda = flags.lambda;
+  const Scenario* scenario = find_scenario(grid.scenario.name);
+  for (ProtocolSpec& protocol : grid.protocols) {
+    if (scenario != nullptr && scenario->imitation_only &&
+        protocol.name != "imitation") {
+      throw UsageError("scenario '" + scenario->name +
+                       "' runs only the imitation protocol");
+    }
+    protocol.lambda = flags.lambda;
+  }
   return grid;
 }
 

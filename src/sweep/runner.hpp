@@ -242,8 +242,9 @@ struct GridFlags {
 bool parse_grid_flag(int argc, char** argv, int& i, GridFlags& flags);
 
 /// Checks the parsed grid flags and returns the grid with lambda applied
-/// to every protocol. Throws UsageError on a missing --scenario or an
-/// out-of-range --trials, --check-interval, --rounds or --lambda.
+/// to every protocol. Throws UsageError on a missing --scenario, an
+/// out-of-range --trials, --check-interval, --rounds or --lambda, or a
+/// protocol the scenario does not run (Scenario::imitation_only).
 SweepGrid finish_grid_flags(const GridFlags& flags);
 
 }  // namespace cid::sweep

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "dynamics/asymmetric_engine.hpp"
 #include "dynamics/engine_kernel.hpp"
 #include "game/asymmetric.hpp"
 #include "game/builders.hpp"
@@ -176,14 +175,16 @@ std::unique_ptr<ScenarioInstance> drive(F family) {
 
 /// The run body the two round-engine families share. `engine(options,
 /// observer)` runs rounds [from.round, max_rounds); this wraps it in the
-/// telemetry recorder and the checkpoint cadence (`save(state, round,
-/// movers)` writes the family's snapshot) and books the result into
-/// `stats`. The caller fills in the outcome's potential and social cost.
-template <typename Observer, typename Engine, typename Save>
+/// telemetry recorder (class-wise records when `classes` is set) and the
+/// checkpoint cadence (`save(state, round, movers)` writes the family's
+/// snapshot) and books the result into `stats`. The caller fills in the
+/// outcome's potential and social cost.
+template <typename Engine>
 TrialOutcome run_engine_trial(const DynamicsConfig& dynamics, TrialStart from,
                               const TrialCheckpoint* checkpoint,
-                              TrialStats* stats, const Engine& engine,
-                              Save save) {
+                              TrialStats* stats, const AsymmetricGame* classes,
+                              const Engine& engine,
+                              persist::SnapshotWrite save) {
   RunOptions options;
   options.max_rounds = dynamics.max_rounds;
   options.check_interval = dynamics.check_interval;
@@ -197,16 +198,15 @@ TrialOutcome run_engine_trial(const DynamicsConfig& dynamics, TrialStart from,
   // round), and sampling keys off absolute round numbers, so a checkpointed
   // or resumed leg records exactly the rows the uninterrupted run would.
   std::optional<obs::TelemetryRecorder> telemetry;
-  Observer observer;
+  RoundObserver observer;
   if (stats != nullptr && dynamics.telemetry_every > 0) {
-    observer = telemetry.emplace(dynamics.telemetry_every)
-                   .template observer<Observer>();
+    observer = telemetry.emplace(dynamics.telemetry_every, classes).observer();
   }
   if (checkpoint != nullptr) {
     observer = persist::chain_observers(
         std::move(observer),
-        persist::checkpoint_cadence<Observer>(checkpoint->every, from.movers,
-                                              std::move(save)));
+        persist::checkpoint_cadence(checkpoint->every, from.movers,
+                                    std::move(save)));
   }
   const RunResult rr = engine(options, observer);
   if (telemetry.has_value()) {
@@ -268,8 +268,8 @@ class SymmetricFamily {
     if (proto == nullptr) {
       throw std::runtime_error("unknown protocol '" + protocol.name + "'");
     }
-    TrialOutcome out = run_engine_trial<RoundObserver>(
-        dynamics, from, checkpoint, stats,
+    TrialOutcome out = run_engine_trial(
+        dynamics, from, checkpoint, stats, /*classes=*/nullptr,
         [&](const RunOptions& options, const RoundObserver& observer) {
           return run_dynamics(
               game_, x, *proto, rng,
@@ -352,38 +352,42 @@ std::unique_ptr<ScenarioInstance> make_network_routing(
 
 // ---- Asymmetric scenarios (class-local imitation, paper §3 remark) ----------
 
+/// Runs on the game's flat game (game/asymmetric.hpp): trials hold flat
+/// States, converted to class counts only for snapshots and outcomes.
 class AsymmetricFamily {
  public:
-  using TrialState = AsymmetricState;
+  using TrialState = State;
 
   AsymmetricFamily(std::string label, AsymmetricGame game)
       : label_(std::move(label)), game_(std::move(game)) {}
 
   std::string describe() const { return label_ + ": " + game_.describe(); }
 
-  AsymmetricState start(const ProtocolSpec& /*protocol*/, Rng& rng) const {
-    return AsymmetricState::uniform_random(game_, rng);
+  State start(const ProtocolSpec& /*protocol*/, Rng& rng) const {
+    return game_.flat_state(AsymmetricState::uniform_random(game_, rng));
   }
 
-  Resumed<AsymmetricState> load(const ProtocolSpec& /*protocol*/,
-                                const std::string& path) const {
+  Resumed<State> load(const ProtocolSpec& /*protocol*/,
+                      const std::string& path) const {
     persist::AsymmetricSnapshot snapshot =
         persist::load_asymmetric_snapshot(path);
     persist::BinWriter ours, theirs;
     persist::encode_asymmetric_game(ours, game_);
     persist::encode_asymmetric_game(theirs, snapshot.game);
     if (ours.buffer() != theirs.buffer()) throw game_mismatch(path, label_);
-    return {AsymmetricState(game_, std::move(snapshot.counts)),
+    return {game_.flat_state(
+                AsymmetricState(game_, std::move(snapshot.counts))),
             snapshot.rng_state,
             {snapshot.round, snapshot.movers}};
   }
 
-  /// The one round loop over the batched class-local kernel
-  /// (dynamics/asymmetric_engine.hpp).
+  /// ClassImitationKernel on the one round engine. Class-local imitation
+  /// has no per-player engine and no virtual agents: the run always takes
+  /// the aggregate engine and never reads protocol.virtual_agents, whatever
+  /// the trial asked for (its snapshots still record what it asked for).
   TrialOutcome run(const ProtocolSpec& protocol,
-                   const DynamicsConfig& dynamics, Rng& rng,
-                   AsymmetricState& x, TrialStart from,
-                   const TrialCheckpoint* checkpoint,
+                   const DynamicsConfig& dynamics, Rng& rng, State& x,
+                   TrialStart from, const TrialCheckpoint* checkpoint,
                    TrialStats* stats) const {
     if (protocol.name != "imitation") {
       throw std::runtime_error(
@@ -394,37 +398,29 @@ class AsymmetricFamily {
     params.lambda = protocol.lambda;
     params.nu_cutoff = protocol.nu_cutoff;
     params.damping = protocol.damping;
-    const AsymmetricCachedStop stopped =
-        make_asymmetric_cached_stop(dynamics.stop_spec());
-    TrialOutcome out = run_engine_trial<AsymmetricRoundObserver>(
-        dynamics, from, checkpoint, stats,
-        [&](const RunOptions& options,
-            const AsymmetricRoundObserver& observer) {
-          AsymmetricRoundWorkspace ws;
-          AsymmetricRoundResult rr;
-          return run_round_loop(
-              game_, x, ws, rr, options,
-              [&](bool trace) {
-                draw_asymmetric_round(game_, x, params, rng, ws, rr,
-                                      options.row_threads, options.metrics,
-                                      trace);
-              },
-              [&](std::int64_t) {
-                return stopped(warm_context(game_, x, ws));
-              },
-              observer);
+    const ClassImitationKernel kernel(game_, params);
+    DynamicsConfig aggregate = dynamics;
+    aggregate.mode = EngineMode::kAggregate;
+    TrialOutcome out = run_engine_trial(
+        aggregate, from, checkpoint, stats, &game_,
+        [&](const RunOptions& options, const RoundObserver& observer) {
+          return run_dynamics(
+              game_.flat(), x, kernel, rng,
+              {.options = options,
+               .cached_stop = make_cached_stop(dynamics.stop_spec(), game_),
+               .observer = observer});
         },
-        [&](const AsymmetricState& s, std::int64_t round,
-            std::int64_t movers) {
+        [&](const State& s, std::int64_t round, std::int64_t movers) {
           persist::save_asymmetric_snapshot(
               {round, trial_config(protocol, dynamics), rng.state(), game_,
-               s.counts(), movers},
+               game_.class_state(s).counts(), movers},
               checkpoint->path);
         });
-    out.potential = game_.potential(x);
+    const AsymmetricState classes = game_.class_state(x);
+    out.potential = game_.potential(classes);
     double cost = 0.0;
     for (std::int32_t c = 0; c < game_.num_classes(); ++c) {
-      cost += game_.class_average_latency(x, c) *
+      cost += game_.class_average_latency(classes, c) *
               static_cast<double>(game_.player_class(c).num_players);
     }
     out.social_cost = cost;
@@ -640,10 +636,12 @@ const std::vector<Scenario>& registry() {
       {"asymmetric",
        "c classes over private links plus one shared link (params: classes, "
        "links_per_class)",
-       &make_asymmetric},
+       &make_asymmetric,
+       /*imitation_only=*/true},
       {"multicommodity",
        "two commodities contending for a shared middle link (params: share)",
-       &make_multicommodity},
+       &make_multicommodity,
+       /*imitation_only=*/true},
       {"threshold-lb",
        "tripled quadratic threshold game from random MaxCut (params: "
        "density, max_weight, instance_seed)",

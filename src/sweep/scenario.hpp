@@ -38,9 +38,10 @@
 // below once, and a family supplies only its start state, its snapshot
 // load (with the check that the snapshot's game is this instance's), and
 // its run body. The symmetric and asymmetric families run the one round
-// loop (dynamics/engine_kernel.hpp run_round_loop) and the one checkpoint
-// cadence (persist::checkpoint_cadence); threshold-lb runs its sequential
-// dynamics in checkpoint-sized chunks.
+// engine (dynamics/engine_kernel.hpp run_dynamics<K>) — the asymmetric ones
+// on their game's flat game with ClassImitationKernel — and the one
+// checkpoint cadence (persist::checkpoint_cadence); threshold-lb runs its
+// sequential dynamics in checkpoint-sized chunks.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +77,11 @@ enum class StartKind : int {
 
 /// Which protocol a trial runs (protocols/factory.hpp). For the symmetric
 /// scenarios all three of the paper's protocols apply; the asymmetric
-/// scenarios support class-local imitation only (the paper's §3 remark),
-/// and threshold-lb maps "imitation" to the tripled sequential imitation
-/// dynamics and any other name to plain best response.
+/// scenarios support class-local imitation only (the paper's §3 remark;
+/// Scenario::imitation_only), always on the aggregate engine and without
+/// virtual agents, and threshold-lb maps "imitation" to the tripled
+/// sequential imitation dynamics and any other name to plain best
+/// response.
 using cid::ProtocolSpec;
 
 /// Parses "imitation", "exploration", "combined" or "combined:P" (explore
@@ -206,6 +209,9 @@ struct Scenario {
   std::string name;
   std::string summary;
   ScenarioFactory make;
+  /// The family runs class-local imitation only (the asymmetric families);
+  /// sweep::finish_grid_flags rejects any other protocol as a usage error.
+  bool imitation_only = false;
 };
 
 /// All registered scenarios, in registration order.

@@ -72,7 +72,7 @@ AsymmetricReferenceRun run_asymmetric_reference(
     const AsymmetricGame& game, AsymmetricState& x,
     const AsymmetricImitationParams& params, Rng& rng,
     const sweep::DynamicsConfig& dynamics, std::int64_t start_round,
-    const AsymmetricRoundObserver& observer) {
+    const ClassRoundObserver& observer) {
   CID_ENSURE(dynamics.check_interval >= 1, "check_interval must be >= 1");
   const auto stopped = [&] {
     return dynamics.stop == sweep::StopRule::kNash

@@ -1,9 +1,9 @@
 // Tests-only whole-run reference loops over the per-pair oracles.
 //
-// The production engines have one round path each: the batched kernel
-// (dynamics/engine_kernel.hpp run_dynamics<K>, and the class-local kernel
-// driven by the asymmetric scenario loop). These loops run the same
-// process — stop check at `check_interval` in absolute round numbers,
+// The production engine has one round path: the batched kernel
+// (dynamics/engine_kernel.hpp run_dynamics<K>), which the asymmetric
+// scenarios drive with ClassImitationKernel on their flat game. These
+// loops run the same process — stop check at `check_interval` in absolute round numbers,
 // draw against the pre-round state, observe, apply — but every round goes
 // through the per-pair reference oracle (draw_round_reference /
 // draw_asymmetric_round_reference) and every stop check through the
@@ -13,8 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 
-#include "dynamics/asymmetric_engine.hpp"
 #include "dynamics/engine.hpp"
 #include "game/asymmetric.hpp"
 #include "sweep/scenario.hpp"
@@ -36,6 +37,12 @@ RunResult run_reference(const CongestionGame& game, State& x,
                         const Protocol& protocol, Rng& rng,
                         const EngineInvocation& call);
 
+/// The class-wise observer of run_asymmetric_reference, with
+/// RoundObserver's call protocol.
+using ClassRoundObserver = std::function<void(
+    const AsymmetricGame&, const AsymmetricState& x,
+    std::span<const ClassMigration> moves, std::int64_t round, bool final)>;
+
 struct AsymmetricReferenceRun {
   std::int64_t rounds = 0;        // completed rounds (absolute index)
   bool converged = false;
@@ -52,6 +59,6 @@ AsymmetricReferenceRun run_asymmetric_reference(
     const AsymmetricGame& game, AsymmetricState& x,
     const AsymmetricImitationParams& params, Rng& rng,
     const sweep::DynamicsConfig& dynamics, std::int64_t start_round = 0,
-    const AsymmetricRoundObserver& observer = {});
+    const ClassRoundObserver& observer = {});
 
 }  // namespace cid::test

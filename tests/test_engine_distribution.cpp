@@ -131,7 +131,8 @@ TEST(EngineDistribution, PruningPreservesDistributionAndRngStream) {
   {  // (a) the prunable origin really is pruned
     LatencyContext ctx;
     ctx.reset(game, x);
-    const RowBounds bounds = compute_row_bounds(game, x, ctx);
+    const RowBounds bounds =
+        compute_row_bounds(x, ctx, {0, game.num_strategies()});
     ASSERT_TRUE(bounds.plus_dominates);
     EXPECT_TRUE(protocol.row_provably_zero(game, ctx, 2, bounds));
     EXPECT_FALSE(protocol.row_provably_zero(game, ctx, 0, bounds));

@@ -19,8 +19,8 @@
 //      the seed on the snapshot's game through the reference loop with
 //      the context-free stop predicates. The symmetric families audit
 //      the batched kernel + cached stop predicates, the asymmetric
-//      families the batched class-local kernel
-//      (dynamics/asymmetric_engine.hpp) + cached class-wise predicates;
+//      families ClassImitationKernel on the same engine over their flat
+//      game + cached class-wise predicates;
 //      the exit snapshot's (round, counts, RNG state, movers) and the
 //      trial outcome (Φ and social cost included) must match bit for bit;
 //   4. persistence level — a batched-kernel trial that is checkpointed,
@@ -39,8 +39,8 @@
 #include <string>
 #include <vector>
 
-#include "dynamics/asymmetric_engine.hpp"
 #include "dynamics/engine.hpp"
+#include "dynamics/engine_kernel.hpp"
 #include "dynamics/equilibrium.hpp"
 #include "game/asymmetric.hpp"
 #include "game/builders.hpp"
@@ -216,71 +216,199 @@ AsymmetricGame oracle_asymmetric_game() {
   return AsymmetricGame(std::move(fns), std::move(classes));
 }
 
+/// One engine round of ClassImitationKernel on game.flat() against one
+/// class-wise reference round: same migrations (flat id = class offset +
+/// class-local id, in the same order) and the same RNG stream position.
+void expect_round_is_reference(const AsymmetricGame& game,
+                               const RoundResult& batched,
+                               const AsymmetricRoundResult& reference,
+                               const Rng& batched_rng,
+                               const Rng& reference_rng) {
+  ASSERT_EQ(batched.moves.size(), reference.moves.size());
+  for (std::size_t i = 0; i < batched.moves.size(); ++i) {
+    const ClassMigration& ref = reference.moves[i];
+    const StrategyId base = game.class_offset(ref.player_class);
+    ASSERT_EQ(game.class_of(batched.moves[i].from), ref.player_class);
+    ASSERT_EQ(batched.moves[i].from, base + ref.from);
+    ASSERT_EQ(batched.moves[i].to, base + ref.to);
+    ASSERT_EQ(batched.moves[i].count, ref.count);
+  }
+  ASSERT_EQ(batched.movers, reference.movers);
+  // Identical RNG stream consumption, not just identical output — this is
+  // what makes pruning and the zero entries of a class block invisible to
+  // replays.
+  ASSERT_EQ(batched_rng.state(), reference_rng.state());
+}
+
 TEST(EngineOracle, AsymmetricRoundsBitwiseIdentical) {
   const auto game = oracle_asymmetric_game();
+  const CongestionGame& flat = game.flat();
   for (const bool nu_cutoff : {true, false}) {
     SCOPED_TRACE(nu_cutoff ? "nu-cutoff" : "no-nu");
     AsymmetricImitationParams params;
     params.nu_cutoff = nu_cutoff;
+    const ClassImitationKernel kernel(game, params);
     Rng batched_rng(61);
     Rng reference_rng(61);
-    AsymmetricState batched_x =
-        AsymmetricState::uniform_random(game, batched_rng);
+    State batched_x =
+        game.flat_state(AsymmetricState::uniform_random(game, batched_rng));
     AsymmetricState reference_x =
         AsymmetricState::uniform_random(game, reference_rng);
-    AsymmetricRoundWorkspace ws;
-    AsymmetricRoundResult batched;
+    RoundWorkspace ws;
+    RoundResult batched;
     for (int round = 0; round < 80; ++round) {
-      draw_asymmetric_round(game, batched_x, params, batched_rng, ws,
-                            batched);
+      SCOPED_TRACE(round);
+      draw_round(flat, batched_x, kernel, batched_rng, EngineMode::kAggregate,
+                 ws, batched);
       const AsymmetricRoundResult reference =
           draw_asymmetric_round_reference(game, reference_x, params,
                                           reference_rng);
-      ASSERT_EQ(batched.moves.size(), reference.moves.size())
-          << "round " << round;
-      for (std::size_t i = 0; i < batched.moves.size(); ++i) {
-        ASSERT_EQ(batched.moves[i].player_class,
-                  reference.moves[i].player_class);
-        ASSERT_EQ(batched.moves[i].from, reference.moves[i].from);
-        ASSERT_EQ(batched.moves[i].to, reference.moves[i].to);
-        ASSERT_EQ(batched.moves[i].count, reference.moves[i].count);
-      }
-      ASSERT_EQ(batched.movers, reference.movers) << "round " << round;
-      // Identical RNG stream consumption, not just identical output —
-      // this is what makes pruning invisible to replays.
-      ASSERT_EQ(batched_rng.state(), reference_rng.state())
-          << "round " << round;
-      batched_x.apply(game, batched.moves, ws.apply_scratch);
+      expect_round_is_reference(game, batched, reference, batched_rng,
+                                reference_rng);
+      if (HasFatalFailure()) return;
+      batched_x.apply(flat, batched.moves, ws.apply_scratch);
       ws.ctx.refresh(ws.apply_scratch.touched);
       reference_x.apply(game, reference.moves);
-      ASSERT_EQ(batched_x.counts(), reference_x.counts())
+      ASSERT_EQ(game.class_state(batched_x).counts(), reference_x.counts());
+    }
+  }
+}
+
+TEST(EngineOracle, ClassKernelMatchesFullWidthReferenceBothModes) {
+  // The generic per-pair reference over ClassImitationKernel::
+  // move_probability fills full-width rows (0 outside the class); the
+  // engine fills class blocks only. Both engine modes must agree with it
+  // bit for bit: zero categories draw nothing (aggregate) and zero-width
+  // buckets are never hit (per-player).
+  const auto game = oracle_asymmetric_game();
+  const CongestionGame& flat = game.flat();
+  const ClassImitationKernel kernel(game, AsymmetricImitationParams{});
+  for (const EngineMode mode :
+       {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
+    SCOPED_TRACE(mode == EngineMode::kAggregate ? "aggregate" : "per-player");
+    Rng batched_rng(63);
+    Rng reference_rng(63);
+    State batched_x =
+        game.flat_state(AsymmetricState::uniform_random(game, batched_rng));
+    State reference_x =
+        game.flat_state(AsymmetricState::uniform_random(game, reference_rng));
+    RoundResult batched;
+    for (int round = 0; round < 15; ++round) {
+      const Rng pre_round = batched_rng;
+      for (const int row_threads : {1, 2}) {
+        SCOPED_TRACE(row_threads);
+        Rng rng = pre_round;
+        RoundResult threaded;
+        RoundWorkspace fresh;
+        draw_round(flat, batched_x, kernel, rng, mode, fresh, threaded,
+                   row_threads);
+        if (row_threads == 1) {
+          batched = threaded;
+          batched_rng = rng;
+          continue;
+        }
+        ASSERT_EQ(threaded.moves, batched.moves);
+        ASSERT_EQ(rng.state(), batched_rng.state());
+      }
+      const RoundResult reference =
+          draw_round_reference(flat, reference_x, kernel, reference_rng, mode);
+      ASSERT_EQ(batched.moves, reference.moves) << "round " << round;
+      ASSERT_EQ(batched_rng.state(), reference_rng.state())
           << "round " << round;
+      batched_x.apply(flat, batched.moves);
+      reference_x.apply(flat, reference.moves);
     }
   }
 }
 
 TEST(EngineOracle, AsymmetricRowThreadsBitwiseInvariant) {
   const auto game = oracle_asymmetric_game();
-  const AsymmetricImitationParams params;
-  std::vector<std::vector<std::vector<std::int64_t>>> finals;
+  const CongestionGame& flat = game.flat();
+  const ClassImitationKernel kernel(game, AsymmetricImitationParams{});
+  std::vector<State> finals;
   std::vector<std::array<std::uint64_t, 4>> rng_states;
   for (const int row_threads : {1, 2, 4}) {
     Rng rng(62);
-    AsymmetricState x = AsymmetricState::uniform_random(game, rng);
-    AsymmetricRoundWorkspace ws;
-    AsymmetricRoundResult rr;
+    State x = game.flat_state(AsymmetricState::uniform_random(game, rng));
+    RoundWorkspace ws;
+    RoundResult rr;
     for (int round = 0; round < 40; ++round) {
-      draw_asymmetric_round(game, x, params, rng, ws, rr, row_threads);
-      x.apply(game, rr.moves, ws.apply_scratch);
+      draw_round(flat, x, kernel, rng, EngineMode::kAggregate, ws, rr,
+                 row_threads);
+      x.apply(flat, rr.moves, ws.apply_scratch);
       ws.ctx.refresh(ws.apply_scratch.touched);
     }
-    finals.push_back(x.counts());
+    finals.push_back(std::move(x));
     rng_states.push_back(rng.state());
   }
-  EXPECT_EQ(finals[0], finals[1]);
-  EXPECT_EQ(finals[0], finals[2]);
+  EXPECT_TRUE(finals[0] == finals[1]);
+  EXPECT_TRUE(finals[0] == finals[2]);
   EXPECT_EQ(rng_states[0], rng_states[1]);
   EXPECT_EQ(rng_states[0], rng_states[2]);
+}
+
+TEST(EngineOracle, OnePlayerClassPrunedWithoutPlusDominance) {
+  // Class 0 has one player, so nobody to sample: its row is provably zero
+  // by the n_c < 2 rule alone. Resource 2 is decreasing, which turns off
+  // plus-dominance, so no class-1 row may be pruned. Every round must
+  // still be the reference round, prune exactly class 0's one origin, and
+  // fill every class-1 origin.
+  class DecreasingLatency final : public LatencyFunction {
+   public:
+    double value(double x) const override { return 100.0 - x; }
+    std::string describe() const override { return "100-x"; }
+  };
+  std::vector<LatencyPtr> fns{make_linear(1.0), make_linear(2.0),
+                              std::make_shared<DecreasingLatency>()};
+  std::vector<PlayerClass> classes(2);
+  classes[0].strategies = {{0}, {1}};
+  classes[0].num_players = 1;
+  classes[1].strategies = {{1}, {2}};
+  classes[1].num_players = 60;
+  const AsymmetricGame game(std::move(fns), std::move(classes));
+  const CongestionGame& flat = game.flat();
+  const AsymmetricImitationParams params;
+  const ClassImitationKernel kernel(game, params);
+  Rng batched_rng(7);
+  Rng reference_rng(7);
+  State batched_x =
+      game.flat_state(AsymmetricState::uniform_random(game, batched_rng));
+  AsymmetricState reference_x =
+      AsymmetricState::uniform_random(game, reference_rng);
+  RoundWorkspace ws;
+  RoundResult batched;
+  obs::EngineMetrics metrics;
+  const int rounds = 30;
+  std::int64_t class1_origins = 0;
+  std::int64_t movers = 0;
+  for (int round = 0; round < rounds; ++round) {
+    SCOPED_TRACE(round);
+    LatencyContext ctx;
+    ctx.reset(flat, batched_x);
+    ASSERT_FALSE(ctx.plus_dominates());
+    for (const StrategyId p : batched_x.support()) {
+      const RowBounds bounds =
+          compute_row_bounds(batched_x, ctx, kernel.row_block(flat, p));
+      const bool one_player_class = game.class_of(p) == 0;
+      EXPECT_EQ(kernel.row_provably_zero(flat, ctx, p, bounds),
+                one_player_class);
+      if (!one_player_class) ++class1_origins;
+    }
+    draw_round(flat, batched_x, kernel, batched_rng, EngineMode::kAggregate,
+               ws, batched, /*row_threads=*/1, &metrics);
+    const AsymmetricRoundResult reference = draw_asymmetric_round_reference(
+        game, reference_x, params, reference_rng);
+    expect_round_is_reference(game, batched, reference, batched_rng,
+                              reference_rng);
+    if (HasFatalFailure()) return;
+    batched_x.apply(flat, batched.moves, ws.apply_scratch);
+    ws.ctx.refresh(ws.apply_scratch.touched);
+    reference_x.apply(game, reference.moves);
+    movers += batched.movers;
+  }
+  EXPECT_EQ(metrics.rows_pruned, rounds);
+  EXPECT_EQ(metrics.rows_filled, class1_origins);
+  EXPECT_GT(movers, 0);  // class 1 really migrated
 }
 
 // ---- Engine-backed registry scenario families -------------------------------

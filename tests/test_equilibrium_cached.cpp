@@ -1,8 +1,9 @@
 // Cached vs reference equilibrium predicates.
 //
 // Every LatencyContext-backed predicate overload in
-// dynamics/equilibrium.hpp (and the asymmetric-context overloads in
-// dynamics/asymmetric_engine.hpp) must return EXACTLY what its
+// dynamics/equilibrium.hpp (and the class-wise overloads in
+// game/asymmetric.hpp, over a context on the flat game) must return
+// EXACTLY what its
 // context-free reference computes — same bools, same doubles, same
 // ApproxEqReport field for field — including on contexts maintained
 // INCREMENTALLY across many applied rounds, on every scenario family's
@@ -20,8 +21,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "dynamics/asymmetric_engine.hpp"
 #include "dynamics/engine.hpp"
+#include "dynamics/engine_kernel.hpp"
 #include "dynamics/equilibrium.hpp"
 #include "game/asymmetric.hpp"
 #include "game/builders.hpp"
@@ -233,21 +234,23 @@ void expect_asymmetric_match_along_trajectory(const AsymmetricGame& game,
                                               std::uint64_t seed,
                                               int rounds) {
   Rng rng(seed);
-  AsymmetricState x = AsymmetricState::uniform_random(game, rng);
-  const AsymmetricImitationParams params;
-  AsymmetricRoundWorkspace ws;
-  AsymmetricRoundResult rr;
+  const CongestionGame& flat = game.flat();
+  State flat_x = game.flat_state(AsymmetricState::uniform_random(game, rng));
+  const ClassImitationKernel kernel(game, AsymmetricImitationParams{});
+  RoundWorkspace ws;
+  RoundResult rr;
   for (int round = 0; round < rounds; ++round) {
-    draw_asymmetric_round(game, x, params, rng, ws, rr);
-    x.apply(game, rr.moves, ws.apply_scratch);
+    draw_round(flat, flat_x, kernel, rng, EngineMode::kAggregate, ws, rr);
+    flat_x.apply(flat, rr.moves, ws.apply_scratch);
     ws.ctx.refresh(ws.apply_scratch.touched);
-    ASSERT_EQ(is_asymmetric_imitation_stable(ws.ctx, game.nu()),
+    const AsymmetricState x = game.class_state(flat_x);
+    ASSERT_EQ(is_asymmetric_imitation_stable(game, ws.ctx, game.nu()),
               is_asymmetric_imitation_stable(game, x, game.nu()))
         << "round " << round;
-    ASSERT_EQ(is_asymmetric_imitation_stable(ws.ctx, 0.0),
+    ASSERT_EQ(is_asymmetric_imitation_stable(game, ws.ctx, 0.0),
               is_asymmetric_imitation_stable(game, x, 0.0))
         << "round " << round;
-    ASSERT_EQ(is_asymmetric_nash(ws.ctx), is_asymmetric_nash(game, x))
+    ASSERT_EQ(is_asymmetric_nash(game, ws.ctx), is_asymmetric_nash(game, x))
         << "round " << round;
   }
 }

@@ -5,8 +5,9 @@
 //
 //   1. concept level — every paper protocol's kernel models ProtocolKernel
 //      (and the virtual classes do NOT — the concept really separates the
-//      two interfaces); LatencyTable models LatencyKernel; the asymmetric
-//      imitation kernel models AsymmetricProtocolKernel;
+//      two interfaces); LatencyTable models LatencyKernel; the class-local
+//      imitation kernel models ProtocolKernel, and a kernel without
+//      row_block does not;
 //   2. dispatch level — dispatch_protocol_kernel resolves each concrete
 //      protocol to its monomorphized kernel and falls back to
 //      VirtualKernel for unrecognized protocols;
@@ -31,11 +32,11 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
 
-#include "dynamics/asymmetric_engine.hpp"
 #include "dynamics/engine.hpp"
 #include "dynamics/engine_kernel.hpp"
 #include "game/builders.hpp"
@@ -70,8 +71,24 @@ static_assert(LatencyKernel<LatencyTable>);
 // table.
 static_assert(!LatencyKernel<LatencyFunction>);
 
-static_assert(AsymmetricProtocolKernel<AsymmetricImitationKernel>);
-static_assert(!AsymmetricProtocolKernel<ImitationKernel>);
+static_assert(ProtocolKernel<ClassImitationKernel>);
+
+/// Every ProtocolKernel member but row_block: the destination block is
+/// part of the concept, not an optional extra.
+struct NoRowBlockKernel {
+  void fill_row(const CongestionGame&, const LatencyContext&, StrategyId,
+                std::span<double>) const {}
+  bool row_provably_zero(const CongestionGame&, const LatencyContext&,
+                         StrategyId, const RowBounds&) const {
+    return false;
+  }
+  double move_probability(const CongestionGame&, const State&, StrategyId,
+                          StrategyId) const {
+    return 0.0;
+  }
+  std::string name() const { return "no-row-block"; }
+};
+static_assert(!ProtocolKernel<NoRowBlockKernel>);
 
 // ---- 2. Kernel dispatch -----------------------------------------------------
 

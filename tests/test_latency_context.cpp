@@ -5,11 +5,12 @@
 //      move sequences, a LatencyContext maintained through refresh()
 //      equals a freshly reset one EXACTLY (double ==), entry for entry —
 //      the invariant the whole batched kernel leans on. Same property for
-//      the asymmetric context.
+//      the context on an asymmetric game's flat game, against the
+//      class-wise game methods.
 //   2. Pruning soundness: every origin the protocols declare provably
 //      zero is re-verified nonzero-free by the per-pair reference
 //      move_probability oracle, across random states and all protocols
-//      (and the asymmetric pruning against asymmetric_move_probability).
+//      (and the class-local rows against asymmetric_move_probability).
 //   3. Monotonicity gate: with a DECREASING latency function in the game,
 //      plus_dominates() reports false and every row_provably_zero
 //      conservatively declines to prune.
@@ -18,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "dynamics/asymmetric_engine.hpp"
 #include "dynamics/engine.hpp"
 #include "game/asymmetric.hpp"
 #include "game/builders.hpp"
@@ -26,6 +26,7 @@
 #include "protocols/combined.hpp"
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
+#include "protocols/kernel.hpp"
 #include "util/rng.hpp"
 
 namespace cid {
@@ -155,7 +156,8 @@ TEST(LatencyContext, PrunedRowsVerifiedZeroByReferenceOracle) {
     ctx.reset(game, x);
     ApplyScratch scratch;
     for (int step = 0; step < 20; ++step) {
-      const RowBounds bounds = compute_row_bounds(game, x, ctx);
+      const RowBounds bounds =
+          compute_row_bounds(x, ctx, {0, game.num_strategies()});
       for (const auto& protocol : protocols) {
         SCOPED_TRACE(protocol->name());
         for (StrategyId from = 0; from < game.num_strategies(); ++from) {
@@ -187,7 +189,8 @@ TEST(LatencyContext, SingletonConvergedStatePrunesMinimalOrigins) {
   const State x(game, std::vector<std::int64_t>(8, 100));
   LatencyContext ctx;
   ctx.reset(game, x);
-  const RowBounds bounds = compute_row_bounds(game, x, ctx);
+  const RowBounds bounds =
+      compute_row_bounds(x, ctx, {0, game.num_strategies()});
   ASSERT_TRUE(bounds.plus_dominates);
   const ImitationProtocol imitation;
   for (StrategyId p = 0; p < game.num_strategies(); ++p) {
@@ -212,7 +215,8 @@ TEST(LatencyContext, DecreasingLatencyDisablesPruning) {
   LatencyContext ctx;
   ctx.reset(game, x);
   EXPECT_FALSE(ctx.plus_dominates());
-  const RowBounds bounds = compute_row_bounds(game, x, ctx);
+  const RowBounds bounds =
+      compute_row_bounds(x, ctx, {0, game.num_strategies()});
   EXPECT_FALSE(bounds.plus_dominates);
   for (const auto& protocol : pruning_protocols()) {
     SCOPED_TRACE(protocol->name());
@@ -222,7 +226,7 @@ TEST(LatencyContext, DecreasingLatencyDisablesPruning) {
   }
 }
 
-// ---- Asymmetric context -----------------------------------------------------
+// ---- Asymmetric games on their flat game ------------------------------------
 
 AsymmetricGame fuzz_asymmetric_game() {
   // Three classes over overlapping multi-resource strategies, so refresh
@@ -267,33 +271,48 @@ std::vector<ClassMigration> random_class_moves(const AsymmetricGame& game,
   return moves;
 }
 
-TEST(AsymmetricLatencyContext, IncrementalRefreshEqualsRebuild) {
+std::vector<Migration> flat_moves(const AsymmetricGame& game,
+                                  const std::vector<ClassMigration>& moves) {
+  std::vector<Migration> flat;
+  for (const ClassMigration& mv : moves) {
+    const StrategyId base = game.class_offset(mv.player_class);
+    flat.push_back(Migration{base + mv.from, base + mv.to, mv.count});
+  }
+  return flat;
+}
+
+TEST(AsymmetricFlatContext, IncrementalRefreshEqualsRebuild) {
   const auto game = fuzz_asymmetric_game();
+  const CongestionGame& flat = game.flat();
   Rng rng(11);
   AsymmetricState x = AsymmetricState::uniform_random(game, rng);
-  AsymmetricLatencyContext ctx;
-  ctx.reset(game, x);
-  AsymmetricApplyScratch scratch;
+  State flat_x = game.flat_state(x);
+  LatencyContext ctx;
+  ctx.reset(flat, flat_x);
+  ApplyScratch scratch;
   for (int step = 0; step < 50; ++step) {
     const auto moves = random_class_moves(game, x, rng);
-    x.apply(game, moves, scratch);
+    x.apply(game, moves);
+    flat_x.apply(flat, flat_moves(game, moves), scratch);
     ctx.refresh(scratch.touched);
-    AsymmetricLatencyContext fresh;
-    fresh.reset(game, x);
+    LatencyContext fresh;
+    fresh.reset(flat, flat_x);
     for (Resource e = 0; e < game.num_resources(); ++e) {
       ASSERT_EQ(ctx.resource_latency(e), fresh.resource_latency(e));
       ASSERT_EQ(ctx.resource_latency_plus(e),
                 fresh.resource_latency_plus(e));
     }
     for (std::int32_t c = 0; c < game.num_classes(); ++c) {
+      const StrategyId base = game.class_offset(c);
       const auto k = static_cast<StrategyId>(
           game.player_class(c).strategies.size());
       for (StrategyId p = 0; p < k; ++p) {
-        ASSERT_EQ(ctx.strategy_latency(c, p), fresh.strategy_latency(c, p));
-        ASSERT_EQ(ctx.strategy_latency(c, p),
+        ASSERT_EQ(ctx.strategy_latency(base + p),
+                  fresh.strategy_latency(base + p));
+        ASSERT_EQ(ctx.strategy_latency(base + p),
                   game.strategy_latency(x, c, p));
         for (StrategyId q = 0; q < k; ++q) {
-          ASSERT_EQ(ctx.expost_latency(c, p, q),
+          ASSERT_EQ(ctx.expost_latency(base + p, base + q),
                     game.expost_latency(x, c, p, q));
         }
       }
@@ -301,27 +320,36 @@ TEST(AsymmetricLatencyContext, IncrementalRefreshEqualsRebuild) {
   }
 }
 
-TEST(AsymmetricLatencyContext, BatchedRowMatchesPerPairOracle) {
+TEST(AsymmetricFlatContext, ClassRowMatchesPerPairOracle) {
   const auto game = fuzz_asymmetric_game();
   Rng rng(23);
-  AsymmetricState x = AsymmetricState::uniform_random(game, rng);
-  AsymmetricLatencyContext ctx;
-  ctx.reset(game, x);
+  const AsymmetricState x = AsymmetricState::uniform_random(game, rng);
+  const State flat_x = game.flat_state(x);
+  LatencyContext ctx;
+  ctx.reset(game.flat(), flat_x);
   const AsymmetricImitationParams params;
+  const ClassImitationKernel kernel(game, params);
   for (std::int32_t c = 0; c < game.num_classes(); ++c) {
-    const auto support = x.support(c);
-    std::vector<double> row(support.size());
-    for (StrategyId from : support) {
-      fill_asymmetric_move_probabilities(game, ctx, params, c, from, support,
-                                         row);
-      for (std::size_t j = 0; j < support.size(); ++j) {
+    const StrategyId base = game.class_offset(c);
+    for (StrategyId from : x.support(c)) {
+      const RowBlock block = kernel.row_block(game.flat(), base + from);
+      ASSERT_EQ(block.begin, base);
+      ASSERT_EQ(block.end, game.class_offset(c + 1));
+      std::vector<double> row(block.size());
+      kernel.fill_row(game.flat(), ctx, base + from, row);
+      for (std::size_t j = 0; j < row.size(); ++j) {
+        const auto to = static_cast<StrategyId>(j);
         const double oracle =
-            support[j] == from
+            to == from
                 ? 0.0
-                : asymmetric_move_probability(game, x, params, c, from,
-                                              support[j]);
+                : asymmetric_move_probability(game, x, params, c, from, to);
         ASSERT_EQ(row[j], oracle)
-            << "class " << c << " pair " << from << "->" << support[j];
+            << "class " << c << " pair " << from << "->" << to;
+        if (to != from) {
+          ASSERT_EQ(kernel.move_probability(game.flat(), flat_x, base + from,
+                                            base + to),
+                    oracle);
+        }
       }
     }
   }

@@ -308,6 +308,20 @@ TEST(SweepGridFlags, RejectsOutOfRangeAndMalformedValues) {
   EXPECT_EQ(with({"--param", "=3"}), "expected --param K=V");
   EXPECT_EQ(with({"--seed"}), "missing value for flag");
   EXPECT_EQ(grid_flag_error({"--trials", "2"}), "--scenario is required");
+  // A protocol the scenario's family does not run is a usage error too.
+  for (const char* scenario : {"asymmetric", "multicommodity"}) {
+    const std::string expected =
+        std::string("scenario '") + scenario +
+        "' runs only the imitation protocol";
+    EXPECT_EQ(grid_flag_error({"--scenario", scenario, "--protocols",
+                               "exploration"}),
+              expected);
+    EXPECT_EQ(grid_flag_error({"--scenario", scenario, "--protocols",
+                               "imitation,combined:0.5"}),
+              expected);
+    EXPECT_EQ(grid_flag_error({"--scenario", scenario}), "accepted");
+  }
+  EXPECT_EQ(with({"--protocols", "exploration"}), "accepted");
   // Bad axis and protocol values stay plain runtime errors.
   EXPECT_THROW(with({"--grid", "n=10:5:log"}), std::runtime_error);
   EXPECT_THROW(with({"--protocols", "mutation"}), std::runtime_error);
@@ -378,6 +392,31 @@ TEST(SweepScenarios, AsymmetricRejectsNonImitation) {
   Rng rng(1);
   EXPECT_THROW(instance->run_trial(exploration, DynamicsConfig{}, rng),
                std::runtime_error);
+}
+
+TEST(SweepScenarios, AsymmetricIgnoresEngineModeAndVirtualAgents) {
+  // Class-local imitation always runs the aggregate engine and has no
+  // virtual agents: a per-player trial with virtual_agents=2 is the
+  // default trial, outcome and RNG stream alike.
+  for (const char* name : {"asymmetric", "multicommodity"}) {
+    SCOPED_TRACE(name);
+    ScenarioSpec spec;
+    spec.name = name;
+    const auto instance = make_scenario(spec, 500);
+    DynamicsConfig dynamics;
+    dynamics.max_rounds = 300;
+    Rng default_rng(5);
+    const TrialOutcome expected =
+        instance->run_trial(ProtocolSpec{}, dynamics, default_rng);
+    ProtocolSpec virtual_agents;
+    virtual_agents.virtual_agents = 2;
+    dynamics.mode = EngineMode::kPerPlayer;
+    Rng per_player_rng(5);
+    EXPECT_EQ(instance->run_trial(virtual_agents, dynamics, per_player_rng),
+              expected);
+    EXPECT_EQ(per_player_rng.state(), default_rng.state());
+    EXPECT_GT(expected.movers, 0);
+  }
 }
 
 TEST(SweepOutput, WritersProduceExpectedShape) {

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -232,12 +233,24 @@ TEST(TelemetryZeroPerturbation,
   params.lambda = protocol.lambda;
   params.nu_cutoff = protocol.nu_cutoff;
   params.damping = protocol.damping;
-  obs::TelemetryRecorder recorder(dynamics.telemetry_every);
+  // The recorder observes the flat game, as under the trial; the class-wise
+  // reference run's states and moves are translated for it.
+  obs::TelemetryRecorder recorder(dynamics.telemetry_every, &game);
+  const auto observe = [&](const AsymmetricGame&, const AsymmetricState& s,
+                           std::span<const ClassMigration> moves,
+                           std::int64_t round, bool final) {
+    std::vector<Migration> flat_moves;
+    for (const ClassMigration& mv : moves) {
+      const StrategyId base = game.class_offset(mv.player_class);
+      flat_moves.push_back(Migration{base + mv.from, base + mv.to, mv.count});
+    }
+    recorder.observe(game.flat(), game.flat_state(s), flat_moves, round,
+                     final);
+  };
   Rng rng(21);
   AsymmetricState x = AsymmetricState::uniform_random(game, rng);
   const test::AsymmetricReferenceRun reference = test::run_asymmetric_reference(
-      game, x, params, rng, dynamics, 0,
-      recorder.observer<AsymmetricRoundObserver>());
+      game, x, params, rng, dynamics, 0, observe);
   recorder.finish(reference.converged);
   EXPECT_EQ(recorder.take_records(), baseline);
 }
