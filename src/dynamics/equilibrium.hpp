@@ -45,11 +45,32 @@ double imitation_gap(const CongestionGame& game, const State& x);
 /// Cached overload of imitation_gap.
 double imitation_gap(const LatencyContext& ctx);
 
-/// Definition 1 evaluation. expensive_mass / cheap_mass are the player
-/// fractions on P⁺_{ε,ν} / P⁻_{ε,ν}; at_equilibrium iff their sum <= δ.
+/// Definition 1's mass bound as an exact integer test: at most a
+/// δ-fraction of the n players may be unsatisfied. δ is read as N / 10^k,
+/// the shortest decimal that reads back to the double (the spelling
+/// format_stop prints: 0.3 is 3/10), and the test is unsat·10^k ≤ N·n in
+/// 128-bit integers — no rounding, no tolerance. Built once per run by the
+/// stop predicate; implicit from δ, so call sites pass the double they
+/// always did.
+class DeltaThreshold {
+ public:
+  DeltaThreshold(double delta);
+
+  /// Whether `unsatisfied` of `players` players satisfy the δ bound.
+  bool holds(std::int64_t unsatisfied, std::int64_t players) const;
+
+ private:
+  std::uint64_t numerator_ = 0;  // N < 10^17
+  int scale_ = 0;                // k >= 0, since δ <= 1
+};
+
+/// Definition 1 evaluation. Players on P⁺_{ε,ν} / P⁻_{ε,ν} are counted as
+/// integers; at_equilibrium iff their sum passes the DeltaThreshold. The
+/// masses are derived reports (count / n).
 struct ApproxEqReport {
   double average_latency = 0.0;       // L_av(x)
   double plus_average_latency = 0.0;  // L⁺_av(x)
+  std::int64_t unsatisfied_players = 0;  // Σ_{P∈P⁺∪P⁻} x_P
   double expensive_mass = 0.0;        // Σ_{P∈P⁺} x_P / n
   double cheap_mass = 0.0;            // Σ_{P∈P⁻} x_P / n
   double unsatisfied_mass = 0.0;      // expensive + cheap
@@ -57,20 +78,22 @@ struct ApproxEqReport {
 };
 
 ApproxEqReport check_delta_eps_nu(const CongestionGame& game, const State& x,
-                                  double delta, double eps, double nu);
+                                  const DeltaThreshold& delta, double eps,
+                                  double nu);
 
 /// Cached overload: L_av/L⁺_av and every per-strategy latency come from
 /// the cache (ℓ⁺_P is the ell_plus table summed in plus_latency order).
-ApproxEqReport check_delta_eps_nu(const LatencyContext& ctx, double delta,
-                                  double eps, double nu);
+ApproxEqReport check_delta_eps_nu(const LatencyContext& ctx,
+                                  const DeltaThreshold& delta, double eps,
+                                  double nu);
 
 /// Convenience wrapper using the game's own ν.
 bool is_delta_eps_equilibrium(const CongestionGame& game, const State& x,
-                              double delta, double eps);
+                              const DeltaThreshold& delta, double eps);
 
 /// Cached overload of is_delta_eps_equilibrium.
-bool is_delta_eps_equilibrium(const LatencyContext& ctx, double delta,
-                              double eps);
+bool is_delta_eps_equilibrium(const LatencyContext& ctx,
+                              const DeltaThreshold& delta, double eps);
 
 /// Exact Nash: for every used P and *every* Q in the strategy space,
 /// ℓ_P(x) <= ℓ_Q(x+1_Q−1_P).

@@ -88,8 +88,9 @@ CachedStopPredicate make_cached_stop(const StopSpec& spec) {
         return is_nash(ctx);
       };
     case StopRule::kDeltaEps:
-      return [delta = spec.delta, eps = spec.eps](const LatencyContext& ctx,
-                                                  std::int64_t) {
+      // The δ bound is fixed once per run; each check compares integers.
+      return [delta = DeltaThreshold(spec.delta), eps = spec.eps](
+                 const LatencyContext& ctx, std::int64_t) {
         return is_delta_eps_equilibrium(ctx, delta, eps);
       };
   }

@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
+#include "util/stats.hpp"
 
 namespace cid {
 
@@ -30,20 +31,20 @@ std::vector<std::int64_t> load_deltas(const CongestionGame& game,
 
 double virtual_potential_gain(const CongestionGame& game, const State& x,
                               std::span<const Migration> moves) {
-  long double acc = 0.0L;
+  NeumaierSum acc;
   for (const Migration& mv : moves) {
     if (mv.count == 0) continue;
     const double gain = game.expost_latency(x, mv.from, mv.to) -
                         game.strategy_latency(x, mv.from);
-    acc += static_cast<long double>(mv.count) * gain;
+    acc.add(static_cast<double>(mv.count) * gain);
   }
-  return static_cast<double>(acc);
+  return acc.value();
 }
 
 double concurrency_error_term(const CongestionGame& game, const State& x,
                               std::span<const Migration> moves) {
   const auto delta = load_deltas(game, moves);
-  long double acc = 0.0L;
+  NeumaierSum acc;
   for (Resource e = 0; e < game.num_resources(); ++e) {
     const std::int64_t d = delta[static_cast<std::size_t>(e)];
     if (d == 0) continue;
@@ -52,22 +53,22 @@ double concurrency_error_term(const CongestionGame& game, const State& x,
     if (d > 0) {
       const double base = fn.value(static_cast<double>(xe + 1));
       for (std::int64_t u = xe + 1; u <= xe + d; ++u) {
-        acc += fn.value(static_cast<double>(u)) - base;
+        acc.add(fn.value(static_cast<double>(u)) - base);
       }
     } else {
       const double base = fn.value(static_cast<double>(xe));
       for (std::int64_t u = xe + d + 1; u <= xe; ++u) {
-        acc += base - fn.value(static_cast<double>(u));
+        acc.add(base - fn.value(static_cast<double>(u)));
       }
     }
   }
-  return static_cast<double>(acc);
+  return acc.value();
 }
 
 double potential_gain(const CongestionGame& game, const State& x,
                       std::span<const Migration> moves) {
   const auto delta = load_deltas(game, moves);
-  long double acc = 0.0L;
+  NeumaierSum acc;
   for (Resource e = 0; e < game.num_resources(); ++e) {
     const std::int64_t d = delta[static_cast<std::size_t>(e)];
     if (d == 0) continue;
@@ -76,15 +77,15 @@ double potential_gain(const CongestionGame& game, const State& x,
     const LatencyFunction& fn = game.latency(e);
     if (d > 0) {
       for (std::int64_t u = xe + 1; u <= xe + d; ++u) {
-        acc += fn.value(static_cast<double>(u));
+        acc.add(fn.value(static_cast<double>(u)));
       }
     } else {
       for (std::int64_t u = xe + d + 1; u <= xe; ++u) {
-        acc -= fn.value(static_cast<double>(u));
+        acc.add(-fn.value(static_cast<double>(u)));
       }
     }
   }
-  return static_cast<double>(acc);
+  return acc.value();
 }
 
 PotentialTracker::PotentialTracker(const CongestionGame& game,
@@ -94,16 +95,17 @@ PotentialTracker::PotentialTracker(const CongestionGame& game,
 
 void PotentialTracker::apply(const CongestionGame& game, const State& x,
                              std::span<const Migration> moves) {
-  phi_ += static_cast<long double>(potential_gain(game, x, moves));
+  phi_.add(potential_gain(game, x, moves));
 }
 
 void PotentialTracker::resync(const CongestionGame& game, const State& x) {
-  // Counts construction-time syncs too — every resync is a full O(m·n)
+  // Counts construction-time syncs too — every resync is a full
   // potential recomputation, which is exactly what the counter is for.
   static const auto id =
       obs::global_metrics().counter("analysis.potential_resyncs");
   obs::global_metrics().add(id, 1);
-  phi_ = static_cast<long double>(game.potential(x));
+  phi_ = NeumaierSum{};
+  phi_.add(game.potential(x));
 }
 
 }  // namespace cid

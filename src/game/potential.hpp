@@ -20,6 +20,7 @@
 
 #include "game/congestion_game.hpp"
 #include "game/state.hpp"
+#include "util/stats.hpp"
 
 namespace cid {
 
@@ -43,7 +44,7 @@ class PotentialTracker {
  public:
   PotentialTracker(const CongestionGame& game, const State& x);
 
-  double value() const noexcept { return static_cast<double>(phi_); }
+  double value() const noexcept { return phi_.value(); }
 
   /// Accumulates ΔΦ for the same migration batch applied to the state.
   /// Call BEFORE State::apply (the gain is computed relative to x).
@@ -54,7 +55,7 @@ class PotentialTracker {
   void resync(const CongestionGame& game, const State& x);
 
  private:
-  long double phi_ = 0.0L;
+  NeumaierSum phi_;  // Φ at the last resync plus every ΔΦ since
 };
 
 }  // namespace cid

@@ -24,7 +24,8 @@
 // CID_SIMD (CMake option, default ON) gates every use of this fast path:
 // building with -DCID_SIMD=OFF keeps the table compiled but routes all
 // evaluation back through the virtual functions, which CI uses to prove
-// the two paths byte-identical end to end.
+// the two paths byte-identical end to end. The closed-form potential() is
+// not a fast path but the definition of Φ, so both builds run it.
 #pragma once
 
 #include <concepts>
@@ -35,6 +36,7 @@
 
 #include "latency/latency.hpp"
 #include "util/assert.hpp"
+#include "util/stats.hpp"
 
 #ifndef CID_SIMD
 #define CID_SIMD 1
@@ -86,12 +88,29 @@ class LatencyTable {
     return 0.0;
   }
 
-  /// Rosenthal's Φ = Σ_e Σ_{i=1..loads[e]} ℓ_e(i), the one loop behind both
-  /// game classes' potential(). The latency kind is chosen once per
-  /// resource, not once per step; the terms are value(e, i) and are added
-  /// left to right into one long double, so Φ keeps its exact bits. A
-  /// CID_SIMD=0 build evaluates every term through the virtual function.
+  /// Rosenthal's Φ = Σ_e Σ_{i=1..loads[e]} ℓ_e(i), the one Φ behind both
+  /// game classes' potential(), under outcome semantics v2: O(m), not
+  /// O(Σ loads). Each resource whose latency is a constant, an
+  /// integer-degree monomial or a polynomial (optionally under one
+  /// ScaledLatency) contributes closed-form Faulhaber terms:
+  ///
+  ///   * the terms with whole coefficients fold into one exact 128-bit
+  ///     integer I = Σ_k c_k·S_k(L)·n^(D−k), with S_k(L) = Σ_{i≤L} i^k,
+  ///     n the divisor (1 when unscaled) and D the highest such degree;
+  ///     the resource adds I rounded once, divided by n^D;
+  ///   * every other term adds c_k·S_k(L) / n^k, with S_k(L) exact, then
+  ///     split into hi + lo doubles for one compensated product by c_k.
+  ///
+  /// Anything else (exponential, non-integer degree, a degree above
+  /// kMaxClosedDegree, or a sum that would leave 128 bits) adds
+  /// ℓ_e(1), ..., ℓ_e(L) one by one. Every term goes into one NeumaierSum
+  /// in resource order. The classification is the same in a CID_SIMD=0
+  /// build (only the fallback loop goes through the virtual function), so
+  /// both builds return the same bits.
   double potential(std::span<const std::int64_t> loads) const;
+
+  /// Highest integer degree the closed forms handle.
+  static constexpr int kMaxClosedDegree = 16;
 
  private:
   enum class Kind : std::uint8_t {
@@ -107,6 +126,7 @@ class LatencyTable {
     double divisor = 1.0;  // ScaledLatency n; x / 1.0 == x bitwise otherwise
     std::uint32_t offset = 0;  // polynomial slice [offset, offset+len) of coef_
     std::uint32_t len = 0;
+    bool closed = false;  // Φ has closed-form terms (see potential())
     const LatencyFunction* fn = nullptr;  // fallback target (every entry)
   };
 
@@ -135,13 +155,18 @@ class LatencyTable {
     }
   }
 
-  /// acc += ℓ(1) + ℓ(2) + ... + ℓ(load), left to right.
+  /// acc += ℓ(1), ℓ(2), ..., ℓ(load), left to right.
   template <Kind K>
-  void add_prefix(const Entry& en, std::int64_t load, long double& acc) const {
+  void add_prefix(const Entry& en, std::int64_t load, NeumaierSum& acc) const {
     for (std::int64_t i = 1; i <= load; ++i) {
-      acc += eval<K>(en, static_cast<double>(i));
+      acc.add(eval<K>(en, static_cast<double>(i)));
     }
   }
+
+  /// Adds the closed-form terms of a `closed` entry at `load`; false
+  /// (adding nothing) when an exact sum would leave 128 bits.
+  bool add_closed_form(const Entry& en, std::int64_t load,
+                       NeumaierSum& acc) const;
 
   std::vector<Entry> entries_;
   std::vector<double> coef_;  // every polynomial's coefficients, contiguous

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/stats.hpp"
 
 namespace cid {
 
@@ -86,13 +87,13 @@ bool ThresholdGame::is_stable(const ThresholdState& s) const {
 }
 
 double ThresholdGame::potential(const ThresholdState& s) const {
-  long double acc = 0.0L;
+  NeumaierSum acc;
   for (std::int32_t r = 0; r < num_resources(); ++r) {
     for (std::int64_t u = 1; u <= s.load(r); ++u) {
-      acc += resource_latency(r, u);
+      acc.add(resource_latency(r, u));
     }
   }
-  return static_cast<double>(acc);
+  return acc.value();
 }
 
 ThresholdState::ThresholdState(const ThresholdGame& game,

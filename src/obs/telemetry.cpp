@@ -9,6 +9,7 @@
 #include "dynamics/equilibrium.hpp"
 #include "game/latency_context.hpp"
 #include "game/singleton.hpp"
+#include "util/stats.hpp"
 
 namespace cid::obs {
 
@@ -60,8 +61,8 @@ TelemetryRecord make_telemetry_record(const AsymmetricGame& classes,
   for (const Migration& mv : moves) rec.movers += mv.count;
   const std::span<const std::int64_t> counts = x.counts();
   const auto n = static_cast<double>(classes.num_players());
-  long double av = 0.0L;
-  long double plus_av = 0.0L;
+  NeumaierSum av;
+  NeumaierSum plus_av;
   double worst = 0.0;
   double gap = 0.0;
   for (std::int32_t c = 0; c < classes.num_classes(); ++c) {
@@ -73,10 +74,10 @@ TelemetryRecord make_telemetry_record(const AsymmetricGame& classes,
       const auto count =
           static_cast<double>(counts[static_cast<std::size_t>(p)]);
       const double lp = ctx.strategy_latency(p);
-      av += static_cast<long double>(count) * lp;
+      av.add(count * lp);
       worst = std::max(worst, lp);
       // ℓ⁺_P = Σ_{e∈P} ℓ_e(x_e + 1) — Definition 1's plus-latency.
-      plus_av += static_cast<long double>(count) * ctx.plus_latency(p);
+      plus_av.add(count * ctx.plus_latency(p));
       // Class-local imitation gap: the asymmetric analog of
       // imitation_gap (dynamics/equilibrium.cpp) — max improvement a
       // class-c player could realize by copying a same-class strategy.
@@ -86,8 +87,8 @@ TelemetryRecord make_telemetry_record(const AsymmetricGame& classes,
       }
     }
   }
-  rec.l_av = static_cast<double>(av) / n;
-  rec.l_plus_av = static_cast<double>(plus_av) / n;
+  rec.l_av = av.value() / n;
+  rec.l_plus_av = plus_av.value() / n;
   rec.makespan = worst;
   rec.im_gap = gap;
   return rec;

@@ -29,6 +29,16 @@
 
 namespace cid::persist {
 
+/// Version of the outcome semantics: what the bits of a recorded trial
+/// outcome mean. Stamped into the grid fingerprint, the CIDMANI header and
+/// the CIDSNAP config, so artifacts of another version never resume or
+/// merge; readers still decode them.
+///   1: Φ summed step by step in extended precision, trial streams replayed
+///      split by split, δ-test on summed masses with a 1e-12 slack.
+///   2: closed-form Φ (Faulhaber sums) with Neumaier sums in double, one
+///      keyed split per trial stream, integer δ-test on player counts.
+inline constexpr std::uint32_t kOutcomeSemantics = 2;
+
 /// Thrown for any persistence failure: unopenable paths, short reads,
 /// checksum mismatches, version skew, malformed payloads. The message
 /// always names the offending path or field.

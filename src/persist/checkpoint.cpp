@@ -133,6 +133,7 @@ std::size_t prune_checkpoints(const std::string& path,
 
 ResumedRun resume_run(const std::string& snapshot_path) {
   Snapshot snapshot = load_snapshot(snapshot_path);
+  require_current_semantics(snapshot.config, snapshot_path);
 
   auto game = std::make_unique<CongestionGame>(std::move(snapshot.game));
   State state(*game, std::move(snapshot.counts));

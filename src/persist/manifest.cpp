@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,6 +22,7 @@ constexpr std::size_t kV1HeaderSize = 7 + 1 + 8 + 4 + 4;
 constexpr std::size_t kRecordPayload = 4 + 4 + 8 + 1 + 8 + 8 + 8;
 constexpr std::size_t kRecordSize = kRecordPayload + 4;
 constexpr std::uint16_t kManiSecGrid = 1;
+constexpr std::uint16_t kManiSecSemantics = 2;
 constexpr int kMaxWriteAttempts = 3;
 
 std::uint64_t fnv1a(const std::string& bytes) {
@@ -43,40 +43,29 @@ struct ManifestInfo {
   std::uint64_t fingerprint = 0;
   std::uint32_t cells = 0;
   std::uint32_t trials = 0;
+  std::uint32_t outcome_semantics = kOutcomeSemantics;
 };
 
 ManifestInfo grid_info(const sweep::SweepGrid& grid) {
   return {grid_fingerprint(grid), grid_cells(grid),
-          static_cast<std::uint32_t>(grid.trials)};
+          static_cast<std::uint32_t>(grid.trials), kOutcomeSemantics};
 }
 
-std::string header_bytes_v2_fields(const ManifestInfo& info) {
+std::string header_bytes(const ManifestInfo& info) {
   BinWriter body;
   body.u64(info.fingerprint);
   body.u32(info.cells);
   body.u32(info.trials);
   BinWriter sections;
   write_section(sections, kManiSecGrid, body.buffer());
+  BinWriter semantics;
+  semantics.u32(info.outcome_semantics);
+  write_section(sections, kManiSecSemantics, semantics.buffer());
   BinWriter out;
   out.raw(kManifestMagic, 7);
   out.u8(kManifestVersion);
   out.u32(static_cast<std::uint32_t>(sections.buffer().size()));
   out.raw(sections.buffer().data(), sections.buffer().size());
-  return out.take();
-}
-
-std::string header_bytes_v2(const sweep::SweepGrid& grid) {
-  return header_bytes_v2_fields(grid_info(grid));
-}
-
-std::string header_bytes_v1(const sweep::SweepGrid& grid) {
-  const ManifestInfo info = grid_info(grid);
-  BinWriter out;
-  out.raw(kManifestMagic, 7);
-  out.u8(1);
-  out.u64(info.fingerprint);
-  out.u32(info.cells);
-  out.u32(info.trials);
   return out.take();
 }
 
@@ -96,6 +85,15 @@ std::string record_bytes(std::uint32_t cell, std::uint32_t trial,
   return framed.take();
 }
 
+[[noreturn]] void semantics_mismatch(const std::string& path,
+                                     std::uint32_t found,
+                                     std::uint32_t expected) {
+  throw grid_mismatch_error(
+      path + ": manifest records outcome semantics v" +
+      std::to_string(found) + ", expected v" + std::to_string(expected) +
+      " — outcomes of two semantics versions never resume or merge");
+}
+
 [[noreturn]] void grid_mismatch(const std::string& path) {
   throw grid_mismatch_error(
       path +
@@ -104,9 +102,9 @@ std::string record_bytes(std::uint32_t cell, std::uint32_t trial,
 }
 
 /// Parses one segment's header without judging it against anything;
-/// returns the byte offset of the first record, the file's version, and
-/// the grid facts the header claims.
-std::tuple<std::size_t, std::uint8_t, ManifestInfo> parse_header_fields(
+/// returns the byte offset of the first record and the grid facts the
+/// header claims.
+std::pair<std::size_t, ManifestInfo> parse_header_fields(
     const std::string& data, const std::string& path) {
   if (data.size() < 7 + 1 || data.compare(0, 7, kManifestMagic) != 0) {
     throw persist_error(path + ": not a CIDMANI sweep manifest");
@@ -117,6 +115,7 @@ std::tuple<std::size_t, std::uint8_t, ManifestInfo> parse_header_fields(
     throw persist_error(path + ": bad manifest version 0");
   }
   ManifestInfo info;
+  info.outcome_semantics = 1;  // files that predate the stamp
   if (version == 1) {
     if (data.size() < kV1HeaderSize) {
       throw persist_error(path + ": truncated manifest header");
@@ -124,7 +123,7 @@ std::tuple<std::size_t, std::uint8_t, ManifestInfo> parse_header_fields(
     info.fingerprint = read_le64(data.data() + 8);
     info.cells = read_le32(data.data() + 16);
     info.trials = read_le32(data.data() + 20);
-    return {kV1HeaderSize, version, info};
+    return {kV1HeaderSize, info};
   }
   // v2+: TLV header — find the grid section, skip anything else (a newer
   // writer may have added sections; that must not lock this reader out).
@@ -141,25 +140,31 @@ std::tuple<std::size_t, std::uint8_t, ManifestInfo> parse_header_fields(
   info.fingerprint = in.u64();
   info.cells = in.u32();
   info.trials = in.u32();
-  return {12 + static_cast<std::size_t>(sections_len), version, info};
+  if (const auto body = scan.find(kManiSecSemantics)) {
+    BinReader semantics(*body, path + ": semantics section");
+    info.outcome_semantics = semantics.u32();
+  }
+  return {12 + static_cast<std::size_t>(sections_len), info};
 }
 
 /// Validates one segment's header against the expected grid facts;
-/// returns the byte offset of the first record and the file's version.
-std::pair<std::size_t, std::uint8_t> check_header(
-    const std::string& data, const std::string& path,
-    const ManifestInfo& expected) {
-  const auto [offset, version, info] = parse_header_fields(data, path);
+/// returns the byte offset of the first record.
+std::size_t check_header(const std::string& data, const std::string& path,
+                         const ManifestInfo& expected) {
+  const auto [offset, info] = parse_header_fields(data, path);
+  if (info.outcome_semantics != expected.outcome_semantics) {
+    semantics_mismatch(path, info.outcome_semantics,
+                       expected.outcome_semantics);
+  }
   if (info.fingerprint != expected.fingerprint ||
       info.cells != expected.cells || info.trials != expected.trials) {
     grid_mismatch(path);
   }
-  return {offset, version};
+  return offset;
 }
 
 struct SegmentScan {
   std::size_t header_size = 0;
-  std::uint8_t version = 0;
   std::size_t record_count = 0;  // intact records in THIS segment
   std::size_t corrupt_records = 0;  // CRC-bad full-size slots skipped
   bool truncated_tail = false;
@@ -176,10 +181,8 @@ SegmentScan load_segment(const std::string& path, const ManifestInfo& expected,
                          ManifestContents& contents) {
   const std::string data = slurp_file(path);
   SegmentScan scan;
-  const auto [header_size, version] = check_header(data, path, expected);
-  scan.header_size = header_size;
-  scan.version = version;
-  scan.last_intact_end = header_size;
+  scan.header_size = check_header(data, path, expected);
+  scan.last_intact_end = scan.header_size;
   scan.file_size = data.size();
   contents.file_bytes += data.size();
 
@@ -264,6 +267,7 @@ void load_chain(const std::string& path, const ManifestInfo& expected,
 
 std::uint64_t grid_fingerprint(const sweep::SweepGrid& grid) {
   BinWriter out;
+  out.u32(kOutcomeSemantics);
   out.str(grid.scenario.name);
   out.u32(static_cast<std::uint32_t>(grid.scenario.params.size()));
   for (const auto& [key, value] : grid.scenario.params) {  // map: sorted
@@ -297,6 +301,7 @@ ManifestContents load_manifest(const std::string& path,
   const ManifestInfo info = grid_info(grid);
   ManifestContents contents;
   contents.fingerprint = info.fingerprint;
+  contents.outcome_semantics = info.outcome_semantics;
   contents.cells = info.cells;
   contents.trials_per_cell = info.trials;
   load_chain(path, info, contents);
@@ -307,11 +312,10 @@ ManifestContents load_manifest_raw(const std::string& path) {
   // The ACTIVE segment's header is the authority; parse it first so every
   // segment (including rotated ones) is judged against the same facts.
   const std::string data = slurp_file(path);
-  const auto [offset, version, info] = parse_header_fields(data, path);
-  (void)offset;
-  (void)version;
+  const ManifestInfo info = parse_header_fields(data, path).second;
   ManifestContents contents;
   contents.fingerprint = info.fingerprint;
+  contents.outcome_semantics = info.outcome_semantics;
   contents.cells = info.cells;
   contents.trials_per_cell = info.trials;
   load_chain(path, info, contents);
@@ -346,6 +350,7 @@ MergeReport merge_manifests(const std::vector<std::string>& inputs,
     }
     if (!have_reference) {
       report.fingerprint = contents.fingerprint;
+      report.outcome_semantics = contents.outcome_semantics;
       report.cells = contents.cells;
       report.trials_per_cell = contents.trials_per_cell;
       have_reference = true;
@@ -353,8 +358,8 @@ MergeReport merge_manifests(const std::vector<std::string>& inputs,
                contents.cells != report.cells ||
                contents.trials_per_cell != report.trials_per_cell) {
       throw grid_mismatch_error(
-          input + ": manifest belongs to a different sweep grid than the "
-                  "other inputs — refusing to merge");
+          input + ": manifest belongs to a different sweep grid or outcome "
+                  "semantics than the other inputs — refusing to merge");
     }
     report.corrupt_records += contents.corrupt_records;
     report.truncated_tail = report.truncated_tail || contents.truncated_tail;
@@ -393,7 +398,8 @@ std::uint64_t write_manifest_canonical(const std::string& path,
   info.fingerprint = report.fingerprint;
   info.cells = report.cells;
   info.trials = report.trials_per_cell;
-  std::string bytes = header_bytes_v2_fields(info);
+  info.outcome_semantics = report.outcome_semantics;
+  std::string bytes = header_bytes(info);
   for (const auto& [key, outcome] : report.completed) {  // map: sorted
     bytes += record_bytes(key.first, key.second, outcome);
   }
@@ -429,7 +435,7 @@ std::uint64_t write_manifest_canonical(const std::string& path,
 ManifestWriter::ManifestWriter(std::string path, std::FILE* file,
                                const sweep::SweepGrid* grid)
     : path_(std::move(path)), file_(file) {
-  if (grid != nullptr) segment_header_ = header_bytes_v2(*grid);
+  if (grid != nullptr) segment_header_ = header_bytes(grid_info(*grid));
 }
 
 ManifestWriter::ManifestWriter(ManifestWriter&& other) noexcept
@@ -569,10 +575,6 @@ ManifestWriter ManifestWriter::open_for_append(const std::string& path,
     throw persist_error("cannot open '" + path + "' for appending");
   }
   ManifestWriter writer(path, file, &grid);
-  // Post-rotation segments keep the ACTIVE file's version: continuing a
-  // v1 manifest must stay v1 end to end (manifest.hpp's contract), so a
-  // PR2-era reader can still read the whole chain.
-  if (scan.version == 1) writer.segment_header_ = header_bytes_v1(grid);
   writer.bytes_written_ = keep;
   writer.rotate_seq_ = chain_last_seq(path);
   return writer;

@@ -20,11 +20,18 @@
 //
 //   magic "CIDMANI" version:u8=2 header_len:u32
 //   section grid(1): fingerprint:u64 cells:u32 trials:u32
+//   section semantics(2): outcome_semantics:u32 (absent => 1)
 //
-// Format v1 header (still read AND still appended-to — records are
-// identical across versions, so continuing a v1 manifest keeps it v1):
+// Format v1 header (still read, never resumed or merged with today's
+// outcomes — every v1 file predates the semantics stamp, so it is
+// outcome semantics 1):
 //
 //   magic "CIDMANI" version:u8=1 fingerprint:u64 cells:u32 trials:u32
+//
+// The outcome-semantics version (kOutcomeSemantics, binio.hpp) is also
+// folded into the grid fingerprint. Resuming, appending to, or merging a
+// manifest of another version throws grid_mismatch_error: outcomes of two
+// semantics never share one record set.
 //
 // Records (both versions):
 //
@@ -70,23 +77,25 @@ namespace cid::persist {
 inline constexpr char kManifestMagic[] = "CIDMANI";
 inline constexpr std::uint8_t kManifestVersion = 2;
 
-/// Thrown when a manifest belongs to a different grid (fingerprint or
-/// dimension mismatch). A subclass so corruption-tolerant chain readers
-/// can skip unreadable segments WITHOUT ever swallowing a wrong-grid
-/// error — mixing grids is never tolerable.
+/// Thrown when a manifest belongs to a different grid (fingerprint,
+/// dimension or outcome-semantics mismatch). A subclass so
+/// corruption-tolerant chain readers can skip unreadable segments WITHOUT
+/// ever swallowing a wrong-grid error — mixing grids is never tolerable.
 class grid_mismatch_error : public persist_error {
  public:
   explicit grid_mismatch_error(const std::string& message)
       : persist_error(message) {}
 };
 
-/// Hash of every SweepGrid field that influences trial outcomes (scenario
-/// name + params, protocol specs, ns, trials, master seed, dynamics). Two
-/// grids with equal fingerprints produce interchangeable trial results.
+/// Hash of kOutcomeSemantics and every SweepGrid field that influences
+/// trial outcomes (scenario name + params, protocol specs, ns, trials,
+/// master seed, dynamics). Two grids with equal fingerprints produce
+/// interchangeable trial results.
 std::uint64_t grid_fingerprint(const sweep::SweepGrid& grid);
 
 struct ManifestContents {
   std::uint64_t fingerprint = 0;
+  std::uint32_t outcome_semantics = kOutcomeSemantics;
   std::uint32_t cells = 0;
   std::uint32_t trials_per_cell = 0;
   /// Completed trials keyed by (cell, trial).
@@ -114,9 +123,9 @@ ManifestContents load_manifest(const std::string& path,
                                const sweep::SweepGrid& grid);
 
 /// Like load_manifest, but grid-less: the ACTIVE segment's header is the
-/// authority for fingerprint/cells/trials (rotated segments must still
-/// match it). For tooling — cid_merge merges shards without re-deriving
-/// the grid.
+/// authority for fingerprint/cells/trials/semantics (rotated segments must
+/// still match it). For tooling — cid_merge merges shards without
+/// re-deriving the grid, and any version decodes.
 ManifestContents load_manifest_raw(const std::string& path);
 
 // ---- Shard merging (tools/cid_merge.cpp) ------------------------------------
@@ -134,6 +143,7 @@ struct MergeOptions {
 
 struct MergeReport {
   std::uint64_t fingerprint = 0;
+  std::uint32_t outcome_semantics = kOutcomeSemantics;
   std::uint32_t cells = 0;
   std::uint32_t trials_per_cell = 0;
   /// The union of every input's completed trials, keyed by (cell, trial)
@@ -151,8 +161,9 @@ struct MergeReport {
 
 /// Merges manifest chains (shards of one sweep, or partial runs) into one
 /// record set. All readable inputs must agree on fingerprint/cells/trials
-/// (grid_mismatch_error otherwise — never tolerated); up to
-/// `max_corrupt_inputs` unreadable inputs are skipped loudly.
+/// (grid_mismatch_error otherwise — never tolerated; the fingerprint
+/// covers the outcome semantics); up to `max_corrupt_inputs` unreadable
+/// inputs are skipped loudly.
 MergeReport merge_manifests(const std::vector<std::string>& inputs,
                             const MergeOptions& options = {});
 
@@ -176,7 +187,7 @@ class ManifestWriter {
                                const sweep::SweepGrid& grid);
 
   /// Opens an existing manifest for appending; the active file's header
-  /// must match `grid` (either version — a v1 manifest stays v1).
+  /// must match `grid` and today's outcome semantics.
   static ManifestWriter open_for_append(const std::string& path,
                                         const sweep::SweepGrid& grid);
 

@@ -24,6 +24,7 @@ enum SnapshotSection : std::uint16_t {
   kSnapSecThreshold = 9,   // maxcut instance + tripled:u8
   kSnapSecThresholdBits = 10,  // player count + packed strategy bits
   kSnapSecTrialStats = 11,     // movers:i64
+  kSnapSecSemantics = 12,      // outcome_semantics:u32 (absent => 1)
 };
 
 void encode_config(BinWriter& out, const SimConfig& config) {
@@ -74,6 +75,9 @@ void encode_common(BinWriter& payload, const SnapshotT& snapshot,
   });
   add_section(payload, kSnapSecTrialStats,
               [&](BinWriter& out) { out.i64(snapshot.movers); });
+  add_section(payload, kSnapSecSemantics, [&](BinWriter& out) {
+    out.u32(snapshot.config.outcome_semantics);
+  });
 }
 
 /// One BinReader per section body, pre-loaded with the context string.
@@ -99,6 +103,11 @@ CommonFields decode_common(const SectionScan& scan, const std::string& path) {
   {
     BinReader in = section_reader(scan, kSnapSecConfig, "config", path);
     fields.config = decode_config(in);
+  }
+  fields.config.outcome_semantics = 1;
+  if (const auto body = scan.find(kSnapSecSemantics)) {
+    BinReader in(*body, path + ": section semantics");
+    fields.config.outcome_semantics = in.u32();
   }
   {
     BinReader in = section_reader(scan, kSnapSecRng, "rng", path);
@@ -138,6 +147,7 @@ Snapshot load_snapshot_v1(const std::string& payload,
   const std::int64_t round = in.i64();
   if (round < 0) in.fail("negative round counter");
   SimConfig config = decode_config(in);
+  config.outcome_semantics = 1;
   std::array<std::uint64_t, 4> rng_state{};
   for (auto& word : rng_state) word = in.u64();
   CongestionGame game = decode_game(in);
@@ -301,6 +311,16 @@ ThresholdSnapshot load_threshold_snapshot(const std::string& path) {
                            common.rng_state,  std::move(instance),
                            tripled,           std::move(bits),
                            common.movers};
+}
+
+void require_current_semantics(const SimConfig& config,
+                               const std::string& path) {
+  if (config.outcome_semantics != kOutcomeSemantics) {
+    throw persist_error(
+        path + ": snapshot records outcome semantics v" +
+        std::to_string(config.outcome_semantics) + ", this build computes v" +
+        std::to_string(kOutcomeSemantics) + " — refusing to resume");
+  }
 }
 
 SnapshotFamily peek_snapshot_family(const std::string& path) {

@@ -37,6 +37,7 @@
 #include "game/congestion_game.hpp"
 #include "game/state.hpp"
 #include "lowerbound/maxcut.hpp"
+#include "persist/binio.hpp"
 #include "protocols/factory.hpp"
 #include "util/rng.hpp"
 
@@ -55,7 +56,9 @@ enum class SnapshotFamily : std::uint8_t {
 
 /// The protocol / engine configuration a run was started with, persisted so
 /// a resume needs no CLI flags to reproduce the original setup. `stop` is
-/// the textual stop spec of the tools ("stable", "nash", "deltaeps:D,E").
+/// the textual stop spec of the tools ("stable", "nash", "deltaeps:D,E");
+/// `outcome_semantics` the version the run computes its outcomes under
+/// (section semantics; 1 when absent, as in every file older than it).
 struct SimConfig {
   std::string protocol = "imitation";  // imitation | exploration | combined
   double lambda = 0.25;
@@ -65,6 +68,7 @@ struct SimConfig {
   std::int64_t virtual_agents = 0;
   std::uint8_t engine = 0;  // EngineMode underlying value
   std::string stop = "stable";
+  std::uint32_t outcome_semantics = kOutcomeSemantics;
 
   /// The protocol fields, for make_protocol.
   ProtocolSpec protocol_spec() const {
@@ -130,6 +134,12 @@ AsymmetricSnapshot load_asymmetric_snapshot(const std::string& path);
 void save_threshold_snapshot(const ThresholdSnapshot& snapshot,
                              const std::string& path);
 ThresholdSnapshot load_threshold_snapshot(const std::string& path);
+
+/// Throws persist_error unless `config` records today's outcome semantics:
+/// a snapshot of another version still decodes (cid_replay inspects it)
+/// but never resumes. `path` names the file in the message.
+void require_current_semantics(const SimConfig& config,
+                               const std::string& path);
 
 /// Family of the snapshot at `path` without decoding its game (v1 files
 /// are symmetric by definition). Throws persist_error when the file is

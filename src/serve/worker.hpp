@@ -5,9 +5,11 @@
 // then loops lease → run trial → complete until the coordinator reports
 // the grid drained. Trial execution reuses the local runner's machinery
 // verbatim: the Rng stream comes from sweep::derive_trial_rng (the shared
-// authority run_sweep uses), and failures are retried with a fresh stream
-// copy under the same attempt/backoff policy — so a leased trial's
-// outcome is bit-identical to what a local --threads 1 run would record.
+// authority run_sweep uses — one O(1) keyed split of the cell master, so a
+// lease deep into a cell costs no more than trial 0), and failures are
+// retried with a fresh stream copy under the same attempt/backoff policy —
+// so a leased trial's outcome is bit-identical to what a local
+// --threads 1 run would record.
 //
 // A background renewer thread extends the lease at half-TTL intervals
 // while a long trial runs (the socket is a strict request/response

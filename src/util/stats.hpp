@@ -7,6 +7,7 @@
 // percentile bootstrap for confidence intervals on small trial counts.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -36,6 +37,31 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
+};
+
+/// Neumaier-compensated sum in double: the one cross-term summation every
+/// outcome accumulator uses (Φ, ΔΦ, L_av). The same terms added in the same
+/// order give the same bits on every IEEE-754 platform — unlike an
+/// extended-precision accumulator, whose width varies (64, 80 or 128 bits).
+class NeumaierSum {
+ public:
+  void add(double x) noexcept {
+    const double t = sum_ + x;
+    if (std::abs(sum_) >= std::abs(x)) {
+      comp_ += (sum_ - t) + x;
+    } else {
+      comp_ += (x - t) + sum_;
+    }
+    sum_ = t;
+  }
+  /// The compensated total (an infinite running sum is returned as is).
+  double value() const noexcept {
+    return std::isfinite(sum_) ? sum_ + comp_ : sum_;
+  }
+
+ private:
+  double sum_ = 0.0;
+  double comp_ = 0.0;
 };
 
 /// Five-number-style summary of a sample.

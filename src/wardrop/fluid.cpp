@@ -5,6 +5,7 @@
 
 #include "game/state.hpp"
 #include "util/assert.hpp"
+#include "util/stats.hpp"
 
 namespace cid {
 
@@ -146,7 +147,7 @@ double fluid_potential(const CongestionGame& game, const FluidState& x) {
       0.1012285362903763, 0.2223810344533745, 0.3137066458778873,
       0.3626837833783620, 0.3626837833783620, 0.3137066458778873,
       0.2223810344533745, 0.1012285362903763};
-  long double acc = 0.0L;
+  NeumaierSum acc;
   for (Resource e = 0; e < game.num_resources(); ++e) {
     const double upper = x.congestion(e);
     if (upper <= 0.0) continue;
@@ -155,9 +156,9 @@ double fluid_potential(const CongestionGame& game, const FluidState& x) {
     for (int i = 0; i < 8; ++i) {
       integral += kWeights[i] * game.latency(e).value(half * (kNodes[i] + 1));
     }
-    acc += static_cast<long double>(integral * half);
+    acc.add(integral * half);
   }
-  return static_cast<double>(acc);
+  return acc.value();
 }
 
 double fluid_average_latency(const CongestionGame& game,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "dynamics/equilibrium.hpp"
 #include "game/builders.hpp"
 #include "util/assert.hpp"
@@ -94,6 +96,53 @@ TEST(DeltaEpsNu, EpsilonScalesWithAverage) {
   // ε=0.01 → upper 52.0, lower 50.0: 55 expensive, 45 cheap.
   const auto r = check_delta_eps_nu(game, x, 0.0, 0.01, 0.0);
   EXPECT_NEAR(r.unsatisfied_mass, 1.0, 1e-12);
+}
+
+TEST(DeltaThreshold, ComparesPlayerCountsExactly) {
+  // δ reads as its shortest decimal: 0.3 is 3/10, so 3 of 10 players is
+  // exactly on the bound (the double 0.3 is slightly below 3/10, which a
+  // floating-point mass test could only accept with a slack).
+  const DeltaThreshold three_tenths(0.3);
+  EXPECT_TRUE(three_tenths.holds(3, 10));
+  EXPECT_FALSE(three_tenths.holds(4, 10));
+  EXPECT_TRUE(three_tenths.holds(300000000000, 1000000000000));
+  EXPECT_FALSE(three_tenths.holds(300000000001, 1000000000000));
+  const DeltaThreshold tenth(0.1);
+  EXPECT_TRUE(tenth.holds(1, 10));
+  EXPECT_FALSE(tenth.holds(2, 19));
+  EXPECT_TRUE(DeltaThreshold(0.125).holds(1, 8));
+  EXPECT_FALSE(DeltaThreshold(0.125).holds(2, 15));
+  EXPECT_TRUE(DeltaThreshold(0.0).holds(0, 100));
+  EXPECT_FALSE(DeltaThreshold(0.0).holds(1, 100));
+  EXPECT_TRUE(DeltaThreshold(1.0).holds(100, 100));
+  // Every double digit counts: 0.1000000000000001 > 1/10.
+  EXPECT_TRUE(DeltaThreshold(0.1000000000000001).holds(1, 10));
+  EXPECT_FALSE(DeltaThreshold(0.09999999999999999).holds(1, 10));
+  // Far below one player in the largest games: nobody may be unsatisfied.
+  EXPECT_TRUE(DeltaThreshold(1e-300).holds(0, INT64_MAX));
+  EXPECT_FALSE(DeltaThreshold(1e-300).holds(1, INT64_MAX));
+  EXPECT_TRUE(DeltaThreshold(1e-18).holds(9, INT64_MAX));
+  EXPECT_FALSE(DeltaThreshold(1e-18).holds(10, INT64_MAX));
+  EXPECT_THROW(DeltaThreshold(1.5), invariant_violation);
+}
+
+TEST(DeltaEpsNu, CountsUnsatisfiedPlayers) {
+  const auto game = make_uniform_links_game(2, make_linear(1.0), 10);
+  const State x(game, {7, 3});
+  // L_av = (49+9)/10 = 5.8, L+_av = (56+12)/10 = 6.8; ε = ν = 0: link 0
+  // (latency 7) is expensive, link 1 (3) cheap — 10 players unsatisfied.
+  const auto all = check_delta_eps_nu(game, x, 1.0, 0.0, 0.0);
+  EXPECT_EQ(all.unsatisfied_players, 10);
+  EXPECT_TRUE(all.at_equilibrium);
+  // ε = 0.5: upper 10.2, lower 2.9 — everyone is satisfied.
+  EXPECT_EQ(check_delta_eps_nu(game, x, 0.0, 0.5, 0.0).unsatisfied_players,
+            0);
+  // ε = 0.2: upper 8.16, lower 4.64 — the 3 players on link 1 are cheap,
+  // exactly on δ = 0.3's bound.
+  const auto r = check_delta_eps_nu(game, x, 0.3, 0.2, 0.0);
+  EXPECT_EQ(r.unsatisfied_players, 3);
+  EXPECT_TRUE(r.at_equilibrium);
+  EXPECT_FALSE(check_delta_eps_nu(game, x, 0.29, 0.2, 0.0).at_equilibrium);
 }
 
 TEST(DeltaEpsNu, ValidatesArguments) {

@@ -15,8 +15,8 @@
 //      latency-function shape (constant, linear, affine, monomial,
 //      polynomial, scaled, and the opaque exponential fallback) bitwise at
 //      the integer loads the engines evaluate and at fractional and huge
-//      arguments, and LatencyTable::potential reproduces the per-step
-//      virtual Φ loop;
+//      arguments (LatencyTable::potential, the closed-form Φ, has its own
+//      suite: tests/test_closed_form.cpp);
 //   4. row level — each monomorphized kernel's fill_row (the SIMD select
 //      loop on singleton games) is bitwise-identical to the virtual
 //      fill_move_probabilities row, sustained across incremental cache
@@ -176,39 +176,6 @@ TEST(LatencyTableKernel, BitwiseMatchesEveryFunctionShape) {
       ASSERT_EQ(table.value(e, x), fns[e]->value(x)) << "x " << x;
     }
   }
-}
-
-TEST(LatencyTableKernel, PotentialMatchesPerStepVirtualLoop) {
-  // The Φ loop hoists the kind switch out of the per-step loop; it must
-  // still add the virtual values left to right in one long double.
-  std::vector<LatencyPtr> fns;
-  fns.push_back(make_constant(2.5));
-  fns.push_back(make_linear(1.5));
-  fns.push_back(make_affine(0.5, 2.0));
-  fns.push_back(make_monomial(0.07, 2.0));
-  fns.push_back(make_monomial(3.0, 0.0));
-  fns.push_back(make_monomial(0.01, 2.5));
-  fns.push_back(make_polynomial({1.0, 0.0, 3.0, 0.5}));
-  fns.push_back(make_scaled(make_monomial(0.9, 2.0), 50));
-  fns.push_back(make_scaled(make_polynomial({0.0, 2.0, 1.0}), 10));
-  fns.push_back(make_exponential(1.1, 0.002));
-  LatencyTable table;
-  for (const auto& fn : fns) table.add(*fn);
-
-  Rng rng(17);
-  for (int rep = 0; rep < 20; ++rep) {
-    std::vector<std::int64_t> loads;
-    long double acc = 0.0L;
-    for (const auto& fn : fns) {
-      loads.push_back(static_cast<std::int64_t>(rng.uniform_int(3000)));
-      for (std::int64_t i = 1; i <= loads.back(); ++i) {
-        acc += fn->value(static_cast<double>(i));
-      }
-    }
-    ASSERT_EQ(table.potential(loads), static_cast<double>(acc)) << rep;
-  }
-  const std::vector<std::int64_t> short_loads(fns.size() - 1, 1);
-  EXPECT_THROW(table.potential(short_loads), invariant_violation);
 }
 
 // ---- 4. Row-level kernel identity -------------------------------------------

@@ -9,7 +9,10 @@
 //     with unknown sections / future version bytes to today's readers
 //     (the skip-unknown policy makes today's reader the "old" one);
 //   * upgrade path: a v1 artifact rewritten through today's writers
-//     round-trips without semantic drift.
+//     round-trips without semantic drift;
+//   * outcome semantics: v1 manifests and snapshots decode in full but are
+//     refused with a typed error when resumed or merged with today's
+//     (semantics v2) outcomes.
 //
 // CI runs this suite in a dedicated format-compatibility job so an
 // accidental breaking change to the on-disk formats can never land
@@ -23,6 +26,7 @@
 
 #include "game/io.hpp"
 #include "persist/binio.hpp"
+#include "persist/checkpoint.hpp"
 #include "persist/eventlog.hpp"
 #include "persist/manifest.hpp"
 #include "persist/snapshot.hpp"
@@ -98,21 +102,68 @@ TEST(PersistCompat, V1EventLogReplaysToTheV1FinalState) {
   EXPECT_TRUE(x == text_state);
 }
 
-TEST(PersistCompat, V1ManifestLoadsAgainstItsGrid) {
-  const sweep::SweepGrid grid = fixture_grid();
+TEST(PersistCompat, V1ManifestDecodesButNeverResumes) {
+  // Every decode assertion goes through the grid-less reader: the v1 file
+  // stays readable in full.
   const ManifestContents contents =
-      load_manifest(fixture("sweep_v1.cidmani"), grid);
+      load_manifest_raw(fixture("sweep_v1.cidmani"));
+  EXPECT_EQ(contents.outcome_semantics, 1u);  // predates the stamp
   EXPECT_FALSE(contents.truncated_tail);
   EXPECT_EQ(contents.cells, 2u);
   EXPECT_EQ(contents.trials_per_cell, 3u);
   EXPECT_EQ(contents.completed.size(), 6u);  // the full fixture sweep
 
-  // A different grid must still be rejected (the fingerprint guarantee
-  // survives the version bridge).
+  // Resuming against its own grid is refused with the typed error: its
+  // outcomes were computed under semantics v1.
+  const sweep::SweepGrid grid = fixture_grid();
+  EXPECT_THROW(load_manifest(fixture("sweep_v1.cidmani"), grid),
+               grid_mismatch_error);
   sweep::SweepGrid other = fixture_grid();
   other.master_seed = 8;
   EXPECT_THROW(load_manifest(fixture("sweep_v1.cidmani"), other),
+               grid_mismatch_error);
+}
+
+TEST(PersistCompat, V1ManifestResumeIsRefused) {
+  // A sweep pointed at a copy of the v1 manifest must refuse before it
+  // appends a single v2 record to it.
+  const std::string path = temp_path("resume_v1.cidmani");
+  const std::string bytes = slurp_file(fixture("sweep_v1.cidmani"));
+  {
+    std::FILE* out = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(out, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
+    ASSERT_EQ(std::fclose(out), 0);
+  }
+  sweep::SweepOptions options;
+  options.manifest_path = path;
+  EXPECT_THROW(sweep::run_sweep(fixture_grid(), options),
+               grid_mismatch_error);
+  EXPECT_THROW(ManifestWriter::open_for_append(path, fixture_grid()),
+               grid_mismatch_error);
+  EXPECT_EQ(slurp_file(path), bytes);  // untouched
+  std::remove(path.c_str());
+}
+
+TEST(PersistCompat, V1ManifestNeverMergesWithV2) {
+  const std::string v2 = temp_path("merge_v2.cidmani");
+  sweep::SweepOptions options;
+  options.manifest_path = v2;
+  sweep::run_sweep(fixture_grid(), options);
+  EXPECT_EQ(load_manifest_raw(v2).outcome_semantics, kOutcomeSemantics);
+  EXPECT_THROW(merge_manifests({v2, fixture("sweep_v1.cidmani")}),
+               grid_mismatch_error);
+  EXPECT_THROW(merge_manifests({fixture("sweep_v1.cidmani"), v2}),
+               grid_mismatch_error);
+  std::remove(v2.c_str());
+}
+
+TEST(PersistCompat, V1SnapshotRefusesToResume) {
+  const Snapshot v1 = load_snapshot(fixture("final_v1.cidsnap"));
+  EXPECT_EQ(v1.config.outcome_semantics, 1u);
+  EXPECT_THROW(require_current_semantics(v1.config, "final_v1.cidsnap"),
                persist_error);
+  EXPECT_THROW(resume_run(fixture("final_v1.cidsnap")), persist_error);
 }
 
 TEST(PersistCompat, V1SnapshotUpgradesThroughTheV2Writer) {

@@ -10,7 +10,8 @@
 //   cid_replay export SNAPSHOT [--game PATH] [--state PATH]
 //
 // inspect   sniffs the magic (CIDSNAP snapshot, CIDELOG event log, CIDMANI
-//           sweep manifest) and prints a structural summary.
+//           sweep manifest) and prints a structural summary, including
+//           the outcome-semantics version of snapshots and manifests.
 // diff      compares two snapshots (field by field) or two event logs
 //           (first diverging round); exit code 1 when they differ.
 // replay    reconstructs a state by applying the event log's recorded
@@ -64,6 +65,15 @@ ArtifactKind sniff(const std::string& path) {
   return ArtifactKind::kUnknown;
 }
 
+/// The outcome-semantics line every artifact prints (CI reads it to tell
+/// whether two builds' outcome bits are meant to agree).
+void print_semantics(std::uint32_t version) {
+  std::printf("  outcome semantics v%u%s\n", version,
+              version == persist::kOutcomeSemantics
+                  ? ""
+                  : " (decodes, but this build refuses to resume it)");
+}
+
 void print_snapshot(const persist::Snapshot& snapshot,
                     const std::string& path) {
   std::printf("%s: snapshot (symmetric family)\n", path.c_str());
@@ -78,6 +88,7 @@ void print_snapshot(const persist::Snapshot& snapshot,
   std::printf("  engine / stop    %s / %s\n",
               snapshot.config.engine == 1 ? "aggregate" : "perplayer",
               snapshot.config.stop.c_str());
+  print_semantics(snapshot.config.outcome_semantics);
   std::printf("  rng state        %016llx %016llx %016llx %016llx\n",
               static_cast<unsigned long long>(snapshot.rng_state[0]),
               static_cast<unsigned long long>(snapshot.rng_state[1]),
@@ -97,6 +108,7 @@ void print_asymmetric_snapshot(const persist::AsymmetricSnapshot& snapshot,
   std::printf("  round            %lld (movers so far %lld)\n",
               static_cast<long long>(snapshot.round),
               static_cast<long long>(snapshot.movers));
+  print_semantics(snapshot.config.outcome_semantics);
   std::printf("  rng state        %016llx %016llx %016llx %016llx\n",
               static_cast<unsigned long long>(snapshot.rng_state[0]),
               static_cast<unsigned long long>(snapshot.rng_state[1]),
@@ -118,6 +130,7 @@ void print_threshold_snapshot(const persist::ThresholdSnapshot& snapshot,
                                : "quadratic best-response",
               snapshot.instance.num_nodes());
   std::printf("  players          %zu\n", snapshot.in_bits.size());
+  print_semantics(snapshot.config.outcome_semantics);
 }
 
 int inspect(const std::string& path) {
@@ -211,8 +224,13 @@ int inspect(const std::string& path) {
       constexpr std::size_t kRecordSize = 4 + 4 + 8 + 1 + 8 + 8 + 8 + 4;
       const std::size_t records = (data.size() - header_size) / kRecordSize;
       const double total = static_cast<double>(cells) * trials;
+      // Full tolerant chain scan (CRC-checked, grid-less): counts the
+      // records that actually verify and surfaces any damage.
+      const persist::ManifestContents contents =
+          persist::load_manifest_raw(path);
       std::printf("%s: sweep manifest v%d\n", path.c_str(),
                   static_cast<int>(version));
+      print_semantics(contents.outcome_semantics);
       std::printf("  grid fingerprint %016llx\n",
                   static_cast<unsigned long long>(fingerprint));
       std::printf("  grid size        %u cells x %u trials = %llu\n", cells,
@@ -221,10 +239,6 @@ int inspect(const std::string& path) {
                   records,
                   total == 0.0 ? 0.0
                                : 100.0 * static_cast<double>(records) / total);
-      // Full tolerant chain scan (CRC-checked, grid-less): counts the
-      // records that actually verify and surfaces any damage.
-      const persist::ManifestContents contents =
-          persist::load_manifest_raw(path);
       if (contents.completed.size() != records ||
           contents.record_count != records) {
         std::printf("  chain total      %zu distinct trials intact "
