@@ -132,11 +132,12 @@ std::size_t prune_checkpoints(const std::string& path,
 }
 
 ResumedRun resume_run(const std::string& snapshot_path) {
-  Snapshot snapshot = load_snapshot(snapshot_path);
+  const Snapshot snapshot = load_snapshot(snapshot_path);
   require_current_semantics(snapshot.config, snapshot_path);
+  const auto& part = snapshot.as<SymmetricPart>(snapshot_path);
 
-  auto game = std::make_unique<CongestionGame>(std::move(snapshot.game));
-  State state(*game, std::move(snapshot.counts));
+  auto game = std::make_unique<CongestionGame>(part.game);
+  State state(*game, part.counts);
 
   std::unique_ptr<Protocol> protocol =
       make_protocol(snapshot.config.protocol_spec());

@@ -2,8 +2,9 @@
 //
 // checkpoint_cadence is the one rule for WHEN a run persists itself: every
 // K completed rounds, and at the final observer call. Checkpointer wraps
-// it around the symmetric snapshot codec for cid_sim, and the scenario
-// trials (sweep/scenario.cpp) wrap it around their family's codec. The
+// it around save_snapshot for cid_sim's symmetric runs, and the scenario
+// trials (sweep/scenario.cpp) wrap it around save_snapshot with their
+// family's part (persist/snapshot.hpp: one Snapshot type, one codec). The
 // subtlety it owns is *when* the tuple is consistent: the observer fires
 // with the PRE-round state and that round's moves, at which point the RNG
 // has already consumed the round's draws — so the snapshot must pair the
@@ -12,8 +13,8 @@
 // skips nothing: the continuation is the uninterrupted run, bit for bit.
 //
 // resume_run() is the inverse used by cid_sim --resume: it rebuilds the
-// game, state, protocol, and RNG from a snapshot so the caller only
-// supplies the remaining-rounds budget, the stop rule (dynamics/
+// game, state, protocol, and RNG from a symmetric snapshot so the caller
+// only supplies the remaining-rounds budget, the stop rule (dynamics/
 // stop_rule.hpp, from the snapshot's config), and observers.
 #pragma once
 
@@ -91,7 +92,8 @@ struct ResumedRun {
 };
 
 /// Loads a snapshot and rebuilds the live simulation tuple. Throws
-/// persist_error on an unknown protocol name or engine byte.
+/// persist_error on a non-symmetric snapshot, another outcome semantics,
+/// or an unknown protocol name or engine byte.
 ResumedRun resume_run(const std::string& snapshot_path);
 
 /// Resolves a --resume argument against keep-last-K checkpoint sets: when

@@ -1,5 +1,7 @@
 #include "persist/codec.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -27,6 +29,9 @@ constexpr std::uint32_t kMaxPolynomialCoefficients = 64;
 constexpr int kMaxScaledNesting = 16;
 constexpr std::uint32_t kMaxResources = 1u << 20;
 constexpr std::uint32_t kMaxStrategies = 1u << 22;
+// Building a game costs O(d) in its elasticity bound d (slope_nu scans
+// loads 1..⌈d⌉), so the bound caps what decoding a hostile file can cost.
+constexpr double kMaxElasticity = 1u << 20;
 
 void encode_latency(BinWriter& out, const LatencyFunction& fn,
                     int depth = 0) {
@@ -111,11 +116,25 @@ LatencyPtr decode_latency(BinReader& in, int depth = 0) {
   }
 }
 
+/// Refuses, before any game is built, latencies whose elasticity bound
+/// over `players` (computed as the CongestionGame constructor does)
+/// exceeds kMaxElasticity.
+void check_elasticity(BinReader& in, const std::vector<LatencyPtr>& latencies,
+                      std::int64_t players) {
+  if (players < 1) in.fail("bad player count");
+  double d = 1.0;
+  for (const LatencyPtr& fn : latencies) {
+    d = std::max(d, fn->elasticity_upper(static_cast<double>(players)));
+  }
+  if (d > kMaxElasticity) in.fail("latency elasticity too large");
+}
+
 }  // namespace
 
 void encode_game(BinWriter& out, const CongestionGame& game) {
   if (static_cast<std::uint32_t>(game.num_resources()) > kMaxResources ||
-      static_cast<std::uint32_t>(game.num_strategies()) > kMaxStrategies) {
+      static_cast<std::uint32_t>(game.num_strategies()) > kMaxStrategies ||
+      game.elasticity() > kMaxElasticity) {
     throw persist_error("game too large for the snapshot format");
   }
   out.i64(game.num_players());
@@ -142,8 +161,12 @@ CongestionGame decode_game(BinReader& in) {
   for (std::uint32_t e = 0; e < resources; ++e) {
     latencies.push_back(decode_latency(in));
   }
+  check_elasticity(in, latencies, players);
   const std::uint32_t num_strategies = in.u32();
-  if (num_strategies < 1 || num_strategies > kMaxStrategies) {
+  // Each strategy takes at least its u32 length: a count the remaining
+  // bytes cannot hold fails before the reserve.
+  if (num_strategies < 1 || num_strategies > kMaxStrategies ||
+      num_strategies > in.remaining() / 4) {
     in.fail("bad strategy count");
   }
   std::vector<Strategy> strategies;
@@ -181,7 +204,8 @@ constexpr std::uint32_t kMaxClasses = 1u << 16;
 
 void encode_asymmetric_game(BinWriter& out, const AsymmetricGame& game) {
   if (static_cast<std::uint32_t>(game.num_resources()) > kMaxResources ||
-      static_cast<std::uint32_t>(game.num_classes()) > kMaxClasses) {
+      static_cast<std::uint32_t>(game.num_classes()) > kMaxClasses ||
+      game.elasticity() > kMaxElasticity) {
     throw persist_error("asymmetric game too large for the snapshot format");
   }
   out.u32(static_cast<std::uint32_t>(game.num_resources()));
@@ -219,11 +243,18 @@ AsymmetricGame decode_asymmetric_game(BinReader& in) {
   }
   std::vector<PlayerClass> classes;
   classes.reserve(num_classes);
+  std::int64_t players = 0;
   for (std::uint32_t c = 0; c < num_classes; ++c) {
     PlayerClass cls;
     cls.num_players = in.i64();
+    if (cls.num_players < 1 ||
+        cls.num_players > std::numeric_limits<std::int64_t>::max() - players) {
+      in.fail("bad class player count");
+    }
+    players += cls.num_players;
     const std::uint32_t num_strategies = in.u32();
-    if (num_strategies < 1 || num_strategies > kMaxStrategies) {
+    if (num_strategies < 1 || num_strategies > kMaxStrategies ||
+        num_strategies > in.remaining() / 4) {
       in.fail("bad class strategy count");
     }
     cls.strategies.reserve(num_strategies);
@@ -236,6 +267,7 @@ AsymmetricGame decode_asymmetric_game(BinReader& in) {
     }
     classes.push_back(std::move(cls));
   }
+  check_elasticity(in, latencies, players);
   return AsymmetricGame(std::move(latencies), std::move(classes));
 }
 
@@ -262,7 +294,13 @@ AsymmetricState decode_asymmetric_state(BinReader& in,
       in.fail("state dimension does not match class strategy space");
     }
     counts[c].resize(k);
-    for (auto& v : counts[c]) v = in.i64();
+    // Bounded by the players still unplaced, so no sum can overflow.
+    std::int64_t unplaced = cls.num_players;
+    for (auto& v : counts[c]) {
+      v = in.i64();
+      if (v < 0 || v > unplaced) in.fail("class counts exceed the class");
+      unplaced -= v;
+    }
   }
   // The AsymmetricState constructor re-validates per-class totals.
   return AsymmetricState(game, std::move(counts));

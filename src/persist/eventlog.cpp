@@ -27,22 +27,6 @@ std::uint64_t v1_record_bytes(std::size_t moves) noexcept {
   return 8 + 4 + static_cast<std::uint64_t>(moves) * (4 + 4 + 8) + 4;
 }
 
-std::string encode_v1_record(std::int64_t round,
-                             std::span<const Migration> moves) {
-  BinWriter out;
-  out.u64(static_cast<std::uint64_t>(round));
-  out.u32(static_cast<std::uint32_t>(moves.size()));
-  for (const Migration& m : moves) {
-    out.i32(m.from);
-    out.i32(m.to);
-    out.i64(m.count);
-  }
-  BinWriter framed;
-  framed.raw(out.buffer().data(), out.buffer().size());
-  framed.u32(crc32(out.buffer().data(), out.buffer().size()));
-  return framed.take();
-}
-
 /// Parses one v1 record starting at `pos`, in place (no copies — logs of
 /// million-round runs are scanned on every resume); returns false when
 /// the remaining bytes are not one intact record.
@@ -455,15 +439,8 @@ EventLogWriter EventLogWriter::create(const std::string& path,
   }
   EventLogWriter writer(path, file, options);
   writer.v1_equivalent_bytes_ = kV1HeaderSize;
-  if (options.compress) {
-    writer.write_raw(encode_v2_header(options, 0, 0), "eventlog.header",
-                     "header write");
-  } else {
-    BinWriter header;
-    header.raw(kEventLogMagic, 7);
-    header.u8(1);  // v1: fixed-width records
-    writer.write_raw(header.buffer(), "eventlog.header", "header write");
-  }
+  writer.write_raw(encode_v2_header(options, 0, 0), "eventlog.header",
+                   "header write");
   return writer;
 }
 
@@ -471,88 +448,74 @@ EventLogWriter EventLogWriter::open_for_append(const std::string& path,
                                                std::int64_t next_round,
                                                const EventLogOptions& options) {
   const std::string data = slurp_file(path);
-  const std::uint8_t version = sniff_version(data, path);
+  if (sniff_version(data, path) < 2) {
+    // v1 logs come from runs no snapshot of this build resumes, and the
+    // fixed-width v1 writer is gone: they stay readable, never appendable.
+    throw persist_error(path +
+                        ": CIDELOG v1 event logs are read-only — start a "
+                        "fresh log to record a new run");
+  }
 
   EventLogOptions effective = options;
-  effective.compress = version >= 2;
+  const V2Header header = parse_v2_header(data, path);
+  if (header.block_rounds >= 1) {
+    // The file's own block cadence wins: mixed cadences would make the
+    // resumed framing diverge from the uninterrupted run's.
+    effective.block_rounds = header.block_rounds;
+  }
+  if (effective.block_rounds < 1) effective.block_rounds = 256;
 
-  std::size_t keep = kV1HeaderSize;
+  std::size_t keep = header.size;
   std::vector<RoundEvents> rebuffer;
   std::int64_t last_retained = -1;
   bool any_retained = false;
   std::int64_t first_round_in_file = -1;
   std::uint64_t retained_v1_bytes = 0;
 
-  if (version == 1) {
-    std::size_t pos = kV1HeaderSize;
-    while (pos < data.size()) {
-      RoundEvents events;
-      std::size_t next_pos = pos;
-      if (!parse_v1_record(data, pos, next_pos, events)) break;
-      if (first_round_in_file < 0) first_round_in_file = events.round;
-      if (events.round >= next_round) break;
+  std::size_t pos = header.size;
+  while (pos < data.size()) {
+    std::vector<RoundEvents> block;
+    std::size_t next_pos = pos;
+    // Anything that is not an intact block — truncated tail OR bit rot —
+    // ends the intact prefix; the resume truncates it away and rewrites,
+    // keeping the resumed file byte-identical to an uninterrupted run.
+    if (parse_block(data, pos, next_pos, block,
+                    path + ": event log block") != BlockParse::kOk) {
+      break;
+    }
+    if (block.empty()) break;  // defensive: zero-round blocks end scan
+    if (first_round_in_file < 0) first_round_in_file = block.front().round;
+    const std::int64_t block_end = block.back().round + 1;
+    const bool complete = block_end % effective.block_rounds == 0;
+    if (complete && block_end <= next_round) {
       keep = next_pos;
+      last_retained = block.back().round;
+      any_retained = true;
+      for (const RoundEvents& events : block) {
+        retained_v1_bytes += v1_record_bytes(events.moves.size());
+      }
+      pos = next_pos;
+      continue;
+    }
+    // Boundary-spanning or partial tail block: re-buffer the rounds the
+    // resume keeps so the next flush reproduces the uninterrupted run's
+    // framing, then stop (everything beyond is dropped).
+    for (RoundEvents& events : block) {
+      if (events.round >= next_round) break;
       last_retained = events.round;
       any_retained = true;
       retained_v1_bytes += v1_record_bytes(events.moves.size());
-      pos = next_pos;
+      rebuffer.push_back(std::move(events));
     }
-  } else {
-    const V2Header header = parse_v2_header(data, path);
-    if (header.block_rounds >= 1) {
-      // The file's own block cadence wins: mixed cadences would make the
-      // resumed framing diverge from the uninterrupted run's.
-      effective.block_rounds = header.block_rounds;
-    }
-    if (effective.block_rounds < 1) effective.block_rounds = 256;
-    keep = header.size;
-    std::size_t pos = header.size;
-    while (pos < data.size()) {
-      std::vector<RoundEvents> block;
-      std::size_t next_pos = pos;
-      // Anything that is not an intact block — truncated tail OR bit rot —
-      // ends the intact prefix; the resume truncates it away and rewrites,
-      // keeping the resumed file byte-identical to an uninterrupted run.
-      if (parse_block(data, pos, next_pos, block,
-                      path + ": event log block") != BlockParse::kOk) {
-        break;
-      }
-      if (block.empty()) break;  // defensive: zero-round blocks end scan
-      if (first_round_in_file < 0) first_round_in_file = block.front().round;
-      const std::int64_t block_end = block.back().round + 1;
-      const bool complete = block_end % effective.block_rounds == 0;
-      if (complete && block_end <= next_round) {
-        keep = next_pos;
-        last_retained = block.back().round;
-        any_retained = true;
-        for (const RoundEvents& events : block) {
-          retained_v1_bytes += v1_record_bytes(events.moves.size());
-        }
-        pos = next_pos;
-        continue;
-      }
-      // Boundary-spanning or partial tail block: re-buffer the rounds the
-      // resume keeps so the next flush reproduces the uninterrupted
-      // run's framing, then stop (everything beyond is dropped).
-      for (RoundEvents& events : block) {
-        if (events.round >= next_round) break;
-        last_retained = events.round;
-        any_retained = true;
-        retained_v1_bytes += v1_record_bytes(events.moves.size());
-        rebuffer.push_back(std::move(events));
-      }
-      break;
-    }
+    break;
   }
 
   // Rotated-chain bookkeeping: segment sizes and round range feed the
   // observability counters AND the cross-segment resume guards (an active
   // segment that is still header-only after a rotation would otherwise
   // skip both checks below and silently duplicate the chain's rounds).
-  // Immutable history is never decompressed here: v2 segments carry the
-  // chain totals in the active header, disk sizes come from stat, and
-  // only a v1 chain (whose rounds ARE their bytes) falls back to decoding
-  // its final segment for the last round number.
+  // Immutable history is never decompressed here: the active header
+  // carries the chain totals and disk sizes come from stat.
   const std::vector<std::string> segments = chain_segments(path);
   const std::uint32_t last_seq = static_cast<std::uint32_t>(segments.size());
   std::uint64_t rotated_disk_bytes = 0;
@@ -561,28 +524,8 @@ EventLogWriter EventLogWriter::open_for_append(const std::string& path,
     const auto size = std::filesystem::file_size(segment, ec);
     if (!ec) rotated_disk_bytes += size;
   }
-  std::uint64_t rotated_v1_bytes = 0;
-  std::int64_t chain_last_round = -1;
-  if (!segments.empty()) {
-    if (version >= 2) {
-      const V2Header header = parse_v2_header(data, path);
-      rotated_v1_bytes = header.prior_v1_bytes;
-      chain_last_round = header.prior_end_round - 1;
-    } else {
-      // v1 is the uncompressed format: a segment's record bytes ARE its
-      // v1-equivalent bytes (minus the 8-byte header each).
-      rotated_v1_bytes = rotated_disk_bytes -
-                         static_cast<std::uint64_t>(segments.size()) *
-                             kV1HeaderSize;
-      for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
-        const EventLog seg = read_event_log(*it);
-        if (!seg.rounds.empty()) {
-          chain_last_round = seg.rounds.back().round;
-          break;
-        }
-      }
-    }
-  }
+  const std::int64_t chain_last_round =
+      segments.empty() ? -1 : header.prior_end_round - 1;
 
   if (first_round_in_file >= 0 && first_round_in_file > next_round) {
     throw persist_error(
@@ -644,10 +587,9 @@ EventLogWriter EventLogWriter::open_for_append(const std::string& path,
   writer.pending_ = std::move(rebuffer);
   writer.rotate_seq_ = last_seq;
   writer.rotated_disk_bytes_ = rotated_disk_bytes;
-  // v2 chain totals already include the one-header base; otherwise add it.
+  // Chain totals already include the one-header base; otherwise add it.
   writer.v1_equivalent_bytes_ =
-      (version >= 2 && !segments.empty() ? rotated_v1_bytes
-                                         : kV1HeaderSize + rotated_v1_bytes) +
+      (segments.empty() ? kV1HeaderSize : header.prior_v1_bytes) +
       retained_v1_bytes;
   return writer;
 }
@@ -662,12 +604,6 @@ void EventLogWriter::append(std::int64_t round,
   }
   next_expected_ = round + 1;
   v1_equivalent_bytes_ += v1_record_bytes(moves.size());
-  if (!options_.compress) {
-    write_raw(encode_v1_record(round, moves), "eventlog.block",
-              "record write");
-    maybe_rotate();
-    return;
-  }
   RoundEvents events;
   events.round = round;
   events.moves.assign(moves.begin(), moves.end());
@@ -717,19 +653,10 @@ void EventLogWriter::maybe_rotate() {
     }
     file_ = file;
     bytes_written_ = 0;
-    if (options_.compress) {
-      // The fresh segment's header carries the chain's running totals so a
-      // later resume never decodes the immutable history (open_for_append).
-      write_raw(encode_v2_header(options_, v1_equivalent_bytes_,
-                                 next_expected_),
-                "eventlog.header", "post-rotation header write");
-    } else {
-      BinWriter header;
-      header.raw(kEventLogMagic, 7);
-      header.u8(1);
-      write_raw(header.buffer(), "eventlog.header",
-                "post-rotation header write");
-    }
+    // The fresh segment's header carries the chain's running totals so a
+    // later resume never decodes the immutable history (open_for_append).
+    write_raw(encode_v2_header(options_, v1_equivalent_bytes_, next_expected_),
+              "eventlog.header", "post-rotation header write");
   } catch (const persist_error& e) {
     obs::record_persist_write_failure();
     if (renamed) {

@@ -7,7 +7,8 @@
 // draws; the log alone (from round 0) is a complete, compact audit trail
 // of a run.
 //
-// Format v2 (default) — delta-encoded, block-compressed:
+// Format v2 — the one format the writer emits — delta-encoded,
+// block-compressed:
 //
 //   magic "CIDELOG" version:u8=2
 //   header_len:u32 header_sections[header_len]      (TLV, binio.hpp; tag 1
@@ -31,8 +32,10 @@
 // block and re-compresses it later with exactly the content the
 // uninterrupted run would have used.
 //
-// Format v1 (still read, and written with EventLogOptions::compress =
-// false) is one independently-checksummed fixed-width record per round:
+// Format v1 is still read (fixtures, cid_replay inspect) but never written
+// or appended to — open_for_append refuses it with persist_error. It is one
+// independently-checksummed fixed-width record per round, and its size is
+// the "uncompressed-equivalent" baseline the byte counters report:
 //
 //   magic "CIDELOG" version:u8=1
 //   record*: round:u64 move_count:u32 (from:i32 to:i32 count:i64)*
@@ -40,9 +43,9 @@
 //
 // Both versions survive the one corruption mode an append-only file
 // actually has — a truncated tail from a killed writer: per-record CRCs
-// (v1) or per-block CRCs (v2) let the reader drop the damaged tail and
-// open_for_append truncate back to the last intact prefix. Beyond that,
-// the v2 READ path also tolerates bit rot: a CRC-bad block whose framing
+// (v1) or per-block CRCs (v2) let the reader drop the damaged tail, and
+// open_for_append truncates a v2 log back to its last intact prefix.
+// Beyond that, the v2 READ path also tolerates bit rot: a CRC-bad block whose framing
 // still parses is skipped (counted in EventLog::corrupt_blocks, reported
 // on stderr) and the scan continues at the next block — replay across the
 // resulting round gap still fails loudly, but inspection and partial
@@ -105,16 +108,12 @@ struct EventLog {
 };
 
 struct EventLogOptions {
-  /// Write the v2 delta + block-compressed format; false writes v1
-  /// fixed-width records (the uncompressed baseline, and a file v1-era
-  /// readers still accept).
-  bool compress = true;
-  /// Rounds per v2 block. Larger blocks compress better but buffer more
+  /// Rounds per block. Larger blocks compress better but buffer more
   /// in memory and lose more tail on a hard kill (a partial block becomes
   /// durable only at close or at the next boundary).
   std::int64_t block_rounds = 256;
   /// When > 0, rotate the active file to "<path>.<seq>" once it exceeds
-  /// this many bytes (checked at block/record granularity). 0 = off.
+  /// this many bytes (checked at block granularity). 0 = off.
   std::uint64_t rotate_bytes = 0;
 };
 
@@ -136,13 +135,14 @@ class EventLogWriter {
   static EventLogWriter create(const std::string& path,
                                const EventLogOptions& options = {});
 
-  /// Opens an existing log to continue at `next_round`: validates the
-  /// header, scans records/blocks, truncates the file after the last
-  /// intact data below `next_round` (dropping any tail a killed writer
-  /// left beyond the snapshot being resumed from), and re-buffers a v2
-  /// partial tail block so future boundaries stay deterministic. The file
-  /// must already exist; a log that ends more than zero rounds BEFORE
-  /// `next_round` throws (resuming over a gap would corrupt replay).
+  /// Opens an existing v2 log to continue at `next_round`: validates the
+  /// header, scans blocks, truncates the file after the last intact data
+  /// below `next_round` (dropping any tail a killed writer left beyond the
+  /// snapshot being resumed from), and re-buffers a partial tail block so
+  /// future boundaries stay deterministic. The file must already exist; a
+  /// v1 log, or a log that ends more than zero rounds BEFORE `next_round`,
+  /// throws persist_error and is left untouched (resuming over a gap would
+  /// corrupt replay).
   static EventLogWriter open_for_append(const std::string& path,
                                         std::int64_t next_round,
                                         const EventLogOptions& options = {});
@@ -157,7 +157,7 @@ class EventLogWriter {
   /// needs no bookkeeping.
   void append(std::int64_t round, std::span<const Migration> moves);
 
-  /// Flushes completed blocks/records to the OS. A v2 partial block stays
+  /// Flushes completed blocks to the OS. A partial block stays
   /// buffered until its deterministic boundary or close() — flushing it
   /// early would make block framing depend on kill timing.
   void flush();
@@ -214,7 +214,7 @@ class EventLogWriter {
   std::uint64_t rotated_disk_bytes_ = 0;
   std::uint64_t v1_equivalent_bytes_ = 0;
   std::int64_t next_expected_ = -1;  // -1 = first append sets the base
-  std::vector<RoundEvents> pending_;  // v2: rounds of the open block
+  std::vector<RoundEvents> pending_;  // rounds of the open block
   std::uint32_t rotate_seq_ = 0;      // last segment index written
 };
 

@@ -15,14 +15,16 @@
 // tests/test_resume_families.cpp prove this byte-for-byte).
 //
 // Format v2: the payload inside binio's magic/version/size/crc envelope
-// (magic "CIDSNAP") is a TLV section sequence (binio.hpp). A family
-// section selects which game/state sections apply, so ALL registry
-// scenario families — symmetric CongestionGame, asymmetric
-// multi-commodity, and threshold lower-bound games — checkpoint through
-// one format. Readers skip unknown sections: a v(N+1) writer can add
-// sections without locking out v(N) readers (the policy that replaces
-// v1's refuse-newer rule). v1 files (fixed field order, symmetric only)
-// are still read.
+// (magic "CIDSNAP") is a TLV section sequence (binio.hpp). Every registry
+// scenario family — symmetric CongestionGame, asymmetric multi-commodity,
+// and threshold lower-bound games — checkpoints through one Snapshot type
+// and one codec: the shared sections (family, round, config, RNG, trial
+// stats, semantics) come first, then the two sections of the family's
+// part, and the family section selects which part load_snapshot decodes.
+// Readers skip unknown sections: a v(N+1) writer can add sections without
+// locking out v(N) readers (the policy that replaces v1's refuse-newer
+// rule). v1 files (fixed field order, symmetric only) are still read.
+// Decoding is strict: any malformed payload throws persist_error.
 //
 // Snapshots are written atomically (tmp + rename) so a crash
 // mid-checkpoint preserves the previous one.
@@ -31,6 +33,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "game/asymmetric.hpp"
@@ -78,73 +81,79 @@ struct SimConfig {
   friend bool operator==(const SimConfig&, const SimConfig&) = default;
 };
 
-struct Snapshot {
-  std::int64_t round = 0;  // completed rounds at capture time
-  SimConfig config;
-  std::array<std::uint64_t, 4> rng_state{};
+/// The symmetric family's part: a CongestionGame and per-strategy counts.
+struct SymmetricPart {
+  static constexpr SnapshotFamily kFamily = SnapshotFamily::kSymmetric;
   CongestionGame game;
-  std::vector<std::int64_t> counts;  // per-strategy player counts
-  /// Cumulative migrations over [0, round) — lets a resumed scenario trial
-  /// report the same totals as an uninterrupted one. 0 in v1 files.
-  std::int64_t movers = 0;
+  std::vector<std::int64_t> counts;
 
   /// Reconstructs the state (re-validating every invariant).
   State state() const { return State(game, counts); }
 };
 
-/// Asymmetric-family snapshot: same tuple, class-structured state.
-struct AsymmetricSnapshot {
-  std::int64_t round = 0;
-  SimConfig config;
-  std::array<std::uint64_t, 4> rng_state{};
+/// The asymmetric family's part (paper §3 remark): class-structured counts.
+struct AsymmetricPart {
+  static constexpr SnapshotFamily kFamily = SnapshotFamily::kAsymmetric;
   AsymmetricGame game;
   std::vector<std::vector<std::int64_t>> counts;  // [class][strategy]
-  std::int64_t movers = 0;
 
   AsymmetricState state() const { return AsymmetricState(game, counts); }
 };
 
-/// Threshold-family snapshot. ThresholdGame latencies are opaque
+/// The threshold family's part (§3.2). ThresholdGame latencies are opaque
 /// callables, so the file stores the MaxCut instance the quadratic /
 /// tripled constructions derive from (pure functions of it — rebuilding
 /// reproduces the game bit-exactly) plus the per-player strategy bits.
-/// `round` counts completed sequential steps.
-struct ThresholdSnapshot {
-  std::int64_t round = 0;
-  SimConfig config;
-  std::array<std::uint64_t, 4> rng_state{};
+struct ThresholdPart {
+  static constexpr SnapshotFamily kFamily = SnapshotFamily::kThreshold;
   MaxCutInstance instance;
   bool tripled = false;  // tripled imitation game vs plain quadratic
   std::vector<bool> in_bits;
-  std::int64_t movers = 0;
 };
 
-/// Captures the current simulation tuple. `x` must belong to `game`.
+/// One snapshot for every family: the shared tuple plus the family's part.
+/// The variant index IS the SnapshotFamily value, so the family a file
+/// records can never disagree with the data it carries.
+struct Snapshot {
+  std::int64_t round = 0;  // completed rounds (threshold: sequential steps)
+  SimConfig config;
+  std::array<std::uint64_t, 4> rng_state{};
+  /// Cumulative migrations over [0, round) — lets a resumed scenario trial
+  /// report the same totals as an uninterrupted one. 0 in v1 files.
+  std::int64_t movers = 0;
+  std::variant<SymmetricPart, AsymmetricPart, ThresholdPart> part;
+
+  SnapshotFamily family() const {
+    return static_cast<SnapshotFamily>(part.index());
+  }
+
+  /// The part of family `Part`; throws persist_error naming `path` when
+  /// the snapshot holds another family.
+  template <typename Part>
+  const Part& as(const std::string& path) const {
+    require_family(Part::kFamily, path);
+    return std::get<Part>(part);
+  }
+
+ private:
+  void require_family(SnapshotFamily wanted, const std::string& path) const;
+};
+
+/// Captures a symmetric simulation tuple. `x` must belong to `game`.
 Snapshot make_snapshot(const CongestionGame& game, const State& x,
                        const Rng& rng, std::int64_t round,
                        const SimConfig& config, std::int64_t movers = 0);
 
+/// Writes any family; load_snapshot decodes the part the family section
+/// names (v1 files are symmetric).
 void save_snapshot(const Snapshot& snapshot, const std::string& path);
 Snapshot load_snapshot(const std::string& path);
-
-void save_asymmetric_snapshot(const AsymmetricSnapshot& snapshot,
-                              const std::string& path);
-AsymmetricSnapshot load_asymmetric_snapshot(const std::string& path);
-
-void save_threshold_snapshot(const ThresholdSnapshot& snapshot,
-                             const std::string& path);
-ThresholdSnapshot load_threshold_snapshot(const std::string& path);
 
 /// Throws persist_error unless `config` records today's outcome semantics:
 /// a snapshot of another version still decodes (cid_replay inspects it)
 /// but never resumes. `path` names the file in the message.
 void require_current_semantics(const SimConfig& config,
                                const std::string& path);
-
-/// Family of the snapshot at `path` without decoding its game (v1 files
-/// are symmetric by definition). Throws persist_error when the file is
-/// not a CIDSNAP artifact.
-SnapshotFamily peek_snapshot_family(const std::string& path);
 
 /// Serialized payload (without the file envelope) — what the checksum
 /// covers; exposed for cid_replay's diff and the tests.

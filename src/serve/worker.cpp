@@ -16,7 +16,6 @@
 #include "serve/net.hpp"
 #include "serve/proto.hpp"
 #include "sweep/scenario.hpp"
-#include "util/fault.hpp"
 
 namespace cid::serve {
 namespace {
@@ -260,48 +259,21 @@ class Worker {
                       ttl_ms * options_.renew_fraction);
     }
 
-    // The local runner's retry discipline, verbatim: fresh stream copy and
-    // zeroed stats per attempt, the same sweep.trial fault site, crash
-    // always propagating, capped exponential backoff.
+    // The local runner's retry loop: same attempts, fault site and
+    // backoff, so a leased trial lands the bits a local run would.
     const int max_attempts = std::max(1, options_.trial_max_attempts);
-    sweep::TrialOutcome outcome;
     sweep::TrialStats stats;
-    bool ok = false;
-    std::string last_error;
-    for (int attempt = 1; attempt <= max_attempts && !ok; ++attempt) {
-      Rng trial_rng = job_rng;
-      stats = sweep::TrialStats{};
-      try {
-        if (util::faults_armed()) {
-          const util::FaultAction fault = util::fault_point("sweep.trial");
-          if (fault.kind != util::FaultKind::kNone) {
-            throw std::runtime_error("injected trial fault (" +
-                                     fault.detail + ")");
-          }
-        }
-        outcome = instance(n_index).run_trial(
-            grid_.protocols[protocol_index], grid_.dynamics, trial_rng,
-            &stats);
-        ok = true;
-      } catch (const util::fault_crash&) {
-        throw;  // a crash is a kill, never an error to isolate
-      } catch (const std::exception& e) {
-        last_error = e.what();
-        if (attempt >= max_attempts) break;
-        ++report_.trial_retries;
-        registry_.add_named("sweep.trial_retries", 1);
-        if (options_.retry_backoff_ms > 0.0) {
-          double delay_ms = options_.retry_backoff_ms;
-          for (int d = 1; d < attempt; ++d) delay_ms *= 2.0;
-          delay_ms = std::min(delay_ms, options_.retry_backoff_max_ms);
-          sleep_ms(delay_ms);
-        }
-      }
-    }
+    const sweep::TrialAttempts attempts = sweep::run_trial_attempts(
+        instance(n_index), grid_.protocols[protocol_index], grid_.dynamics,
+        job_rng, &stats, max_attempts, options_.retry_backoff_ms,
+        options_.retry_backoff_max_ms, [&](int, const std::string&) {
+          ++report_.trial_retries;
+          registry_.add_named("sweep.trial_retries", 1);
+        });
     renewer.reset();  // stop renewing before the closing RPC
 
     try {
-      if (!ok) {
+      if (!attempts.outcome) {
         // Local budget exhausted: hand the trial back for another worker.
         ++report_.trials_requeued;
         registry_.add_named("sweep.trial_failures", 1);
@@ -309,14 +281,14 @@ class Worker {
                      "cid_sweep worker %s: trial (cell %u trial %u) FAILED "
                      "after %d attempt(s): %s — requeueing\n",
                      options_.name.c_str(), cell, trial, max_attempts,
-                     last_error.c_str());
-        channel_->rpc(msg_requeue(lease_id, last_error));
+                     attempts.error.c_str());
+        channel_->rpc(msg_requeue(lease_id, attempts.error));
         return;
       }
       registry_.add_named("sweep.ran_rounds", stats.ran_rounds);
       registry_.add_named("sweep.latency_evals", stats.latency_evals);
-      const Message response =
-          channel_->rpc(msg_complete(lease_id, cell, trial, outcome));
+      const Message response = channel_->rpc(
+          msg_complete(lease_id, cell, trial, *attempts.outcome));
       if (response.type() == "ack") {
         ++report_.trials_completed;
         registry_.add_named("sweep.trials_run", 1);

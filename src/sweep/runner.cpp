@@ -232,6 +232,45 @@ Rng derive_trial_rng(std::uint64_t master_seed, std::uint32_t cell,
   return cell_master.split(static_cast<std::uint64_t>(trial));
 }
 
+TrialAttempts run_trial_attempts(
+    const ScenarioInstance& instance, const ProtocolSpec& protocol,
+    const DynamicsConfig& dynamics, const Rng& rng, TrialStats* stats,
+    int max_attempts, double backoff_ms, double backoff_max_ms,
+    const std::function<void(int attempt, const std::string& error)>&
+        on_retry) {
+  TrialAttempts result;
+  max_attempts = std::max(1, max_attempts);
+  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    Rng trial_rng = rng;
+    if (stats != nullptr) *stats = TrialStats{};
+    try {
+      if (util::faults_armed()) {
+        const util::FaultAction fault = util::fault_point("sweep.trial");
+        if (fault.kind != util::FaultKind::kNone) {
+          throw std::runtime_error("injected trial fault (" + fault.detail +
+                                   ")");
+        }
+      }
+      result.outcome =
+          instance.run_trial(protocol, dynamics, trial_rng, stats);
+      return result;
+    } catch (const util::fault_crash&) {
+      throw;
+    } catch (const std::exception& e) {
+      result.error = e.what();
+      if (attempt >= max_attempts) break;
+      on_retry(attempt, result.error);
+      if (backoff_ms > 0.0) {
+        double delay_ms = backoff_ms;
+        for (int d = 1; d < attempt; ++d) delay_ms *= 2.0;
+        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+            std::min(delay_ms, backoff_max_ms)));
+      }
+    }
+  }
+  return result;
+}
+
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   CID_ENSURE(!grid.ns.empty(), "sweep needs at least one n");
   CID_ENSURE(!grid.protocols.empty(), "sweep needs at least one protocol");
@@ -464,80 +503,53 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
               start_ns, std::memory_order_relaxed);
           const WallTimer timer;
           const int max_attempts = std::max(1, options.trial_max_attempts);
-          TrialOutcome outcome;
-          bool ok = false;
-          for (int attempt = 1; attempt <= max_attempts && !ok; ++attempt) {
-            // Fresh stream copy + zeroed stats per attempt: outcomes are a
-            // pure function of the stream, so a successful retry yields
-            // exactly what a fault-free first attempt would have.
-            Rng trial_rng = job.rng;
-            stats[i] = TrialStats{};
-            try {
-              if (util::faults_armed()) {
-                const util::FaultAction fault =
-                    util::fault_point("sweep.trial");
-                if (fault.kind != util::FaultKind::kNone) {
-                  throw std::runtime_error("injected trial fault (" +
-                                           fault.detail + ")");
-                }
-              }
-              outcome = instances[job.n_index]->run_trial(
-                  grid.protocols[job.protocol_index], grid.dynamics,
-                  trial_rng, &stats[i]);
-              ok = true;
-            } catch (const util::fault_crash&) {
-              throw;  // a crash is a kill, never an error to isolate
-            } catch (const std::exception& e) {
-              if (attempt >= max_attempts) {
+          const TrialAttempts attempts = run_trial_attempts(
+              *instances[job.n_index], grid.protocols[job.protocol_index],
+              grid.dynamics, job.rng, &stats[i], max_attempts,
+              options.retry_backoff_ms, options.retry_backoff_max_ms,
+              [&](int attempt, const std::string& error) {
+                retries.fetch_add(1, std::memory_order_relaxed);
                 std::fprintf(stderr,
-                             "cid sweep: trial (%s n=%lld trial=%d) FAILED "
-                             "after %d attempt(s): %s\n",
+                             "cid sweep: trial (%s n=%lld trial=%d) attempt "
+                             "%d/%d failed (%s) — retrying\n",
                              row.key.protocol.c_str(),
                              static_cast<long long>(row.key.n), row.trial,
-                             attempt, e.what());
-                TrialFailure failure;
-                failure.trial_index = i;
-                failure.key = row.key;
-                failure.trial = row.trial;
-                failure.attempts = attempt;
-                failure.error = e.what();
-                const std::lock_guard<std::mutex> lock(failures_mutex);
-                failures.push_back(std::move(failure));
-                failed[i] = 1;
-                break;
-              }
-              retries.fetch_add(1, std::memory_order_relaxed);
-              std::fprintf(stderr,
-                           "cid sweep: trial (%s n=%lld trial=%d) attempt "
-                           "%d/%d failed (%s) — retrying\n",
-                           row.key.protocol.c_str(),
-                           static_cast<long long>(row.key.n), row.trial,
-                           attempt, max_attempts, e.what());
-              if (options.retry_backoff_ms > 0.0) {
-                double delay_ms = options.retry_backoff_ms;
-                for (int d = 1; d < attempt; ++d) delay_ms *= 2.0;
-                delay_ms = std::min(delay_ms, options.retry_backoff_max_ms);
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(delay_ms));
-              }
-            }
-          }
+                             attempt, max_attempts, error.c_str());
+              });
           wall[i] = timer.seconds();
           clocks[static_cast<std::size_t>(p)].start_ns.store(
               -1, std::memory_order_relaxed);
           const std::int64_t end_ns = obs::now_ns();
           trial_run_ns.fetch_add(end_ns - start_ns,
                                  std::memory_order_relaxed);
-          if (!ok) {
+          if (!attempts.outcome) {
             // Permanently failed: default outcome, no manifest record
             // (a resume re-runs it), no per-trial hook — but the meter
             // still advances so progress reaches 100%.
+            std::fprintf(stderr,
+                         "cid sweep: trial (%s n=%lld trial=%d) FAILED "
+                         "after %d attempt(s): %s\n",
+                         row.key.protocol.c_str(),
+                         static_cast<long long>(row.key.n), row.trial,
+                         max_attempts, attempts.error.c_str());
+            TrialFailure failure;
+            failure.trial_index = i;
+            failure.key = row.key;
+            failure.trial = row.trial;
+            failure.attempts = max_attempts;
+            failure.error = attempts.error;
+            {
+              const std::lock_guard<std::mutex> lock(failures_mutex);
+              failures.push_back(std::move(failure));
+            }
+            failed[i] = 1;
             stats[i] = TrialStats{};
             if (meter != nullptr) {
               meter->on_trial_done(i / trials_per_cell, 0);
             }
             return;
           }
+          const TrialOutcome& outcome = *attempts.outcome;
           // One complete span per trial on the worker's own timeline.
           // Workers run trials serially, so per-thread spans never
           // overlap; queue wait rides along as an arg rather than its

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -207,6 +208,29 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options = {});
 /// drawn.
 Rng derive_trial_rng(std::uint64_t master_seed, std::uint32_t cell,
                      std::uint32_t trial);
+
+/// What run_trial_attempts hands back: the outcome when an attempt
+/// succeeded, else nullopt and the last attempt's error.
+struct TrialAttempts {
+  std::optional<TrialOutcome> outcome;
+  std::string error;
+};
+
+/// The one trial retry loop run_sweep and the cid_serve worker share: up
+/// to `max_attempts` (at least 1) attempts, each on a fresh copy of `rng`
+/// with `*stats` zeroed (outcomes are a pure function of the stream, so a
+/// successful retry yields exactly what a fault-free first attempt would
+/// have), each behind the `sweep.trial` fault site. util::fault_crash
+/// always propagates: a crash is a kill, never an error to isolate.
+/// `on_retry(attempt, error)` runs after each failed attempt that will be
+/// retried, before the capped exponential backoff (`backoff_ms` doubling
+/// per attempt up to `backoff_max_ms`; 0 = no sleep).
+TrialAttempts run_trial_attempts(
+    const ScenarioInstance& instance, const ProtocolSpec& protocol,
+    const DynamicsConfig& dynamics, const Rng& rng, TrialStats* stats,
+    int max_attempts, double backoff_ms, double backoff_max_ms,
+    const std::function<void(int attempt, const std::string& error)>&
+        on_retry);
 
 /// Parses a sweep axis:
 ///   "n=1000:100000:log"     decades from 1000 to 100000 (ratio 10)

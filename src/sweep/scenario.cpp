@@ -1,7 +1,6 @@
 #include "sweep/scenario.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <concepts>
 #include <optional>
@@ -103,26 +102,18 @@ struct TrialStart {
   std::int64_t movers = 0;
 };
 
-/// A snapshot loaded back: the trial state, bound to the instance's game,
-/// plus the RNG stream and the point the trial continues from.
-template <typename S>
-struct Resumed {
-  S state;
-  std::array<std::uint64_t, 4> rng_state;
-  TrialStart from;
-};
-
-/// What TrialDriver needs of a scenario family: a start state, a snapshot
-/// load that refuses a snapshot of a different game, and the run body over
-/// [from.round, dynamics.max_rounds), checkpointing when `checkpoint` is
-/// non-null.
+/// What TrialDriver needs of a scenario family: a start state, a bind of a
+/// loaded snapshot's part to the instance's game (persist_error for another
+/// family or another game), and the run body over [from.round,
+/// dynamics.max_rounds), checkpointing when `checkpoint` is non-null.
 template <typename F, typename S = typename F::TrialState>
 concept TrialFamily = requires(const F& family, const ProtocolSpec& protocol,
                                const DynamicsConfig& dynamics, Rng& rng, S& x,
+                               const persist::Snapshot& snapshot,
                                const std::string& path, TrialStats* stats) {
   { family.describe() } -> std::same_as<std::string>;
   { family.start(protocol, rng) } -> std::same_as<S>;
-  { family.load(protocol, path) } -> std::same_as<Resumed<S>>;
+  { family.bind(protocol, snapshot, path) } -> std::same_as<S>;
   {
     family.run(protocol, dynamics, rng, x, TrialStart{}, nullptr, stats)
   } -> std::same_as<TrialOutcome>;
@@ -157,11 +148,13 @@ class TrialDriver final : public ScenarioInstance {
                             const DynamicsConfig& dynamics,
                             const std::string& snapshot_path,
                             TrialStats* stats) const override {
-    auto resumed = family_.load(protocol, snapshot_path);
+    const persist::Snapshot snapshot = persist::load_snapshot(snapshot_path);
+    persist::require_current_semantics(snapshot.config, snapshot_path);
+    auto x = family_.bind(protocol, snapshot, snapshot_path);
     Rng rng;
-    rng.set_state(resumed.rng_state);
-    return family_.run(protocol, dynamics, rng, resumed.state, resumed.from,
-                       nullptr, stats);
+    rng.set_state(snapshot.rng_state);
+    return family_.run(protocol, dynamics, rng, x,
+                       {snapshot.round, snapshot.movers}, nullptr, stats);
   }
 
  private:
@@ -249,16 +242,15 @@ class SymmetricFamily {
     throw std::runtime_error("unhandled start kind");
   }
 
-  Resumed<State> load(const ProtocolSpec& /*protocol*/,
-                      const std::string& path) const {
-    persist::Snapshot snapshot = persist::load_snapshot(path);
-    persist::require_current_semantics(snapshot.config, path);
-    if (serialize_game(snapshot.game) != serialize_game(game_)) {
+  State bind(const ProtocolSpec& /*protocol*/,
+             const persist::Snapshot& snapshot,
+             const std::string& path) const {
+    const auto& part = snapshot.as<persist::SymmetricPart>(path);
+    if (serialize_game(part.game) != serialize_game(game_)) {
       throw game_mismatch(path, label_);
     }
     // Bind the state to OUR game (stable address for the whole run).
-    return {State(game_, std::move(snapshot.counts)), snapshot.rng_state,
-            {snapshot.round, snapshot.movers}};
+    return State(game_, part.counts);
   }
 
   TrialOutcome run(const ProtocolSpec& protocol,
@@ -368,19 +360,15 @@ class AsymmetricFamily {
     return game_.flat_state(AsymmetricState::uniform_random(game_, rng));
   }
 
-  Resumed<State> load(const ProtocolSpec& /*protocol*/,
-                      const std::string& path) const {
-    persist::AsymmetricSnapshot snapshot =
-        persist::load_asymmetric_snapshot(path);
-    persist::require_current_semantics(snapshot.config, path);
+  State bind(const ProtocolSpec& /*protocol*/,
+             const persist::Snapshot& snapshot,
+             const std::string& path) const {
+    const auto& part = snapshot.as<persist::AsymmetricPart>(path);
     persist::BinWriter ours, theirs;
     persist::encode_asymmetric_game(ours, game_);
-    persist::encode_asymmetric_game(theirs, snapshot.game);
+    persist::encode_asymmetric_game(theirs, part.game);
     if (ours.buffer() != theirs.buffer()) throw game_mismatch(path, label_);
-    return {game_.flat_state(
-                AsymmetricState(game_, std::move(snapshot.counts))),
-            snapshot.rng_state,
-            {snapshot.round, snapshot.movers}};
+    return game_.flat_state(AsymmetricState(game_, part.counts));
   }
 
   /// ClassImitationKernel on the one round engine. Class-local imitation
@@ -413,9 +401,9 @@ class AsymmetricFamily {
                .observer = observer});
         },
         [&](const State& s, std::int64_t round, std::int64_t movers) {
-          persist::save_asymmetric_snapshot(
-              {round, trial_config(protocol, dynamics), rng.state(), game_,
-               game_.class_state(s).counts(), movers},
+          persist::save_snapshot(
+              {round, trial_config(protocol, dynamics), rng.state(), movers,
+               persist::AsymmetricPart{game_, game_.class_state(s).counts()}},
               checkpoint->path);
         });
     const AsymmetricState classes = game_.class_state(x);
@@ -513,22 +501,18 @@ class ThresholdFamily {
                    : state_from_cut(tg.game, cut);
   }
 
-  Resumed<ThresholdState> load(const ProtocolSpec& protocol,
-                               const std::string& path) const {
-    persist::ThresholdSnapshot snapshot =
-        persist::load_threshold_snapshot(path);
-    persist::require_current_semantics(snapshot.config, path);
+  ThresholdState bind(const ProtocolSpec& protocol,
+                      const persist::Snapshot& snapshot,
+                      const std::string& path) const {
+    const auto& part = snapshot.as<persist::ThresholdPart>(path);
     const bool tripled = is_tripled(protocol);
-    if (snapshot.tripled != tripled ||
-        snapshot.instance.weights() != inst_.weights()) {
+    if (part.tripled != tripled || part.instance.weights() != inst_.weights()) {
       throw persist::persist_error(
           path +
           ": snapshot does not match this threshold-lb instance "
           "(different MaxCut weights or dynamics kind)");
     }
-    return {ThresholdState(game(tripled).game, std::move(snapshot.in_bits)),
-            snapshot.rng_state,
-            {snapshot.round, snapshot.movers}};
+    return ThresholdState(game(tripled).game, part.in_bits);
   }
 
   /// Sequential dynamics, chunked at the checkpoint cadence. Both dynamics
@@ -545,11 +529,11 @@ class ThresholdFamily {
     const persist::SimConfig config;  // sequential dynamics: defaults only
 
     auto snapshot_now = [&](std::int64_t steps) {
-      persist::ThresholdSnapshot snap{
-          steps,   config,       rng.state(),
-          inst_,   tripled,      s.in_bits(),
-          steps};  // movers == steps for sequential dynamics
-      persist::save_threshold_snapshot(snap, checkpoint->path);
+      // movers == steps for sequential dynamics
+      persist::save_snapshot(
+          {steps, config, rng.state(), steps,
+           persist::ThresholdPart{inst_, tripled, s.in_bits()}},
+          checkpoint->path);
     };
 
     std::int64_t steps = from.round;

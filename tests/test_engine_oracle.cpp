@@ -504,14 +504,14 @@ ReferenceTrial<std::vector<std::vector<std::int64_t>>> replay_asymmetric(
 /// A finished trial against its reference replay: every outcome field (Φ
 /// and social cost included), the caller's RNG stream, and the exit
 /// snapshot's run tuple.
-template <typename Snapshot, typename Counts>
+template <typename Part, typename Counts>
 void expect_trial_is_reference(const sweep::TrialOutcome& outcome,
-                               const Rng& rng, const Snapshot& exit,
+                               const Rng& rng, const persist::Snapshot& exit,
                                const ReferenceTrial<Counts>& ref) {
   EXPECT_EQ(outcome, ref.outcome);
   EXPECT_EQ(rng.state(), ref.rng_state);
   EXPECT_EQ(exit.round, static_cast<std::int64_t>(ref.outcome.rounds));
-  EXPECT_EQ(exit.counts, ref.counts);
+  EXPECT_EQ(std::get<Part>(exit.part).counts, ref.counts);
   EXPECT_EQ(exit.rng_state, ref.rng_state);
   EXPECT_EQ(exit.movers, ref.outcome.movers);
 }
@@ -531,17 +531,17 @@ TEST(EngineOracle, EngineFamiliesMatchReferenceReplay) {
     Rng rng(seed);
     const sweep::TrialOutcome outcome = instance->run_trial_checkpointed(
         protocol, dynamics, rng, sweep::TrialCheckpoint{snap, 0});
+    const persist::Snapshot exit = persist::load_snapshot(snap);
     if (c.asymmetric) {
-      const persist::AsymmetricSnapshot exit =
-          persist::load_asymmetric_snapshot(snap);
-      expect_trial_is_reference(
+      expect_trial_is_reference<persist::AsymmetricPart>(
           outcome, rng, exit,
-          replay_asymmetric(exit.game, seed, protocol, dynamics));
+          replay_asymmetric(std::get<persist::AsymmetricPart>(exit.part).game,
+                            seed, protocol, dynamics));
     } else {
-      const persist::Snapshot exit = persist::load_snapshot(snap);
-      expect_trial_is_reference(
+      expect_trial_is_reference<persist::SymmetricPart>(
           outcome, rng, exit,
-          replay_symmetric(exit.game, seed, protocol, dynamics));
+          replay_symmetric(std::get<persist::SymmetricPart>(exit.part).game,
+                           seed, protocol, dynamics));
     }
     std::remove(snap.c_str());
   }
@@ -626,7 +626,9 @@ TEST(EngineOracle, AsymmetricCheckpointKillResumeMatchesReferenceRun) {
     instance->run_trial_checkpointed(protocol, family_dynamics(9),
                                      killed_rng,
                                      sweep::TrialCheckpoint{snap, 0});
-    const AsymmetricGame game = persist::load_asymmetric_snapshot(snap).game;
+    const AsymmetricGame game =
+        std::get<persist::AsymmetricPart>(persist::load_snapshot(snap).part)
+            .game;
     const sweep::TrialOutcome resumed = instance->resume_trial(
         protocol, family_dynamics(total_rounds), snap);
     const auto reference =
@@ -654,7 +656,8 @@ TEST(EngineOracle, BatchedCheckpointKillResumeMatchesReferenceRun) {
   Rng killed_rng(seed);
   instance->run_trial_checkpointed(protocol, family_dynamics(9), killed_rng,
                                    sweep::TrialCheckpoint{snap, 0});
-  const CongestionGame game = persist::load_snapshot(snap).game;
+  const CongestionGame game =
+      std::get<persist::SymmetricPart>(persist::load_snapshot(snap).part).game;
   const sweep::TrialOutcome resumed = instance->resume_trial(
       protocol, family_dynamics(total_rounds), snap);
   const auto reference =

@@ -250,7 +250,8 @@ TEST(LazyBeta, CopiesAndSnapshotDecodesAgree) {
   const State x = State::uniform_random(game, rng);
   const std::string path = ::testing::TempDir() + "/lazy_beta.cidsnap";
   persist::save_snapshot(persist::make_snapshot(game, x, rng, 0, {}), path);
-  const persist::Snapshot snap = persist::load_snapshot(path);
+  const persist::Snapshot loaded = persist::load_snapshot(path);
+  const auto& snap = std::get<persist::SymmetricPart>(loaded.part);
   std::remove(path.c_str());
   EXPECT_EQ(bits(snap.game.beta_slope()), bits(expected));
   EXPECT_EQ(bits(snap.game.potential(snap.state())), bits(game.potential(x)));

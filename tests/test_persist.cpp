@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -25,6 +26,10 @@
 #include "persist/manifest.hpp"
 #include "persist/snapshot.hpp"
 #include "util/rng.hpp"
+
+#ifndef CID_PERSIST_FIXTURE_DIR
+#error "CID_PERSIST_FIXTURE_DIR must point at tests/fixtures/persist"
+#endif
 
 namespace cid::persist {
 namespace {
@@ -210,6 +215,25 @@ TEST(Codec, GameRoundTripPreservesTextSerialization) {
   EXPECT_EQ(serialize_game(decoded), serialize_game(game));
 }
 
+TEST(Codec, HugeElasticityIsRefusedBeforeTheGameIsBuilt) {
+  // Building a game scans loads 1..⌈d⌉ for its elasticity bound d, so a
+  // hostile monomial degree (or exponential rate × players) must be
+  // refused by the decoder, not spun on for hours.
+  for (const double degree : {0x1p40, std::numeric_limits<double>::max()}) {
+    BinWriter out;
+    out.i64(200);  // players
+    out.u32(1);    // one resource: monomial (tag 2) with `degree`
+    out.u8(2);
+    out.f64(1.0);
+    out.f64(degree);
+    out.u32(1);  // one strategy {0}
+    out.u32(1);
+    out.i32(0);
+    BinReader in(out.buffer(), "test");
+    EXPECT_THROW(decode_game(in), persist_error);
+  }
+}
+
 TEST(Codec, StateRoundTrip) {
   const CongestionGame game = codec_exercise_game();
   Rng rng(5);
@@ -241,8 +265,9 @@ TEST(Snapshot, RoundTripPreservesEveryField) {
   EXPECT_EQ(loaded.round, 12345);
   EXPECT_EQ(loaded.config, config);
   EXPECT_EQ(loaded.rng_state, rng.state());
-  EXPECT_EQ(serialize_game(loaded.game), serialize_game(game));
-  EXPECT_TRUE(loaded.state() == x);
+  const auto& part = loaded.as<SymmetricPart>(path);
+  EXPECT_EQ(serialize_game(part.game), serialize_game(game));
+  EXPECT_TRUE(part.state() == x);
   std::remove(path.c_str());
 }
 
@@ -336,47 +361,40 @@ TEST(EventLog, AppendDropsRecordsAtOrBeyondTheResumeRound) {
 }
 
 TEST(EventLog, CompressedBlocksShrinkLongQuietRuns) {
-  const std::string v2 = temp_path("quiet.elog");
-  const std::string v1 = temp_path("quiet_v1.elog");
-  EventLogOptions uncompressed;
-  uncompressed.compress = false;
+  const std::string path = temp_path("quiet.elog");
+  // A realistic long tail: a few active rounds, then near-silence.
+  std::vector<std::vector<Migration>> rounds(5000);
+  std::uint64_t fixed_width_bytes = 8;  // the v1 magic + version
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const auto round = static_cast<std::int64_t>(r);
+    if (round < 10) rounds[r] = {{0, 1, 5 + round}, {2, 0, 3}};
+    if (round % 97 == 0) rounds[r].push_back({1, 2, 1});
+    fixed_width_bytes += 8 + 4 + 16 * rounds[r].size() + 4;
+  }
   {
-    EventLogWriter w2 = EventLogWriter::create(v2);
-    EventLogWriter w1 = EventLogWriter::create(v1, uncompressed);
-    // A realistic long tail: a few active rounds, then near-silence.
-    for (std::int64_t r = 0; r < 5000; ++r) {
-      std::vector<Migration> moves;
-      if (r < 10) moves = {{0, 1, 5 + r}, {2, 0, 3}};
-      if (r % 97 == 0) moves.push_back({1, 2, 1});
-      w2.append(r, moves);
-      w1.append(r, moves);
+    EventLogWriter writer = EventLogWriter::create(path);
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+      writer.append(static_cast<std::int64_t>(r), rounds[r]);
     }
-    w2.close();
-    w1.close();
+    writer.close();
   }
-  const EventLog compressed = read_event_log(v2);
-  const EventLog baseline = read_event_log(v1);
-  ASSERT_EQ(compressed.rounds.size(), 5000u);
-  ASSERT_EQ(baseline.rounds.size(), 5000u);
-  for (std::size_t i = 0; i < 5000; ++i) {
-    EXPECT_EQ(compressed.rounds[i].round, baseline.rounds[i].round);
-    ASSERT_EQ(compressed.rounds[i].moves.size(),
-              baseline.rounds[i].moves.size());
-    for (std::size_t m = 0; m < compressed.rounds[i].moves.size(); ++m) {
-      EXPECT_EQ(compressed.rounds[i].moves[m].from,
-                baseline.rounds[i].moves[m].from);
-      EXPECT_EQ(compressed.rounds[i].moves[m].to,
-                baseline.rounds[i].moves[m].to);
-      EXPECT_EQ(compressed.rounds[i].moves[m].count,
-                baseline.rounds[i].moves[m].count);
+  const EventLog log = read_event_log(path);
+  ASSERT_EQ(log.rounds.size(), rounds.size());
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    EXPECT_EQ(log.rounds[r].round, static_cast<std::int64_t>(r));
+    ASSERT_EQ(log.rounds[r].moves.size(), rounds[r].size());
+    for (std::size_t m = 0; m < rounds[r].size(); ++m) {
+      EXPECT_EQ(log.rounds[r].moves[m].from, rounds[r][m].from);
+      EXPECT_EQ(log.rounds[r].moves[m].to, rounds[r][m].to);
+      EXPECT_EQ(log.rounds[r].moves[m].count, rounds[r][m].count);
     }
   }
-  // The acceptance bar is >= 5x on long runs; this mostly-quiet log
-  // should beat it comfortably. v1_equivalent_bytes mirrors the v1 file.
-  EXPECT_EQ(compressed.v1_equivalent_bytes, baseline.file_bytes);
-  EXPECT_GE(baseline.file_bytes, 5 * compressed.file_bytes);
-  std::remove(v2.c_str());
-  std::remove(v1.c_str());
+  // The acceptance bar is >= 5x on long runs against the fixed-width v1
+  // size (the uncompressed-equivalent count cid_replay inspect prints);
+  // this mostly-quiet log should beat it comfortably.
+  EXPECT_EQ(log.v1_equivalent_bytes, fixed_width_bytes);
+  EXPECT_GE(log.v1_equivalent_bytes, 5 * log.file_bytes);
+  std::remove(path.c_str());
 }
 
 TEST(EventLog, TruncatedCompressedBlockTailIsRecovered) {
@@ -644,21 +662,22 @@ TEST(Snapshot, AsymmetricRoundTripAndFamilyMismatchErrors) {
   Rng rng(9);
   const AsymmetricState x = AsymmetricState::uniform_random(game, rng);
   const std::string path = temp_path("asym.snap");
-  AsymmetricSnapshot snapshot{1234, SimConfig{}, rng.state(), game,
-                              x.counts(), 777};
-  save_asymmetric_snapshot(snapshot, path);
+  save_snapshot({1234, SimConfig{}, rng.state(), 777,
+                 AsymmetricPart{game, x.counts()}},
+                path);
 
-  EXPECT_EQ(peek_snapshot_family(path), SnapshotFamily::kAsymmetric);
-  const AsymmetricSnapshot loaded = load_asymmetric_snapshot(path);
+  const Snapshot loaded = load_snapshot(path);
+  EXPECT_EQ(loaded.family(), SnapshotFamily::kAsymmetric);
   EXPECT_EQ(loaded.round, 1234);
   EXPECT_EQ(loaded.movers, 777);
   EXPECT_EQ(loaded.rng_state, rng.state());
-  EXPECT_EQ(loaded.counts, x.counts());
-  EXPECT_EQ(loaded.game.describe(), game.describe());
+  const auto& part = loaded.as<AsymmetricPart>(path);
+  EXPECT_EQ(part.counts, x.counts());
+  EXPECT_EQ(part.game.describe(), game.describe());
 
-  // The wrong loader fails loudly instead of mis-decoding.
-  EXPECT_THROW(load_snapshot(path), persist_error);
-  EXPECT_THROW(load_threshold_snapshot(path), persist_error);
+  // Asking for another family's part fails loudly instead of mis-decoding.
+  EXPECT_THROW(loaded.as<SymmetricPart>(path), persist_error);
+  EXPECT_THROW(loaded.as<ThresholdPart>(path), persist_error);
   std::remove(path.c_str());
 }
 
@@ -668,17 +687,18 @@ TEST(Snapshot, ThresholdRoundTrip) {
   const TripledGame tg = triple_quadratic_threshold(inst);
   const ThresholdState s = tripled_initial_state(tg, 0b010101u);
   const std::string path = temp_path("threshold.snap");
-  ThresholdSnapshot snapshot{42,   SimConfig{}, rng.state(),
-                             inst, true,        s.in_bits(), 42};
-  save_threshold_snapshot(snapshot, path);
+  save_snapshot({42, SimConfig{}, rng.state(), 42,
+                 ThresholdPart{inst, true, s.in_bits()}},
+                path);
 
-  EXPECT_EQ(peek_snapshot_family(path), SnapshotFamily::kThreshold);
-  const ThresholdSnapshot loaded = load_threshold_snapshot(path);
+  const Snapshot loaded = load_snapshot(path);
+  EXPECT_EQ(loaded.family(), SnapshotFamily::kThreshold);
   EXPECT_EQ(loaded.round, 42);
-  EXPECT_TRUE(loaded.tripled);
-  EXPECT_EQ(loaded.instance.weights(), inst.weights());
-  EXPECT_EQ(loaded.in_bits, s.in_bits());
-  EXPECT_THROW(load_snapshot(path), persist_error);
+  const auto& part = loaded.as<ThresholdPart>(path);
+  EXPECT_TRUE(part.tripled);
+  EXPECT_EQ(part.instance.weights(), inst.weights());
+  EXPECT_EQ(part.in_bits, s.in_bits());
+  EXPECT_THROW(loaded.as<SymmetricPart>(path), persist_error);
   std::remove(path.c_str());
 }
 
@@ -698,8 +718,9 @@ TEST(Snapshot, UnknownSectionsAreSkippedByTheReader) {
   write_file_atomic(path, kSnapshotMagic, kSnapshotVersion, payload);
   const Snapshot loaded = load_snapshot(path);
   EXPECT_EQ(loaded.round, 7);
-  EXPECT_TRUE(loaded.state() == x);
-  EXPECT_EQ(serialize_game(loaded.game), serialize_game(game));
+  const auto& part = loaded.as<SymmetricPart>(path);
+  EXPECT_TRUE(part.state() == x);
+  EXPECT_EQ(serialize_game(part.game), serialize_game(game));
 
   // Even a version byte from the future is fine as long as the required
   // sections are present — the skip-unknown policy replaces refuse-newer.
@@ -837,6 +858,102 @@ TEST(Manifest, FingerprintCoversOutcomeRelevantFields) {
   EXPECT_TRUE(differs([](auto& g) { g.master_seed = 123; }));
   EXPECT_TRUE(differs([](auto& g) { g.dynamics.max_rounds = 60; }));
   EXPECT_TRUE(differs([](auto& g) { g.dynamics.delta = 0.2; }));
+}
+
+// ---- Hostile bytes -----------------------------------------------------------
+//
+// A seeded, fixed-budget mutation loop over the snapshot corpus: the one
+// snapshot decoder must return or throw persist_error — never another
+// exception, a crash, or a hang. Half the cases mutate the whole file (so
+// the envelope checks see them); the other half mutate the payload and
+// re-seal it with a valid size and CRC, so the bytes reach the decoder.
+
+std::string fixture(const std::string& name) {
+  return std::string(CID_PERSIST_FIXTURE_DIR) + "/" + name;
+}
+
+/// One mutation: 1-4 bit flips, a truncation, or an inflated length /
+/// count / double field (a large value written over 2, 4 or 8 bytes).
+std::string mutate(std::string bytes, Rng& rng) {
+  if (bytes.empty()) return bytes;
+  const auto at = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(bytes.size()));
+  };
+  switch (rng.uniform_int(3)) {
+    case 0: {
+      const auto flips = 1 + rng.uniform_int(4);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        bytes[at()] ^= static_cast<char>(1 << rng.uniform_int(8));
+      }
+      break;
+    }
+    case 1:
+      bytes.resize(at());
+      break;
+    default: {
+      static constexpr std::uint64_t kInflated[] = {
+          ~std::uint64_t{0}, 0x7FFFFFFFull, 0x80000000ull, 0xFFFFFFFFull,
+          0x00FFFFFFull,     0x00100000ull, 0x10000ull,    0xFFFFull,
+          0x7FFFFFFFFFFFFFFFull,
+          0x4330000000000000ull,  // 2^52 as a double (a degree or rate)
+          0x41E0000000000000ull}; // 2^31 as a double
+      const std::uint64_t value =
+          kInflated[rng.uniform_int(std::size(kInflated))];
+      const std::size_t width = std::size_t{2} << rng.uniform_int(3);
+      const std::size_t pos = at();
+      for (std::size_t i = 0; i < width && pos + i < bytes.size(); ++i) {
+        bytes[pos + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+      }
+      break;
+    }
+  }
+  return bytes;
+}
+
+/// magic + version + size + payload + CRC, as write_file_atomic frames it.
+std::string seal(std::uint8_t version, const std::string& payload) {
+  BinWriter out;
+  out.raw(kSnapshotMagic, 7);
+  out.u8(version);
+  out.u64(payload.size());
+  out.raw(payload.data(), payload.size());
+  out.u32(crc32(payload.data(), payload.size()));
+  return out.take();
+}
+
+TEST(Snapshot, HostileBytesOnlyEverThrowPersistError) {
+  constexpr int kCasesPerFixture = 1500;
+  const std::string path = temp_path("hostile.cidsnap");
+  for (const char* name :
+       {"trial_load_balancing_v2.cidsnap", "trial_asymmetric_v2.cidsnap",
+        "trial_threshold_lb_v2.cidsnap", "final_v1.cidsnap"}) {
+    SCOPED_TRACE(name);
+    const FramedFile original =
+        read_file_checked(fixture(name), kSnapshotMagic, kAnyVersion);
+    const std::string file = seal(original.version, original.payload);
+    ASSERT_EQ(file, slurp_file(fixture(name)));
+    Rng rng(0xF022);
+    int decoded = 0;
+    for (int i = 0; i < kCasesPerFixture; ++i) {
+      const std::string bytes =
+          i % 2 == 0 ? mutate(file, rng)
+                     : seal(original.version, mutate(original.payload, rng));
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      }
+      try {
+        load_snapshot(path);
+        ++decoded;
+      } catch (const persist_error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "case " << i << ": " << e.what();
+      }
+    }
+    // Vacuity guard: some mutations (e.g. a flipped RNG word) still decode.
+    EXPECT_GT(decoded, 0);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

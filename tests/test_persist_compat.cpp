@@ -10,6 +10,8 @@
 //     (the skip-unknown policy makes today's reader the "old" one);
 //   * upgrade path: a v1 artifact rewritten through today's writers
 //     round-trips without semantic drift;
+//   * frozen v2 bytes: one checked-in trial snapshot per family pins the
+//     one snapshot writer byte for byte;
 //   * outcome semantics: v1 manifests and snapshots decode in full but are
 //     refused with a typed error when resumed or merged with today's
 //     (semantics v2) outcomes.
@@ -22,6 +24,7 @@
 
 #include <cstdio>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "game/io.hpp"
@@ -31,6 +34,7 @@
 #include "persist/manifest.hpp"
 #include "persist/snapshot.hpp"
 #include "sweep/runner.hpp"
+#include "sweep/scenario.hpp"
 #include "util/rng.hpp"
 
 #ifndef CID_PERSIST_FIXTURE_DIR
@@ -67,21 +71,71 @@ sweep::SweepGrid fixture_grid() {
   return grid;
 }
 
+// The frozen v2 trial snapshots, one per family (see the corpus README
+// for how they were written): today's writer must reproduce each file
+// byte for byte, and the one decoder must read it back as its family and
+// re-encode it to the same payload.
+struct FrozenSnapshot {
+  const char* file;
+  const char* scenario;
+  SnapshotFamily family;
+  std::int64_t round;
+};
+
+const FrozenSnapshot kFrozenSnapshots[] = {
+    {"trial_load_balancing_v2.cidsnap", "load-balancing",
+     SnapshotFamily::kSymmetric, 40},
+    {"trial_asymmetric_v2.cidsnap", "asymmetric", SnapshotFamily::kAsymmetric,
+     40},
+    {"trial_threshold_lb_v2.cidsnap", "threshold-lb",
+     SnapshotFamily::kThreshold, 25},
+};
+
+TEST(PersistCompat, V2TrialSnapshotsAreByteFrozen) {
+  for (const FrozenSnapshot& frozen : kFrozenSnapshots) {
+    SCOPED_TRACE(frozen.file);
+    sweep::ScenarioSpec spec;
+    spec.name = frozen.scenario;
+    sweep::DynamicsConfig dynamics;
+    dynamics.max_rounds = 40;
+    dynamics.stop = StopRule::kNash;
+    const std::string path = temp_path(frozen.file);
+    Rng rng(7);
+    sweep::make_scenario(spec, 200)->run_trial_checkpointed(
+        sweep::parse_protocol_spec("imitation"), dynamics, rng, {path, 0});
+    const bool same = slurp_file(path) == slurp_file(fixture(frozen.file));
+    EXPECT_TRUE(same) << "today's writer differs; its bytes are at " << path;
+    if (same) std::remove(path.c_str());
+
+    const Snapshot snapshot = load_snapshot(fixture(frozen.file));
+    EXPECT_EQ(snapshot.family(), frozen.family);
+    EXPECT_EQ(snapshot.round, frozen.round);
+    EXPECT_EQ(snapshot.config.outcome_semantics, kOutcomeSemantics);
+    EXPECT_TRUE(snapshot_payload(snapshot) ==
+                read_file_checked(fixture(frozen.file), kSnapshotMagic,
+                                  kAnyVersion)
+                    .payload);
+  }
+}
+
 TEST(PersistCompat, V1SnapshotLoads) {
   const Snapshot snapshot = load_snapshot(fixture("final_v1.cidsnap"));
   EXPECT_EQ(snapshot.round, kFixtureRounds);
   EXPECT_EQ(snapshot.config.protocol, "imitation");
   EXPECT_EQ(snapshot.config.stop, "nash");
   EXPECT_EQ(snapshot.movers, 0);  // v1 predates the trial-stats section
-  EXPECT_EQ(snapshot.game.num_players(), 5000);
-  EXPECT_EQ(snapshot.game.num_resources(), 6);
+  ASSERT_EQ(snapshot.family(), SnapshotFamily::kSymmetric);
+  const auto& part = std::get<SymmetricPart>(snapshot.part);
+  EXPECT_EQ(part.game.num_players(), 5000);
+  EXPECT_EQ(part.game.num_resources(), 6);
   // The embedded game must equal the checked-in text-format game.
   const CongestionGame game = load_game(fixture("fixture_v1.game"));
-  EXPECT_EQ(serialize_game(snapshot.game), serialize_game(game));
+  EXPECT_EQ(serialize_game(part.game), serialize_game(game));
 }
 
 TEST(PersistCompat, V1EventLogReplaysToTheV1FinalState) {
-  const Snapshot final_snapshot = load_snapshot(fixture("final_v1.cidsnap"));
+  const Snapshot v1 = load_snapshot(fixture("final_v1.cidsnap"));
+  const auto& final_snapshot = std::get<SymmetricPart>(v1.part);
   const EventLog log = read_event_log(fixture("run_v1.cidelog"));
   EXPECT_EQ(log.version, 1);
   EXPECT_FALSE(log.truncated_tail);
@@ -174,8 +228,11 @@ TEST(PersistCompat, V1SnapshotUpgradesThroughTheV2Writer) {
   EXPECT_EQ(v2.round, v1.round);
   EXPECT_EQ(v2.config, v1.config);
   EXPECT_EQ(v2.rng_state, v1.rng_state);
-  EXPECT_EQ(v2.counts, v1.counts);
-  EXPECT_EQ(serialize_game(v2.game), serialize_game(v1.game));
+  EXPECT_EQ(v2.family(), SnapshotFamily::kSymmetric);
+  const auto& old_part = std::get<SymmetricPart>(v1.part);
+  const auto& new_part = std::get<SymmetricPart>(v2.part);
+  EXPECT_EQ(new_part.counts, old_part.counts);
+  EXPECT_EQ(serialize_game(new_part.game), serialize_game(old_part.game));
   std::remove(path.c_str());
 }
 
@@ -208,28 +265,24 @@ TEST(PersistCompat, V1EventLogUpgradesThroughTheV2Writer) {
   std::remove(path.c_str());
 }
 
-TEST(PersistCompat, V1EventLogAcceptsAppendsAndStaysV1) {
-  // Copy the fixture, then continue it with today's writer: the appended
-  // records must stay in v1 format (an old reader can still read the
-  // whole file).
+TEST(PersistCompat, V1EventLogRefusesAppendsAndStaysUnchanged) {
+  // Copy the fixture, then try to continue it with today's writer: there
+  // is no v1 writer, so the append is refused with the typed error and
+  // the file keeps every byte (an old reader can still read all of it).
   const std::string path = temp_path("continued_v1.elog");
+  const std::string bytes = slurp_file(fixture("run_v1.cidelog"));
   {
-    const std::string bytes = slurp_file(fixture("run_v1.cidelog"));
     std::FILE* out = std::fopen(path.c_str(), "wb");
     ASSERT_NE(out, nullptr);
     ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
     ASSERT_EQ(std::fclose(out), 0);
   }
-  {
-    EventLogWriter writer =
-        EventLogWriter::open_for_append(path, kFixtureRounds);
-    writer.append(kFixtureRounds, std::vector<Migration>{{0, 1, 9}});
-    writer.close();
-  }
+  EXPECT_THROW(EventLogWriter::open_for_append(path, kFixtureRounds),
+               persist_error);
+  EXPECT_EQ(slurp_file(path), bytes);
   const EventLog log = read_event_log(path);
-  EXPECT_EQ(log.version, 1);  // still v1 end to end
-  ASSERT_EQ(log.rounds.size(), static_cast<std::size_t>(kFixtureRounds) + 1);
-  EXPECT_EQ(log.rounds.back().moves[0].count, 9);
+  EXPECT_EQ(log.version, 1);
+  EXPECT_EQ(log.rounds.size(), static_cast<std::size_t>(kFixtureRounds));
   std::remove(path.c_str());
 }
 

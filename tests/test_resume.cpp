@@ -210,15 +210,17 @@ TEST(Replay, ReconstructsFinalStateWithZeroRngDraws) {
 
   // Replay from round 0: replay_rounds takes no Rng — zero draws by
   // construction; the reconstruction must still be exact.
-  const Snapshot initial = load_snapshot(initial_snap);
+  const Snapshot initial_file = load_snapshot(initial_snap);
   const Snapshot final_snapshot = load_snapshot(final_snap);
+  const auto& initial = std::get<SymmetricPart>(initial_file.part);
+  const auto& final_part = std::get<SymmetricPart>(final_snapshot.part);
   const EventLog log = read_event_log(log_path);
   EXPECT_FALSE(log.truncated_tail);
   State x = initial.state();
   const std::int64_t applied =
       replay_rounds(initial.game, x, log.rounds, 0, kTotalRounds);
   EXPECT_EQ(applied, kTotalRounds);
-  EXPECT_TRUE(x == final_snapshot.state());
+  EXPECT_TRUE(x == final_part.state());
   EXPECT_EQ(final_snapshot.round, kTotalRounds);
 
   // Partial replay to the midpoint must match a cadence checkpoint there.
@@ -240,7 +242,7 @@ TEST(Replay, ReconstructsFinalStateWithZeroRngDraws) {
   EXPECT_EQ(mid.round, kKillRound);
   State z = initial.state();
   replay_rounds(initial.game, z, log.rounds, 0, kKillRound);
-  EXPECT_TRUE(z == mid.state());
+  EXPECT_TRUE(z == std::get<SymmetricPart>(mid.part).state());
 
   std::remove(log_path.c_str());
   std::remove(initial_snap.c_str());

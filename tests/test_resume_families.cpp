@@ -111,18 +111,6 @@ TEST(FamilyKillAndResume, AllSixRegistryScenariosAreByteIdentical) {
   }
 }
 
-std::int64_t snapshot_round(const std::string& path) {
-  switch (persist::peek_snapshot_family(path)) {
-    case persist::SnapshotFamily::kSymmetric:
-      return persist::load_snapshot(path).round;
-    case persist::SnapshotFamily::kAsymmetric:
-      return persist::load_asymmetric_snapshot(path).round;
-    case persist::SnapshotFamily::kThreshold:
-      return persist::load_threshold_snapshot(path).round;
-  }
-  return -1;
-}
-
 [[noreturn]] void throwing_crash_handler(const char* site) {
   throw util::fault_crash(std::string("injected crash at ") + site);
 }
@@ -153,7 +141,7 @@ TEST(FamilyKillAndResume, ResumesFromTheCadenceSnapshotACrashLeaves) {
     util::clear_faults();
     util::set_fault_crash_handler(nullptr);
 
-    EXPECT_EQ(snapshot_round(snap), 4);
+    EXPECT_EQ(persist::load_snapshot(snap).round, 4);
     const TrialOutcome resumed = instance->resume_trial(protocol, full, snap);
     EXPECT_EQ(resumed, reference);
     // Vacuity guard: the crash came before the trial's end.

@@ -27,6 +27,7 @@
 #include "persist/binio.hpp"
 #include "persist/manifest.hpp"
 #include "serve/coordinator.hpp"
+#include "serve/net.hpp"
 #include "serve/worker.hpp"
 #include "sweep/runner.hpp"
 #include "util/fault.hpp"
@@ -92,6 +93,52 @@ CoordinatorOptions coordinator_options(const std::string& manifest,
   return options;
 }
 
+/// What a fleet of worker threads left behind.
+struct FleetRun {
+  std::vector<WorkerReport> reports;
+  int killed = 0;  // workers a util::fault_crash unwound ("died")
+};
+
+/// Runs `count` workers, each on its own thread, against the coordinator
+/// at `port`. The coordinator exits once the grid is drained and no
+/// connection is open, so a worker whose thread starts after the others
+/// finished would meet a closed port: the harness holds one idle
+/// connection open until every worker has returned. Any other exception
+/// a worker throws fails the test with its message instead of escaping
+/// the thread (which would abort the whole binary).
+FleetRun run_fleet(const sweep::SweepGrid& grid, std::uint16_t port,
+                   std::size_t count) {
+  Socket hold = tcp_connect("127.0.0.1", port);
+  FleetRun fleet;
+  fleet.reports.resize(count);
+  std::vector<std::string> errors(count);
+  std::atomic<int> killed{0};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < count; ++i) {
+    threads.emplace_back([&, i] {
+      WorkerOptions worker;
+      worker.port = port;
+      worker.name = "w" + std::to_string(i);
+      try {
+        fleet.reports[i] = run_worker(grid, worker);
+      } catch (const util::fault_crash&) {
+        killed.fetch_add(1);  // this worker "died"; its socket is gone
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  hold.close();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!errors[i].empty()) {
+      ADD_FAILURE() << "worker w" << i << ": " << errors[i];
+    }
+  }
+  fleet.killed = killed.load();
+  return fleet;
+}
+
 // Faults and the crash handler are process-global; every test must leave
 // them disarmed for its neighbors.
 class Serve : public ::testing::Test {
@@ -130,17 +177,7 @@ TEST_F(Serve, FleetManifestByteIdenticalToLocalRun) {
         [&] { report = serve_grid(family.grid, options); });
     const std::uint16_t port = port_promise.get_future().get();
 
-    std::vector<WorkerReport> workers(3);
-    std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-      threads.emplace_back([&, i] {
-        WorkerOptions worker;
-        worker.port = port;
-        worker.name = "w" + std::to_string(i);
-        workers[i] = run_worker(family.grid, worker);
-      });
-    }
-    for (std::thread& t : threads) t.join();
+    const FleetRun fleet = run_fleet(family.grid, port, 3);
     coordinator.join();
 
     EXPECT_TRUE(report.complete);
@@ -148,7 +185,7 @@ TEST_F(Serve, FleetManifestByteIdenticalToLocalRun) {
     EXPECT_EQ(report.trials_failed, 0u);
     EXPECT_EQ(report.workers_seen, 3u);
     std::size_t fleet_trials = 0;
-    for (const WorkerReport& w : workers) {
+    for (const WorkerReport& w : fleet.reports) {
       EXPECT_TRUE(w.drained);
       fleet_trials += w.trials_completed;
     }
@@ -184,25 +221,10 @@ TEST_F(Serve, WorkerKilledMidLeaseIsReclaimedWithoutChangingBytes) {
   std::thread coordinator([&] { report = serve_grid(grid, options); });
   const std::uint16_t port = port_promise.get_future().get();
 
-  std::atomic<int> killed{0};
-  std::vector<WorkerReport> workers(3);
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    threads.emplace_back([&, i] {
-      WorkerOptions worker;
-      worker.port = port;
-      worker.name = "w" + std::to_string(i);
-      try {
-        workers[i] = run_worker(grid, worker);
-      } catch (const util::fault_crash&) {
-        killed.fetch_add(1);  // this worker "died"; its socket is gone
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
+  const FleetRun fleet = run_fleet(grid, port, 3);
   coordinator.join();
 
-  EXPECT_EQ(killed.load(), 1);
+  EXPECT_EQ(fleet.killed, 1);
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(report.trials_failed, 0u);
   // The kill was mid-lease, so the drop was observed as a disconnect (or,

@@ -227,7 +227,9 @@ TEST(TelemetryZeroPerturbation,
   const std::string snap = temp_path("cid_telemetry_asym_reference.snap");
   Rng snap_rng(21);
   instance->run_trial_checkpointed(protocol, dynamics, snap_rng, {snap, 0});
-  const AsymmetricGame game = persist::load_asymmetric_snapshot(snap).game;
+  const AsymmetricGame game =
+      std::get<persist::AsymmetricPart>(persist::load_snapshot(snap).part)
+          .game;
   std::remove(snap.c_str());
   AsymmetricImitationParams params;
   params.lambda = protocol.lambda;
@@ -356,19 +358,19 @@ TEST(TelemetryReplay, ReplayedSeriesIsByteIdenticalToLiveCapture) {
   // then mirror the final observer call and resolve convergence through
   // the recorded stop spec (cid_replay telemetry does exactly this).
   const persist::Snapshot snapshot = persist::load_snapshot(snap);
+  const auto& part = std::get<persist::SymmetricPart>(snapshot.part);
   const persist::EventLog log = persist::read_event_log_series(elog);
-  State replayed = snapshot.state();
+  State replayed = part.state();
   obs::TelemetryRecorder offline(3);
   std::int64_t round = snapshot.round;
   for (const persist::RoundEvents& events : log.rounds) {
-    offline.observe(snapshot.game, replayed, events.moves, events.round,
-                    false);
-    replayed.apply(snapshot.game, events.moves);
+    offline.observe(part.game, replayed, events.moves, events.round, false);
+    replayed.apply(part.game, events.moves);
     round = events.round + 1;
   }
-  offline.observe(snapshot.game, replayed, {}, round, true);
+  offline.observe(part.game, replayed, {}, round, true);
   offline.finish(make_stop(parse_stop(snapshot.config.stop))(
-      snapshot.game, replayed, round));
+      part.game, replayed, round));
 
   EXPECT_EQ(replayed, x);
   EXPECT_EQ(offline.records(), live.records());

@@ -33,6 +33,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <variant>
 
 #include "cid/cid.hpp"
 
@@ -74,81 +75,67 @@ void print_semantics(std::uint32_t version) {
                   : " (decodes, but this build refuses to resume it)");
 }
 
-void print_snapshot(const persist::Snapshot& snapshot,
-                    const std::string& path) {
-  std::printf("%s: snapshot (symmetric family)\n", path.c_str());
-  std::printf("  round            %lld\n",
-              static_cast<long long>(snapshot.round));
-  std::printf("  protocol         %s (lambda=%g, p_explore=%g, nu_cutoff=%d, "
-              "damping=%d, virtual=%lld)\n",
-              snapshot.config.protocol.c_str(), snapshot.config.lambda,
-              snapshot.config.p_explore, snapshot.config.nu_cutoff ? 1 : 0,
-              snapshot.config.damping ? 1 : 0,
-              static_cast<long long>(snapshot.config.virtual_agents));
-  std::printf("  engine / stop    %s / %s\n",
-              snapshot.config.engine == 1 ? "aggregate" : "perplayer",
-              snapshot.config.stop.c_str());
-  print_semantics(snapshot.config.outcome_semantics);
+void print_rng(const persist::Snapshot& snapshot) {
   std::printf("  rng state        %016llx %016llx %016llx %016llx\n",
               static_cast<unsigned long long>(snapshot.rng_state[0]),
               static_cast<unsigned long long>(snapshot.rng_state[1]),
               static_cast<unsigned long long>(snapshot.rng_state[2]),
               static_cast<unsigned long long>(snapshot.rng_state[3]));
-  std::printf("  game             %s\n", snapshot.game.describe().c_str());
-  const State x = snapshot.state();
-  std::printf(
-      "  state            support %zu of %d strategies, potential %.6g\n",
-      x.support().size(), snapshot.game.num_strategies(),
-      snapshot.game.potential(x));
 }
 
-void print_asymmetric_snapshot(const persist::AsymmetricSnapshot& snapshot,
-                               const std::string& path) {
-  std::printf("%s: snapshot (asymmetric family)\n", path.c_str());
-  std::printf("  round            %lld (movers so far %lld)\n",
-              static_cast<long long>(snapshot.round),
-              static_cast<long long>(snapshot.movers));
-  print_semantics(snapshot.config.outcome_semantics);
-  std::printf("  rng state        %016llx %016llx %016llx %016llx\n",
-              static_cast<unsigned long long>(snapshot.rng_state[0]),
-              static_cast<unsigned long long>(snapshot.rng_state[1]),
-              static_cast<unsigned long long>(snapshot.rng_state[2]),
-              static_cast<unsigned long long>(snapshot.rng_state[3]));
-  std::printf("  game             %s\n", snapshot.game.describe().c_str());
-  const AsymmetricState x = snapshot.state();
-  std::printf("  state            %d classes, potential %.6g\n",
-              snapshot.game.num_classes(), snapshot.game.potential(x));
-}
-
-void print_threshold_snapshot(const persist::ThresholdSnapshot& snapshot,
-                              const std::string& path) {
-  std::printf("%s: snapshot (threshold family)\n", path.c_str());
-  std::printf("  steps            %lld\n",
-              static_cast<long long>(snapshot.round));
-  std::printf("  construction     %s over %d-node MaxCut\n",
-              snapshot.tripled ? "tripled imitation (Theorem 6)"
-                               : "quadratic best-response",
-              snapshot.instance.num_nodes());
-  std::printf("  players          %zu\n", snapshot.in_bits.size());
-  print_semantics(snapshot.config.outcome_semantics);
+void print_snapshot(const std::string& path) {
+  static const char* const kFamilyNames[] = {"symmetric", "asymmetric",
+                                             "threshold"};
+  const persist::Snapshot snapshot = persist::load_snapshot(path);
+  std::printf("%s: snapshot (%s family)\n", path.c_str(),
+              kFamilyNames[static_cast<int>(snapshot.family())]);
+  const persist::SimConfig& config = snapshot.config;
+  if (const auto* part = std::get_if<persist::SymmetricPart>(&snapshot.part)) {
+    std::printf("  round            %lld\n",
+                static_cast<long long>(snapshot.round));
+    std::printf("  protocol         %s (lambda=%g, p_explore=%g, "
+                "nu_cutoff=%d, damping=%d, virtual=%lld)\n",
+                config.protocol.c_str(), config.lambda, config.p_explore,
+                config.nu_cutoff ? 1 : 0, config.damping ? 1 : 0,
+                static_cast<long long>(config.virtual_agents));
+    std::printf("  engine / stop    %s / %s\n",
+                config.engine == 1 ? "aggregate" : "perplayer",
+                config.stop.c_str());
+    print_semantics(config.outcome_semantics);
+    print_rng(snapshot);
+    std::printf("  game             %s\n", part->game.describe().c_str());
+    const State x = part->state();
+    std::printf(
+        "  state            support %zu of %d strategies, potential %.6g\n",
+        x.support().size(), part->game.num_strategies(),
+        part->game.potential(x));
+  } else if (const auto* part =
+                 std::get_if<persist::AsymmetricPart>(&snapshot.part)) {
+    std::printf("  round            %lld (movers so far %lld)\n",
+                static_cast<long long>(snapshot.round),
+                static_cast<long long>(snapshot.movers));
+    print_semantics(config.outcome_semantics);
+    print_rng(snapshot);
+    std::printf("  game             %s\n", part->game.describe().c_str());
+    std::printf("  state            %d classes, potential %.6g\n",
+                part->game.num_classes(), part->game.potential(part->state()));
+  } else {
+    const auto& threshold = std::get<persist::ThresholdPart>(snapshot.part);
+    std::printf("  steps            %lld\n",
+                static_cast<long long>(snapshot.round));
+    std::printf("  construction     %s over %d-node MaxCut\n",
+                threshold.tripled ? "tripled imitation (Theorem 6)"
+                                  : "quadratic best-response",
+                threshold.instance.num_nodes());
+    std::printf("  players          %zu\n", threshold.in_bits.size());
+    print_semantics(config.outcome_semantics);
+  }
 }
 
 int inspect(const std::string& path) {
   switch (sniff(path)) {
     case ArtifactKind::kSnapshot:
-      switch (persist::peek_snapshot_family(path)) {
-        case persist::SnapshotFamily::kSymmetric:
-          print_snapshot(persist::load_snapshot(path), path);
-          break;
-        case persist::SnapshotFamily::kAsymmetric:
-          print_asymmetric_snapshot(persist::load_asymmetric_snapshot(path),
-                                    path);
-          break;
-        case persist::SnapshotFamily::kThreshold:
-          print_threshold_snapshot(persist::load_threshold_snapshot(path),
-                                   path);
-          break;
-      }
+      print_snapshot(path);
       return 0;
     case ArtifactKind::kEventLog: {
       // The whole rotation chain, not just the active segment — inspect
@@ -272,23 +259,12 @@ int diff(const std::string& a_path, const std::string& b_path) {
     return 1;
   }
   if (kind == ArtifactKind::kSnapshot) {
-    const persist::SnapshotFamily family_a =
-        persist::peek_snapshot_family(a_path);
-    if (family_a != persist::peek_snapshot_family(b_path)) {
+    const persist::Snapshot a = persist::load_snapshot(a_path);
+    const persist::Snapshot b = persist::load_snapshot(b_path);
+    if (a.family() != b.family()) {
       std::printf("different snapshot families\n");
       return 1;
     }
-    if (family_a != persist::SnapshotFamily::kSymmetric) {
-      // Non-symmetric families: bytewise payload comparison (their
-      // sections are already canonical encodings).
-      const bool same =
-          persist::read_file_checked(a_path, "CIDSNAP", 0xFF).payload ==
-          persist::read_file_checked(b_path, "CIDSNAP", 0xFF).payload;
-      std::printf(same ? "snapshots identical\n" : "snapshots differ\n");
-      return same ? 0 : 1;
-    }
-    const persist::Snapshot a = persist::load_snapshot(a_path);
-    const persist::Snapshot b = persist::load_snapshot(b_path);
     if (persist::snapshot_payload(a) == persist::snapshot_payload(b)) {
       std::printf("snapshots identical\n");
       return 0;
@@ -299,14 +275,20 @@ int diff(const std::string& a_path, const std::string& b_path) {
     }
     if (!(a.config == b.config)) std::printf("protocol config differs\n");
     if (a.rng_state != b.rng_state) std::printf("rng state differs\n");
-    if (serialize_game(a.game) != serialize_game(b.game)) {
+    const auto* pa = std::get_if<persist::SymmetricPart>(&a.part);
+    if (pa == nullptr) {
+      std::printf("snapshots differ\n");
+      return 1;
+    }
+    const auto& pb = std::get<persist::SymmetricPart>(b.part);
+    if (serialize_game(pa->game) != serialize_game(pb.game)) {
       std::printf("game differs\n");
     }
-    if (a.counts != b.counts) {
+    if (pa->counts != pb.counts) {
       std::size_t diverged = 0;
-      for (std::size_t i = 0; i < std::min(a.counts.size(), b.counts.size());
-           ++i) {
-        if (a.counts[i] != b.counts[i]) ++diverged;
+      for (std::size_t i = 0;
+           i < std::min(pa->counts.size(), pb.counts.size()); ++i) {
+        if (pa->counts[i] != pb.counts[i]) ++diverged;
       }
       std::printf("state differs on %zu strategies\n", diverged);
     }
@@ -367,14 +349,15 @@ int replay(int argc, char** argv) {
 
   const obs::PersistIoTotals io_before = obs::persist_io_totals();
   const persist::Snapshot snapshot = persist::load_snapshot(snapshot_path);
+  const auto& part = snapshot.as<persist::SymmetricPart>(snapshot_path);
   const persist::EventLog log = persist::read_event_log_series(log_path);
-  State x = snapshot.state();
+  State x = part.state();
   const std::int64_t end =
       to_round >= 0 ? to_round
                     : (log.rounds.empty() ? snapshot.round
                                           : log.rounds.back().round + 1);
   const std::int64_t applied = persist::replay_rounds(
-      snapshot.game, x, log.rounds, snapshot.round, end);
+      part.game, x, log.rounds, snapshot.round, end);
   std::printf("replayed %lld rounds (%lld -> %lld) with zero RNG draws\n",
               static_cast<long long>(applied),
               static_cast<long long>(snapshot.round),
@@ -389,8 +372,8 @@ int replay(int argc, char** argv) {
                                 static_cast<double>(log.file_bytes));
   std::printf(
       "final: potential=%.6g  L_av=%.6g  makespan=%.6g  support=%zu\n",
-      snapshot.game.potential(x), snapshot.game.average_latency(x),
-      makespan(snapshot.game, x), x.support().size());
+      part.game.potential(x), part.game.average_latency(x),
+      makespan(part.game, x), x.support().size());
   if (!save_state_path.empty()) {
     const obs::PersistIoTotals before = obs::persist_io_totals();
     save_state(x, save_state_path);
@@ -437,7 +420,9 @@ int replay(int argc, char** argv) {
   }
   if (!expect_path.empty()) {
     const persist::Snapshot expect = persist::load_snapshot(expect_path);
-    if (expect.state() == x && expect.round == snapshot.round + applied) {
+    const State expected =
+        expect.as<persist::SymmetricPart>(expect_path).state();
+    if (expected == x && expect.round == snapshot.round + applied) {
       std::printf("matches %s exactly\n", expect_path.c_str());
     } else {
       std::printf("MISMATCH against %s\n", expect_path.c_str());
@@ -478,8 +463,9 @@ int replay_telemetry(int argc, char** argv) {
   if (every < 1) usage("--telemetry-every must be >= 1");
 
   const persist::Snapshot snapshot = persist::load_snapshot(snapshot_path);
+  const auto& part = snapshot.as<persist::SymmetricPart>(snapshot_path);
   const persist::EventLog log = persist::read_event_log_series(log_path);
-  State x = snapshot.state();
+  State x = part.state();
   const std::int64_t end =
       to_round >= 0 ? to_round
                     : (log.rounds.empty() ? snapshot.round
@@ -496,18 +482,18 @@ int replay_telemetry(int argc, char** argv) {
           " breaks gapless ordering (expected " +
           std::to_string(snapshot.round + applied) + ")");
     }
-    recorder.observe(snapshot.game, x, events.moves, events.round, false);
-    x.apply(snapshot.game, events.moves);
+    recorder.observe(part.game, x, events.moves, events.round, false);
+    x.apply(part.game, events.moves);
     ++applied;
   }
   const std::int64_t final_round = snapshot.round + applied;
-  recorder.observe(snapshot.game, x, {}, final_round, true);
+  recorder.observe(part.game, x, {}, final_round, true);
   // The engines cannot know convergence at the final observer call and
   // neither can a replay; a live run's RunResult supplies it there, the
   // snapshot's stop spec evaluated on the final state supplies it here
   // (bitwise-equal verdicts — see dynamics/stop_rule.hpp).
   const StopPredicate stop = make_stop(parse_stop(snapshot.config.stop));
-  recorder.finish(stop(snapshot.game, x, final_round));
+  recorder.finish(stop(part.game, x, final_round));
 
   const std::uint64_t bytes =
       obs::write_telemetry_file(out_path, recorder.records());
@@ -539,6 +525,7 @@ int export_snapshot(int argc, char** argv) {
     usage("export requires --game and/or --state output paths");
   }
   const persist::Snapshot snapshot = persist::load_snapshot(snapshot_path);
+  const auto& part = snapshot.as<persist::SymmetricPart>(snapshot_path);
   // Byte counts come from the persist I/O registry (src/obs/metrics.hpp)
   // — the same counters cid_sweep's summary reports.
   auto written_bytes = [](const obs::PersistIoTotals& before) {
@@ -548,7 +535,7 @@ int export_snapshot(int argc, char** argv) {
   std::uint64_t text_bytes = 0;
   if (!game_path.empty()) {
     const obs::PersistIoTotals before = obs::persist_io_totals();
-    save_game(snapshot.game, game_path);
+    save_game(part.game, game_path);
     const std::uint64_t bytes = written_bytes(before);
     text_bytes += bytes;
     std::printf("game written to %s (%llu bytes)\n", game_path.c_str(),
@@ -556,7 +543,7 @@ int export_snapshot(int argc, char** argv) {
   }
   if (!state_path.empty()) {
     const obs::PersistIoTotals before = obs::persist_io_totals();
-    save_state(snapshot.state(), state_path);
+    save_state(part.state(), state_path);
     const std::uint64_t bytes = written_bytes(before);
     text_bytes += bytes;
     std::printf("state written to %s (%llu bytes)\n", state_path.c_str(),

@@ -6,8 +6,8 @@
 //           [--start uniform|even|all:K] [--stop stable|nash|deltaeps:D,E]
 //           [--trace-every K] [--csv PATH]
 //           [--checkpoint PATH [--checkpoint-every K] [--checkpoint-keep K]]
-//           [--resume PATH] [--event-log PATH [--no-log-compress]
-//           [--rotate-bytes N]] [--save-state PATH]
+//           [--resume PATH] [--event-log PATH [--rotate-bytes N]]
+//           [--save-state PATH]
 //           [--metrics PATH [--metrics-every K]]
 //           [--inject-faults SPEC]
 //
@@ -74,7 +74,6 @@ using namespace cid;
       "                  newest PATH.r<round> wins)\n"
       "  --event-log PATH     append per-round migration records\n"
       "                       (delta-encoded + block-compressed v2)\n"
-      "  --no-log-compress    write the uncompressed v1 event log format\n"
       "  --rotate-bytes N     rotate the event log to PATH.<seq> segments\n"
       "                       once the active file exceeds N bytes\n"
       "  --save-state PATH    write the final state (cid-state v1 text)\n"
@@ -126,7 +125,6 @@ struct Options {
   std::int64_t checkpoint_keep = 0;
   std::string resume_path;
   std::string event_log_path;
-  bool log_compress = true;
   std::uint64_t rotate_bytes = 0;
   std::string save_state_path;
   std::string metrics_path;
@@ -175,7 +173,6 @@ Options parse_args(int argc, char** argv) {
       opt.checkpoint_keep = std::atoll(need_value(i));
     } else if (flag == "--resume") opt.resume_path = need_value(i);
     else if (flag == "--event-log") opt.event_log_path = need_value(i);
-    else if (flag == "--no-log-compress") opt.log_compress = false;
     else if (flag == "--rotate-bytes") {
       opt.rotate_bytes = static_cast<std::uint64_t>(std::atoll(need_value(i)));
     } else if (flag == "--save-state") opt.save_state_path = need_value(i);
@@ -335,7 +332,6 @@ int main(int argc, char** argv) {
 
     std::optional<persist::EventLogWriter> event_log;
     persist::EventLogOptions log_options;
-    log_options.compress = opt.log_compress;
     log_options.rotate_bytes = opt.rotate_bytes;
     if (!opt.event_log_path.empty()) {
       if (!opt.resume_path.empty() &&
