@@ -178,9 +178,10 @@ CellResult run_stopcheck_cell(const CongestionGame& game,
     rr = run_dynamics(game, x, protocol, rng,
                       {.options = options, .stop = stop});
   } else {
-    const CachedStopPredicate stop = [](const LatencyContext& ctx,
-                                        std::int64_t) {
-      return !(imitation_gap(ctx) > 0.0);
+    const CachedStopPredicate stop = [scratch = ExpostTable()](
+                                         const LatencyContext& ctx,
+                                         std::int64_t) mutable {
+      return !(imitation_gap(ctx, scratch) > 0.0);
     };
     rr = run_dynamics(game, x, protocol, rng,
                       {.options = options, .cached_stop = stop});

@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "game/congestion_game.hpp"
+#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "game/state.hpp"
 #include "obs/metrics.hpp"
@@ -76,10 +77,14 @@ struct RoundResult {
 
 /// Reusable hot-path buffers: the latency cache plus every per-round
 /// scratch vector (probability rows, cumulative rows, multinomial counts,
-/// support list, apply tally). Default-constructed empty; the kernel sizes
-/// it on first use and run_dynamics keeps one alive for the whole run.
+/// support list, apply tally, ex-post tables). Default-constructed empty;
+/// the kernel sizes it on first use and run_dynamics keeps one alive for
+/// the whole run.
 struct RoundWorkspace {
   LatencyContext ctx;
+  /// One ex-post table per row-fill worker, re-synced to ctx once per
+  /// round by the worker that owns it.
+  std::vector<ExpostTable> expost;
   std::vector<StrategyId> support;
   std::vector<double> probs;
   std::vector<double> cumulative;

@@ -77,12 +77,13 @@ inline void dcheck_row([[maybe_unused]] std::span<const double> probs,
 /// entirely — that is the point of pruning.
 template <ProtocolKernel K>
 void dcheck_pruned_row([[maybe_unused]] const CongestionGame& game,
-                       [[maybe_unused]] const LatencyContext& ctx,
+                       [[maybe_unused]] ExpostTable& table,
                        [[maybe_unused]] const K& kernel,
                        [[maybe_unused]] StrategyId from,
                        [[maybe_unused]] std::span<double> scratch) {
 #ifndef NDEBUG
-  kernel.fill_row(game, ctx, from, scratch);
+  const OriginView origin(table, from);
+  kernel.fill_row(game, origin, scratch);
   for (double p : scratch) {
     CID_DCHECK(p == 0.0, "row_provably_zero pruned a nonzero row");
   }
@@ -112,14 +113,33 @@ inline void prepare(const CongestionGame& game, const State& x,
   x.support(ws.support);
 }
 
+/// The serial paths' ex-post table, synced to this round's cache.
+inline ExpostTable& serial_table(RoundWorkspace& ws) {
+  if (ws.expost.empty()) ws.expost.resize(1);
+  ExpostTable& table = ws.expost.front();
+  table.sync(ws.ctx);
+  return table;
+}
+
+/// One origin's row through the kernel, read against `table`.
+template <ProtocolKernel K>
+void fill_origin_row(const CongestionGame& game, const K& kernel,
+                     ExpostTable& table, StrategyId from, RowBlock block,
+                     std::span<double> row) {
+  const OriginView origin(table, from);
+  kernel.fill_row(game, origin, row);
+  dcheck_row(row, from - block.begin);
+}
+
 /// Parallel phase shared by both engine modes under row_threads > 1: every
 /// support origin's probability row is a pure function of (game, ctx,
 /// from), so the fills run concurrently into disjoint slices of ws.rows
 /// (plus the per-origin prune verdict in ws.skip). A serial pre-pass lays
 /// the rows out over their blocks and, when pruning, computes each block's
-/// bounds once. The RNG phase that follows is strictly serial in support
-/// order, which is what makes the round bitwise invariant in the thread
-/// count.
+/// bounds once. Each worker then fills one contiguous chunk of the support
+/// through its own ex-post table, synced once for the round. The RNG phase
+/// that follows is strictly serial in support order, which is what makes
+/// the round bitwise invariant in the thread count.
 template <ProtocolKernel K>
 void fill_rows_parallel(const CongestionGame& game, const State& x,
                         const K& kernel, RoundWorkspace& ws, bool prune,
@@ -141,21 +161,28 @@ void fill_rows_parallel(const CongestionGame& game, const State& x,
   }
   ws.rows.resize(offset);
   ws.skip.assign(s, 0);
+  const std::size_t workers =
+      std::min(s, static_cast<std::size_t>(std::max(row_threads, 1)));
+  if (ws.expost.size() < workers) ws.expost.resize(workers);
   sweep::parallel_for(
-      static_cast<std::int64_t>(s), row_threads, [&](std::int64_t i) {
-        const auto ii = static_cast<std::size_t>(i);
-        const RoundWorkspace::RowJob& job = ws.jobs[ii];
-        const StrategyId from = ws.support[ii];
-        const std::span<double> row{ws.rows.data() + job.offset,
-                                    job.block.size()};
-        if (prune &&
-            kernel.row_provably_zero(game, ws.ctx, from, job.bounds)) {
-          ws.skip[ii] = 1;
-          dcheck_pruned_row(game, ws.ctx, kernel, from, row);
-          return;
+      static_cast<std::int64_t>(workers), row_threads, [&](std::int64_t w) {
+        const auto wi = static_cast<std::size_t>(w);
+        ExpostTable& table = ws.expost[wi];
+        table.sync(ws.ctx);
+        const std::size_t end = s * (wi + 1) / workers;
+        for (std::size_t i = s * wi / workers; i < end; ++i) {
+          const RoundWorkspace::RowJob& job = ws.jobs[i];
+          const StrategyId from = ws.support[i];
+          const std::span<double> row{ws.rows.data() + job.offset,
+                                      job.block.size()};
+          if (prune &&
+              kernel.row_provably_zero(game, ws.ctx, from, job.bounds)) {
+            ws.skip[i] = 1;
+            dcheck_pruned_row(game, table, kernel, from, row);
+            continue;
+          }
+          fill_origin_row(game, kernel, table, from, job.block, row);
         }
-        kernel.fill_row(game, ws.ctx, from, row);
-        dcheck_row(row, from - job.block.begin);
       });
 }
 
@@ -187,6 +214,7 @@ void draw_aggregate(const CongestionGame& game, const State& x,
     }
   };
   if (row_threads <= 1 && metrics == nullptr && !trace) {
+    ExpostTable& table = serial_table(ws);
     RowBlock block;
     RowBounds bounds;
     for (StrategyId from : ws.support) {
@@ -197,11 +225,10 @@ void draw_aggregate(const CongestionGame& game, const State& x,
       }
       const std::span<double> probs{ws.probs.data(), block.size()};
       if (kernel.row_provably_zero(game, ws.ctx, from, bounds)) {
-        dcheck_pruned_row(game, ws.ctx, kernel, from, probs);
+        dcheck_pruned_row(game, table, kernel, from, probs);
         continue;
       }
-      kernel.fill_row(game, ws.ctx, from, probs);
-      dcheck_row(probs, from - block.begin);
+      fill_origin_row(game, kernel, table, from, block, probs);
       emit(from, block, probs);
     }
     return;
@@ -266,11 +293,11 @@ void draw_per_player(const CongestionGame& game, const State& x,
     }
   };
   if (row_threads <= 1 && metrics == nullptr && !trace) {
+    ExpostTable& table = serial_table(ws);
     for (StrategyId from : ws.support) {
       const RowBlock block = kernel.row_block(game, from);
       const std::span<double> probs{ws.probs.data(), block.size()};
-      kernel.fill_row(game, ws.ctx, from, probs);
-      dcheck_row(probs, from - block.begin);
+      fill_origin_row(game, kernel, table, from, block, probs);
       emit(from, block, probs);
     }
     return;

@@ -48,33 +48,38 @@ inline bool used(std::span<const std::int64_t> counts, StrategyId p) {
 
 }  // namespace
 
-bool is_imitation_stable(const LatencyContext& ctx, double nu) {
+bool is_imitation_stable(const LatencyContext& ctx, double nu,
+                         ExpostTable& scratch) {
   CID_ENSURE(nu >= 0.0, "nu must be >= 0");
   CID_ENSURE(ctx.ready(), "cached predicate needs a reset context");
   const std::span<const std::int64_t> counts = ctx.state().counts();
   const auto k = ctx.game().num_strategies();
+  scratch.sync(ctx);
   for (StrategyId p = 0; p < k; ++p) {
     if (!used(counts, p)) continue;
     const double lp = ctx.strategy_latency(p);
+    const OriginView origin(scratch, p);
     for (StrategyId q = 0; q < k; ++q) {
       if (q == p || !used(counts, q)) continue;
-      if (lp > ctx.expost_latency(p, q) + nu) return false;
+      if (lp > origin.expost_latency(q) + nu) return false;
     }
   }
   return true;
 }
 
-double imitation_gap(const LatencyContext& ctx) {
+double imitation_gap(const LatencyContext& ctx, ExpostTable& scratch) {
   CID_ENSURE(ctx.ready(), "cached predicate needs a reset context");
   const std::span<const std::int64_t> counts = ctx.state().counts();
   const auto k = ctx.game().num_strategies();
+  scratch.sync(ctx);
   double gap = 0.0;
   for (StrategyId p = 0; p < k; ++p) {
     if (!used(counts, p)) continue;
     const double lp = ctx.strategy_latency(p);
+    const OriginView origin(scratch, p);
     for (StrategyId q = 0; q < k; ++q) {
       if (q == p || !used(counts, q)) continue;
-      gap = std::max(gap, lp - ctx.expost_latency(p, q));
+      gap = std::max(gap, lp - origin.expost_latency(q));
     }
   }
   return gap;
@@ -215,16 +220,18 @@ bool is_nash(const CongestionGame& game, const State& x) {
   return true;
 }
 
-bool is_nash(const LatencyContext& ctx) {
+bool is_nash(const LatencyContext& ctx, ExpostTable& scratch) {
   CID_ENSURE(ctx.ready(), "cached predicate needs a reset context");
   const std::span<const std::int64_t> counts = ctx.state().counts();
   const auto k = ctx.game().num_strategies();
+  scratch.sync(ctx);
   for (StrategyId p = 0; p < k; ++p) {
     if (!used(counts, p)) continue;
     const double lp = ctx.strategy_latency(p);
+    const OriginView origin(scratch, p);
     for (StrategyId q = 0; q < k; ++q) {
       if (q == p) continue;
-      if (lp > ctx.expost_latency(p, q) + 1e-12) return false;
+      if (lp > origin.expost_latency(q) + 1e-12) return false;
     }
   }
   return true;
@@ -242,17 +249,19 @@ double nash_gap(const CongestionGame& game, const State& x) {
   return gap;
 }
 
-double nash_gap(const LatencyContext& ctx) {
+double nash_gap(const LatencyContext& ctx, ExpostTable& scratch) {
   CID_ENSURE(ctx.ready(), "cached predicate needs a reset context");
   const std::span<const std::int64_t> counts = ctx.state().counts();
   const auto k = ctx.game().num_strategies();
+  scratch.sync(ctx);
   double gap = 0.0;
   for (StrategyId p = 0; p < k; ++p) {
     if (!used(counts, p)) continue;
     const double lp = ctx.strategy_latency(p);
+    const OriginView origin(scratch, p);
     for (StrategyId q = 0; q < k; ++q) {
       if (q == p) continue;
-      gap = std::max(gap, lp - ctx.expost_latency(p, q));
+      gap = std::max(gap, lp - origin.expost_latency(q));
     }
   }
   return gap;

@@ -11,8 +11,10 @@
 // Every predicate exists in two forms: a context-free REFERENCE version
 // evaluating latencies through the game (kept as the oracle), and a
 // LatencyContext-backed overload reading the round kernel's caches
-// (ℓ_P(x), ℓ_e(x_e), ℓ_e(x_e+1)) instead of recomputing them —
-// O(Σ|P|+|Q|) array reads per pair, zero latency-function calls. The two
+// (ℓ_P(x), ℓ_e(x_e), ℓ_e(x_e+1)) instead of recomputing them, with the
+// pair loops reading ex-post latencies through a caller-owned ExpostTable
+// (game/expost_table.hpp): O(m) per check, O(|P|) per origin, O(|Q|)
+// array reads per pair, zero latency-function calls. The two
 // forms are BITWISE identical (same expressions, same accumulation
 // order; pinned by tests/test_equilibrium_cached.cpp), so run_dynamics
 // can route its stop checks through the per-round cache without
@@ -22,6 +24,7 @@
 #include <cstdint>
 
 #include "game/congestion_game.hpp"
+#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "game/state.hpp"
 
@@ -35,15 +38,17 @@ bool is_imitation_stable(const CongestionGame& game, const State& x,
                          double nu);
 
 /// Cached overload: evaluates over ctx.game()/ctx.state() from the latency
-/// cache. ctx must be consistent with the state (reset or refreshed).
-bool is_imitation_stable(const LatencyContext& ctx, double nu);
+/// cache. ctx must be consistent with the state (reset or refreshed);
+/// `scratch` is the caller's ex-post table, re-synced here.
+bool is_imitation_stable(const LatencyContext& ctx, double nu,
+                         ExpostTable& scratch);
 
 /// Largest support-restricted unilateral improvement:
 /// max_{P used, Q used} (ℓ_P(x) − ℓ_Q(x+1_Q−1_P)), 0 if none positive.
 double imitation_gap(const CongestionGame& game, const State& x);
 
 /// Cached overload of imitation_gap.
-double imitation_gap(const LatencyContext& ctx);
+double imitation_gap(const LatencyContext& ctx, ExpostTable& scratch);
 
 /// Definition 1's mass bound as an exact integer test: at most a
 /// δ-fraction of the n players may be unsatisfied. δ is read as N / 10^k,
@@ -100,13 +105,13 @@ bool is_delta_eps_equilibrium(const LatencyContext& ctx,
 bool is_nash(const CongestionGame& game, const State& x);
 
 /// Cached overload of is_nash.
-bool is_nash(const LatencyContext& ctx);
+bool is_nash(const LatencyContext& ctx, ExpostTable& scratch);
 
 /// Largest unilateral improvement over the full strategy space
 /// (0 at a Nash equilibrium). This is the ε of ε-Nash.
 double nash_gap(const CongestionGame& game, const State& x);
 
 /// Cached overload of nash_gap.
-double nash_gap(const LatencyContext& ctx);
+double nash_gap(const LatencyContext& ctx, ExpostTable& scratch);
 
 }  // namespace cid

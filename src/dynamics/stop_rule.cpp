@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "dynamics/equilibrium.hpp"
+#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 
 namespace cid {
@@ -80,12 +81,14 @@ StopPredicate make_stop(const StopSpec& spec) {
 CachedStopPredicate make_cached_stop(const StopSpec& spec) {
   switch (spec.rule) {
     case StopRule::kImitationStable:
-      return [](const LatencyContext& ctx, std::int64_t) {
-        return is_imitation_stable(ctx, ctx.game().nu());
+      return [scratch = ExpostTable()](const LatencyContext& ctx,
+                                       std::int64_t) mutable {
+        return is_imitation_stable(ctx, ctx.game().nu(), scratch);
       };
     case StopRule::kNash:
-      return [](const LatencyContext& ctx, std::int64_t) {
-        return is_nash(ctx);
+      return [scratch = ExpostTable()](const LatencyContext& ctx,
+                                       std::int64_t) mutable {
+        return is_nash(ctx, scratch);
       };
     case StopRule::kDeltaEps:
       // The δ bound is fixed once per run; each check compares integers.
@@ -100,12 +103,14 @@ CachedStopPredicate make_cached_stop(const StopSpec& spec) {
 CachedStopPredicate make_cached_stop(const StopSpec& spec,
                                      const AsymmetricGame& classes) {
   if (spec.rule == StopRule::kNash) {
-    return [&classes](const LatencyContext& ctx, std::int64_t) {
-      return is_asymmetric_nash(classes, ctx);
+    return [&classes, scratch = ExpostTable()](const LatencyContext& ctx,
+                                               std::int64_t) mutable {
+      return is_asymmetric_nash(classes, ctx, scratch);
     };
   }
-  return [&classes](const LatencyContext& ctx, std::int64_t) {
-    return is_asymmetric_imitation_stable(classes, ctx, classes.nu());
+  return [&classes, scratch = ExpostTable()](const LatencyContext& ctx,
+                                             std::int64_t) mutable {
+    return is_asymmetric_imitation_stable(classes, ctx, classes.nu(), scratch);
   };
 }
 

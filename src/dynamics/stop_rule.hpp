@@ -50,7 +50,9 @@ std::string format_stop(const StopSpec& spec);
 /// tests/test_equilibrium_cached.cpp).
 StopPredicate make_stop(const StopSpec& spec);
 
-/// The predicate over the run's own latency cache.
+/// The predicate over the run's own latency cache. It owns the ex-post
+/// scratch its pair loops read through, so make one per run and call it
+/// from one thread at a time.
 CachedStopPredicate make_cached_stop(const StopSpec& spec);
 
 /// The class-wise mapping for a run on classes.flat() (see the file

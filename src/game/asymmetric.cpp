@@ -4,6 +4,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -372,38 +373,43 @@ bool is_asymmetric_nash(const AsymmetricGame& game,
 // support vectors: they run every check_interval inside the trial loop) in
 // the same ascending order as the oracles, reading the same latencies.
 bool is_asymmetric_imitation_stable(const AsymmetricGame& game,
-                                    const LatencyContext& ctx, double nu) {
+                                    const LatencyContext& ctx, double nu,
+                                    ExpostTable& scratch) {
   CID_ENSURE(nu >= 0.0, "nu must be >= 0");
   CID_ENSURE(ctx.ready(), "cached predicate needs a reset context");
   const std::span<const std::int64_t> counts = ctx.state().counts();
+  scratch.sync(ctx);
   for (std::int32_t c = 0; c < game.num_classes(); ++c) {
     const StrategyId begin = game.class_offset(c);
     const StrategyId end = game.class_offset(c + 1);
     for (StrategyId p = begin; p < end; ++p) {
       if (counts[static_cast<std::size_t>(p)] <= 0) continue;
       const double lp = ctx.strategy_latency(p);
+      const OriginView origin(scratch, p);
       for (StrategyId q = begin; q < end; ++q) {
         if (q == p || counts[static_cast<std::size_t>(q)] <= 0) continue;
-        if (lp > ctx.expost_latency(p, q) + nu) return false;
+        if (lp > origin.expost_latency(q) + nu) return false;
       }
     }
   }
   return true;
 }
 
-bool is_asymmetric_nash(const AsymmetricGame& game,
-                        const LatencyContext& ctx) {
+bool is_asymmetric_nash(const AsymmetricGame& game, const LatencyContext& ctx,
+                        ExpostTable& scratch) {
   CID_ENSURE(ctx.ready(), "cached predicate needs a reset context");
   const std::span<const std::int64_t> counts = ctx.state().counts();
+  scratch.sync(ctx);
   for (std::int32_t c = 0; c < game.num_classes(); ++c) {
     const StrategyId begin = game.class_offset(c);
     const StrategyId end = game.class_offset(c + 1);
     for (StrategyId p = begin; p < end; ++p) {
       if (counts[static_cast<std::size_t>(p)] <= 0) continue;
       const double lp = ctx.strategy_latency(p);
+      const OriginView origin(scratch, p);
       for (StrategyId q = begin; q < end; ++q) {
         if (q == p) continue;
-        if (lp > ctx.expost_latency(p, q) + 1e-12) return false;
+        if (lp > origin.expost_latency(q) + 1e-12) return false;
       }
     }
   }

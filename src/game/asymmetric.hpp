@@ -33,6 +33,7 @@
 
 namespace cid {
 
+class ExpostTable;
 class LatencyContext;
 class Rng;
 
@@ -194,8 +195,11 @@ bool is_asymmetric_nash(const AsymmetricGame& game, const AsymmetricState& x);
 /// Cached overloads over a LatencyContext reset on game.flat(): the stop
 /// checks of a running trial. Same verdicts, bit for bit, as the
 /// context-free oracles above (tests/test_equilibrium_cached.cpp).
+/// `scratch` is the caller's ex-post table, re-synced per call.
 bool is_asymmetric_imitation_stable(const AsymmetricGame& game,
-                                    const LatencyContext& ctx, double nu);
-bool is_asymmetric_nash(const AsymmetricGame& game, const LatencyContext& ctx);
+                                    const LatencyContext& ctx, double nu,
+                                    ExpostTable& scratch);
+bool is_asymmetric_nash(const AsymmetricGame& game, const LatencyContext& ctx,
+                        ExpostTable& scratch);
 
 }  // namespace cid

@@ -94,24 +94,4 @@ double LatencyContext::plus_latency(StrategyId p) const noexcept {
   return acc;
 }
 
-double LatencyContext::expost_latency(StrategyId from,
-                                      StrategyId to) const noexcept {
-  if (from == to) return strategy_latency(to);
-  // Merge-walk mirroring CongestionGame::expost_latency: resources in `to`
-  // only read ℓ_e(x_e+1), shared resources ℓ_e(x_e), accumulated in `to`'s
-  // resource order.
-  const std::span<const Strategy> strategies = game_->strategies();
-  const Strategy& p = strategies[static_cast<std::size_t>(from)];
-  const Strategy& q = strategies[static_cast<std::size_t>(to)];
-  double acc = 0.0;
-  std::size_t i = 0;
-  for (Resource e : q) {
-    while (i < p.size() && p[i] < e) ++i;
-    const bool shared = i < p.size() && p[i] == e;
-    const auto idx = static_cast<std::size_t>(e);
-    acc += shared ? ell_[idx] : ell_plus_[idx];
-  }
-  return acc;
-}
-
 }  // namespace cid

@@ -12,18 +12,18 @@
 // LatencyContext computes the tables once per round — O(m + Σ_P |P|)
 // latency-function evaluations on a full reset, only the entries a
 // migration batch actually touched on an incremental refresh — and answers
-// every per-pair query from the cache. expost_latency walks the two sorted
-// resource lists in a linear merge reading cached values only, so a pair
-// costs O(|P|+|Q|) array reads and ZERO latency-function calls (O(1) for
-// singleton games).
+// every per-pair query from the cache with ZERO latency-function calls.
+// The ex-post latency ℓ_Q(x+1_Q−1_P) of a whole origin row is read through
+// an ExpostTable (game/expost_table.hpp): a worker-owned copy of ell_plus,
+// patched to ell on the origin's resources, gathered over each Q.
 //
 // Bitwise contract: every accessor reproduces the corresponding
 // CongestionGame method exactly — same function evaluations, same
 // floating-point accumulation order — so the batched kernel's probability
 // rows are bit-identical to the per-pair reference path (enforced by
-// tests/test_engine_oracle.cpp). This is why expost_latency re-walks the
-// merge instead of using the algebraically equal ℓ_Q(x) + Σ_{e∈Q\P} Δ_e
-// form: the delta form rounds differently.
+// tests/test_engine_oracle.cpp). The ex-post gather keeps that order too;
+// the algebraically equal ℓ_Q(x) + Σ_{e∈Q\P} Δ_e form would round
+// differently.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,7 @@ class LatencyContext {
 
   /// The full ℓ_e(x_e) table, indexed by dense resource id — contiguous,
   /// for the SIMD row kernels (protocols/kernel.hpp singleton fast paths)
-  /// that turn the per-pair ex-post merge into plain array reads.
+  /// that turn the per-pair ex-post lookup into plain array reads.
   std::span<const double> resource_latencies() const noexcept { return ell_; }
 
   /// The full ℓ_e(x_e + 1) table (see resource_latencies()).
@@ -91,10 +91,6 @@ class LatencyContext {
   /// query. A game with a decreasing latency function simply reports
   /// false and pruning disables itself.
   bool plus_dominates() const noexcept { return non_monotone_ == 0; }
-
-  /// ℓ_Q(x + 1_Q − 1_P) — bitwise equal to game.expost_latency(x, from,
-  /// to). Linear merge of the two sorted strategies over cached values.
-  double expost_latency(StrategyId from, StrategyId to) const noexcept;
 
   /// Latency-function evaluations performed since reset (a plain counter:
   /// the engines surface it as evals/round observability at zero

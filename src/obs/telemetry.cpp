@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "dynamics/equilibrium.hpp"
+#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "game/singleton.hpp"
 #include "util/stats.hpp"
@@ -30,7 +31,8 @@ std::string format_double(double value) {
 TelemetryRecord make_telemetry_record(const CongestionGame& game,
                                       const State& x,
                                       std::span<const Migration> moves,
-                                      std::int64_t round, bool final) {
+                                      std::int64_t round, bool final,
+                                      ExpostTable& scratch) {
   TelemetryRecord rec;
   rec.round = round;
   rec.final_record = final;
@@ -45,14 +47,15 @@ TelemetryRecord make_telemetry_record(const CongestionGame& game,
   rec.support = static_cast<std::int64_t>(x.support().size());
   LatencyContext ctx;
   ctx.reset(game, x);
-  rec.im_gap = imitation_gap(ctx);
+  rec.im_gap = imitation_gap(ctx, scratch);
   return rec;
 }
 
 TelemetryRecord make_telemetry_record(const AsymmetricGame& classes,
                                       const LatencyContext& ctx,
                                       std::span<const Migration> moves,
-                                      std::int64_t round, bool final) {
+                                      std::int64_t round, bool final,
+                                      ExpostTable& scratch) {
   TelemetryRecord rec;
   rec.round = round;
   rec.final_record = final;
@@ -65,6 +68,7 @@ TelemetryRecord make_telemetry_record(const AsymmetricGame& classes,
   NeumaierSum plus_av;
   double worst = 0.0;
   double gap = 0.0;
+  scratch.sync(ctx);
   for (std::int32_t c = 0; c < classes.num_classes(); ++c) {
     const StrategyId begin = classes.class_offset(c);
     const StrategyId end = classes.class_offset(c + 1);
@@ -81,9 +85,10 @@ TelemetryRecord make_telemetry_record(const AsymmetricGame& classes,
       // Class-local imitation gap: the asymmetric analog of
       // imitation_gap (dynamics/equilibrium.cpp) — max improvement a
       // class-c player could realize by copying a same-class strategy.
+      const OriginView origin(scratch, p);
       for (StrategyId q = begin; q < end; ++q) {
         if (q == p || counts[static_cast<std::size_t>(q)] <= 0) continue;
-        gap = std::max(gap, lp - ctx.expost_latency(p, q));
+        gap = std::max(gap, lp - origin.expost_latency(q));
       }
     }
   }
@@ -103,14 +108,13 @@ TelemetryRecorder::TelemetryRecorder(std::int64_t every,
 TelemetryRecord TelemetryRecorder::record(const CongestionGame& game,
                                           const State& x,
                                           std::span<const Migration> moves,
-                                          std::int64_t round,
-                                          bool final) const {
+                                          std::int64_t round, bool final) {
   if (classes_ == nullptr) {
-    return make_telemetry_record(game, x, moves, round, final);
+    return make_telemetry_record(game, x, moves, round, final, expost_);
   }
   LatencyContext ctx;
   ctx.reset(game, x);
-  return make_telemetry_record(*classes_, ctx, moves, round, final);
+  return make_telemetry_record(*classes_, ctx, moves, round, final, expost_);
 }
 
 void TelemetryRecorder::observe(const CongestionGame& game, const State& x,

@@ -36,6 +36,7 @@
 
 #include "dynamics/engine.hpp"
 #include "game/asymmetric.hpp"
+#include "game/expost_table.hpp"
 #include "obs/sink.hpp"
 
 namespace cid::obs {
@@ -61,11 +62,13 @@ struct TelemetryRecord {
 };
 
 /// One record from the engine's observer arguments (pre-round state +
-/// that round's moves) on a symmetric game. Pure, zero RNG.
+/// that round's moves) on a symmetric game. Pure, zero RNG; `scratch` is
+/// the caller's ex-post table for the imitation-gap pair loop.
 TelemetryRecord make_telemetry_record(const CongestionGame& game,
                                       const State& x,
                                       std::span<const Migration> moves,
-                                      std::int64_t round, bool final);
+                                      std::int64_t round, bool final,
+                                      ExpostTable& scratch);
 
 /// The class-wise record of an asymmetric game's run on classes.flat(),
 /// read through `ctx` (reset on the flat game and the observed state):
@@ -75,7 +78,8 @@ TelemetryRecord make_telemetry_record(const CongestionGame& game,
 TelemetryRecord make_telemetry_record(const AsymmetricGame& classes,
                                       const LatencyContext& ctx,
                                       std::span<const Migration> moves,
-                                      std::int64_t round, bool final);
+                                      std::int64_t round, bool final,
+                                      ExpostTable& scratch);
 
 /// Accumulates a downsampled series through the engine's observer hook.
 class TelemetryRecorder {
@@ -114,10 +118,11 @@ class TelemetryRecorder {
  private:
   TelemetryRecord record(const CongestionGame& game, const State& x,
                          std::span<const Migration> moves, std::int64_t round,
-                         bool final) const;
+                         bool final);
 
   std::int64_t every_;
   const AsymmetricGame* classes_;
+  ExpostTable expost_;  // the imitation-gap scratch, one per run
   bool pending_ = false;
   TelemetryRecord pending_final_;
   std::vector<TelemetryRecord> records_;

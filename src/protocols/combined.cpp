@@ -26,21 +26,21 @@ double CombinedProtocol::move_probability(const CongestionGame& game,
 }
 
 void CombinedProtocol::fill_move_probabilities(const CongestionGame& game,
-                                               const LatencyContext& ctx,
-                                               StrategyId from,
+                                               const OriginView& origin,
                                                std::span<double> out) const {
   CID_DCHECK(out.size() == static_cast<std::size_t>(game.num_strategies()),
              "probability row must span every strategy");
-  const State& x = ctx.state();
+  const State& x = origin.ctx().state();
+  const StrategyId from = origin.from();
   const auto k = static_cast<std::size_t>(game.num_strategies());
-  const double l_from = ctx.strategy_latency(from);
+  const double l_from = origin.ctx().strategy_latency(from);
   for (std::size_t to = 0; to < k; ++to) {
     const auto to_id = static_cast<StrategyId>(to);
     if (to_id == from) {
       out[to] = 0.0;
       continue;
     }
-    const double l_to = ctx.expost_latency(from, to_id);
+    const double l_to = origin.expost_latency(to_id);
     // Same convex combination, same order, as move_probability.
     out[to] = p_explore_ * exploration_.move_probability_cached(
                                game, from, to_id, l_from, l_to) +

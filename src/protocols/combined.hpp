@@ -20,11 +20,11 @@ class CombinedProtocol final : public Protocol {
   double move_probability(const CongestionGame& game, const State& x,
                           StrategyId from, StrategyId to) const override;
 
-  /// Cached-latency row fill (batched round kernel): ONE ex-post merge per
+  /// Cached-latency row fill (batched round kernel): ONE ex-post gather per
   /// destination feeds both sub-protocols' cores — the per-pair path walks
-  /// that merge twice (once inside each sub-protocol).
+  /// the ex-post merge twice (once inside each sub-protocol).
   void fill_move_probabilities(const CongestionGame& game,
-                               const LatencyContext& ctx, StrategyId from,
+                               const OriginView& origin,
                                std::span<double> out) const override;
 
   /// A combined row entry is p·explore + (1−p)·imitate; it is provably

@@ -59,15 +59,15 @@ double ExplorationProtocol::move_probability_cached(const CongestionGame& game,
 }
 
 void ExplorationProtocol::fill_move_probabilities(const CongestionGame& game,
-                                                  const LatencyContext& ctx,
-                                                  StrategyId from,
+                                                  const OriginView& origin,
                                                   std::span<double> out) const {
   CID_DCHECK(out.size() == static_cast<std::size_t>(game.num_strategies()),
              "probability row must span every strategy");
+  const StrategyId from = origin.from();
   const auto k = static_cast<std::size_t>(game.num_strategies());
   const double sample_prob =
       1.0 / static_cast<double>(game.num_strategies());
-  const double l_from = ctx.strategy_latency(from);
+  const double l_from = origin.ctx().strategy_latency(from);
   // Row constants: β, ℓ_min, and the damping are state-independent, and
   // λ·damping of the same doubles is the same double every iteration.
   const double beta = params_.beta_override.value_or(game.beta_slope());
@@ -82,8 +82,7 @@ void ExplorationProtocol::fill_move_probabilities(const CongestionGame& game,
       out[to] = 0.0;
       continue;
     }
-    const double l_to =
-        ctx.expost_latency(from, static_cast<StrategyId>(to));
+    const double l_to = origin.expost_latency(static_cast<StrategyId>(to));
     if (!(l_from > l_to)) {
       out[to] = sample_prob * 0.0;
       continue;

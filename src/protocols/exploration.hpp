@@ -35,11 +35,11 @@ class ExplorationProtocol final : public Protocol {
   double move_probability(const CongestionGame& game, const State& x,
                           StrategyId from, StrategyId to) const override;
 
-  /// Cached-latency row fill (batched round kernel): one ex-post merge per
+  /// Cached-latency row fill (batched round kernel): one ex-post gather per
   /// destination, zero latency-function calls, row constants (1/|P| and the
   /// β/ℓ_min damping) hoisted out of the loop.
   void fill_move_probabilities(const CongestionGame& game,
-                               const LatencyContext& ctx, StrategyId from,
+                               const OriginView& origin,
                                std::span<double> out) const override;
 
   /// Exploration samples ALL strategies (including empty ones), so its row

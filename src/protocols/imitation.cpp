@@ -75,11 +75,12 @@ double ImitationProtocol::move_probability_cached(const CongestionGame& game,
 }
 
 void ImitationProtocol::fill_move_probabilities(const CongestionGame& game,
-                                                const LatencyContext& ctx,
-                                                StrategyId from,
+                                                const OriginView& origin,
                                                 std::span<double> out) const {
   CID_DCHECK(out.size() == static_cast<std::size_t>(game.num_strategies()),
              "probability row must span every strategy");
+  const LatencyContext& ctx = origin.ctx();
+  const StrategyId from = origin.from();
   const std::span<const std::int64_t> counts = ctx.state().counts();
   const auto k = static_cast<std::size_t>(game.num_strategies());
   const std::int64_t v = params_.virtual_agents;
@@ -98,7 +99,7 @@ void ImitationProtocol::fill_move_probabilities(const CongestionGame& game,
     }
     const std::int64_t targets = counts[to] + v;
     if (targets == 0) {
-      out[to] = 0.0;  // empty destination: skip the ex-post merge entirely
+      out[to] = 0.0;  // empty destination: skip the ex-post gather entirely
       continue;
     }
     const double sample_prob =
@@ -107,8 +108,7 @@ void ImitationProtocol::fill_move_probabilities(const CongestionGame& game,
       out[to] = 0.0;
       continue;
     }
-    const double l_to =
-        ctx.expost_latency(from, static_cast<StrategyId>(to));
+    const double l_to = origin.expost_latency(static_cast<StrategyId>(to));
     if (!(l_from > l_to + nu)) {
       out[to] = 0.0;
       continue;
@@ -124,7 +124,7 @@ bool ImitationProtocol::row_provably_zero(const CongestionGame& game,
                                           const RowBounds& bounds) const {
   if (!bounds.plus_dominates) return false;
   // Every populated destination Q has l_to >= ℓ_Q(x) >= floor (bitwise:
-  // the ex-post merge sums per-resource values >= the ℓ_Q(x) terms in the
+  // the ex-post sum adds per-resource values >= the ℓ_Q(x) terms in the
   // same order, and IEEE rounding is monotone, so float summation
   // preserves the dominance; adding the same nu keeps it). Then
   // ℓ_P <= floor + ν implies the gain test !(l_from > l_to + nu) fails for

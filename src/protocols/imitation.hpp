@@ -70,10 +70,10 @@ class ImitationProtocol final : public Protocol {
 
   /// Cached-latency row fill (batched round kernel). Imitation's sampling
   /// stage zeroes every empty destination (x_Q + v = 0), so those targets
-  /// skip the ex-post merge entirely — the row costs O(k) plus one merge
-  /// per *populated* destination, with zero latency-function calls.
+  /// skip the ex-post gather entirely — the row costs O(k) plus one O(|Q|)
+  /// gather per *populated* destination, with zero latency-function calls.
   void fill_move_probabilities(const CongestionGame& game,
-                               const LatencyContext& ctx, StrategyId from,
+                               const OriginView& origin,
                                std::span<double> out) const override;
 
   /// Imitation's row is all zero when no destination beats ℓ_P(x) by more

@@ -49,6 +49,7 @@
 
 #include "game/asymmetric.hpp"
 #include "game/congestion_game.hpp"
+#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "game/state.hpp"
 #include "latency/kernel.hpp"
@@ -66,18 +67,18 @@ namespace cid {
 /// row_provably_zero = row_provably_zero, move_probability = the per-pair
 /// reference oracle — with one generalization: `row_block(game, from)` is
 /// the destination range of from's row, `out` spans that block (out[j] is
-/// the probability of moving to block.begin + j), and the bounds
-/// row_provably_zero receives are computed over the block. Destinations
-/// outside the block have probability 0. Kernels are cheap value types (a
-/// pointer or two) the engines copy freely.
+/// the probability of moving to block.begin + j; from = origin.from()),
+/// and the bounds row_provably_zero receives are computed over the block.
+/// Destinations outside the block have probability 0. Kernels are cheap
+/// value types (a pointer or two) the engines copy freely.
 template <typename K>
 concept ProtocolKernel =
     std::copy_constructible<K> &&
     requires(const K k, const CongestionGame& game, const LatencyContext& ctx,
-             const State& x, StrategyId from, StrategyId to,
-             std::span<double> out, const RowBounds& bounds) {
+             const OriginView& origin, const State& x, StrategyId from,
+             StrategyId to, std::span<double> out, const RowBounds& bounds) {
       { k.row_block(game, from) } -> std::same_as<RowBlock>;
-      { k.fill_row(game, ctx, from, out) } -> std::same_as<void>;
+      { k.fill_row(game, origin, out) } -> std::same_as<void>;
       { k.row_provably_zero(game, ctx, from, bounds) } -> std::same_as<bool>;
       { k.move_probability(game, x, from, to) } -> std::same_as<double>;
       { k.name() } -> std::convertible_to<std::string>;
@@ -96,9 +97,9 @@ class VirtualKernel {
   RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
     return {0, game.num_strategies()};
   }
-  void fill_row(const CongestionGame& game, const LatencyContext& ctx,
-                StrategyId from, std::span<double> out) const {
-    protocol_->fill_move_probabilities(game, ctx, from, out);
+  void fill_row(const CongestionGame& game, const OriginView& origin,
+                std::span<double> out) const {
+    protocol_->fill_move_probabilities(game, origin, out);
   }
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
                          StrategyId from, const RowBounds& bounds) const {
@@ -117,7 +118,7 @@ class VirtualKernel {
 /// Monomorphized imitation kernel. Non-singleton games delegate to the
 /// final ImitationProtocol methods (direct, devirtualized calls); singleton
 /// games take a contiguous-array select loop under CID_SIMD: the per-
-/// destination ex-post merge collapses to one ell/ell_plus read, and the
+/// destination ex-post gather collapses to one ell/ell_plus read, and the
 /// branchy zero cases become one ternary select per entry.
 class ImitationKernel {
  public:
@@ -127,15 +128,15 @@ class ImitationKernel {
   RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
     return {0, game.num_strategies()};
   }
-  void fill_row(const CongestionGame& game, const LatencyContext& ctx,
-                StrategyId from, std::span<double> out) const {
+  void fill_row(const CongestionGame& game, const OriginView& origin,
+                std::span<double> out) const {
     if constexpr (kSimdCompiled) {
       if (game.is_singleton()) {
-        fill_row_singleton(game, ctx, from, out);
+        fill_row_singleton(game, origin.ctx(), origin.from(), out);
         return;
       }
     }
-    protocol_->fill_move_probabilities(game, ctx, from, out);
+    protocol_->fill_move_probabilities(game, origin, out);
   }
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
                          StrategyId from, const RowBounds& bounds) const {
@@ -177,9 +178,9 @@ class ImitationKernel {
           static_cast<double>(targets) / static_cast<double>(pool);
       const Resource res_to = strategies[to][0];
       const auto e = static_cast<std::size_t>(res_to);
-      // Singleton ex-post merge: the one destination resource reads ell
+      // Singleton ex-post latency: the one destination resource reads ell
       // when shared with the origin, ell_plus otherwise — exactly what
-      // ctx.expost_latency's merge walk computes for |Q| = 1.
+      // the origin table's gather computes for |Q| = 1.
       const double l_to = res_to == res_from ? ell[e] : ell_plus[e];
       const double mu = lambda_over_d * (l_from - l_to) / l_from;
       // One select covering every zero case of the scalar loop, in the
@@ -205,15 +206,15 @@ class ExplorationKernel {
   RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
     return {0, game.num_strategies()};
   }
-  void fill_row(const CongestionGame& game, const LatencyContext& ctx,
-                StrategyId from, std::span<double> out) const {
+  void fill_row(const CongestionGame& game, const OriginView& origin,
+                std::span<double> out) const {
     if constexpr (kSimdCompiled) {
       if (game.is_singleton()) {
-        fill_row_singleton(game, ctx, from, out);
+        fill_row_singleton(game, origin.ctx(), origin.from(), out);
         return;
       }
     }
-    protocol_->fill_move_probabilities(game, ctx, from, out);
+    protocol_->fill_move_probabilities(game, origin, out);
   }
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
                          StrategyId from, const RowBounds& bounds) const {
@@ -264,7 +265,7 @@ class ExplorationKernel {
 
 /// Monomorphized combined kernel: one ell/ell_plus read per destination
 /// feeds both sub-protocol cores, exactly as the scalar row fill shares one
-/// ex-post merge between them.
+/// ex-post gather between them.
 class CombinedKernel {
  public:
   explicit CombinedKernel(const CombinedProtocol& protocol) noexcept
@@ -273,15 +274,15 @@ class CombinedKernel {
   RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
     return {0, game.num_strategies()};
   }
-  void fill_row(const CongestionGame& game, const LatencyContext& ctx,
-                StrategyId from, std::span<double> out) const {
+  void fill_row(const CongestionGame& game, const OriginView& origin,
+                std::span<double> out) const {
     if constexpr (kSimdCompiled) {
       if (game.is_singleton()) {
-        fill_row_singleton(game, ctx, from, out);
+        fill_row_singleton(game, origin.ctx(), origin.from(), out);
         return;
       }
     }
-    protocol_->fill_move_probabilities(game, ctx, from, out);
+    protocol_->fill_move_probabilities(game, origin, out);
   }
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
                          StrategyId from, const RowBounds& bounds) const {
@@ -376,8 +377,10 @@ class ClassImitationKernel {
     return {game_->class_offset(c), game_->class_offset(c + 1)};
   }
 
-  void fill_row(const CongestionGame& game, const LatencyContext& ctx,
-                StrategyId from, std::span<double> out) const {
+  void fill_row(const CongestionGame& game, const OriginView& origin,
+                std::span<double> out) const {
+    const LatencyContext& ctx = origin.ctx();
+    const StrategyId from = origin.from();
     const std::int32_t c = game_->class_of(from);
     if (game_->player_class(c).num_players < 2) {  // nobody to sample
       std::fill(out.begin(), out.end(), 0.0);
@@ -400,7 +403,7 @@ class ClassImitationKernel {
         out[j] = 0.0;
         continue;
       }
-      const double l_to = ctx.expost_latency(from, to);
+      const double l_to = origin.expost_latency(to);
       if (!(l_from > l_to + nu)) {
         out[j] = 0.0;
         continue;

@@ -5,12 +5,12 @@
 namespace cid {
 
 void Protocol::fill_move_probabilities(const CongestionGame& game,
-                                       const LatencyContext& ctx,
-                                       StrategyId from,
+                                       const OriginView& origin,
                                        std::span<double> out) const {
   CID_DCHECK(out.size() == static_cast<std::size_t>(game.num_strategies()),
              "probability row must span every strategy");
-  const State& x = ctx.state();
+  const State& x = origin.ctx().state();
+  const StrategyId from = origin.from();
   const auto k = game.num_strategies();
   for (StrategyId to = 0; to < k; ++to) {
     out[static_cast<std::size_t>(to)] =

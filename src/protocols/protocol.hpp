@@ -18,6 +18,7 @@
 #include <string>
 
 #include "game/congestion_game.hpp"
+#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "game/state.hpp"
 
@@ -68,9 +69,10 @@ class Protocol {
                                   StrategyId from, StrategyId to) const = 0;
 
   /// Batched row fill for the round kernel: writes move_probability(from,
-  /// to) for every strategy `to` into out[to] (out[from] = 0). `out` spans
-  /// exactly game.num_strategies() entries; `ctx` is the round's latency
-  /// cache, already consistent with the pre-round state.
+  /// to) for every strategy `to` into out[to] (out[from] = 0), where from =
+  /// origin.from(). `out` spans exactly game.num_strategies() entries;
+  /// origin.ctx() is the round's latency cache, already consistent with the
+  /// pre-round state, and origin.expost_latency(to) its ex-post latencies.
   ///
   /// Contract: out[to] must be BITWISE identical to what move_probability
   /// returns — the engines feed these rows straight into the RNG samplers,
@@ -79,8 +81,7 @@ class Protocol {
   /// any protocol); the paper's protocols override it with cached-latency
   /// versions that never call a latency function.
   virtual void fill_move_probabilities(const CongestionGame& game,
-                                       const LatencyContext& ctx,
-                                       StrategyId from,
+                                       const OriginView& origin,
                                        std::span<double> out) const;
 
   /// Support/improvement pruning hook for the aggregate engine: return

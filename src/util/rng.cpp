@@ -112,20 +112,24 @@ std::int64_t Rng::binomial(std::int64_t n, double p) {
 }
 
 std::int64_t Rng::binomial_inversion(std::int64_t n, double p) {
-  // CDF inversion starting from k = 0; expected work O(np + 1).
+  // CDF inversion starting from k = 0; expected work O(np + 1). The first
+  // uniform is drawn before anything else: below binomial_zero_bound it
+  // is below f0 = P[X = 0] too, so the walk would return 0 — returning
+  // early skips the pow() and consumes exactly the one draw the walk would.
+  double u = uniform();
+  if (u < binomial_zero_bound(n, p)) return 0;
   const double q = 1.0 - p;
   const double s = p / q;
   const double f0 = std::pow(q, static_cast<double>(n));
-  for (;;) {
-    double u = uniform();
+  // Cap the walk generously above the mean; restart on the (measure-zero
+  // in exact arithmetic, tiny in floating point) event of tail rounding.
+  const std::int64_t cap =
+      std::min<std::int64_t>(n, static_cast<std::int64_t>(
+                                    static_cast<double>(n) * p + 64.0 +
+                                    16.0 * std::sqrt(static_cast<double>(n) *
+                                                     p * q)));
+  for (;; u = uniform()) {
     double f = f0;
-    // Cap the walk generously above the mean; restart on the (measure-zero
-    // in exact arithmetic, tiny in floating point) event of tail rounding.
-    const std::int64_t cap =
-        std::min<std::int64_t>(n, static_cast<std::int64_t>(
-                                      static_cast<double>(n) * p + 64.0 +
-                                      16.0 * std::sqrt(static_cast<double>(n) *
-                                                       p * q)));
     for (std::int64_t k = 0; k <= cap; ++k) {
       if (u < f) return k;
       u -= f;

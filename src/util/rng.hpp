@@ -8,7 +8,10 @@
 //
 //   * binomial(n, p): exact for all n, p. Three regimes: direct Bernoulli
 //     summation for small n, CDF inversion for small mean, and the BTRS
-//     transformed-rejection sampler (Hormann, 1993) for large mean.
+//     transformed-rejection sampler (Hormann, 1993) for large mean. The
+//     inversion first tests its uniform against binomial_zero_bound, a
+//     cheap lower bound on P[X = 0] (below), and returns 0 without the
+//     pow() when it is under it — same value, same draws as the full walk.
 //   * multinomial(n, probs): sequential conditional binomials.
 //
 // All samplers are exact (not approximations): the concurrent round law of
@@ -23,6 +26,16 @@
 #include <vector>
 
 namespace cid {
+
+/// Exact squeeze for a zero binomial draw: 1 − n·(p + 2⁻⁵⁰) − 2⁻⁴⁵, never
+/// above the inversion sampler's computed f0 = pow(1 − p, n) for n ≥ 1 and
+/// 0 ≤ p ≤ 1/2. Bernoulli's inequality gives (1 − p)ⁿ ≥ 1 − n·p; the
+/// 2⁻⁵⁰ per trial covers the rounding of q = 1 − p (at most 2⁻⁵⁴), and the
+/// 2⁻⁴⁵ covers any pow() error below ~2⁻⁴⁵ relative plus this expression's
+/// own rounding. A uniform below it is below f0, where the walk returns 0.
+inline double binomial_zero_bound(std::int64_t n, double p) noexcept {
+  return 1.0 - static_cast<double>(n) * (p + 0x1.0p-50) - 0x1.0p-45;
+}
 
 /// SplitMix64: used to expand a single 64-bit seed into generator state.
 /// (Public so seeding discipline is testable and reusable.)

@@ -34,6 +34,7 @@
 
 #include <array>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,7 +60,7 @@ namespace cid {
 namespace {
 
 CongestionGame network_game_k8(std::int64_t n) {
-  // 2^3 = 8 overlapping paths: non-singleton, so the ex-post merge walks
+  // 2^3 = 8 overlapping paths: non-singleton, so the ex-post gather reads
   // genuinely shared resources.
   const auto net = make_layered_network(2, 3);
   Rng latency_rng(11);
@@ -141,13 +142,15 @@ TEST(EngineOracle, BatchedRowsMatchMoveProbabilityOracle) {
   LatencyContext ctx;
   ctx.reset(game, x);
   ApplyScratch scratch;
+  ExpostTable table;
   const ImitationProtocol imitation;
   for (int round = 0; round < 25; ++round) {
+    table.sync(ctx);
     for (const auto& protocol : all_protocols()) {
       SCOPED_TRACE(protocol->name());
       std::vector<double> row(k);
       for (StrategyId from = 0; from < game.num_strategies(); ++from) {
-        protocol->fill_move_probabilities(game, ctx, from, row);
+        protocol->fill_move_probabilities(game, OriginView(table, from), row);
         for (StrategyId to = 0; to < game.num_strategies(); ++to) {
           const double oracle =
               to == from ? 0.0
@@ -178,8 +181,9 @@ TEST(EngineOracle, RunDynamicsMatchesAcrossKernels) {
     call.options.max_rounds = mode == EngineMode::kAggregate ? 200 : 40;
     call.options.check_interval = 7;
     call.options.mode = mode;
-    call.cached_stop = [](const LatencyContext& ctx, std::int64_t) {
-      return is_imitation_stable(ctx, 0.0);
+    call.cached_stop = [scratch = ExpostTable()](const LatencyContext& ctx,
+                                                 std::int64_t) mutable {
+      return is_imitation_stable(ctx, 0.0, scratch);
     };
     Rng batched_rng(7);
     State batched_x = State::uniform_random(game, batched_rng);
@@ -550,15 +554,28 @@ TEST(EngineOracle, EngineFamiliesMatchReferenceReplay) {
 TEST(EngineOracle, RowThreadsByteIdenticalTrials) {
   // DynamicsConfig::row_threads ∈ {1, 2, 4} must be invisible in every
   // outcome field and in the RNG stream, for the symmetric families AND
-  // the asymmetric class-local kernel.
-  for (const char* scenario :
-       {"network-routing", "singleton-uniform", "asymmetric",
-        "multicommodity"}) {
-    SCOPED_TRACE(scenario);
+  // the asymmetric class-local kernel. The 64-path exploration case never
+  // prunes, so every worker fills a full chunk of rows through its own
+  // ex-post table.
+  struct Case {
+    const char* scenario;
+    const char* protocol;
+    std::map<std::string, double> params;
+  };
+  const Case cases[] = {
+      {"network-routing", "imitation", {}},
+      {"network-routing", "exploration", {{"width", 4.0}, {"depth", 3.0}}},
+      {"singleton-uniform", "imitation", {}},
+      {"asymmetric", "imitation", {}},
+      {"multicommodity", "imitation", {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.scenario) + " " + c.protocol);
     sweep::ScenarioSpec spec;
-    spec.name = scenario;
+    spec.name = c.scenario;
+    spec.params = c.params;
     const auto instance = sweep::make_scenario(spec, 1200);
-    const auto protocol = sweep::parse_protocol_spec("imitation");
+    const auto protocol = sweep::parse_protocol_spec(c.protocol);
     sweep::TrialOutcome first;
     std::array<std::uint64_t, 4> first_rng{};
     for (const int row_threads : {1, 2, 4}) {
@@ -604,6 +621,51 @@ TEST(EngineOracle, RowThreadsByteIdenticalRunsBothModes) {
       EXPECT_EQ(rng.state(), first_rng) << "row_threads=" << row_threads;
     }
   }
+}
+
+TEST(EngineOracle, RowThreadsFillIdenticalRowsThroughWorkerTables) {
+  // Round-level companion of the trial cases above. Exploration on the
+  // 64-path network moves almost nobody, so its outcomes cannot show a
+  // wrong row; the filled rows themselves can. Each thread count keeps its
+  // own workspace across rounds, so a worker table that missed a re-sync
+  // or was shared between workers shows up as a differing row.
+  const auto net = make_layered_network(4, 3);
+  std::vector<LatencyPtr> fns;
+  for (EdgeId e = 0; e < net.graph.num_edges(); ++e) {
+    fns.push_back(make_linear(1.0 + 0.25 * static_cast<double>(e % 5)));
+  }
+  const auto game = make_network_game(net, std::move(fns), 5000);
+  const ExplorationProtocol protocol;
+  Rng state_rng(3);
+  State x = State::uniform_random(game, state_rng);
+  const int row_threads[] = {1, 2, 4};
+  std::array<RoundWorkspace, 3> ws;
+  obs::EngineMetrics metrics;
+  ApplyScratch scratch;
+  const auto k = game.num_strategies();
+  for (int round = 0; round < 20; ++round) {
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+      Rng rng(static_cast<std::uint64_t>(round));
+      RoundResult rr;
+      draw_round(game, x, protocol, rng, EngineMode::kAggregate, ws[i], rr,
+                 row_threads[i], &metrics);
+    }
+    for (std::size_t i = 1; i < ws.size(); ++i) {
+      ASSERT_EQ(ws[i].rows, ws[0].rows)
+          << "round " << round << " row_threads=" << row_threads[i];
+      ASSERT_EQ(ws[i].skip, ws[0].skip)
+          << "round " << round << " row_threads=" << row_threads[i];
+    }
+    // Shift players between two paths so the next round's tables differ.
+    const auto from = static_cast<StrategyId>(round % k);
+    const auto to = static_cast<StrategyId>((7 * round + 1) % k);
+    const std::int64_t count = std::min<std::int64_t>(x.count(from), 40);
+    if (from != to && count > 0) {
+      x.apply(game, std::vector<Migration>{{from, to, count}}, scratch);
+      for (RoundWorkspace& w : ws) w.ctx.refresh(scratch.touched);
+    }
+  }
+  EXPECT_GT(metrics.rows_filled, 0);
 }
 
 TEST(EngineOracle, AsymmetricCheckpointKillResumeMatchesReferenceRun) {

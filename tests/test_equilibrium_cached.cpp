@@ -38,11 +38,14 @@ void expect_predicates_match(const CongestionGame& game, const State& x,
                              const LatencyContext& ctx, double delta,
                              double eps) {
   const double nu = game.nu();
-  ASSERT_EQ(is_imitation_stable(ctx, nu), is_imitation_stable(game, x, nu));
-  ASSERT_EQ(is_imitation_stable(ctx, 0.0), is_imitation_stable(game, x, 0.0));
-  ASSERT_EQ(imitation_gap(ctx), imitation_gap(game, x));
-  ASSERT_EQ(is_nash(ctx), is_nash(game, x));
-  ASSERT_EQ(nash_gap(ctx), nash_gap(game, x));
+  ExpostTable scratch;
+  ASSERT_EQ(is_imitation_stable(ctx, nu, scratch),
+            is_imitation_stable(game, x, nu));
+  ASSERT_EQ(is_imitation_stable(ctx, 0.0, scratch),
+            is_imitation_stable(game, x, 0.0));
+  ASSERT_EQ(imitation_gap(ctx, scratch), imitation_gap(game, x));
+  ASSERT_EQ(is_nash(ctx, scratch), is_nash(game, x));
+  ASSERT_EQ(nash_gap(ctx, scratch), nash_gap(game, x));
   const ApproxEqReport cached = check_delta_eps_nu(ctx, delta, eps, nu);
   const ApproxEqReport reference =
       check_delta_eps_nu(game, x, delta, eps, nu);
@@ -187,9 +190,10 @@ TEST(EquilibriumCached, ExactStabilityBoundary) {
   LatencyContext ctx;
   ctx.reset(game, x);
   const double gap = imitation_gap(game, x);
-  ASSERT_EQ(imitation_gap(ctx), gap);
+  ExpostTable scratch;
+  ASSERT_EQ(imitation_gap(ctx, scratch), gap);
   for (const double nu : {0.0, gap * 0.5, gap, gap * 1.5}) {
-    ASSERT_EQ(is_imitation_stable(ctx, nu),
+    ASSERT_EQ(is_imitation_stable(ctx, nu, scratch),
               is_imitation_stable(game, x, nu))
         << "nu=" << nu;
   }
@@ -239,18 +243,21 @@ void expect_asymmetric_match_along_trajectory(const AsymmetricGame& game,
   const ClassImitationKernel kernel(game, AsymmetricImitationParams{});
   RoundWorkspace ws;
   RoundResult rr;
+  ExpostTable scratch;
   for (int round = 0; round < rounds; ++round) {
     draw_round(flat, flat_x, kernel, rng, EngineMode::kAggregate, ws, rr);
     flat_x.apply(flat, rr.moves, ws.apply_scratch);
     ws.ctx.refresh(ws.apply_scratch.touched);
     const AsymmetricState x = game.class_state(flat_x);
-    ASSERT_EQ(is_asymmetric_imitation_stable(game, ws.ctx, game.nu()),
-              is_asymmetric_imitation_stable(game, x, game.nu()))
+    ASSERT_EQ(
+        is_asymmetric_imitation_stable(game, ws.ctx, game.nu(), scratch),
+        is_asymmetric_imitation_stable(game, x, game.nu()))
         << "round " << round;
-    ASSERT_EQ(is_asymmetric_imitation_stable(game, ws.ctx, 0.0),
+    ASSERT_EQ(is_asymmetric_imitation_stable(game, ws.ctx, 0.0, scratch),
               is_asymmetric_imitation_stable(game, x, 0.0))
         << "round " << round;
-    ASSERT_EQ(is_asymmetric_nash(game, ws.ctx), is_asymmetric_nash(game, x))
+    ASSERT_EQ(is_asymmetric_nash(game, ws.ctx, scratch),
+              is_asymmetric_nash(game, x))
         << "round " << round;
   }
 }

@@ -76,7 +76,7 @@ static_assert(ProtocolKernel<ClassImitationKernel>);
 /// Every ProtocolKernel member but row_block: the destination block is
 /// part of the concept, not an optional extra.
 struct NoRowBlockKernel {
-  void fill_row(const CongestionGame&, const LatencyContext&, StrategyId,
+  void fill_row(const CongestionGame&, const OriginView&,
                 std::span<double>) const {}
   bool row_provably_zero(const CongestionGame&, const LatencyContext&,
                          StrategyId, const RowBounds&) const {
@@ -205,10 +205,13 @@ void expect_rows_match_protocol(const CongestionGame& game,
   ApplyScratch scratch;
   std::vector<double> kernel_row(k);
   std::vector<double> virtual_row(k);
+  ExpostTable table;
   for (int round = 0; round < 20; ++round) {
+    table.sync(ctx);
     for (StrategyId from = 0; from < game.num_strategies(); ++from) {
-      kernel.fill_row(game, ctx, from, kernel_row);
-      protocol.fill_move_probabilities(game, ctx, from, virtual_row);
+      const OriginView origin(table, from);
+      kernel.fill_row(game, origin, kernel_row);
+      protocol.fill_move_probabilities(game, origin, virtual_row);
       for (std::size_t to = 0; to < k; ++to) {
         ASSERT_EQ(kernel_row[to], virtual_row[to])
             << "round " << round << " pair " << from << "->" << to;

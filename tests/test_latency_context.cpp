@@ -14,6 +14,10 @@
 //   3. Monotonicity gate: with a DECREASING latency function in the game,
 //      plus_dominates() reports false and every row_provably_zero
 //      conservatively declines to prune.
+//   4. Origin-table ex-post latencies: one ExpostTable gathered for every
+//      (from, to) pair, from == to included, equals the uncached
+//      CongestionGame::expost_latency merge bitwise — on layered networks,
+//      the multicommodity game and an asymmetric flat game.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,6 +26,7 @@
 #include "dynamics/engine.hpp"
 #include "game/asymmetric.hpp"
 #include "game/builders.hpp"
+#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "protocols/combined.hpp"
 #include "protocols/exploration.hpp"
@@ -67,6 +72,22 @@ std::vector<Migration> random_moves(const CongestionGame& game,
   return moves;
 }
 
+/// Every (from, to) pair through one table synced to `ctx`, against the
+/// uncached merge walk.
+void expect_origin_table_matches_oracle(const CongestionGame& game,
+                                        const State& x,
+                                        const LatencyContext& ctx,
+                                        ExpostTable& table) {
+  table.sync(ctx);
+  for (StrategyId p = 0; p < game.num_strategies(); ++p) {
+    const OriginView origin(table, p);
+    for (StrategyId q = 0; q < game.num_strategies(); ++q) {
+      ASSERT_EQ(origin.expost_latency(q), game.expost_latency(x, p, q))
+          << p << "->" << q;
+    }
+  }
+}
+
 void expect_context_equals_rebuild(const CongestionGame& game, const State& x,
                                    const LatencyContext& incremental) {
   LatencyContext fresh;
@@ -87,12 +108,9 @@ void expect_context_equals_rebuild(const CongestionGame& game, const State& x,
     // contract the cached predicates and protocol rows rely on).
     ASSERT_EQ(incremental.strategy_latency(p), game.strategy_latency(x, p));
     ASSERT_EQ(incremental.plus_latency(p), game.plus_latency(x, p));
-    for (StrategyId q = 0; q < game.num_strategies(); ++q) {
-      ASSERT_EQ(incremental.expost_latency(p, q),
-                game.expost_latency(x, p, q))
-          << p << "->" << q;
-    }
   }
+  ExpostTable table;
+  expect_origin_table_matches_oracle(game, x, incremental, table);
   ASSERT_EQ(incremental.plus_dominates(), fresh.plus_dominates());
 }
 
@@ -290,6 +308,7 @@ TEST(AsymmetricFlatContext, IncrementalRefreshEqualsRebuild) {
   LatencyContext ctx;
   ctx.reset(flat, flat_x);
   ApplyScratch scratch;
+  ExpostTable table;
   for (int step = 0; step < 50; ++step) {
     const auto moves = random_class_moves(game, x, rng);
     x.apply(game, moves);
@@ -302,6 +321,7 @@ TEST(AsymmetricFlatContext, IncrementalRefreshEqualsRebuild) {
       ASSERT_EQ(ctx.resource_latency_plus(e),
                 fresh.resource_latency_plus(e));
     }
+    table.sync(ctx);
     for (std::int32_t c = 0; c < game.num_classes(); ++c) {
       const StrategyId base = game.class_offset(c);
       const auto k = static_cast<StrategyId>(
@@ -311,8 +331,9 @@ TEST(AsymmetricFlatContext, IncrementalRefreshEqualsRebuild) {
                   fresh.strategy_latency(base + p));
         ASSERT_EQ(ctx.strategy_latency(base + p),
                   game.strategy_latency(x, c, p));
+        const OriginView origin(table, base + p);
         for (StrategyId q = 0; q < k; ++q) {
-          ASSERT_EQ(ctx.expost_latency(base + p, base + q),
+          ASSERT_EQ(origin.expost_latency(base + q),
                     game.expost_latency(x, c, p, q));
         }
       }
@@ -329,6 +350,8 @@ TEST(AsymmetricFlatContext, ClassRowMatchesPerPairOracle) {
   ctx.reset(game.flat(), flat_x);
   const AsymmetricImitationParams params;
   const ClassImitationKernel kernel(game, params);
+  ExpostTable table;
+  table.sync(ctx);
   for (std::int32_t c = 0; c < game.num_classes(); ++c) {
     const StrategyId base = game.class_offset(c);
     for (StrategyId from : x.support(c)) {
@@ -336,7 +359,7 @@ TEST(AsymmetricFlatContext, ClassRowMatchesPerPairOracle) {
       ASSERT_EQ(block.begin, base);
       ASSERT_EQ(block.end, game.class_offset(c + 1));
       std::vector<double> row(block.size());
-      kernel.fill_row(game.flat(), ctx, base + from, row);
+      kernel.fill_row(game.flat(), OriginView(table, base + from), row);
       for (std::size_t j = 0; j < row.size(); ++j) {
         const auto to = static_cast<StrategyId>(j);
         const double oracle =
@@ -353,6 +376,62 @@ TEST(AsymmetricFlatContext, ClassRowMatchesPerPairOracle) {
       }
     }
   }
+}
+
+// ---- Origin-table ex-post latencies -----------------------------------------
+
+/// The multicommodity scenario's game: two classes contending for a cheap
+/// shared middle link.
+AsymmetricGame multicommodity_game(std::int64_t n) {
+  std::vector<LatencyPtr> fns{make_linear(1.5), make_linear(3.0),
+                              make_linear(0.75), make_linear(3.0),
+                              make_linear(1.5)};
+  std::vector<PlayerClass> classes(2);
+  classes[0].strategies = {{0}, {1}, {2}};
+  classes[0].num_players = n * 3 / 5;
+  classes[1].strategies = {{2}, {3}, {4}};
+  classes[1].num_players = n - classes[0].num_players;
+  return AsymmetricGame(std::move(fns), std::move(classes));
+}
+
+/// One table reused across every origin and every refresh: a missed
+/// unpatch or a stale sync would show up in a later pair.
+void expect_origin_table_under_random_applies(const CongestionGame& game,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  State x = State::uniform_random(game, rng);
+  LatencyContext ctx;
+  ctx.reset(game, x);
+  ApplyScratch scratch;
+  ExpostTable table;
+  for (int step = 0; step < 12; ++step) {
+    expect_origin_table_matches_oracle(game, x, ctx, table);
+    x.apply(game, random_moves(game, x, rng), scratch);
+    ctx.refresh(scratch.touched);
+  }
+}
+
+TEST(ExpostTable, LayeredNetworkGatherEqualsUncachedOracle) {
+  // The random 3x3 networks go through the table in
+  // IncrementalRefreshEqualsRebuildUnderRandomApplies; this is the 64-path
+  // shape the engine-bound workload runs.
+  const auto net = make_layered_network(4, 3);
+  Rng rng(5);
+  std::vector<LatencyPtr> fns;
+  for (EdgeId e = 0; e < net.graph.num_edges(); ++e) {
+    fns.push_back(make_monomial(0.5 + rng.uniform(), 2.0));
+  }
+  expect_origin_table_under_random_applies(
+      make_network_game(net, std::move(fns), 10000), 9);
+}
+
+TEST(ExpostTable, MulticommodityGatherEqualsUncachedOracle) {
+  expect_origin_table_under_random_applies(multicommodity_game(900).flat(),
+                                           13);
+}
+
+TEST(ExpostTable, AsymmetricFlatGatherEqualsUncachedOracle) {
+  expect_origin_table_under_random_applies(fuzz_asymmetric_game().flat(), 29);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <vector>
 
+#include "support/reference_rng.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -203,6 +204,68 @@ TEST(Rng, MultinomialFullMassConservesExactly) {
     for (auto c : counts) total += c;
     EXPECT_EQ(total, 1000);
   }
+}
+
+// ---- Zero squeeze of the inversion sampler ----------------------------------
+
+/// Inversion-regime (n, p) points: n ∈ {33, 100, 1e4, 1e6, 2^40}, p from
+/// 1e-300 up to a mean just under 12, plus p < 2^-54, where 1 − p rounds
+/// to exactly 1.
+std::vector<std::pair<std::int64_t, double>> inversion_grid() {
+  std::vector<std::pair<std::int64_t, double>> grid;
+  for (const std::int64_t n : {std::int64_t{33}, std::int64_t{100},
+                               std::int64_t{10'000}, std::int64_t{1'000'000},
+                               std::int64_t{1} << 40}) {
+    const double top = 11.999 / static_cast<double>(n);
+    for (double p = 1e-300; p < top; p *= 7.0) grid.emplace_back(n, p);
+    for (const double f : {0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0}) {
+      grid.emplace_back(n, top * f);
+    }
+    for (const double tiny : {0x1.0p-54, 0x1.fp-55, 0x1.0p-60, 0x1.0p-80}) {
+      grid.emplace_back(n, tiny);
+    }
+  }
+  return grid;
+}
+
+TEST(BinomialSqueeze, SameValuesAndDrawsAsThePreSqueezeWalk) {
+  std::uint64_t seed = 1;
+  for (const auto& [n, p] : inversion_grid()) {
+    ASSERT_TRUE(n > 32 && p <= 0.5 && static_cast<double>(n) * p < 12.0)
+        << "grid point outside the inversion regime: n=" << n << " p=" << p;
+    Rng production(seed);
+    Rng reference(seed);
+    ++seed;
+    for (int draw = 0; draw < 200; ++draw) {
+      ASSERT_EQ(production.binomial(n, p),
+                test::binomial_inversion_reference(reference, n, p))
+          << "n=" << n << " p=" << p << " draw " << draw;
+    }
+    ASSERT_EQ(production.state(), reference.state())
+        << "n=" << n << " p=" << p;
+  }
+}
+
+TEST(BinomialSqueeze, LowerBoundNeverExceedsTheZeroProbability) {
+  // Dense (n, p) grid over the whole symmetric range p <= 1/2; the bound
+  // is only worth testing where it is positive, but it must hold
+  // everywhere.
+  std::int64_t checked = 0;
+  for (double nd = 33.0; nd <= 0x1.0p40; nd *= 1.37) {
+    const auto n = static_cast<std::int64_t>(nd);
+    for (double p = 1e-300; p <= 0.5; p *= 1.05) {
+      const double lower = binomial_zero_bound(n, p);
+      ASSERT_LE(lower, std::pow(1.0 - p, static_cast<double>(n)))
+          << "n=" << n << " p=" << p;
+      ++checked;
+    }
+    for (double p = 0x1.0p-54; p > 0x1.0p-70; p *= 0.9) {
+      ASSERT_LE(binomial_zero_bound(n, p),
+                std::pow(1.0 - p, static_cast<double>(n)))
+          << "n=" << n << " p=" << p;
+    }
+  }
+  EXPECT_GT(checked, 1'000'000);
 }
 
 TEST(Rng, CategoricalRespectsWeights) {

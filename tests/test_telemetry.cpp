@@ -45,8 +45,9 @@ TEST(TelemetryRecord, FieldsAreExactFunctionsOfTheObservedState) {
   Rng rng(3);
   const State x = State::uniform_random(game, rng);
   const std::vector<Migration> moves = {{0, 1, 4}, {2, 3, 1}};
+  ExpostTable scratch;
   const obs::TelemetryRecord rec =
-      obs::make_telemetry_record(game, x, moves, 17, false);
+      obs::make_telemetry_record(game, x, moves, 17, false, scratch);
   EXPECT_EQ(rec.round, 17);
   EXPECT_FALSE(rec.final_record);
   EXPECT_EQ(rec.phi, game.potential(x));
@@ -55,9 +56,7 @@ TEST(TelemetryRecord, FieldsAreExactFunctionsOfTheObservedState) {
   EXPECT_EQ(rec.makespan, makespan(game, x));
   EXPECT_EQ(rec.movers, 5);
   EXPECT_EQ(rec.support, static_cast<std::int64_t>(x.support().size()));
-  LatencyContext ctx;
-  ctx.reset(game, x);
-  EXPECT_EQ(rec.im_gap, imitation_gap(ctx));
+  EXPECT_EQ(rec.im_gap, imitation_gap(game, x));
 }
 
 TEST(TelemetryRecorder, SamplesEveryNthRoundAndBuffersTheFinal) {
