@@ -25,24 +25,27 @@
 //   cell 7  ROW-FILL-BOUND: per-player, singleton m=256, n=4e3,
 //           exploration — wide rows that never prune and a cheap
 //           cumulative-scan draw, so nearly all wall-clock is the
-//           per-origin row fill. Prices the monomorphized ProtocolKernel
-//           + SIMD select loop against the virtual frontend
-//           (--baseline).
+//           per-origin row fill. Prices the monomorphized ProtocolKernel's
+//           select loop against per-pair rows through the same batched
+//           engine (--baseline).
 //   cell 8  ROW-FILL-BOUND: per-player, singleton m=512, n=2e3,
 //           imitation — k² row entries per round against only n·log k
 //           draw work, the most fill-dominated cell in the table.
 //
 // Flags: --quick (CI-sized round counts), --json PATH (see bench/common.hpp),
 // --baseline (run cells 5/6 on the reference paths — uncached stop
-// predicates / per-pair class-wise rounds — and cells 7/8 on the
-// virtual-frontend batched path, run_dynamics<VirtualKernel> from
-// dynamics/engine_kernel.hpp, i.e. the pre-ProtocolKernel engine, to
-// reproduce the speedup ratios quoted above; not used by CI).
+// predicates / per-pair class-wise rounds — and cells 7/8 with per-pair
+// rows through the batched engine: run_dynamics<test::VirtualKernel>, the
+// tests-only adapter of tests/support/reference_round.hpp that fills every
+// entry through the virtual move_probability and never prunes; cells 7/8
+// run per-player rounds, which never prune anyway. Reproduces the speedup
+// ratios quoted above; not used by CI).
 #include <cstring>
 #include <string>
 
 #include "common.hpp"
 #include "dynamics/engine_kernel.hpp"
+#include "support/reference_round.hpp"
 
 namespace {
 
@@ -127,7 +130,7 @@ CellResult finish_cell(const WallTimer& timer, std::int64_t rounds,
 /// CI gate catches a hot-path metrics regression as a wall-clock one.
 CellResult run_cell(const CongestionGame& game, const Protocol& protocol,
                     EngineMode mode, std::int64_t rounds,
-                    bool pin_virtual_kernel = false) {
+                    bool per_pair_rows = false) {
   Rng rng(1);
   State x = State::uniform_random(game, rng);
   obs::EngineMetrics metrics;
@@ -139,13 +142,13 @@ CellResult run_cell(const CongestionGame& game, const Protocol& protocol,
   // work); take it before the clock starts.
   game.beta_slope();
   const WallTimer timer;
-  // pin_virtual_kernel runs the VirtualKernel adapter (virtual dispatch
-  // per row) instead of the monomorphized kernel — the pre-ProtocolKernel
-  // batched path, bitwise-identical output by contract, so only
+  // per_pair_rows runs test::VirtualKernel (one virtual move_probability
+  // call per row entry) instead of the monomorphized kernel through the
+  // same batched engine — bitwise-identical output by contract, so only
   // wall-clock moves.
   const RunResult rr =
-      pin_virtual_kernel
-          ? run_dynamics(game, x, VirtualKernel(protocol), rng, call)
+      per_pair_rows
+          ? run_dynamics(game, x, test::VirtualKernel(protocol), rng, call)
           : run_dynamics(game, x, protocol, rng, call);
   return finish_cell(timer, rr.rounds, rr.latency_evals, rr.total_movers,
                      metrics);
@@ -306,14 +309,14 @@ int main(int argc, char** argv) {
            rounds, run_asymmetric_cell(asym, rounds, baseline));
   }
   // Cells 7/8: row-fill-bound workloads pricing the monomorphized
-  // ProtocolKernel + SIMD row against the virtual frontend (--baseline).
+  // ProtocolKernel row against per-pair rows (--baseline).
   const ExplorationProtocol exploration;
   const auto singleton_wide = make_monomial_fan_game(256, 1.0, 1.0, 4000);
   const auto singleton_pp_wide = make_monomial_fan_game(512, 1.0, 1.0, 2000);
   {
     const std::int64_t rounds = quick ? 160 : 800;
     record(7,
-           baseline ? "perplayer singleton m=256 explore VIRTUAL"
+           baseline ? "perplayer singleton m=256 explore PER-PAIR"
                     : "perplayer singleton m=256 explore",
            rounds,
            run_cell(singleton_wide, exploration, EngineMode::kPerPlayer,
@@ -322,7 +325,7 @@ int main(int argc, char** argv) {
   {
     const std::int64_t rounds = quick ? 60 : 300;
     record(8,
-           baseline ? "perplayer singleton m=512 VIRTUAL"
+           baseline ? "perplayer singleton m=512 PER-PAIR"
                     : "perplayer singleton m=512",
            rounds,
            run_cell(singleton_pp_wide, imitation, EngineMode::kPerPlayer,

@@ -49,14 +49,6 @@ RoundResult draw_round(const CongestionGame& game, const State& x,
   return out;
 }
 
-RoundResult draw_round_reference(const CongestionGame& game, const State& x,
-                                 const Protocol& protocol, Rng& rng,
-                                 EngineMode mode) {
-  // The reference oracle is per-pair virtual move_probability by
-  // definition — always the VirtualKernel, never a monomorphized one.
-  return draw_round_reference(game, x, VirtualKernel(protocol), rng, mode);
-}
-
 RoundResult step_round(const CongestionGame& game, State& x,
                        const Protocol& protocol, Rng& rng, EngineMode mode) {
   RoundResult result = draw_round(game, x, protocol, rng, mode);

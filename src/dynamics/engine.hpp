@@ -22,11 +22,11 @@
 // engine phases (stop check, row fill, draw, apply, cache refresh) are
 // templates over the ProtocolKernel concept (protocols/kernel.hpp), so
 // the paper's protocols run with zero virtual dispatch on the hot path
-// and singleton row fills take an auto-vectorizable select loop under
-// CID_SIMD. This header is the TYPE-ERASED FRONTEND over those
-// templates: every entrypoint below takes the virtual Protocol, resolves
-// it to its concrete kernel once per call (dispatch_protocol_kernel),
-// and is bitwise-identical to the templated API it wraps.
+// and singleton row fills take an auto-vectorizable select loop. This
+// header is the TYPE-ERASED FRONTEND over those templates: every
+// entrypoint below takes the virtual Protocol, resolves it to its
+// concrete kernel once per call (dispatch_protocol_kernel), and is
+// bitwise-identical to the templated API it wraps.
 //
 // run_dynamics owns a reusable RoundWorkspace, so steady-state rounds
 // perform no heap allocation and no latency-function evaluation beyond
@@ -40,13 +40,15 @@
 // phase.
 //
 // Every kernel consumes the RNG stream identically to the per-pair
-// reference oracle (draw_round_reference) and produces bitwise-identical
-// rounds — enforced by tests/test_engine_oracle.cpp and
-// tests/test_kernel_concepts.cpp — so checkpoints, event logs, and sweep
-// manifests are interchangeable between all of them. (One deliberate
-// pre-refactor delta, invisible at any realistic scale: the per-player
-// engine now locates the destination bucket against cumulative sums
-// instead of iterated subtraction, which can shift a boundary by an ulp.)
+// reference oracle (Protocol::move_probability, driven round by round by
+// the tests-only reference engine in tests/support/reference_round.hpp)
+// and produces bitwise-identical rounds — enforced by
+// tests/test_engine_oracle.cpp and tests/test_kernel_concepts.cpp — so
+// checkpoints, event logs, and sweep manifests are interchangeable between
+// all of them. (One deliberate pre-refactor delta, invisible at any
+// realistic scale: the per-player engine now locates the destination
+// bucket against cumulative sums instead of iterated subtraction, which
+// can shift a boundary by an ulp.)
 //
 // Migrations are collected against the pre-round state and applied
 // atomically — the definition of concurrency in this model.
@@ -179,15 +181,6 @@ void draw_round(const CongestionGame& game, const State& x,
                 const Protocol& protocol, Rng& rng, EngineMode mode,
                 RoundWorkspace& ws, RoundResult& out, int row_threads = 1,
                 obs::EngineMetrics* metrics = nullptr, bool trace = false);
-
-/// PER-PAIR REFERENCE ORACLE: the pre-batching engine, driving every pair
-/// through Protocol::move_probability with no caching. Consumes the RNG
-/// stream identically to draw_round and must produce bitwise-identical
-/// results (tests/test_engine_oracle.cpp); kept as the ground truth the
-/// batched kernel is audited against.
-RoundResult draw_round_reference(const CongestionGame& game, const State& x,
-                                 const Protocol& protocol, Rng& rng,
-                                 EngineMode mode);
 
 /// Draws and applies one round; returns what moved.
 RoundResult step_round(const CongestionGame& game, State& x,

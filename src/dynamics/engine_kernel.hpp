@@ -10,6 +10,13 @@
 // call inlined, instead of paying a virtual dispatch per row, while the
 // public API in engine.hpp stays exactly as stable as the Protocol class.
 //
+// Layering:
+//
+//   engine.hpp frontend (Protocol&) --dispatch_protocol_kernel-->
+//     draw_round<K> / run_dynamics<K>   (this header, one row path)
+//       K = ImitationKernel | ExplorationKernel | CombinedKernel
+//         | ClassImitationKernel
+//
 // One engine serves every concurrent family: the symmetric protocols run
 // on their game, and class-local imitation (ClassImitationKernel) runs on
 // an asymmetric game's flat game with each row cut to the origin's class
@@ -17,12 +24,15 @@
 // nothing from the RNG, so a block row draws exactly what the class-wise
 // reference round (draw_asymmetric_round_reference) draws.
 //
-// Templated callers (tests, benches, future engines) can use this API
-// directly with any ProtocolKernel model, VirtualKernel included;
-// everything here obeys the same bitwise contract as the frontend:
-// identical rows, identical RNG consumption, interchangeable checkpoints
-// (tests/test_kernel_concepts.cpp proves it against both the
-// VirtualKernel adapter and the per-pair reference oracle).
+// Templated callers (tests, benches) can use this API directly with any
+// ProtocolKernel model; everything here obeys the same bitwise contract as
+// the frontend: identical rows, identical RNG consumption, interchangeable
+// checkpoints. The audit paths live in the tests-only cid_test_support
+// library: an adapter that fills rows pair by pair through the virtual
+// oracle and never prunes, and the per-pair reference rounds
+// (tests/support/reference_round.hpp), which
+// tests/test_kernel_concepts.cpp and tests/test_engine_oracle.cpp run
+// against every kernel.
 #pragma once
 
 #include <algorithm>
@@ -90,9 +100,9 @@ void dcheck_pruned_row([[maybe_unused]] const CongestionGame& game,
 #endif
 }
 
-/// Shared by both per-player paths (batched binary search and reference
-/// linear scan): the cumulative row the single uniform is compared
-/// against. One definition ⇒ identical floating-point boundaries.
+/// The cumulative row the per-player engine's single uniform is compared
+/// against; the tests-only reference round scans the same row, so both
+/// see identical floating-point boundaries.
 inline void build_cumulative(std::span<const double> probs,
                              std::vector<double>& cumulative) {
   cumulative.resize(probs.size());
@@ -113,8 +123,9 @@ inline void prepare(const CongestionGame& game, const State& x,
   x.support(ws.support);
 }
 
-/// The serial paths' ex-post table, synced to this round's cache.
-inline ExpostTable& serial_table(RoundWorkspace& ws) {
+/// The serial paths' ex-post table, synced to this round's cache. Kept out
+/// of line: inlined, it costs draw_aggregate's per-origin loop a few percent.
+[[gnu::noinline]] inline ExpostTable& serial_table(RoundWorkspace& ws) {
   if (ws.expost.empty()) ws.expost.resize(1);
   ExpostTable& table = ws.expost.front();
   table.sync(ws.ctx);
@@ -319,82 +330,6 @@ void draw_per_player(const CongestionGame& game, const State& x,
   }
 }
 
-// ---- Per-pair reference oracle ----------------------------------------------
-
-/// Move probabilities out of `from` toward every strategy (the entry for
-/// `from` itself is 0), one move_probability oracle call per pair.
-template <ProtocolKernel K>
-std::vector<double> outgoing_probabilities_reference(
-    const CongestionGame& game, const State& x, const K& kernel,
-    StrategyId from) {
-  const auto k = static_cast<std::size_t>(game.num_strategies());
-  std::vector<double> probs(k, 0.0);
-  for (std::size_t j = 0; j < k; ++j) {
-    if (static_cast<StrategyId>(j) == from) continue;
-    probs[j] =
-        kernel.move_probability(game, x, from, static_cast<StrategyId>(j));
-  }
-  dcheck_row(probs, from);
-  return probs;
-}
-
-template <ProtocolKernel K>
-RoundResult draw_reference_aggregate(const CongestionGame& game,
-                                     const State& x, const K& kernel,
-                                     Rng& rng,
-                                     const std::vector<StrategyId>& support) {
-  RoundResult result;
-  for (StrategyId from : support) {
-    const auto probs = outgoing_probabilities_reference(game, x, kernel, from);
-    const auto counts = rng.multinomial(x.count(from), probs);
-    for (std::size_t j = 0; j < counts.size(); ++j) {
-      if (counts[j] == 0) continue;
-      result.moves.push_back(
-          Migration{from, static_cast<StrategyId>(j), counts[j]});
-      result.movers += counts[j];
-    }
-  }
-  return result;
-}
-
-template <ProtocolKernel K>
-RoundResult draw_reference_per_player(const CongestionGame& game,
-                                      const State& x, const K& kernel,
-                                      Rng& rng,
-                                      const std::vector<StrategyId>& support) {
-  // Accumulate per-(from,to) counts; the per-player draws are i.i.d. given
-  // x, so aggregation loses nothing. Destinations are located by LINEAR
-  // scan over the same cumulative row the batched kernel binary-searches —
-  // identical boundaries, identical single uniform per player.
-  RoundResult result;
-  std::vector<double> cumulative;
-  const auto k = static_cast<std::size_t>(game.num_strategies());
-  std::vector<std::int64_t> tally(k, 0);
-  for (StrategyId from : support) {
-    const auto probs = outgoing_probabilities_reference(game, x, kernel, from);
-    build_cumulative(probs, cumulative);
-    std::fill(tally.begin(), tally.end(), std::int64_t{0});
-    const std::int64_t cohort = x.count(from);
-    for (std::int64_t player = 0; player < cohort; ++player) {
-      const double u = rng.uniform();
-      for (std::size_t j = 0; j < k; ++j) {
-        if (u < cumulative[j]) {
-          ++tally[j];
-          break;
-        }
-      }
-      // Falling through every bucket = the player stays on `from`.
-    }
-    for (std::size_t j = 0; j < k; ++j) {
-      if (tally[j] == 0) continue;
-      result.moves.push_back(
-          Migration{from, static_cast<StrategyId>(j), tally[j]});
-      result.movers += tally[j];
-    }
-  }
-  return result;
-}
-
 }  // namespace engine_detail
 
 /// Workspace-backed monomorphized draw — the kernel-typed core of the
@@ -426,24 +361,6 @@ void draw_round(const CongestionGame& game, const State& x, const K& kernel,
       return;
   }
   CID_ENSURE(false, "unreachable engine mode");
-}
-
-/// Per-pair reference oracle over a kernel's move_probability — the
-/// kernel-typed core of the engine.hpp draw_round_reference frontend.
-template <ProtocolKernel K>
-RoundResult draw_round_reference(const CongestionGame& game, const State& x,
-                                 const K& kernel, Rng& rng, EngineMode mode) {
-  const auto support = x.support();
-  switch (mode) {
-    case EngineMode::kAggregate:
-      return engine_detail::draw_reference_aggregate(game, x, kernel, rng,
-                                                     support);
-    case EngineMode::kPerPlayer:
-      return engine_detail::draw_reference_per_player(game, x, kernel, rng,
-                                                      support);
-  }
-  CID_ENSURE(false, "unreachable engine mode");
-  return {};
 }
 
 /// Monomorphized run — the kernel-typed core of the engine.hpp

@@ -7,20 +7,12 @@ namespace cid {
 void LatencyContext::recompute_resource(std::size_t e) {
   const std::int64_t load = x_->congestion(static_cast<Resource>(e));
   // Exactly the evaluations the uncached game methods perform, so cached
-  // reads reproduce them bit-for-bit. Under CID_SIMD they route through
-  // the game's flattened LatencyTable (latency/kernel.hpp), whose value()
-  // is bitwise equal to the virtual call by contract; a =0 build keeps the
-  // original virtual dispatch.
+  // reads reproduce them bit-for-bit: the game's flattened LatencyTable
+  // (latency/kernel.hpp) is bitwise equal to the virtual call by contract.
   non_monotone_ -= ell_plus_[e] < ell_[e] ? 1 : 0;
-  if constexpr (kSimdCompiled) {
-    const LatencyTable& table = game_->latency_table();
-    ell_[e] = table.value(e, static_cast<double>(load));
-    ell_plus_[e] = table.value(e, static_cast<double>(load + 1));
-  } else {
-    const LatencyFunction& fn = game_->latency(static_cast<Resource>(e));
-    ell_[e] = fn.value(static_cast<double>(load));
-    ell_plus_[e] = fn.value(static_cast<double>(load + 1));
-  }
+  const LatencyTable& table = game_->latency_table();
+  ell_[e] = table.value(e, static_cast<double>(load));
+  ell_plus_[e] = table.value(e, static_cast<double>(load + 1));
   non_monotone_ += ell_plus_[e] < ell_[e] ? 1 : 0;
   load_[e] = load;
   evals_ += 2;

@@ -64,7 +64,7 @@ class LatencyContext {
   }
 
   /// The full ℓ_e(x_e) table, indexed by dense resource id — contiguous,
-  /// for the SIMD row kernels (protocols/kernel.hpp singleton fast paths)
+  /// for the vectorizable singleton select loops (protocols/kernel.hpp)
   /// that turn the per-pair ex-post lookup into plain array reads.
   std::span<const double> resource_latencies() const noexcept { return ell_; }
 

@@ -181,7 +181,7 @@ double LatencyTable::potential(std::span<const std::int64_t> loads) const {
     const std::int64_t load = loads[e];
     if (load <= 0) continue;
     if (en.closed && add_closed_form(en, load, acc)) continue;
-    switch (kSimdCompiled ? en.kind : Kind::kOpaque) {
+    switch (en.kind) {
       case Kind::kConstant:
         add_prefix<Kind::kConstant>(en, load, acc);
         break;

@@ -1,5 +1,5 @@
-// LatencyKernel concept + LatencyTable: devirtualized latency evaluation
-// for the round kernels' hot loops.
+// LatencyTable: devirtualized latency evaluation for the round kernels'
+// hot loops.
 //
 // The batched engines evaluate ℓ_e at integer loads millions of times per
 // run, and every call used to be a virtual LatencyFunction::value dispatch —
@@ -20,15 +20,9 @@
 // helper as MonomialLatency::value. The only delta is deliberate: the
 // argument-range CID_ENSUREs of the virtual implementations are demoted to
 // CID_DCHECK here (hot loop; the engines only ever pass loads >= 0).
-//
-// CID_SIMD (CMake option, default ON) gates every use of this fast path:
-// building with -DCID_SIMD=OFF keeps the table compiled but routes all
-// evaluation back through the virtual functions, which CI uses to prove
-// the two paths byte-identical end to end. The closed-form potential() is
-// not a fast path but the definition of Φ, so both builds run it.
+// tests/test_kernel_concepts.cpp pins value() to every function shape.
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -38,25 +32,7 @@
 #include "util/assert.hpp"
 #include "util/stats.hpp"
 
-#ifndef CID_SIMD
-#define CID_SIMD 1
-#endif
-
 namespace cid {
-
-/// Whether the devirtualized/SIMD fast paths are compiled in (CID_SIMD
-/// != 0). Hot paths branch on this `if constexpr`, so an =0 build strips
-/// them entirely and falls back to the virtual frontends.
-inline constexpr bool kSimdCompiled = CID_SIMD != 0;
-
-/// Anything that can answer ℓ_e(x) for a dense resource index without
-/// virtual dispatch. LatencyTable models it; a custom backend (e.g. a
-/// fluid-limit engine with closed-form latencies) can substitute its own.
-template <typename K>
-concept LatencyKernel = requires(const K k, std::size_t e, double x) {
-  { k.value(e, x) } -> std::same_as<double>;
-  { k.size() } -> std::convertible_to<std::size_t>;
-};
 
 class LatencyTable {
  public:
@@ -104,9 +80,7 @@ class LatencyTable {
   /// Anything else (exponential, non-integer degree, a degree above
   /// kMaxClosedDegree, or a sum that would leave 128 bits) adds
   /// ℓ_e(1), ..., ℓ_e(L) one by one. Every term goes into one NeumaierSum
-  /// in resource order. The classification is the same in a CID_SIMD=0
-  /// build (only the fallback loop goes through the virtual function), so
-  /// both builds return the same bits.
+  /// in resource order.
   double potential(std::span<const std::int64_t> loads) const;
 
   /// Highest integer degree the closed forms handle.
@@ -171,7 +145,5 @@ class LatencyTable {
   std::vector<Entry> entries_;
   std::vector<double> coef_;  // every polynomial's coefficients, contiguous
 };
-
-static_assert(LatencyKernel<LatencyTable>);
 
 }  // namespace cid

@@ -25,14 +25,13 @@ class CombinedProtocol final : public Protocol {
   /// the ex-post merge twice (once inside each sub-protocol).
   void fill_move_probabilities(const CongestionGame& game,
                                const OriginView& origin,
-                               std::span<double> out) const override;
+                               std::span<double> out) const;
 
   /// A combined row entry is p·explore + (1−p)·imitate; it is provably
   /// zero exactly when both sub-rows are (0.0·anything + anything·0.0
   /// stays 0.0 for the finite sub-probabilities involved).
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from,
-                         const RowBounds& bounds) const override;
+                         StrategyId from, const RowBounds& bounds) const;
 
   std::string name() const override;
 

@@ -15,7 +15,10 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
+#include "game/expost_table.hpp"
+#include "game/latency_context.hpp"
 #include "protocols/protocol.hpp"
 
 namespace cid {
@@ -40,14 +43,13 @@ class ExplorationProtocol final : public Protocol {
   /// β/ℓ_min damping) hoisted out of the loop.
   void fill_move_probabilities(const CongestionGame& game,
                                const OriginView& origin,
-                               std::span<double> out) const override;
+                               std::span<double> out) const;
 
   /// Exploration samples ALL strategies (including empty ones), so its row
   /// is provably zero only when ℓ_P(x) <= min over every strategy of
   /// ℓ_Q(x) and plus-dominance lifts that to the ex-post latencies.
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from,
-                         const RowBounds& bounds) const override;
+                         StrategyId from, const RowBounds& bounds) const;
 
   /// Batched-kernel core shared with CombinedProtocol (see
   /// ImitationProtocol::move_probability_cached).

@@ -15,7 +15,10 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
+#include "game/expost_table.hpp"
+#include "game/latency_context.hpp"
 #include "protocols/protocol.hpp"
 
 namespace cid {
@@ -74,7 +77,7 @@ class ImitationProtocol final : public Protocol {
   /// gather per *populated* destination, with zero latency-function calls.
   void fill_move_probabilities(const CongestionGame& game,
                                const OriginView& origin,
-                               std::span<double> out) const override;
+                               std::span<double> out) const;
 
   /// Imitation's row is all zero when no destination beats ℓ_P(x) by more
   /// than ν: ℓ_Q(x+1_Q−1_P) >= ℓ_Q(x) (plus-dominance) makes
@@ -82,8 +85,7 @@ class ImitationProtocol final : public Protocol {
   /// reaches empty strategies, so the min runs over ALL strategies;
   /// without, over the support only (empty targets are zeroed anyway).
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from,
-                         const RowBounds& bounds) const override;
+                         StrategyId from, const RowBounds& bounds) const;
 
   /// Batched-kernel core shared with CombinedProtocol: the pair probability
   /// from pre-fetched ℓ_P(x) and ℓ_Q(x+1_Q−1_P). Bitwise identical to

@@ -3,36 +3,38 @@
 // It serves the symmetric protocols and, through ClassImitationKernel, the
 // class-local imitation of asymmetric games run on their flat game.
 //
-// The virtual Protocol class stays exactly what it was — the type-erased
-// frontend the CLIs and the scenario registry hold, and the per-pair
-// REFERENCE ORACLE (move_probability) every kernel is audited against. A
-// ProtocolKernel is the non-virtual mirror of its row API: `fill_row`,
-// `row_provably_zero`, and `move_probability` with the same bitwise
-// contracts, dispatched at compile time so the engines' five phases inline
-// the row fill instead of paying a virtual call per origin (and, for the
-// paper's protocols on singleton games, run a branch-reduced select loop
-// the auto-vectorizer can chew on — gated by CID_SIMD).
+// The virtual Protocol class is the type-erased handle the CLIs and the
+// scenario registry hold, and the per-pair REFERENCE ORACLE
+// (move_probability) every kernel is audited against. A ProtocolKernel
+// adds the row API — `row_block`, `fill_row`, `row_provably_zero` — and is
+// dispatched at compile time, so the engines' five phases inline the row
+// fill instead of paying a virtual call per origin, and the paper's
+// protocols on singleton games run a branch-reduced select loop the
+// auto-vectorizer can chew on.
 //
 // Layering (how a protocol reaches the hot path):
 //
 //   Protocol (virtual)  --dispatch_protocol_kernel-->  concrete kernel
-//     ImitationProtocol   -> ImitationKernel     (devirtualized + SIMD row)
-//     ExplorationProtocol -> ExplorationKernel   (devirtualized + SIMD row)
-//     CombinedProtocol    -> CombinedKernel      (devirtualized + SIMD row)
-//     anything else       -> VirtualKernel       (forwards virtually)
+//     ImitationProtocol   -> ImitationKernel     (select loop on singletons)
+//     ExplorationProtocol -> ExplorationKernel   (select loop on singletons)
+//     CombinedProtocol    -> CombinedKernel      (select loop on singletons)
+//     anything else       -> refused (invariant_violation naming it)
 //
-// ClassImitationKernel has no virtual Protocol: the asymmetric scenario
-// families construct it directly, and its move_probability forwards to
-// the class-wise oracle asymmetric_move_probability (game/asymmetric.hpp).
+// On non-singleton games each kernel calls its final class's
+// fill_move_probabilities / row_provably_zero directly. ClassImitationKernel
+// has no virtual Protocol: the asymmetric scenario families construct it
+// directly, and its move_probability forwards to the class-wise oracle
+// asymmetric_move_probability (game/asymmetric.hpp).
 //
-// A new protocol therefore needs NO engine changes: implement the virtual
-// Protocol (correct immediately via VirtualKernel), and optionally add a
-// dedicated kernel + dispatch case when its row fill earns a fast path.
+// A new protocol therefore needs a final class with the same row members
+// plus a kernel and a dispatch case. The tests-only adapter in
+// tests/support/reference_round.hpp fills rows pair by pair through
+// move_probability and never prunes; the suites run it beside each kernel
+// to audit both the row fill and the pruning.
 //
 // Bitwise contract: every kernel's fill_row writes the byte-identical row
-// the wrapped protocol's fill_move_probabilities writes, which in turn
-// mirrors move_probability per pair — so batched, monomorphized, SIMD, and
-// per-pair reference paths all consume the RNG identically and produce
+// move_probability gives per pair — so batched, monomorphized, vectorized,
+// and per-pair reference paths all consume the RNG identically and produce
 // interchangeable checkpoints (tests/test_kernel_concepts.cpp and
 // tests/test_engine_oracle.cpp enforce this). The singleton fast paths
 // below preserve it by construction: identical hoisted constants,
@@ -52,7 +54,6 @@
 #include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "game/state.hpp"
-#include "latency/kernel.hpp"
 #include "protocols/combined.hpp"
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
@@ -61,16 +62,27 @@
 
 namespace cid {
 
-/// The statically-dispatched protocol interface. Semantics (and bitwise
-/// contracts) of the members are exactly those of the virtual Protocol
-/// methods they mirror: fill_row = fill_move_probabilities,
-/// row_provably_zero = row_provably_zero, move_probability = the per-pair
-/// reference oracle — with one generalization: `row_block(game, from)` is
-/// the destination range of from's row, `out` spans that block (out[j] is
-/// the probability of moving to block.begin + j; from = origin.from()),
-/// and the bounds row_provably_zero receives are computed over the block.
-/// Destinations outside the block have probability 0. Kernels are cheap
-/// value types (a pointer or two) the engines copy freely.
+/// The statically-dispatched protocol interface:
+///
+///   * row_block(game, from) — the destination range of from's row;
+///     destinations outside it have probability 0.
+///   * fill_row(game, origin, out) — writes, for from = origin.from() and
+///     every j, out[j] = move_probability(from, block.begin + j) (0 for
+///     from itself) over the block. origin.ctx() is the round's latency
+///     cache, consistent with the pre-round state. Every entry must be
+///     BITWISE identical to the per-pair value: the engines feed rows
+///     straight into the RNG samplers, so any drift would silently fork
+///     every replay/checkpoint artifact.
+///   * row_provably_zero(game, ctx, from, bounds) — true ONLY when every
+///     entry fill_row would write is provably 0.0; the aggregate engine
+///     then skips the row fill AND the multinomial draw. Bitwise-safe
+///     because Rng::multinomial consumes no randomness for zero-probability
+///     categories. It must be sound, not complete: a false for a zero row
+///     merely costs time. `bounds` are computed over the block.
+///   * move_probability(game, x, from, to) — the per-pair reference oracle.
+///
+/// Kernels are cheap value types (a pointer or two) the engines copy
+/// freely.
 template <typename K>
 concept ProtocolKernel =
     std::copy_constructible<K> &&
@@ -84,42 +96,11 @@ concept ProtocolKernel =
       { k.name() } -> std::convertible_to<std::string>;
     };
 
-/// Type-erasure adapter: any virtual Protocol, presented as a kernel. This
-/// is the pre-redesign batched path, bit for bit — dispatch_protocol_kernel
-/// falls back to it for unrecognized protocols, and tests and benches pass
-/// it to the templated engine (dynamics/engine_kernel.hpp) directly to
-/// audit and price the virtual frontend against the monomorphized kernels.
-class VirtualKernel {
- public:
-  explicit VirtualKernel(const Protocol& protocol) noexcept
-      : protocol_(&protocol) {}
-
-  RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
-    return {0, game.num_strategies()};
-  }
-  void fill_row(const CongestionGame& game, const OriginView& origin,
-                std::span<double> out) const {
-    protocol_->fill_move_probabilities(game, origin, out);
-  }
-  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from, const RowBounds& bounds) const {
-    return protocol_->row_provably_zero(game, ctx, from, bounds);
-  }
-  double move_probability(const CongestionGame& game, const State& x,
-                          StrategyId from, StrategyId to) const {
-    return protocol_->move_probability(game, x, from, to);
-  }
-  std::string name() const { return protocol_->name(); }
-
- private:
-  const Protocol* protocol_;
-};
-
 /// Monomorphized imitation kernel. Non-singleton games delegate to the
 /// final ImitationProtocol methods (direct, devirtualized calls); singleton
-/// games take a contiguous-array select loop under CID_SIMD: the per-
-/// destination ex-post gather collapses to one ell/ell_plus read, and the
-/// branchy zero cases become one ternary select per entry.
+/// games take a contiguous-array select loop: the per-destination ex-post
+/// gather collapses to one ell/ell_plus read, and the branchy zero cases
+/// become one ternary select per entry.
 class ImitationKernel {
  public:
   explicit ImitationKernel(const ImitationProtocol& protocol) noexcept
@@ -130,11 +111,9 @@ class ImitationKernel {
   }
   void fill_row(const CongestionGame& game, const OriginView& origin,
                 std::span<double> out) const {
-    if constexpr (kSimdCompiled) {
-      if (game.is_singleton()) {
-        fill_row_singleton(game, origin.ctx(), origin.from(), out);
-        return;
-      }
+    if (game.is_singleton()) {
+      fill_row_singleton(game, origin.ctx(), origin.from(), out);
+      return;
     }
     protocol_->fill_move_probabilities(game, origin, out);
   }
@@ -208,11 +187,9 @@ class ExplorationKernel {
   }
   void fill_row(const CongestionGame& game, const OriginView& origin,
                 std::span<double> out) const {
-    if constexpr (kSimdCompiled) {
-      if (game.is_singleton()) {
-        fill_row_singleton(game, origin.ctx(), origin.from(), out);
-        return;
-      }
+    if (game.is_singleton()) {
+      fill_row_singleton(game, origin.ctx(), origin.from(), out);
+      return;
     }
     protocol_->fill_move_probabilities(game, origin, out);
   }
@@ -276,11 +253,9 @@ class CombinedKernel {
   }
   void fill_row(const CongestionGame& game, const OriginView& origin,
                 std::span<double> out) const {
-    if constexpr (kSimdCompiled) {
-      if (game.is_singleton()) {
-        fill_row_singleton(game, origin.ctx(), origin.from(), out);
-        return;
-      }
+    if (game.is_singleton()) {
+      fill_row_singleton(game, origin.ctx(), origin.from(), out);
+      return;
     }
     protocol_->fill_move_probabilities(game, origin, out);
   }
@@ -444,7 +419,6 @@ class ClassImitationKernel {
   AsymmetricImitationParams params_;
 };
 
-static_assert(ProtocolKernel<VirtualKernel>);
 static_assert(ProtocolKernel<ImitationKernel>);
 static_assert(ProtocolKernel<ExplorationKernel>);
 static_assert(ProtocolKernel<CombinedKernel>);
@@ -452,8 +426,9 @@ static_assert(ProtocolKernel<ClassImitationKernel>);
 
 /// Resolves a type-erased Protocol to its concrete kernel and invokes
 /// `f(kernel)` — THE frontend/kernel boundary: one dynamic_cast chain per
-/// run (or per standalone draw), never per round. Unrecognized protocols
-/// fall back to the VirtualKernel adapter.
+/// run (or per standalone draw), never per round. make_protocol builds
+/// only the three final classes; any other Protocol is refused with an
+/// invariant_violation naming it.
 template <typename F>
 decltype(auto) dispatch_protocol_kernel(const Protocol& protocol, F&& f) {
   if (const auto* imitation =
@@ -464,11 +439,10 @@ decltype(auto) dispatch_protocol_kernel(const Protocol& protocol, F&& f) {
           dynamic_cast<const ExplorationProtocol*>(&protocol)) {
     return f(ExplorationKernel(*exploration));
   }
-  if (const auto* combined =
-          dynamic_cast<const CombinedProtocol*>(&protocol)) {
-    return f(CombinedKernel(*combined));
-  }
-  return f(VirtualKernel(protocol));
+  const auto* combined = dynamic_cast<const CombinedProtocol*>(&protocol);
+  CID_ENSURE(combined != nullptr,
+             "no round kernel for protocol '" + protocol.name() + "'");
+  return f(CombinedKernel(*combined));
 }
 
 }  // namespace cid

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <math.h>  // lgamma_r (POSIX; declared by glibc in C++ builds)
 
 #include "util/assert.hpp"
 
@@ -152,7 +153,14 @@ std::int64_t Rng::binomial_btrs(std::int64_t n, double p) {
   const double lpq = std::log(p / q);
   const double m = std::floor((nd + 1.0) * p);
 
-  auto lgamma1p = [](double x) { return std::lgamma(x + 1.0); };
+  // lgamma_r, not std::lgamma: std::lgamma also stores the sign in libm's
+  // global `signgam`, a data race when trials run on several threads. The
+  // value is the same function; the sign (always + for x + 1 >= 1) is
+  // discarded.
+  auto lgamma1p = [](double x) {
+    int sign = 0;
+    return ::lgamma_r(x + 1.0, &sign);
+  };
   const double h = lgamma1p(m) + lgamma1p(nd - m);
 
   for (;;) {

@@ -5,8 +5,8 @@
 // scenarios drive with ClassImitationKernel on their flat game. These
 // loops run the same process — stop check at `check_interval` in absolute round numbers,
 // draw against the pre-round state, observe, apply — but every round goes
-// through the per-pair reference oracle (draw_round_reference /
-// draw_asymmetric_round_reference) and every stop check through the
+// through the per-pair reference oracle (draw_round_reference in
+// support/reference_round.hpp / draw_asymmetric_round_reference) and every stop check through the
 // context-free predicates, with no latency cache anywhere. The oracle
 // suites compare whole runs, trials, and resumed trials against them bit
 // for bit.
@@ -18,6 +18,7 @@
 
 #include "dynamics/engine.hpp"
 #include "game/asymmetric.hpp"
+#include "support/reference_round.hpp"
 #include "sweep/scenario.hpp"
 #include "util/rng.hpp"
 

@@ -11,8 +11,8 @@
 //   * opaque kinds (exponential, non-integer degree) and sums that would
 //     leave 128 bits keep the step loop, in a NeumaierSum;
 //
-// over L ∈ {0, 1, 2, 1e3, 1e6, 1e9}. A CID_SIMD=OFF build runs the same
-// closed forms, so it passes the same assertions bit for bit.
+// over L ∈ {0, 1, 2, 1e3, 1e6, 1e9}. There is one build of these closed
+// forms; the x86-64-v3 build runs them too and writes the same bits.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -11,6 +11,7 @@
 #include "game/builders.hpp"
 #include "game/latency_context.hpp"
 #include "protocols/imitation.hpp"
+#include "support/reference_round.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -144,7 +145,7 @@ TEST(EngineDistribution, PruningPreservesDistributionAndRngStream) {
     for (int i = 0; i < 200; ++i) {
       const RoundResult pruned = draw_round(
           game, x, protocol, pruned_rng, EngineMode::kAggregate);
-      const RoundResult reference = draw_round_reference(
+      const RoundResult reference = test::draw_round_reference(
           game, x, protocol, reference_rng, EngineMode::kAggregate);
       ASSERT_EQ(pruned.moves, reference.moves) << "draw " << i;
       ASSERT_EQ(pruned_rng.state(), reference_rng.state()) << "draw " << i;
@@ -164,7 +165,7 @@ TEST(EngineDistribution, PruningPreservesDistributionAndRngStream) {
   {
     Rng rng(77);
     for (int i = 0; i < kDraws; ++i) {
-      const RoundResult rr = draw_round_reference(
+      const RoundResult rr = test::draw_round_reference(
           game, x, protocol, rng, EngineMode::kAggregate);
       std::size_t movers = 0;
       for (const auto& mv : rr.moves) {

@@ -1,16 +1,16 @@
 // Oracle equivalence for the batched round kernel.
 //
-// The engine's hot path (cached LatencyContext + batched
-// Protocol::fill_move_probabilities + workspace draws) must be BITWISE
+// The engine's hot path (cached LatencyContext + each protocol kernel's
+// batched row fill + workspace draws) must be BITWISE
 // indistinguishable from the per-pair reference path (one virtual
 // move_probability call per (from, to) pair, no caching):
 //
-//   1. round level — draw_round vs draw_round_reference produce identical
-//      Migration lists AND consume the RNG stream identically, sustained
-//      over many applied rounds (so the incremental cache refresh is
-//      exercised, not just the initial full build), for all three
+//   1. round level — draw_round vs test::draw_round_reference produce
+//      identical Migration lists AND consume the RNG stream identically,
+//      sustained over many applied rounds (so the incremental cache
+//      refresh is exercised, not just the initial full build), for all three
 //      protocols x both engine modes x singleton and network games;
-//   2. probability level — fill_move_probabilities rows match the
+//   2. probability level — each kernel's fill_row rows match the
 //      move_probability oracle bit-for-bit, including after incremental
 //      refreshes;
 //   3. trial level — every engine-backed registry scenario family's trial
@@ -97,7 +97,7 @@ void expect_rounds_identical(const CongestionGame& game, EngineMode mode,
     RoundResult batched;
     for (std::int64_t round = 0; round < rounds; ++round) {
       draw_round(game, batched_x, *protocol, batched_rng, mode, ws, batched);
-      const RoundResult reference = draw_round_reference(
+      const RoundResult reference = test::draw_round_reference(
           game, reference_x, *protocol, reference_rng, mode);
       ASSERT_EQ(batched.moves, reference.moves) << "round " << round;
       ASSERT_EQ(batched.movers, reference.movers) << "round " << round;
@@ -150,7 +150,11 @@ TEST(EngineOracle, BatchedRowsMatchMoveProbabilityOracle) {
       SCOPED_TRACE(protocol->name());
       std::vector<double> row(k);
       for (StrategyId from = 0; from < game.num_strategies(); ++from) {
-        protocol->fill_move_probabilities(game, OriginView(table, from), row);
+        // On this non-singleton game every kernel's fill_row is its final
+        // class's fill_move_probabilities.
+        dispatch_protocol_kernel(*protocol, [&](const auto& kernel) {
+          kernel.fill_row(game, OriginView(table, from), row);
+        });
         for (StrategyId to = 0; to < game.num_strategies(); ++to) {
           const double oracle =
               to == from ? 0.0
@@ -314,8 +318,8 @@ TEST(EngineOracle, ClassKernelMatchesFullWidthReferenceBothModes) {
         ASSERT_EQ(threaded.moves, batched.moves);
         ASSERT_EQ(rng.state(), batched_rng.state());
       }
-      const RoundResult reference =
-          draw_round_reference(flat, reference_x, kernel, reference_rng, mode);
+      const RoundResult reference = test::draw_round_reference(
+          flat, reference_x, kernel, reference_rng, mode);
       ASSERT_EQ(batched.moves, reference.moves) << "round " << round;
       ASSERT_EQ(batched_rng.state(), reference_rng.state())
           << "round " << round;

@@ -1,31 +1,33 @@
-// ProtocolKernel / LatencyKernel concept suite.
+// ProtocolKernel concept suite.
 //
 // The engine redesign (protocols/kernel.hpp, dynamics/engine_kernel.hpp,
 // latency/kernel.hpp) must be invisible at the bit level. This suite pins:
 //
 //   1. concept level — every paper protocol's kernel models ProtocolKernel
 //      (and the virtual classes do NOT — the concept really separates the
-//      two interfaces); LatencyTable models LatencyKernel; the class-local
-//      imitation kernel models ProtocolKernel, and a kernel without
-//      row_block does not;
+//      two interfaces); the class-local imitation kernel and the tests-only
+//      VirtualKernel model ProtocolKernel, and a kernel without row_block
+//      does not;
 //   2. dispatch level — dispatch_protocol_kernel resolves each concrete
-//      protocol to its monomorphized kernel and falls back to
-//      VirtualKernel for unrecognized protocols;
+//      protocol to its monomorphized kernel and refuses any other protocol
+//      by name;
 //   3. latency level — LatencyTable::value reproduces every registered
 //      latency-function shape (constant, linear, affine, monomial,
 //      polynomial, scaled, and the opaque exponential fallback) bitwise at
 //      the integer loads the engines evaluate and at fractional and huge
 //      arguments (LatencyTable::potential, the closed-form Φ, has its own
 //      suite: tests/test_closed_form.cpp);
-//   4. row level — each monomorphized kernel's fill_row (the SIMD select
-//      loop on singleton games) is bitwise-identical to the virtual
+//   4. row level — each monomorphized kernel's fill_row (the select loop
+//      on singleton games) is bitwise-identical to its final class's
 //      fill_move_probabilities row, sustained across incremental cache
 //      refreshes;
 //   5. round/run level — the templated draw_round<K> / run_dynamics<K>
-//      over the monomorphized kernel, the same templates over
-//      VirtualKernel, the type-erased Protocol frontend, and the per-pair
-//      reference oracle all produce identical Migration lists AND consume
-//      the RNG stream identically, including under row_threads ∈ {1,2,4};
+//      over the monomorphized kernel, the same templates over the
+//      tests-only VirtualKernel (per-pair rows, never pruned), the
+//      type-erased Protocol frontend, and the per-pair reference oracle
+//      all produce identical Migration lists AND consume the RNG stream
+//      identically, including under row_threads ∈ {1,2,4} — so every
+//      pruned row is audited against its unpruned per-pair row;
 //   6. API level — EngineInvocation's two stop-predicate forms are
 //      consulted on the same rounds, and setting both is rejected.
 #include <gtest/gtest.h>
@@ -47,6 +49,7 @@
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
 #include "protocols/kernel.hpp"
+#include "support/reference_round.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -55,7 +58,7 @@ namespace {
 
 // ---- 1. Concept membership --------------------------------------------------
 
-static_assert(ProtocolKernel<VirtualKernel>);
+static_assert(ProtocolKernel<test::VirtualKernel>);
 static_assert(ProtocolKernel<ImitationKernel>);
 static_assert(ProtocolKernel<ExplorationKernel>);
 static_assert(ProtocolKernel<CombinedKernel>);
@@ -65,11 +68,6 @@ static_assert(ProtocolKernel<CombinedKernel>);
 static_assert(!ProtocolKernel<ImitationProtocol>);
 static_assert(!ProtocolKernel<ExplorationProtocol>);
 static_assert(!ProtocolKernel<CombinedProtocol>);
-
-static_assert(LatencyKernel<LatencyTable>);
-// LatencyFunction::value takes one argument (no resource index) — not a
-// table.
-static_assert(!LatencyKernel<LatencyFunction>);
 
 static_assert(ProtocolKernel<ClassImitationKernel>);
 
@@ -109,11 +107,12 @@ TEST(KernelDispatch, ConcreteProtocolsGetMonomorphizedKernels) {
   EXPECT_TRUE(dispatches_to<CombinedKernel>(combined));
 }
 
-TEST(KernelDispatch, UnrecognizedProtocolFallsBackToVirtualKernel) {
-  // A protocol type the dispatch chain has never heard of must still run —
-  // correct immediately via the VirtualKernel adapter, no engine changes.
-  // (Wrapping rather than deriving: a subclass of ImitationProtocol would
-  // still be caught by the dynamic_cast chain.)
+TEST(KernelDispatch, UnknownProtocolIsRefused) {
+  // make_protocol builds only the three final classes, so a protocol type
+  // the dispatch chain has never heard of has no round kernel: both
+  // frontends refuse it with its name instead of running it. (Wrapping
+  // rather than deriving: a subclass of ImitationProtocol would still be
+  // caught by the dynamic_cast chain.)
   class OpaqueProtocol final : public Protocol {
    public:
     double move_probability(const CongestionGame& game, const State& x,
@@ -126,15 +125,30 @@ TEST(KernelDispatch, UnrecognizedProtocolFallsBackToVirtualKernel) {
     ImitationProtocol inner_;
   };
   const OpaqueProtocol opaque;
-  EXPECT_TRUE(dispatches_to<VirtualKernel>(opaque));
-  EXPECT_EQ(VirtualKernel(opaque).name(), opaque.name());
-
-  // And the fallback actually runs: one round on a real game.
   const auto game = make_monomial_fan_game(8, 1.0, 1.0, 500);
   Rng rng(3);
   State x = State::uniform_random(game, rng);
-  const RoundResult rr =
-      draw_round(game, x, opaque, rng, EngineMode::kAggregate);
+  const auto expect_refused = [](const auto& call) {
+    try {
+      call();
+      FAIL() << "expected the unknown protocol to be refused";
+    } catch (const invariant_violation& e) {
+      EXPECT_NE(std::string(e.what()).find("'opaque'"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused(
+      [&] { draw_round(game, x, opaque, rng, EngineMode::kAggregate); });
+  EngineInvocation call;
+  call.options.max_rounds = 5;
+  expect_refused([&] { run_dynamics(game, x, opaque, rng, call); });
+
+  // The templated engine still runs it through the tests-only adapter.
+  const test::VirtualKernel virt(opaque);
+  EXPECT_EQ(virt.name(), opaque.name());
+  RoundWorkspace ws;
+  RoundResult rr;
+  draw_round(game, x, virt, rng, EngineMode::kAggregate, ws, rr);
   EXPECT_GE(rr.movers, 0);
 }
 
@@ -218,7 +232,7 @@ void expect_rows_match_protocol(const CongestionGame& game,
       }
     }
     // Mutate through a real draw so later iterations audit refreshed
-    // cache entries (and, on singleton games, the SIMD select loop over
+    // cache entries (and, on singleton games, the select loop over
     // non-initial ell/ell_plus values).
     draw_round(game, x, kernel, rng, EngineMode::kAggregate, ws, rr);
     x.apply(game, rr.moves, scratch);
@@ -228,8 +242,8 @@ void expect_rows_match_protocol(const CongestionGame& game,
 }
 
 TEST(KernelRows, SingletonFastPathsMatchVirtualRows) {
-  // Singleton game: under CID_SIMD=ON this drives the vectorizable select
-  // loops; under =OFF the same assertions audit the delegating path.
+  // Singleton game: this drives the vectorizable select loops, which must
+  // match the final classes' scalar row fills entry for entry.
   const auto game = make_monomial_fan_game(16, 1.0, 2.0, 4000);
   ImitationParams virtual_params;
   virtual_params.virtual_agents = 2;
@@ -258,7 +272,7 @@ void expect_four_paths_identical(const CongestionGame& game,
                                  const ProtocolT& protocol, EngineMode mode,
                                  std::int64_t rounds, std::uint64_t seed) {
   const KernelT mono(protocol);
-  const VirtualKernel virt(protocol);
+  const test::VirtualKernel virt(protocol);
   // Four independent (rng, state, workspace) tuples; only the path differs.
   Rng mono_rng(seed), virt_rng(seed), front_rng(seed), oracle_rng(seed);
   State mono_x = State::uniform_random(game, mono_rng);
@@ -272,7 +286,7 @@ void expect_four_paths_identical(const CongestionGame& game,
     draw_round(game, virt_x, virt, virt_rng, mode, virt_ws, virt_rr);
     draw_round(game, front_x, protocol, front_rng, mode, front_ws, front_rr);
     const RoundResult oracle =
-        draw_round_reference(game, oracle_x, virt, oracle_rng, mode);
+        test::draw_round_reference(game, oracle_x, virt, oracle_rng, mode);
     ASSERT_EQ(mono_rr.moves, virt_rr.moves) << "round " << round;
     ASSERT_EQ(mono_rr.moves, front_rr.moves) << "round " << round;
     ASSERT_EQ(mono_rr.moves, oracle.moves) << "round " << round;
@@ -345,8 +359,8 @@ TEST(KernelRounds, TemplatedRowThreadsBitwiseInvariant) {
 
 TEST(KernelRuns, TemplatedRunMatchesFrontendRun) {
   // Whole runs through run_dynamics<K> over the monomorphized kernel and
-  // over VirtualKernel (the virtual frontend, pinned by passing the
-  // adapter directly) must match the type-erased entrypoint bit for bit.
+  // over the tests-only VirtualKernel (per-pair rows, no pruning) must
+  // match the type-erased entrypoint bit for bit.
   const auto game = make_monomial_fan_game(10, 2.0, 1.0, 20000);
   const ImitationProtocol protocol;
   EngineInvocation call;
@@ -368,7 +382,7 @@ TEST(KernelRuns, TemplatedRunMatchesFrontendRun) {
     EXPECT_EQ(rng.state(), front_rng.state());
   };
   expect_same_run(ImitationKernel(protocol));
-  expect_same_run(VirtualKernel(protocol));
+  expect_same_run(test::VirtualKernel(protocol));
 }
 
 // ---- 6. EngineInvocation ----------------------------------------------------

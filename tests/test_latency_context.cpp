@@ -148,6 +148,15 @@ TEST(LatencyContext, SingletonIncrementalRefreshEqualsRebuild) {
 
 // ---- Pruning soundness ------------------------------------------------------
 
+/// The protocol's own prune verdict, reached through its kernel.
+bool provably_zero(const Protocol& protocol, const CongestionGame& game,
+                   const LatencyContext& ctx, StrategyId from,
+                   const RowBounds& bounds) {
+  return dispatch_protocol_kernel(protocol, [&](const auto& kernel) {
+    return kernel.row_provably_zero(game, ctx, from, bounds);
+  });
+}
+
 std::vector<std::unique_ptr<Protocol>> pruning_protocols() {
   std::vector<std::unique_ptr<Protocol>> protocols;
   protocols.push_back(std::make_unique<ImitationProtocol>());
@@ -179,7 +188,7 @@ TEST(LatencyContext, PrunedRowsVerifiedZeroByReferenceOracle) {
       for (const auto& protocol : protocols) {
         SCOPED_TRACE(protocol->name());
         for (StrategyId from = 0; from < game.num_strategies(); ++from) {
-          if (!protocol->row_provably_zero(game, ctx, from, bounds)) {
+          if (!provably_zero(*protocol, game, ctx, from, bounds)) {
             continue;
           }
           ++pruned_total;
@@ -239,7 +248,7 @@ TEST(LatencyContext, DecreasingLatencyDisablesPruning) {
   for (const auto& protocol : pruning_protocols()) {
     SCOPED_TRACE(protocol->name());
     for (StrategyId p = 0; p < game.num_strategies(); ++p) {
-      EXPECT_FALSE(protocol->row_provably_zero(game, ctx, p, bounds));
+      EXPECT_FALSE(provably_zero(*protocol, game, ctx, p, bounds));
     }
   }
 }

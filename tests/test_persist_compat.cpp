@@ -16,7 +16,7 @@
 //     refused with a typed error when resumed or merged with today's
 //     (semantics v2) outcomes.
 //
-// CI runs this suite in a dedicated format-compatibility job so an
+// CI runs this suite in every build cell and under the sanitizers, so an
 // accidental breaking change to the on-disk formats can never land
 // silently. The fixtures are immutable: regenerate them ONLY for a
 // deliberate, documented major-version break.
