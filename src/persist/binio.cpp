@@ -8,6 +8,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <system_error>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
@@ -31,6 +33,8 @@ struct Crc32Table {
 };
 
 const Crc32Table kCrc32Table;
+
+constexpr int kMaxWriteAttempts = 3;  // per AppendFile write
 
 }  // namespace
 
@@ -271,28 +275,17 @@ bool fsync_parent_dir(const std::string& path) noexcept {
   return ok;
 }
 
-void write_file_atomic(const std::string& path, const std::string& magic,
-                       std::uint8_t version, const std::string& payload) {
-  // Checkpoint/snapshot writes are rare (checkpoint cadence, not round
-  // cadence), so every one gets an unsampled span — the fsync cost is
-  // exactly what a timeline reader wants to see.
-  obs::TraceSpan span(obs::trace_enabled() ? "persist.write" : nullptr);
+void write_bytes_atomic(const std::string& path, std::string_view bytes,
+                        const char* write_site, const char* rename_site) {
   const std::string tmp = path + ".tmp";
-  BinWriter blob;
-  blob.raw(magic.data(), magic.size());
-  blob.u8(version);
-  blob.u64(payload.size());
-  blob.raw(payload.data(), payload.size());
-  blob.u32(crc32(payload.data(), payload.size()));
-
   // fsync before the rename and fsync the directory after it: rename-over
   // is only atomic against POWER LOSS if the tmp file's data blocks are on
   // disk before the rename is journaled (delayed allocation on ext4/xfs
-  // can otherwise journal the rename first, destroying the previous
-  // checkpoint AND leaving the new one empty).
+  // can otherwise journal the rename first, destroying the previous file
+  // AND leaving the new one empty).
   //
-  // Every failure mode leaves the previous checkpoint intact (the rename
-  // is last), so a transient failure — real or injected — gets one retry
+  // Every failure mode leaves the previous file intact (the rename is
+  // last), so a transient failure — real or injected — gets one retry
   // with a fresh tmp file before surfacing. fault_crash (a test crash
   // handler) is not persist_error and always propagates: a crash is not
   // retried, it ends the run.
@@ -303,8 +296,7 @@ void write_file_atomic(const std::string& path, const std::string& magic,
         throw persist_error("cannot open '" + tmp + "' for writing");
       }
       try {
-        checked_fwrite(file, blob.buffer().data(), blob.buffer().size(),
-                       "snapshot.write", tmp);
+        checked_fwrite(file, bytes.data(), bytes.size(), write_site, tmp);
         if (std::fflush(file) != 0 || ::fsync(::fileno(file)) != 0) {
           throw persist_error("write failed for '" + tmp + "'");
         }
@@ -317,9 +309,8 @@ void write_file_atomic(const std::string& path, const std::string& magic,
         std::remove(tmp.c_str());
         throw persist_error("close failed for '" + tmp + "'");
       }
-      if (util::faults_armed() &&
-          util::fault_point("snapshot.rename").kind !=
-              util::FaultKind::kNone) {
+      if (rename_site != nullptr && util::faults_armed() &&
+          util::fault_point(rename_site).kind != util::FaultKind::kNone) {
         std::remove(tmp.c_str());
         throw persist_error("cannot rename '" + tmp + "' to '" + path +
                             "' (injected)");
@@ -330,17 +321,31 @@ void write_file_atomic(const std::string& path, const std::string& magic,
                             "'");
       }
       const bool dir_synced = fsync_parent_dir(path);
-      obs::record_persist_write(blob.buffer().size(),
+      obs::record_persist_write(bytes.size(),
                                 /*fsyncs=*/1 + (dir_synced ? 1 : 0));
       return;
     } catch (const persist_error& e) {
       obs::record_persist_write_failure();
       if (attempt >= 2) throw;
       obs::record_persist_write_retry();
-      std::fprintf(stderr, "cid: %s — retrying checkpoint write\n",
-                   e.what());
+      std::fprintf(stderr, "cid: %s — retrying the write\n", e.what());
     }
   }
+}
+
+void write_file_atomic(const std::string& path, const std::string& magic,
+                       std::uint8_t version, const std::string& payload) {
+  // Checkpoint/snapshot writes are rare (checkpoint cadence, not round
+  // cadence), so every one gets an unsampled span — the fsync cost is
+  // exactly what a timeline reader wants to see.
+  obs::TraceSpan span(obs::trace_enabled() ? "persist.write" : nullptr);
+  BinWriter blob;
+  blob.raw(magic.data(), magic.size());
+  blob.u8(version);
+  blob.u64(payload.size());
+  blob.raw(payload.data(), payload.size());
+  blob.u32(crc32(payload.data(), payload.size()));
+  write_bytes_atomic(path, blob.buffer(), "snapshot.write", "snapshot.rename");
 }
 
 std::string slurp_file(const std::string& path) {
@@ -377,6 +382,234 @@ void remove_chain(const std::string& path) {
     std::error_code ec;
     if (!std::filesystem::remove(chain_segment_path(path, seq), ec)) break;
   }
+}
+
+void walk_chain(const std::string& path, const char* artifact,
+                std::vector<std::string>& skipped,
+                const std::function<void(const std::string&)>& visit) {
+  for (const std::string& segment : chain_segments(path)) {
+    try {
+      visit(segment);
+    } catch (const grid_mismatch_error&) {
+      throw;  // wrong grid is never "corruption to skip"
+    } catch (const persist_error& e) {
+      // A rotated segment's rounds/records are gone but the rest of the
+      // chain still reads; the active segment below stays fatal — there
+      // is nothing newer to fall back to.
+      std::fprintf(stderr, "cid: skipping corrupt %s segment '%s': %s\n",
+                   artifact, segment.c_str(), e.what());
+      skipped.push_back(segment);
+    }
+  }
+  visit(path);
+}
+
+// ---- AppendFile -------------------------------------------------------------
+
+AppendFile::AppendFile(std::string path, AppendArtifact artifact,
+                       std::FILE* file)
+    : path_(std::move(path)), artifact_(artifact), file_(file) {}
+
+AppendFile::AppendFile(AppendFile&& other) noexcept
+    : path_(std::move(other.path_)),
+      artifact_(other.artifact_),
+      file_(std::exchange(other.file_, nullptr)),
+      bytes_(other.bytes_),
+      rotate_seq_(other.rotate_seq_),
+      rotation_off_(other.rotation_off_) {}
+
+AppendFile& AppendFile::operator=(AppendFile&& other) noexcept {
+  if (this != &other) {
+    close_quietly();
+    path_ = std::move(other.path_);
+    artifact_ = other.artifact_;
+    file_ = std::exchange(other.file_, nullptr);
+    bytes_ = other.bytes_;
+    rotate_seq_ = other.rotate_seq_;
+    rotation_off_ = other.rotation_off_;
+  }
+  return *this;
+}
+
+AppendFile AppendFile::create(std::string path, AppendArtifact artifact) {
+  // A fresh artifact owns its rotation chain: stale segments from an
+  // earlier run at the same path would pollute later chain reads.
+  remove_chain(path);
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    throw persist_error("cannot open '" + path + "' for writing");
+  }
+  return AppendFile(std::move(path), artifact, file);
+}
+
+AppendFile AppendFile::open(std::string path, AppendArtifact artifact,
+                            std::uint64_t intact_bytes) {
+  std::error_code ec;
+  std::filesystem::resize_file(path, intact_bytes, ec);
+  if (ec) {
+    throw persist_error(path + ": cannot drop damaged " + artifact.name +
+                        " tail: " + ec.message());
+  }
+  std::FILE* file = std::fopen(path.c_str(), "ab");
+  if (file == nullptr) {
+    throw persist_error("cannot open '" + path + "' for appending");
+  }
+  AppendFile out(std::move(path), artifact, file);
+  out.bytes_ = intact_bytes;
+  out.rotate_seq_ = chain_last_seq(out.path_);
+  return out;
+}
+
+void AppendFile::check(bool ok, const char* what) const {
+  if (!ok) {
+    throw persist_error(path_ + ": " + artifact_.name + " " + what +
+                        " failed");
+  }
+}
+
+void AppendFile::recover() {
+  if (file_ != nullptr) {
+    // A failing close is fine here: whatever it could not flush is
+    // re-established by the size check + rewrite below.
+    std::fclose(file_);
+    file_ = nullptr;
+  }
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path_, ec);
+  if (ec) {
+    throw persist_error(path_ + ": " + artifact_.name +
+                        " recovery failed: " + ec.message());
+  }
+  if (size < bytes_) {
+    // Bytes already acknowledged to the caller never reached the file:
+    // rewriting the CURRENT payload cannot restore them. Fail loudly.
+    throw persist_error(path_ + ": " + artifact_.name +
+                        " lost durable bytes (file holds " +
+                        std::to_string(size) + ", writer acknowledged " +
+                        std::to_string(bytes_) +
+                        ") — durability lost, not retrying");
+  }
+  if (size > bytes_) {
+    std::filesystem::resize_file(path_, bytes_, ec);
+    if (ec) {
+      throw persist_error(path_ + ": cannot drop torn " + artifact_.name +
+                          " bytes: " + ec.message());
+    }
+  }
+  file_ = std::fopen(path_.c_str(), "ab");
+  if (file_ == nullptr) {
+    throw persist_error("cannot reopen '" + path_ + "' after " +
+                        artifact_.name + " write failure");
+  }
+}
+
+void AppendFile::write(std::string_view bytes, const char* site) {
+  for (int attempt = 1;; ++attempt) {
+    try {
+      check(file_ != nullptr, "write");
+      checked_fwrite(file_, bytes.data(), bytes.size(), site, path_);
+      bytes_ += bytes.size();
+      obs::record_persist_write(bytes.size(), /*fsyncs=*/0);
+      return;
+    } catch (const persist_error& e) {
+      obs::record_persist_write_failure();
+      if (attempt >= kMaxWriteAttempts) throw;
+      obs::record_persist_write_retry();
+      std::fprintf(stderr,
+                   "cid: %s — recovering %s and retrying the %s write "
+                   "(attempt %d/%d)\n",
+                   e.what(), artifact_.name, site, attempt + 1,
+                   kMaxWriteAttempts);
+      recover();  // throws when durability is actually lost
+    }
+  }
+}
+
+void AppendFile::flush() {
+  check(file_ != nullptr, "flush");
+  try {
+    checked_fflush(file_, artifact_.flush_site, path_);
+  } catch (const persist_error& e) {
+    obs::record_persist_write_failure();
+    obs::record_persist_write_retry();
+    std::fprintf(stderr, "cid: %s — reopening %s after flush failure\n",
+                 e.what(), artifact_.name);
+    // recover() closes (flushing what the OS will take) and verifies every
+    // acknowledged byte is on disk; afterwards nothing is buffered, so the
+    // flush's goal is met or persist_error says durability is lost.
+    recover();
+  }
+  obs::record_persist_flush();
+}
+
+void AppendFile::flush_and_close(const char* what) {
+  const bool flushed = std::fflush(file_) == 0 && std::ferror(file_) == 0;
+  const bool closed = std::fclose(file_) == 0;
+  file_ = nullptr;
+  check(flushed && closed, what);
+  obs::record_persist_flush();
+}
+
+bool AppendFile::rotate(std::uint64_t limit, std::string_view header) {
+  if (limit == 0 || rotation_off_ || bytes_ < limit) return false;
+  obs::trace_instant(artifact_.rotate_site);
+  bool renamed = false;
+  try {
+    check(file_ != nullptr, "rotation");
+    flush_and_close("pre-rotation flush");
+    const std::string segment = chain_segment_path(path_, rotate_seq_ + 1);
+    if (util::faults_armed() &&
+        util::fault_point(artifact_.rotate_site).kind !=
+            util::FaultKind::kNone) {
+      throw persist_error(path_ + ": injected " + artifact_.name +
+                          " rotation failure");
+    }
+    if (std::rename(path_.c_str(), segment.c_str()) != 0) {
+      throw persist_error(path_ + ": cannot rotate " + artifact_.name +
+                          " to '" + segment + "'");
+    }
+    renamed = true;
+    fsync_parent_dir(path_);  // make the rename itself durable
+    ++rotate_seq_;
+    file_ = std::fopen(path_.c_str(), "wb");
+    if (file_ == nullptr) {
+      throw persist_error("cannot open '" + path_ +
+                          "' for writing after rotation");
+    }
+    bytes_ = 0;
+    write(header, artifact_.header_site);
+    flush();
+    return true;
+  } catch (const persist_error& e) {
+    obs::record_persist_write_failure();
+    if (renamed) {
+      // The active file is already renamed away and the fresh segment
+      // could not be established even after write()'s retries — there is
+      // nothing writable left to degrade to.
+      throw;
+    }
+    // Graceful degradation: rotation bounds file sizes, it is not a
+    // durability requirement. Validate and reopen the unrotated file,
+    // disable further rotation, and say so loudly.
+    rotation_off_ = true;
+    if (file_ == nullptr) recover();
+    std::fprintf(stderr,
+                 "cid: %s — %s rotation disabled, continuing unrotated\n",
+                 e.what(), artifact_.name);
+    return false;
+  }
+}
+
+void AppendFile::close() {
+  check(file_ != nullptr, "double close");
+  flush_and_close("close");
+}
+
+void AppendFile::close_quietly(std::string_view tail) noexcept {
+  if (file_ == nullptr) return;
+  if (!tail.empty()) std::fwrite(tail.data(), 1, tail.size(), file_);
+  std::fclose(file_);
+  file_ = nullptr;
 }
 
 FramedFile read_file_checked(const std::string& path,

@@ -16,11 +16,16 @@
 // write_file_atomic stages through "<path>.tmp" + rename, so a crash while
 // checkpointing leaves the previous checkpoint intact — the property that
 // makes overwrite-in-place checkpoint cadence safe.
+//
+// The append-only artifacts (event logs, manifests) reach disk through one
+// AppendFile: its recovery, rotation and chain walk are the durability
+// policy of both, and each writer keeps only its format.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -46,6 +51,16 @@ class persist_error : public std::runtime_error {
  public:
   explicit persist_error(const std::string& message)
       : std::runtime_error(message) {}
+};
+
+/// Thrown when an artifact belongs to a different sweep grid (manifest
+/// fingerprint, dimension or outcome-semantics mismatch). A subclass so
+/// corruption-tolerant chain readers can skip unreadable segments WITHOUT
+/// ever swallowing a wrong-grid error — mixing grids is never tolerable.
+class grid_mismatch_error : public persist_error {
+ public:
+  explicit grid_mismatch_error(const std::string& message)
+      : persist_error(message) {}
 };
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) over `size`
@@ -190,12 +205,17 @@ void checked_fflush(std::FILE* file, const char* site,
 /// when an fsync was issued (some filesystems refuse directory fsync).
 bool fsync_parent_dir(const std::string& path) noexcept;
 
-/// Writes magic+version+payload+crc to `path` via tmp-file + rename +
-/// parent-directory fsync. Transient write failures (real or injected at
-/// sites "snapshot.write"/"snapshot.rename") are retried once with a
-/// fresh tmp file; the rename is last, so the previous checkpoint
-/// survives every failure mode. Throws persist_error (naming the path)
-/// when the retry fails too.
+/// Replaces `path` with `bytes` via "<path>.tmp" + fsync + rename +
+/// parent-directory fsync. The write consults fault site `write_site`; a
+/// non-null `rename_site` is consulted just before the rename. Transient
+/// failures (real or injected) are retried once with a fresh tmp file;
+/// the rename is last, so the previous file survives every failure mode.
+/// Throws persist_error (naming the path) when the retry fails too.
+void write_bytes_atomic(const std::string& path, std::string_view bytes,
+                        const char* write_site, const char* rename_site);
+
+/// Frames magic+version+payload+crc and writes it with write_bytes_atomic
+/// at sites "snapshot.write"/"snapshot.rename".
 void write_file_atomic(const std::string& path, const std::string& magic,
                        std::uint8_t version, const std::string& payload);
 
@@ -240,5 +260,86 @@ std::uint32_t chain_last_seq(const std::string& path);
 /// Deletes every rotated segment of `path` (a freshly created artifact
 /// owns its chain — stale segments would pollute later chain reads).
 void remove_chain(const std::string& path);
+
+/// Visits `path`'s chain in order: every rotated segment, then the active
+/// file. A rotated segment whose visit throws persist_error is skipped
+/// with one stderr line naming the `artifact` ("manifest", "event log")
+/// and appended to `skipped`. The active segment's errors, and a
+/// grid_mismatch_error from any segment, propagate.
+void walk_chain(const std::string& path, const char* artifact,
+                std::vector<std::string>& skipped,
+                const std::function<void(const std::string&)>& visit);
+
+/// The artifact an AppendFile writes, as data: its name for messages and
+/// its fault sites (string literals — the rotate site doubles as the trace
+/// instant's name).
+struct AppendArtifact {
+  const char* name;         // "manifest"
+  const char* header_site;  // "manifest.header": a rotated segment's header
+  const char* flush_site;   // "manifest.flush"
+  const char* rotate_site;  // "manifest.rotate"
+};
+
+/// How the bytes of an append-only artifact reach disk. Every write and
+/// flush is acknowledged only when it succeeded; a failure (real, or
+/// injected at the caller's fault site) closes the file, truncates it back
+/// to the acknowledged byte count, reopens it and retries, up to 3
+/// attempts — so the recovered file is byte-identical to a fault-free
+/// writer's. A file holding FEWER bytes than acknowledged means
+/// durability is already lost: that throws persist_error instead.
+/// util::fault_crash always propagates (a crash is a kill, not an error).
+class AppendFile {
+ public:
+  /// Deletes any stale rotation chain of `path` and opens it empty.
+  static AppendFile create(std::string path, AppendArtifact artifact);
+
+  /// Truncates `path` to `intact_bytes` (the length the caller's scan
+  /// found intact) and opens it for appending after its rotation chain.
+  static AppendFile open(std::string path, AppendArtifact artifact,
+                         std::uint64_t intact_bytes);
+
+  AppendFile(AppendFile&& other) noexcept;
+  AppendFile& operator=(AppendFile&& other) noexcept;
+  ~AppendFile() { close_quietly(); }
+
+  /// Appends `bytes`, consulting fault site `site`.
+  void write(std::string_view bytes, const char* site);
+  /// Hands buffered bytes to the OS (fault site: the artifact's flush).
+  void flush();
+
+  /// Once the active file holds at least `limit` bytes (0 = never),
+  /// renames it to the next "<path>.<seq>", fsyncs the directory, and
+  /// starts a fresh file with `header` (written at the header site),
+  /// flushed. A failure before the rename degrades — rotation stays off
+  /// for good, with a warning; after it, persist_error propagates (the
+  /// chain on disk is ambiguous). Returns true when a rotation happened.
+  bool rotate(std::uint64_t limit, std::string_view header);
+
+  /// Flushes and closes; throws persist_error on any stream error.
+  void close();
+
+  /// Best-effort write of `tail`, then close, for destructors: no fault
+  /// site, no retry, errors swallowed.
+  void close_quietly(std::string_view tail = {}) noexcept;
+
+  const std::string& path() const noexcept { return path_; }
+  /// Acknowledged bytes of the active segment (valid after close too).
+  std::uint64_t bytes() const noexcept { return bytes_; }
+
+ private:
+  AppendFile(std::string path, AppendArtifact artifact, std::FILE* file);
+  void check(bool ok, const char* what) const;
+  /// Close, truncate back to bytes_, reopen for append.
+  void recover();
+  /// fflush + fclose; throws persist_error naming `what` on failure.
+  void flush_and_close(const char* what);
+
+  std::string path_;
+  AppendArtifact artifact_;
+  std::FILE* file_ = nullptr;
+  std::uint64_t bytes_ = 0;
+  std::uint32_t rotate_seq_ = 0;  // last segment index on disk
+  bool rotation_off_ = false;
+};
 
 }  // namespace cid::persist

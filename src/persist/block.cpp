@@ -117,6 +117,15 @@ std::size_t read_length(std::string_view in, std::size_t& pos,
 
 std::string lz_decompress(std::string_view input, std::size_t raw_size,
                           const std::string& context) {
+  // A token stream cannot expand past 255 bytes per input byte (one
+  // length-extension byte adds at most 255 to a match), so a larger claim
+  // is corruption — refused before it becomes an allocation.
+  if (raw_size / 255 > input.size()) {
+    throw persist_error(context + ": declared block size " +
+                        std::to_string(raw_size) + " exceeds what " +
+                        std::to_string(input.size()) +
+                        " stored bytes can encode");
+  }
   std::string out;
   out.reserve(raw_size);
   std::size_t pos = 0;

@@ -5,11 +5,8 @@
 #include <filesystem>
 #include <utility>
 
-#include "obs/metrics.hpp"
-#include "obs/trace_span.hpp"
 #include "persist/binio.hpp"
 #include "persist/block.hpp"
-#include "util/fault.hpp"
 
 namespace cid::persist {
 
@@ -20,6 +17,8 @@ constexpr std::size_t kV1HeaderSize = 7 + 1;  // magic + version
 constexpr std::size_t kBlockHeaderSize = 1 + 4 + 4 + 8 + 4;
 constexpr std::uint16_t kElogSecParams = 1;
 constexpr std::uint32_t kMaxMovesPerRound = 1u << 26;
+constexpr AppendArtifact kEventLogFile{"event log", "eventlog.header",
+                                       "eventlog.flush", "eventlog.rotate"};
 
 /// The fixed-width v1 size of one round record — the "uncompressed
 /// baseline" the observability counters compare against.
@@ -146,7 +145,11 @@ BlockParse parse_block(const std::string& data, std::size_t pos,
     RoundEvents events;
     events.round = static_cast<std::int64_t>(first_round + i);
     const std::uint64_t move_count = in.vu64();
-    if (move_count > kMaxMovesPerRound) in.fail("absurd move count");
+    // Each move is three varints of at least one byte: a count the rest
+    // of the block cannot hold is corruption, refused before the resize.
+    if (move_count > kMaxMovesPerRound || move_count > in.remaining() / 3) {
+      in.fail("absurd move count");
+    }
     events.moves.resize(static_cast<std::size_t>(move_count));
     const std::vector<Migration>& prev =
         i == 0 ? kNoMoves : out[base_index + i - 1].moves;
@@ -282,165 +285,54 @@ EventLog read_event_log(const std::string& path) {
 }
 
 EventLog read_event_log_series(const std::string& path) {
-  std::vector<std::string> segments = chain_segments(path);
-  segments.push_back(path);
-
   EventLog merged;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    EventLog log;
-    try {
-      log = read_event_log(segments[i]);
-    } catch (const persist_error& e) {
-      // An unreadable ROTATED segment is skipped (its rounds are gone but
-      // the rest of the chain still reads); the active segment stays
-      // fatal — there is nothing newer to fall back to.
-      if (i + 1 == segments.size()) throw;
-      std::fprintf(stderr,
-                   "cid: skipping corrupt event log segment '%s': %s\n",
-                   segments[i].c_str(), e.what());
-      merged.corrupt_segments.push_back(segments[i]);
-      continue;
-    }
-    merged.version = log.version;
-    merged.truncated_tail = merged.truncated_tail || log.truncated_tail;
-    merged.file_bytes += log.file_bytes;
-    merged.v1_equivalent_bytes += log.v1_equivalent_bytes;
-    merged.corrupt_blocks += log.corrupt_blocks;
-    for (RoundEvents& events : log.rounds) {
-      merged.rounds.push_back(std::move(events));
-    }
-  }
+  walk_chain(path, "event log", merged.corrupt_segments,
+             [&](const std::string& segment) {
+               EventLog log = read_event_log(segment);
+               merged.version = log.version;
+               merged.truncated_tail =
+                   merged.truncated_tail || log.truncated_tail;
+               merged.file_bytes += log.file_bytes;
+               merged.v1_equivalent_bytes += log.v1_equivalent_bytes;
+               merged.corrupt_blocks += log.corrupt_blocks;
+               for (RoundEvents& events : log.rounds) {
+                 merged.rounds.push_back(std::move(events));
+               }
+             });
   return merged;
 }
 
-EventLogWriter::EventLogWriter(std::string path, std::FILE* file,
-                               EventLogOptions options)
-    : path_(std::move(path)), file_(file), options_(options) {}
-
-EventLogWriter::EventLogWriter(EventLogWriter&& other) noexcept
-    : path_(std::move(other.path_)),
-      file_(std::exchange(other.file_, nullptr)),
-      options_(other.options_),
-      bytes_written_(other.bytes_written_),
-      rotated_disk_bytes_(other.rotated_disk_bytes_),
-      v1_equivalent_bytes_(other.v1_equivalent_bytes_),
-      next_expected_(other.next_expected_),
-      pending_(std::move(other.pending_)),
-      rotate_seq_(other.rotate_seq_) {}
-
-EventLogWriter& EventLogWriter::operator=(EventLogWriter&& other) noexcept {
-  if (this != &other) {
-    close_quietly();  // preserves a buffered partial block, like the dtor
-    path_ = std::move(other.path_);
-    file_ = std::exchange(other.file_, nullptr);
-    options_ = other.options_;
-    bytes_written_ = other.bytes_written_;
-    rotated_disk_bytes_ = other.rotated_disk_bytes_;
-    v1_equivalent_bytes_ = other.v1_equivalent_bytes_;
-    next_expected_ = other.next_expected_;
-    pending_ = std::move(other.pending_);
-    rotate_seq_ = other.rotate_seq_;
-  }
-  return *this;
-}
+EventLogWriter::EventLogWriter(AppendFile file, EventLogOptions options)
+    : file_(std::move(file)), options_(options) {}
 
 void EventLogWriter::close_quietly() noexcept {
   // Best effort: persist the partial block, then close. Errors are
-  // swallowed (this runs from the destructor and move-assignment, where
-  // throwing is not an option); close() is the reporting path.
-  if (file_ == nullptr) return;
+  // swallowed (this runs from the destructor, where throwing is not an
+  // option); close() is the reporting path.
+  std::string block;
   if (!pending_.empty()) {
     try {
-      const std::string block = frame_block(pending_);
-      std::fwrite(block.data(), 1, block.size(), file_);
+      block = frame_block(pending_);
     } catch (...) {
       // Unencodable pending block (allocation failure, >4 GiB): the tail
       // is lost, exactly as a hard kill would lose it.
     }
   }
-  std::fclose(file_);
-  file_ = nullptr;
+  file_.close_quietly(block);
 }
 
 EventLogWriter::~EventLogWriter() { close_quietly(); }
-
-void EventLogWriter::check(bool ok, const char* what) const {
-  if (!ok) {
-    throw persist_error(path_ + ": event log " + what + " failed");
-  }
-}
-
-void EventLogWriter::recover_file() {
-  if (file_ != nullptr) {
-    std::fclose(file_);  // flushes what it can; the size check judges it
-    file_ = nullptr;
-  }
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path_, ec);
-  if (ec) {
-    throw persist_error(path_ + ": event log recovery failed: " +
-                        ec.message());
-  }
-  if (size < bytes_written_) {
-    throw persist_error(path_ + ": event log lost durable bytes (file holds " +
-                        std::to_string(size) + ", writer acknowledged " +
-                        std::to_string(bytes_written_) +
-                        ") — durability lost, not retrying");
-  }
-  if (size > bytes_written_) {
-    std::filesystem::resize_file(path_, bytes_written_, ec);
-    if (ec) {
-      throw persist_error(path_ + ": cannot drop torn event log bytes: " +
-                          ec.message());
-    }
-  }
-  std::FILE* file = std::fopen(path_.c_str(), "ab");
-  if (file == nullptr) {
-    throw persist_error("cannot reopen '" + path_ +
-                        "' after event log write failure");
-  }
-  file_ = file;
-}
-
-void EventLogWriter::write_raw(const std::string& bytes, const char* site,
-                               const char* what) {
-  constexpr int kMaxWriteAttempts = 3;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      check(file_ != nullptr, what);
-      checked_fwrite(file_, bytes.data(), bytes.size(), site, path_);
-      bytes_written_ += bytes.size();
-      obs::record_persist_write(bytes.size(), /*fsyncs=*/0);
-      return;
-    } catch (const persist_error& e) {
-      obs::record_persist_write_failure();
-      if (attempt >= kMaxWriteAttempts) throw;
-      obs::record_persist_write_retry();
-      std::fprintf(stderr,
-                   "cid: %s — recovering event log and retrying %s "
-                   "(attempt %d/%d)\n",
-                   e.what(), what, attempt + 1, kMaxWriteAttempts);
-      recover_file();  // throws when durability is actually lost
-    }
-  }
-}
 
 EventLogWriter EventLogWriter::create(const std::string& path,
                                       const EventLogOptions& options) {
   if (options.block_rounds < 1) {
     throw persist_error(path + ": event log block_rounds must be >= 1");
   }
-  // A fresh log owns its rotation chain: stale segments from an earlier
-  // run at the same path would otherwise pollute read_event_log_series.
-  remove_chain(path);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw persist_error("cannot open '" + path + "' for writing");
-  }
-  EventLogWriter writer(path, file, options);
+  EventLogWriter writer(AppendFile::create(path, kEventLogFile), options);
   writer.v1_equivalent_bytes_ = kV1HeaderSize;
-  writer.write_raw(encode_v2_header(options, 0, 0), "eventlog.header",
-                   "header write");
+  writer.file_.write(encode_v2_header(options, 0, 0),
+                     kEventLogFile.header_site);
+  writer.file_.flush();
   return writer;
 }
 
@@ -517,7 +409,6 @@ EventLogWriter EventLogWriter::open_for_append(const std::string& path,
   // Immutable history is never decompressed here: the active header
   // carries the chain totals and disk sizes come from stat.
   const std::vector<std::string> segments = chain_segments(path);
-  const std::uint32_t last_seq = static_cast<std::uint32_t>(segments.size());
   std::uint64_t rotated_disk_bytes = 0;
   for (const std::string& segment : segments) {
     std::error_code ec;
@@ -556,8 +447,8 @@ EventLogWriter EventLogWriter::open_for_append(const std::string& path,
     throw persist_error(
         path + ": event log ends at round " + std::to_string(last_retained) +
         " but the resume starts at round " + std::to_string(next_round) +
-        " — refusing to leave a gap (was the log written with a larger "
-        "checkpoint cadence, or hard-killed with a block still buffered?)");
+        " — refusing to leave a gap (a kill loses the open block: "
+        "checkpoint at multiples of block_rounds)");
   }
   if (!any_retained && first_round_in_file < 0 && chain_last_round < 0 &&
       next_round > 0) {
@@ -571,21 +462,10 @@ EventLogWriter EventLogWriter::open_for_append(const std::string& path,
         " — refusing to leave a gap (delete the log to restart it)");
   }
 
-  std::error_code ec;
-  std::filesystem::resize_file(path, keep, ec);
-  if (ec) {
-    throw persist_error(path + ": cannot truncate event log tail: " +
-                        ec.message());
-  }
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
-    throw persist_error("cannot open '" + path + "' for appending");
-  }
-  EventLogWriter writer(path, file, effective);
-  writer.bytes_written_ = keep;
+  EventLogWriter writer(AppendFile::open(path, kEventLogFile, keep),
+                        effective);
   writer.next_expected_ = next_round;
   writer.pending_ = std::move(rebuffer);
-  writer.rotate_seq_ = last_seq;
   writer.rotated_disk_bytes_ = rotated_disk_bytes;
   // Chain totals already include the one-header base; otherwise add it.
   writer.v1_equivalent_bytes_ =
@@ -596,9 +476,9 @@ EventLogWriter EventLogWriter::open_for_append(const std::string& path,
 
 void EventLogWriter::append(std::int64_t round,
                             std::span<const Migration> moves) {
-  check(file_ != nullptr, "append after close");
   if (next_expected_ >= 0 && round != next_expected_) {
-    throw persist_error(path_ + ": event log rounds must be gapless (got " +
+    throw persist_error(file_.path() +
+                        ": event log rounds must be gapless (got " +
                         std::to_string(round) + ", expected " +
                         std::to_string(next_expected_) + ")");
   }
@@ -615,92 +495,24 @@ void EventLogWriter::append(std::int64_t round,
 
 void EventLogWriter::flush_block() {
   if (pending_.empty()) return;
-  write_raw(frame_block(pending_), "eventlog.block", "block write");
+  // Every completed block reaches the OS at its boundary, so a kill
+  // loses at most the open block.
+  file_.write(frame_block(pending_), "eventlog.block");
+  file_.flush();
   pending_.clear();
-  maybe_rotate();
-}
-
-void EventLogWriter::maybe_rotate() {
-  if (options_.rotate_bytes == 0 ||
-      bytes_written_ < options_.rotate_bytes) {
-    return;
+  // The fresh segment's header carries the chain's running totals so a
+  // later resume never decodes the immutable history (open_for_append).
+  const std::uint64_t active_bytes = file_.bytes();
+  if (file_.rotate(options_.rotate_bytes,
+                   encode_v2_header(options_, v1_equivalent_bytes_,
+                                    next_expected_))) {
+    rotated_disk_bytes_ += active_bytes;
   }
-  obs::trace_instant("eventlog.rotate");
-  bool renamed = false;
-  try {
-    const bool flushed = std::fflush(file_) == 0 && std::ferror(file_) == 0;
-    const bool closed = std::fclose(file_) == 0;
-    file_ = nullptr;
-    check(flushed && closed, "pre-rotation flush");
-    obs::record_persist_flush();
-    const std::string segment = chain_segment_path(path_, rotate_seq_ + 1);
-    if (util::faults_armed() &&
-        util::fault_point("eventlog.rotate").kind != util::FaultKind::kNone) {
-      throw persist_error(path_ + ": injected event log rotation failure");
-    }
-    if (std::rename(path_.c_str(), segment.c_str()) != 0) {
-      throw persist_error(path_ + ": cannot rotate event log to '" + segment +
-                          "'");
-    }
-    renamed = true;
-    fsync_parent_dir(path_);  // make the rename itself durable
-    rotated_disk_bytes_ += bytes_written_;
-    ++rotate_seq_;
-    std::FILE* file = std::fopen(path_.c_str(), "wb");
-    if (file == nullptr) {
-      throw persist_error("cannot open '" + path_ +
-                          "' for writing after rotation");
-    }
-    file_ = file;
-    bytes_written_ = 0;
-    // The fresh segment's header carries the chain's running totals so a
-    // later resume never decodes the immutable history (open_for_append).
-    write_raw(encode_v2_header(options_, v1_equivalent_bytes_, next_expected_),
-              "eventlog.header", "post-rotation header write");
-  } catch (const persist_error& e) {
-    obs::record_persist_write_failure();
-    if (renamed) {
-      // The active file is already renamed away and the fresh segment
-      // could not be established — nothing writable left to degrade to.
-      throw;
-    }
-    // Graceful degradation: rotation bounds file sizes, it is not a
-    // durability requirement. Validate/reopen the unrotated file, disable
-    // further rotation, and say so loudly.
-    options_.rotate_bytes = 0;
-    if (file_ == nullptr) recover_file();
-    std::fprintf(stderr,
-                 "cid: %s — event log rotation disabled, continuing "
-                 "unrotated\n",
-                 e.what());
-  }
-}
-
-void EventLogWriter::flush() {
-  check(file_ != nullptr, "flush");
-  try {
-    checked_fflush(file_, "eventlog.flush", path_);
-  } catch (const persist_error& e) {
-    obs::record_persist_write_failure();
-    obs::record_persist_write_retry();
-    std::fprintf(stderr,
-                 "cid: %s — reopening event log after flush failure\n",
-                 e.what());
-    // recover_file closes (flushing what the OS will take) and verifies
-    // every acknowledged byte reached the file, or throws durability-lost.
-    recover_file();
-  }
-  obs::record_persist_flush();
 }
 
 void EventLogWriter::close() {
-  check(file_ != nullptr, "double close");
   if (!pending_.empty()) flush_block();
-  const bool ok = std::fflush(file_) == 0 && std::ferror(file_) == 0;
-  const bool closed = std::fclose(file_) == 0;
-  file_ = nullptr;
-  check(ok && closed, "close");
-  obs::record_persist_flush();
+  file_.close();
 }
 
 RoundObserver EventLogWriter::observer() {

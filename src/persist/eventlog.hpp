@@ -51,10 +51,13 @@
 // resulting round gap still fails loudly, but inspection and partial
 // recovery keep working. An unreadable ROTATED segment of a chain is
 // skipped whole (EventLog::corrupt_segments); the active segment stays
-// fatal. The writer retries transient write failures by truncating torn
+// fatal (the chain walk is walk_chain, shared with the manifest). The
+// writer keeps only the format; its bytes reach disk through AppendFile
+// (binio.hpp), which retries transient write failures by truncating torn
 // bytes and rewriting (fault sites "eventlog.block" / "eventlog.header" /
-// "eventlog.flush"), and a failed rotation degrades to unrotated output
-// instead of aborting.
+// "eventlog.flush") and degrades a failed rotation to unrotated output
+// instead of aborting. Every completed block is flushed to the OS at its
+// boundary, so a kill loses at most the open block.
 //
 // Rotation (EventLogOptions::rotate_bytes): once the active file exceeds
 // the limit at a block boundary it is renamed to "<path>.<seq>" and a
@@ -70,13 +73,13 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "dynamics/engine.hpp"
 #include "game/state.hpp"
+#include "persist/binio.hpp"
 
 namespace cid::persist {
 
@@ -109,8 +112,8 @@ struct EventLog {
 
 struct EventLogOptions {
   /// Rounds per block. Larger blocks compress better but buffer more
-  /// in memory and lose more tail on a hard kill (a partial block becomes
-  /// durable only at close or at the next boundary).
+  /// in memory and lose more tail on a hard kill: each completed block
+  /// reaches the OS at its boundary, the open one only at close.
   std::int64_t block_rounds = 256;
   /// When > 0, rotate the active file to "<path>.<seq>" once it exceeds
   /// this many bytes (checked at block granularity). 0 = off.
@@ -147,20 +150,15 @@ class EventLogWriter {
                                         std::int64_t next_round,
                                         const EventLogOptions& options = {});
 
-  EventLogWriter(EventLogWriter&& other) noexcept;
-  EventLogWriter& operator=(EventLogWriter&& other) noexcept;
+  EventLogWriter(EventLogWriter&& other) noexcept = default;
   ~EventLogWriter();
 
   /// Appends one round record. Rounds must be appended gaplessly in
   /// increasing order (enforced since v2); empty rounds (no movers) are
   /// recorded too, so round numbering in the log is gapless and replay
-  /// needs no bookkeeping.
+  /// needs no bookkeeping. A round that completes a block writes and
+  /// flushes it (fault sites "eventlog.block"/"eventlog.flush").
   void append(std::int64_t round, std::span<const Migration> moves);
-
-  /// Flushes completed blocks to the OS. A partial block stays
-  /// buffered until its deterministic boundary or close() — flushing it
-  /// early would make block framing depend on kill timing.
-  void flush();
 
   /// Writes any partial block, flushes, and closes; throws on any pending
   /// stream error. The destructor closes too but swallows errors
@@ -174,13 +172,13 @@ class EventLogWriter {
   RoundObserver observer();
 
   /// Bytes written to the ACTIVE segment so far (flushed blocks only).
-  std::uint64_t bytes_written() const noexcept { return bytes_written_; }
+  std::uint64_t bytes_written() const noexcept { return file_.bytes(); }
 
   /// On-disk bytes across the whole rotation chain (rotated segments plus
   /// the active one). Valid after close() too — the summary lines of the
   /// tools read these counters instead of re-reading the files.
   std::uint64_t disk_bytes() const noexcept {
-    return rotated_disk_bytes_ + bytes_written_;
+    return rotated_disk_bytes_ + file_.bytes();
   }
 
   /// What the chain's rounds would occupy in the fixed-width v1 encoding
@@ -191,31 +189,19 @@ class EventLogWriter {
   }
 
  private:
-  EventLogWriter(std::string path, std::FILE* file, EventLogOptions options);
+  EventLogWriter(AppendFile file, EventLogOptions options);
 
-  void check(bool ok, const char* what) const;
-  /// Resilient write: on a transient failure (real, or injected at fault
-  /// site `site`), recover_file() and rewrite, up to 3 attempts.
-  void write_raw(const std::string& bytes, const char* site,
-                 const char* what);
-  /// Close + truncate back to bytes_written_ + reopen; throws when the
-  /// file holds fewer bytes than acknowledged (durability lost).
-  void recover_file();
   void flush_block();
-  void maybe_rotate();
-  /// Best-effort pending-block write + close for the dtor and
-  /// move-assignment (never throws; close() is the reporting path).
+  /// Best-effort pending-block write + close for the destructor (never
+  /// throws; close() is the reporting path).
   void close_quietly() noexcept;
 
-  std::string path_;
-  std::FILE* file_ = nullptr;
+  AppendFile file_;
   EventLogOptions options_;
-  std::uint64_t bytes_written_ = 0;
   std::uint64_t rotated_disk_bytes_ = 0;
   std::uint64_t v1_equivalent_bytes_ = 0;
   std::int64_t next_expected_ = -1;  // -1 = first append sets the base
   std::vector<RoundEvents> pending_;  // rounds of the open block
-  std::uint32_t rotate_seq_ = 0;      // last segment index written
 };
 
 /// Replays `log` rounds in [from_round, to_round) onto `x` (mutating it),

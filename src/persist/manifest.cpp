@@ -1,18 +1,10 @@
 #include "persist/manifest.hpp"
 
 #include <cstdio>
-#include <filesystem>
-#include <system_error>
 #include <utility>
 #include <vector>
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include "obs/metrics.hpp"
-#include "obs/trace_span.hpp"
 #include "persist/binio.hpp"
-#include "util/fault.hpp"
 
 namespace cid::persist {
 
@@ -23,7 +15,8 @@ constexpr std::size_t kRecordPayload = 4 + 4 + 8 + 1 + 8 + 8 + 8;
 constexpr std::size_t kRecordSize = kRecordPayload + 4;
 constexpr std::uint16_t kManiSecGrid = 1;
 constexpr std::uint16_t kManiSecSemantics = 2;
-constexpr int kMaxWriteAttempts = 3;
+constexpr AppendArtifact kManifestFile{"manifest", "manifest.header",
+                                       "manifest.flush", "manifest.rotate"};
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t h = 0xCBF29CE484222325ull;
@@ -164,14 +157,10 @@ std::size_t check_header(const std::string& data, const std::string& path,
 }
 
 struct SegmentScan {
-  std::size_t header_size = 0;
-  std::size_t record_count = 0;  // intact records in THIS segment
-  std::size_t corrupt_records = 0;  // CRC-bad full-size slots skipped
   bool truncated_tail = false;
   /// End offset of the last INTACT record (what open_for_append keeps —
   /// trailing corrupt slots and partial tails both fall off).
   std::size_t last_intact_end = 0;
-  std::size_t file_size = 0;
 };
 
 /// Parses one segment's records into `contents`, skipping CRC-bad slots
@@ -181,12 +170,10 @@ SegmentScan load_segment(const std::string& path, const ManifestInfo& expected,
                          ManifestContents& contents) {
   const std::string data = slurp_file(path);
   SegmentScan scan;
-  scan.header_size = check_header(data, path, expected);
-  scan.last_intact_end = scan.header_size;
-  scan.file_size = data.size();
+  std::size_t pos = check_header(data, path, expected);
+  scan.last_intact_end = pos;
   contents.file_bytes += data.size();
 
-  std::size_t pos = scan.header_size;
   while (pos < data.size()) {
     if (data.size() - pos < kRecordSize) {
       scan.truncated_tail = true;
@@ -194,7 +181,6 @@ SegmentScan load_segment(const std::string& path, const ManifestInfo& expected,
     }
     const std::uint32_t stored = read_le32(data.data() + pos + kRecordPayload);
     if (stored != crc32(data.data() + pos, kRecordPayload)) {
-      ++scan.corrupt_records;
       ++contents.corrupt_records;
       pos += kRecordSize;
       continue;
@@ -218,7 +204,6 @@ SegmentScan load_segment(const std::string& path, const ManifestInfo& expected,
     }
     contents.completed[{cell, trial}] = outcome;
     ++contents.record_count;
-    ++scan.record_count;
     pos += kRecordSize;
     scan.last_intact_end = pos;
   }
@@ -226,33 +211,20 @@ SegmentScan load_segment(const std::string& path, const ManifestInfo& expected,
 }
 
 /// Shared chain walk behind load_manifest / load_manifest_raw: merges
-/// every segment, skipping unreadable ROTATED segments (the active one
-/// stays fatal — without it there is nothing trustworthy to resume), and
-/// reports corruption loudly.
+/// every segment (walk_chain skips unreadable ROTATED ones) and reports
+/// corruption loudly.
 void load_chain(const std::string& path, const ManifestInfo& expected,
                 ManifestContents& contents) {
-  std::vector<std::string> chain = chain_segments(path);
-  chain.push_back(path);
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    const bool active = i + 1 == chain.size();
-    SegmentScan scan;
-    try {
-      scan = load_segment(chain[i], expected, contents);
-    } catch (const grid_mismatch_error&) {
-      throw;  // wrong grid is never "corruption to skip"
-    } catch (const persist_error& e) {
-      if (active) throw;
-      std::fprintf(stderr,
-                   "cid: skipping corrupt manifest segment '%s': %s\n",
-                   chain[i].c_str(), e.what());
-      contents.corrupt_segments.push_back(chain[i]);
-      continue;
-    }
-    // Only the active (last) segment may legitimately end mid-record — a
-    // rotated segment was closed cleanly, so damage there is corruption
-    // worth surfacing, but its intact prefix still merges.
-    if (scan.truncated_tail) contents.truncated_tail = true;
-  }
+  walk_chain(path, "manifest", contents.corrupt_segments,
+             [&](const std::string& segment) {
+               // Only the active (last) segment may legitimately end
+               // mid-record — a rotated segment was closed cleanly, so
+               // damage there is corruption worth surfacing, but its
+               // intact prefix still merges.
+               if (load_segment(segment, expected, contents).truncated_tail) {
+                 contents.truncated_tail = true;
+               }
+             });
   if (contents.corrupt_records > 0 || !contents.corrupt_segments.empty()) {
     std::fprintf(stderr,
                  "cid: manifest '%s' is damaged: %zu corrupt record slot(s) "
@@ -404,145 +376,18 @@ std::uint64_t write_manifest_canonical(const std::string& path,
     bytes += record_bytes(key.first, key.second, outcome);
   }
 
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    throw persist_error("cannot open '" + tmp + "' for writing");
-  }
-  try {
-    checked_fwrite(file, bytes.data(), bytes.size(), "manifest.merge", tmp);
-    if (std::fflush(file) != 0 || ::fsync(::fileno(file)) != 0) {
-      throw persist_error(tmp + ": flush/fsync failed");
-    }
-  } catch (...) {
-    std::fclose(file);
-    std::remove(tmp.c_str());
-    throw;
-  }
-  if (std::fclose(file) != 0) {
-    std::remove(tmp.c_str());
-    throw persist_error(tmp + ": close failed");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw persist_error("cannot rename '" + tmp + "' to '" + path + "'");
-  }
-  const bool dir_synced = fsync_parent_dir(path);
-  obs::record_persist_write(bytes.size(), dir_synced ? 2 : 1);
+  write_bytes_atomic(path, bytes, "manifest.merge", nullptr);
   return bytes.size();
 }
 
-ManifestWriter::ManifestWriter(std::string path, std::FILE* file,
-                               const sweep::SweepGrid* grid)
-    : path_(std::move(path)), file_(file) {
-  if (grid != nullptr) segment_header_ = header_bytes(grid_info(*grid));
-}
-
-ManifestWriter::ManifestWriter(ManifestWriter&& other) noexcept
-    : path_(std::move(other.path_)),
-      file_(std::exchange(other.file_, nullptr)),
-      flush_every_(other.flush_every_),
-      since_flush_(other.since_flush_),
-      rotate_bytes_(other.rotate_bytes_),
-      bytes_written_(other.bytes_written_),
-      rotate_seq_(other.rotate_seq_),
-      segment_header_(std::move(other.segment_header_)) {}
-
-ManifestWriter& ManifestWriter::operator=(ManifestWriter&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    path_ = std::move(other.path_);
-    file_ = std::exchange(other.file_, nullptr);
-    flush_every_ = other.flush_every_;
-    since_flush_ = other.since_flush_;
-    rotate_bytes_ = other.rotate_bytes_;
-    bytes_written_ = other.bytes_written_;
-    rotate_seq_ = other.rotate_seq_;
-    segment_header_ = std::move(other.segment_header_);
-  }
-  return *this;
-}
-
-ManifestWriter::~ManifestWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void ManifestWriter::check(bool ok, const char* what) const {
-  if (!ok) throw persist_error(path_ + ": manifest " + what + " failed");
-}
-
-void ManifestWriter::recover_file() {
-  if (file_ != nullptr) {
-    // A failing close is fine here: whatever it could not flush is
-    // re-established by the size check + rewrite below.
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path_, ec);
-  if (ec) {
-    throw persist_error(path_ + ": manifest recovery failed: " +
-                        ec.message());
-  }
-  if (size < bytes_written_) {
-    // Bytes already acknowledged to the caller never reached the file:
-    // durability is genuinely lost, and rewriting the CURRENT payload
-    // cannot restore the missing earlier records. Fail loudly.
-    throw persist_error(path_ + ": manifest lost durable bytes (file holds " +
-                        std::to_string(size) + ", writer acknowledged " +
-                        std::to_string(bytes_written_) +
-                        ") — durability lost, not retrying");
-  }
-  if (size > bytes_written_) {
-    std::filesystem::resize_file(path_, bytes_written_, ec);
-    if (ec) {
-      throw persist_error(path_ + ": cannot drop torn manifest bytes: " +
-                          ec.message());
-    }
-  }
-  std::FILE* file = std::fopen(path_.c_str(), "ab");
-  if (file == nullptr) {
-    throw persist_error("cannot reopen '" + path_ +
-                        "' after manifest write failure");
-  }
-  file_ = file;
-}
-
-void ManifestWriter::write_resilient(const std::string& bytes,
-                                     const char* site, const char* what) {
-  for (int attempt = 1;; ++attempt) {
-    try {
-      check(file_ != nullptr, what);
-      checked_fwrite(file_, bytes.data(), bytes.size(), site, path_);
-      bytes_written_ += bytes.size();
-      obs::record_persist_write(bytes.size(), /*fsyncs=*/0);
-      return;
-    } catch (const persist_error& e) {
-      obs::record_persist_write_failure();
-      if (attempt >= kMaxWriteAttempts) throw;
-      obs::record_persist_write_retry();
-      std::fprintf(stderr,
-                   "cid: %s — recovering manifest and retrying %s "
-                   "(attempt %d/%d)\n",
-                   e.what(), what, attempt + 1, kMaxWriteAttempts);
-      recover_file();  // throws when durability is actually lost
-    }
-  }
-}
+ManifestWriter::ManifestWriter(AppendFile file, const sweep::SweepGrid& grid)
+    : file_(std::move(file)), segment_header_(header_bytes(grid_info(grid))) {}
 
 ManifestWriter ManifestWriter::create(const std::string& path,
                                       const sweep::SweepGrid& grid) {
-  // A fresh manifest owns its rotation chain (stale segments would merge
-  // into future loads).
-  remove_chain(path);
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw persist_error("cannot open '" + path + "' for writing");
-  }
-  ManifestWriter writer(path, file, &grid);
-  writer.write_resilient(writer.segment_header_, "manifest.header",
-                         "header write");
-  writer.flush();
+  ManifestWriter writer(AppendFile::create(path, kManifestFile), grid);
+  writer.file_.write(writer.segment_header_, kManifestFile.header_site);
+  writer.file_.flush();
   return writer;
 }
 
@@ -556,121 +401,28 @@ ManifestWriter ManifestWriter::open_for_append(const std::string& path,
   probe.fingerprint = info.fingerprint;
   probe.cells = info.cells;
   probe.trials_per_cell = info.trials;
-  const SegmentScan scan = load_segment(path, info, probe);
   // Keep through the last intact record: a partial tail record AND any
   // trailing corrupt slots are dropped, so the rewrite lands on clean
   // bytes. (Corrupt slots FOLLOWED by intact records stay — truncating
   // would throw away good trials; load skips the bad slots instead.)
-  const std::size_t keep = scan.last_intact_end;
-  if (keep < scan.file_size) {
-    std::error_code ec;
-    std::filesystem::resize_file(path, keep, ec);
-    if (ec) {
-      throw persist_error(path + ": cannot drop damaged manifest tail: " +
-                          ec.message());
-    }
-  }
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
-    throw persist_error("cannot open '" + path + "' for appending");
-  }
-  ManifestWriter writer(path, file, &grid);
-  writer.bytes_written_ = keep;
-  writer.rotate_seq_ = chain_last_seq(path);
-  return writer;
+  const std::size_t keep = load_segment(path, info, probe).last_intact_end;
+  return ManifestWriter(AppendFile::open(path, kManifestFile, keep), grid);
 }
 
 void ManifestWriter::append(std::uint32_t cell, std::uint32_t trial,
                             const sweep::TrialOutcome& outcome) {
-  check(file_ != nullptr, "append after close");
-  write_resilient(record_bytes(cell, trial, outcome), "manifest.append",
-                  "record write");
+  file_.write(record_bytes(cell, trial, outcome), "manifest.append");
   if (++since_flush_ >= flush_every_) {
-    flush();
+    file_.flush();
     since_flush_ = 0;
   }
-  maybe_rotate();
-}
-
-void ManifestWriter::maybe_rotate() {
-  if (rotate_bytes_ == 0 || bytes_written_ < rotate_bytes_) return;
-  obs::trace_instant("manifest.rotate");
-  bool renamed = false;
-  try {
-    const bool flushed = std::fflush(file_) == 0 && std::ferror(file_) == 0;
-    const bool closed = std::fclose(file_) == 0;
-    file_ = nullptr;
-    check(flushed && closed, "pre-rotation flush");
-    obs::record_persist_flush();
-    const std::string segment = chain_segment_path(path_, rotate_seq_ + 1);
-    if (util::faults_armed() &&
-        util::fault_point("manifest.rotate").kind != util::FaultKind::kNone) {
-      throw persist_error(path_ + ": injected manifest rotation failure");
-    }
-    if (std::rename(path_.c_str(), segment.c_str()) != 0) {
-      throw persist_error(path_ + ": cannot rotate manifest to '" + segment +
-                          "'");
-    }
-    renamed = true;
-    fsync_parent_dir(path_);  // make the rename itself durable
-    ++rotate_seq_;
-    std::FILE* file = std::fopen(path_.c_str(), "wb");
-    if (file == nullptr) {
-      throw persist_error("cannot open '" + path_ +
-                          "' for writing after rotation");
-    }
-    file_ = file;
-    bytes_written_ = 0;
-    write_resilient(segment_header_, "manifest.header",
-                    "post-rotation header write");
-    flush();
-  } catch (const persist_error& e) {
-    obs::record_persist_write_failure();
-    if (renamed) {
-      // The active file is already renamed away and the fresh segment
-      // could not be established even after write_resilient's retries —
-      // there is nothing writable left to degrade to.
-      throw;
-    }
-    // Graceful degradation: rotation bounds file sizes, it is not a
-    // durability requirement. Keep appending to the unrotated file,
-    // disable further rotation, and say so loudly.
-    rotate_bytes_ = 0;
-    if (file_ == nullptr) {
-      std::FILE* file = std::fopen(path_.c_str(), "ab");
-      if (file == nullptr) {
-        throw persist_error(path_ +
-                            ": manifest unwritable after failed rotation (" +
-                            e.what() + ")");
-      }
-      file_ = file;
-    }
-    std::fprintf(stderr,
-                 "cid: %s — manifest rotation disabled, continuing "
-                 "unrotated\n",
-                 e.what());
-  }
-}
-
-void ManifestWriter::flush() {
-  check(file_ != nullptr, "flush");
-  try {
-    checked_fflush(file_, "manifest.flush", path_);
-  } catch (const persist_error& e) {
-    obs::record_persist_write_failure();
-    obs::record_persist_write_retry();
-    std::fprintf(stderr, "cid: %s — reopening manifest after flush failure\n",
-                 e.what());
-    // recover_file closes (flushing what the OS will take) and verifies
-    // every acknowledged byte is on disk; afterwards nothing is buffered,
-    // so the flush's goal is met or persist_error says durability is lost.
-    recover_file();
-  }
-  obs::record_persist_flush();
+  file_.rotate(rotate_bytes_, segment_header_);
 }
 
 void ManifestWriter::set_flush_every(std::int64_t every) {
-  check(every >= 1, "flush cadence must be >= 1; set");
+  if (every < 1) {
+    throw persist_error(file_.path() + ": manifest flush cadence must be >= 1");
+  }
   flush_every_ = every;
 }
 
@@ -678,13 +430,6 @@ void ManifestWriter::set_rotate_bytes(std::uint64_t bytes) {
   rotate_bytes_ = bytes;
 }
 
-void ManifestWriter::close() {
-  check(file_ != nullptr, "double close");
-  const bool ok = std::fflush(file_) == 0 && std::ferror(file_) == 0;
-  const bool closed = std::fclose(file_) == 0;
-  file_ = nullptr;
-  check(ok && closed, "close");
-  obs::record_persist_flush();
-}
+void ManifestWriter::close() { file_.close(); }
 
 }  // namespace cid::persist

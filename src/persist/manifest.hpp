@@ -49,9 +49,10 @@
 // reported loudly on stderr, and surfaced in ManifestContents so callers
 // can refuse to proceed. Only the active segment and the grid fingerprint
 // stay fatal: resuming without a readable active header, or against the
-// wrong grid, must never silently stitch results together. The writer
-// side recovers from transient append failures by truncating the torn
-// bytes and rewriting (see ManifestWriter::append), so manifests stay
+// wrong grid, must never silently stitch results together (the chain walk
+// is walk_chain, shared with the event log). The writer keeps only the
+// format; its bytes reach disk through AppendFile (binio.hpp), whose
+// recovery truncates torn bytes and rewrites, so manifests stay
 // byte-identical to a fault-free run's.
 //
 // Rotation (`rotate_bytes`): once the active file exceeds the limit it is
@@ -63,7 +64,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
@@ -76,16 +76,6 @@ namespace cid::persist {
 
 inline constexpr char kManifestMagic[] = "CIDMANI";
 inline constexpr std::uint8_t kManifestVersion = 2;
-
-/// Thrown when a manifest belongs to a different grid (fingerprint,
-/// dimension or outcome-semantics mismatch). A subclass so
-/// corruption-tolerant chain readers can skip unreadable segments WITHOUT
-/// ever swallowing a wrong-grid error — mixing grids is never tolerable.
-class grid_mismatch_error : public persist_error {
- public:
-  explicit grid_mismatch_error(const std::string& message)
-      : persist_error(message) {}
-};
 
 /// Hash of kOutcomeSemantics and every SweepGrid field that influences
 /// trial outcomes (scenario name + params, protocol specs, ns, trials,
@@ -168,8 +158,9 @@ MergeReport merge_manifests(const std::vector<std::string>& inputs,
                             const MergeOptions& options = {});
 
 /// Writes `report` as a single canonical v2 manifest: one segment, records
-/// sorted by (cell, trial), staged through "<path>.tmp" + rename + parent
-/// fsync. Canonical means reproducible: merging the same trials in any
+/// sorted by (cell, trial), written by write_bytes_atomic at fault site
+/// "manifest.merge" (tmp + fsync + rename + parent fsync, one retry).
+/// Canonical means reproducible: merging the same trials in any
 /// input order/sharding yields byte-identical files — and equals a
 /// threads=1 unsharded sweep's manifest, whose completion order is already
 /// (cell, trial). Returns bytes written.
@@ -191,23 +182,16 @@ class ManifestWriter {
   static ManifestWriter open_for_append(const std::string& path,
                                         const sweep::SweepGrid& grid);
 
-  ManifestWriter(ManifestWriter&& other) noexcept;
-  ManifestWriter& operator=(ManifestWriter&& other) noexcept;
-  ~ManifestWriter();
-
-  /// Appends one record. Transient write failures (real or injected at
-  /// fault sites "manifest.append"/"manifest.flush") are recovered by
-  /// truncating the file back to the last known-good byte and rewriting,
-  /// up to 3 attempts — the recovered file is byte-identical to a
-  /// fault-free writer's. Throws persist_error only when recovery is
-  /// impossible (attempts exhausted, or previously-written bytes turn out
-  /// not to be durable).
+  /// Appends one record through AppendFile's recovery: a transient write
+  /// or flush failure (real, or injected at fault sites
+  /// "manifest.append"/"manifest.flush") truncates the torn bytes and
+  /// rewrites, so the file stays byte-identical to a fault-free writer's.
+  /// Throws persist_error only when recovery is impossible.
   void append(std::uint32_t cell, std::uint32_t trial,
               const sweep::TrialOutcome& outcome);
 
-  /// Flushes buffered records; append() flushes itself every
-  /// `flush_every`-th record (default 1: every record durable).
-  void flush();
+  /// append() flushes every `every`-th record (default 1: every record
+  /// reaches the OS as it completes).
   void set_flush_every(std::int64_t every);
 
   /// When > 0, rotate the active file to "<path>.<seq>" once it exceeds
@@ -217,28 +201,12 @@ class ManifestWriter {
   void close();
 
  private:
-  ManifestWriter(std::string path, std::FILE* file,
-                 const sweep::SweepGrid* grid);
-  void check(bool ok, const char* what) const;
-  void maybe_rotate();
-  /// Retry loop around checked_fwrite: on persist_error, recover_file()
-  /// and rewrite, kMaxWriteAttempts total tries. util::fault_crash always
-  /// propagates (a crash is a kill, not an error).
-  void write_resilient(const std::string& bytes, const char* site,
-                       const char* what);
-  /// Post-failure recovery: close, truncate the file back to
-  /// bytes_written_ (dropping torn bytes), reopen for append. Throws
-  /// persist_error when the file holds FEWER bytes than were acknowledged
-  /// — durability already lost, rewriting cannot help.
-  void recover_file();
+  ManifestWriter(AppendFile file, const sweep::SweepGrid& grid);
 
-  std::string path_;
-  std::FILE* file_ = nullptr;
+  AppendFile file_;
   std::int64_t flush_every_ = 1;
   std::int64_t since_flush_ = 0;
   std::uint64_t rotate_bytes_ = 0;
-  std::uint64_t bytes_written_ = 0;
-  std::uint32_t rotate_seq_ = 0;
   /// Header template for post-rotation segments (owned copy of the bytes,
   /// not the grid — the grid reference does not outlive the factories).
   std::string segment_header_;

@@ -232,8 +232,10 @@ FaultAction fault_point(const char* site) {
               g_crash_handler.load(std::memory_order_acquire)) {
         handler(site);  // tests: throws fault_crash, unwinding like a kill
       } else {
+        // Like SIGKILL: every stdio buffer still in user space is lost.
+        // Only the diagnostic line is flushed.
         std::fprintf(stderr, "cid: injected crash at %s\n", site);
-        std::fflush(nullptr);  // a real kill leaves flushed bytes behind
+        std::fflush(stderr);
         std::_Exit(137);
       }
     }

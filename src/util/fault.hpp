@@ -27,8 +27,8 @@
 // Sites currently consulted (grep fault_point for the authority):
 //
 //   manifest.append  manifest.header  manifest.flush  manifest.rotate
-//   eventlog.block   eventlog.header  eventlog.flush  eventlog.rotate
-//   snapshot.write   snapshot.rename  sweep.trial
+//   manifest.merge   eventlog.block   eventlog.header  eventlog.flush
+//   eventlog.rotate  snapshot.write   snapshot.rename  sweep.trial
 //   net.accept       net.read        net.write       serve.lease_expire
 //
 // The net.* sites live in src/serve/net.cpp (per accepted connection /
@@ -43,8 +43,9 @@
 // the CI byte-compares run --threads 1). Every injected fault bumps the
 // "fault.injected" global counter.
 //
-// Crash-at-point: by default FaultKind::kCrash flushes the torn state and
-// calls std::_Exit(137) — a real kill for subprocess tests. Tests install
+// Crash-at-point: by default FaultKind::kCrash calls std::_Exit(137) with
+// only stderr flushed — a real kill for subprocess tests: bytes a writer
+// left in a stdio buffer are lost, exactly as under SIGKILL. Tests install
 // a crash handler that throws instead (fault_crash), which the sweep
 // runner's retry logic deliberately re-throws, so an in-process test
 // observes exactly the aborted-run state a kill would leave.

@@ -13,11 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "persist/binio.hpp"
+#include "persist/eventlog.hpp"
 #include "persist/manifest.hpp"
 #include "sweep/runner.hpp"
 #include "util/fault.hpp"
@@ -278,6 +280,106 @@ TEST_F(FaultTest, FailedRotationDegradesToUnrotatedOutput) {
     std::remove(segment.c_str());
   }
   std::remove(path.c_str());
+}
+
+// ---- Event log: the same recovery policy through the same AppendFile -------
+
+constexpr std::int64_t kLogRounds = 40;
+
+/// Writes kLogRounds synthetic rounds (4 per block) to `path`.
+void write_event_log(const std::string& path,
+                     const persist::EventLogOptions& options) {
+  persist::EventLogWriter writer =
+      persist::EventLogWriter::create(path, options);
+  for (std::int64_t round = 0; round < kLogRounds; ++round) {
+    const std::vector<Migration> moves = {
+        {static_cast<std::int32_t>(round % 3), 2, round + 1}};
+    writer.append(round, moves);
+  }
+  writer.close();
+}
+
+persist::EventLogOptions small_blocks() {
+  persist::EventLogOptions options;
+  options.block_rounds = 4;
+  return options;
+}
+
+void remove_with_chain(const std::string& path) {
+  for (const std::string& segment : persist::chain_segments(path)) {
+    std::remove(segment.c_str());
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(FaultTest, EventLogWriteFaultsRecoverByteIdentical) {
+  const std::string reference_path = temp_path("fault_ref.elog");
+  write_event_log(reference_path, small_blocks());
+  const std::string reference = persist::slurp_file(reference_path);
+  std::remove(reference_path.c_str());
+
+  struct SiteCase {
+    const char* site;
+    int hit;  // the header is written once; blocks/flushes per block
+  };
+  const SiteCase kSites[] = {
+      {"eventlog.header", 1}, {"eventlog.block", 2}, {"eventlog.flush", 2}};
+  for (const char* kind : {"err", "short", "enospc"}) {
+    SCOPED_TRACE(kind);
+    for (const SiteCase& s : kSites) {
+      SCOPED_TRACE(s.site);
+      const std::string path = temp_path("fault_rec.elog");
+      const std::int64_t injected_before = util::faults_injected();
+      util::configure_faults("seed=5;" + std::string(s.site) + ":" + kind +
+                             ":hit=" + std::to_string(s.hit));
+      write_event_log(path, small_blocks());
+      util::clear_faults();
+      EXPECT_EQ(util::faults_injected() - injected_before, 1);  // not vacuous
+      EXPECT_EQ(persist::slurp_file(path), reference);
+      std::remove(path.c_str());
+    }
+  }
+}
+
+// Rotation failure degrades to one unrotated file; the rounds (not the
+// framing) must match the fault-free log, with nothing skipped.
+TEST_F(FaultTest, FailedEventLogRotationDegrades) {
+  const std::string path = temp_path("degrade.elog");
+  persist::EventLogOptions options = small_blocks();
+  options.rotate_bytes = 48;  // would rotate after every block
+  const std::int64_t injected_before = util::faults_injected();
+  util::configure_faults("seed=1;eventlog.rotate:err:every=1");
+  write_event_log(path, options);
+  util::clear_faults();
+  EXPECT_GT(util::faults_injected() - injected_before, 0);
+  EXPECT_TRUE(persist::chain_segments(path).empty());
+  const persist::EventLog log = persist::read_event_log_series(path);
+  EXPECT_TRUE(log.corrupt_segments.empty());
+  EXPECT_EQ(log.corrupt_blocks, 0u);
+  ASSERT_EQ(log.rounds.size(), static_cast<std::size_t>(kLogRounds));
+  for (std::int64_t round = 0; round < kLogRounds; ++round) {
+    EXPECT_EQ(log.rounds[round].round, round);
+    ASSERT_EQ(log.rounds[round].moves.size(), 1u);
+    EXPECT_EQ(log.rounds[round].moves[0].count, round + 1);
+  }
+  remove_with_chain(path);
+}
+
+// The chain walk skips an unreadable rotated segment but never one that
+// belongs to another grid: mixing grids is not corruption.
+TEST_F(FaultTest, ForeignRotatedManifestSegmentIsNeverSkipped) {
+  const SweepGrid grid = small_grid("load-balancing", 200, 500);
+  SweepGrid other = grid;
+  other.master_seed = 78;
+  const std::string path = temp_path("foreign.manifest");
+  const std::string foreign = temp_path("foreign_other.manifest");
+  persist::ManifestWriter::create(foreign, other).close();
+  persist::ManifestWriter::create(path, grid).close();
+  std::filesystem::rename(foreign, persist::chain_segment_path(path, 1));
+  EXPECT_THROW(persist::load_manifest(path, grid),
+               persist::grid_mismatch_error);
+  EXPECT_THROW(persist::load_manifest_raw(path), persist::grid_mismatch_error);
+  remove_with_chain(path);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // end-to-end kill-and-resume guarantees live in test_resume.cpp and
 // test_sweep_resume.cpp; this file pins down the formats those rely on.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <fstream>
@@ -448,6 +449,35 @@ TEST(EventLog, TruncatedCompressedBlockTailIsRecovered) {
     writer.close();
   }
   EXPECT_EQ(slurp_file(path), intact);
+  std::remove(path.c_str());
+}
+
+// A CRC-valid block whose first round claims 2^26 moves in a few bytes:
+// the reader must refuse the count before sizing a vector to it (1 GiB
+// of zero-filled Migration records).
+TEST(EventLog, ClaimedMoveCountBeyondTheBlockIsRefusedBeforeAllocating) {
+  const std::string path = temp_path("movecount.elog");
+  EventLogWriter::create(path).close();  // header only
+  BinWriter raw;
+  raw.vu64(std::uint64_t{1} << 26);
+  BinWriter block;
+  block.u8(kBlockRaw);
+  block.u32(static_cast<std::uint32_t>(raw.buffer().size()));
+  block.u32(static_cast<std::uint32_t>(raw.buffer().size()));
+  block.u64(0);  // first_round
+  block.u32(1);  // round_count
+  block.raw(raw.buffer().data(), raw.buffer().size());
+  block.u32(crc32(block.buffer().data(), block.buffer().size()));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << block.buffer();
+  }
+  rusage before{};
+  ::getrusage(RUSAGE_SELF, &before);
+  EXPECT_THROW(read_event_log(path), persist_error);
+  rusage after{};
+  ::getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 256 * 1024);  // KiB
   std::remove(path.c_str());
 }
 
@@ -954,6 +984,147 @@ TEST(Snapshot, HostileBytesOnlyEverThrowPersistError) {
     EXPECT_GT(decoded, 0);
   }
   std::remove(path.c_str());
+}
+
+// The append-only decoders face the same loop. Their checksums guard
+// records and blocks, not whole files, so half the cases mutate the whole
+// file and the other half mutate one record or block frame and re-seal
+// its CRC, so the bytes reach the decoder behind the checksum.
+
+/// [offset, length) of every CRC-guarded frame (the CRC follows it) of a
+/// CIDMANI or CIDELOG file, walked with the format's own size fields.
+std::vector<std::pair<std::size_t, std::size_t>> crc_frames(
+    const std::string& bytes) {
+  const bool manifest = bytes.compare(0, 7, kManifestMagic) == 0;
+  const auto version = static_cast<std::uint8_t>(bytes[7]);
+  std::size_t pos = 8;
+  if (manifest && version == 1) pos = 24;
+  if (version >= 2) pos = 12 + read_le32(bytes.data() + 8);
+  std::vector<std::pair<std::size_t, std::size_t>> frames;
+  while (pos < bytes.size()) {
+    std::size_t length = 41;  // a manifest record payload
+    if (!manifest && version == 1) {
+      length = 12 + std::size_t{16} * read_le32(bytes.data() + pos + 8);
+    } else if (!manifest) {
+      length = 21 + read_le32(bytes.data() + pos + 5);
+    }
+    frames.emplace_back(pos, length);
+    pos += length + 4;
+  }
+  return frames;
+}
+
+std::string mutate_sealed_frame(const std::string& bytes, Rng& rng) {
+  const auto frames = crc_frames(bytes);
+  const auto [pos, length] = frames[rng.uniform_int(frames.size())];
+  const std::string frame = mutate(bytes.substr(pos, length), rng);
+  BinWriter out;
+  out.raw(bytes.data(), pos);
+  out.raw(frame.data(), frame.size());
+  out.u32(crc32(frame.data(), frame.size()));
+  out.raw(bytes.data() + pos + length + 4, bytes.size() - pos - length - 4);
+  return out.take();
+}
+
+TEST(AppendOnly, HostileBytesOnlyEverThrowPersistError) {
+  constexpr int kCasesPerSeed = 1500;
+  const sweep::SweepGrid grid = manifest_grid();
+  const std::string v2_manifest = temp_path("hostile_seed.cidmani");
+  {
+    ManifestWriter writer = ManifestWriter::create(v2_manifest, grid);
+    for (std::uint32_t trial = 0; trial < 3; ++trial) {
+      sweep::TrialOutcome outcome;
+      outcome.rounds = 10.0 + trial;
+      outcome.movers = 40 + trial;
+      writer.append(trial % 2, trial, outcome);
+    }
+    writer.close();
+  }
+  const std::string v2_log = temp_path("hostile_seed.cidelog");
+  constexpr std::int64_t kLogRounds = 60;  // 7 full blocks + a partial one
+  {
+    EventLogOptions options;
+    options.block_rounds = 8;
+    EventLogWriter writer = EventLogWriter::create(v2_log, options);
+    for (std::int64_t round = 0; round < kLogRounds; ++round) {
+      std::vector<Migration> moves;
+      for (std::int64_t j = 0; j < round % 4; ++j) {
+        moves.push_back({static_cast<std::int32_t>(j),
+                         static_cast<std::int32_t>(j + 1), 3 * round + j});
+      }
+      writer.append(round, moves);
+    }
+    writer.close();
+  }
+
+  struct Seed {
+    std::string name;
+    std::string bytes;
+    bool manifest;
+    bool appendable;  // open_for_append accepts the unmutated seed
+  };
+  const Seed seeds[] = {
+      {"sweep_v1.cidmani", slurp_file(fixture("sweep_v1.cidmani")), true,
+       false},
+      {"v2 manifest", slurp_file(v2_manifest), true, true},
+      {"run_v1.cidelog", slurp_file(fixture("run_v1.cidelog")), false, false},
+      {"v2 event log", slurp_file(v2_log), false, true},
+  };
+  const std::string path = temp_path("hostile_append_only");
+  for (const Seed& seed : seeds) {
+    SCOPED_TRACE(seed.name);
+    std::int64_t next_round = 0;
+    if (!seed.manifest) {
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << seed.bytes;
+      next_round =
+          static_cast<std::int64_t>(read_event_log(path).rounds.size());
+    }
+    Rng rng(0xA99E);
+    int decoded = 0;
+    int appended = 0;
+    for (int i = 0; i < kCasesPerSeed; ++i) {
+      const std::string bytes = i % 2 == 0
+                                    ? mutate(seed.bytes, rng)
+                                    : mutate_sealed_frame(seed.bytes, rng);
+      const auto write_case = [&] {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      };
+      try {
+        write_case();
+        if (seed.manifest) {
+          load_manifest_raw(path);
+        } else {
+          read_event_log(path);
+        }
+        ++decoded;
+      } catch (const persist_error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "case " << i << " (read): " << e.what();
+      }
+      try {
+        write_case();
+        if (seed.manifest) {
+          ManifestWriter::open_for_append(path, grid).close();
+        } else {
+          EventLogWriter::open_for_append(path, next_round).close();
+        }
+        ++appended;
+      } catch (const persist_error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "case " << i << " (append): " << e.what();
+      }
+    }
+    // Vacuity guard: some mutations (a flipped double, a skipped slot)
+    // still decode, and every seed that accepts appends still does.
+    EXPECT_GT(decoded, 0);
+    if (seed.appendable) {
+      EXPECT_GT(appended, 0);
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(v2_manifest.c_str());
+  std::remove(v2_log.c_str());
 }
 
 }  // namespace
