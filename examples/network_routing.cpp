@@ -37,7 +37,7 @@ int main() {
   const double delta = 0.02, eps = 0.05;
   std::int64_t first_approx_round = -1;
   const cid::ImitationProtocol protocol;
-  cid::TraceRecorder trace(game, x, 25);
+  cid::obs::TelemetryRecorder telemetry(25);
   cid::RunOptions options;
   options.max_rounds = 100000;
   const auto result = cid::run_dynamics(
@@ -51,9 +51,11 @@ int main() {
          }
          return cid::is_imitation_stable(g, s, g.nu());
        },
-       .observer = trace.observer()});
+       .observer = telemetry.observer()});
 
-  trace.to_table().print("imitation on a 3x2 layered network (n=5000)");
+  telemetry.finish(result.converged);
+  cid::obs::telemetry_table(telemetry.records())
+      .print("imitation on a 3x2 layered network (n=5000)");
   const auto report = cid::check_delta_eps_nu(game, x, delta, eps, game.nu());
   std::printf(
       "\nfirst (delta=%.2f, eps=%.2f, nu=%.2f)-equilibrium at round %lld\n"

@@ -20,7 +20,7 @@ int main() {
   cid::State x(game, {397, 1, 1, 1});
 
   const cid::ImitationProtocol protocol;  // Protocol 1, default λ = 1/4
-  cid::TraceRecorder trace(game, x, /*sample_interval=*/10);
+  cid::obs::TelemetryRecorder telemetry(/*every=*/10);
 
   cid::RunOptions options;
   options.max_rounds = 5000;
@@ -30,9 +30,11 @@ int main() {
   };
   const cid::RunResult result = cid::run_dynamics(
       game, x, protocol, rng,
-      {.options = options, .stop = stop, .observer = trace.observer()});
+      {.options = options, .stop = stop, .observer = telemetry.observer()});
 
-  trace.to_table().print("imitation dynamics trace (every 10th round)");
+  telemetry.finish(result.converged);
+  cid::obs::telemetry_table(telemetry.records())
+      .print("imitation dynamics telemetry (every 10th round)");
   std::printf("\nconverged: %s after %lld rounds (%lld migrations)\n",
               result.converged ? "yes" : "no",
               static_cast<long long>(result.rounds),

@@ -15,7 +15,6 @@
 #pragma once
 
 #include "analysis/experiment.hpp"    // IWYU pragma: export
-#include "analysis/trace.hpp"         // IWYU pragma: export
 #include "dynamics/engine_kernel.hpp"  // IWYU pragma: export
 #include "dynamics/engine.hpp"        // IWYU pragma: export
 #include "dynamics/equilibrium.hpp"   // IWYU pragma: export

@@ -123,8 +123,9 @@ class CongestionGame {
   /// L⁺_av(x) = Σ_P (x_P/n)·ℓ_P(x+1_P).
   double plus_average_latency(const State& x) const;
 
-  /// Rosenthal potential Φ(x) = Σ_e Σ_{i=1..x_e} ℓ_e(i). O(Σ_e x_e);
-  /// call sparingly at large n (see PotentialTracker for incremental use).
+  /// Rosenthal potential Φ(x) = Σ_e Σ_{i=1..x_e} ℓ_e(i), through the
+  /// closed forms of LatencyTable::potential: O(m·D) for polynomial
+  /// latencies of degree D <= 16, the step loop only for the others.
   double potential(const State& x) const;
 
   std::string describe() const;

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"
 
@@ -86,26 +85,6 @@ double potential_gain(const CongestionGame& game, const State& x,
     }
   }
   return acc.value();
-}
-
-PotentialTracker::PotentialTracker(const CongestionGame& game,
-                                   const State& x) {
-  resync(game, x);
-}
-
-void PotentialTracker::apply(const CongestionGame& game, const State& x,
-                             std::span<const Migration> moves) {
-  phi_.add(potential_gain(game, x, moves));
-}
-
-void PotentialTracker::resync(const CongestionGame& game, const State& x) {
-  // Counts construction-time syncs too — every resync is a full
-  // potential recomputation, which is exactly what the counter is for.
-  static const auto id =
-      obs::global_metrics().counter("analysis.potential_resyncs");
-  obs::global_metrics().add(id, 1);
-  phi_ = NeumaierSum{};
-  phi_.add(game.potential(x));
 }
 
 }  // namespace cid

@@ -10,9 +10,6 @@
 // paper's Figure 1). All three quantities are exposed so tests can verify
 // the inequality on arbitrary migration vectors and benches can report how
 // much slack concurrency actually costs.
-//
-// PotentialTracker maintains Φ incrementally across rounds in O(|Δx_e|)
-// per changed resource, with an exact-resync escape hatch for long runs.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +17,6 @@
 
 #include "game/congestion_game.hpp"
 #include "game/state.hpp"
-#include "util/stats.hpp"
 
 namespace cid {
 
@@ -37,25 +33,5 @@ double concurrency_error_term(const CongestionGame& game, const State& x,
 /// without materializing the successor state. O(Σ_e |Δx_e|).
 double potential_gain(const CongestionGame& game, const State& x,
                       std::span<const Migration> moves);
-
-/// Incremental Φ tracker. Usage: construct from a state, then mirror every
-/// State::apply with an identical apply() here.
-class PotentialTracker {
- public:
-  PotentialTracker(const CongestionGame& game, const State& x);
-
-  double value() const noexcept { return phi_.value(); }
-
-  /// Accumulates ΔΦ for the same migration batch applied to the state.
-  /// Call BEFORE State::apply (the gain is computed relative to x).
-  void apply(const CongestionGame& game, const State& x,
-             std::span<const Migration> moves);
-
-  /// Recomputes Φ exactly from the state (floating-point drift control).
-  void resync(const CongestionGame& game, const State& x);
-
- private:
-  NeumaierSum phi_;  // Φ at the last resync plus every ΔΦ since
-};
 
 }  // namespace cid

@@ -11,16 +11,12 @@
 
 namespace cid::obs {
 
-namespace {
-
-std::string format_json_double(double value) {
+std::string format_round_trip(double value) {
   std::ostringstream out;
   out.precision(std::numeric_limits<double>::max_digits10);
   out << value;
   return out.str();
 }
-
-}  // namespace
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -71,7 +67,7 @@ JsonObject& JsonObject::num(std::string_view k, std::int64_t value) {
 
 JsonObject& JsonObject::num(std::string_view k, double value) {
   key(k);
-  body_ += format_json_double(value);
+  body_ += format_round_trip(value);
   return *this;
 }
 
@@ -170,7 +166,7 @@ void JsonlSink::write(const MetricsSnapshot& snapshot) {
     std::string bounds;
     for (const double b : h.bounds) {
       if (!bounds.empty()) bounds += ',';
-      bounds += format_json_double(b);
+      bounds += format_round_trip(b);
     }
     hist.raw("bounds", "[" + bounds + "]");
     std::string buckets;
@@ -224,12 +220,12 @@ std::string prometheus_text(const MetricsSnapshot& snapshot) {
     std::int64_t cumulative = 0;
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       cumulative += h.buckets[i];
-      out += name + "_bucket{le=\"" + format_json_double(h.bounds[i]) +
+      out += name + "_bucket{le=\"" + format_round_trip(h.bounds[i]) +
              "\"} " + std::to_string(cumulative) + "\n";
     }
     cumulative += h.buckets.back();
     out += name + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) + "\n";
-    out += name + "_sum " + format_json_double(h.sum) + "\n";
+    out += name + "_sum " + format_round_trip(h.sum) + "\n";
     out += name + "_count " + std::to_string(h.count) + "\n";
   }
   return out;

@@ -17,6 +17,11 @@
 
 namespace cid::obs {
 
+/// A double in max_digits10 significant digits, so it reads back to the
+/// same bits. The one formatter behind every double a JSON, JSONL or CSV
+/// output carries (metrics, telemetry, sweep results).
+std::string format_round_trip(double value);
+
 /// Escapes a string for embedding in a JSON string literal (quotes,
 /// backslash, control characters).
 std::string json_escape(std::string_view s);

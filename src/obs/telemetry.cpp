@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "dynamics/equilibrium.hpp"
@@ -13,20 +11,6 @@
 #include "util/stats.hpp"
 
 namespace cid::obs {
-
-namespace {
-
-/// Same formatting as JsonObject::num(double) (obs/sink.cpp) — one
-/// authority for every double a telemetry file carries, so the CSV and
-/// JSONL backends (and live vs replay) agree byte for byte.
-std::string format_double(double value) {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << value;
-  return out.str();
-}
-
-}  // namespace
 
 TelemetryRecord make_telemetry_record(const CongestionGame& game,
                                       const State& x,
@@ -164,20 +148,37 @@ std::string telemetry_csv_row(const TelemetryRecord& rec) {
   row += ',';
   row += std::to_string(rec.round);
   row += ',';
-  row += format_double(rec.phi);
+  row += format_round_trip(rec.phi);
   row += ',';
-  row += format_double(rec.l_av);
+  row += format_round_trip(rec.l_av);
   row += ',';
-  row += format_double(rec.l_plus_av);
+  row += format_round_trip(rec.l_plus_av);
   row += ',';
-  row += format_double(rec.makespan);
+  row += format_round_trip(rec.makespan);
   row += ',';
   row += std::to_string(rec.movers);
   row += ',';
   row += std::to_string(rec.support);
   row += ',';
-  row += format_double(rec.im_gap);
+  row += format_round_trip(rec.im_gap);
   return row;
+}
+
+Table telemetry_table(std::span<const TelemetryRecord> records) {
+  Table table({"round", "phi", "l_av", "l_plus_av", "makespan", "movers",
+               "support", "im_gap"});
+  for (const TelemetryRecord& rec : records) {
+    table.row()
+        .cell(rec.round)
+        .cell(rec.phi)
+        .cell(rec.l_av)
+        .cell(rec.l_plus_av)
+        .cell(rec.makespan)
+        .cell(rec.movers)
+        .cell(rec.support)
+        .cell(rec.im_gap);
+  }
+  return table;
 }
 
 std::uint64_t write_telemetry_file(

@@ -1,9 +1,9 @@
 // Convergence telemetry: downsampled per-round records of the science
 // observables the paper reasons about — Rosenthal potential Φ, average /
-// plus-average latency, makespan, movers, support size, imitation gap —
-// promoted from the bench-only analysis::TraceRecorder into a production
-// channel behind cid_sim/cid_sweep --telemetry (and regenerable offline by
-// `cid_replay telemetry` from a CIDELOG event log).
+// plus-average latency, makespan, movers, support size, imitation gap.
+// It is the one per-round series: cid_sim prints it as a table or writes
+// it behind --telemetry, cid_sweep tags it per trial, and
+// `cid_replay telemetry` regenerates it offline from a CIDELOG event log.
 //
 // Purity contract (what makes live capture, checkpoint/kill/resume
 // concatenation, and zero-RNG replay byte-identical): every field of a
@@ -38,6 +38,7 @@
 #include "game/asymmetric.hpp"
 #include "game/expost_table.hpp"
 #include "obs/sink.hpp"
+#include "util/table.hpp"
 
 namespace cid::obs {
 
@@ -144,6 +145,10 @@ std::string telemetry_json_line(const TelemetryRecord& rec);
 /// CSV header/row mirroring the JSONL fields (same double formatting).
 std::string telemetry_csv_header();
 std::string telemetry_csv_row(const TelemetryRecord& rec);
+
+/// The series as a console table (4-digit cells, the record fields in
+/// CSV order without "kind"): cid_sim's stdout report.
+Table telemetry_table(std::span<const TelemetryRecord> records);
 
 /// Writes the series to `path` — CSV when the path ends in ".csv", JSONL
 /// otherwise. Fails loudly on I/O errors; reports bytes through

@@ -1,11 +1,10 @@
 #include "sweep/output.hpp"
 
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 
 namespace cid::sweep {
 
@@ -34,29 +33,16 @@ std::uint64_t finish_or_throw(std::ofstream& out, const std::string& path) {
 
 // Full-precision doubles: round-tripping matters more than prettiness in
 // machine-readable output (the determinism test diffs these files).
-std::string num(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
+std::string num(double v) { return obs::format_round_trip(v); }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
+/// The identity fields every JSONL line starts with.
+obs::JsonObject key_fields(const CellKey& key) {
+  obs::JsonObject obj;
+  obj.num("cell", std::int64_t{key.cell});
+  obj.str("scenario", key.scenario);
+  obj.str("protocol", key.protocol);
+  obj.num("n", key.n);
+  return obj;
 }
 
 }  // namespace
@@ -98,15 +84,14 @@ std::uint64_t write_trials_jsonl(const std::string& path,
                                  const SweepResult& result) {
   auto out = open_or_throw(path);
   for (const TrialRow& row : result.trials) {
-    out << "{\"cell\":" << row.key.cell << ",\"scenario\":\""
-        << json_escape(row.key.scenario) << "\",\"protocol\":\""
-        << json_escape(row.key.protocol) << "\",\"n\":" << row.key.n
-        << ",\"trial\":" << row.trial << ",\"rounds\":"
-        << num(row.outcome.rounds) << ",\"converged\":"
-        << (row.outcome.converged ? "true" : "false")
-        << ",\"movers\":" << row.outcome.movers << ",\"potential\":"
-        << num(row.outcome.potential) << ",\"social_cost\":"
-        << num(row.outcome.social_cost) << "}\n";
+    obs::JsonObject obj = key_fields(row.key);
+    obj.num("trial", std::int64_t{row.trial});
+    obj.num("rounds", row.outcome.rounds);
+    obj.raw("converged", row.outcome.converged ? "true" : "false");
+    obj.num("movers", row.outcome.movers);
+    obj.num("potential", row.outcome.potential);
+    obj.num("social_cost", row.outcome.social_cost);
+    out << obj.take() << '\n';
   }
   return finish_or_throw(out, path);
 }
@@ -115,19 +100,19 @@ std::uint64_t write_cells_jsonl(const std::string& path,
                                 const SweepResult& result) {
   auto out = open_or_throw(path);
   for (const CellRow& row : result.cells) {
-    out << "{\"cell\":" << row.key.cell << ",\"scenario\":\""
-        << json_escape(row.key.scenario) << "\",\"protocol\":\""
-        << json_escape(row.key.protocol) << "\",\"n\":" << row.key.n
-        << ",\"trials\":" << row.trials << ",\"rounds_mean\":"
-        << num(row.rounds.mean) << ",\"rounds_sem\":" << num(row.rounds_sem)
-        << ",\"rounds_median\":" << num(row.rounds.median)
-        << ",\"rounds_min\":" << num(row.rounds.min) << ",\"rounds_max\":"
-        << num(row.rounds.max) << ",\"fraction_converged\":"
-        << num(row.fraction_converged) << ",\"mean_potential\":"
-        << num(row.mean_potential) << ",\"mean_social_cost\":"
-        << num(row.mean_social_cost) << ",\"mean_movers\":"
-        << num(row.mean_movers) << ",\"wall_seconds\":"
-        << num(row.wall_seconds) << "}\n";
+    obs::JsonObject obj = key_fields(row.key);
+    obj.num("trials", std::int64_t{row.trials});
+    obj.num("rounds_mean", row.rounds.mean);
+    obj.num("rounds_sem", row.rounds_sem);
+    obj.num("rounds_median", row.rounds.median);
+    obj.num("rounds_min", row.rounds.min);
+    obj.num("rounds_max", row.rounds.max);
+    obj.num("fraction_converged", row.fraction_converged);
+    obj.num("mean_potential", row.mean_potential);
+    obj.num("mean_social_cost", row.mean_social_cost);
+    obj.num("mean_movers", row.mean_movers);
+    obj.num("wall_seconds", row.wall_seconds);
+    out << obj.take() << '\n';
   }
   return finish_or_throw(out, path);
 }

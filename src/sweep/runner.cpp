@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -136,6 +137,16 @@ std::vector<ProtocolSpec> parse_protocol_list(const std::string& csv) {
     pos = next + 1;
   }
   return out;
+}
+
+std::int64_t parse_stride(const std::string& flag, std::string_view value) {
+  std::int64_t stride = 0;
+  const auto [end, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), stride);
+  if (ec != std::errc() || end != value.data() + value.size() || stride < 1) {
+    throw UsageError(flag + " must be a whole number >= 1");
+  }
+  return stride;
 }
 
 GridFlags::GridFlags() {

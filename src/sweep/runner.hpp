@@ -15,6 +15,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/progress.hpp"
@@ -248,6 +249,11 @@ std::vector<ProtocolSpec> parse_protocol_list(const std::string& csv);
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// Reads the value of a sampling-stride flag (--telemetry-every,
+/// --trace-sample): a whole number >= 1. Throws UsageError naming `flag`
+/// on 0, a negative, or anything that is not a number.
+std::int64_t parse_stride(const std::string& flag, std::string_view value);
 
 /// The grid flags cid_sweep and cid_serve share, so a coordinator and its
 /// workers cannot disagree on a grid fingerprint: --scenario --grid

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -90,42 +89,6 @@ std::string Table::to_string(const std::string& title) const {
 
 void Table::print(const std::string& title) const {
   std::cout << to_string(title) << std::flush;
-}
-
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    os << (c ? "," : "") << csv_escape(headers_[c]);
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c ? "," : "") << csv_escape(row[c]);
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
-void Table::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  CID_ENSURE(out.good(), "cannot open CSV output path: " + path);
-  out << to_csv();
-  out.flush();
-  CID_ENSURE(out.good(), "CSV write failed (disk full?) for: " + path);
 }
 
 }  // namespace cid

@@ -1,8 +1,10 @@
-// Console/CSV table output used by the benchmark harness.
+// Console table output used by the benchmark harness and the tools.
 //
-// Every experiment binary prints an aligned, paper-style table to stdout and
-// can optionally dump the same data as CSV for downstream plotting. Cells
-// are formatted at insertion time so the table itself is just strings.
+// Every experiment binary prints an aligned, paper-style table to stdout;
+// machine-readable output goes through the writers that keep full
+// precision (sweep/output.hpp, obs/telemetry.hpp, the --json bench
+// reports). Cells are formatted at insertion time, so the table itself is
+// just strings.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +37,6 @@ class Table {
   /// Renders with column alignment, a header rule, and an optional title.
   std::string to_string(const std::string& title = "") const;
   void print(const std::string& title = "") const;
-
-  /// RFC-4180-lite CSV (cells containing commas/quotes are quoted).
-  std::string to_csv() const;
-  void write_csv(const std::string& path) const;
 
  private:
   std::vector<std::string> headers_;

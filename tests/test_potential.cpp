@@ -134,28 +134,5 @@ TEST(Potential, ErrorTermZeroWhenFlowsCancel) {
   EXPECT_DOUBLE_EQ(potential_gain(game, x, moves), 0.0);
 }
 
-TEST(PotentialTracker, StaysExactAcrossApplications) {
-  const auto game = braess_game(20);
-  Rng rng(17);
-  State x = State::uniform_random(game, rng);
-  PotentialTracker tracker(game, x);
-  EXPECT_NEAR(tracker.value(), game.potential(x), 1e-9);
-  for (int round = 0; round < 20; ++round) {
-    std::vector<Migration> moves;
-    for (StrategyId p : x.support()) {
-      const StrategyId q =
-          static_cast<StrategyId>((p + 1) % game.num_strategies());
-      const std::int64_t k = rng.binomial(x.count(p), 0.2);
-      if (k > 0) moves.push_back(Migration{p, q, k});
-    }
-    tracker.apply(game, x, moves);
-    x.apply(game, moves);
-    ASSERT_NEAR(tracker.value(), game.potential(x),
-                1e-7 * (1.0 + tracker.value()));
-  }
-  tracker.resync(game, x);
-  EXPECT_NEAR(tracker.value(), game.potential(x), 1e-12);
-}
-
 }  // namespace
 }  // namespace cid

@@ -1,28 +1,27 @@
 // Kill-and-resume guarantees (the acceptance contract of src/persist/):
 //
 //   * a run checkpointed at round k and resumed produces a final state,
-//     trace, and event log byte-identical to the uninterrupted run;
+//     telemetry series, and event log byte-identical to the uninterrupted
+//     run;
 //   * replaying snapshot + event log reconstructs the final state with
 //     zero RNG draws (replay_rounds takes no Rng at all — the test checks
 //     the reconstruction is exact).
 //
-// The test game uses integer-coefficient latencies so every potential /
-// latency value is an exactly-representable integer: the incremental
-// potential tracker and a fresh recomputation then agree bit-for-bit, and
-// "byte-identical trace" is meaningful rather than hostage to summation
-// order.
+// Every telemetry field is a pure function of the observed round (Φ is
+// recomputed exactly, never accumulated), so the resumed series must equal
+// the uninterrupted tail bit for bit on any game.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "analysis/trace.hpp"
 #include "dynamics/engine.hpp"
 #include "game/builders.hpp"
 #include "persist/binio.hpp"
 #include "game/io.hpp"
 #include "latency/latency.hpp"
+#include "obs/telemetry.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/eventlog.hpp"
 #include "persist/snapshot.hpp"
@@ -43,7 +42,7 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-/// Integer-latency singleton game (see file comment).
+/// A small singleton game with linear latencies.
 CongestionGame make_game() {
   std::vector<LatencyPtr> fns;
   for (int e = 0; e < 6; ++e) {
@@ -69,7 +68,7 @@ SimConfig make_config() {
 struct RunArtifacts {
   std::vector<std::int64_t> final_counts;
   std::array<std::uint64_t, 4> rng_state{};
-  std::vector<RoundRecord> trace;
+  std::vector<obs::TelemetryRecord> telemetry;
   std::string event_log_bytes;
 };
 
@@ -80,7 +79,7 @@ RunArtifacts uninterrupted(const std::string& log_path) {
   State x = State::uniform_random(game, rng);
   const auto protocol = make_protocol();
 
-  TraceRecorder trace(game, x, 5);
+  obs::TelemetryRecorder telemetry(5);
   EventLogWriter log = EventLogWriter::create(log_path);
   RunOptions options;
   options.max_rounds = kTotalRounds;
@@ -88,14 +87,15 @@ RunArtifacts uninterrupted(const std::string& log_path) {
       run_dynamics(
           game, x, *protocol, rng,
           {.options = options,
-           .observer = chain_observers(trace.observer(), log.observer())});
+           .observer = chain_observers(telemetry.observer(), log.observer())});
   log.close();
+  telemetry.finish(result.converged);
   EXPECT_EQ(result.rounds, kTotalRounds);
 
   RunArtifacts artifacts;
   artifacts.final_counts.assign(x.counts().begin(), x.counts().end());
   artifacts.rng_state = rng.state();
-  artifacts.trace = trace.records();
+  artifacts.telemetry = telemetry.take_records();
   artifacts.event_log_bytes = slurp_file(log_path);
   return artifacts;
 }
@@ -112,7 +112,7 @@ TEST(KillAndResume, ByteIdenticalToUninterruptedRun) {
     Rng rng(kSeed);
     State x = State::uniform_random(game, rng);
     const auto protocol = make_protocol();
-    TraceRecorder trace(game, x, 5);
+    obs::TelemetryRecorder telemetry(5);
     EventLogWriter log = EventLogWriter::create(resumed_log);
     const Checkpointer checkpointer(game, rng, CheckpointConfig{snap, 0},
                                     make_config());
@@ -121,7 +121,7 @@ TEST(KillAndResume, ByteIdenticalToUninterruptedRun) {
     run_dynamics(game, x, *protocol, rng,
                  {.options = options,
                   .observer = chain_observers(
-                      chain_observers(trace.observer(), log.observer()),
+                      chain_observers(telemetry.observer(), log.observer()),
                       checkpointer.observer())});
     log.close();
   }
@@ -131,7 +131,7 @@ TEST(KillAndResume, ByteIdenticalToUninterruptedRun) {
   ResumedRun resumed = resume_run(snap);
   EXPECT_EQ(resumed.round, kKillRound);
   EXPECT_EQ(resumed.protocol->name(), make_protocol()->name());
-  TraceRecorder trace(*resumed.game, resumed.state, 5);
+  obs::TelemetryRecorder telemetry(5);
   EventLogWriter log =
       EventLogWriter::open_for_append(resumed_log, resumed.round);
   RunOptions options;
@@ -141,8 +141,9 @@ TEST(KillAndResume, ByteIdenticalToUninterruptedRun) {
   const RunResult result = run_dynamics(
       *resumed.game, resumed.state, *resumed.protocol, resumed.rng,
       {.options = options,
-       .observer = chain_observers(trace.observer(), log.observer())});
+       .observer = chain_observers(telemetry.observer(), log.observer())});
   log.close();
+  telemetry.finish(result.converged);
   EXPECT_EQ(result.rounds, kTotalRounds);
 
   // Final state and RNG stream position: identical.
@@ -155,22 +156,15 @@ TEST(KillAndResume, ByteIdenticalToUninterruptedRun) {
   // run's, including the rounds written before the kill.
   EXPECT_EQ(slurp_file(resumed_log), reference.event_log_bytes);
 
-  // Trace: leg-2 records must equal the uninterrupted tail exactly, field
-  // by field (bitwise doubles — integer latencies make this well-defined).
-  const auto& tail = trace.records();
-  ASSERT_GE(reference.trace.size(), tail.size());
-  const std::size_t offset = reference.trace.size() - tail.size();
-  for (std::size_t i = 0; i < tail.size(); ++i) {
-    const RoundRecord& a = reference.trace[offset + i];
-    const RoundRecord& b = tail[i];
-    EXPECT_EQ(a.round, b.round);
-    EXPECT_EQ(a.potential, b.potential);
-    EXPECT_EQ(a.average_latency, b.average_latency);
-    EXPECT_EQ(a.plus_average_latency, b.plus_average_latency);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.movers, b.movers);
-    EXPECT_EQ(a.support_size, b.support_size);
-  }
+  // Telemetry: the leg-2 records equal the uninterrupted tail exactly
+  // (every field, doubles bitwise).
+  const auto& tail = telemetry.records();
+  ASSERT_FALSE(tail.empty());
+  ASSERT_GE(reference.telemetry.size(), tail.size());
+  const std::vector<obs::TelemetryRecord> reference_tail(
+      reference.telemetry.end() - static_cast<std::ptrdiff_t>(tail.size()),
+      reference.telemetry.end());
+  EXPECT_EQ(tail, reference_tail);
   // And the resumed segment genuinely moved players (the test would be
   // vacuous if the dynamics had frozen before the kill).
   std::int64_t tail_movers = 0;

@@ -36,17 +36,6 @@ TEST(Table, RejectsMisuse) {
   EXPECT_THROW(t.row(), invariant_violation);  // previous row incomplete
 }
 
-TEST(Table, CsvEscaping) {
-  Table t({"x", "note"});
-  t.row().cell(std::int64_t{1}).cell("plain");
-  t.row().cell(std::int64_t{2}).cell("has,comma");
-  t.row().cell(std::int64_t{3}).cell("has\"quote");
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("x,note\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, PlusMinusCell) {
   Table t({"v"});
   t.row().cell_pm(1.23456, 0.01, 2);

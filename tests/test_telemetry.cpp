@@ -411,6 +411,15 @@ TEST(TelemetrySerialization, JsonCsvAndSummary) {
             std::string::npos);
   EXPECT_EQ(obs::telemetry_csv_header().rfind("kind,round,phi", 0), 0u);
 
+  // The console table is the same series: one row per record (the final
+  // one included), the CSV fields after "kind" as its header.
+  const Table table = obs::telemetry_table(series);
+  EXPECT_EQ(table.num_rows(), series.size());
+  const std::string rendered = table.to_string();
+  EXPECT_EQ(rendered.substr(0, rendered.find('\n')),
+            "round  phi       l_av    l_plus_av  makespan  movers  support  "
+            "im_gap");
+
   // Φ drop is 48; within 10% of final means Φ <= 56.8 (round 4), within
   // 50% means Φ <= 76 (also round 4 — the drop front-loads).
   EXPECT_EQ(obs::rounds_to_phi_fraction(series, 0.1), 4);

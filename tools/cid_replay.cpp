@@ -454,13 +454,14 @@ int replay_telemetry(int argc, char** argv) {
     else if (flag == "--log") log_path = need_value(i);
     else if (flag == "--telemetry") out_path = need_value(i);
     else if (flag == "--to") to_round = std::atoll(need_value(i));
-    else if (flag == "--telemetry-every") every = std::atoll(need_value(i));
+    else if (flag == "--telemetry-every") {
+      every = sweep::parse_stride(flag, need_value(i));
+    }
     else usage(("unknown flag: " + flag).c_str());
   }
   if (snapshot_path.empty() || log_path.empty() || out_path.empty()) {
     usage("telemetry requires --snapshot, --log, and --telemetry");
   }
-  if (every < 1) usage("--telemetry-every must be >= 1");
 
   const persist::Snapshot snapshot = persist::load_snapshot(snapshot_path);
   const auto& part = snapshot.as<persist::SymmetricPart>(snapshot_path);
@@ -576,6 +577,8 @@ int main(int argc, char** argv) {
     if (command == "telemetry") return replay_telemetry(argc, argv);
     if (command == "export") return export_snapshot(argc, argv);
     usage(("unknown subcommand: " + command).c_str());
+  } catch (const sweep::UsageError& e) {
+    usage(e.what());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cid_replay: %s\n", e.what());
     return 1;

@@ -4,7 +4,7 @@
 //           [--lambda L] [--no-nu] [--no-damping] [--virtual V]
 //           [--rounds N] [--seed S] [--engine aggregate|perplayer]
 //           [--start uniform|even|all:K] [--stop stable|nash|deltaeps:D,E]
-//           [--trace-every K] [--csv PATH]
+//           [--telemetry PATH] [--telemetry-every K]
 //           [--checkpoint PATH [--checkpoint-every K] [--checkpoint-keep K]]
 //           [--resume PATH] [--event-log PATH [--rotate-bytes N]]
 //           [--save-state PATH]
@@ -12,8 +12,8 @@
 //           [--inject-faults SPEC]
 //
 // Loads a game in the cid-game v1 text format (see src/game/io.hpp;
-// cid_gen writes such files), runs the chosen protocol, prints a trace
-// table and a final report, and optionally dumps the trace as CSV.
+// cid_gen writes such files), runs the chosen protocol, and prints its
+// per-round series (or writes it to --telemetry PATH) and a final report.
 //
 // Persistence (src/persist/): --checkpoint writes a binary snapshot of the
 // full simulation tuple — game, state, round counter, protocol config, and
@@ -61,8 +61,6 @@ using namespace cid;
       "                  (state:PATH loads a cid-state v1 file, e.g. a\n"
       "                  previous run's --save-state output)\n"
       "  --stop C        stable (default) | nash | deltaeps:D,E\n"
-      "  --trace-every K sample the trace every K rounds, default 10\n"
-      "  --csv PATH      also write the trace as CSV\n"
       "  --checkpoint PATH    write binary snapshots to PATH (atomic)\n"
       "  --checkpoint-every K snapshot cadence in rounds (default: only\n"
       "                       round 0 and the final state)\n"
@@ -84,19 +82,21 @@ using namespace cid;
       "                       are bitwise identical with or without it\n"
       "  --metrics-every K    also snapshot every K rounds (default 0 =\n"
       "                       final snapshot only; requires --metrics)\n"
-      "  --telemetry PATH     record per-round science observables (phi,\n"
-      "                       latencies, makespan, movers, support,\n"
-      "                       imitation gap) and write them as JSONL (CSV\n"
-      "                       when PATH ends in .csv). Zero RNG impact;\n"
-      "                       cid_replay telemetry regenerates the byte-\n"
-      "                       identical file from a snapshot + event log\n"
-      "  --telemetry-every K  telemetry sampling cadence in rounds\n"
-      "                       (default 1; requires --telemetry)\n"
+      "  --telemetry PATH     write the per-round series (phi, latencies,\n"
+      "                       makespan, movers, support, imitation gap)\n"
+      "                       to PATH as JSONL (CSV when PATH ends in\n"
+      "                       .csv) instead of printing it as a table.\n"
+      "                       Zero RNG impact; cid_replay telemetry\n"
+      "                       regenerates the byte-identical file from a\n"
+      "                       snapshot + event log\n"
+      "  --telemetry-every K  sample the series every K >= 1 rounds\n"
+      "                       (default 1 with --telemetry, 10 without)\n"
       "  --trace PATH         capture Chrome trace-event JSON spans (engine\n"
       "                       phases sampled, persist writes) to PATH —\n"
       "                       open in chrome://tracing or Perfetto\n"
       "  --trace-sample K     engine-phase span sampling interval in\n"
-      "                       rounds (default 64; requires --trace)\n"
+      "                       rounds (K >= 1, default 64; requires\n"
+      "                       --trace)\n"
       "  --inject-faults SPEC arm the deterministic fault-injection layer\n"
       "                       (tests/CI): \"seed=S;SITE:KIND[:hit=N]\n"
       "                       [:every=N][:p=P][:count=K]\", kinds\n"
@@ -118,8 +118,6 @@ struct Options {
   int row_threads = 1;
   std::string start = "uniform";
   std::string stop = "stable";
-  std::int64_t trace_every = 10;
-  std::string csv_path;
   std::string checkpoint_path;
   std::int64_t checkpoint_every = 0;
   std::int64_t checkpoint_keep = 0;
@@ -130,9 +128,9 @@ struct Options {
   std::string metrics_path;
   std::int64_t metrics_every = 0;
   std::string telemetry_path;
-  std::int64_t telemetry_every = 0;  // 0 = unset (1 when --telemetry given)
+  std::optional<std::int64_t> telemetry_every;  // unset: 1 with a file, else 10
   std::string trace_path;
-  std::int64_t trace_sample = 0;     // 0 = unset (library default)
+  std::optional<std::int64_t> trace_sample;  // unset: the library default
   std::string fault_spec;
 };
 
@@ -163,9 +161,6 @@ Options parse_args(int argc, char** argv) {
       opt.row_threads = std::atoi(need_value(i));
     } else if (flag == "--start") opt.start = need_value(i);
     else if (flag == "--stop") opt.stop = format_stop(parse_stop(need_value(i)));
-    else if (flag == "--trace-every") {
-      opt.trace_every = std::atoll(need_value(i));
-    } else if (flag == "--csv") opt.csv_path = need_value(i);
     else if (flag == "--checkpoint") opt.checkpoint_path = need_value(i);
     else if (flag == "--checkpoint-every") {
       opt.checkpoint_every = std::atoll(need_value(i));
@@ -181,10 +176,10 @@ Options parse_args(int argc, char** argv) {
       opt.metrics_every = std::atoll(need_value(i));
     } else if (flag == "--telemetry") opt.telemetry_path = need_value(i);
     else if (flag == "--telemetry-every") {
-      opt.telemetry_every = std::atoll(need_value(i));
+      opt.telemetry_every = sweep::parse_stride(flag, need_value(i));
     } else if (flag == "--trace") opt.trace_path = need_value(i);
     else if (flag == "--trace-sample") {
-      opt.trace_sample = std::atoll(need_value(i));
+      opt.trace_sample = sweep::parse_stride(flag, need_value(i));
     } else if (flag == "--inject-faults") {
       opt.fault_spec = need_value(i);
     } else usage(("unknown flag: " + flag).c_str());
@@ -194,7 +189,6 @@ Options parse_args(int argc, char** argv) {
   }
   if (opt.lambda <= 0.0 || opt.lambda > 1.0) usage("lambda out of (0,1]");
   if (opt.row_threads < 1) usage("--row-threads must be >= 1");
-  if (opt.trace_every < 1) usage("--trace-every must be >= 1");
   if (opt.checkpoint_every < 0) usage("--checkpoint-every must be >= 0");
   if (opt.checkpoint_keep < 0) usage("--checkpoint-keep must be >= 0");
   if (opt.checkpoint_every > 0 && opt.checkpoint_path.empty()) {
@@ -210,13 +204,7 @@ Options parse_args(int argc, char** argv) {
   if (opt.metrics_every > 0 && opt.metrics_path.empty()) {
     usage("--metrics-every requires --metrics PATH");
   }
-  if (opt.telemetry_every < 0) usage("--telemetry-every must be >= 1");
-  if (opt.telemetry_every > 0 && opt.telemetry_path.empty()) {
-    usage("--telemetry-every requires --telemetry PATH");
-  }
-  if (opt.telemetry_every == 0) opt.telemetry_every = 1;
-  if (opt.trace_sample < 0) usage("--trace-sample must be >= 1");
-  if (opt.trace_sample > 0 && opt.trace_path.empty()) {
+  if (opt.trace_sample.has_value() && opt.trace_path.empty()) {
     usage("--trace-sample requires --trace PATH");
   }
   // Parse and arm the fault schedule so a bad spec exits 2 like any
@@ -310,25 +298,20 @@ int main(int argc, char** argv) {
     // the timeline covers the whole run (pure observation: zero RNG, no
     // output byte changes — the PR 6 contract).
     if (!opt.trace_path.empty()) {
-      if (opt.trace_sample > 0) {
-        obs::set_trace_engine_sample_interval(opt.trace_sample);
+      if (opt.trace_sample.has_value()) {
+        obs::set_trace_engine_sample_interval(*opt.trace_sample);
       }
       obs::start_tracing();
     }
 
-    // Observers: trace + optional event log + optional checkpoint cadence.
-    TraceRecorder trace(*game, *x, opt.trace_every);
-    RoundObserver observer = trace.observer();
-
-    // Convergence telemetry rides the same observer chain; the recorder
-    // buffers records and the file is written after the run (finish()
+    // Observers: the per-round series + optional event log + optional
+    // checkpoint cadence. The series is written to --telemetry PATH when
+    // given and printed as a table otherwise, after the run (finish()
     // needs the converged verdict to decide on the final record).
-    std::optional<obs::TelemetryRecorder> telemetry;
-    if (!opt.telemetry_path.empty()) {
-      telemetry.emplace(opt.telemetry_every);
-      observer = persist::chain_observers(std::move(observer),
-                                          telemetry->observer());
-    }
+    const std::int64_t every =
+        opt.telemetry_every.value_or(opt.telemetry_path.empty() ? 10 : 1);
+    obs::TelemetryRecorder telemetry(every);
+    RoundObserver observer = telemetry.observer();
 
     std::optional<persist::EventLogWriter> event_log;
     persist::EventLogOptions log_options;
@@ -411,8 +394,11 @@ int main(int argc, char** argv) {
     const double run_seconds = run_timer.seconds();
     if (event_log.has_value()) event_log->close();
 
-    trace.to_table().print("trace (every " +
-                           std::to_string(opt.trace_every) + " rounds)");
+    telemetry.finish(result.converged);
+    if (opt.telemetry_path.empty()) {
+      obs::telemetry_table(telemetry.records())
+          .print("telemetry (every " + std::to_string(every) + " rounds)");
+    }
     std::printf(
         "\nstopped after %lld rounds (converged: %s, migrations this "
         "invocation %lld)\n",
@@ -439,10 +425,6 @@ int main(int argc, char** argv) {
         is_imitation_stable(*game, *x, game->nu()) ? "yes" : "no",
         is_nash(*game, *x) ? "yes" : "no",
         report.at_equilibrium ? "yes" : "no");
-    if (!opt.csv_path.empty()) {
-      trace.to_table().write_csv(opt.csv_path);
-      std::printf("trace written to %s\n", opt.csv_path.c_str());
-    }
     if (!opt.save_state_path.empty()) {
       save_state(*x, opt.save_state_path);
       std::printf("final state written to %s\n",
@@ -475,12 +457,11 @@ int main(int argc, char** argv) {
           disk == 0 ? 0.0
                     : static_cast<double>(v1) / static_cast<double>(disk));
     }
-    if (telemetry.has_value()) {
-      telemetry->finish(result.converged);
+    if (!opt.telemetry_path.empty()) {
       const std::uint64_t bytes =
-          obs::write_telemetry_file(opt.telemetry_path, telemetry->records());
+          obs::write_telemetry_file(opt.telemetry_path, telemetry.records());
       std::printf("telemetry written to %s (%zu records, %llu bytes)\n",
-                  opt.telemetry_path.c_str(), telemetry->records().size(),
+                  opt.telemetry_path.c_str(), telemetry.records().size(),
                   static_cast<unsigned long long>(bytes));
     }
     if (metrics_sink != nullptr) {

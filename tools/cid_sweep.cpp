@@ -63,6 +63,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -127,14 +128,14 @@ using namespace cid;
       "                    \"summary\" row per trial with rounds_to_eps and\n"
       "                    phi_half_life). Zero RNG; resumed trials carry\n"
       "                    no records (their rounds were not re-run)\n"
-      "  --telemetry-every N  sample every N-th round (default 1;\n"
+      "  --telemetry-every N  sample every N-th round, N >= 1 (default 1;\n"
       "                    requires --telemetry)\n"
       "  --trace PATH      write a Chrome trace-event JSON timeline:\n"
       "                    per-worker sweep.trial spans (with cell args)\n"
       "                    and sampled engine phase spans. Load in\n"
       "                    chrome://tracing or Perfetto\n"
-      "  --trace-sample K  sample engine phase spans every K-th round\n"
-      "                    (default 64; requires --trace)\n"
+      "  --trace-sample K  sample engine phase spans every K-th round,\n"
+      "                    K >= 1 (default 64; requires --trace)\n"
       "  --progress [SEC]  live heartbeat on stderr every SEC seconds\n"
       "                    (default 5): trials done/total, rounds/s, ETA,\n"
       "                    per-cell breakdown. Observation only — outputs\n"
@@ -184,9 +185,9 @@ struct Options {
   std::int64_t metrics_every = 0;
   std::string prom_path;
   std::string telemetry_path;
-  std::int64_t telemetry_every = 0;  // 0 = unset (defaults to 1)
+  std::optional<std::int64_t> telemetry_every;  // unset: 1
   std::string trace_path;
-  std::int64_t trace_sample = 0;  // 0 = unset (library default, 64)
+  std::optional<std::int64_t> trace_sample;  // unset: the library default
   std::string fault_spec;
   std::string connect;  // HOST:PORT — worker mode when non-empty
   std::string worker_name;
@@ -232,11 +233,11 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--telemetry") {
       opt.telemetry_path = need_value(i);
     } else if (flag == "--telemetry-every") {
-      opt.telemetry_every = std::atoll(need_value(i));
+      opt.telemetry_every = sweep::parse_stride(flag, need_value(i));
     } else if (flag == "--trace") {
       opt.trace_path = need_value(i);
     } else if (flag == "--trace-sample") {
-      opt.trace_sample = std::atoll(need_value(i));
+      opt.trace_sample = sweep::parse_stride(flag, need_value(i));
     } else if (flag == "--progress") {
       // Optional value: "--progress 2.5" or bare "--progress" (5 s).
       opt.run.progress_every_seconds = 5.0;
@@ -280,12 +281,10 @@ Options parse_args(int argc, char** argv) {
   if (opt.metrics_every > 0 && opt.metrics_path.empty()) {
     usage("--metrics-every requires --metrics");
   }
-  if (opt.telemetry_every < 0) usage("--telemetry-every must be >= 1");
-  if (opt.telemetry_every > 0 && opt.telemetry_path.empty()) {
+  if (opt.telemetry_every.has_value() && opt.telemetry_path.empty()) {
     usage("--telemetry-every requires --telemetry");
   }
-  if (opt.trace_sample < 0) usage("--trace-sample must be >= 1");
-  if (opt.trace_sample > 0 && opt.trace_path.empty()) {
+  if (opt.trace_sample.has_value() && opt.trace_path.empty()) {
     usage("--trace-sample requires --trace");
   }
   if (opt.run.progress_every_seconds < 0.0) {
@@ -336,8 +335,7 @@ Options parse_args(int argc, char** argv) {
   // series); deliberately NOT part of the manifest fingerprint, like
   // collect_metrics — a telemetry-capturing rerun resumes plain sweeps.
   if (!opt.telemetry_path.empty()) {
-    opt.grid.dynamics.telemetry_every =
-        opt.telemetry_every > 0 ? opt.telemetry_every : 1;
+    opt.grid.dynamics.telemetry_every = opt.telemetry_every.value_or(1);
   }
   return opt;
 }
@@ -438,8 +436,8 @@ int main(int argc, char** argv) {
     // Arm tracing before the pool spins up so worker registration and the
     // first trials land inside the capture window.
     if (!opt.trace_path.empty()) {
-      if (opt.trace_sample > 0) {
-        obs::set_trace_engine_sample_interval(opt.trace_sample);
+      if (opt.trace_sample.has_value()) {
+        obs::set_trace_engine_sample_interval(*opt.trace_sample);
       }
       obs::start_tracing();
     }
