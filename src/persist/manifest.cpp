@@ -412,18 +412,20 @@ ManifestWriter ManifestWriter::open_for_append(const std::string& path,
 void ManifestWriter::append(std::uint32_t cell, std::uint32_t trial,
                             const sweep::TrialOutcome& outcome) {
   file_.write(record_bytes(cell, trial, outcome), "manifest.append");
-  if (++since_flush_ >= flush_every_) {
-    file_.flush();
-    since_flush_ = 0;
-  }
+  if (flush_every_ > 0 && ++since_flush_ >= flush_every_) flush();
   file_.rotate(rotate_bytes_, segment_header_);
 }
 
 void ManifestWriter::set_flush_every(std::int64_t every) {
-  if (every < 1) {
-    throw persist_error(file_.path() + ": manifest flush cadence must be >= 1");
+  if (every < 0) {
+    throw persist_error(file_.path() + ": manifest flush cadence must be >= 0");
   }
   flush_every_ = every;
+}
+
+void ManifestWriter::flush() {
+  file_.flush();
+  since_flush_ = 0;
 }
 
 void ManifestWriter::set_rotate_bytes(std::uint64_t bytes) {

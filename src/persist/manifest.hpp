@@ -191,8 +191,12 @@ class ManifestWriter {
               const sweep::TrialOutcome& outcome);
 
   /// append() flushes every `every`-th record (default 1: every record
-  /// reaches the OS as it completes).
+  /// reaches the OS as it completes); 0 leaves every flush to flush().
   void set_flush_every(std::int64_t every);
+
+  /// Hands every appended record to the OS now, through the same
+  /// recovery as append() (fault site "manifest.flush").
+  void flush();
 
   /// When > 0, rotate the active file to "<path>.<seq>" once it exceeds
   /// this many bytes (checked after each append).

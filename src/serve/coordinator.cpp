@@ -2,11 +2,13 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <utility>
@@ -37,13 +39,18 @@ void write_port_file(const std::string& path, std::uint16_t port) {
   }
 }
 
+/// A run of `count` consecutive trial indices of one cell, starting at
+/// `first`. Its unfinished trials are the ones still kLeased; the lease
+/// closes when `open` reaches 0.
 struct Lease {
-  std::size_t trial_index = 0;
+  std::size_t first = 0;
+  std::size_t count = 0;
+  std::size_t open = 0;
   std::uint64_t conn_id = 0;
   std::int64_t deadline_ns = 0;
   std::int64_t granted_ns = 0;
   /// serve.lease_expire fired at grant time: this lease is already lost —
-  /// its completion is rejected and the trial reclaimed on the next tick,
+  /// its completion is rejected and the run reclaimed on the next tick,
   /// whatever the wall clock does.
   bool poisoned = false;
 };
@@ -63,6 +70,9 @@ struct HttpConnection {
 
 enum class TrialState : std::uint8_t { kPending, kLeased, kDone, kFailed };
 
+constexpr std::uint64_t kMaxLeaseId =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+
 class Coordinator {
  public:
   Coordinator(const sweep::SweepGrid& grid, const CoordinatorOptions& options)
@@ -74,6 +84,7 @@ class Coordinator {
     requeue_counts_.assign(total, 0);
     report_.trials_total = total;
     fingerprint_ = persist::grid_fingerprint(grid);
+    canary_ = canary_bits();
 
     lease_latency_hist_ = registry_.histogram(
         "serve.lease_latency_ms",
@@ -85,15 +96,18 @@ class Coordinator {
     // Resume-or-create, exactly like the local runner: an existing
     // manifest's trials are merged in and never re-granted.
     if (std::filesystem::exists(options.manifest_path)) {
-      const persist::ManifestContents contents =
-          persist::load_manifest(options.manifest_path, grid);
-      for (const auto& [key, outcome] : contents.completed) {
+      completed_ =
+          persist::load_manifest(options.manifest_path, grid).completed;
+      for (auto it = completed_.begin(); it != completed_.end();) {
         const std::size_t index =
-            static_cast<std::size_t>(key.first) * trials_per_cell_ +
-            static_cast<std::size_t>(key.second);
-        if (index >= total) continue;
-        completed_[key] = outcome;
+            static_cast<std::size_t>(it->first.first) * trials_per_cell_ +
+            static_cast<std::size_t>(it->first.second);
+        if (index >= total) {
+          it = completed_.erase(it);
+          continue;
+        }
         state_[index] = TrialState::kDone;
+        ++it;
       }
       report_.trials_resumed = completed_.size();
       manifest_.emplace(persist::ManifestWriter::open_for_append(
@@ -102,6 +116,8 @@ class Coordinator {
       manifest_.emplace(
           persist::ManifestWriter::create(options.manifest_path, grid));
     }
+    // One flush per complete, issued by handle_complete before its ack.
+    manifest_->set_flush_every(0);
     report_.trials_completed = completed_.size();
 
     for (std::size_t i = 0; i < total; ++i) {
@@ -294,9 +310,8 @@ class Coordinator {
   void reclaim_lease(std::uint64_t lease_id, bool expired) {
     const auto it = leases_.find(lease_id);
     if (it == leases_.end()) return;
-    const std::size_t trial_index = it->second.trial_index;
+    const Lease lease = it->second;
     leases_.erase(it);
-    if (state_[trial_index] != TrialState::kLeased) return;
     if (expired) {
       ++report_.leases_expired;
       registry_.add_named("serve.leases_expired", 1);
@@ -304,7 +319,19 @@ class Coordinator {
       ++report_.leases_disconnected;
       registry_.add_named("serve.leases_disconnected", 1);
     }
-    requeue_trial(trial_index);
+    requeue_unfinished(lease);
+  }
+
+  /// Puts every trial of `lease` that has not landed back in the queue,
+  /// in trial order, each counting one requeue. Returns how many.
+  std::size_t requeue_unfinished(const Lease& lease) {
+    std::size_t requeued = 0;
+    for (std::size_t i = lease.first; i < lease.first + lease.count; ++i) {
+      if (state_[i] != TrialState::kLeased) continue;
+      requeue_trial(i);
+      ++requeued;
+    }
+    return requeued;
   }
 
   void requeue_trial(std::size_t trial_index) {
@@ -347,7 +374,7 @@ class Coordinator {
       return;
     }
     if (type == "hello") handle_hello(conn, message);
-    else if (type == "lease") handle_lease(conn_id, conn);
+    else if (type == "lease") handle_lease(conn_id, conn, message);
     else if (type == "renew") handle_renew(conn, message);
     else if (type == "complete") handle_complete(conn, message);
     else if (type == "requeue") handle_requeue(conn, message);
@@ -378,6 +405,13 @@ class Coordinator {
       conn.closing = true;
       return;
     }
+    const std::string canary = message.get_string("canary");
+    if (canary != canary_) {
+      respond(conn, msg_error("canary mismatch: coordinator " + canary_ +
+                              ", worker " + canary));
+      conn.closing = true;
+      return;
+    }
     conn.worker_id = static_cast<std::int64_t>(++report_.workers_seen);
     conn.worker_name = message.get_string("worker");
     registry_.add_named("serve.workers_seen", 1);
@@ -387,26 +421,51 @@ class Coordinator {
                         static_cast<std::int64_t>(report_.trials_completed)));
   }
 
-  void handle_lease(std::uint64_t conn_id, Connection& conn) {
+  /// The run length of the next grant: a quarter of each connected
+  /// worker's share of the pending trials, so late joiners and the tail
+  /// still find work, within [1, kMaxLeaseTrials] and the worker's budget.
+  std::size_t batch_size(std::int64_t budget) const {
+    std::size_t workers = 0;
+    for (const auto& [id, conn] : connections_) {
+      if (conn.worker_id >= 0 && !conn.closing) ++workers;
+    }
+    const std::size_t share = 4 * std::max<std::size_t>(1, workers);
+    std::size_t size = (queue_.size() + share - 1) / share;
+    size = std::clamp<std::size_t>(size, 1, kMaxLeaseTrials);
+    if (budget > 0) size = std::min(size, static_cast<std::size_t>(budget));
+    return size;
+  }
+
+  void handle_lease(std::uint64_t conn_id, Connection& conn,
+                    const Message& message) {
+    const std::int64_t budget = decode_budget(message);
     if (queue_.empty()) {
       respond(conn, work_finished() ? msg_drained()
                                     : msg_wait(options_.wait_backoff_ms));
       return;
     }
-    const std::size_t trial_index = queue_.front();
-    queue_.pop_front();
-    state_[trial_index] = TrialState::kLeased;
-
+    // The run: the queue's front trial plus the consecutive pending
+    // trials of the same cell that follow it in the queue.
+    const std::size_t limit = batch_size(budget);
     Lease lease;
-    lease.trial_index = trial_index;
+    lease.first = queue_.front();
+    const std::size_t cell = lease.first / trials_per_cell_;
+    while (lease.count < limit && !queue_.empty() &&
+           queue_.front() == lease.first + lease.count &&
+           queue_.front() / trials_per_cell_ == cell) {
+      state_[queue_.front()] = TrialState::kLeased;
+      queue_.pop_front();
+      ++lease.count;
+    }
+    lease.open = lease.count;
     lease.conn_id = conn_id;
     lease.granted_ns = steady_ns();
     lease.deadline_ns =
         lease.granted_ns +
         static_cast<std::int64_t>(options_.lease_ttl_seconds * 1e9);
     // Deterministic lease loss: consulted once per grant, so the schedule
-    // indexes grants, not wall-clock races. A poisoned grant can never
-    // produce a completion.
+    // indexes grants (runs), not trials or wall-clock races. A poisoned
+    // grant can never produce a completion.
     const util::FaultAction fault = util::fault_point("serve.lease_expire");
     if (fault.kind != util::FaultKind::kNone) {
       lease.poisoned = true;
@@ -416,19 +475,16 @@ class Coordinator {
     leases_.emplace(lease_id, lease);
     ++report_.leases_granted;
     registry_.add_named("serve.leases_granted", 1);
-    respond(conn,
-            msg_grant(lease_id,
-                      static_cast<std::uint32_t>(trial_index /
-                                                 trials_per_cell_),
-                      static_cast<std::uint32_t>(trial_index %
-                                                 trials_per_cell_),
-                      static_cast<std::int64_t>(
-                          options_.lease_ttl_seconds * 1e3)));
+    respond(conn, msg_grant(lease_id, static_cast<std::uint32_t>(cell),
+                            static_cast<std::uint32_t>(lease.first %
+                                                       trials_per_cell_),
+                            static_cast<std::uint32_t>(lease.count),
+                            static_cast<std::int64_t>(
+                                options_.lease_ttl_seconds * 1e3)));
   }
 
   void handle_renew(Connection& conn, const Message& message) {
-    const auto lease_id =
-        static_cast<std::uint64_t>(message.get_int("lease_id"));
+    const std::uint64_t lease_id = message.get_uint("lease_id", kMaxLeaseId);
     const auto it = leases_.find(lease_id);
     if (it == leases_.end() || it->second.poisoned ||
         steady_ns() >= it->second.deadline_ns) {
@@ -443,55 +499,67 @@ class Coordinator {
   }
 
   void handle_complete(Connection& conn, const Message& message) {
-    const auto lease_id =
-        static_cast<std::uint64_t>(message.get_int("lease_id"));
-    const auto cell = static_cast<std::uint32_t>(message.get_int("cell"));
-    const auto trial = static_cast<std::uint32_t>(message.get_int("trial"));
+    const std::uint64_t lease_id = message.get_uint("lease_id", kMaxLeaseId);
     const auto it = leases_.find(lease_id);
-    const std::size_t trial_index =
-        static_cast<std::size_t>(cell) * trials_per_cell_ +
-        static_cast<std::size_t>(trial);
-    const bool live = it != leases_.end() && !it->second.poisoned &&
-                      it->second.trial_index == trial_index &&
-                      trial_index < state_.size();
-    if (!live) {
+    const std::uint64_t cell = message.get_uint("cell", kMaxLeaseId);
+    if (it == leases_.end() || it->second.poisoned ||
+        it->second.first / trials_per_cell_ != cell) {
       ++report_.completions_rejected;
       registry_.add_named("serve.completions_rejected", 1);
       respond(conn, msg_lease_lost(lease_id));
       return;
     }
+    Lease& lease = it->second;
+    // decode_complete bounds the batch by the lease's unfinished trials
+    // before it allocates; every key must then name one of them.
+    const Batch batch = decode_complete(message, lease.open);
+    const std::size_t cell_base = lease.first - lease.first % trials_per_cell_;
+    for (const TrialRecord& record : batch.records) {
+      const std::size_t index = cell_base + record.trial;
+      if (record.trial >= trials_per_cell_ || index < lease.first ||
+          index >= lease.first + lease.count ||
+          state_[index] != TrialState::kLeased) {
+        throw proto_error("complete: trial " + std::to_string(record.trial) +
+                          " is not an unfinished trial of lease " +
+                          std::to_string(lease_id));
+      }
+    }
 
-    const sweep::TrialOutcome outcome = decode_outcome(message);
-    const double latency_ms =
-        static_cast<double>(steady_ns() - it->second.granted_ns) / 1e6;
-    leases_.erase(it);
-    state_[trial_index] = TrialState::kDone;
-    completed_[{cell, trial}] = outcome;
-    ++report_.trials_completed;
-    registry_.add_named("serve.trials_completed", 1);
-    registry_.observe(lease_latency_hist_, latency_ms);
-    manifest_->append(cell, trial, outcome);
+    for (const TrialRecord& record : batch.records) {
+      state_[cell_base + record.trial] = TrialState::kDone;
+      completed_[{batch.cell, record.trial}] = record.outcome;
+      manifest_->append(batch.cell, record.trial, record.outcome);
+    }
+    // The batch is on its way to disk before the worker hears it landed.
+    manifest_->flush();
+    report_.trials_completed += batch.records.size();
+    registry_.add_named("serve.trials_completed",
+                        static_cast<std::int64_t>(batch.records.size()));
+    registry_.observe(lease_latency_hist_,
+                      static_cast<double>(steady_ns() - lease.granted_ns) /
+                          1e6);
+    lease.open -= batch.records.size();
+    if (lease.open == 0) leases_.erase(it);
     respond(conn, msg_ack());
     if (options_.verbose) {
-      std::fprintf(stderr, "cid_serve: %zu/%zu done (cell %u trial %u by "
-                   "worker %lld)\n",
-                   report_.trials_completed, report_.trials_total, cell,
-                   trial, static_cast<long long>(conn.worker_id));
+      std::fprintf(stderr, "cid_serve: %zu/%zu done (cell %u, %zu trial(s) "
+                   "by worker %lld)\n",
+                   report_.trials_completed, report_.trials_total,
+                   batch.cell, batch.records.size(),
+                   static_cast<long long>(conn.worker_id));
     }
   }
 
   void handle_requeue(Connection& conn, const Message& message) {
-    const auto lease_id =
-        static_cast<std::uint64_t>(message.get_int("lease_id"));
+    const std::uint64_t lease_id = message.get_uint("lease_id", kMaxLeaseId);
     const auto it = leases_.find(lease_id);
     if (it != leases_.end()) {
-      const std::size_t trial_index = it->second.trial_index;
+      const Lease lease = it->second;
       leases_.erase(it);
-      if (state_[trial_index] == TrialState::kLeased) {
-        ++report_.requeues;
-        registry_.add_named("serve.requeues", 1);
-        requeue_trial(trial_index);
-      }
+      const std::size_t requeued = requeue_unfinished(lease);
+      report_.requeues += requeued;
+      registry_.add_named("serve.requeues",
+                          static_cast<std::int64_t>(requeued));
     }
     respond(conn, msg_ack());
   }
@@ -589,7 +657,7 @@ class Coordinator {
       merged.fingerprint = fingerprint_;
       merged.cells = static_cast<std::uint32_t>(num_cells_);
       merged.trials_per_cell = static_cast<std::uint32_t>(trials_per_cell_);
-      merged.completed = completed_;
+      merged.completed = std::move(completed_);  // the last use
       const std::string final_path = options_.final_manifest_path.empty()
                                          ? options_.manifest_path
                                          : options_.final_manifest_path;
@@ -609,6 +677,7 @@ class Coordinator {
   std::size_t num_cells_ = 0;
   std::size_t trials_per_cell_ = 0;
   std::uint64_t fingerprint_ = 0;
+  std::string canary_;
 
   std::vector<TrialState> state_;
   std::vector<int> requeue_counts_;

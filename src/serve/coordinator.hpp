@@ -1,25 +1,37 @@
 // Trial-lease coordinator: the live half of distributed sweeps.
 //
-// serve_grid() loads (or resumes) a manifest for one SweepGrid, partitions
-// the grid into per-trial work units, and runs a single-threaded poll()
-// loop granting time-bounded leases to connected cid_sweep --connect
-// workers over the proto.hpp frame protocol. A lease that expires, is
-// requeued, or whose connection drops is reclaimed and re-granted — trial
-// outcomes are a pure function of (grid, master_seed), so whichever worker
-// finally lands a trial lands the same bits, and the final canonical
-// manifest is byte-identical to an unsharded --threads 1 run's.
+// serve_grid() loads (or resumes) a manifest for one SweepGrid and runs a
+// single-threaded poll() loop granting time-bounded leases to connected
+// cid_sweep --connect workers over the proto.hpp frame protocol. A lease
+// is a RUN of up to kMaxLeaseTrials consecutive pending trials of one
+// cell; the coordinator sizes it as ceil(pending / (4 x connected
+// workers)), clamped to [1, kMaxLeaseTrials] and to the worker's budget,
+// so one worker on a large grid takes long runs while many workers on a
+// few trials take one trial each (the degenerate run). A run's unfinished
+// trials go back to the queue when its lease expires, is requeued, or its
+// connection drops — trial outcomes are a pure function of (grid,
+// master_seed), so whichever worker finally lands a trial lands the same
+// bits, and the final canonical manifest is byte-identical to an
+// unsharded --threads 1 run's.
+//
+// Before any lease, the handshake checks the protocol version, the grid
+// fingerprint and the canary (proto.hpp): a worker that lands other bits
+// for one fixed tiny trial is refused with an error naming both.
 //
 // Two manifests: completions are appended LIVE to options.manifest_path as
-// they arrive (the crash-tolerance story — a killed coordinator resumes
-// from it), and when the grid drains the full record set is rewritten
-// canonically ((cell, trial)-sorted via write_manifest_canonical) so the
-// final file does not depend on fleet completion order.
+// they arrive — one flush per complete message, before its ack, so nothing
+// is acked that has not reached the OS (the crash-tolerance story — a
+// killed coordinator resumes from it) — and when the grid drains the full
+// record set is rewritten canonically ((cell, trial)-sorted via
+// write_manifest_canonical) so the final file does not depend on fleet
+// completion order.
 //
 // Determinism of lease loss: the "serve.lease_expire" fault site is
-// consulted once per grant; when it fires the lease is POISONED — its
-// completion is rejected (lease_lost) and the trial reclaimed on the next
-// tick — so lease-loss tests depend on the fault schedule, never on
-// timing. net.accept faults drop fresh connections before the handshake.
+// consulted once per grant (per run, not per trial); when it fires the
+// lease is POISONED — its completion is rejected (lease_lost) and the
+// whole run reclaimed on the next tick — so lease-loss tests depend on the
+// fault schedule, never on timing. net.accept faults drop fresh
+// connections before the handshake.
 //
 // Fleet metrics: workers push metrics_version-stamped counter snapshots
 // (cumulative; the coordinator keeps each worker's latest), and the fleet
@@ -52,8 +64,8 @@ struct CoordinatorOptions {
   /// drains; empty = rewrite manifest_path in place.
   std::string final_manifest_path;
 
-  /// Lease time-to-live; a worker holding a trial longer must renew or
-  /// the trial is reclaimed and re-granted.
+  /// Lease time-to-live; a worker holding a run longer must renew or its
+  /// unfinished trials are reclaimed and re-granted.
   double lease_ttl_seconds = 30.0;
   /// Poll timeout / expiry-sweep cadence.
   double tick_seconds = 0.05;
@@ -89,10 +101,10 @@ struct CoordinatorReport {
   std::size_t trials_completed = 0;  // includes resumed
   std::size_t trials_resumed = 0;    // loaded from an existing manifest
   std::size_t trials_failed = 0;     // exceeded max_requeues
-  std::size_t leases_granted = 0;
+  std::size_t leases_granted = 0;      // runs granted
   std::size_t leases_expired = 0;      // TTL reclaims (incl. poisoned)
   std::size_t leases_disconnected = 0; // dropped-connection reclaims
-  std::size_t requeues = 0;            // worker-requested requeues
+  std::size_t requeues = 0;            // trials handed back by workers
   std::size_t completions_rejected = 0;  // complete without a live lease
   std::size_t workers_seen = 0;
   bool complete = false;   // every trial landed (failed == 0)

@@ -16,8 +16,9 @@
 //
 // Sockets stay in blocking mode everywhere. The coordinator's poll() loop
 // only reads fds poll flagged readable, so single recv() calls cannot
-// block; responses are small (<1 KiB) so blocking writes cannot deadlock
-// against 64 KiB socket buffers.
+// block; responses are small (<1 KiB) and the largest request (a complete
+// of kMaxLeaseTrials records) is about 19 KiB, so blocking writes cannot
+// deadlock against 64 KiB socket buffers.
 #pragma once
 
 #include <cstdint>

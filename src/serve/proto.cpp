@@ -1,9 +1,9 @@
 #include "serve/proto.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <cstring>
-#include <sstream>
+#include <limits>
+
+#include "sweep/runner.hpp"
 
 namespace cid::serve {
 namespace {
@@ -303,13 +303,14 @@ std::int64_t Message::get_int(const std::string& key) const {
   return v.integer;
 }
 
-double Message::get_double_bits(const std::string& key) const {
-  const JsonValue& v = field(key);
-  if (v.kind != JsonValue::Kind::kString) {
+std::uint64_t Message::get_uint(const std::string& key,
+                                std::uint64_t max) const {
+  const std::int64_t value = get_int(key);
+  if (value < 0 || static_cast<std::uint64_t>(value) > max) {
     throw proto_error("message " + type_ + ": field \"" + key +
-                      "\" is not a hex-bits string");
+                      "\" is outside [0, " + std::to_string(max) + "]");
   }
-  return double_from_bits_hex(v.string);
+  return static_cast<std::uint64_t>(value);
 }
 
 std::map<std::string, std::int64_t> Message::get_counters(
@@ -330,53 +331,91 @@ std::map<std::string, std::int64_t> Message::get_counters(
   return out;
 }
 
-// ---- Bit-exact doubles ------------------------------------------------------
+// ---- Fixed-width hex --------------------------------------------------------
 
-std::string double_bits_hex(double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  char out[17];
-  for (int i = 15; i >= 0; --i) {
-    out[i] = "0123456789abcdef"[bits & 0xF];
-    bits >>= 4;
+namespace {
+
+constexpr std::size_t kOutcomeHex = 66;
+constexpr std::size_t kRecordHex = 8 + kOutcomeHex;
+
+void append_hex(std::string& out, std::uint64_t value, int digits) {
+  for (int i = digits - 1; i >= 0; --i) {
+    out.push_back("0123456789abcdef"[(value >> (4 * i)) & 0xF]);
   }
-  out[16] = '\0';
-  return std::string(out, 16);
 }
 
-double double_from_bits_hex(std::string_view hex) {
-  if (hex.size() != 16) throw proto_error("hex bits: expected 16 digits");
+/// Every character of `hex` as one hex digit (at most 16 of them).
+std::uint64_t parse_hex(std::string_view hex, const char* what) {
   std::uint64_t bits = 0;
   for (const char c : hex) {
     bits <<= 4;
     if (c >= '0' && c <= '9') bits |= static_cast<std::uint64_t>(c - '0');
     else if (c >= 'a' && c <= 'f') bits |= static_cast<std::uint64_t>(c - 'a' + 10);
     else if (c >= 'A' && c <= 'F') bits |= static_cast<std::uint64_t>(c - 'A' + 10);
-    else throw proto_error("hex bits: invalid digit");
+    else throw proto_error(std::string(what) + ": invalid hex digit");
   }
+  return bits;
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(value));
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+double double_of(std::uint64_t bits) {
   double value = 0.0;
   std::memcpy(&value, &bits, sizeof(value));
   return value;
 }
 
+}  // namespace
+
+std::string outcome_hex(const sweep::TrialOutcome& outcome) {
+  std::string out;
+  out.reserve(kOutcomeHex);
+  append_hex(out, bits_of(outcome.rounds), 16);
+  append_hex(out, outcome.converged ? 1 : 0, 2);
+  append_hex(out, static_cast<std::uint64_t>(outcome.movers), 16);
+  append_hex(out, bits_of(outcome.potential), 16);
+  append_hex(out, bits_of(outcome.social_cost), 16);
+  return out;
+}
+
+sweep::TrialOutcome outcome_from_hex(std::string_view hex) {
+  if (hex.size() != kOutcomeHex) {
+    throw proto_error("outcome: expected " + std::to_string(kOutcomeHex) +
+                      " hex digits");
+  }
+  sweep::TrialOutcome outcome;
+  outcome.rounds = double_of(parse_hex(hex.substr(0, 16), "outcome"));
+  const std::uint64_t converged = parse_hex(hex.substr(16, 2), "outcome");
+  if (converged > 1) throw proto_error("outcome: converged is not 00/01");
+  outcome.converged = converged == 1;
+  outcome.movers =
+      static_cast<std::int64_t>(parse_hex(hex.substr(18, 16), "outcome"));
+  outcome.potential = double_of(parse_hex(hex.substr(34, 16), "outcome"));
+  outcome.social_cost = double_of(parse_hex(hex.substr(50, 16), "outcome"));
+  return outcome;
+}
+
 // ---- Builders ---------------------------------------------------------------
 
 std::string fingerprint_hex(std::uint64_t fingerprint) {
-  char out[17];
-  for (int i = 15; i >= 0; --i) {
-    out[i] = "0123456789abcdef"[fingerprint & 0xF];
-    fingerprint >>= 4;
-  }
-  return std::string(out, 16);
+  std::string out;
+  append_hex(out, fingerprint, 16);
+  return out;
 }
 
-std::string msg_hello(std::uint64_t fingerprint, std::string_view worker) {
+std::string msg_hello(std::uint64_t fingerprint, std::string_view worker,
+                      std::string_view canary) {
   obs::JsonObject o;
   o.str("type", "hello");
   o.num("v", std::int64_t{kServeProtoVersion});
   o.str("fingerprint", fingerprint_hex(fingerprint));
   o.str("worker", worker);
+  o.str("canary", canary);
   return o.take();
 }
 
@@ -398,19 +437,22 @@ std::string msg_error(std::string_view message) {
   return o.take();
 }
 
-std::string msg_lease() {
+std::string msg_lease(std::int64_t budget) {
   obs::JsonObject o;
   o.str("type", "lease");
+  o.num("budget", budget);
   return o.take();
 }
 
 std::string msg_grant(std::uint64_t lease_id, std::uint32_t cell,
-                      std::uint32_t trial, std::int64_t ttl_ms) {
+                      std::uint32_t trial, std::uint32_t count,
+                      std::int64_t ttl_ms) {
   obs::JsonObject o;
   o.str("type", "grant");
   o.num("lease_id", static_cast<std::int64_t>(lease_id));
   o.num("cell", static_cast<std::int64_t>(cell));
   o.num("trial", static_cast<std::int64_t>(trial));
+  o.num("count", static_cast<std::int64_t>(count));
   o.num("ttl_ms", ttl_ms);
   return o.take();
 }
@@ -450,18 +492,19 @@ std::string msg_lease_lost(std::uint64_t lease_id) {
 }
 
 std::string msg_complete(std::uint64_t lease_id, std::uint32_t cell,
-                         std::uint32_t trial,
-                         const sweep::TrialOutcome& outcome) {
+                         const std::vector<TrialRecord>& records) {
+  std::string outcomes;
+  outcomes.reserve(records.size() * kRecordHex);
+  for (const TrialRecord& record : records) {
+    append_hex(outcomes, record.trial, 8);
+    outcomes += outcome_hex(record.outcome);
+  }
   obs::JsonObject o;
   o.str("type", "complete");
   o.num("lease_id", static_cast<std::int64_t>(lease_id));
   o.num("cell", static_cast<std::int64_t>(cell));
-  o.num("trial", static_cast<std::int64_t>(trial));
-  o.str("rounds", double_bits_hex(outcome.rounds));
-  o.num("converged", std::int64_t{outcome.converged ? 1 : 0});
-  o.num("movers", outcome.movers);
-  o.str("potential", double_bits_hex(outcome.potential));
-  o.str("social_cost", double_bits_hex(outcome.social_cost));
+  o.num("count", static_cast<std::int64_t>(records.size()));
+  o.str("outcomes", outcomes);
   return o.take();
 }
 
@@ -495,26 +538,91 @@ std::string msg_ack() {
   return o.take();
 }
 
-sweep::TrialOutcome decode_outcome(const Message& message) {
-  sweep::TrialOutcome outcome;
-  outcome.rounds = message.get_double_bits("rounds");
-  outcome.converged = message.get_int("converged") != 0;
-  outcome.movers = message.get_int("movers");
-  outcome.potential = message.get_double_bits("potential");
-  outcome.social_cost = message.get_double_bits("social_cost");
-  return outcome;
+// ---- Typed decoders ---------------------------------------------------------
+
+namespace {
+
+constexpr std::uint64_t kMaxId =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
+
+Grant decode_grant(const Message& message) {
+  Grant grant;
+  grant.lease_id = message.get_uint("lease_id", kMaxId);
+  grant.cell = static_cast<std::uint32_t>(message.get_uint("cell", kMaxU32));
+  grant.trial = static_cast<std::uint32_t>(message.get_uint("trial", kMaxU32));
+  grant.count =
+      static_cast<std::uint32_t>(message.get_uint("count", kMaxLeaseTrials));
+  if (grant.count == 0) throw proto_error("grant: empty run");
+  grant.ttl_ms = static_cast<std::int64_t>(message.get_uint("ttl_ms", kMaxId));
+  return grant;
+}
+
+std::int64_t decode_budget(const Message& message) {
+  const std::int64_t budget = message.get_int("budget");
+  if (budget < 1 && budget != -1) {
+    throw proto_error("lease: budget must be -1 or >= 1");
+  }
+  return budget;
+}
+
+Batch decode_complete(const Message& message, std::size_t max_records) {
+  Batch batch;
+  batch.lease_id = message.get_uint("lease_id", kMaxId);
+  batch.cell = static_cast<std::uint32_t>(message.get_uint("cell", kMaxU32));
+  // Both bounds hold before the records vector is sized: the count may
+  // not exceed the lease, and the hex must hold exactly that many records.
+  const std::uint64_t count = message.get_uint("count", max_records);
+  if (count == 0) throw proto_error("complete: empty batch");
+  const std::string hex = message.get_string("outcomes");
+  if (hex.size() != count * kRecordHex) {
+    throw proto_error("complete: " + std::to_string(count) +
+                      " records need " + std::to_string(count * kRecordHex) +
+                      " hex digits, got " + std::to_string(hex.size()));
+  }
+  batch.records.reserve(count);
+  const std::string_view view(hex);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::string_view record = view.substr(i * kRecordHex, kRecordHex);
+    TrialRecord r;
+    r.trial = static_cast<std::uint32_t>(parse_hex(record.substr(0, 8),
+                                                   "complete"));
+    if (i > 0 && r.trial <= batch.records.back().trial) {
+      throw proto_error("complete: trials not in ascending order");
+    }
+    r.outcome = outcome_from_hex(record.substr(8));
+    batch.records.push_back(r);
+  }
+  return batch;
 }
 
 std::uint64_t decode_fingerprint(const Message& message) {
   const std::string hex = message.get_string("fingerprint");
   if (hex.size() != 16) throw proto_error("hello: bad fingerprint");
-  std::uint64_t bits = 0;
-  for (const char c : hex) {
-    bits <<= 4;
-    if (c >= '0' && c <= '9') bits |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') bits |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else throw proto_error("hello: bad fingerprint digit");
-  }
+  return parse_hex(hex, "hello: fingerprint");
+}
+
+const std::string& canary_bits() {
+  static const std::string bits = [] {
+    sweep::ScenarioSpec spec;
+    spec.name = "network-routing";
+    spec.params = {{"width", 2.0}, {"depth", 2.0}};
+    const auto instance = sweep::make_scenario(spec, 64);
+    const sweep::ProtocolSpec protocol =
+        sweep::parse_protocol_list("imitation").front();
+    sweep::DynamicsConfig dynamics;
+    dynamics.max_rounds = 64;
+    const sweep::TrialAttempts attempts = sweep::run_trial_attempts(
+        *instance, protocol, dynamics, sweep::derive_trial_rng(0x5eed, 0, 0),
+        nullptr, /*max_attempts=*/3, /*backoff_ms=*/0.0,
+        /*backoff_max_ms=*/0.0, [](int, const std::string&) {});
+    if (!attempts.outcome) {
+      throw std::runtime_error("canary trial failed: " + attempts.error);
+    }
+    return outcome_hex(*attempts.outcome);
+  }();
   return bits;
 }
 

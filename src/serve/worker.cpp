@@ -137,7 +137,7 @@ class Worker {
       Message response = Message{};
       try {
         const std::int64_t ask_ns = steady_ns();
-        response = channel_->rpc(msg_lease());
+        response = channel_->rpc(msg_lease(budget()));
         queue_wait_ns_ += steady_ns() - ask_ns;
       } catch (const net_error& e) {
         reconnect(e.what());
@@ -159,14 +159,23 @@ class Worker {
         throw std::runtime_error("cid_sweep worker: unexpected response to "
                                  "lease: " + type);
       }
-      handle_grant(response);
+      run_lease(decode_grant(response));
     }
     farewell();
     return report_;
   }
 
  private:
+  /// Trials this worker may still land: -1 without --max-new-trials.
+  std::int64_t budget() const {
+    if (options_.max_trials < 0) return -1;
+    return options_.max_trials -
+           static_cast<std::int64_t>(report_.trials_completed);
+  }
+
   void connect() {
+    // The canary runs once per process, before the first connection.
+    const std::string& canary = canary_bits();
     net_error last("never connected");
     for (int attempt = 1; attempt <= std::max(1, options_.connect_attempts);
          ++attempt) {
@@ -175,10 +184,10 @@ class Worker {
         auto channel = std::make_unique<Channel>(
             std::move(socket), options_.recv_timeout_seconds);
         const Message response =
-            channel->rpc(msg_hello(fingerprint_, options_.name));
+            channel->rpc(msg_hello(fingerprint_, options_.name, canary));
         if (response.type() == "error") {
-          // A handshake rejection is fatal, not retryable: the grids or
-          // protocol versions genuinely differ.
+          // A handshake rejection is fatal, not retryable: the grids,
+          // protocol versions or canary bits genuinely differ.
           throw std::runtime_error("cid_sweep worker: coordinator rejected "
                                    "handshake: " +
                                    response.get_string("message"));
@@ -233,74 +242,99 @@ class Worker {
     return *instances_[n_index];
   }
 
-  void handle_grant(const Message& grant) {
-    const auto lease_id =
-        static_cast<std::uint64_t>(grant.get_int("lease_id"));
-    const auto cell = static_cast<std::uint32_t>(grant.get_int("cell"));
-    const auto trial = static_cast<std::uint32_t>(grant.get_int("trial"));
-    const auto ttl_ms = static_cast<double>(grant.get_int("ttl_ms"));
-    const std::size_t n_index = cell / num_protocols_;
-    const std::size_t protocol_index = cell % num_protocols_;
-    if (n_index >= grid_.ns.size()) {
-      throw std::runtime_error("cid_sweep worker: grant for cell " +
-                               std::to_string(cell) +
-                               " outside this grid");
+  /// Runs one lease's trials in trial order, lands the ones that
+  /// succeeded with one complete, hands the rest back with one requeue,
+  /// and pushes metrics once.
+  void run_lease(const Grant& grant) {
+    const std::size_t n_index = grant.cell / num_protocols_;
+    const std::size_t protocol_index = grant.cell % num_protocols_;
+    if (n_index >= grid_.ns.size() ||
+        static_cast<std::uint64_t>(grant.trial) + grant.count >
+            static_cast<std::uint64_t>(grid_.trials)) {
+      throw std::runtime_error(
+          "cid_sweep worker: grant for cell " + std::to_string(grant.cell) +
+          " trials " + std::to_string(grant.trial) + "+" +
+          std::to_string(grant.count) + " outside this grid");
     }
-
-    // The same stream a local run_sweep would hand this (cell, trial):
-    // outcomes are a pure function of it, so whoever lands the trial
-    // lands identical bits.
-    const Rng job_rng =
-        sweep::derive_trial_rng(grid_.master_seed, cell, trial);
 
     std::optional<Renewer> renewer;
     if (options_.renew_fraction > 0.0) {
-      renewer.emplace(*channel_, lease_id,
-                      ttl_ms * options_.renew_fraction);
+      renewer.emplace(*channel_, grant.lease_id,
+                      static_cast<double>(grant.ttl_ms) *
+                          options_.renew_fraction);
     }
 
     // The local runner's retry loop: same attempts, fault site and
-    // backoff, so a leased trial lands the bits a local run would.
+    // backoff, on the same stream a local run_sweep would hand each
+    // (cell, trial) — outcomes are a pure function of it, so whoever
+    // lands the trial lands identical bits.
     const int max_attempts = std::max(1, options_.trial_max_attempts);
-    sweep::TrialStats stats;
-    const sweep::TrialAttempts attempts = sweep::run_trial_attempts(
-        instance(n_index), grid_.protocols[protocol_index], grid_.dynamics,
-        job_rng, &stats, max_attempts, options_.retry_backoff_ms,
-        options_.retry_backoff_max_ms, [&](int, const std::string&) {
-          ++report_.trial_retries;
-          registry_.add_named("sweep.trial_retries", 1);
-        });
-    renewer.reset();  // stop renewing before the closing RPC
-
-    try {
+    std::vector<TrialRecord> landed;
+    landed.reserve(grant.count);
+    std::size_t failed = 0;
+    std::string last_error;
+    for (std::uint32_t trial = grant.trial; trial < grant.trial + grant.count;
+         ++trial) {
+      if (renewer && renewer->lost()) break;  // re-granted elsewhere
+      sweep::TrialStats stats;
+      const sweep::TrialAttempts attempts = sweep::run_trial_attempts(
+          instance(n_index), grid_.protocols[protocol_index], grid_.dynamics,
+          sweep::derive_trial_rng(grid_.master_seed, grant.cell, trial),
+          &stats, max_attempts, options_.retry_backoff_ms,
+          options_.retry_backoff_max_ms, [&](int, const std::string&) {
+            ++report_.trial_retries;
+            registry_.add_named("sweep.trial_retries", 1);
+          });
       if (!attempts.outcome) {
-        // Local budget exhausted: hand the trial back for another worker.
-        ++report_.trials_requeued;
+        ++failed;
+        last_error = attempts.error;
         registry_.add_named("sweep.trial_failures", 1);
         std::fprintf(stderr,
                      "cid_sweep worker %s: trial (cell %u trial %u) FAILED "
                      "after %d attempt(s): %s — requeueing\n",
-                     options_.name.c_str(), cell, trial, max_attempts,
+                     options_.name.c_str(), grant.cell, trial, max_attempts,
                      attempts.error.c_str());
-        channel_->rpc(msg_requeue(lease_id, attempts.error));
-        return;
+        continue;
       }
       registry_.add_named("sweep.ran_rounds", stats.ran_rounds);
       registry_.add_named("sweep.latency_evals", stats.latency_evals);
-      const Message response = channel_->rpc(
-          msg_complete(lease_id, cell, trial, *attempts.outcome));
-      if (response.type() == "ack") {
-        ++report_.trials_completed;
-        registry_.add_named("sweep.trials_run", 1);
-      } else {
-        // lease_lost: expired or poisoned underneath us. Not an error —
-        // the coordinator has already re-granted the trial.
+      landed.push_back({trial, *attempts.outcome});
+    }
+    const bool renew_lost = renewer && renewer->lost();
+    renewer.reset();  // stop renewing before the closing RPCs
+
+    try {
+      bool live = !renew_lost;
+      if (renew_lost) {
+        // The coordinator already reclaimed the run; landing it would only
+        // be rejected.
         ++report_.leases_lost;
         registry_.add_named("sweep.leases_lost", 1);
       }
+      if (live && !landed.empty()) {
+        const Message response =
+            channel_->rpc(msg_complete(grant.lease_id, grant.cell, landed));
+        if (response.type() == "ack") {
+          report_.trials_completed += landed.size();
+          registry_.add_named("sweep.trials_run",
+                              static_cast<std::int64_t>(landed.size()));
+        } else {
+          // lease_lost: expired or poisoned underneath us. Not an error —
+          // the coordinator has already reclaimed the run.
+          live = false;
+          ++report_.leases_lost;
+          registry_.add_named("sweep.leases_lost", 1);
+        }
+      }
+      if (live && failed > 0) {
+        // Local budget exhausted: hand those trials back for another
+        // worker (the requeue closes the lease).
+        report_.trials_requeued += failed;
+        channel_->rpc(msg_requeue(grant.lease_id, last_error));
+      }
       push_metrics();
     } catch (const net_error& e) {
-      // Connection died around the closing RPC; the coordinator's TTL
+      // Connection died around the closing RPCs; the coordinator's
       // reclaim owns the lease now.
       reconnect(e.what());
     }

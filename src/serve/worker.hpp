@@ -1,29 +1,35 @@
 // Lease-protocol worker: the `cid_sweep --connect HOST:PORT` runtime.
 //
 // run_worker() connects to a cid_serve coordinator, handshakes (protocol
-// version + grid fingerprint — both sides must be running the SAME grid),
-// then loops lease → run trial → complete until the coordinator reports
-// the grid drained. Trial execution reuses the local runner's machinery
-// verbatim: the Rng stream comes from sweep::derive_trial_rng (the shared
-// authority run_sweep uses — one O(1) keyed split of the cell master, so a
-// lease deep into a cell costs no more than trial 0), and the trial runs
-// through sweep::run_trial_attempts, the retry loop run_sweep uses too
-// (fresh stream copy per attempt, same backoff) — so a leased trial's
+// version, grid fingerprint and canary bits — both sides must be running
+// the SAME grid on builds that land the same bits), then loops lease →
+// run the granted run of trials → complete until the coordinator reports
+// the grid drained. Each lease request carries the worker's remaining
+// max_trials budget, so the coordinator never grants more trials than the
+// worker will run. Trial execution reuses the local runner's machinery
+// verbatim: each trial's Rng stream comes from sweep::derive_trial_rng
+// (the shared authority run_sweep uses — one O(1) keyed split of the cell
+// master, so a run deep into a cell costs no more than trial 0), and it
+// runs through sweep::run_trial_attempts, the retry loop run_sweep uses
+// too (fresh stream copy per attempt, same backoff) — so a leased trial's
 // outcome is bit-identical to what a local --threads 1 run would record.
 //
-// A background renewer thread extends the lease at half-TTL intervals
-// while a long trial runs (the socket is a strict request/response
-// channel guarded by a mutex, so renewals interleave safely with the main
-// loop's RPCs). Lost leases are not an error: the completion is rejected
-// with lease_lost, counted, and the worker simply leases again — the
-// coordinator has already re-granted the trial elsewhere.
+// A run's trials execute in trial order; the ones that succeeded land in
+// one complete, and the ones whose local retry budget ran out go back in
+// one requeue. One background renewer thread per lease extends it at
+// half-TTL intervals while the run executes (the socket is a strict
+// request/response channel guarded by a mutex, so renewals interleave
+// safely with the main loop's RPCs). Lost leases are not an error: the
+// completion is rejected with lease_lost (or the renewal already said
+// so), counted, and the worker simply leases again — the coordinator has
+// already reclaimed the run.
 //
 // Connection loss (including injected net.read/net.write faults) triggers
 // a bounded reconnect-and-rehandshake, HumbleNet-peer style; an in-flight
-// lease is abandoned to the coordinator's TTL reclaim. util::fault_crash
+// lease is abandoned to the coordinator's reclaim. util::fault_crash
 // always propagates — a crash site kills the worker, it never retries.
 //
-// After every completion (and at drain) the worker pushes its cumulative
+// After every lease (and at drain) the worker pushes its cumulative
 // metrics_version-stamped counter snapshot (sweep.ran_rounds,
 // sweep.queue_wait_ns grant-wait, sweep.trial_failures, ...), which the
 // coordinator folds into the fleet-level /metrics exposition.
@@ -55,23 +61,24 @@ struct WorkerOptions {
   /// is a dead one.
   double recv_timeout_seconds = 30.0;
 
-  /// Renew outstanding leases every ttl*renew_fraction while a trial
-  /// runs; 0 disables the renewer thread (tests exercising expiry).
+  /// Renew the held lease every ttl*renew_fraction while its run
+  /// executes; 0 disables the renewer thread (tests exercising expiry).
   double renew_fraction = 0.5;
 
   /// Stop after this many completed trials (then bye); -1 = until
-  /// drained. Lets tests pin exactly which worker does how much work.
+  /// drained. Sent with each lease request, so it bounds trials, not
+  /// leases. Lets tests pin exactly which worker does how much work.
   std::int64_t max_trials = -1;
 
-  /// Push the cumulative counter snapshot after each completion.
+  /// Push the cumulative counter snapshot after each lease.
   bool push_metrics = true;
 
   bool verbose = false;
 };
 
 struct WorkerReport {
-  std::size_t trials_completed = 0;
-  std::size_t trials_requeued = 0;  // local retry budget exhausted
+  std::size_t trials_completed = 0;  // trials landed (not leases)
+  std::size_t trials_requeued = 0;   // local retry budget exhausted
   std::int64_t trial_retries = 0;
   std::size_t leases_lost = 0;  // completions/renewals rejected
   std::size_t waits = 0;        // wait responses honored
@@ -81,9 +88,9 @@ struct WorkerReport {
 
 /// Runs the worker loop until the coordinator drains, max_trials is
 /// reached, or the connection cannot be re-established. Throws
-/// std::runtime_error on a handshake rejection (version/grid mismatch),
-/// net_error when the reconnect budget is exhausted, and propagates
-/// util::fault_crash from injected crash sites.
+/// std::runtime_error on a handshake rejection (version, grid or canary
+/// mismatch), net_error when the reconnect budget is exhausted, and
+/// propagates util::fault_crash from injected crash sites.
 WorkerReport run_worker(const sweep::SweepGrid& grid,
                         const WorkerOptions& options);
 

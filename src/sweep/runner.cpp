@@ -139,14 +139,23 @@ std::vector<ProtocolSpec> parse_protocol_list(const std::string& csv) {
   return out;
 }
 
-std::int64_t parse_stride(const std::string& flag, std::string_view value) {
-  std::int64_t stride = 0;
-  const auto [end, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), stride);
-  if (ec != std::errc() || end != value.data() + value.size() || stride < 1) {
-    throw UsageError(flag + " must be a whole number >= 1");
+std::int64_t parse_int_flag(const std::string& flag, std::string_view value,
+                            std::int64_t min, std::int64_t max) {
+  std::int64_t parsed = 0;
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
+  const bool overflow = ec == std::errc::result_out_of_range;
+  if (end != last || (ec != std::errc() && !overflow)) {
+    throw UsageError(flag + " must be a whole number");
   }
-  return stride;
+  // On overflow `parsed` is untouched; the sign says which end was passed.
+  if (overflow ? value.front() == '-' : parsed < min) {
+    throw UsageError(flag + " must be >= " + std::to_string(min));
+  }
+  if (overflow || parsed > max) {
+    throw UsageError(flag + " must be <= " + std::to_string(max));
+  }
+  return parsed;
 }
 
 GridFlags::GridFlags() {
@@ -169,14 +178,15 @@ bool parse_grid_flag(int argc, char** argv, int& i, GridFlags& flags) {
   } else if (flag == "--protocols") {
     grid.protocols = parse_protocol_list(value());
   } else if (flag == "--trials") {
-    grid.trials = std::atoi(value().c_str());
+    grid.trials = static_cast<int>(
+        parse_int_flag(flag, value(), 1, std::numeric_limits<int>::max()));
   } else if (flag == "--seed") {
     grid.master_seed =
-        static_cast<std::uint64_t>(std::atoll(value().c_str()));
+        static_cast<std::uint64_t>(parse_int_flag(flag, value(), 0));
   } else if (flag == "--rounds") {
-    dynamics.max_rounds = std::atoll(value().c_str());
+    dynamics.max_rounds = parse_int_flag(flag, value(), 0);
   } else if (flag == "--check-interval") {
-    dynamics.check_interval = std::atoll(value().c_str());
+    dynamics.check_interval = parse_int_flag(flag, value(), 1);
   } else if (flag == "--stop") {
     const std::string v = value();
     try {
@@ -214,11 +224,6 @@ bool parse_grid_flag(int argc, char** argv, int& i, GridFlags& flags) {
 SweepGrid finish_grid_flags(const GridFlags& flags) {
   SweepGrid grid = flags.grid;
   if (grid.scenario.name.empty()) throw UsageError("--scenario is required");
-  if (grid.trials < 1) throw UsageError("--trials must be >= 1");
-  if (grid.dynamics.check_interval < 1) {
-    throw UsageError("--check-interval must be >= 1");
-  }
-  if (grid.dynamics.max_rounds < 0) throw UsageError("--rounds must be >= 0");
   if (flags.lambda <= 0.0 || flags.lambda > 1.0) {
     throw UsageError("lambda out of (0,1]");
   }

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -250,10 +251,13 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Reads the value of a sampling-stride flag (--telemetry-every,
-/// --trace-sample): a whole number >= 1. Throws UsageError naming `flag`
-/// on 0, a negative, or anything that is not a number.
-std::int64_t parse_stride(const std::string& flag, std::string_view value);
+/// Reads the value of a whole-number flag in [min, max] (strict: the whole
+/// value must be a base-10 integer, so "1e5", "5x" and "" are refused).
+/// Throws UsageError naming `flag`: "must be a whole number", "must be >=
+/// min" or "must be <= max".
+std::int64_t parse_int_flag(
+    const std::string& flag, std::string_view value, std::int64_t min,
+    std::int64_t max = std::numeric_limits<std::int64_t>::max());
 
 /// The grid flags cid_sweep and cid_serve share, so a coordinator and its
 /// workers cannot disagree on a grid fingerprint: --scenario --grid

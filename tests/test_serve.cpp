@@ -2,18 +2,23 @@
 // (src/serve/coordinator.hpp + src/serve/worker.hpp).
 //
 // The tentpole claim: a fleet run — coordinator plus N workers over TCP,
-// including workers killed mid-lease, poisoned leases, and worker-side
-// requeues — produces a final manifest byte-identical to what a local
-// --threads 1 run_sweep writes for the same grid. Trial outcomes are a
-// pure function of (grid, master_seed) via sweep::derive_trial_rng, the
-// coordinator rewrites the manifest canonically at drain, and so no
-// amount of lease churn may change a single byte.
+// including workers killed mid-run, poisoned leases, worker-side requeues
+// and manifest flush faults — produces a final manifest byte-identical to
+// what a local --threads 1 run_sweep writes for the same grid. Trial
+// outcomes are a pure function of (grid, master_seed) via
+// sweep::derive_trial_rng, the coordinator rewrites the manifest
+// canonically at drain, and so no amount of lease churn may change a
+// single byte.
 //
-// Worker death is simulated deterministically: sweep.trial:crash with a
-// throwing crash handler unwinds one worker thread mid-lease (its socket
-// closes exactly as a SIGKILL would close it), and serve.lease_expire
-// poisons a grant so its completion is rejected without depending on
-// real TTL timing.
+// A lease is a run of trials of one cell, sized ceil(pending / (4 x
+// connected workers)) within [1, kMaxLeaseTrials]; one worker on 16
+// pending trials takes a run of 4. Worker death is simulated
+// deterministically: sweep.trial:crash with a throwing crash handler
+// unwinds one worker thread mid-run (its socket closes exactly as a
+// SIGKILL would close it), and serve.lease_expire poisons a grant so its
+// completion is rejected without depending on real TTL timing. The canary
+// trial consults sweep.trial too; the fixture runs it before any fault is
+// armed, so hit numbers below index grid trials only.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,10 +29,12 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "persist/binio.hpp"
 #include "persist/manifest.hpp"
 #include "serve/coordinator.hpp"
 #include "serve/net.hpp"
+#include "serve/proto.hpp"
 #include "serve/worker.hpp"
 #include "sweep/runner.hpp"
 #include "util/fault.hpp"
@@ -66,9 +73,11 @@ sweep::SweepGrid singleton_grid() {
 }
 
 // The ground truth every fleet run is compared against: a local,
-// unsharded, single-threaded sweep's manifest bytes.
-std::string reference_manifest_bytes(const sweep::SweepGrid& grid,
-                                     const std::string& name) {
+// unsharded, single-threaded sweep's manifest bytes (and, when asked, its
+// outcomes).
+std::string reference_manifest_bytes(
+    const sweep::SweepGrid& grid, const std::string& name,
+    persist::ManifestContents* contents = nullptr) {
   const std::string path = temp_path(name);
   std::remove(path.c_str());
   sweep::SweepOptions options;
@@ -77,6 +86,7 @@ std::string reference_manifest_bytes(const sweep::SweepGrid& grid,
   const sweep::SweepResult result = sweep::run_sweep(grid, options);
   EXPECT_TRUE(result.complete);
   std::string bytes = persist::slurp_file(path);
+  if (contents != nullptr) *contents = persist::load_manifest(path, grid);
   std::remove(path.c_str());
   return bytes;
 }
@@ -143,6 +153,7 @@ FleetRun run_fleet(const sweep::SweepGrid& grid, std::uint16_t port,
 // them disarmed for its neighbors.
 class Serve : public ::testing::Test {
  protected:
+  void SetUp() override { canary_bits(); }
   void TearDown() override {
     util::clear_faults();
     util::set_fault_crash_handler(nullptr);
@@ -195,11 +206,12 @@ TEST_F(Serve, FleetManifestByteIdenticalToLocalRun) {
   }
 }
 
-// The ISSUE acceptance scenario: one worker is killed mid-lease (crash
-// fault while it holds a grant; its socket closes exactly as a kill
-// would), the coordinator reclaims the dropped lease, the survivors
-// drain the grid — and the bytes still match the local run.
-TEST_F(Serve, WorkerKilledMidLeaseIsReclaimedWithoutChangingBytes) {
+// A worker killed inside a run: alone on 16 pending trials it leases a
+// run of 4, and the crash fault fires on its 3rd trial (its socket closes
+// exactly as a kill would). The coordinator reclaims the whole run — none
+// of it had landed — two survivors drain the grid, and the bytes still
+// match the local run.
+TEST_F(Serve, WorkerKilledMidRunIsReclaimedWithoutChangingBytes) {
   const sweep::SweepGrid grid = load_balancing_grid();
   const std::string reference =
       reference_manifest_bytes(grid, "serve_kill_ref.manifest");
@@ -210,35 +222,36 @@ TEST_F(Serve, WorkerKilledMidLeaseIsReclaimedWithoutChangingBytes) {
   const CoordinatorOptions options =
       coordinator_options(manifest, port_promise);
 
-  // The 2nd consultation of sweep.trial across the fleet crashes: some
-  // worker dies between grant and complete, deterministically once.
   util::set_fault_crash_handler(+[](const char* site) {
     throw util::fault_crash(std::string("injected kill at ") + site);
   });
-  util::configure_faults("sweep.trial:crash:hit=2");
+  util::configure_faults("sweep.trial:crash:hit=3");
 
   CoordinatorReport report;
   std::thread coordinator([&] { report = serve_grid(grid, options); });
   const std::uint16_t port = port_promise.get_future().get();
 
-  const FleetRun fleet = run_fleet(grid, port, 3);
+  const FleetRun doomed = run_fleet(grid, port, 1);
+  EXPECT_EQ(doomed.killed, 1);
+  const FleetRun survivors = run_fleet(grid, port, 2);
   coordinator.join();
 
-  EXPECT_EQ(fleet.killed, 1);
+  EXPECT_EQ(survivors.killed, 0);
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(report.trials_failed, 0u);
-  // The kill was mid-lease, so the drop was observed as a disconnect (or,
-  // if the TTL raced first, an expiry) and the trial was re-granted.
-  EXPECT_GE(report.leases_disconnected + report.leases_expired, 1u);
-  EXPECT_GT(report.leases_granted, report.trials_total);
+  EXPECT_EQ(report.leases_disconnected, 1u);
+  std::size_t landed = 0;
+  for (const WorkerReport& w : survivors.reports) landed += w.trials_completed;
+  EXPECT_EQ(landed, report.trials_total);  // the dead run's 4 included
   EXPECT_EQ(persist::slurp_file(manifest), reference);
   std::remove(manifest.c_str());
 }
 
-// serve.lease_expire poisons the first grant: its completion is rejected
-// (lease_lost at the worker), the trial is reclaimed on the next tick and
-// re-granted — no TTL timing involved — and the bytes still match.
-TEST_F(Serve, PoisonedLeaseIsRejectedReclaimedAndRegranted) {
+// serve.lease_expire poisons the first grant — a run of 3 of the 12
+// trials: its completion is rejected (lease_lost at the worker), the
+// whole run is reclaimed on the next tick and re-granted — no TTL timing
+// involved — and the bytes still match.
+TEST_F(Serve, PoisonedRunIsRejectedReclaimedAndRegranted) {
   const sweep::SweepGrid grid = singleton_grid();
   const std::string reference =
       reference_manifest_bytes(grid, "serve_poison_ref.manifest");
@@ -263,18 +276,19 @@ TEST_F(Serve, PoisonedLeaseIsRejectedReclaimedAndRegranted) {
   coordinator.join();
 
   EXPECT_TRUE(report.complete);
-  EXPECT_GE(report.leases_expired, 1u);  // the poisoned grant
-  EXPECT_EQ(report.leases_granted, report.trials_total + 1);
-  EXPECT_GE(worker_report.leases_lost, 1u);
+  EXPECT_EQ(report.leases_expired, 1u);  // the poisoned run
+  EXPECT_EQ(report.completions_rejected, 1u);
+  EXPECT_EQ(worker_report.leases_lost, 1u);
   EXPECT_EQ(worker_report.trials_completed, report.trials_total);
   EXPECT_EQ(persist::slurp_file(manifest), reference);
   std::remove(manifest.c_str());
 }
 
-// A worker whose local retry budget is exhausted hands the trial back
-// (requeue) instead of wedging it; the coordinator re-grants and the
-// trial lands on a later lease with the exact same bytes.
-TEST_F(Serve, WorkerRequeueReturnsTheTrialForRegrant) {
+// A trial whose local retry budget runs out inside a run: the worker lands
+// the other three trials of its run of 4 with one complete and hands the
+// failed one back with one requeue; the coordinator re-grants it and it
+// lands on a later lease with the exact same bytes.
+TEST_F(Serve, WorkerRequeueInsideARunReturnsOnlyTheFailedTrial) {
   const sweep::SweepGrid grid = load_balancing_grid();
   const std::string reference =
       reference_manifest_bytes(grid, "serve_requeue_ref.manifest");
@@ -285,9 +299,9 @@ TEST_F(Serve, WorkerRequeueReturnsTheTrialForRegrant) {
   const CoordinatorOptions options =
       coordinator_options(manifest, port_promise);
 
-  // First trial attempt fails; with trial_max_attempts=1 the worker has
-  // no local retry left and must requeue.
-  util::configure_faults("sweep.trial:err:hit=1");
+  // The run's 2nd trial fails; with trial_max_attempts=1 the worker has
+  // no local retry left and must requeue it.
+  util::configure_faults("sweep.trial:err:hit=2");
 
   CoordinatorReport report;
   std::thread coordinator([&] { report = serve_grid(grid, options); });
@@ -304,6 +318,161 @@ TEST_F(Serve, WorkerRequeueReturnsTheTrialForRegrant) {
   EXPECT_EQ(report.requeues, 1u);
   EXPECT_EQ(worker_report.trials_requeued, 1u);
   EXPECT_EQ(worker_report.trials_completed, report.trials_total);
+  EXPECT_EQ(persist::slurp_file(manifest), reference);
+  std::remove(manifest.c_str());
+}
+
+// Run sizing at both ends: one worker on 16 trials takes runs, so it
+// needs fewer leases than trials; three workers on 4 trials get one trial
+// per lease (the degenerate run). Both endings match the local bytes.
+TEST_F(Serve, RunLengthFollowsPendingTrialsPerWorker) {
+  struct Case {
+    const char* name;
+    sweep::SweepGrid grid;
+    std::size_t workers;
+  };
+  sweep::SweepGrid few = load_balancing_grid();
+  few.ns = {200};
+  few.protocols = sweep::parse_protocol_list("imitation");
+  few.trials = 4;
+  const std::vector<Case> cases = {
+      {"one-worker", load_balancing_grid(), 1},
+      {"few-trials", few, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string reference = reference_manifest_bytes(
+        c.grid, std::string("serve_size_ref_") + c.name + ".manifest");
+    const std::string manifest =
+        temp_path(std::string("serve_size_") + c.name + ".manifest");
+    std::remove(manifest.c_str());
+    std::promise<std::uint16_t> port_promise;
+    const CoordinatorOptions options =
+        coordinator_options(manifest, port_promise);
+    CoordinatorReport report;
+    std::thread coordinator([&] { report = serve_grid(c.grid, options); });
+    const std::uint16_t port = port_promise.get_future().get();
+    run_fleet(c.grid, port, c.workers);
+    coordinator.join();
+
+    EXPECT_TRUE(report.complete);
+    if (c.workers == 1) {
+      EXPECT_LT(report.leases_granted, report.trials_total);
+    } else {
+      EXPECT_EQ(report.leases_granted, report.trials_total);
+    }
+    EXPECT_EQ(persist::slurp_file(manifest), reference);
+    std::remove(manifest.c_str());
+  }
+}
+
+// A manifest.flush failure at the first run's flush (hit 1 is the new
+// manifest's header): AppendFile recovery keeps every byte, the run is
+// acked, and the ending matches the local run.
+TEST_F(Serve, ManifestFlushFaultInsideARunKeepsTheBytes) {
+  const sweep::SweepGrid grid = load_balancing_grid();
+  const std::string reference =
+      reference_manifest_bytes(grid, "serve_flush_ref.manifest");
+
+  const std::string manifest = temp_path("serve_flush_fleet.manifest");
+  std::remove(manifest.c_str());
+  std::promise<std::uint16_t> port_promise;
+  const CoordinatorOptions options =
+      coordinator_options(manifest, port_promise);
+
+  const std::int64_t retries_before = obs::persist_io_totals().write_retries;
+  util::configure_faults("manifest.flush:err:hit=2");
+
+  CoordinatorReport report;
+  std::thread coordinator([&] { report = serve_grid(grid, options); });
+  const std::uint16_t port = port_promise.get_future().get();
+  WorkerOptions worker;
+  worker.port = port;
+  const WorkerReport worker_report = run_worker(grid, worker);
+  coordinator.join();
+
+  EXPECT_GE(obs::persist_io_totals().write_retries - retries_before, 1);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(worker_report.trials_completed, report.trials_total);
+  EXPECT_EQ(persist::slurp_file(manifest), reference);
+  std::remove(manifest.c_str());
+}
+
+// No ack precedes the flush: a coordinator killed at its first run's
+// flush (crash fault, throwing handler) closes the connection without
+// acking — the worker never hears that records landed which may not be on
+// disk — and a restarted coordinator resumes from the manifest to the
+// local run's bytes.
+TEST_F(Serve, CoordinatorKilledAtFlushNeverAcksTheRun) {
+  const sweep::SweepGrid grid = load_balancing_grid();
+  persist::ManifestContents local;
+  const std::string reference =
+      reference_manifest_bytes(grid, "serve_noack_ref.manifest", &local);
+
+  const std::string manifest = temp_path("serve_noack_fleet.manifest");
+  std::remove(manifest.c_str());
+  {
+    std::promise<std::uint16_t> port_promise;
+    const CoordinatorOptions options =
+        coordinator_options(manifest, port_promise);
+    util::set_fault_crash_handler(+[](const char* site) {
+      throw util::fault_crash(std::string("injected kill at ") + site);
+    });
+    util::configure_faults("manifest.flush:crash:hit=2");
+    std::atomic<bool> killed{false};
+    std::thread coordinator([&] {
+      try {
+        serve_grid(grid, options);
+      } catch (const util::fault_crash&) {
+        killed = true;
+      }
+    });
+    const std::uint16_t port = port_promise.get_future().get();
+
+    // A raw worker: handshake, lease a run, land it from the local
+    // outcomes, and read the coordinator's answer.
+    Socket s = tcp_connect("127.0.0.1", port);
+    set_recv_timeout(s, 10.0);
+    const auto rpc = [&](const std::string& payload) -> std::string {
+      send_frame(s, encode_frame(payload));
+      FrameReader reader;
+      char buffer[4096];
+      for (;;) {
+        if (auto frame = reader.next()) return *frame;
+        const std::size_t got = read_some(s, buffer, sizeof(buffer));
+        if (got == 0) return "";  // EOF, no frame
+        reader.feed(std::string_view(buffer, got));
+      }
+    };
+    const Message welcome = Message::parse(
+        rpc(msg_hello(persist::grid_fingerprint(grid), "raw", canary_bits())));
+    ASSERT_EQ(welcome.type(), "welcome");
+    const Grant grant = decode_grant(Message::parse(rpc(msg_lease(-1))));
+    EXPECT_EQ(grant.count, 4u);
+    std::vector<TrialRecord> records;
+    for (std::uint32_t t = grant.trial; t < grant.trial + grant.count; ++t) {
+      records.push_back({t, local.completed.at({grant.cell, t})});
+    }
+    EXPECT_EQ(rpc(msg_complete(grant.lease_id, grant.cell, records)), "");
+    s.close();
+    coordinator.join();
+    EXPECT_TRUE(killed);
+  }
+  util::clear_faults();
+  util::set_fault_crash_handler(nullptr);
+  {
+    std::promise<std::uint16_t> port_promise;
+    const CoordinatorOptions options =
+        coordinator_options(manifest, port_promise);
+    CoordinatorReport report;
+    std::thread coordinator([&] { report = serve_grid(grid, options); });
+    const std::uint16_t port = port_promise.get_future().get();
+    WorkerOptions worker;
+    worker.port = port;
+    run_worker(grid, worker);
+    coordinator.join();
+    EXPECT_TRUE(report.complete);
+  }
   EXPECT_EQ(persist::slurp_file(manifest), reference);
   std::remove(manifest.c_str());
 }

@@ -289,6 +289,18 @@ TEST(SweepGridFlags, RejectsOutOfRangeAndMalformedValues) {
   EXPECT_EQ(with({"--check-interval", "0"}), "--check-interval must be >= 1");
   EXPECT_EQ(with({"--rounds", "-1"}), "--rounds must be >= 0");
   EXPECT_EQ(with({"--trials", "0"}), "--trials must be >= 1");
+  // Integer flags are read strictly: no float syntax, trailing junk or
+  // silent wrap-around.
+  EXPECT_EQ(with({"--rounds", "1e5"}), "--rounds must be a whole number");
+  EXPECT_EQ(with({"--trials", "5x"}), "--trials must be a whole number");
+  EXPECT_EQ(with({"--trials", ""}), "--trials must be a whole number");
+  EXPECT_EQ(with({"--trials", "3000000000"}), "--trials must be <= 2147483647");
+  EXPECT_EQ(with({"--seed", "-1"}), "--seed must be >= 0");
+  EXPECT_EQ(with({"--seed", "99999999999999999999"}),
+            "--seed must be <= 9223372036854775807");
+  EXPECT_EQ(with({"--check-interval", "-99999999999999999999"}),
+            "--check-interval must be >= 1");
+  EXPECT_EQ(with({"--seed", "0", "--rounds", "0"}), "accepted");
   EXPECT_EQ(with({"--lambda", "0"}), "lambda out of (0,1]");
   EXPECT_EQ(with({"--lambda", "1.5"}), "lambda out of (0,1]");
   EXPECT_EQ(with({"--stop", "sometimes"}), "unknown stop condition");

@@ -455,7 +455,7 @@ int replay_telemetry(int argc, char** argv) {
     else if (flag == "--telemetry") out_path = need_value(i);
     else if (flag == "--to") to_round = std::atoll(need_value(i));
     else if (flag == "--telemetry-every") {
-      every = sweep::parse_stride(flag, need_value(i));
+      every = sweep::parse_int_flag(flag, need_value(i), 1);
     }
     else usage(("unknown flag: " + flag).c_str());
   }

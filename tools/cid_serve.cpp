@@ -35,6 +35,7 @@
 // exceeded --max-requeues, or --max-seconds elapsed); 1 fatal error.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "cid/cid.hpp"
@@ -107,6 +108,7 @@ Options parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage("missing value for flag");
     return argv[++i];
   };
+  constexpr std::int64_t kPortMax = 65535;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
@@ -116,23 +118,25 @@ Options parse_args(int argc, char** argv) {
       opt.serve.final_manifest_path = need_value(i);
     } else if (flag == "--host") opt.serve.host = need_value(i);
     else if (flag == "--port") {
-      opt.serve.port = static_cast<std::uint16_t>(std::atoi(need_value(i)));
+      opt.serve.port = static_cast<std::uint16_t>(
+          sweep::parse_int_flag(flag, need_value(i), 0, kPortMax));
     } else if (flag == "--port-file") opt.serve.port_file = need_value(i);
     else if (flag == "--lease-ttl") {
       opt.serve.lease_ttl_seconds = std::atof(need_value(i));
     } else if (flag == "--tick") {
       opt.serve.tick_seconds = std::atof(need_value(i));
     } else if (flag == "--wait-backoff") {
-      opt.serve.wait_backoff_ms = std::atoll(need_value(i));
+      opt.serve.wait_backoff_ms = sweep::parse_int_flag(flag, need_value(i), 0);
     } else if (flag == "--max-requeues") {
-      opt.serve.max_requeues = std::atoi(need_value(i));
+      opt.serve.max_requeues = static_cast<int>(sweep::parse_int_flag(
+          flag, need_value(i), 1, std::numeric_limits<int>::max()));
     } else if (flag == "--max-seconds") {
       opt.serve.max_seconds = std::atof(need_value(i));
     } else if (flag == "--metrics-http") {
       opt.serve.metrics_http = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
-        opt.serve.metrics_port =
-            static_cast<std::uint16_t>(std::atoi(argv[++i]));
+        opt.serve.metrics_port = static_cast<std::uint16_t>(
+            sweep::parse_int_flag("--metrics-http", argv[++i], 0, kPortMax));
       }
     } else if (flag == "--metrics-port-file") {
       opt.serve.metrics_port_file = need_value(i);
@@ -149,7 +153,6 @@ Options parse_args(int argc, char** argv) {
     usage("--lease-ttl must be > 0");
   }
   if (opt.serve.tick_seconds <= 0.0) usage("--tick must be > 0");
-  if (opt.serve.max_requeues < 1) usage("--max-requeues must be >= 1");
   if (opt.serve.max_seconds < 0.0) usage("--max-seconds must be >= 0");
   if (!opt.fault_spec.empty()) util::configure_faults(opt.fault_spec);
   return opt;

@@ -25,6 +25,7 @@
 // re-running the dynamics.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -140,6 +141,13 @@ Options parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage("missing value for flag");
     return argv[++i];
   };
+  // A whole-number flag value in [min, max]; anything else exits 2.
+  auto int_value = [&](int& i, std::int64_t min,
+                       std::int64_t max =
+                           std::numeric_limits<std::int64_t>::max()) {
+    const std::string flag = argv[i];
+    return sweep::parse_int_flag(flag, need_value(i), min, max);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
@@ -148,38 +156,39 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--lambda") opt.lambda = std::atof(need_value(i));
     else if (flag == "--no-nu") opt.no_nu = true;
     else if (flag == "--no-damping") opt.no_damping = true;
-    else if (flag == "--virtual") opt.virtual_agents = std::atoll(need_value(i));
-    else if (flag == "--rounds") opt.rounds = std::atoll(need_value(i));
+    else if (flag == "--virtual") opt.virtual_agents = int_value(i, 0);
+    else if (flag == "--rounds") opt.rounds = int_value(i, 0);
     else if (flag == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      opt.seed = static_cast<std::uint64_t>(int_value(i, 0));
     } else if (flag == "--engine") {
       const std::string v = need_value(i);
       if (v == "aggregate") opt.engine = EngineMode::kAggregate;
       else if (v == "perplayer") opt.engine = EngineMode::kPerPlayer;
       else usage("unknown engine");
     } else if (flag == "--row-threads") {
-      opt.row_threads = std::atoi(need_value(i));
+      opt.row_threads = static_cast<int>(
+          int_value(i, 1, std::numeric_limits<int>::max()));
     } else if (flag == "--start") opt.start = need_value(i);
     else if (flag == "--stop") opt.stop = format_stop(parse_stop(need_value(i)));
     else if (flag == "--checkpoint") opt.checkpoint_path = need_value(i);
     else if (flag == "--checkpoint-every") {
-      opt.checkpoint_every = std::atoll(need_value(i));
+      opt.checkpoint_every = int_value(i, 0);
     } else if (flag == "--checkpoint-keep") {
-      opt.checkpoint_keep = std::atoll(need_value(i));
+      opt.checkpoint_keep = int_value(i, 0);
     } else if (flag == "--resume") opt.resume_path = need_value(i);
     else if (flag == "--event-log") opt.event_log_path = need_value(i);
     else if (flag == "--rotate-bytes") {
-      opt.rotate_bytes = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      opt.rotate_bytes = static_cast<std::uint64_t>(int_value(i, 0));
     } else if (flag == "--save-state") opt.save_state_path = need_value(i);
     else if (flag == "--metrics") opt.metrics_path = need_value(i);
     else if (flag == "--metrics-every") {
-      opt.metrics_every = std::atoll(need_value(i));
+      opt.metrics_every = int_value(i, 0);
     } else if (flag == "--telemetry") opt.telemetry_path = need_value(i);
     else if (flag == "--telemetry-every") {
-      opt.telemetry_every = sweep::parse_stride(flag, need_value(i));
+      opt.telemetry_every = int_value(i, 1);
     } else if (flag == "--trace") opt.trace_path = need_value(i);
     else if (flag == "--trace-sample") {
-      opt.trace_sample = sweep::parse_stride(flag, need_value(i));
+      opt.trace_sample = int_value(i, 1);
     } else if (flag == "--inject-faults") {
       opt.fault_spec = need_value(i);
     } else usage(("unknown flag: " + flag).c_str());
@@ -188,9 +197,6 @@ Options parse_args(int argc, char** argv) {
     usage("exactly one of --game and --resume is required");
   }
   if (opt.lambda <= 0.0 || opt.lambda > 1.0) usage("lambda out of (0,1]");
-  if (opt.row_threads < 1) usage("--row-threads must be >= 1");
-  if (opt.checkpoint_every < 0) usage("--checkpoint-every must be >= 0");
-  if (opt.checkpoint_keep < 0) usage("--checkpoint-keep must be >= 0");
   if (opt.checkpoint_every > 0 && opt.checkpoint_path.empty()) {
     usage("--checkpoint-every requires --checkpoint PATH");
   }
@@ -200,7 +206,6 @@ Options parse_args(int argc, char** argv) {
   if (opt.rotate_bytes > 0 && opt.event_log_path.empty()) {
     usage("--rotate-bytes requires --event-log PATH");
   }
-  if (opt.metrics_every < 0) usage("--metrics-every must be >= 0");
   if (opt.metrics_every > 0 && opt.metrics_path.empty()) {
     usage("--metrics-every requires --metrics PATH");
   }

@@ -53,13 +53,16 @@
 // Worker mode (src/serve/worker.hpp): --connect HOST:PORT turns this
 // process into a lease-protocol worker for a cid_serve coordinator
 // running the SAME grid flags (the handshake compares grid fingerprints).
-// Trials are leased one at a time, run through the identical
-// retry/backoff machinery with the identical derive_trial_rng streams,
-// and streamed back with the worker's metrics_version-stamped registry
-// snapshot; the coordinator owns the manifest, so --manifest/--out/--shard
-// do not combine with --connect.
+// Trials are leased in runs of up to 256 consecutive trials of one cell
+// (the coordinator sizes each run from the pending work per connected
+// worker), run in trial order through the identical retry/backoff
+// machinery with the identical derive_trial_rng streams, and landed with
+// one complete per run plus one push of the worker's
+// metrics_version-stamped registry snapshot; the coordinator owns the
+// manifest, so --manifest/--out/--shard do not combine with --connect.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -162,8 +165,9 @@ using namespace cid;
       "                    stream outcomes + metrics back. The coordinator\n"
       "                    owns the manifest: --manifest/--resume/--shard/\n"
       "                    --out do not combine with --connect, and\n"
-      "                    --max-new-trials bounds how many leases this\n"
-      "                    worker takes\n"
+      "                    --max-new-trials bounds how many trials this\n"
+      "                    worker lands (each lease asks for at most the\n"
+      "                    rest of it)\n"
       "  --worker-name S   name reported to the coordinator (diagnostics;\n"
       "                    default cid_sweep)\n");
   std::exit(error == nullptr ? 0 : 2);
@@ -202,6 +206,14 @@ Options parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage("missing value for flag");
     return argv[++i];
   };
+  // A whole-number flag value in [min, max]; anything else exits 2.
+  auto int_value = [&](int& i, std::int64_t min,
+                       std::int64_t max =
+                           std::numeric_limits<std::int64_t>::max()) {
+    const std::string flag = argv[i];
+    return sweep::parse_int_flag(flag, need_value(i), min, max);
+  };
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
@@ -209,35 +221,37 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--list") {
       list_scenarios();
       std::exit(0);
-    } else if (flag == "--threads") opt.run.threads = std::atoi(need_value(i));
-    else if (flag == "--row-threads") {
-      flags.grid.dynamics.row_threads = std::atoi(need_value(i));
+    } else if (flag == "--threads") {
+      opt.run.threads = static_cast<int>(int_value(i, 0, kIntMax));
+    } else if (flag == "--row-threads") {
+      flags.grid.dynamics.row_threads =
+          static_cast<int>(int_value(i, 1, kIntMax));
     } else if (flag == "--manifest") {
       opt.run.manifest_path = need_value(i);
     } else if (flag == "--resume") {
       opt.run.manifest_path = need_value(i);
       opt.resume_required = true;
     } else if (flag == "--checkpoint-every") {
-      opt.run.manifest_flush_every = std::atoll(need_value(i));
+      opt.run.manifest_flush_every = int_value(i, 1);
     } else if (flag == "--rotate-bytes") {
       opt.run.manifest_rotate_bytes =
-          static_cast<std::uint64_t>(std::atoll(need_value(i)));
+          static_cast<std::uint64_t>(int_value(i, 0));
     } else if (flag == "--max-new-trials") {
-      opt.run.max_new_trials = std::atoll(need_value(i));
+      opt.run.max_new_trials = int_value(i, 0);
     } else if (flag == "--metrics") {
       opt.metrics_path = need_value(i);
     } else if (flag == "--metrics-every") {
-      opt.metrics_every = std::atoll(need_value(i));
+      opt.metrics_every = int_value(i, 0);
     } else if (flag == "--metrics-prom") {
       opt.prom_path = need_value(i);
     } else if (flag == "--telemetry") {
       opt.telemetry_path = need_value(i);
     } else if (flag == "--telemetry-every") {
-      opt.telemetry_every = sweep::parse_stride(flag, need_value(i));
+      opt.telemetry_every = int_value(i, 1);
     } else if (flag == "--trace") {
       opt.trace_path = need_value(i);
     } else if (flag == "--trace-sample") {
-      opt.trace_sample = sweep::parse_stride(flag, need_value(i));
+      opt.trace_sample = int_value(i, 1);
     } else if (flag == "--progress") {
       // Optional value: "--progress 2.5" or bare "--progress" (5 s).
       opt.run.progress_every_seconds = 5.0;
@@ -245,7 +259,7 @@ Options parse_args(int argc, char** argv) {
         opt.run.progress_every_seconds = std::atof(argv[++i]);
       }
     } else if (flag == "--trial-retries") {
-      opt.run.trial_max_attempts = std::atoi(need_value(i));
+      opt.run.trial_max_attempts = static_cast<int>(int_value(i, 1, kIntMax));
     } else if (flag == "--watchdog") {
       opt.run.watchdog_seconds = std::atof(need_value(i));
     } else if (flag == "--shard") {
@@ -262,13 +276,6 @@ Options parse_args(int argc, char** argv) {
     else usage(("unknown flag: " + flag).c_str());
   }
   opt.grid = sweep::finish_grid_flags(flags);
-  if (opt.run.threads < 0) usage("--threads must be >= 0");
-  if (opt.grid.dynamics.row_threads < 1) {
-    usage("--row-threads must be >= 1");
-  }
-  if (opt.run.manifest_flush_every < 1) {
-    usage("--checkpoint-every must be >= 1");
-  }
   if (opt.run.manifest_rotate_bytes > 0 && opt.run.manifest_path.empty()) {
     usage("--rotate-bytes requires --manifest or --resume");
   }
@@ -277,7 +284,6 @@ Options parse_args(int argc, char** argv) {
     usage("--resume: manifest file does not exist (use --manifest to "
           "start a fresh resumable sweep)");
   }
-  if (opt.metrics_every < 0) usage("--metrics-every must be >= 0");
   if (opt.metrics_every > 0 && opt.metrics_path.empty()) {
     usage("--metrics-every requires --metrics");
   }
@@ -289,9 +295,6 @@ Options parse_args(int argc, char** argv) {
   }
   if (opt.run.progress_every_seconds < 0.0) {
     usage("--progress seconds must be >= 0");
-  }
-  if (opt.run.trial_max_attempts < 1) {
-    usage("--trial-retries must be >= 1");
   }
   if (opt.run.watchdog_seconds < 0.0) usage("--watchdog must be >= 0");
   if (opt.run.shard_count > 1) {
