@@ -116,7 +116,10 @@ CellResult finish_cell(const WallTimer& timer, std::int64_t rounds,
                                    static_cast<double>(rounds)
                              : 0.0;
   cell.movers = movers;
-  const std::int64_t considered = metrics.rows_filled + metrics.rows_pruned;
+  // Rows replayed from a quiet-round plan were filled in an earlier round;
+  // they count as considered, as they did before the plan existed.
+  const std::int64_t considered =
+      metrics.rows_filled + metrics.rows_replayed + metrics.rows_pruned;
   cell.rows_pruned_fraction =
       considered > 0
           ? static_cast<double>(metrics.rows_pruned) /

@@ -39,7 +39,7 @@ METRICS_VERSION = 1
 TRIAL_NUMERIC_FIELDS = [
     "cell", "n", "trial", "rounds", "converged", "movers", "potential",
     "social_cost", "latency_evals", "ran_rounds", "engine_rows_filled",
-    "engine_rows_pruned",
+    "engine_rows_pruned", "engine_rows_replayed",
 ]
 
 

@@ -39,6 +39,20 @@
 // across persistent sweep-pool workers with a deterministic serial draw
 // phase.
 //
+// run_dynamics also REPLAYS QUIET ROUNDS. After a round that moved nobody,
+// the next round sees the same state, cache, prune verdicts and rows; only
+// its uniforms differ. That round fills its rows through the two-phase
+// path and keeps them in the workspace as a draw plan: per aggregate
+// origin the zero outcome of each conditional binomial as an interval of
+// its uniforms (Rng::plan_zero_multinomial), per per-player origin its
+// cumulative row. Every following round draws the same uniforms in the
+// same order and only compares them (Rng::multinomial_planned; the
+// per-player stay bucket), handing the first uniform outside its interval
+// to the binomial's own sampler — no support scan, no row fill, the same
+// bits. Invalidation: any round that is not quiet (its predecessor moved
+// somebody, or the caller is not run_dynamics) drops the plan, so the
+// public draw_round never replays; stop predicates are still evaluated.
+//
 // Every kernel consumes the RNG stream identically to the per-pair
 // reference oracle (Protocol::move_probability, driven round by round by
 // the tests-only reference engine in tests/support/reference_round.hpp)
@@ -104,6 +118,27 @@ struct RoundWorkspace {
   std::vector<RowJob> jobs;
   std::vector<double> rows;
   std::vector<char> skip;
+  /// run_dynamics' draw plan for quiet rounds (engine_kernel.hpp): laid
+  /// over the two-phase rows above by a round whose predecessor moved
+  /// nobody, and replayed by every following round until one moves
+  /// somebody. Other callers never arm it.
+  struct DrawPlan {
+    /// Aggregate mode, per support entry: its zero steps are
+    /// steps[first, end); a `full` origin redraws its row through
+    /// Rng::multinomial (Rng::plan_zero_multinomial refused it).
+    struct Origin {
+      std::size_t first = 0;
+      std::size_t end = 0;
+      bool full = false;
+    };
+    std::vector<Origin> origins;
+    std::vector<ZeroStep> steps;
+    /// Per-player mode: each support entry's cumulative row, at its job's
+    /// offset.
+    std::vector<double> cumulative;
+    bool armed = false;
+  };
+  DrawPlan plan;
   bool ready = false;  // ctx reflects the caller's current (game, x)
 };
 

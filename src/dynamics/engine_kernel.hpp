@@ -17,6 +17,11 @@
 //       K = ImitationKernel | ExplorationKernel | CombinedKernel
 //         | ClassImitationKernel
 //
+// run_dynamics<K> passes each round whether its predecessor moved nobody;
+// such a quiet round draws from the workspace's draw plan
+// (engine_detail::draw_round: record_plan, draw_planned), while the
+// public draw_round<K> always takes the full path (see engine.hpp).
+//
 // One engine serves every concurrent family: the symmetric protocols run
 // on their game, and class-local imitation (ClassImitationKernel) runs on
 // an asymmetric game's flat game with each row cut to the origin's class
@@ -102,15 +107,50 @@ void dcheck_pruned_row([[maybe_unused]] const CongestionGame& game,
 
 /// The cumulative row the per-player engine's single uniform is compared
 /// against; the tests-only reference round scans the same row, so both
-/// see identical floating-point boundaries.
+/// see identical floating-point boundaries. `cumulative` has probs.size()
+/// entries.
 inline void build_cumulative(std::span<const double> probs,
-                             std::vector<double>& cumulative) {
-  cumulative.resize(probs.size());
+                             std::span<double> cumulative) {
   double acc = 0.0;
   for (std::size_t j = 0; j < probs.size(); ++j) {
     acc += probs[j];
     cumulative[j] = acc;
   }
+}
+
+/// Appends origin `from`'s per-destination counts (over `block`) to the
+/// round's moves, zero counts omitted.
+inline void emit_counts(StrategyId from, RowBlock block,
+                        std::span<const std::int64_t> counts,
+                        RoundResult& out) {
+  for (std::size_t j = 0; j < counts.size(); ++j) {
+    if (counts[j] == 0) continue;
+    out.moves.push_back(
+        Migration{from, block.begin + static_cast<StrategyId>(j), counts[j]});
+    out.movers += counts[j];
+  }
+}
+
+/// The per-player draw of `from`'s cohort: one uniform per player, who
+/// moves to the first bucket with u < cumulative[j]. Zero-probability
+/// buckets have zero-width intervals and are never selected; u at or above
+/// the last boundary (the stay bucket) keeps the player on `from`, so that
+/// one compare decides most players without the O(log k) search.
+inline void draw_players(const State& x, StrategyId from, RowBlock block,
+                         std::span<const double> cumulative, Rng& rng,
+                         std::span<std::int64_t> tally, RoundResult& out) {
+  const double stay = cumulative.empty() ? 0.0 : cumulative.back();
+  const std::int64_t cohort = x.count(from);
+  std::int64_t moved = 0;
+  for (std::int64_t player = 0; player < cohort; ++player) {
+    const double u = rng.uniform();
+    if (!(u < stay)) continue;
+    if (moved++ == 0) std::fill(tally.begin(), tally.end(), std::int64_t{0});
+    ++tally[static_cast<std::size_t>(
+        std::upper_bound(cumulative.begin(), cumulative.end(), u) -
+        cumulative.begin())];
+  }
+  if (moved > 0) emit_counts(from, block, tally, out);
 }
 
 /// Ensures the workspace buffers span the game and the cache matches x.
@@ -119,6 +159,7 @@ inline void prepare(const CongestionGame& game, const State& x,
   warm(game, x, ws);
   const auto k = static_cast<std::size_t>(game.num_strategies());
   ws.probs.resize(k);
+  ws.cumulative.resize(k);
   ws.counts.resize(k);
   x.support(ws.support);
 }
@@ -217,12 +258,7 @@ void draw_aggregate(const CongestionGame& game, const State& x,
                         std::span<const double> row) {
     const std::span<std::int64_t> counts{ws.counts.data(), row.size()};
     rng.multinomial(x.count(from), row, counts);
-    for (std::size_t j = 0; j < counts.size(); ++j) {
-      if (counts[j] == 0) continue;
-      out.moves.push_back(Migration{
-          from, block.begin + static_cast<StrategyId>(j), counts[j]});
-      out.movers += counts[j];
-    }
+    emit_counts(from, block, counts, out);
   };
   if (row_threads <= 1 && metrics == nullptr && !trace) {
     ExpostTable& table = serial_table(ws);
@@ -282,26 +318,10 @@ void draw_per_player(const CongestionGame& game, const State& x,
   // row is zero, so a skipped origin would shift the RNG stream.
   const auto emit = [&](StrategyId from, RowBlock block,
                         std::span<const double> row) {
-    build_cumulative(row, ws.cumulative);
-    const std::span<std::int64_t> tally{ws.counts.data(), row.size()};
-    std::fill(tally.begin(), tally.end(), std::int64_t{0});
-    const std::int64_t cohort = x.count(from);
-    const auto begin = ws.cumulative.begin();
-    const auto end = ws.cumulative.end();
-    for (std::int64_t player = 0; player < cohort; ++player) {
-      const double u = rng.uniform();
-      // First bucket with u < cumulative[j] — O(log k); zero-probability
-      // buckets have zero-width intervals and can never be selected.
-      // Falling beyond the last boundary = the player stays on `from`.
-      const auto it = std::upper_bound(begin, end, u);
-      if (it != end) ++tally[static_cast<std::size_t>(it - begin)];
-    }
-    for (std::size_t j = 0; j < tally.size(); ++j) {
-      if (tally[j] == 0) continue;
-      out.moves.push_back(Migration{
-          from, block.begin + static_cast<StrategyId>(j), tally[j]});
-      out.movers += tally[j];
-    }
+    const std::span<double> cumulative{ws.cumulative.data(), row.size()};
+    build_cumulative(row, cumulative);
+    draw_players(x, from, block, cumulative, rng,
+                 {ws.counts.data(), row.size()}, out);
   };
   if (row_threads <= 1 && metrics == nullptr && !trace) {
     ExpostTable& table = serial_table(ws);
@@ -330,6 +350,132 @@ void draw_per_player(const CongestionGame& game, const State& x,
   }
 }
 
+/// Lays the draw plan over the rows fill_rows_parallel just wrote: per
+/// aggregate origin the zero steps of its multinomial (x_P trials over its
+/// row), per per-player origin its cumulative row.
+inline void record_plan(const State& x, EngineMode mode, RoundWorkspace& ws) {
+  RoundWorkspace::DrawPlan& plan = ws.plan;
+  const std::size_t s = ws.support.size();
+  if (mode == EngineMode::kPerPlayer) {
+    plan.cumulative.resize(ws.rows.size());
+    for (std::size_t i = 0; i < s; ++i) {
+      const std::span<const double> row = job_row(ws, i);
+      build_cumulative(row, {plan.cumulative.data() + ws.jobs[i].offset,
+                             row.size()});
+    }
+  } else {
+    plan.origins.resize(s);
+    plan.steps.clear();
+    for (std::size_t i = 0; i < s; ++i) {
+      if (ws.skip[i] != 0) continue;
+      RoundWorkspace::DrawPlan::Origin& origin = plan.origins[i];
+      origin.first = plan.steps.size();
+      origin.full = !Rng::plan_zero_multinomial(x.count(ws.support[i]),
+                                                job_row(ws, i), plan.steps);
+      origin.end = plan.steps.size();
+    }
+  }
+  plan.armed = true;
+}
+
+/// The draw phase of a planned round, serial in support order over the
+/// plan's rows whatever row_threads, metrics and trace say. Each aggregate
+/// origin draws through Rng::multinomial_planned — the same counts and
+/// uniforms as Rng::multinomial, but a quiet origin only compares them.
+/// Returns the number of pruned origins.
+inline std::int64_t draw_planned(const State& x, EngineMode mode, Rng& rng,
+                                 RoundWorkspace& ws, RoundResult& out) {
+  const RoundWorkspace::DrawPlan& plan = ws.plan;
+  std::int64_t pruned = 0;
+  for (std::size_t i = 0; i < ws.support.size(); ++i) {
+    const StrategyId from = ws.support[i];
+    const RoundWorkspace::RowJob& job = ws.jobs[i];
+    const std::span<std::int64_t> counts{ws.counts.data(), job.block.size()};
+    if (mode == EngineMode::kPerPlayer) {
+      draw_players(x, from, job.block,
+                   {plan.cumulative.data() + job.offset, job.block.size()},
+                   rng, counts, out);
+      continue;
+    }
+    if (ws.skip[i] != 0) {
+      ++pruned;
+      continue;
+    }
+    const RoundWorkspace::DrawPlan::Origin& origin = plan.origins[i];
+    const std::span<const double> row = job_row(ws, i);
+    if (origin.full) {
+      rng.multinomial(x.count(from), row, counts);
+    } else if (!rng.multinomial_planned(
+                   x.count(from), row,
+                   {plan.steps.data() + origin.first, origin.end - origin.first},
+                   counts)) {
+      continue;
+    }
+    emit_counts(from, job.block, counts, out);
+  }
+  return pruned;
+}
+
+/// The engine's round. `quiet` says that x and ws.ctx are exactly what the
+/// previous round on ws drew against, and that it moved nobody; only
+/// run_dynamics, which owns ws from round to round, can say so. A quiet
+/// round draws from the plan: it records one through the two-phase fill
+/// if none is armed, and otherwise replays the armed one with no support
+/// scan and no row fill. A round that is not quiet drops the plan, so an
+/// armed plan always describes the current (x, ctx).
+template <ProtocolKernel K>
+void draw_round(const CongestionGame& game, const State& x, const K& kernel,
+                Rng& rng, EngineMode mode, RoundWorkspace& ws,
+                RoundResult& out, int row_threads,
+                obs::EngineMetrics* metrics, bool trace, bool quiet) {
+  out.moves.clear();
+  out.movers = 0;
+  if (!quiet) ws.plan.armed = false;
+  const bool replay = ws.plan.armed;
+  if (!replay) {
+    // A cold workspace rebuilds the full latency cache here, so that cost
+    // lands in the first round's row-fill phase; steady-state prepare()
+    // calls only resize-to-fit (no-ops) and recompute the support list.
+    obs::PhaseTimer prep_timer(metrics != nullptr ? &metrics->row_fill_ns
+                                                  : nullptr);
+    prepare(game, x, ws);
+  }
+  if (!quiet) {
+    switch (mode) {
+      case EngineMode::kAggregate:
+        draw_aggregate(game, x, kernel, rng, ws, out, row_threads, metrics,
+                       trace);
+        return;
+      case EngineMode::kPerPlayer:
+        draw_per_player(game, x, kernel, rng, ws, out, row_threads, metrics,
+                        trace);
+        return;
+    }
+    CID_ENSURE(false, "unreachable engine mode");
+  }
+  const std::int64_t fill_start = metrics != nullptr ? obs::now_ns() : 0;
+  if (!replay) {
+    obs::TraceSpan fill_span(trace ? "engine.row_fill" : nullptr);
+    fill_rows_parallel(game, x, kernel, ws,
+                       /*prune=*/mode == EngineMode::kAggregate, row_threads);
+    record_plan(x, mode, ws);
+  }
+  const std::int64_t draw_start = metrics != nullptr ? obs::now_ns() : 0;
+  std::int64_t pruned = 0;
+  {
+    obs::TraceSpan draw_span(trace ? "engine.draw" : nullptr);
+    pruned = draw_planned(x, mode, rng, ws, out);
+  }
+  if (metrics != nullptr) {
+    metrics->row_fill_ns += draw_start - fill_start;
+    metrics->draw_ns += obs::now_ns() - draw_start;
+    metrics->rows_pruned += pruned;
+    const std::int64_t drawn =
+        static_cast<std::int64_t>(ws.support.size()) - pruned;
+    (replay ? metrics->rows_replayed : metrics->rows_filled) += drawn;
+  }
+}
+
 }  // namespace engine_detail
 
 /// Workspace-backed monomorphized draw — the kernel-typed core of the
@@ -340,27 +486,8 @@ void draw_round(const CongestionGame& game, const State& x, const K& kernel,
                 Rng& rng, EngineMode mode, RoundWorkspace& ws,
                 RoundResult& out, int row_threads = 1,
                 obs::EngineMetrics* metrics = nullptr, bool trace = false) {
-  out.moves.clear();
-  out.movers = 0;
-  {
-    // A cold workspace rebuilds the full latency cache here, so that cost
-    // lands in the first round's row-fill phase; steady-state prepare()
-    // calls only resize-to-fit (no-ops) and recompute the support list.
-    obs::PhaseTimer prep_timer(metrics != nullptr ? &metrics->row_fill_ns
-                                                  : nullptr);
-    engine_detail::prepare(game, x, ws);
-  }
-  switch (mode) {
-    case EngineMode::kAggregate:
-      engine_detail::draw_aggregate(game, x, kernel, rng, ws, out,
-                                    row_threads, metrics, trace);
-      return;
-    case EngineMode::kPerPlayer:
-      engine_detail::draw_per_player(game, x, kernel, rng, ws, out,
-                                     row_threads, metrics, trace);
-      return;
-  }
-  CID_ENSURE(false, "unreachable engine mode");
+  engine_detail::draw_round(game, x, kernel, rng, mode, ws, out, row_threads,
+                            metrics, trace, /*quiet=*/false);
 }
 
 /// Monomorphized run — the kernel-typed core of the engine.hpp
@@ -407,6 +534,9 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
   // so multi-million-round runs stay bounded; a disarmed collector makes
   // `tr` constant false at the cost of one relaxed load per round.
   const std::int64_t trace_every = obs::trace_engine_sample_interval();
+  // The previous round of this call moved nobody, so x and ws.ctx are
+  // what it drew against: the next draw may use the plan.
+  bool quiet = false;
   for (; result.rounds < options.max_rounds; ++result.rounds) {
     const std::int64_t round = result.rounds;
     const bool tr = obs::trace_enabled() && round % trace_every == 0;
@@ -414,8 +544,9 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
       result.converged = true;
       break;
     }
-    draw_round(game, x, kernel, rng, options.mode, ws, rr,
-               options.row_threads, m, tr);
+    engine_detail::draw_round(game, x, kernel, rng, options.mode, ws, rr,
+                              options.row_threads, m, tr,
+                              /*quiet=*/quiet);
     if (call.observer) call.observer(game, x, rr.moves, round, false);
     {
       obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
@@ -429,6 +560,7 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
       ws.ctx.refresh(ws.apply_scratch.touched);
     }
     result.total_movers += rr.movers;
+    quiet = rr.movers == 0;
     if (m != nullptr) ++m->rounds;
   }
   if (!result.converged && has_stop && stop_check(obs::trace_enabled())) {

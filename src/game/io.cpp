@@ -60,8 +60,12 @@ class LineParser {
   }
 
   [[noreturn]] void fail(const std::string& message) const {
-    throw invariant_violation("parse error at line " +
-                              std::to_string(line_number_) + ": " + message);
+    throw parse_error(line_number_, message);
+  }
+
+  /// The next line, which must exist.
+  void expect_line(std::istringstream& line) {
+    if (!next(line)) fail("truncated input");
   }
 
   template <typename T>
@@ -76,7 +80,12 @@ class LineParser {
   int line_number_ = 0;
 };
 
-LatencyPtr parse_latency_body(LineParser& p, std::istringstream& line) {
+// The binary snapshot codec's caps (persist/codec.cpp).
+constexpr int kMaxScaledNesting = 16;
+constexpr double kMaxElasticity = 1u << 20;
+
+LatencyPtr parse_latency_body(LineParser& p, std::istringstream& line,
+                              int depth = 0) {
   std::string kind;
   if (!(line >> kind)) p.fail("expected latency kind");
   if (kind == "constant") {
@@ -101,7 +110,8 @@ LatencyPtr parse_latency_body(LineParser& p, std::istringstream& line) {
   }
   if (kind == "scaled") {
     const auto n = p.read<std::int64_t>(line, "scale divisor");
-    LatencyPtr base = parse_latency_body(p, line);
+    if (depth >= kMaxScaledNesting) p.fail("scaled latency nested too deep");
+    LatencyPtr base = parse_latency_body(p, line, depth + 1);
     return make_scaled(std::move(base), n);
   }
   p.fail("unknown latency kind '" + kind + "'");
@@ -133,22 +143,25 @@ std::string serialize_game(const CongestionGame& game) {
   return os.str();
 }
 
-CongestionGame parse_game(const std::string& text) {
-  LineParser p(text);
-  std::istringstream line;
+namespace {
 
-  CID_ENSURE(p.next(line), "empty input");
+/// parse_game's line walk. The latency factories' own argument checks
+/// throw invariant_violation; parse_game reports those at their line too.
+CongestionGame parse_game_lines(LineParser& p) {
+  std::istringstream line;
+  p.expect_line(line);
   std::string magic, version;
   line >> magic >> version;
   if (magic != "cid-game" || version != "v1") p.fail("bad header");
 
-  CID_ENSURE(p.next(line), "truncated input");
+  p.expect_line(line);
   std::string key;
   line >> key;
   if (key != "players") p.fail("expected 'players'");
   const auto players = p.read<std::int64_t>(line, "player count");
+  if (players < 1) p.fail("bad player count");
 
-  CID_ENSURE(p.next(line), "truncated input");
+  p.expect_line(line);
   line >> key;
   if (key != "resources") p.fail("expected 'resources'");
   const auto resources = p.read<std::int32_t>(line, "resource count");
@@ -157,13 +170,17 @@ CongestionGame parse_game(const std::string& text) {
   std::vector<LatencyPtr> latencies;
   latencies.reserve(static_cast<std::size_t>(resources));
   for (std::int32_t e = 0; e < resources; ++e) {
-    CID_ENSURE(p.next(line), "truncated input");
+    p.expect_line(line);
     line >> key;
     if (key != "latency") p.fail("expected 'latency'");
     latencies.push_back(parse_latency_body(p, line));
+    if (latencies.back()->elasticity_upper(static_cast<double>(players)) >
+        kMaxElasticity) {
+      p.fail("latency elasticity too large");
+    }
   }
 
-  CID_ENSURE(p.next(line), "truncated input");
+  p.expect_line(line);
   line >> key;
   if (key != "strategies") p.fail("expected 'strategies'");
   const auto num_strategies = p.read<std::int32_t>(line, "strategy count");
@@ -171,23 +188,46 @@ CongestionGame parse_game(const std::string& text) {
     p.fail("bad strategy count");
   }
   std::vector<Strategy> strategies;
-  strategies.reserve(static_cast<std::size_t>(num_strategies));
   for (std::int32_t s = 0; s < num_strategies; ++s) {
-    CID_ENSURE(p.next(line), "truncated input");
+    p.expect_line(line);
     line >> key;
     if (key != "strategy") p.fail("expected 'strategy'");
+    // Resources are sorted and distinct, so a strategy has at most one
+    // entry per resource; check before allocating.
     const auto len = p.read<std::size_t>(line, "strategy length");
+    if (len < 1 || len > static_cast<std::size_t>(resources)) {
+      p.fail("bad strategy length");
+    }
     Strategy st(len);
-    for (auto& e : st) e = p.read<Resource>(line, "resource id");
+    for (std::size_t i = 0; i < len; ++i) {
+      st[i] = p.read<Resource>(line, "resource id");
+      if (st[i] < 0 || st[i] >= resources) p.fail("resource id out of range");
+      if (i > 0 && st[i - 1] >= st[i]) {
+        p.fail("strategy resources must be sorted and duplicate-free");
+      }
+    }
     strategies.push_back(std::move(st));
   }
 
-  CID_ENSURE(p.next(line), "truncated input");
+  p.expect_line(line);
   line >> key;
   if (key != "end") p.fail("expected 'end'");
 
   return CongestionGame(std::move(latencies), std::move(strategies),
                         players);
+}
+
+}  // namespace
+
+CongestionGame parse_game(const std::string& text) {
+  LineParser p(text);
+  try {
+    return parse_game_lines(p);
+  } catch (const parse_error&) {
+    throw;
+  } catch (const invariant_violation& e) {
+    p.fail(e.what());
+  }
 }
 
 std::string serialize_state(const State& x) {
@@ -201,11 +241,11 @@ std::string serialize_state(const State& x) {
 State parse_state(const CongestionGame& game, const std::string& text) {
   LineParser p(text);
   std::istringstream line;
-  CID_ENSURE(p.next(line), "empty input");
+  p.expect_line(line);
   std::string magic, version;
   line >> magic >> version;
   if (magic != "cid-state" || version != "v1") p.fail("bad header");
-  CID_ENSURE(p.next(line), "truncated input");
+  p.expect_line(line);
   std::string key;
   line >> key;
   if (key != "counts") p.fail("expected 'counts'");

@@ -16,7 +16,12 @@
 //
 // Supported latency classes: constant, monomial, polynomial, exponential,
 // and scaled (wrapping any of the former). Parsing is strict: any
-// unrecognized or malformed line throws with a line number.
+// unrecognized or malformed line throws parse_error with a line number.
+// Parsing is also bounded, with the caps of the binary snapshot codec
+// (persist/codec.cpp): a strategy lists at most one of each resource, so
+// its length is checked against the resource count before anything is
+// allocated, scaled latencies nest at most 16 deep, and the elasticity
+// bound (which costs O(d) to build a game) is at most 2^20.
 #pragma once
 
 #include <iosfwd>
@@ -24,8 +29,25 @@
 
 #include "game/congestion_game.hpp"
 #include "game/state.hpp"
+#include "util/assert.hpp"
 
 namespace cid {
+
+/// A malformed cid-game or cid-state text: what() reads "parse error at
+/// line N: reason". An invariant_violation, like every other input check.
+class parse_error : public invariant_violation {
+ public:
+  parse_error(int line, const std::string& reason)
+      : invariant_violation("parse error at line " + std::to_string(line) +
+                            ": " + reason),
+        line_(line) {}
+
+  /// The 1-based line the parser was on.
+  int line() const noexcept { return line_; }
+
+ private:
+  int line_;
+};
 
 /// Serializes a game; inverse of parse_game. Throws for latency classes
 /// outside the supported set (e.g. user-defined subclasses).

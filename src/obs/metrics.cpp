@@ -13,6 +13,7 @@ std::vector<std::pair<std::string, std::int64_t>> engine_counters(
       {"engine.stop_checks", m.stop_checks},
       {"engine.rows_filled", m.rows_filled},
       {"engine.rows_pruned", m.rows_pruned},
+      {"engine.rows_replayed", m.rows_replayed},
       {"engine.ctx_refresh_ns", m.ctx_refresh_ns},
       {"engine.row_fill_ns", m.row_fill_ns},
       {"engine.draw_ns", m.draw_ns},

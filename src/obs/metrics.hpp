@@ -71,6 +71,9 @@ struct EngineMetrics {
   /// row_provably_zero (pruned rows skip fill AND draw, consuming no RNG).
   std::int64_t rows_filled = 0;
   std::int64_t rows_pruned = 0;
+  /// Support origins drawn from run_dynamics' quiet-round plan over a row
+  /// filled in an earlier round (pruned ones still count as rows_pruned).
+  std::int64_t rows_replayed = 0;
   // Phase wall time, steady-clock nanoseconds. The initial full cache
   // build of a run lands in the first round's row-fill phase;
   // ctx_refresh_ns meters the incremental refreshes.
@@ -85,6 +88,7 @@ struct EngineMetrics {
     stop_checks += other.stop_checks;
     rows_filled += other.rows_filled;
     rows_pruned += other.rows_pruned;
+    rows_replayed += other.rows_replayed;
     ctx_refresh_ns += other.ctx_refresh_ns;
     row_fill_ns += other.row_fill_ns;
     draw_ns += other.draw_ns;

@@ -158,6 +158,23 @@ std::int64_t parse_int_flag(const std::string& flag, std::string_view value,
   return parsed;
 }
 
+double parse_double_flag(const std::string& flag, std::string_view value,
+                         double min, double max) {
+  double parsed = 0.0;
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
+  if (end != last || ec != std::errc() || !std::isfinite(parsed)) {
+    throw UsageError(flag + " must be a number");
+  }
+  if (parsed < min) {
+    throw UsageError(flag + " must be >= " + obs::format_round_trip(min));
+  }
+  if (parsed > max) {
+    throw UsageError(flag + " must be <= " + obs::format_round_trip(max));
+  }
+  return parsed;
+}
+
 GridFlags::GridFlags() {
   grid.ns = parse_grid_axis("1000:100000:log");
   grid.protocols = parse_protocol_list("imitation");
@@ -214,7 +231,7 @@ bool parse_grid_flag(int argc, char** argv, int& i, GridFlags& flags) {
     }
     grid.scenario.params[kv.substr(0, eq)] = std::atof(kv.c_str() + eq + 1);
   } else if (flag == "--lambda") {
-    flags.lambda = std::atof(value().c_str());
+    flags.lambda = parse_double_flag(flag, value());
   } else {
     return false;
   }

@@ -259,6 +259,15 @@ std::int64_t parse_int_flag(
     const std::string& flag, std::string_view value, std::int64_t min,
     std::int64_t max = std::numeric_limits<std::int64_t>::max());
 
+/// Reads the value of a real-valued flag in [min, max] (strict like
+/// parse_int_flag: the whole value must be one finite decimal number, so
+/// "0.2.5", "0.2x", "nan" and "" are refused). Throws UsageError naming
+/// `flag`: "must be a number", "must be >= min" or "must be <= max".
+double parse_double_flag(
+    const std::string& flag, std::string_view value,
+    double min = std::numeric_limits<double>::lowest(),
+    double max = std::numeric_limits<double>::max());
+
 /// The grid flags cid_sweep and cid_serve share, so a coordinator and its
 /// workers cannot disagree on a grid fingerprint: --scenario --grid
 /// --protocols --trials --seed --rounds --check-interval --stop --engine

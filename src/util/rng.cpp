@@ -15,27 +15,9 @@ std::uint64_t SplitMix64::next() noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256pp::Xoshiro256pp(std::uint64_t seed) noexcept {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.next();
-}
-
-Xoshiro256pp::result_type Xoshiro256pp::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 void Xoshiro256pp::jump() noexcept {
@@ -63,11 +45,6 @@ void Xoshiro256pp::jump() noexcept {
 Rng Rng::split(std::uint64_t key) noexcept {
   SplitMix64 sm(next_u64() ^ (key * 0x9E3779B97F4A7C15ULL));
   return Rng(sm.next());
-}
-
-double Rng::uniform() noexcept {
-  // 53-bit mantissa path: uniform on [0, 1) with full double resolution.
-  return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t Rng::uniform_int(std::uint64_t bound) noexcept {
@@ -117,8 +94,13 @@ std::int64_t Rng::binomial_inversion(std::int64_t n, double p) {
   // uniform is drawn before anything else: below binomial_zero_bound it
   // is below f0 = P[X = 0] too, so the walk would return 0 — returning
   // early skips the pow() and consumes exactly the one draw the walk would.
-  double u = uniform();
+  const double u = uniform();
   if (u < binomial_zero_bound(n, p)) return 0;
+  return binomial_inversion_from(u, n, p);
+}
+
+std::int64_t Rng::binomial_inversion_from(double u, std::int64_t n,
+                                          double p) {
   const double q = 1.0 - p;
   const double s = p / q;
   const double f0 = std::pow(q, static_cast<double>(n));
@@ -190,9 +172,13 @@ void Rng::multinomial(std::int64_t n, std::span<const double> probs,
   CID_ENSURE(out.size() == probs.size(),
              "multinomial output span must match the probability count");
   std::fill(out.begin(), out.end(), std::int64_t{0});
-  double remaining = 1.0;
-  std::int64_t left = n;
-  for (std::size_t i = 0; i < probs.size() && left > 0; ++i) {
+  multinomial_tail(0, n, 1.0, probs, out);
+}
+
+void Rng::multinomial_tail(std::size_t start, std::int64_t left,
+                           double remaining, std::span<const double> probs,
+                           std::span<std::int64_t> out) {
+  for (std::size_t i = start; i < probs.size() && left > 0; ++i) {
     const double pi = probs[i];
     // Per-category argument check demoted to debug builds: this runs once
     // per (origin, destination) pair per round and the engines validate
@@ -206,6 +192,65 @@ void Rng::multinomial(std::int64_t n, std::span<const double> probs,
     left -= out[i];
     remaining -= pi;
   }
+}
+
+bool Rng::plan_zero_multinomial(std::int64_t n,
+                                std::span<const double> probs,
+                                std::vector<ZeroStep>& plan) {
+  // multinomial_tail(0, n, 1.0) while every count stays 0: `left` stays n,
+  // so each category calls binomial(n, cond) with the cond computed here.
+  const std::size_t planned = plan.size();
+  if (probs.size() > std::numeric_limits<std::uint32_t>::max()) return false;
+  double remaining = 1.0;
+  for (std::size_t i = 0; i < probs.size() && n > 0; ++i) {
+    const double pi = probs[i];
+    if (pi <= 0.0) continue;
+    const double cond =
+        remaining <= 0.0 ? 1.0 : std::min(1.0, pi / remaining);
+    remaining -= pi;
+    // binomial(n, cond)'s regimes, in its order: 0 draws nothing; above
+    // 1/2 (1 included) the symmetric path; n <= 32 the Bernoulli sum;
+    // mean < 12 the inversion; BTRS otherwise.
+    if (cond == 0.0) continue;
+    const bool bernoulli = n <= 32;
+    if (cond > 0.5 || (!bernoulli && static_cast<double>(n) * cond >= 12.0)) {
+      plan.resize(planned);
+      return false;
+    }
+    ZeroStep step;
+    step.lo = bernoulli ? cond : 0.0;
+    step.hi = bernoulli ? 1.0 : binomial_zero_bound(n, cond);
+    step.cond = cond;
+    step.remaining = remaining;
+    step.index = static_cast<std::uint32_t>(i);
+    step.draws = bernoulli ? static_cast<std::uint32_t>(n) : 1;
+    plan.push_back(step);
+  }
+  return true;
+}
+
+bool Rng::multinomial_planned(std::int64_t n, std::span<const double> probs,
+                              std::span<const ZeroStep> plan,
+                              std::span<std::int64_t> out) {
+  for (const ZeroStep& step : plan) {
+    for (std::uint32_t d = 0; d < step.draws; ++d) {
+      const double u = uniform();
+      if (u >= step.lo && u < step.hi) continue;
+      // The binomial left its zero outcome at this uniform: finish it from
+      // here. A Bernoulli sum has one success and n - d - 1 trials to go;
+      // the inversion walks from u and may still land on 0.
+      const std::int64_t k =
+          n <= 32 ? 1 + binomial(n - static_cast<std::int64_t>(d) - 1,
+                                 step.cond)
+                  : binomial_inversion_from(u, n, step.cond);
+      if (k == 0) continue;
+      std::fill(out.begin(), out.end(), std::int64_t{0});
+      out[step.index] = k;
+      multinomial_tail(step.index + 1, n - k, step.remaining, probs, out);
+      return true;
+    }
+  }
+  return false;
 }
 
 std::size_t Rng::categorical(std::span<const double> weights) {

@@ -13,6 +13,18 @@
 //     cheap lower bound on P[X = 0] (below), and returns 0 without the
 //     pow() when it is under it — same value, same draws as the full walk.
 //   * multinomial(n, probs): sequential conditional binomials.
+//   * multinomial_planned(n, probs, plan): the same draw against a plan
+//     (plan_zero_multinomial) of its all-zero outcome. Every uniform the
+//     all-zero outcome would consume is drawn in the same order and only
+//     compared with the precomputed zero interval of its binomial; the
+//     first uniform outside it is handed to that binomial's own sampler
+//     (the inversion walk, or the rest of the Bernoulli sum), and the
+//     remaining categories continue on the ordinary conditional path. Same
+//     counts, same draws — the round engine replays rounds that follow a
+//     round moving nobody this way (dynamics/engine_kernel.hpp).
+//
+// The generator step and uniform() are inline here: the engine's replayed
+// rounds are little more than a long run of uniform-and-compare.
 //
 // All samplers are exact (not approximations): the concurrent round law of
 // the aggregate engine must equal the per-player protocol law exactly, which
@@ -36,6 +48,20 @@ namespace cid {
 inline double binomial_zero_bound(std::int64_t n, double p) noexcept {
   return 1.0 - static_cast<double>(n) * (p + 0x1.0p-50) - 0x1.0p-45;
 }
+
+/// One positive category of a planned multinomial draw: the zero outcome
+/// of binomial(n, cond) as `draws` uniforms, each of which draws 0 iff it
+/// lies in [lo, hi). Inversion (n > 32): one uniform below
+/// binomial_zero_bound. Bernoulli sum (n <= 32): n uniforms, none below
+/// cond. `remaining` is the multinomial's leftover mass after the category.
+struct ZeroStep {
+  double lo = 0.0;
+  double hi = 0.0;
+  double cond = 0.0;
+  double remaining = 0.0;
+  std::uint32_t index = 0;
+  std::uint32_t draws = 0;
+};
 
 /// SplitMix64: used to expand a single 64-bit seed into generator state.
 /// (Public so seeding discipline is testable and reusable.)
@@ -61,7 +87,17 @@ class Xoshiro256pp {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// 2^128 jump: produces a generator whose stream is disjoint from the
   /// parent for 2^128 draws. Used to derive independent per-trial streams.
@@ -83,6 +119,10 @@ class Xoshiro256pp {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 
@@ -97,8 +137,10 @@ class Rng {
 
   std::uint64_t next_u64() noexcept { return gen_(); }
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): the top 53 bits of one generator step.
+  double uniform() noexcept {
+    return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound) using Lemire's multiply-shift rejection.
   /// Precondition: bound > 0.
@@ -123,6 +165,25 @@ class Rng {
   void multinomial(std::int64_t n, std::span<const double> probs,
                    std::span<std::int64_t> out);
 
+  /// Appends to `plan` one ZeroStep per positive category of
+  /// multinomial(n, probs), in draw order, assuming every binomial before
+  /// it drew 0. Returns false, leaving `plan` as it was, when some
+  /// category's zero outcome is not an interval of its uniforms: a
+  /// conditional probability above 1/2 (the symmetric path) or a mean of
+  /// at least 12 with n > 32 (BTRS), or when probs has 2^32 or more
+  /// entries. Such a draw goes through multinomial.
+  static bool plan_zero_multinomial(std::int64_t n,
+                                    std::span<const double> probs,
+                                    std::vector<ZeroStep>& plan);
+
+  /// multinomial(n, probs, out) drawn against `plan` (from
+  /// plan_zero_multinomial for the same n and probs): identical counts and
+  /// RNG consumption. Returns false when every count is 0, leaving `out`
+  /// untouched; otherwise writes all of `out` and returns true.
+  bool multinomial_planned(std::int64_t n, std::span<const double> probs,
+                           std::span<const ZeroStep> plan,
+                           std::span<std::int64_t> out);
+
   /// Uniform element index from non-empty weights (linear scan).
   std::size_t categorical(std::span<const double> weights);
 
@@ -138,6 +199,14 @@ class Rng {
 
  private:
   std::int64_t binomial_inversion(std::int64_t n, double p);
+  /// The inversion walk from an already drawn first uniform `u`.
+  std::int64_t binomial_inversion_from(double u, std::int64_t n, double p);
+  /// The conditional-binomial loop from category `start`, with `left`
+  /// trials and `remaining` mass still to distribute; out[start..] must be
+  /// 0. multinomial is tail(0, n, 1.0).
+  void multinomial_tail(std::size_t start, std::int64_t left,
+                        double remaining, std::span<const double> probs,
+                        std::span<std::int64_t> out);
   std::int64_t binomial_btrs(std::int64_t n, double p);
 
   Xoshiro256pp gen_;

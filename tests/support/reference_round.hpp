@@ -119,6 +119,7 @@ RoundResult draw_reference_per_player(const CongestionGame& game,
   std::vector<std::int64_t> tally(k, 0);
   for (StrategyId from : support) {
     const auto probs = outgoing_probabilities_reference(game, x, kernel, from);
+    cumulative.resize(probs.size());
     engine_detail::build_cumulative(probs, cumulative);
     std::fill(tally.begin(), tally.end(), std::int64_t{0});
     const std::int64_t cohort = x.count(from);

@@ -29,7 +29,11 @@
 //      (symmetric AND asymmetric snapshot codecs);
 //   5. thread level — RunOptions/DynamicsConfig::row_threads ∈ {1, 2, 4}
 //      produce byte-identical trials and RNG streams (the parallel row
-//      fills are pure; the draw phase is serial either way).
+//      fills are pure; the draw phase is serial either way);
+//   6. plan level — run_dynamics, which replays quiet rounds from its
+//      draw plan, matches a loop of full-path draw_round calls round by
+//      round (moves and RNG state), misses included, in both engine
+//      modes, serial and threaded, metered and not.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -731,6 +735,161 @@ TEST(EngineOracle, BatchedCheckpointKillResumeMatchesReferenceRun) {
   EXPECT_EQ(resumed, reference.outcome);
   EXPECT_GT(reference.outcome.rounds, 9.0);  // the resumed leg did real work
   std::remove(snap.c_str());
+}
+
+// ---- Quiet-round draw plan ---------------------------------------------------
+
+/// One run, round by round: the moves each draw produced and the RNG state
+/// right after it.
+struct RoundLog {
+  std::vector<std::vector<Migration>> moves;
+  std::vector<std::array<std::uint64_t, 4>> rng;
+  obs::EngineMetrics metrics;
+  /// Rounds that drew replayed rows and moved somebody: plan misses.
+  std::int64_t replayed_mover_rounds = 0;
+};
+
+/// run_dynamics, which replays quiet rounds from its draw plan; the
+/// observer sees each round right after its draw.
+template <typename Engine>
+RoundLog run_planned(const CongestionGame& game, State x, Rng rng,
+                     const Engine& engine, RunOptions options,
+                     bool metered) {
+  RoundLog log;
+  if (metered) options.metrics = &log.metrics;
+  std::int64_t replayed = 0;
+  const RoundObserver observer =
+      [&](const CongestionGame&, const State&,
+          std::span<const Migration> moves, std::int64_t, bool final) {
+        if (final) return;
+        log.moves.emplace_back(moves.begin(), moves.end());
+        log.rng.push_back(rng.state());
+        if (log.metrics.rows_replayed > replayed && !moves.empty()) {
+          ++log.replayed_mover_rounds;
+        }
+        replayed = log.metrics.rows_replayed;
+      };
+  run_dynamics(game, x, engine, rng,
+               {.options = options, .observer = observer});
+  return log;
+}
+
+/// The same rounds through the public draw_round, which never plans: every
+/// round refills its rows and redraws every conditional binomial.
+template <typename Engine>
+RoundLog run_full_path(const CongestionGame& game, State x, Rng rng,
+                       const Engine& engine, const RunOptions& options,
+                       bool metered) {
+  RoundLog log;
+  RoundWorkspace ws;
+  RoundResult rr;
+  for (std::int64_t round = 0; round < options.max_rounds; ++round) {
+    draw_round(game, x, engine, rng, options.mode, ws, rr,
+               options.row_threads, metered ? &log.metrics : nullptr);
+    log.moves.push_back(rr.moves);
+    log.rng.push_back(rng.state());
+    x.apply(game, rr.moves, ws.apply_scratch);
+    ws.ctx.refresh(ws.apply_scratch.touched);
+  }
+  return log;
+}
+
+/// Runs `engine` from (start, rng) with and without the plan in both engine
+/// modes, row_threads 1 and 4, metered and not, and requires identical
+/// moves and RNG states round by round. Metered, replayed plus filled rows
+/// must be the full path's filled rows. Adds the plan misses seen to
+/// `misses`.
+template <typename Engine>
+void expect_plan_is_full_path(const CongestionGame& game, const State& start,
+                              const Rng& rng, const Engine& engine,
+                              std::int64_t rounds, std::int64_t& misses) {
+  for (const EngineMode mode :
+       {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
+    for (const int row_threads : {1, 4}) {
+      for (const bool metered : {false, true}) {
+        SCOPED_TRACE(std::string(mode == EngineMode::kAggregate
+                                     ? "aggregate"
+                                     : "per-player") +
+                     " row_threads=" + std::to_string(row_threads) +
+                     (metered ? " metered" : ""));
+        RunOptions options;
+        options.max_rounds = rounds;
+        options.mode = mode;
+        options.row_threads = row_threads;
+        const RoundLog planned =
+            run_planned(game, start, rng, engine, options, metered);
+        const RoundLog full =
+            run_full_path(game, start, rng, engine, options, metered);
+        EXPECT_EQ(planned.moves.size(), static_cast<std::size_t>(rounds));
+        for (std::size_t r = 0; r < planned.moves.size(); ++r) {
+          ASSERT_EQ(planned.moves[r], full.moves[r]) << "round " << r;
+          ASSERT_EQ(planned.rng[r], full.rng[r]) << "round " << r;
+        }
+        if (!metered) continue;
+        EXPECT_GT(planned.metrics.rows_replayed, 0);
+        EXPECT_EQ(full.metrics.rows_replayed, 0);
+        EXPECT_EQ(planned.metrics.rows_filled + planned.metrics.rows_replayed,
+                  full.metrics.rows_filled);
+        EXPECT_EQ(planned.metrics.rows_pruned, full.metrics.rows_pruned);
+        misses += planned.replayed_mover_rounds;
+      }
+    }
+  }
+}
+
+TEST(EnginePlan, EngineBoundExplorationReplaysBitForBit) {
+  // The e2ebench engine-bound game: network-routing width 4, depth 3 (64
+  // paths) at n = 1e4, with the scenario's latency mix. Default
+  // exploration is quiet almost throughout; the faster variant (β
+  // overridden from ~3708 to 1 lifts the damping) mixes quiet stretches
+  // with misses.
+  const auto net = make_layered_network(4, 3);
+  Rng latency_rng(7);
+  std::vector<LatencyPtr> fns;
+  for (EdgeId e = 0; e < net.graph.num_edges(); ++e) {
+    const double a = 0.5 + latency_rng.uniform();
+    if (latency_rng.bernoulli(0.5)) {
+      fns.push_back(make_linear(a));
+    } else {
+      fns.push_back(make_monomial(0.05 * a, 2.0));
+    }
+  }
+  const auto game = make_network_game(net, std::move(fns), 10000);
+  ExplorationParams fast;
+  fast.beta_override = 1.0;
+  std::int64_t misses = 0;
+  for (const ExplorationParams& params : {ExplorationParams{}, fast}) {
+    const ExplorationProtocol protocol(params);
+    Rng rng(5);
+    const State start = State::uniform_random(game, rng);
+    expect_plan_is_full_path(game, start, rng, protocol, 400, misses);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(misses, 0);
+}
+
+TEST(EnginePlan, SingletonGameReplaysBitForBit) {
+  const auto game = make_monomial_fan_game(12, 1.0, 1.0, 5000);
+  std::int64_t misses = 0;
+  for (const auto& protocol : all_protocols()) {
+    SCOPED_TRACE(protocol->name());
+    Rng rng(23);
+    const State start = State::uniform_random(game, rng);
+    expect_plan_is_full_path(game, start, rng, *protocol, 300, misses);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(misses, 0);
+}
+
+TEST(EnginePlan, AsymmetricFlatGameReplaysBitForBit) {
+  const auto game = oracle_asymmetric_game();
+  const ClassImitationKernel kernel(game, AsymmetricImitationParams{});
+  Rng rng(64);
+  const State start =
+      game.flat_state(AsymmetricState::uniform_random(game, rng));
+  std::int64_t misses = 0;
+  expect_plan_is_full_path(game.flat(), start, rng, kernel, 300, misses);
+  EXPECT_GT(misses, 0);
 }
 
 }  // namespace

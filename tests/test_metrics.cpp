@@ -142,14 +142,16 @@ TEST(EngineMetrics, MergeSumsEveryField) {
   b.rounds = 2;
   b.draw_ns = 5;
   b.rows_filled = 4;
+  b.rows_replayed = 6;
   a.merge(b);
   EXPECT_EQ(a.rounds, 3);
   EXPECT_EQ(a.draw_ns, 15);
   EXPECT_EQ(a.rows_filled, 4);
+  EXPECT_EQ(a.rows_replayed, 6);
   // The (name, value) view covers every field exactly once, in
   // declaration order — the single naming authority all sinks share.
   const auto pairs = obs::engine_counters(a);
-  ASSERT_EQ(pairs.size(), 9u);
+  ASSERT_EQ(pairs.size(), 10u);
   EXPECT_EQ(pairs.front().first, "engine.rounds");
   EXPECT_EQ(pairs.front().second, 3);
   EXPECT_EQ(pairs.back().first, "engine.stop_check_ns");

@@ -268,6 +268,83 @@ TEST(BinomialSqueeze, LowerBoundNeverExceedsTheZeroProbability) {
   EXPECT_GT(checked, 1'000'000);
 }
 
+TEST(MultinomialPlanned, SameCountsAndDrawsAsMultinomial) {
+  // Random rows over cohorts on both sides of the Bernoulli cut (n <= 32)
+  // and masses from tiny to BTRS-sized: a planned draw must equal
+  // multinomial's counts and stream position draw for draw, including
+  // misses that move somebody and inversion misses that still land on 0.
+  Rng rows(2024);
+  std::int64_t planned = 0;
+  std::int64_t refused = 0;
+  std::int64_t moved = 0;
+  for (std::uint64_t row = 0; row < 1500; ++row) {
+    const auto n = static_cast<std::int64_t>(1 + rows.uniform_int(300));
+    const std::size_t k = 2 + rows.uniform_int(20);
+    const double scale = std::pow(10.0, -4.0 * rows.uniform());
+    std::vector<double> probs(k, 0.0);
+    for (double& p : probs) {
+      if (rows.bernoulli(0.8)) {
+        p = scale * rows.uniform() / static_cast<double>(k);
+      }
+    }
+    std::vector<ZeroStep> plan(1);  // a caller's earlier steps stay put
+    if (!Rng::plan_zero_multinomial(n, probs, plan)) {
+      ++refused;
+      EXPECT_EQ(plan.size(), 1u);
+      continue;
+    }
+    ++planned;
+    const std::span<const ZeroStep> steps(plan.data() + 1, plan.size() - 1);
+    Rng reference(row);
+    Rng replay(row);
+    std::vector<std::int64_t> expected(k);
+    std::vector<std::int64_t> counts(k);
+    for (int draw = 0; draw < 40; ++draw) {
+      reference.multinomial(n, probs, expected);
+      std::fill(counts.begin(), counts.end(), std::int64_t{-1});
+      if (replay.multinomial_planned(n, probs, steps, counts)) {
+        ++moved;
+        ASSERT_EQ(counts, expected) << "row " << row << " draw " << draw;
+      } else {
+        ASSERT_EQ(std::count(expected.begin(), expected.end(), 0),
+                  static_cast<std::ptrdiff_t>(k))
+            << "row " << row << " draw " << draw;
+        ASSERT_EQ(std::count(counts.begin(), counts.end(), -1),
+                  static_cast<std::ptrdiff_t>(k));  // left untouched
+      }
+      ASSERT_EQ(replay.state(), reference.state())
+          << "row " << row << " draw " << draw;
+    }
+  }
+  EXPECT_GT(planned, 500);
+  EXPECT_GT(refused, 50);
+  EXPECT_GT(moved, 1000);
+}
+
+TEST(MultinomialPlanned, PlansOnlyThresholdZeroOutcomes) {
+  std::vector<ZeroStep> plan;
+  // BTRS (n > 32, mean >= 12) and the symmetric path (cond > 1/2).
+  EXPECT_FALSE(Rng::plan_zero_multinomial(1000, std::vector{0.02}, plan));
+  EXPECT_FALSE(Rng::plan_zero_multinomial(10, std::vector{0.3, 0.7}, plan));
+  EXPECT_TRUE(plan.empty());
+  // n <= 32: n Bernoulli uniforms per category, none below cond; the
+  // second category's cond is 0.2 / (1 - 0.3).
+  ASSERT_TRUE(Rng::plan_zero_multinomial(5, std::vector{0.3, 0.0, 0.2}, plan));
+  ASSERT_EQ(plan.size(), 2u);
+  EXPECT_EQ(plan[0].index, 0u);
+  EXPECT_EQ(plan[0].draws, 5u);
+  EXPECT_EQ(plan[0].lo, 0.3);
+  EXPECT_EQ(plan[1].index, 2u);
+  EXPECT_EQ(plan[1].cond, 0.2 / (1.0 - 0.3));
+  EXPECT_EQ(plan[1].remaining, 1.0 - 0.3 - 0.2);
+  // n > 32: one uniform per category, below binomial_zero_bound.
+  plan.clear();
+  ASSERT_TRUE(Rng::plan_zero_multinomial(100, std::vector{0.01}, plan));
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan[0].draws, 1u);
+  EXPECT_EQ(plan[0].hi, binomial_zero_bound(100, 0.01));
+}
+
 TEST(Rng, CategoricalRespectsWeights) {
   Rng rng(7);
   const std::vector<double> weights{1.0, 0.0, 3.0};

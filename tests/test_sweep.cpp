@@ -278,6 +278,26 @@ TEST(SweepGridFlags, ParsesEverySharedFlag) {
   EXPECT_THROW(parse_grid_flags({"--threads", "2"}), std::logic_error);
 }
 
+TEST(SweepGridFlags, DoubleFlagsAreStrictAndBounded) {
+  const auto error = [](std::string_view value, double min, double max) {
+    try {
+      parse_double_flag("--x", value, min, max);
+    } catch (const UsageError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(parse_double_flag("--x", "0.25"), 0.25);
+  EXPECT_EQ(parse_double_flag("--x", "-3e2"), -300.0);
+  EXPECT_EQ(error("1.5", 0.0, 2.0), "accepted");
+  EXPECT_EQ(error("2.5", 0.0, 2.0), "--x must be <= 2");
+  EXPECT_EQ(error("-0.5", 0.0, 2.0), "--x must be >= 0");
+  for (const char* bad : {"0.2.5", "1,5", " 1", "1 ", "inf", "-inf", "nan",
+                          "1e999", "0x1p3", ""}) {
+    EXPECT_EQ(error(bad, -10.0, 10.0), "--x must be a number") << bad;
+  }
+}
+
 TEST(SweepGridFlags, RejectsOutOfRangeAndMalformedValues) {
   const std::vector<std::string> base = {"--scenario", "load-balancing"};
   const auto with = [&](std::vector<std::string> extra) {
@@ -303,6 +323,13 @@ TEST(SweepGridFlags, RejectsOutOfRangeAndMalformedValues) {
   EXPECT_EQ(with({"--seed", "0", "--rounds", "0"}), "accepted");
   EXPECT_EQ(with({"--lambda", "0"}), "lambda out of (0,1]");
   EXPECT_EQ(with({"--lambda", "1.5"}), "lambda out of (0,1]");
+  // So are real-valued ones: a second dot or trailing junk is refused,
+  // not read up to where it stops parsing.
+  EXPECT_EQ(with({"--lambda", "0.2.5"}), "--lambda must be a number");
+  EXPECT_EQ(with({"--lambda", "0.2x"}), "--lambda must be a number");
+  EXPECT_EQ(with({"--lambda", ""}), "--lambda must be a number");
+  EXPECT_EQ(with({"--lambda", "nan"}), "--lambda must be a number");
+  EXPECT_EQ(with({"--lambda", "1e-1"}), "accepted");
   EXPECT_EQ(with({"--stop", "sometimes"}), "unknown stop condition");
   EXPECT_EQ(with({"--stop", "deltaeps:0.1"}), "expected --stop deltaeps:D,E");
   EXPECT_EQ(with({"--stop", "deltaeps:0.1,0.1junk"}),

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "cid/cid.hpp"
@@ -43,19 +44,34 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) usage("missing value for flag");
     return argv[++i];
   };
-  for (int i = 1; i < argc; ++i) {
+  // Numeric values are strict: "1e5" or "8x" is a usage error, never a
+  // silently truncated number.
+  constexpr std::int64_t kIntMax = std::numeric_limits<std::int32_t>::max();
+  auto count = [&](int& i) {
     const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") usage(nullptr);
-    else if (flag == "--family") family = need_value(i);
-    else if (flag == "--out") out = need_value(i);
-    else if (flag == "--players") players = std::atoll(need_value(i));
-    else if (flag == "--links") links = std::atoi(need_value(i));
-    else if (flag == "--degree") degree = std::atof(need_value(i));
-    else if (flag == "--width") width = std::atoi(need_value(i));
-    else if (flag == "--depth") depth = std::atoi(need_value(i));
-    else if (flag == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
-    } else usage(("unknown flag: " + flag).c_str());
+    return static_cast<std::int32_t>(
+        sweep::parse_int_flag(flag, need_value(i), 1, kIntMax));
+  };
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      if (flag == "--help" || flag == "-h") usage(nullptr);
+      else if (flag == "--family") family = need_value(i);
+      else if (flag == "--out") out = need_value(i);
+      else if (flag == "--players") {
+        players = sweep::parse_int_flag(flag, need_value(i), 1);
+      } else if (flag == "--links") links = count(i);
+      else if (flag == "--degree") {
+        degree = sweep::parse_double_flag(flag, need_value(i), 0.0);
+      } else if (flag == "--width") width = count(i);
+      else if (flag == "--depth") depth = count(i);
+      else if (flag == "--seed") {
+        seed = static_cast<std::uint64_t>(
+            sweep::parse_int_flag(flag, need_value(i), 0));
+      } else usage(("unknown flag: " + flag).c_str());
+    }
+  } catch (const sweep::UsageError& e) {
+    usage(e.what());
   }
   if (family.empty()) usage("--family is required");
   if (out.empty()) usage("--out is required");

@@ -153,7 +153,9 @@ Options parse_args(int argc, char** argv) {
     if (flag == "--help" || flag == "-h") usage(nullptr);
     else if (flag == "--game") opt.game_path = need_value(i);
     else if (flag == "--protocol") opt.protocol = need_value(i);
-    else if (flag == "--lambda") opt.lambda = std::atof(need_value(i));
+    else if (flag == "--lambda") {
+      opt.lambda = sweep::parse_double_flag(flag, need_value(i));
+    }
     else if (flag == "--no-nu") opt.no_nu = true;
     else if (flag == "--no-damping") opt.no_damping = true;
     else if (flag == "--virtual") opt.virtual_agents = int_value(i, 0);

@@ -519,7 +519,8 @@ int main(int argc, char** argv) {
               .num("latency_evals", stats.latency_evals)
               .num("ran_rounds", stats.ran_rounds)
               .num("engine_rows_filled", stats.engine.rows_filled)
-              .num("engine_rows_pruned", stats.engine.rows_pruned);
+              .num("engine_rows_pruned", stats.engine.rows_pruned)
+              .num("engine_rows_replayed", stats.engine.rows_replayed);
           sink->write_line(std::move(record));
         }
         sink->write(registry.snapshot());
