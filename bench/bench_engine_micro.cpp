@@ -185,8 +185,7 @@ CellResult run_stopcheck_cell(const CongestionGame& game,
                       {.options = options, .stop = stop});
   } else {
     const CachedStopPredicate stop = [scratch = ExpostTable()](
-                                         const LatencyContext& ctx,
-                                         std::int64_t) mutable {
+                                         const LatencyContext& ctx) mutable {
       return !(imitation_gap(ctx, scratch) > 0.0);
     };
     rr = run_dynamics(game, x, protocol, rng,

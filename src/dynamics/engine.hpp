@@ -42,16 +42,19 @@
 // run_dynamics also REPLAYS QUIET ROUNDS. After a round that moved nobody,
 // the next round sees the same state, cache, prune verdicts and rows; only
 // its uniforms differ. That round fills its rows through the two-phase
-// path and keeps them in the workspace as a draw plan: per aggregate
-// origin the zero outcome of each conditional binomial as an interval of
-// its uniforms (Rng::plan_zero_multinomial), per per-player origin its
-// cumulative row. Every following round draws the same uniforms in the
-// same order and only compares them (Rng::multinomial_planned; the
-// per-player stay bucket), handing the first uniform outside its interval
-// to the binomial's own sampler — no support scan, no row fill, the same
-// bits. Invalidation: any round that is not quiet (its predecessor moved
-// somebody, or the caller is not run_dynamics) drops the plan, so the
-// public draw_round never replays; stop predicates are still evaluated.
+// path and keeps them in the workspace. If it moves nobody either, the
+// next round builds a draw plan from them: per aggregate origin the zero
+// outcome of each conditional binomial as an interval of its uniforms
+// (Rng::plan_zero_multinomial), flattened over the whole round to one
+// integer bound per uniform, and per per-player origin its cumulative
+// row. That round and every following quiet one draw the same uniforms in
+// the same order and only compare them (Rng::scan_zero; the per-player
+// stay bucket), handing the first uniform outside its interval to the
+// binomial's own sampler (Rng::multinomial_planned) — no support scan, no
+// row fill, the same bits. Invalidation: any round that is not quiet (its
+// predecessor moved somebody, or the caller is not run_dynamics) drops the
+// plan, so the public draw_round never replays. A cached stop predicate's
+// false verdict is reused while nobody moves (CachedStopPredicate).
 //
 // Every kernel consumes the RNG stream identically to the per-pair
 // reference oracle (Protocol::move_probability, driven round by round by
@@ -106,7 +109,8 @@ struct RoundWorkspace {
   std::vector<double> cumulative;
   std::vector<std::int64_t> counts;
   ApplyScratch apply_scratch;
-  /// Two-phase rounds only (row_threads > 1, metrics or trace): one row
+  /// Two-phase rounds only (row_threads > 1, metrics, trace, or a quiet
+  /// round of run_dynamics, which keeps them for the plan): one row
   /// per support entry, each over its own block at its own offset in
   /// `rows`, so the parallel fill phase writes disjoint slices, plus the
   /// per-origin prune verdicts.
@@ -118,25 +122,45 @@ struct RoundWorkspace {
   std::vector<RowJob> jobs;
   std::vector<double> rows;
   std::vector<char> skip;
-  /// run_dynamics' draw plan for quiet rounds (engine_kernel.hpp): laid
-  /// over the two-phase rows above by a round whose predecessor moved
-  /// nobody, and replayed by every following round until one moves
-  /// somebody. Other callers never arm it.
+  /// run_dynamics' draw plan for quiet rounds (engine_kernel.hpp). A round
+  /// whose predecessor moved nobody fills its rows through the two-phase
+  /// path above and arms the plan; if it moves nobody too, the next round
+  /// replays those rows, and every following one until a round moves
+  /// somebody. The plan is built lazily, on the first replayed round: most
+  /// armed plans never replay (their round moves somebody). Other callers
+  /// never arm it.
   struct DrawPlan {
-    /// Aggregate mode, per support entry: its zero steps are
-    /// steps[first, end); a `full` origin redraws its row through
-    /// Rng::multinomial (Rng::plan_zero_multinomial refused it).
-    struct Origin {
-      std::size_t first = 0;
-      std::size_t end = 0;
-      bool full = false;
+    /// Aggregate mode: the zero outcome of every drawn origin's
+    /// multinomial (Rng::plan_zero_multinomial), flattened to one bound per
+    /// uniform in draw order — support order, then category, then draw.
+    /// The replay scans `bounds` alone (Rng::scan_zero).
+    std::vector<ZeroBound> bounds;
+    /// Read only on a miss: bounds[e] is draw `draw` of steps[step], in
+    /// the multinomial of support entry `origin`.
+    struct Locator {
+      std::uint32_t origin = 0;
+      std::uint32_t step = 0;
+      std::uint32_t draw = 0;
     };
-    std::vector<Origin> origins;
+    std::vector<Locator> at;
     std::vector<ZeroStep> steps;
+    /// Per support entry: one past its last bound, where the scan resumes
+    /// once the origin moved somebody.
+    std::vector<std::size_t> ends;
+    /// Origins plan_zero_multinomial refused, in support order: each
+    /// redraws its row through Rng::multinomial when the scan reaches
+    /// bounds[first].
+    struct Full {
+      std::size_t first = 0;
+      std::uint32_t origin = 0;
+    };
+    std::vector<Full> full;
+    std::int64_t pruned = 0;  // origins whose row was pruned (no draws)
     /// Per-player mode: each support entry's cumulative row, at its job's
     /// offset.
     std::vector<double> cumulative;
-    bool armed = false;
+    bool armed = false;  // the two-phase rows describe the current (x, ctx)
+    bool built = false;  // the fields above describe those rows
   };
   DrawPlan plan;
   bool ready = false;  // ctx reflects the caller's current (game, x)
@@ -237,9 +261,11 @@ using StopPredicate = std::function<bool(const CongestionGame&,
 /// Cache-backed stop predicate: receives the run's own LatencyContext,
 /// already consistent with the current state, so equilibrium checks
 /// (dynamics/equilibrium.hpp cached overloads) reuse the round kernel's
-/// ℓ_P/ℓ_e tables instead of recomputing every latency per check.
-using CachedStopPredicate =
-    std::function<bool(const LatencyContext&, std::int64_t round)>;
+/// ℓ_P/ℓ_e tables instead of recomputing every latency per check. Its
+/// verdict must be a function of the context alone (hence no round
+/// argument): run_dynamics reuses a false verdict, without calling the
+/// predicate, for every later check until a round moves somebody.
+using CachedStopPredicate = std::function<bool(const LatencyContext&)>;
 
 /// One complete run_dynamics call, as data: options plus the (optional)
 /// stop predicate — at most one of `stop` / `cached_stop` may be non-empty;

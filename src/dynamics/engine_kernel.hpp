@@ -18,9 +18,10 @@
 //         | ClassImitationKernel
 //
 // run_dynamics<K> passes each round whether its predecessor moved nobody;
-// such a quiet round draws from the workspace's draw plan
-// (engine_detail::draw_round: record_plan, draw_planned), while the
-// public draw_round<K> always takes the full path (see engine.hpp).
+// such a quiet round keeps its rows and the next one replays them from the
+// workspace's draw plan (engine_detail::draw_round: build_plan,
+// draw_scanned), while the public draw_round<K> always takes the full path
+// (see engine.hpp).
 //
 // One engine serves every concurrent family: the symmetric protocols run
 // on their game, and class-local imitation (ClassImitationKernel) runs on
@@ -43,6 +44,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -244,11 +246,14 @@ inline std::span<const double> job_row(const RoundWorkspace& ws,
   return {ws.rows.data() + ws.jobs[i].offset, ws.jobs[i].block.size()};
 }
 
+/// `keep` routes the round through the two-phase fill whatever
+/// row_threads, metrics and trace say, so its rows stay in ws.rows for a
+/// replay (ws.plan).
 template <ProtocolKernel K>
 void draw_aggregate(const CongestionGame& game, const State& x,
                     const K& kernel, Rng& rng, RoundWorkspace& ws,
                     RoundResult& out, int row_threads,
-                    obs::EngineMetrics* metrics, bool trace) {
+                    obs::EngineMetrics* metrics, bool trace, bool keep) {
   // Support/improvement pruning: origins whose whole row is provably zero
   // are skipped outright — no row fill, no conditional binomials, and no
   // RNG consumed (Rng::multinomial draws nothing for zero categories, so
@@ -260,7 +265,7 @@ void draw_aggregate(const CongestionGame& game, const State& x,
     rng.multinomial(x.count(from), row, counts);
     emit_counts(from, block, counts, out);
   };
-  if (row_threads <= 1 && metrics == nullptr && !trace) {
+  if (row_threads <= 1 && metrics == nullptr && !trace && !keep) {
     ExpostTable& table = serial_table(ws);
     RowBlock block;
     RowBounds bounds;
@@ -313,7 +318,7 @@ template <ProtocolKernel K>
 void draw_per_player(const CongestionGame& game, const State& x,
                      const K& kernel, Rng& rng, RoundWorkspace& ws,
                      RoundResult& out, int row_threads,
-                     obs::EngineMetrics* metrics, bool trace) {
+                     obs::EngineMetrics* metrics, bool trace, bool keep) {
   // No pruning here: every player consumes one uniform whether or not its
   // row is zero, so a skipped origin would shift the RNG stream.
   const auto emit = [&](StrategyId from, RowBlock block,
@@ -323,7 +328,7 @@ void draw_per_player(const CongestionGame& game, const State& x,
     draw_players(x, from, block, cumulative, rng,
                  {ws.counts.data(), row.size()}, out);
   };
-  if (row_threads <= 1 && metrics == nullptr && !trace) {
+  if (row_threads <= 1 && metrics == nullptr && !trace && !keep) {
     ExpostTable& table = serial_table(ws);
     for (StrategyId from : ws.support) {
       const RowBlock block = kernel.row_block(game, from);
@@ -350,12 +355,15 @@ void draw_per_player(const CongestionGame& game, const State& x,
   }
 }
 
-/// Lays the draw plan over the rows fill_rows_parallel just wrote: per
-/// aggregate origin the zero steps of its multinomial (x_P trials over its
-/// row), per per-player origin its cumulative row.
-inline void record_plan(const State& x, EngineMode mode, RoundWorkspace& ws) {
+/// Builds the draw plan over the rows a quiet round kept: per aggregate
+/// origin the zero steps of its multinomial (x_P trials over its row),
+/// flattened to one bound per uniform, and per per-player origin its
+/// cumulative row.
+inline void build_plan(const State& x, EngineMode mode, RoundWorkspace& ws) {
   RoundWorkspace::DrawPlan& plan = ws.plan;
   const std::size_t s = ws.support.size();
+  plan.built = true;
+  plan.pruned = 0;
   if (mode == EngineMode::kPerPlayer) {
     plan.cumulative.resize(ws.rows.size());
     for (std::size_t i = 0; i < s; ++i) {
@@ -363,66 +371,117 @@ inline void record_plan(const State& x, EngineMode mode, RoundWorkspace& ws) {
       build_cumulative(row, {plan.cumulative.data() + ws.jobs[i].offset,
                              row.size()});
     }
-  } else {
-    plan.origins.resize(s);
-    plan.steps.clear();
-    for (std::size_t i = 0; i < s; ++i) {
-      if (ws.skip[i] != 0) continue;
-      RoundWorkspace::DrawPlan::Origin& origin = plan.origins[i];
-      origin.first = plan.steps.size();
-      origin.full = !Rng::plan_zero_multinomial(x.count(ws.support[i]),
-                                                job_row(ws, i), plan.steps);
-      origin.end = plan.steps.size();
-    }
+    return;
   }
-  plan.armed = true;
+  plan.bounds.clear();
+  plan.at.clear();
+  plan.steps.clear();
+  plan.full.clear();
+  plan.ends.resize(s);
+  for (std::size_t i = 0; i < s; ++i) {
+    const auto origin = static_cast<std::uint32_t>(i);
+    if (ws.skip[i] != 0) {
+      ++plan.pruned;
+    } else {
+      const std::size_t first = plan.steps.size();
+      if (!Rng::plan_zero_multinomial(x.count(ws.support[i]), job_row(ws, i),
+                                      plan.steps)) {
+        plan.full.push_back({plan.bounds.size(), origin});
+      }
+      for (std::size_t st = first; st < plan.steps.size(); ++st) {
+        for (std::uint32_t d = 0; d < plan.steps[st].draws; ++d) {
+          plan.bounds.push_back(plan.steps[st].bound);
+          plan.at.push_back({origin, static_cast<std::uint32_t>(st), d});
+        }
+      }
+    }
+    plan.ends[i] = plan.bounds.size();
+  }
+  CID_ENSURE(plan.bounds.size() <= std::numeric_limits<std::uint32_t>::max(),
+             "draw plan exceeds 2^32 uniforms");
 }
 
-/// The draw phase of a planned round, serial in support order over the
-/// plan's rows whatever row_threads, metrics and trace say. Each aggregate
-/// origin draws through Rng::multinomial_planned — the same counts and
-/// uniforms as Rng::multinomial, but a quiet origin only compares them.
-/// Returns the number of pruned origins.
-inline std::int64_t draw_planned(const State& x, EngineMode mode, Rng& rng,
-                                 RoundWorkspace& ws, RoundResult& out) {
+/// The aggregate draw of a replayed round: one scan over the plan's bounds
+/// in draw order. A miss finishes its origin's multinomial through
+/// Rng::multinomial_planned and, when that moved somebody, resumes the
+/// scan at the next origin's bounds; a `full` origin redraws its row
+/// through Rng::multinomial where the scan reaches it. The same counts and
+/// uniforms as drawing every row through Rng::multinomial.
+inline void draw_scanned(const State& x, Rng& rng, RoundWorkspace& ws,
+                         RoundResult& out) {
   const RoundWorkspace::DrawPlan& plan = ws.plan;
-  std::int64_t pruned = 0;
-  for (std::size_t i = 0; i < ws.support.size(); ++i) {
+  const std::span<const ZeroBound> bounds(plan.bounds);
+  auto full = plan.full.begin();
+  std::size_t e = 0;
+  for (;;) {
+    const std::size_t stop =
+        full != plan.full.end() ? full->first : bounds.size();
+    double u = 0.0;
+    e = rng.scan_zero(bounds.first(stop), e, u);
+    const bool refused = e == stop;
+    if (refused && full == plan.full.end()) return;
+    const std::size_t i = refused ? full++->origin : plan.at[e].origin;
     const StrategyId from = ws.support[i];
-    const RoundWorkspace::RowJob& job = ws.jobs[i];
-    const std::span<std::int64_t> counts{ws.counts.data(), job.block.size()};
-    if (mode == EngineMode::kPerPlayer) {
-      draw_players(x, from, job.block,
-                   {plan.cumulative.data() + job.offset, job.block.size()},
-                   rng, counts, out);
-      continue;
+    const RowBlock block = ws.jobs[i].block;
+    const std::span<std::int64_t> counts{ws.counts.data(), block.size()};
+    if (refused) {
+      rng.multinomial(x.count(from), job_row(ws, i), counts);
+    } else {
+      const RoundWorkspace::DrawPlan::Locator& at = plan.at[e];
+      if (!rng.multinomial_planned(x.count(from), job_row(ws, i),
+                                   plan.steps[at.step], at.draw, u, counts)) {
+        ++e;
+        continue;
+      }
+      e = plan.ends[i];
     }
-    if (ws.skip[i] != 0) {
-      ++pruned;
-      continue;
-    }
-    const RoundWorkspace::DrawPlan::Origin& origin = plan.origins[i];
-    const std::span<const double> row = job_row(ws, i);
-    if (origin.full) {
-      rng.multinomial(x.count(from), row, counts);
-    } else if (!rng.multinomial_planned(
-                   x.count(from), row,
-                   {plan.steps.data() + origin.first, origin.end - origin.first},
-                   counts)) {
-      continue;
-    }
-    emit_counts(from, job.block, counts, out);
+    emit_counts(from, block, counts, out);
   }
-  return pruned;
+}
+
+/// A replayed round: builds the plan on the first replay, then draws
+/// serially in support order over the kept rows whatever row_threads,
+/// metrics and trace say — per-player origins against their cumulative
+/// rows, aggregate ones through draw_scanned.
+inline void draw_replayed(const State& x, EngineMode mode, Rng& rng,
+                          RoundWorkspace& ws, RoundResult& out,
+                          obs::EngineMetrics* metrics, bool trace) {
+  const RoundWorkspace::DrawPlan& plan = ws.plan;
+  const std::int64_t build_start = metrics != nullptr ? obs::now_ns() : 0;
+  if (!plan.built) {
+    obs::TraceSpan fill_span(trace ? "engine.row_fill" : nullptr);
+    build_plan(x, mode, ws);
+  }
+  const std::int64_t draw_start = metrics != nullptr ? obs::now_ns() : 0;
+  {
+    obs::TraceSpan draw_span(trace ? "engine.draw" : nullptr);
+    if (mode == EngineMode::kAggregate) {
+      draw_scanned(x, rng, ws, out);
+    } else {
+      for (std::size_t i = 0; i < ws.support.size(); ++i) {
+        const RoundWorkspace::RowJob& job = ws.jobs[i];
+        draw_players(x, ws.support[i], job.block,
+                     {plan.cumulative.data() + job.offset, job.block.size()},
+                     rng, {ws.counts.data(), job.block.size()}, out);
+      }
+    }
+  }
+  if (metrics != nullptr) {
+    metrics->row_fill_ns += draw_start - build_start;
+    metrics->draw_ns += obs::now_ns() - draw_start;
+    metrics->rows_pruned += plan.pruned;
+    metrics->rows_replayed +=
+        static_cast<std::int64_t>(ws.support.size()) - plan.pruned;
+  }
 }
 
 /// The engine's round. `quiet` says that x and ws.ctx are exactly what the
 /// previous round on ws drew against, and that it moved nobody; only
 /// run_dynamics, which owns ws from round to round, can say so. A quiet
-/// round draws from the plan: it records one through the two-phase fill
-/// if none is armed, and otherwise replays the armed one with no support
-/// scan and no row fill. A round that is not quiet drops the plan, so an
-/// armed plan always describes the current (x, ctx).
+/// round with the plan armed replays it (draw_replayed), with no support
+/// scan and no row fill; one without fills its rows through the two-phase
+/// path, keeps them and arms the plan. A round that is not quiet disarms
+/// it, so an armed plan always describes the current (x, ctx).
 template <ProtocolKernel K>
 void draw_round(const CongestionGame& game, const State& x, const K& kernel,
                 Rng& rng, EngineMode mode, RoundWorkspace& ws,
@@ -430,9 +489,11 @@ void draw_round(const CongestionGame& game, const State& x, const K& kernel,
                 obs::EngineMetrics* metrics, bool trace, bool quiet) {
   out.moves.clear();
   out.movers = 0;
-  if (!quiet) ws.plan.armed = false;
-  const bool replay = ws.plan.armed;
-  if (!replay) {
+  if (quiet && ws.plan.armed) {
+    draw_replayed(x, mode, rng, ws, out, metrics, trace);
+    return;
+  }
+  {
     // A cold workspace rebuilds the full latency cache here, so that cost
     // lands in the first round's row-fill phase; steady-state prepare()
     // calls only resize-to-fit (no-ops) and recompute the support list.
@@ -440,40 +501,19 @@ void draw_round(const CongestionGame& game, const State& x, const K& kernel,
                                                   : nullptr);
     prepare(game, x, ws);
   }
-  if (!quiet) {
-    switch (mode) {
-      case EngineMode::kAggregate:
-        draw_aggregate(game, x, kernel, rng, ws, out, row_threads, metrics,
-                       trace);
-        return;
-      case EngineMode::kPerPlayer:
-        draw_per_player(game, x, kernel, rng, ws, out, row_threads, metrics,
-                        trace);
-        return;
-    }
-    CID_ENSURE(false, "unreachable engine mode");
+  ws.plan.armed = quiet;
+  ws.plan.built = false;
+  switch (mode) {
+    case EngineMode::kAggregate:
+      draw_aggregate(game, x, kernel, rng, ws, out, row_threads, metrics,
+                     trace, /*keep=*/quiet);
+      return;
+    case EngineMode::kPerPlayer:
+      draw_per_player(game, x, kernel, rng, ws, out, row_threads, metrics,
+                      trace, /*keep=*/quiet);
+      return;
   }
-  const std::int64_t fill_start = metrics != nullptr ? obs::now_ns() : 0;
-  if (!replay) {
-    obs::TraceSpan fill_span(trace ? "engine.row_fill" : nullptr);
-    fill_rows_parallel(game, x, kernel, ws,
-                       /*prune=*/mode == EngineMode::kAggregate, row_threads);
-    record_plan(x, mode, ws);
-  }
-  const std::int64_t draw_start = metrics != nullptr ? obs::now_ns() : 0;
-  std::int64_t pruned = 0;
-  {
-    obs::TraceSpan draw_span(trace ? "engine.draw" : nullptr);
-    pruned = draw_planned(x, mode, rng, ws, out);
-  }
-  if (metrics != nullptr) {
-    metrics->row_fill_ns += draw_start - fill_start;
-    metrics->draw_ns += obs::now_ns() - draw_start;
-    metrics->rows_pruned += pruned;
-    const std::int64_t drawn =
-        static_cast<std::int64_t>(ws.support.size()) - pruned;
-    (replay ? metrics->rows_replayed : metrics->rows_filled) += drawn;
-  }
+  CID_ENSURE(false, "unreachable engine mode");
 }
 
 }  // namespace engine_detail
@@ -520,13 +560,19 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
   result.rounds = options.start_round;
   const bool has_stop = static_cast<bool>(call.stop) ||
                         static_cast<bool>(call.cached_stop);
+  // The cached predicate returned false and nobody has moved since, so
+  // ws.ctx is what it saw: the verdict stands without another call.
+  bool still_false = false;
   const auto stop_check = [&](bool trace) {
     obs::PhaseTimer stop_timer(m != nullptr ? &m->stop_check_ns : nullptr);
     obs::TraceSpan stop_span(trace ? "engine.stop_check" : nullptr);
     if (m != nullptr) ++m->stop_checks;
     if (call.cached_stop) {
-      engine_detail::warm(game, x, ws);
-      return call.cached_stop(ws.ctx, result.rounds);
+      if (!still_false) {
+        engine_detail::warm(game, x, ws);
+        still_false = !call.cached_stop(ws.ctx);
+      }
+      return !still_false;
     }
     return call.stop(game, x, result.rounds);
   };
@@ -561,6 +607,7 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
     }
     result.total_movers += rr.movers;
     quiet = rr.movers == 0;
+    still_false = still_false && quiet;
     if (m != nullptr) ++m->rounds;
   }
   if (!result.converged && has_stop && stop_check(obs::trace_enabled())) {

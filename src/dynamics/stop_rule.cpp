@@ -70,30 +70,27 @@ std::string format_stop(const StopSpec& spec) {
 
 StopPredicate make_stop(const StopSpec& spec) {
   return [cached = make_cached_stop(spec)](const CongestionGame& game,
-                                           const State& x,
-                                           std::int64_t round) {
+                                           const State& x, std::int64_t) {
     LatencyContext ctx;
     ctx.reset(game, x);
-    return cached(ctx, round);
+    return cached(ctx);
   };
 }
 
 CachedStopPredicate make_cached_stop(const StopSpec& spec) {
   switch (spec.rule) {
     case StopRule::kImitationStable:
-      return [scratch = ExpostTable()](const LatencyContext& ctx,
-                                       std::int64_t) mutable {
+      return [scratch = ExpostTable()](const LatencyContext& ctx) mutable {
         return is_imitation_stable(ctx, ctx.game().nu(), scratch);
       };
     case StopRule::kNash:
-      return [scratch = ExpostTable()](const LatencyContext& ctx,
-                                       std::int64_t) mutable {
+      return [scratch = ExpostTable()](const LatencyContext& ctx) mutable {
         return is_nash(ctx, scratch);
       };
     case StopRule::kDeltaEps:
       // The δ bound is fixed once per run; each check compares integers.
-      return [delta = DeltaThreshold(spec.delta), eps = spec.eps](
-                 const LatencyContext& ctx, std::int64_t) {
+      return [delta = DeltaThreshold(spec.delta),
+              eps = spec.eps](const LatencyContext& ctx) {
         return is_delta_eps_equilibrium(ctx, delta, eps);
       };
   }
@@ -103,13 +100,13 @@ CachedStopPredicate make_cached_stop(const StopSpec& spec) {
 CachedStopPredicate make_cached_stop(const StopSpec& spec,
                                      const AsymmetricGame& classes) {
   if (spec.rule == StopRule::kNash) {
-    return [&classes, scratch = ExpostTable()](const LatencyContext& ctx,
-                                               std::int64_t) mutable {
+    return [&classes,
+            scratch = ExpostTable()](const LatencyContext& ctx) mutable {
       return is_asymmetric_nash(classes, ctx, scratch);
     };
   }
-  return [&classes, scratch = ExpostTable()](const LatencyContext& ctx,
-                                             std::int64_t) mutable {
+  return [&classes,
+          scratch = ExpostTable()](const LatencyContext& ctx) mutable {
     return is_asymmetric_imitation_stable(classes, ctx, classes.nu(), scratch);
   };
 }

@@ -31,6 +31,16 @@ namespace cid::sweep {
 
 namespace {
 
+/// One grid number; the whole token must be read ("100x" is refused).
+double parse_axis_number(const std::string& token) {
+  std::size_t used = 0;
+  const double value = std::stod(token, &used);
+  if (used != token.size()) {
+    throw std::runtime_error("bad number '" + token + "'");
+  }
+  return value;
+}
+
 std::vector<double> split_numbers(const std::string& text, char sep) {
   std::vector<double> out;
   std::size_t pos = 0;
@@ -39,12 +49,7 @@ std::vector<double> split_numbers(const std::string& text, char sep) {
     const std::string token =
         text.substr(pos, next == std::string::npos ? next : next - pos);
     if (token.empty()) throw std::runtime_error("empty value in '" + text + "'");
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) {
-      throw std::runtime_error("bad number '" + token + "'");
-    }
-    out.push_back(value);
+    out.push_back(parse_axis_number(token));
     if (next == std::string::npos) break;
     pos = next + 1;
   }
@@ -88,15 +93,27 @@ std::vector<std::int64_t> parse_grid_axis(const std::string& spec) {
   if (parts.size() < 3 || parts.size() > 4) {
     throw std::runtime_error("expected A:B:log|lin[:K] in '" + spec + "'");
   }
-  const double lo = std::stod(parts[0]);
-  const double hi = std::stod(parts[1]);
+  const double lo = parse_axis_number(parts[0]);
+  const double hi = parse_axis_number(parts[1]);
   const std::string& scale = parts[2];
-  if (lo < 1.0 || hi < lo) {
-    throw std::runtime_error("grid range requires 1 <= A <= B");
+  if (!(lo >= 1.0 && hi >= lo && std::isfinite(hi))) {
+    throw std::runtime_error("grid range requires 1 <= A <= B < inf");
   }
+  // The point count K, read whole ("3y" is refused).
+  const auto count = [&]() -> int {
+    if (parts.size() < 4) return 5;
+    int k = 0;
+    const std::string& text = parts[3];
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), k);
+    if (ec != std::errc() || end != text.data() + text.size()) {
+      throw std::runtime_error("bad point count '" + text + "'");
+    }
+    return k;
+  };
   if (scale == "log") {
     if (parts.size() == 4) {
-      const int k = std::stoi(parts[3]);
+      const int k = count();
       if (k < 2) throw std::runtime_error("log grid needs K >= 2 points");
       for (int i = 0; i < k; ++i) {
         const double t = static_cast<double>(i) / static_cast<double>(k - 1);
@@ -109,7 +126,7 @@ std::vector<std::int64_t> parse_grid_axis(const std::string& spec) {
       push_unique(values, hi);
     }
   } else if (scale == "lin") {
-    const int k = parts.size() == 4 ? std::stoi(parts[3]) : 5;
+    const int k = count();
     if (k < 2) throw std::runtime_error("lin grid needs K >= 2 points");
     for (int i = 0; i < k; ++i) {
       const double t = static_cast<double>(i) / static_cast<double>(k - 1);
@@ -229,7 +246,8 @@ bool parse_grid_flag(int argc, char** argv, int& i, GridFlags& flags) {
     if (eq == std::string::npos || eq == 0) {
       throw UsageError("expected --param K=V");
     }
-    grid.scenario.params[kv.substr(0, eq)] = std::atof(kv.c_str() + eq + 1);
+    grid.scenario.params[kv.substr(0, eq)] = parse_double_flag(
+        "--param " + kv.substr(0, eq), std::string_view(kv).substr(eq + 1));
   } else if (flag == "--lambda") {
     flags.lambda = parse_double_flag(flag, value());
   } else {

@@ -218,8 +218,8 @@ bool Rng::plan_zero_multinomial(std::int64_t n,
       return false;
     }
     ZeroStep step;
-    step.lo = bernoulli ? cond : 0.0;
-    step.hi = bernoulli ? 1.0 : binomial_zero_bound(n, cond);
+    step.bound = bernoulli ? zero_bound(cond, 1.0)
+                           : zero_bound(0.0, binomial_zero_bound(n, cond));
     step.cond = cond;
     step.remaining = remaining;
     step.index = static_cast<std::uint32_t>(i);
@@ -230,27 +230,20 @@ bool Rng::plan_zero_multinomial(std::int64_t n,
 }
 
 bool Rng::multinomial_planned(std::int64_t n, std::span<const double> probs,
-                              std::span<const ZeroStep> plan,
-                              std::span<std::int64_t> out) {
-  for (const ZeroStep& step : plan) {
-    for (std::uint32_t d = 0; d < step.draws; ++d) {
-      const double u = uniform();
-      if (u >= step.lo && u < step.hi) continue;
-      // The binomial left its zero outcome at this uniform: finish it from
-      // here. A Bernoulli sum has one success and n - d - 1 trials to go;
-      // the inversion walks from u and may still land on 0.
-      const std::int64_t k =
-          n <= 32 ? 1 + binomial(n - static_cast<std::int64_t>(d) - 1,
-                                 step.cond)
-                  : binomial_inversion_from(u, n, step.cond);
-      if (k == 0) continue;
-      std::fill(out.begin(), out.end(), std::int64_t{0});
-      out[step.index] = k;
-      multinomial_tail(step.index + 1, n - k, step.remaining, probs, out);
-      return true;
-    }
-  }
-  return false;
+                              const ZeroStep& step, std::uint32_t draw,
+                              double u, std::span<std::int64_t> out) {
+  // The binomial left its zero outcome at this uniform: finish it from
+  // here. A Bernoulli sum has one success and n - draw - 1 trials to go;
+  // the inversion walks from u and may still land on 0.
+  const std::int64_t k =
+      n <= 32 ? 1 + binomial(n - static_cast<std::int64_t>(draw) - 1,
+                             step.cond)
+              : binomial_inversion_from(u, n, step.cond);
+  if (k == 0) return false;
+  std::fill(out.begin(), out.end(), std::int64_t{0});
+  out[step.index] = k;
+  multinomial_tail(step.index + 1, n - k, step.remaining, probs, out);
+  return true;
 }
 
 std::size_t Rng::categorical(std::span<const double> weights) {

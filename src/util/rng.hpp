@@ -13,15 +13,25 @@
 //     cheap lower bound on P[X = 0] (below), and returns 0 without the
 //     pow() when it is under it — same value, same draws as the full walk.
 //   * multinomial(n, probs): sequential conditional binomials.
-//   * multinomial_planned(n, probs, plan): the same draw against a plan
-//     (plan_zero_multinomial) of its all-zero outcome. Every uniform the
-//     all-zero outcome would consume is drawn in the same order and only
-//     compared with the precomputed zero interval of its binomial; the
-//     first uniform outside it is handed to that binomial's own sampler
-//     (the inversion walk, or the rest of the Bernoulli sum), and the
-//     remaining categories continue on the ordinary conditional path. Same
+//   * Planned multinomials: plan_zero_multinomial describes the all-zero
+//     outcome of multinomial(n, probs) as ZeroSteps, one per positive
+//     category, each an interval [lo, hi) its uniforms fall in when that
+//     binomial draws 0. A caller flattens the steps to one ZeroBound per
+//     uniform; scan_zero draws them in order and only compares, and
+//     multinomial_planned hands the first uniform outside its interval to
+//     that binomial's own sampler (the inversion walk, or the rest of the
+//     Bernoulli sum) and finishes on the ordinary conditional path. Same
 //     counts, same draws — the round engine replays rounds that follow a
 //     round moving nobody this way (dynamics/engine_kernel.hpp).
+//
+// The integer bound. A uniform is u = m·2⁻⁵³ with m = gen() >> 11, an
+// integer in [0, 2⁵³). For any doubles lo, hi in [0, 1], lo·2⁵³ and hi·2⁵³
+// are exact (a power-of-two scaling that cannot overflow or lose bits), and
+// so are their ceilings L and H. For integer m, lo ≤ m·2⁻⁵³ iff L ≤ m, and
+// m·2⁻⁵³ < hi iff m < H. So lo ≤ u < hi holds exactly when the unsigned
+// m − L < W with W = H − L (0 when H ≤ L): one subtract and one compare,
+// with no conversion to double on the hot path (zero_bound, ZeroBound).
+// A bound at or below 0 scales to 0, and one above 1 to 2⁵³.
 //
 // The generator step and uniform() are inline here: the engine's replayed
 // rounds are little more than a long run of uniform-and-compare.
@@ -31,7 +41,10 @@
 // the tests verify statistically.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -49,14 +62,36 @@ inline double binomial_zero_bound(std::int64_t n, double p) noexcept {
   return 1.0 - static_cast<double>(n) * (p + 0x1.0p-50) - 0x1.0p-45;
 }
 
+/// lo <= u < hi for a uniform u = m·2⁻⁵³, as an unsigned compare on m:
+/// `m - lo < width` (see the file comment for why it is exact).
+struct ZeroBound {
+  std::uint64_t lo = 0;
+  std::uint64_t width = 0;
+
+  bool holds(std::uint64_t m) const noexcept { return m - lo < width; }
+};
+
+/// The ZeroBound of [lo, hi): L = ceil(lo·2⁵³), H = ceil(hi·2⁵³), each
+/// clamped to [0, 2⁵³], and W = H − L when positive. Empty unless lo < hi.
+inline ZeroBound zero_bound(double lo, double hi) noexcept {
+  if (!(lo < hi)) return {};
+  const auto scaled = [](double v) -> std::uint64_t {
+    return v > 0.0 ? static_cast<std::uint64_t>(
+                         std::ceil(std::min(v, 1.0) * 0x1.0p53))
+                   : 0;
+  };
+  const std::uint64_t l = scaled(lo);
+  const std::uint64_t h = scaled(hi);
+  return {l, h > l ? h - l : 0};
+}
+
 /// One positive category of a planned multinomial draw: the zero outcome
 /// of binomial(n, cond) as `draws` uniforms, each of which draws 0 iff it
-/// lies in [lo, hi). Inversion (n > 32): one uniform below
+/// lies in `bound`. Inversion (n > 32): one uniform below
 /// binomial_zero_bound. Bernoulli sum (n <= 32): n uniforms, none below
 /// cond. `remaining` is the multinomial's leftover mass after the category.
 struct ZeroStep {
-  double lo = 0.0;
-  double hi = 0.0;
+  ZeroBound bound;
   double cond = 0.0;
   double remaining = 0.0;
   std::uint32_t index = 0;
@@ -176,12 +211,30 @@ class Rng {
                                     std::span<const double> probs,
                                     std::vector<ZeroStep>& plan);
 
-  /// multinomial(n, probs, out) drawn against `plan` (from
-  /// plan_zero_multinomial for the same n and probs): identical counts and
-  /// RNG consumption. Returns false when every count is 0, leaving `out`
-  /// untouched; otherwise writes all of `out` and returns true.
+  /// The replay of a flattened plan: draws one uniform per bound from
+  /// bounds[first] on and only compares it. Returns the index of the first
+  /// uniform outside its bound, with that uniform in `u`, or bounds.size()
+  /// when every one held.
+  std::size_t scan_zero(std::span<const ZeroBound> bounds, std::size_t first,
+                        double& u) noexcept {
+    for (std::size_t e = first; e < bounds.size(); ++e) {
+      const std::uint64_t m = gen_() >> 11;
+      if (bounds[e].holds(m)) continue;
+      u = static_cast<double>(m) * 0x1.0p-53;
+      return e;
+    }
+    return bounds.size();
+  }
+
+  /// Finishes multinomial(n, probs, out) after scan_zero stopped at uniform
+  /// `u`, draw `draw` of `step` (a step plan_zero_multinomial made for the
+  /// same n and probs, every earlier uniform of the plan having held):
+  /// identical counts and RNG consumption. Returns false when every count
+  /// is 0 after all (an inversion walk from u can still land on 0), leaving
+  /// `out` untouched — the caller scans on after u; otherwise writes all of
+  /// `out` and returns true — the multinomial's remaining plan is moot.
   bool multinomial_planned(std::int64_t n, std::span<const double> probs,
-                           std::span<const ZeroStep> plan,
+                           const ZeroStep& step, std::uint32_t draw, double u,
                            std::span<std::int64_t> out);
 
   /// Uniform element index from non-empty weights (linear scan).

@@ -43,7 +43,7 @@ RunResult run_reference(const CongestionGame& game, State& x,
   const auto stop_now = [&](std::int64_t round) {
     if (static_cast<bool>(call.cached_stop)) {
       ctx.reset(game, x);
-      return call.cached_stop(ctx, round);
+      return call.cached_stop(ctx);
     }
     return call.stop(game, x, round);
   };

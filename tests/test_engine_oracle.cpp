@@ -47,6 +47,7 @@
 #include "dynamics/engine.hpp"
 #include "dynamics/engine_kernel.hpp"
 #include "dynamics/equilibrium.hpp"
+#include "dynamics/stop_rule.hpp"
 #include "game/asymmetric.hpp"
 #include "game/builders.hpp"
 #include "game/latency_context.hpp"
@@ -189,8 +190,8 @@ TEST(EngineOracle, RunDynamicsMatchesAcrossKernels) {
     call.options.max_rounds = mode == EngineMode::kAggregate ? 200 : 40;
     call.options.check_interval = 7;
     call.options.mode = mode;
-    call.cached_stop = [scratch = ExpostTable()](const LatencyContext& ctx,
-                                                 std::int64_t) mutable {
+    call.cached_stop = [scratch = ExpostTable()](
+                           const LatencyContext& ctx) mutable {
       return is_imitation_stable(ctx, 0.0, scratch);
     };
     Rng batched_rng(7);
@@ -837,12 +838,9 @@ void expect_plan_is_full_path(const CongestionGame& game, const State& start,
   }
 }
 
-TEST(EnginePlan, EngineBoundExplorationReplaysBitForBit) {
-  // The e2ebench engine-bound game: network-routing width 4, depth 3 (64
-  // paths) at n = 1e4, with the scenario's latency mix. Default
-  // exploration is quiet almost throughout; the faster variant (β
-  // overridden from ~3708 to 1 lifts the damping) mixes quiet stretches
-  // with misses.
+/// The e2ebench engine-bound game: network-routing width 4, depth 3 (64
+/// paths) with the scenario's latency mix, at n players.
+CongestionGame engine_bound_game(std::int64_t n) {
   const auto net = make_layered_network(4, 3);
   Rng latency_rng(7);
   std::vector<LatencyPtr> fns;
@@ -854,11 +852,23 @@ TEST(EnginePlan, EngineBoundExplorationReplaysBitForBit) {
       fns.push_back(make_monomial(0.05 * a, 2.0));
     }
   }
-  const auto game = make_network_game(net, std::move(fns), 10000);
+  return make_network_game(net, std::move(fns), n);
+}
+
+/// Default exploration, and a faster variant (β overridden from ~3708 to 1
+/// lifts the damping) that mixes quiet stretches with misses.
+std::vector<ExplorationParams> exploration_variants() {
   ExplorationParams fast;
   fast.beta_override = 1.0;
+  return {ExplorationParams{}, fast};
+}
+
+TEST(EnginePlan, EngineBoundExplorationReplaysBitForBit) {
+  // At n = 1e4 (x_P ~ 156) every planned uniform is an inversion's first.
+  // Default exploration is quiet almost throughout.
+  const auto game = engine_bound_game(10000);
   std::int64_t misses = 0;
-  for (const ExplorationParams& params : {ExplorationParams{}, fast}) {
+  for (const ExplorationParams& params : exploration_variants()) {
     const ExplorationProtocol protocol(params);
     Rng rng(5);
     const State start = State::uniform_random(game, rng);
@@ -866,6 +876,87 @@ TEST(EnginePlan, EngineBoundExplorationReplaysBitForBit) {
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(misses, 0);
+}
+
+TEST(EnginePlan, BernoulliRegimeReplaysBitForBit) {
+  // At n = 2000 (x_P ~ 31 <= 32) a category's zero outcome is x_P
+  // Bernoulli uniforms, so the flattened plan holds one bound per player
+  // and category, and a miss resumes the Bernoulli sum mid-way.
+  const auto game = engine_bound_game(2000);
+  std::int64_t misses = 0;
+  for (const ExplorationParams& params : exploration_variants()) {
+    const ExplorationProtocol protocol(params);
+    Rng rng(11);
+    const State start = State::uniform_random(game, rng);
+    expect_plan_is_full_path(game, start, rng, protocol, 60, misses);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(misses, 0);
+}
+
+TEST(EnginePlan, ReusedStopVerdictIsTheContextFreeRun) {
+  // A false cached verdict stands while nobody moves. The run must equal
+  // the one through make_stop, which evaluates every check afresh:
+  // RunResult, state, RNG state and stop_checks. On the quiet game the
+  // predicate itself runs fewer times than there are checks.
+  struct Case {
+    const char* name;
+    CongestionGame game;
+    std::shared_ptr<const Protocol> protocol;
+    StopSpec spec;
+    std::int64_t rounds;
+    bool quiet;  // mostly quiet rounds; otherwise the run converges
+  };
+  const Case cases[] = {
+      {"engine-bound", engine_bound_game(10000),
+       std::make_shared<ExplorationProtocol>(), StopSpec{}, 400, true},
+      {"singleton", make_monomial_fan_game(12, 1.0, 1.0, 5000),
+       std::make_shared<ImitationProtocol>(),
+       StopSpec{.rule = StopRule::kImitationStable}, 2000, false},
+  };
+  for (const Case& c : cases) {
+    for (const std::int64_t interval : {1, 3}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   " check_interval=" + std::to_string(interval));
+      obs::EngineMetrics cached_metrics;
+      obs::EngineMetrics fresh_metrics;
+      EngineInvocation call;
+      call.options.max_rounds = c.rounds;
+      call.options.check_interval = interval;
+      std::int64_t calls = 0;
+      call.options.metrics = &cached_metrics;
+      call.cached_stop = [inner = make_cached_stop(c.spec),
+                          &calls](const LatencyContext& ctx) mutable {
+        ++calls;
+        return inner(ctx);
+      };
+      Rng cached_rng(3);
+      State cached_x = State::uniform_random(c.game, cached_rng);
+      const RunResult cached =
+          run_dynamics(c.game, cached_x, *c.protocol, cached_rng, call);
+
+      call.cached_stop = {};
+      call.stop = make_stop(c.spec);
+      call.options.metrics = &fresh_metrics;
+      Rng fresh_rng(3);
+      State fresh_x = State::uniform_random(c.game, fresh_rng);
+      const RunResult fresh =
+          run_dynamics(c.game, fresh_x, *c.protocol, fresh_rng, call);
+
+      EXPECT_EQ(cached.rounds, fresh.rounds);
+      EXPECT_EQ(cached.converged, fresh.converged);
+      EXPECT_EQ(cached.total_movers, fresh.total_movers);
+      EXPECT_TRUE(cached_x == fresh_x);
+      EXPECT_EQ(cached_rng.state(), fresh_rng.state());
+      EXPECT_EQ(cached_metrics.stop_checks, fresh_metrics.stop_checks);
+      if (c.quiet) {
+        EXPECT_LT(calls, cached_metrics.stop_checks / 2);
+      } else {
+        EXPECT_TRUE(fresh.converged);
+        EXPECT_GT(fresh.rounds, interval);
+      }
+    }
+  }
 }
 
 TEST(EnginePlan, SingletonGameReplaysBitForBit) {

@@ -41,6 +41,7 @@
 
 #include "dynamics/engine.hpp"
 #include "dynamics/engine_kernel.hpp"
+#include "dynamics/stop_rule.hpp"
 #include "game/builders.hpp"
 #include "game/latency_context.hpp"
 #include "latency/kernel.hpp"
@@ -389,29 +390,26 @@ TEST(KernelRuns, TemplatedRunMatchesFrontendRun) {
 
 TEST(EngineInvocationApi, StopAndCachedStopFireAtTheSameRound) {
   // The two predicate forms are consulted on the same rounds, so equal
-  // predicates end bitwise-identical runs.
+  // predicates end bitwise-identical runs. (A cached predicate sees the
+  // context alone; a false verdict may be reused while nobody moves.)
   const auto game = make_monomial_fan_game(10, 1.0, 1.0, 8000);
   const ImitationProtocol protocol;
   RunOptions options;
   options.max_rounds = 500;
   options.check_interval = 5;
+  const StopSpec spec{.rule = StopRule::kDeltaEps, .delta = 0.05, .eps = 0.05};
 
   Rng stop_rng(17);
   State stop_x = State::uniform_random(game, stop_rng);
-  const RunResult via_stop = run_dynamics(
-      game, stop_x, protocol, stop_rng,
-      {.options = options,
-       .stop = [](const CongestionGame&, const State&,
-                  std::int64_t round) { return round >= 85; }});
+  const RunResult via_stop =
+      run_dynamics(game, stop_x, protocol, stop_rng,
+                   {.options = options, .stop = make_stop(spec)});
 
   Rng cached_rng(17);
   State cached_x = State::uniform_random(game, cached_rng);
-  const RunResult via_cached = run_dynamics(
-      game, cached_x, protocol, cached_rng,
-      {.options = options,
-       .cached_stop = [](const LatencyContext&, std::int64_t round) {
-         return round >= 85;
-       }});
+  const RunResult via_cached =
+      run_dynamics(game, cached_x, protocol, cached_rng,
+                   {.options = options, .cached_stop = make_cached_stop(spec)});
 
   EXPECT_EQ(via_cached.rounds, via_stop.rounds);
   EXPECT_EQ(via_cached.converged, via_stop.converged);
@@ -419,6 +417,7 @@ TEST(EngineInvocationApi, StopAndCachedStopFireAtTheSameRound) {
   EXPECT_TRUE(cached_x == stop_x);
   EXPECT_EQ(cached_rng.state(), stop_rng.state());
   EXPECT_TRUE(via_stop.converged);  // the predicate actually fired
+  EXPECT_GT(via_stop.rounds, 0);
 }
 
 TEST(EngineInvocationApi, RejectsTwoStopPredicates) {
@@ -429,9 +428,7 @@ TEST(EngineInvocationApi, RejectsTwoStopPredicates) {
   call.stop = [](const CongestionGame&, const State&, std::int64_t) {
     return true;
   };
-  call.cached_stop = [](const LatencyContext&, std::int64_t) {
-    return true;
-  };
+  call.cached_stop = [](const LatencyContext&) { return true; };
   Rng rng(1);
   State x = State::uniform_random(game, rng);
   EXPECT_THROW(run_dynamics(game, x, protocol, rng, call),

@@ -6,6 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "support/reference_rng.hpp"
@@ -268,9 +272,105 @@ TEST(BinomialSqueeze, LowerBoundNeverExceedsTheZeroProbability) {
   EXPECT_GT(checked, 1'000'000);
 }
 
+TEST(ZeroBound, IntegerTestIsExactlyTheDoubleInterval) {
+  // bound.holds(m) must agree with lo <= m·2⁻⁵³ < hi for every 53-bit m:
+  // checked at L−1, L, H−1, H, next to lo·2⁵³ and hi·2⁵³ computed here,
+  // and at random m, over the bounds the planner makes (Bernoulli [cond, 1),
+  // inversion [0, binomial_zero_bound), negative bounds included) and
+  // random pairs.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double ulp53 = 0x1.0p-53;
+  std::vector<std::pair<double, double>> cases;
+  for (const double cond :
+       {0.3, 0.5, std::nextafter(0.5, 0.0), tiny, 4.0 * tiny,
+        std::numeric_limits<double>::min(), ulp53, std::nextafter(ulp53, 0.0),
+        std::nextafter(ulp53, 1.0), 3.0 * ulp53, 0x1.0p-54, 1e-300, 1e-9}) {
+    cases.emplace_back(cond, 1.0);  // a Bernoulli uniform
+    for (const std::int64_t n : {33, 100, 10000, 1000000000}) {
+      cases.emplace_back(0.0, binomial_zero_bound(n, cond));  // inversion
+    }
+  }
+  cases.emplace_back(0.0, 1.0);
+  cases.emplace_back(0.25, 0.25);
+  cases.emplace_back(0.75, 0.25);
+  cases.emplace_back(-0.5, 0.5);
+  Rng pairs(99);
+  for (int i = 0; i < 400; ++i) {
+    const double scale = std::pow(2.0, -60.0 * pairs.uniform());
+    cases.emplace_back(scale * pairs.uniform(), scale * pairs.uniform());
+    cases.emplace_back(pairs.uniform(), 1.0);
+  }
+  int negative = 0;
+  for (const auto& [lo, hi] : cases) {
+    const ZeroBound bound = zero_bound(lo, hi);
+    if (hi <= 0.0) {
+      ++negative;
+      EXPECT_EQ(bound.width, 0u) << "hi " << hi;
+    }
+    const auto expect_exact = [&](std::uint64_t m) {
+      if (m >= kTop) return;  // not a uniform's integer (or wrapped below 0)
+      const double u = static_cast<double>(m) * 0x1.0p-53;
+      ASSERT_EQ(bound.holds(m), lo <= u && u < hi)
+          << std::hexfloat << "lo " << lo << " hi " << hi << " m " << m;
+    };
+    const std::uint64_t l = bound.lo;
+    const std::uint64_t h = bound.lo + bound.width;
+    for (const std::uint64_t m : {l - 1, l, h - 1, h}) expect_exact(m);
+    for (const double edge : {lo, hi}) {
+      const double scaled = std::clamp(edge, 0.0, 1.0) * 0x1.0p53;
+      const auto m = static_cast<std::uint64_t>(std::floor(scaled));
+      for (std::uint64_t d = 0; d < 3; ++d) {
+        expect_exact(m - 1 + d);
+      }
+    }
+    for (int r = 0; r < 64; ++r) expect_exact(pairs.next_u64() >> 11);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(negative, 10);
+  // The 2⁻⁵³-adjacent Bernoulli cuts: m = 0 is the one success below a
+  // subnormal or 2⁻⁵³ cond, m = 1 joins it just above 2⁻⁵³.
+  EXPECT_EQ(zero_bound(tiny, 1.0).lo, 1u);
+  EXPECT_EQ(zero_bound(ulp53, 1.0).lo, 1u);
+  EXPECT_EQ(zero_bound(std::nextafter(ulp53, 1.0), 1.0).lo, 2u);
+  EXPECT_EQ(zero_bound(0.0, 1.0).width, kTop);
+}
+
+/// A plan_zero_multinomial plan flattened the way the round engine
+/// flattens it: one bound per uniform, and where each came from.
+struct FlatPlan {
+  std::vector<ZeroBound> bounds;
+  std::vector<std::pair<std::size_t, std::uint32_t>> at;  // step, draw
+
+  explicit FlatPlan(std::span<const ZeroStep> steps) {
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      for (std::uint32_t d = 0; d < steps[s].draws; ++d) {
+        bounds.push_back(steps[s].bound);
+        at.emplace_back(s, d);
+      }
+    }
+  }
+
+  /// multinomial(n, probs, out) through Rng::scan_zero and
+  /// Rng::multinomial_planned: false when every count is 0 (out untouched).
+  bool draw(Rng& rng, std::int64_t n, std::span<const double> probs,
+            std::span<const ZeroStep> steps,
+            std::span<std::int64_t> out) const {
+    for (std::size_t e = 0;; ++e) {
+      double u = 0.0;
+      e = rng.scan_zero(bounds, e, u);
+      if (e == bounds.size()) return false;
+      if (rng.multinomial_planned(n, probs, steps[at[e].first], at[e].second,
+                                  u, out)) {
+        return true;
+      }
+    }
+  }
+};
+
 TEST(MultinomialPlanned, SameCountsAndDrawsAsMultinomial) {
   // Random rows over cohorts on both sides of the Bernoulli cut (n <= 32)
-  // and masses from tiny to BTRS-sized: a planned draw must equal
+  // and masses from tiny to BTRS-sized: a flattened planned draw must equal
   // multinomial's counts and stream position draw for draw, including
   // misses that move somebody and inversion misses that still land on 0.
   Rng rows(2024);
@@ -295,6 +395,7 @@ TEST(MultinomialPlanned, SameCountsAndDrawsAsMultinomial) {
     }
     ++planned;
     const std::span<const ZeroStep> steps(plan.data() + 1, plan.size() - 1);
+    const FlatPlan flat(steps);
     Rng reference(row);
     Rng replay(row);
     std::vector<std::int64_t> expected(k);
@@ -302,7 +403,7 @@ TEST(MultinomialPlanned, SameCountsAndDrawsAsMultinomial) {
     for (int draw = 0; draw < 40; ++draw) {
       reference.multinomial(n, probs, expected);
       std::fill(counts.begin(), counts.end(), std::int64_t{-1});
-      if (replay.multinomial_planned(n, probs, steps, counts)) {
+      if (flat.draw(replay, n, probs, steps, counts)) {
         ++moved;
         ASSERT_EQ(counts, expected) << "row " << row << " draw " << draw;
       } else {
@@ -327,22 +428,31 @@ TEST(MultinomialPlanned, PlansOnlyThresholdZeroOutcomes) {
   EXPECT_FALSE(Rng::plan_zero_multinomial(1000, std::vector{0.02}, plan));
   EXPECT_FALSE(Rng::plan_zero_multinomial(10, std::vector{0.3, 0.7}, plan));
   EXPECT_TRUE(plan.empty());
-  // n <= 32: n Bernoulli uniforms per category, none below cond; the
-  // second category's cond is 0.2 / (1 - 0.3).
+  // n <= 32: n Bernoulli uniforms per category, none below cond (so m at
+  // or above ceil(cond·2⁵³)); the second category's cond is 0.2 / (1 - 0.3).
   ASSERT_TRUE(Rng::plan_zero_multinomial(5, std::vector{0.3, 0.0, 0.2}, plan));
   ASSERT_EQ(plan.size(), 2u);
   EXPECT_EQ(plan[0].index, 0u);
   EXPECT_EQ(plan[0].draws, 5u);
-  EXPECT_EQ(plan[0].lo, 0.3);
+  EXPECT_EQ(plan[0].bound.lo, std::ceil(0.3 * 0x1.0p53));
+  EXPECT_EQ(plan[0].bound.lo + plan[0].bound.width, std::uint64_t{1} << 53);
   EXPECT_EQ(plan[1].index, 2u);
   EXPECT_EQ(plan[1].cond, 0.2 / (1.0 - 0.3));
   EXPECT_EQ(plan[1].remaining, 1.0 - 0.3 - 0.2);
-  // n > 32: one uniform per category, below binomial_zero_bound.
+  // n > 32: one uniform per category, below binomial_zero_bound; at
+  // n·p = 1 that bound is negative, so every uniform goes to the walk.
   plan.clear();
   ASSERT_TRUE(Rng::plan_zero_multinomial(100, std::vector{0.01}, plan));
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].draws, 1u);
-  EXPECT_EQ(plan[0].hi, binomial_zero_bound(100, 0.01));
+  EXPECT_LT(binomial_zero_bound(100, 0.01), 0.0);
+  EXPECT_EQ(plan[0].bound.width, 0u);
+  plan.clear();
+  ASSERT_TRUE(Rng::plan_zero_multinomial(100, std::vector{0.001}, plan));
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan[0].bound.lo, 0u);
+  EXPECT_EQ(plan[0].bound.width,
+            std::ceil(binomial_zero_bound(100, 0.001) * 0x1.0p53));
 }
 
 TEST(Rng, CategoricalRespectsWeights) {

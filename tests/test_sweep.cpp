@@ -345,6 +345,9 @@ TEST(SweepGridFlags, RejectsOutOfRangeAndMalformedValues) {
   EXPECT_EQ(with({"--stop", "deltaeps:0.1,inf"}), out_of_range);
   EXPECT_EQ(with({"--engine", "warp"}), "unknown engine");
   EXPECT_EQ(with({"--param", "=3"}), "expected --param K=V");
+  EXPECT_EQ(with({"--param", "m=2x"}), "--param m must be a number");
+  EXPECT_EQ(with({"--param", "m="}), "--param m must be a number");
+  EXPECT_EQ(with({"--param", "m=4"}), "accepted");
   EXPECT_EQ(with({"--seed"}), "missing value for flag");
   EXPECT_EQ(grid_flag_error({"--trials", "2"}), "--scenario is required");
   // A protocol the scenario's family does not run is a usage error too.
@@ -363,6 +366,14 @@ TEST(SweepGridFlags, RejectsOutOfRangeAndMalformedValues) {
   EXPECT_EQ(with({"--protocols", "exploration"}), "accepted");
   // Bad axis and protocol values stay plain runtime errors.
   EXPECT_THROW(with({"--grid", "n=10:5:log"}), std::runtime_error);
+  // Each grid number and the point count are read whole.
+  EXPECT_THROW(with({"--grid", "100x:1000:lin:3"}), std::runtime_error);
+  EXPECT_THROW(with({"--grid", "100:1000x:log"}), std::runtime_error);
+  EXPECT_THROW(with({"--grid", "100:1000:lin:3y"}), std::runtime_error);
+  EXPECT_THROW(with({"--grid", "100:1000:log:1e1"}), std::runtime_error);
+  EXPECT_THROW(with({"--grid", "100:inf:lin"}), std::runtime_error);
+  EXPECT_THROW(with({"--grid", "nan:1000:lin"}), std::runtime_error);
+  EXPECT_EQ(with({"--grid", "100:1000:lin:3"}), "accepted");
   EXPECT_THROW(with({"--protocols", "mutation"}), std::runtime_error);
 }
 

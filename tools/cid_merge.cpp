@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "persist/manifest.hpp"
+#include "sweep/runner.hpp"
 
 namespace {
 
@@ -62,9 +63,9 @@ int main(int argc, char** argv) {
       out_path = need_value("--out");
     } else if (arg == "--max-corrupt") {
       try {
-        const int n = std::stoi(need_value("--max-corrupt"));
-        if (n < 0) throw std::invalid_argument("negative");
-        options.max_corrupt_inputs = static_cast<std::size_t>(n);
+        options.max_corrupt_inputs =
+            static_cast<std::size_t>(cid::sweep::parse_int_flag(
+                "--max-corrupt", need_value("--max-corrupt"), 0));
       } catch (const std::exception&) {
         std::fprintf(stderr, "%s: --max-corrupt needs an integer >= 0\n",
                      argv[0]);

@@ -336,8 +336,9 @@ int replay(int argc, char** argv) {
     };
     if (flag == "--snapshot") snapshot_path = need_value(i);
     else if (flag == "--log") log_path = need_value(i);
-    else if (flag == "--to") to_round = std::atoll(need_value(i));
-    else if (flag == "--save-state") save_state_path = need_value(i);
+    else if (flag == "--to") {
+      to_round = sweep::parse_int_flag(flag, need_value(i), 0);
+    } else if (flag == "--save-state") save_state_path = need_value(i);
     else if (flag == "--expect") expect_path = need_value(i);
     else if (flag == "--metrics") metrics_path = need_value(i);
     else if (flag == "--metrics-prom") prom_path = need_value(i);
@@ -453,8 +454,9 @@ int replay_telemetry(int argc, char** argv) {
     if (flag == "--snapshot") snapshot_path = need_value(i);
     else if (flag == "--log") log_path = need_value(i);
     else if (flag == "--telemetry") out_path = need_value(i);
-    else if (flag == "--to") to_round = std::atoll(need_value(i));
-    else if (flag == "--telemetry-every") {
+    else if (flag == "--to") {
+      to_round = sweep::parse_int_flag(flag, need_value(i), 0);
+    } else if (flag == "--telemetry-every") {
       every = sweep::parse_int_flag(flag, need_value(i), 1);
     }
     else usage(("unknown flag: " + flag).c_str());

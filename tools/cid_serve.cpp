@@ -109,6 +109,7 @@ Options parse_args(int argc, char** argv) {
     return argv[++i];
   };
   constexpr std::int64_t kPortMax = 65535;
+  constexpr double kSecondsMax = 1e6;  // converted to int64 nanoseconds
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
@@ -122,16 +123,19 @@ Options parse_args(int argc, char** argv) {
           sweep::parse_int_flag(flag, need_value(i), 0, kPortMax));
     } else if (flag == "--port-file") opt.serve.port_file = need_value(i);
     else if (flag == "--lease-ttl") {
-      opt.serve.lease_ttl_seconds = std::atof(need_value(i));
+      opt.serve.lease_ttl_seconds =
+          sweep::parse_double_flag(flag, need_value(i), 1e-3, kSecondsMax);
     } else if (flag == "--tick") {
-      opt.serve.tick_seconds = std::atof(need_value(i));
+      opt.serve.tick_seconds =
+          sweep::parse_double_flag(flag, need_value(i), 1e-3, kSecondsMax);
     } else if (flag == "--wait-backoff") {
       opt.serve.wait_backoff_ms = sweep::parse_int_flag(flag, need_value(i), 0);
     } else if (flag == "--max-requeues") {
       opt.serve.max_requeues = static_cast<int>(sweep::parse_int_flag(
           flag, need_value(i), 1, std::numeric_limits<int>::max()));
     } else if (flag == "--max-seconds") {
-      opt.serve.max_seconds = std::atof(need_value(i));
+      opt.serve.max_seconds =
+          sweep::parse_double_flag(flag, need_value(i), 0.0, kSecondsMax);
     } else if (flag == "--metrics-http") {
       opt.serve.metrics_http = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {

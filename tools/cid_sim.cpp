@@ -224,9 +224,14 @@ State build_start(const Options& opt, const CongestionGame& game, Rng& rng) {
   if (opt.start == "uniform") return State::uniform_random(game, rng);
   if (opt.start == "even") return State::spread_evenly(game);
   if (opt.start.rfind("all:", 0) == 0) {
-    const auto k = static_cast<StrategyId>(std::atoi(opt.start.c_str() + 4));
-    if (k < 0 || k >= game.num_strategies()) usage("all:K out of range");
-    return State::all_on(game, k);
+    std::int64_t k = 0;
+    try {
+      k = sweep::parse_int_flag("--start all:K", opt.start.substr(4), 0,
+                                game.num_strategies() - 1);
+    } catch (const sweep::UsageError& e) {
+      usage(e.what());
+    }
+    return State::all_on(game, static_cast<StrategyId>(k));
   }
   if (opt.start.rfind("state:", 0) == 0) {
     // Feed a finished run's --save-state output back in as the start.

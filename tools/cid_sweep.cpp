@@ -214,6 +214,7 @@ Options parse_args(int argc, char** argv) {
     return sweep::parse_int_flag(flag, need_value(i), min, max);
   };
   constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr double kSecondsMax = 1e6;  // converted to int64 nanoseconds
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
@@ -256,12 +257,14 @@ Options parse_args(int argc, char** argv) {
       // Optional value: "--progress 2.5" or bare "--progress" (5 s).
       opt.run.progress_every_seconds = 5.0;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
-        opt.run.progress_every_seconds = std::atof(argv[++i]);
+        opt.run.progress_every_seconds =
+            sweep::parse_double_flag(flag, argv[++i], 0.0, kSecondsMax);
       }
     } else if (flag == "--trial-retries") {
       opt.run.trial_max_attempts = static_cast<int>(int_value(i, 1, kIntMax));
     } else if (flag == "--watchdog") {
-      opt.run.watchdog_seconds = std::atof(need_value(i));
+      opt.run.watchdog_seconds =
+          sweep::parse_double_flag(flag, need_value(i), 0.0, kSecondsMax);
     } else if (flag == "--shard") {
       const sweep::ShardSpec shard = sweep::parse_shard_spec(need_value(i));
       opt.run.shard_index = shard.index;
