@@ -54,7 +54,13 @@
 // row fill, the same bits. Invalidation: any round that is not quiet (its
 // predecessor moved somebody, or the caller is not run_dynamics) drops the
 // plan, so the public draw_round never replays. A cached stop predicate's
-// false verdict is reused while nobody moves (CachedStopPredicate).
+// false verdict is reused while nobody moves (CachedStopPredicate). Once a
+// quiet stretch has lasted a while (engine_kernel.hpp kLaneMinUniforms),
+// and nothing must see its rounds one by one (no observer, no per-round
+// StopPredicate, no trace), run_dynamics scans its whole rounds eight
+// segments at a time over jump-ahead copies of the stream
+// (Rng::scan_lanes), books them in bulk and draws the round of the first
+// miss in stream order from that miss on — the same bits and counters.
 //
 // Every kernel consumes the RNG stream identically to the per-pair
 // reference oracle (Protocol::move_probability, driven round by round by

@@ -21,7 +21,9 @@
 // such a quiet round keeps its rows and the next one replays them from the
 // workspace's draw plan (engine_detail::draw_round: build_plan,
 // draw_scanned), while the public draw_round<K> always takes the full path
-// (see engine.hpp).
+// (see engine.hpp). Long quiet stretches skip the per-round loop: their
+// whole rounds go through Rng::scan_lanes (scan_quiet_rounds) and the
+// round of the first miss resumes draw_scanned at that miss.
 //
 // One engine serves every concurrent family: the symmetric protocols run
 // on their game, and class-local imitation (ClassImitationKernel) runs on
@@ -406,18 +408,27 @@ inline void build_plan(const State& x, EngineMode mode, RoundWorkspace& ws) {
 /// Rng::multinomial_planned and, when that moved somebody, resumes the
 /// scan at the next origin's bounds; a `full` origin redraws its row
 /// through Rng::multinomial where the scan reaches it. The same counts and
-/// uniforms as drawing every row through Rng::multinomial.
+/// uniforms as drawing every row through Rng::multinomial. A `pending`
+/// miss (Rng::scan_lanes', the generator just past it; only with no
+/// `full` origins) resumes the round at that miss.
 inline void draw_scanned(const State& x, Rng& rng, RoundWorkspace& ws,
-                         RoundResult& out) {
+                         RoundResult& out, const LaneScan* pending) {
   const RoundWorkspace::DrawPlan& plan = ws.plan;
   const std::span<const ZeroBound> bounds(plan.bounds);
+  CID_DCHECK(pending == nullptr || plan.full.empty(),
+             "a lane-scan miss with full origins in the plan");
   auto full = plan.full.begin();
-  std::size_t e = 0;
+  std::size_t e = pending != nullptr ? pending->index : 0;
   for (;;) {
     const std::size_t stop =
         full != plan.full.end() ? full->first : bounds.size();
     double u = 0.0;
-    e = rng.scan_zero(bounds.first(stop), e, u);
+    if (pending != nullptr) {
+      u = pending->u;
+      pending = nullptr;
+    } else {
+      e = rng.scan_zero(bounds.first(stop), e, u);
+    }
     const bool refused = e == stop;
     if (refused && full == plan.full.end()) return;
     const std::size_t i = refused ? full++->origin : plan.at[e].origin;
@@ -445,7 +456,8 @@ inline void draw_scanned(const State& x, Rng& rng, RoundWorkspace& ws,
 /// rows, aggregate ones through draw_scanned.
 inline void draw_replayed(const State& x, EngineMode mode, Rng& rng,
                           RoundWorkspace& ws, RoundResult& out,
-                          obs::EngineMetrics* metrics, bool trace) {
+                          obs::EngineMetrics* metrics, bool trace,
+                          const LaneScan* pending) {
   const RoundWorkspace::DrawPlan& plan = ws.plan;
   const std::int64_t build_start = metrics != nullptr ? obs::now_ns() : 0;
   if (!plan.built) {
@@ -456,7 +468,7 @@ inline void draw_replayed(const State& x, EngineMode mode, Rng& rng,
   {
     obs::TraceSpan draw_span(trace ? "engine.draw" : nullptr);
     if (mode == EngineMode::kAggregate) {
-      draw_scanned(x, rng, ws, out);
+      draw_scanned(x, rng, ws, out, pending);
     } else {
       for (std::size_t i = 0; i < ws.support.size(); ++i) {
         const RoundWorkspace::RowJob& job = ws.jobs[i];
@@ -486,11 +498,12 @@ template <ProtocolKernel K>
 void draw_round(const CongestionGame& game, const State& x, const K& kernel,
                 Rng& rng, EngineMode mode, RoundWorkspace& ws,
                 RoundResult& out, int row_threads,
-                obs::EngineMetrics* metrics, bool trace, bool quiet) {
+                obs::EngineMetrics* metrics, bool trace, bool quiet,
+                const LaneScan* pending = nullptr) {
   out.moves.clear();
   out.movers = 0;
   if (quiet && ws.plan.armed) {
-    draw_replayed(x, mode, rng, ws, out, metrics, trace);
+    draw_replayed(x, mode, rng, ws, out, metrics, trace, pending);
     return;
   }
   {
@@ -514,6 +527,33 @@ void draw_round(const CongestionGame& game, const State& x, const K& kernel,
       return;
   }
   CID_ENSURE(false, "unreachable engine mode");
+}
+
+/// A quiet stretch goes to the lanes once it has drawn this many uniforms
+/// through scan_zero: the 7 jumps that start a block's lanes then cost a
+/// small share of the time already spent.
+inline constexpr std::int64_t kLaneMinUniforms = std::int64_t{1} << 17;
+
+/// Whole quiet rounds of the armed aggregate plan through Rng::scan_lanes,
+/// `stretch` quiet rounds in, at most `cap` of them: block after block,
+/// each about as long as the stretch so far (so blocks grow geometrically
+/// and their jumps stay a small share), until the first miss in stream
+/// order or the cap. Same result and generator as scanning round by round.
+inline LaneScan scan_quiet_rounds(Rng& rng, const RoundWorkspace& ws,
+                                  std::int64_t stretch, std::int64_t cap) {
+  const std::span<const ZeroBound> bounds(ws.plan.bounds);
+  const LaneIsa isa = best_lane_isa();
+  LaneScan run;
+  while (!run.missed && run.rounds < cap) {
+    const LaneScan block = rng.scan_lanes(
+        bounds, std::max<std::int64_t>(1, (stretch + run.rounds) / 8),
+        cap - run.rounds, isa);
+    run.missed = block.missed;
+    run.index = block.index;
+    run.u = block.u;
+    run.rounds += block.rounds;
+  }
+  return run;
 }
 
 }  // namespace engine_detail
@@ -583,16 +623,58 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
   // The previous round of this call moved nobody, so x and ws.ctx are
   // what it drew against: the next draw may use the plan.
   bool quiet = false;
+  // Rounds in a row that moved nobody. Once such a stretch has drawn
+  // kLaneMinUniforms from a built aggregate plan with no `full` origins,
+  // and nothing must see its rounds one by one (no observer, no per-round
+  // StopPredicate, no cached verdict still to compute, no trace), its
+  // rounds go through the lane scan: the whole quiet rounds are booked in
+  // bulk — nothing moves, so apply and refresh have nothing to do — and
+  // the round of the first miss is drawn from that miss on.
+  std::int64_t stretch = 0;
+  const bool lanes_allowed = options.mode == EngineMode::kAggregate &&
+                             !call.observer && !call.stop;
+  LaneScan lane_scan;
   for (; result.rounds < options.max_rounds; ++result.rounds) {
-    const std::int64_t round = result.rounds;
+    std::int64_t round = result.rounds;
     const bool tr = obs::trace_enabled() && round % trace_every == 0;
     if (has_stop && round % options.check_interval == 0 && stop_check(tr)) {
       result.converged = true;
       break;
     }
+    const LaneScan* pending = nullptr;
+    if (lanes_allowed && quiet && ws.plan.built && ws.plan.full.empty() &&
+        (!has_stop || still_false) && !obs::trace_enabled() &&
+        stretch * static_cast<std::int64_t>(ws.plan.bounds.size()) >=
+            engine_detail::kLaneMinUniforms) {
+      const std::int64_t scan_start = m != nullptr ? obs::now_ns() : 0;
+      lane_scan = engine_detail::scan_quiet_rounds(
+          rng, ws, stretch, options.max_rounds - round);
+      const std::int64_t whole = lane_scan.rounds;
+      if (m != nullptr) {
+        const std::int64_t replayed =
+            static_cast<std::int64_t>(ws.support.size()) - ws.plan.pruned;
+        m->draw_ns += obs::now_ns() - scan_start;
+        m->rounds += whole;
+        m->rows_pruned += whole * ws.plan.pruned;
+        m->rows_replayed += whole * replayed;
+        // The reused false verdicts at the tops of the rounds after this
+        // one, up to the miss's round or the last one.
+        if (has_stop) {
+          const std::int64_t last =
+              std::min(round + whole, options.max_rounds - 1);
+          m->stop_checks += last / options.check_interval -
+                            round / options.check_interval;
+        }
+      }
+      stretch += whole;
+      result.rounds += whole;
+      if (!lane_scan.missed) break;
+      round = result.rounds;
+      pending = &lane_scan;
+    }
     engine_detail::draw_round(game, x, kernel, rng, options.mode, ws, rr,
                               options.row_threads, m, tr,
-                              /*quiet=*/quiet);
+                              /*quiet=*/quiet, pending);
     if (call.observer) call.observer(game, x, rr.moves, round, false);
     {
       obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
@@ -607,6 +689,7 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
     }
     result.total_movers += rr.movers;
     quiet = rr.movers == 0;
+    stretch = quiet ? stretch + 1 : 0;
     still_false = still_false && quiet;
     if (m != nullptr) ++m->rounds;
   }

@@ -1,13 +1,14 @@
 #include "persist/binio.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 #include <utility>
 
@@ -19,15 +20,24 @@ namespace cid::persist {
 
 namespace {
 
+// Slice-by-8: entries[0] is the bytewise table of the reflected IEEE
+// polynomial; entries[k][b] is the CRC of byte b followed by k zero bytes,
+// so eight table reads fold eight input bytes at once.
 struct Crc32Table {
-  std::array<std::uint32_t, 256> entries{};
+  std::array<std::array<std::uint32_t, 256>, 8> entries{};
   Crc32Table() noexcept {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (std::size_t k = 1; k < entries.size(); ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = entries[k - 1][i];
+        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xFFu];
+      }
     }
   }
 };
@@ -41,9 +51,23 @@ constexpr int kMaxWriteAttempts = 3;  // per AppendFile write
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed) noexcept {
   const auto* bytes = static_cast<const unsigned char*>(data);
+  const auto& t = kCrc32Table.entries;
+  const auto le32 = [](const unsigned char* p) {
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+  };
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kCrc32Table.entries[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const std::uint32_t lo = c ^ le32(bytes);
+    const std::uint32_t hi = le32(bytes + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -349,11 +373,28 @@ void write_file_atomic(const std::string& path, const std::string& magic,
 }
 
 std::string slurp_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw persist_error("cannot open '" + path + "' for reading");
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) throw persist_error("read failed for '" + path + "'");
+  // One read of the size fstat reports (plus the byte that confirms EOF);
+  // the buffer only grows if the file does, or is not a regular file.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw persist_error("cannot open '" + path + "' for reading");
+  struct stat st {};
+  std::string data(::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)
+                       ? static_cast<std::size_t>(st.st_size) + 1
+                       : std::size_t{4096},
+                   '\0');
+  std::size_t got = 0;
+  for (;;) {
+    if (got == data.size()) data.resize(2 * data.size());
+    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      ::close(fd);
+      if (n < 0) throw persist_error("read failed for '" + path + "'");
+      break;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  data.resize(got);
   return data;
 }
 

@@ -238,13 +238,19 @@ std::uint8_t sniff_version(const std::string& data, const std::string& path) {
 
 }  // namespace
 
-EventLog read_event_log(const std::string& path) {
+namespace {
+
+/// read_event_log, also returning the v2 header (left default for v1).
+EventLog read_log(const std::string& path, V2Header& header) {
   const std::string data = slurp_file(path);
   EventLog log;
   log.version = sniff_version(data, path);
   log.file_bytes = data.size();
   std::size_t pos = kV1HeaderSize;
-  if (log.version >= 2) pos = parse_v2_header(data, path).size;
+  if (log.version >= 2) {
+    header = parse_v2_header(data, path);
+    pos = header.size;
+  }
 
   while (pos < data.size()) {
     std::size_t next_pos = pos;
@@ -284,11 +290,56 @@ EventLog read_event_log(const std::string& path) {
   return log;
 }
 
+}  // namespace
+
+EventLog read_event_log(const std::string& path) {
+  V2Header header;
+  return read_log(path, header);
+}
+
 EventLog read_event_log_series(const std::string& path) {
   EventLog merged;
+  // Chain continuity: a segment's header carries the totals of every
+  // segment before it, so a missing, swapped, foreign or re-totalled
+  // segment disagrees with what the chain read so far adds up to. Checked
+  // while the history before the segment is fully known — a skipped
+  // segment or a damaged one (corrupt blocks, torn tail) already reports
+  // its gap.
+  bool first = true;
+  bool known = true;
+  std::int64_t next_round = 0;
+  std::uint64_t v1_bytes = kV1HeaderSize;
+  std::string broken;
   walk_chain(path, "event log", merged.corrupt_segments,
              [&](const std::string& segment) {
-               EventLog log = read_event_log(segment);
+               V2Header header;
+               EventLog log = read_log(segment, header);
+               if (!merged.corrupt_segments.empty()) known = false;
+               if (log.version >= 2 && broken.empty()) {
+                 if (first && (header.prior_end_round != 0 ||
+                               header.prior_v1_bytes != 0)) {
+                   broken = segment +
+                            ": event log chain is missing the segments "
+                            "before round " +
+                            std::to_string(header.prior_end_round);
+                 } else if (!first && known &&
+                            (header.prior_end_round != next_round ||
+                             header.prior_v1_bytes != v1_bytes)) {
+                   broken = segment +
+                            ": event log segment does not continue the "
+                            "chain (header says round " +
+                            std::to_string(header.prior_end_round) +
+                            ", the segments before it end at " +
+                            std::to_string(next_round) + ")";
+                 }
+               }
+               first = false;
+               known = known && log.corrupt_blocks == 0 &&
+                       !log.truncated_tail;
+               if (!log.rounds.empty()) {
+                 next_round = log.rounds.back().round + 1;
+               }
+               v1_bytes += log.v1_equivalent_bytes - kV1HeaderSize;
                merged.version = log.version;
                merged.truncated_tail =
                    merged.truncated_tail || log.truncated_tail;
@@ -299,6 +350,7 @@ EventLog read_event_log_series(const std::string& path) {
                  merged.rounds.push_back(std::move(events));
                }
              });
+  if (!broken.empty()) throw persist_error(broken);
   return merged;
 }
 

@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <math.h>  // lgamma_r (POSIX; declared by glibc in C++ builds)
 
@@ -20,19 +21,16 @@ Xoshiro256pp::Xoshiro256pp(std::uint64_t seed) noexcept {
   for (auto& s : s_) s = sm.next();
 }
 
-void Xoshiro256pp::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-      0x39ABDC4529B1661CULL};
+void Xoshiro256pp::apply(const Poly& poly) noexcept {
+  // Horner over the coefficients, branch-free: S' = sum_b c_b A^b S.
   std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t jump : kJump) {
+  for (std::uint64_t word : poly) {
     for (int b = 0; b < 64; ++b) {
-      if (jump & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
+      const std::uint64_t take = 0 - ((word >> b) & 1);
+      s0 ^= s_[0] & take;
+      s1 ^= s_[1] & take;
+      s2 ^= s_[2] & take;
+      s3 ^= s_[3] & take;
       (void)(*this)();
     }
   }
@@ -40,6 +38,41 @@ void Xoshiro256pp::jump() noexcept {
   s_[1] = s1;
   s_[2] = s2;
   s_[3] = s3;
+}
+
+void Xoshiro256pp::jump() noexcept { apply(kJump); }
+
+Xoshiro256pp::Poly Xoshiro256pp::mul_mod(const Poly& a,
+                                         const Poly& b) noexcept {
+  // Horner from a's top coefficient: r = r·x + a_i·b, reducing x^256 to
+  // kCharPoly's low part whenever the shift carries out.
+  Poly r{};
+  for (int i = 255; i >= 0; --i) {
+    const std::uint64_t carry = 0 - (r[3] >> 63);
+    for (int w = 3; w > 0; --w) r[w] = (r[w] << 1) | (r[w - 1] >> 63);
+    r[0] <<= 1;
+    const std::uint64_t take = 0 - ((a[i / 64] >> (i % 64)) & 1);
+    for (int w = 0; w < 4; ++w) {
+      r[w] ^= (kCharPoly[w] & carry) ^ (b[w] & take);
+    }
+  }
+  return r;
+}
+
+void Xoshiro256pp::advance(std::uint64_t steps) noexcept {
+  // pow2[i] = x^(2^i) mod kCharPoly; the powers commute, so the set bits
+  // of `steps` apply in any order.
+  static const std::array<Poly, 64> pow2 = [] {
+    std::array<Poly, 64> t{};
+    t[0] = {2, 0, 0, 0};
+    for (std::size_t i = 1; i < t.size(); ++i) {
+      t[i] = mul_mod(t[i - 1], t[i - 1]);
+    }
+    return t;
+  }();
+  for (std::size_t i = 0; steps != 0; ++i, steps >>= 1) {
+    if ((steps & 1) != 0) apply(pow2[i]);
+  }
 }
 
 Rng Rng::split(std::uint64_t key) noexcept {
@@ -244,6 +277,174 @@ bool Rng::multinomial_planned(std::int64_t n, std::span<const double> probs,
   out[step.index] = k;
   multinomial_tail(step.index + 1, n - k, step.remaining, probs, out);
   return true;
+}
+
+namespace {
+
+// The lane kernel: 8 xoshiro256++ streams as one vector of each state word
+// (GCC vector extensions: one source, compiled below for AVX-512 as one
+// zmm per word and for AVX2 as two ymm). Nothing here is a float.
+using Lanes8 = std::uint64_t __attribute__((vector_size(64)));
+constexpr int kLanes = 8;
+
+struct LaneState {
+  Lanes8 s0, s1, s2, s3;
+};
+
+// bounds[e] is missed when m − lo < 0 or m − lo − width ≥ 0 as signed
+// 54-bit differences, so the sign bit of (m − lo) | ~(m − lo − width) is
+// the miss: three integer ops, OR-ed into one accumulator per round.
+[[gnu::always_inline]] inline void scan_round(
+    LaneState& v, Lanes8& acc, std::span<const ZeroBound> bounds) {
+  for (const ZeroBound& bound : bounds) {
+    const Lanes8 sum = v.s0 + v.s3;
+    const Lanes8 out = ((sum << 23) | (sum >> 41)) + v.s0;
+    const Lanes8 t = v.s1 << 17;
+    v.s2 ^= v.s0;
+    v.s3 ^= v.s1;
+    v.s1 ^= v.s2;
+    v.s0 ^= v.s3;
+    v.s2 ^= t;
+    v.s3 = (v.s3 << 45) | (v.s3 >> 19);
+    const Lanes8 a = (out >> 11) - bound.lo;
+    acc |= a | ~(a - bound.width);
+  }
+}
+
+[[gnu::always_inline]] inline std::array<std::uint64_t, 4> lane_of(
+    const LaneState& v, int j) {
+  return {v.s0[j], v.s1[j], v.s2[j], v.s3[j]};
+}
+
+[[gnu::always_inline]] inline LaneScan scan_lanes_kernel(
+    Rng& rng, std::span<const ZeroBound> bounds, std::int64_t lane_rounds,
+    std::int64_t max_rounds) {
+  const std::int64_t total = std::min(max_rounds, kLanes * lane_rounds);
+  std::int64_t len[kLanes];
+  LaneState v{};
+  Xoshiro256pp start = rng.generator();
+  int last = 0;  // the lane holding the block's last round
+  for (int j = 0; j < kLanes; ++j) {
+    len[j] = std::clamp<std::int64_t>(total - j * lane_rounds, 0, lane_rounds);
+    if (len[j] == 0) continue;
+    if (j > 0) start.advance(static_cast<std::uint64_t>(lane_rounds) *
+                             bounds.size());
+    const auto st = start.state();
+    v.s0[j] = st[0];
+    v.s1[j] = st[1];
+    v.s2[j] = st[2];
+    v.s3[j] = st[3];
+    last = j;
+  }
+  LaneScan found;
+  std::array<std::uint64_t, 4> end{};
+  unsigned active = 0;
+  for (int j = 0; j < kLanes; ++j) {
+    if (len[j] > 0) active |= 1u << j;
+  }
+  for (std::int64_t q = 0;; ++q) {
+    for (int j = 0; j < kLanes; ++j) {
+      if ((active >> j & 1) == 0 || len[j] != q) continue;
+      active &= ~(1u << j);
+      if (j == last) end = lane_of(v, j);
+    }
+    if (active == 0) break;
+    const LaneState saved = v;
+    Lanes8 acc{};
+    scan_round(v, acc, bounds);
+    unsigned hit = 0;
+    for (int j = 0; j < kLanes; ++j) {
+      hit |= static_cast<unsigned>(acc[j] >> 63) << j;
+    }
+    hit &= active;
+    if (hit == 0) continue;
+    // The lowest lane missing this round comes first in the stream of all
+    // misses found so far; its earliest miss is found by the scalar scan.
+    // Lanes above it no longer matter, lanes below it scan on.
+    const int j = std::countr_zero(hit);
+    rng.set_state(lane_of(saved, j));
+    found.index = rng.scan_zero(bounds, 0, found.u);
+    found.rounds = j * lane_rounds + q;
+    found.missed = true;
+    end = rng.state();
+    active &= (1u << j) - 1;
+    if (active == 0) break;
+  }
+  if (!found.missed) found.rounds = total;
+  rng.set_state(end);
+  return found;
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx512f")]] LaneScan scan_lanes_avx512(
+    Rng& rng, std::span<const ZeroBound> bounds, std::int64_t lane_rounds,
+    std::int64_t max_rounds) {
+  return scan_lanes_kernel(rng, bounds, lane_rounds, max_rounds);
+}
+
+[[gnu::target("avx2")]] LaneScan scan_lanes_avx2(
+    Rng& rng, std::span<const ZeroBound> bounds, std::int64_t lane_rounds,
+    std::int64_t max_rounds) {
+  return scan_lanes_kernel(rng, bounds, lane_rounds, max_rounds);
+}
+#endif
+
+}  // namespace
+
+bool lane_isa_supported(LaneIsa isa) noexcept {
+  switch (isa) {
+    case LaneIsa::kPortable:
+      return true;
+#if defined(__x86_64__)
+    case LaneIsa::kAvx2:
+      return __builtin_cpu_supports("avx2");
+    case LaneIsa::kAvx512:
+      return __builtin_cpu_supports("avx512f");
+#else
+    default:
+      return false;
+#endif
+  }
+  return false;
+}
+
+LaneIsa best_lane_isa() noexcept {
+  static const LaneIsa best = lane_isa_supported(LaneIsa::kAvx512)
+                                  ? LaneIsa::kAvx512
+                              : lane_isa_supported(LaneIsa::kAvx2)
+                                  ? LaneIsa::kAvx2
+                                  : LaneIsa::kPortable;
+  return best;
+}
+
+LaneScan Rng::scan_lanes(std::span<const ZeroBound> bounds,
+                         std::int64_t lane_rounds, std::int64_t max_rounds,
+                         LaneIsa isa) {
+  CID_ENSURE(lane_rounds >= 1 && max_rounds >= 0,
+             "scan_lanes needs lane_rounds >= 1 and max_rounds >= 0");
+  CID_ENSURE(lane_isa_supported(isa), "scan_lanes: ISA not supported here");
+  LaneScan scan;
+  if (bounds.empty() || max_rounds == 0) {
+    scan.rounds = max_rounds;
+    return scan;
+  }
+#if defined(__x86_64__)
+  if (isa == LaneIsa::kAvx512) {
+    return scan_lanes_avx512(*this, bounds, lane_rounds, max_rounds);
+  }
+  if (isa == LaneIsa::kAvx2) {
+    return scan_lanes_avx2(*this, bounds, lane_rounds, max_rounds);
+  }
+#endif
+  const std::int64_t total = std::min(max_rounds, kLanes * lane_rounds);
+  for (; scan.rounds < total; ++scan.rounds) {
+    scan.index = scan_zero(bounds, 0, scan.u);
+    if (scan.index < bounds.size()) {
+      scan.missed = true;
+      return scan;
+    }
+  }
+  return scan;
 }
 
 std::size_t Rng::categorical(std::span<const double> weights) {

@@ -36,6 +36,17 @@
 // The generator step and uniform() are inline here: the engine's replayed
 // rounds are little more than a long run of uniform-and-compare.
 //
+// Lanes. A quiet round that misses nothing draws exactly one uniform per
+// bound, so whole rounds of one plan are fixed-length stretches of the
+// stream. The state map of xoshiro256 is linear over GF(2), so
+// Xoshiro256pp::advance jumps any number of draws ahead exactly, and
+// scan_lanes scans 8 round-aligned segments of the same stream in
+// lockstep (all lanes compare against the same bound, so nothing is
+// stored per lane), reporting the first miss in stream order. It is
+// integer-only, one kernel source built for AVX-512 and AVX2 and picked at
+// run time, with the plain scan_zero loop as the portable path: every
+// variant returns the same result and leaves the same generator state.
+//
 // All samplers are exact (not approximations): the concurrent round law of
 // the aggregate engine must equal the per-player protocol law exactly, which
 // the tests verify statistically.
@@ -138,6 +149,28 @@ class Xoshiro256pp {
   /// parent for 2^128 draws. Used to derive independent per-trial streams.
   void jump() noexcept;
 
+  /// Exactly `steps` draws ahead, without drawing them: the state map is
+  /// linear over GF(2), so `steps` steps are x^steps modulo its
+  /// characteristic polynomial, applied as jump() applies kJump — one
+  /// 256-step pass per set bit of `steps`, from a table of x^(2^i).
+  void advance(std::uint64_t steps) noexcept;
+
+  /// A polynomial over GF(2) of degree < 256: bit b of word b / 64 is the
+  /// coefficient of x^b.
+  using Poly = std::array<std::uint64_t, 4>;
+  /// The low coefficients of the state map's characteristic polynomial
+  /// (x^256 is implicit); it annihilates the state sequence.
+  static constexpr Poly kCharPoly = {
+      0x9D116F2BB0F0F001ULL, 0x0280002BCEFD1A5EULL, 0x04B4EDCF26259F85ULL,
+      0x0003C03C3F3ECB19ULL};
+  /// x^(2^128) modulo kCharPoly: the polynomial jump() applies.
+  static constexpr Poly kJump = {0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL,
+                                 0xA9582618E03FC9AAULL, 0x39ABDC4529B1661CULL};
+  /// a·b modulo kCharPoly.
+  static Poly mul_mod(const Poly& a, const Poly& b) noexcept;
+  /// Replaces the state S with poly(A)·S, A being one step.
+  void apply(const Poly& poly) noexcept;
+
   /// The full 256-bit generator state. Together with set_state this makes
   /// the stream durable: a saved state restored elsewhere continues the
   /// exact draw sequence (the persistence subsystem checkpoints it).
@@ -160,6 +193,23 @@ class Xoshiro256pp {
 
   std::uint64_t s_[4];
 };
+
+/// What Rng::scan_lanes found over whole rounds of one flattened plan (one
+/// round = one uniform per bound, in order).
+struct LaneScan {
+  std::int64_t rounds = 0;  // whole rounds every uniform of which held
+  bool missed = false;      // else the scan stopped at its round cap
+  std::size_t index = 0;    // the first miss in stream order: bounds[index]
+  double u = 0.0;           // and its uniform
+};
+
+/// The instruction sets Rng::scan_lanes runs on. kPortable is the plain
+/// scan_zero loop, the reference the lane kernel must equal.
+enum class LaneIsa { kPortable, kAvx2, kAvx512 };
+
+/// Whether this host runs `isa`; best_lane_isa() is the widest that it does.
+bool lane_isa_supported(LaneIsa isa) noexcept;
+LaneIsa best_lane_isa() noexcept;
 
 /// Convenience facade bundling the generator with the samplers the
 /// simulation engines need. Cheap to copy; copying forks the stream state.
@@ -225,6 +275,20 @@ class Rng {
     }
     return bounds.size();
   }
+
+  /// scan_zero over whole rounds of `bounds`, at most
+  /// min(max_rounds, 8·lane_rounds) of them: stops at the first uniform
+  /// outside its bound (returning the rounds before its own, its index and
+  /// its uniform, the generator just past it) or after those rounds (the
+  /// generator just past them). The lane variants cut the rounds into 8
+  /// segments of lane_rounds rounds, lane j starting j·lane_rounds rounds
+  /// in (advance), scan them in lockstep and report the first miss in
+  /// stream order — the lowest lane's, then its earliest. Integer compares
+  /// only: every variant returns the same result and leaves the same
+  /// state. Empty bounds hold for max_rounds rounds.
+  LaneScan scan_lanes(std::span<const ZeroBound> bounds,
+                      std::int64_t lane_rounds, std::int64_t max_rounds,
+                      LaneIsa isa);
 
   /// Finishes multinomial(n, probs, out) after scan_zero stopped at uniform
   /// `u`, draw `draw` of `step` (a step plan_zero_multinomial made for the

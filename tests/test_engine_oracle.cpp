@@ -959,6 +959,120 @@ TEST(EnginePlan, ReusedStopVerdictIsTheContextFreeRun) {
   }
 }
 
+/// Runs `protocol` from seed's start twice through run_dynamics: without an
+/// observer, where long quiet stretches go through the lane scan, and with
+/// a no-op observer, which must see every round one by one. Requires the
+/// same RunResult, final state, Rng::state() and exact EngineMetrics
+/// counters. Returns the longest run of rounds that moved nobody.
+std::int64_t expect_lanes_are_the_observed_run(const CongestionGame& game,
+                                               const Protocol& protocol,
+                                               std::uint64_t seed,
+                                               EngineInvocation call,
+                                               bool metered) {
+  obs::EngineMetrics batched_metrics;
+  obs::EngineMetrics observed_metrics;
+  call.options.metrics = metered ? &batched_metrics : nullptr;
+  Rng batched_rng(seed);
+  State batched_x = State::uniform_random(game, batched_rng);
+  const RunResult batched =
+      run_dynamics(game, batched_x, protocol, batched_rng, call);
+
+  std::int64_t next_round = call.options.start_round;
+  std::int64_t stretch = 0;
+  std::int64_t longest = 0;
+  bool finished = false;
+  call.observer = [&](const CongestionGame&, const State&,
+                      std::span<const Migration> moves, std::int64_t round,
+                      bool final) {
+    EXPECT_FALSE(finished);
+    if (final) {
+      finished = true;
+      EXPECT_EQ(round, next_round);
+      return;
+    }
+    EXPECT_EQ(round, next_round);
+    ++next_round;
+    stretch = moves.empty() ? stretch + 1 : 0;
+    longest = std::max(longest, stretch);
+  };
+  call.options.metrics = metered ? &observed_metrics : nullptr;
+  Rng observed_rng(seed);
+  State observed_x = State::uniform_random(game, observed_rng);
+  const RunResult observed =
+      run_dynamics(game, observed_x, protocol, observed_rng, call);
+
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(batched.rounds, observed.rounds);
+  EXPECT_EQ(batched.converged, observed.converged);
+  EXPECT_EQ(batched.total_movers, observed.total_movers);
+  EXPECT_EQ(batched.latency_evals, observed.latency_evals);
+  EXPECT_TRUE(batched_x == observed_x);
+  EXPECT_EQ(batched_rng.state(), observed_rng.state());
+  EXPECT_EQ(batched_metrics.rounds, observed_metrics.rounds);
+  EXPECT_EQ(batched_metrics.stop_checks, observed_metrics.stop_checks);
+  EXPECT_EQ(batched_metrics.rows_filled, observed_metrics.rows_filled);
+  EXPECT_EQ(batched_metrics.rows_pruned, observed_metrics.rows_pruned);
+  EXPECT_EQ(batched_metrics.rows_replayed, observed_metrics.rows_replayed);
+  if (metered) {
+    EXPECT_EQ(observed_metrics.rounds,
+              observed.rounds - call.options.start_round);
+  }
+  return longest;
+}
+
+TEST(EngineLanes, EngineBoundExplorationToTheCapIsTheObservedRun) {
+  // engine-bound's game and cap: default β is quiet for thousands of
+  // rounds at a time (lane blocks that end at the cap), β = 1 mixes
+  // stretches with misses. Without a stop, and with the cached default
+  // stop at check intervals 1 and 7 (reused verdicts booked in bulk).
+  const auto game = engine_bound_game(10000);
+  const auto variants = exploration_variants();
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const ExplorationProtocol protocol(variants[v]);
+    for (const std::int64_t interval : {0, 1, 7}) {
+      for (const bool metered : {false, true}) {
+        SCOPED_TRACE("variant " + std::to_string(v) + " check_interval " +
+                     std::to_string(interval) + (metered ? " metered" : ""));
+        EngineInvocation call;
+        call.options.max_rounds = v == 0 ? 8000 : 3000;
+        if (interval > 0) {
+          call.options.check_interval = interval;
+          call.cached_stop = make_cached_stop(StopSpec{});
+        }
+        const std::int64_t longest = expect_lanes_are_the_observed_run(
+            game, protocol, 1 + static_cast<std::uint64_t>(interval), call,
+            metered);
+        if (v == 0) {
+          EXPECT_GT(longest, 1000);
+        }
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(EngineLanes, BernoulliRegimeIsTheObservedRun) {
+  // n = 2000: x_P Bernoulli uniforms per planned category, so a lane miss
+  // resumes a Bernoulli sum mid-way; seeds with misses inside lane blocks.
+  const auto game = engine_bound_game(2000);
+  for (const ExplorationParams& params : exploration_variants()) {
+    const ExplorationProtocol protocol(params);
+    for (const std::uint64_t seed : {2, 7}) {
+      for (const bool metered : {false, true}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) +
+                     (metered ? " metered" : ""));
+        EngineInvocation call;
+        call.options.max_rounds = 2000;
+        call.options.start_round = 5;
+        const std::int64_t longest = expect_lanes_are_the_observed_run(
+            game, protocol, seed, call, metered);
+        EXPECT_GT(longest, 20);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
 TEST(EnginePlan, SingletonGameReplaysBitForBit) {
   const auto game = make_monomial_fan_game(12, 1.0, 1.0, 5000);
   std::int64_t misses = 0;

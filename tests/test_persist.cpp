@@ -48,6 +48,40 @@ TEST(Crc32, MatchesReferenceVector) {
   EXPECT_EQ(crc32(data.data() + 4, 5, part), 0xCBF43926u);
 }
 
+/// The bytewise reference the sliced crc32 must equal.
+std::uint32_t crc32_bytewise(const unsigned char* bytes, std::size_t size,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= bytes[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedEqualsBytewiseAtEveryLengthAndOffset) {
+  std::vector<unsigned char> data(8 + 257);
+  std::uint32_t x = 12345;
+  for (unsigned char& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const unsigned char* p = data.data() + offset;
+      ASSERT_EQ(crc32(p, len), crc32_bytewise(p, len, 0))
+          << "offset " << offset << " length " << len;
+      // Chained: a prefix's CRC seeds the rest.
+      const std::size_t cut = len / 3;
+      const std::uint32_t seed = crc32(p, cut);
+      ASSERT_EQ(crc32(p + cut, len - cut, seed),
+                crc32_bytewise(p + cut, len - cut, seed))
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(crc32(p + cut, len - cut, seed), crc32(p, len));
+    }
+  }
+}
+
 TEST(BinIo, PrimitiveRoundTrip) {
   BinWriter out;
   out.u8(0xAB);
@@ -1125,6 +1159,137 @@ TEST(AppendOnly, HostileBytesOnlyEverThrowPersistError) {
   std::remove(path.c_str());
   std::remove(v2_manifest.c_str());
   std::remove(v2_log.c_str());
+}
+
+/// Writes `segments` as one rotated chain at `path`: "<path>.1" ... for all
+/// but the last, which is the active "<path>"; stale segments are removed.
+void write_chain(const std::string& path,
+                 const std::vector<std::string>& segments) {
+  for (std::uint32_t seq = 1; seq <= 64; ++seq) {
+    std::remove(chain_segment_path(path, seq).c_str());
+  }
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const std::string file =
+        i + 1 == segments.size()
+            ? path
+            : chain_segment_path(path, static_cast<std::uint32_t>(i + 1));
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << segments[i];
+  }
+}
+
+/// A rotated event-log chain of `rounds` rounds moving round % `cycle`
+/// cohorts each (two cycles give two runs whose chain totals disagree).
+std::vector<std::string> rotated_chain(const std::string& path,
+                                       std::int64_t rounds, int cycle) {
+  EventLogOptions options;
+  options.block_rounds = 8;
+  options.rotate_bytes = 160;
+  {
+    EventLogWriter writer = EventLogWriter::create(path, options);
+    for (std::int64_t round = 0; round < rounds; ++round) {
+      std::vector<Migration> moves;
+      for (std::int64_t j = 0; j < round % cycle; ++j) {
+        moves.push_back({static_cast<std::int32_t>(j),
+                         static_cast<std::int32_t>(j + 1), round + j});
+      }
+      writer.append(round, moves);
+    }
+    writer.close();
+  }
+  std::vector<std::string> segments;
+  for (const std::string& segment : chain_segments(path)) {
+    segments.push_back(slurp_file(segment));
+  }
+  segments.push_back(slurp_file(path));
+  return segments;
+}
+
+TEST(EventLogChain, HostileBytesEndInPersistError) {
+  // Chain-level damage to a rotated log — a missing middle segment,
+  // swapped segments, re-totalled headers, a segment of another run —
+  // must be refused by read_event_log_series; bit flips and truncations
+  // of any segment (half of them CRC-resealed) may decode but otherwise
+  // only ever throw persist_error.
+  const std::string path = temp_path("hostile_chain.cidelog");
+  const std::vector<std::string> other =
+      rotated_chain(temp_path("hostile_chain_other.cidelog"), 96, 4);
+  const std::vector<std::string> chain = rotated_chain(path, 96, 5);
+  const std::size_t k = chain.size();
+  ASSERT_GE(k, 4u);
+  ASSERT_GE(other.size(), k);
+  write_chain(path, chain);
+  ASSERT_EQ(read_event_log_series(path).rounds.size(), 96u);
+
+  std::vector<std::pair<std::string, std::vector<std::string>>> cases;
+  for (std::size_t i = 1; i + 1 < k; ++i) {
+    auto shorter = chain;
+    shorter.erase(shorter.begin() + static_cast<std::ptrdiff_t>(i));
+    cases.emplace_back("segment " + std::to_string(i) + " removed",
+                       std::move(shorter));
+  }
+  for (std::size_t i = 0; i + 1 < k; ++i) {
+    auto swapped = chain;
+    std::swap(swapped[i], swapped[i + 1]);
+    cases.emplace_back("segments " + std::to_string(i) + " and " +
+                           std::to_string(i + 1) + " swapped",
+                       std::move(swapped));
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    auto foreign = chain;
+    foreign[i] = i + 1 < k ? other[i] : other.back();
+    cases.emplace_back("segment " + std::to_string(i) + " of another run",
+                       std::move(foreign));
+    // The header's chain totals are the last 16 bytes of its params
+    // section, which ends the header: prior v1 bytes, then prior end round.
+    const std::string& seg = chain[i];
+    const std::size_t header = 12 + read_le32(seg.data() + 8);
+    for (const std::size_t field : {header - 16, header - 8}) {
+      for (const std::uint64_t delta :
+           {std::uint64_t{1}, std::uint64_t{8}, std::uint64_t{1} << 40}) {
+        auto inflated = chain;
+        const std::uint64_t value = read_le64(seg.data() + field) + delta;
+        for (int b = 0; b < 8; ++b) {
+          inflated[i][field + static_cast<std::size_t>(b)] =
+              static_cast<char>((value >> (8 * b)) & 0xFF);
+        }
+        cases.emplace_back("segment " + std::to_string(i) +
+                               " totals inflated at " + std::to_string(field),
+                           std::move(inflated));
+      }
+    }
+  }
+  // A hole: the chain walk stops at the first missing sequence number.
+  write_chain(path, chain);
+  std::remove(chain_segment_path(path, 2).c_str());
+  EXPECT_THROW(read_event_log_series(path), persist_error) << "hole at .2";
+  for (const auto& [name, segments] : cases) {
+    write_chain(path, segments);
+    EXPECT_THROW(read_event_log_series(path), persist_error) << name;
+  }
+
+  Rng rng(0xE106);
+  int decoded = 0;
+  int refused = 0;
+  for (int c = 0; c < 2000; ++c) {
+    auto mutated = chain;
+    std::string& seg = mutated[rng.uniform_int(k)];
+    // A header-only segment (the active one right after a rotation) has
+    // no frame to reseal.
+    seg = c % 2 == 0 || crc_frames(seg).empty() ? mutate(seg, rng)
+                                                : mutate_sealed_frame(seg, rng);
+    write_chain(path, mutated);
+    try {
+      read_event_log_series(path);
+      ++decoded;
+    } catch (const persist_error&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << c << ": " << e.what();
+    }
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(decoded, 0);
+  write_chain(path, {});
 }
 
 }  // namespace

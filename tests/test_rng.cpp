@@ -455,6 +455,164 @@ TEST(MultinomialPlanned, PlansOnlyThresholdZeroOutcomes) {
             std::ceil(binomial_zero_bound(100, 0.001) * 0x1.0p53));
 }
 
+TEST(Xoshiro256pp, AdvanceEqualsStepping) {
+  std::vector<std::uint64_t> ks{0, 1, 2, 63, 64, 65, 255, 256, 257, 4096};
+  Rng pick(99);
+  for (int i = 0; i < 32; ++i) ks.push_back(pick.uniform_int(1'000'000));
+  for (std::uint64_t k : ks) {
+    Xoshiro256pp stepped(k + 5);
+    Xoshiro256pp jumped(k + 5);
+    for (std::uint64_t i = 0; i < k; ++i) (void)stepped();
+    jumped.advance(k);
+    ASSERT_EQ(jumped.state(), stepped.state()) << "k = " << k;
+    ASSERT_EQ(jumped(), stepped()) << "k = " << k;
+  }
+}
+
+TEST(Xoshiro256pp, CharacteristicPolynomialReproducesTheJumpConstant) {
+  // x^(2^128) by 128 squarings modulo the characteristic polynomial is
+  // the published jump polynomial, and x^(2^0) advances by one step.
+  Xoshiro256pp::Poly p{2, 0, 0, 0};
+  for (int i = 0; i < 128; ++i) p = Xoshiro256pp::mul_mod(p, p);
+  EXPECT_EQ(p, Xoshiro256pp::kJump);
+  Xoshiro256pp a(3), b(3);
+  a.apply({2, 0, 0, 0});
+  (void)b();
+  EXPECT_EQ(a.state(), b.state());
+}
+
+/// The first miss of each lane's own segment, found by stepping a scalar
+/// generator through the stream: (round within the segment, bound index),
+/// or none.
+struct SegmentMiss {
+  bool missed = false;
+  std::int64_t round = 0;
+  std::size_t index = 0;
+  bool operator<(const SegmentMiss& o) const {
+    return round != o.round ? round < o.round : index < o.index;
+  }
+  bool operator==(const SegmentMiss& o) const {
+    return round == o.round && index == o.index;
+  }
+};
+
+std::vector<SegmentMiss> segment_misses(const std::array<std::uint64_t, 4>& s,
+                                        std::span<const ZeroBound> bounds,
+                                        std::int64_t lane_rounds,
+                                        std::int64_t total) {
+  std::vector<SegmentMiss> misses(8);
+  Rng rng(1);
+  rng.set_state(s);
+  for (std::int64_t r = 0; r < total; ++r) {
+    SegmentMiss& lane = misses[static_cast<std::size_t>(r / lane_rounds)];
+    for (std::size_t e = 0; e < bounds.size(); ++e) {
+      const std::uint64_t m = rng.next_u64() >> 11;
+      if (!lane.missed && !bounds[e].holds(m)) {
+        lane = {true, r % lane_rounds, e};
+      }
+    }
+  }
+  return misses;
+}
+
+TEST(LaneScan, AgreesWithScanZeroOnEveryIsa) {
+  // Random plans mixing Bernoulli bounds [cond, 1) (lo > 0) and inversion
+  // bounds [0, zero bound), on random streams: every variant this host
+  // runs must return what the plain scan_zero loop returns and leave the
+  // same state. The cases each lane layout must meet are counted.
+  std::vector<LaneIsa> isas;
+  for (LaneIsa isa : {LaneIsa::kPortable, LaneIsa::kAvx2, LaneIsa::kAvx512}) {
+    if (lane_isa_supported(isa)) isas.push_back(isa);
+  }
+  EXPECT_TRUE(lane_isa_supported(best_lane_isa()));
+  int lane0 = 0, lane7 = 0, same_step = 0, later_found_first = 0;
+  int segment_first = 0, segment_last = 0, cap_inside = 0, full_block = 0;
+  Rng plans(4242);
+  for (std::uint64_t c = 0; c < 4000; ++c) {
+    const std::size_t b = 1 + plans.uniform_int(c % 4 == 0 ? 40 : 4);
+    const double miss = std::pow(10.0, -0.5 - 3.0 * plans.uniform()) /
+                        static_cast<double>(b);
+    std::vector<ZeroBound> bounds;
+    for (std::size_t e = 0; e < b; ++e) {
+      bounds.push_back(plans.bernoulli(0.5)
+                           ? zero_bound(miss * plans.uniform(), 1.0)
+                           : zero_bound(0.0, 1.0 - miss * plans.uniform()));
+    }
+    const auto lane_rounds =
+        static_cast<std::int64_t>(1 + plans.uniform_int(6));
+    const std::int64_t max_rounds =
+        plans.bernoulli(0.5)
+            ? static_cast<std::int64_t>(plans.uniform_int(
+                  static_cast<std::uint64_t>(8 * lane_rounds + 3)))
+            : 8 * lane_rounds;
+    Rng start(c * 7919 + 1);
+    (void)start.next_u64();
+    Rng reference = start;
+    const LaneScan want =
+        reference.scan_lanes(bounds, lane_rounds, max_rounds,
+                             LaneIsa::kPortable);
+    for (LaneIsa isa : isas) {
+      Rng lanes = start;
+      const LaneScan got =
+          lanes.scan_lanes(bounds, lane_rounds, max_rounds, isa);
+      ASSERT_EQ(got.missed, want.missed) << "case " << c;
+      ASSERT_EQ(got.rounds, want.rounds) << "case " << c;
+      if (want.missed) {
+        ASSERT_EQ(got.index, want.index) << "case " << c;
+        ASSERT_EQ(got.u, want.u) << "case " << c;
+      }
+      ASSERT_EQ(lanes.state(), reference.state()) << "case " << c;
+    }
+    // The portable result is the sequential scan_zero loop itself; check
+    // it against the segments' own misses and classify the case.
+    const std::int64_t total = std::min(max_rounds, 8 * lane_rounds);
+    const auto misses =
+        segment_misses(start.state(), bounds, lane_rounds, total);
+    const auto first =
+        std::find_if(misses.begin(), misses.end(),
+                     [](const SegmentMiss& m) { return m.missed; });
+    ASSERT_EQ(first != misses.end(), want.missed) << "case " << c;
+    if (!want.missed) {
+      ASSERT_EQ(want.rounds, total);
+      if (total % lane_rounds != 0) ++cap_inside;
+      if (total == 8 * lane_rounds) ++full_block;
+      continue;
+    }
+    const auto lane = static_cast<std::int64_t>(first - misses.begin());
+    ASSERT_EQ(want.rounds, lane * lane_rounds + first->round) << "case " << c;
+    ASSERT_EQ(want.index, first->index) << "case " << c;
+    lane0 += lane == 0;
+    lane7 += lane == 7;
+    segment_first += lane > 0 && first->round == 0 && first->index == 0;
+    segment_last += first->round == lane_rounds - 1 && first->index == b - 1;
+    for (auto later = first + 1; later != misses.end(); ++later) {
+      if (!later->missed) continue;
+      same_step += *later == *first;
+      later_found_first += *later < *first;
+    }
+  }
+  EXPECT_GT(lane0, 10);
+  EXPECT_GT(lane7, 10);
+  EXPECT_GT(same_step, 10);
+  EXPECT_GT(later_found_first, 10);
+  EXPECT_GT(segment_first, 10);
+  EXPECT_GT(segment_last, 10);
+  EXPECT_GT(cap_inside, 10);
+  EXPECT_GT(full_block, 10);
+}
+
+TEST(LaneScan, EmptyPlanHoldsForEveryRound) {
+  for (LaneIsa isa : {LaneIsa::kPortable, LaneIsa::kAvx2, LaneIsa::kAvx512}) {
+    if (!lane_isa_supported(isa)) continue;
+    Rng rng(5);
+    const auto before = rng.state();
+    const LaneScan scan = rng.scan_lanes({}, 3, 1000, isa);
+    EXPECT_FALSE(scan.missed);
+    EXPECT_EQ(scan.rounds, 1000);
+    EXPECT_EQ(rng.state(), before);
+  }
+}
+
 TEST(Rng, CategoricalRespectsWeights) {
   Rng rng(7);
   const std::vector<double> weights{1.0, 0.0, 3.0};
