@@ -300,13 +300,15 @@ EventLog read_event_log(const std::string& path) {
 EventLog read_event_log_series(const std::string& path) {
   EventLog merged;
   // Chain continuity: a segment's header carries the totals of every
-  // segment before it, so a missing, swapped, foreign or re-totalled
-  // segment disagrees with what the chain read so far adds up to. Checked
-  // while the history before the segment is fully known — a skipped
-  // segment or a damaged one (corrupt blocks, torn tail) already reports
-  // its gap.
-  bool first = true;
-  bool known = true;
+  // segment before it (round they end before, v1-equivalent bytes), so a
+  // missing, swapped, foreign or re-totalled segment disagrees with what
+  // the chain read so far adds up to. While that history read intact the
+  // header must equal it; after a skipped or damaged segment (corrupt
+  // blocks, torn tail), whose gap is already reported, it can only be
+  // ahead of it, and the check resumes from the header's own totals.
+  bool first = true;   // no segment before this one, read or skipped
+  bool intact = true;  // next_round and v1_bytes are exact
+  std::size_t skipped = 0;
   std::int64_t next_round = 0;
   std::uint64_t v1_bytes = kV1HeaderSize;
   std::string broken;
@@ -314,28 +316,35 @@ EventLog read_event_log_series(const std::string& path) {
              [&](const std::string& segment) {
                V2Header header;
                EventLog log = read_log(segment, header);
-               if (!merged.corrupt_segments.empty()) known = false;
+               if (merged.corrupt_segments.size() != skipped) {
+                 skipped = merged.corrupt_segments.size();
+                 first = false;
+                 intact = false;
+               }
                if (log.version >= 2 && broken.empty()) {
-                 if (first && (header.prior_end_round != 0 ||
-                               header.prior_v1_bytes != 0)) {
-                   broken = segment +
-                            ": event log chain is missing the segments "
-                            "before round " +
-                            std::to_string(header.prior_end_round);
-                 } else if (!first && known &&
-                            (header.prior_end_round != next_round ||
-                             header.prior_v1_bytes != v1_bytes)) {
+                 const bool fits =
+                     first ? header.prior_end_round == 0 &&
+                                 header.prior_v1_bytes == 0
+                     : intact ? header.prior_end_round == next_round &&
+                                    header.prior_v1_bytes == v1_bytes
+                              : header.prior_end_round >= next_round &&
+                                    header.prior_v1_bytes >= v1_bytes;
+                 if (!fits) {
                    broken = segment +
                             ": event log segment does not continue the "
-                            "chain (header says round " +
+                            "chain (its header says the segments before "
+                            "it end at round " +
                             std::to_string(header.prior_end_round) +
-                            ", the segments before it end at " +
+                            ", they read to round " +
                             std::to_string(next_round) + ")";
+                 }
+                 if (!first) {
+                   next_round = header.prior_end_round;
+                   v1_bytes = header.prior_v1_bytes;
                  }
                }
                first = false;
-               known = known && log.corrupt_blocks == 0 &&
-                       !log.truncated_tail;
+               intact = log.corrupt_blocks == 0 && !log.truncated_tail;
                if (!log.rounds.empty()) {
                  next_round = log.rounds.back().round + 1;
                }

@@ -1258,6 +1258,27 @@ TEST(EventLogChain, HostileBytesEndInPersistError) {
       }
     }
   }
+  // Damage is reported, not refused: a CRC-bad block in the first
+  // segment, or a first segment that is not an event log at all, still
+  // reads the rest; but segments swapped after the damage are refused.
+  auto damaged = chain;
+  damaged[0][crc_frames(damaged[0]).front().first + 2] ^= 0x10;
+  write_chain(path, damaged);
+  EXPECT_GT(read_event_log_series(path).corrupt_blocks, 0u);
+  auto unreadable = chain;
+  unreadable[0][0] = 'X';
+  write_chain(path, unreadable);
+  EXPECT_EQ(read_event_log_series(path).corrupt_segments.size(), 1u);
+  for (const auto& broken_head : {damaged, unreadable}) {
+    for (std::size_t i = 1; i + 1 < k; ++i) {
+      auto swapped = broken_head;
+      std::swap(swapped[i], swapped[i + 1]);
+      cases.emplace_back("segments " + std::to_string(i) + " and " +
+                             std::to_string(i + 1) +
+                             " swapped after a damaged first segment",
+                         std::move(swapped));
+    }
+  }
   // A hole: the chain walk stops at the first missing sequence number.
   write_chain(path, chain);
   std::remove(chain_segment_path(path, 2).c_str());
