@@ -1050,6 +1050,9 @@ std::vector<std::pair<std::size_t, std::size_t>> crc_frames(
 
 std::string mutate_sealed_frame(const std::string& bytes, Rng& rng) {
   const auto frames = crc_frames(bytes);
+  // A header-only event-log segment (the active file right after a
+  // rotation) has no frame to reseal.
+  if (frames.empty()) return mutate(bytes, rng);
   const auto [pos, length] = frames[rng.uniform_int(frames.size())];
   const std::string frame = mutate(bytes.substr(pos, length), rng);
   BinWriter out;
@@ -1294,10 +1297,7 @@ TEST(EventLogChain, HostileBytesEndInPersistError) {
   for (int c = 0; c < 2000; ++c) {
     auto mutated = chain;
     std::string& seg = mutated[rng.uniform_int(k)];
-    // A header-only segment (the active one right after a rotation) has
-    // no frame to reseal.
-    seg = c % 2 == 0 || crc_frames(seg).empty() ? mutate(seg, rng)
-                                                : mutate_sealed_frame(seg, rng);
+    seg = c % 2 == 0 ? mutate(seg, rng) : mutate_sealed_frame(seg, rng);
     write_chain(path, mutated);
     try {
       read_event_log_series(path);
