@@ -22,7 +22,8 @@
 // engine phases (stop check, row fill, draw, apply, cache refresh) are
 // templates over the ProtocolKernel concept (protocols/kernel.hpp), so
 // the paper's protocols run with zero virtual dispatch on the hot path
-// and singleton row fills take an auto-vectorizable select loop. This
+// and every symmetric row fill is a gather plus one branch-free select
+// pass, vectorized per ISA and picked at run time. This
 // header is the TYPE-ERASED FRONTEND over those templates: every
 // entrypoint below takes the virtual Protocol, resolves it to its
 // concrete kernel once per call (dispatch_protocol_kernel), and is

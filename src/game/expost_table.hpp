@@ -7,6 +7,7 @@
 //   ExpostTable::sync   copies the context's ℓ_e(x_e + 1) table      O(m)
 //   OriginView (ctor)   patches P's resources to ℓ_e(x_e)           O(|P|)
 //   expost_latency(Q)   sums the table over Q's resources            O(|Q|)
+//   expost_row(out)     every Q's sum, four interleaved at a time    O(Σ|Q|)
 //   OriginView (dtor)   restores P's resources to ℓ_e(x_e + 1)       O(|P|)
 //
 // The sum reads, in Q's order from 0.0, exactly the values
@@ -17,6 +18,7 @@
 // must be re-synced whenever the context changed.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -81,6 +83,43 @@ class OriginView {
       acc += values[static_cast<std::size_t>(e)];
     }
     return acc;
+  }
+
+  /// out[to] = expost_latency(to) for every to < out.size(). Four sums run
+  /// interleaved, each still in Q's order from 0.0: one sum at a time is
+  /// a chain of dependent adds the core cannot overlap far enough.
+  void expost_row(std::span<double> out) const noexcept {
+    const double* values = table_.values_.data();
+    const auto at = [values](const Strategy& q, std::size_t i) {
+      return values[static_cast<std::size_t>(q[i])];
+    };
+    std::size_t to = 0;
+    for (; to < out.size() % 4; ++to) {
+      out[to] = expost_latency(static_cast<StrategyId>(to));
+    }
+    for (; to < out.size(); to += 4) {
+      const Strategy& q0 = strategies_[to];
+      const Strategy& q1 = strategies_[to + 1];
+      const Strategy& q2 = strategies_[to + 2];
+      const Strategy& q3 = strategies_[to + 3];
+      const std::size_t common =
+          std::min({q0.size(), q1.size(), q2.size(), q3.size()});
+      double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+      for (std::size_t i = 0; i < common; ++i) {
+        a0 += at(q0, i);
+        a1 += at(q1, i);
+        a2 += at(q2, i);
+        a3 += at(q3, i);
+      }
+      for (std::size_t i = common; i < q0.size(); ++i) a0 += at(q0, i);
+      for (std::size_t i = common; i < q1.size(); ++i) a1 += at(q1, i);
+      for (std::size_t i = common; i < q2.size(); ++i) a2 += at(q2, i);
+      for (std::size_t i = common; i < q3.size(); ++i) a3 += at(q3, i);
+      out[to] = a0;
+      out[to + 1] = a1;
+      out[to + 2] = a2;
+      out[to + 3] = a3;
+    }
   }
 
  private:

@@ -64,8 +64,8 @@ class LatencyContext {
   }
 
   /// The full ℓ_e(x_e) table, indexed by dense resource id — contiguous,
-  /// for the vectorizable singleton select loops (protocols/kernel.hpp)
-  /// that turn the per-pair ex-post lookup into plain array reads.
+  /// for the singleton row gather (protocols/kernel.cpp), which turns the
+  /// per-pair ex-post lookup into one array read.
   std::span<const double> resource_latencies() const noexcept { return ell_; }
 
   /// The full ℓ_e(x_e + 1) table (see resource_latencies()).

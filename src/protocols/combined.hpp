@@ -20,13 +20,6 @@ class CombinedProtocol final : public Protocol {
   double move_probability(const CongestionGame& game, const State& x,
                           StrategyId from, StrategyId to) const override;
 
-  /// Cached-latency row fill (batched round kernel): ONE ex-post gather per
-  /// destination feeds both sub-protocols' cores — the per-pair path walks
-  /// the ex-post merge twice (once inside each sub-protocol).
-  void fill_move_probabilities(const CongestionGame& game,
-                               const OriginView& origin,
-                               std::span<double> out) const;
-
   /// A combined row entry is p·explore + (1−p)·imitate; it is provably
   /// zero exactly when both sub-rows are (0.0·anything + anything·0.0
   /// stays 0.0 for the finite sub-probabilities involved).

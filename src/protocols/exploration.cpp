@@ -27,69 +27,20 @@ double ExplorationProtocol::acceptance_probability(const CongestionGame& game,
   const double l_from = game.strategy_latency(x, from);
   const double l_to = game.expost_latency(x, from, to);
   if (!(l_from > l_to)) return 0.0;  // any strict improvement qualifies
-  const double beta = params_.beta_override.value_or(game.beta_slope());
-  const double lmin =
-      params_.lmin_override.value_or(game.min_nonempty_latency());
-  const double num_strategies = static_cast<double>(game.num_strategies());
-  const double n = static_cast<double>(game.num_players());
-  const double damping = std::min(1.0, num_strategies * lmin / (beta * n));
-  const double mu = params_.lambda * damping * (l_from - l_to) / l_from;
+  const double mu = params_.lambda * damping(game) * (l_from - l_to) / l_from;
   return std::clamp(mu, 0.0, 1.0);
 }
 
-double ExplorationProtocol::move_probability_cached(const CongestionGame& game,
-                                                    StrategyId from,
-                                                    StrategyId to,
-                                                    double l_from,
-                                                    double l_to) const {
-  CID_DCHECK(from != to, "move probability needs distinct strategies");
-  // Term-for-term mirror of move_probability/acceptance_probability with
-  // the latencies supplied from the round cache.
-  const double sample_prob =
-      1.0 / static_cast<double>(game.num_strategies());
-  if (!(l_from > l_to)) return sample_prob * 0.0;
-  const double beta = params_.beta_override.value_or(game.beta_slope());
+double ExplorationProtocol::damping(const CongestionGame& game) const {
+  // Not value_or: it would derive β (a scan of every load up to n) even
+  // when the override replaces it.
+  const double beta =
+      params_.beta_override ? *params_.beta_override : game.beta_slope();
   const double lmin =
       params_.lmin_override.value_or(game.min_nonempty_latency());
   const double num_strategies = static_cast<double>(game.num_strategies());
   const double n = static_cast<double>(game.num_players());
-  const double damping = std::min(1.0, num_strategies * lmin / (beta * n));
-  const double mu = params_.lambda * damping * (l_from - l_to) / l_from;
-  return sample_prob * std::clamp(mu, 0.0, 1.0);
-}
-
-void ExplorationProtocol::fill_move_probabilities(const CongestionGame& game,
-                                                  const OriginView& origin,
-                                                  std::span<double> out) const {
-  CID_DCHECK(out.size() == static_cast<std::size_t>(game.num_strategies()),
-             "probability row must span every strategy");
-  const StrategyId from = origin.from();
-  const auto k = static_cast<std::size_t>(game.num_strategies());
-  const double sample_prob =
-      1.0 / static_cast<double>(game.num_strategies());
-  const double l_from = origin.ctx().strategy_latency(from);
-  // Row constants: β, ℓ_min, and the damping are state-independent, and
-  // λ·damping of the same doubles is the same double every iteration.
-  const double beta = params_.beta_override.value_or(game.beta_slope());
-  const double lmin =
-      params_.lmin_override.value_or(game.min_nonempty_latency());
-  const double num_strategies = static_cast<double>(game.num_strategies());
-  const double n = static_cast<double>(game.num_players());
-  const double damping = std::min(1.0, num_strategies * lmin / (beta * n));
-  const double lambda_damping = params_.lambda * damping;
-  for (std::size_t to = 0; to < k; ++to) {
-    if (static_cast<StrategyId>(to) == from) {
-      out[to] = 0.0;
-      continue;
-    }
-    const double l_to = origin.expost_latency(static_cast<StrategyId>(to));
-    if (!(l_from > l_to)) {
-      out[to] = sample_prob * 0.0;
-      continue;
-    }
-    const double mu = lambda_damping * (l_from - l_to) / l_from;
-    out[to] = sample_prob * std::clamp(mu, 0.0, 1.0);
-  }
+  return std::min(1.0, num_strategies * lmin / (beta * n));
 }
 
 bool ExplorationProtocol::row_provably_zero(const CongestionGame& /*game*/,

@@ -15,9 +15,7 @@
 #pragma once
 
 #include <optional>
-#include <span>
 
-#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "protocols/protocol.hpp"
 
@@ -38,24 +36,11 @@ class ExplorationProtocol final : public Protocol {
   double move_probability(const CongestionGame& game, const State& x,
                           StrategyId from, StrategyId to) const override;
 
-  /// Cached-latency row fill (batched round kernel): one ex-post gather per
-  /// destination, zero latency-function calls, row constants (1/|P| and the
-  /// β/ℓ_min damping) hoisted out of the loop.
-  void fill_move_probabilities(const CongestionGame& game,
-                               const OriginView& origin,
-                               std::span<double> out) const;
-
   /// Exploration samples ALL strategies (including empty ones), so its row
   /// is provably zero only when ℓ_P(x) <= min over every strategy of
   /// ℓ_Q(x) and plus-dominance lifts that to the ex-post latencies.
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
                          StrategyId from, const RowBounds& bounds) const;
-
-  /// Batched-kernel core shared with CombinedProtocol (see
-  /// ImitationProtocol::move_probability_cached).
-  double move_probability_cached(const CongestionGame& game, StrategyId from,
-                                 StrategyId to, double l_from,
-                                 double l_to) const;
 
   double acceptance_probability(const CongestionGame& game, const State& x,
                                 StrategyId from, StrategyId to) const;
@@ -63,6 +48,10 @@ class ExplorationProtocol final : public Protocol {
   std::string name() const override;
 
   const ExplorationParams& params() const noexcept { return params_; }
+
+  /// The damping min{1, |P|·ℓ_min/(β·n)} of μ: state-independent, so the
+  /// row fill hoists it (protocols/kernel.hpp).
+  double damping(const CongestionGame& game) const;
 
  private:
   ExplorationParams params_;

@@ -32,6 +32,12 @@ double ImitationProtocol::effective_d(const CongestionGame& game) const {
   return params_.elasticity_override.value_or(game.elasticity());
 }
 
+std::int64_t ImitationProtocol::sampling_pool(
+    const CongestionGame& game) const {
+  return game.num_players() + params_.virtual_agents * game.num_strategies() -
+         (params_.convention == SamplingConvention::kExcludeSelf ? 1 : 0);
+}
+
 double ImitationProtocol::acceptance_probability(const CongestionGame& game,
                                                  const State& x,
                                                  StrategyId from,
@@ -49,75 +55,6 @@ double ImitationProtocol::acceptance_probability(const CongestionGame& game,
   return std::clamp(mu, 0.0, 1.0);
 }
 
-double ImitationProtocol::move_probability_cached(const CongestionGame& game,
-                                                  const State& x,
-                                                  StrategyId from,
-                                                  StrategyId to, double l_from,
-                                                  double l_to) const {
-  CID_DCHECK(from != to, "move probability needs distinct strategies");
-  // Mirrors move_probability term-for-term (same expressions, same
-  // evaluation order) with the two latencies supplied by the caller's
-  // cache; the oracle-equivalence suite pins the bitwise match.
-  const std::int64_t v = params_.virtual_agents;
-  const std::int64_t targets =
-      x.counts()[static_cast<std::size_t>(to)] + v;
-  if (targets == 0) return 0.0;  // imitation cannot discover unused paths
-  const std::int64_t pool =
-      game.num_players() + v * game.num_strategies() -
-      (params_.convention == SamplingConvention::kExcludeSelf ? 1 : 0);
-  const double sample_prob =
-      static_cast<double>(targets) / static_cast<double>(pool);
-  if (sample_prob == 0.0) return 0.0;
-  if (!(l_from > l_to + effective_nu(game))) return 0.0;
-  const double mu =
-      (params_.lambda / effective_d(game)) * (l_from - l_to) / l_from;
-  return sample_prob * std::clamp(mu, 0.0, 1.0);
-}
-
-void ImitationProtocol::fill_move_probabilities(const CongestionGame& game,
-                                                const OriginView& origin,
-                                                std::span<double> out) const {
-  CID_DCHECK(out.size() == static_cast<std::size_t>(game.num_strategies()),
-             "probability row must span every strategy");
-  const LatencyContext& ctx = origin.ctx();
-  const StrategyId from = origin.from();
-  const std::span<const std::int64_t> counts = ctx.state().counts();
-  const auto k = static_cast<std::size_t>(game.num_strategies());
-  const std::int64_t v = params_.virtual_agents;
-  const std::int64_t pool =
-      game.num_players() + v * game.num_strategies() -
-      (params_.convention == SamplingConvention::kExcludeSelf ? 1 : 0);
-  const double l_from = ctx.strategy_latency(from);
-  const double nu = effective_nu(game);
-  // One division hoisted out of the row: λ/d of the same doubles is the
-  // same double every iteration, so hoisting cannot change a bit.
-  const double lambda_over_d = params_.lambda / effective_d(game);
-  for (std::size_t to = 0; to < k; ++to) {
-    if (static_cast<StrategyId>(to) == from) {
-      out[to] = 0.0;
-      continue;
-    }
-    const std::int64_t targets = counts[to] + v;
-    if (targets == 0) {
-      out[to] = 0.0;  // empty destination: skip the ex-post gather entirely
-      continue;
-    }
-    const double sample_prob =
-        static_cast<double>(targets) / static_cast<double>(pool);
-    if (sample_prob == 0.0) {
-      out[to] = 0.0;
-      continue;
-    }
-    const double l_to = origin.expost_latency(static_cast<StrategyId>(to));
-    if (!(l_from > l_to + nu)) {
-      out[to] = 0.0;
-      continue;
-    }
-    const double mu = lambda_over_d * (l_from - l_to) / l_from;
-    out[to] = sample_prob * std::clamp(mu, 0.0, 1.0);
-  }
-}
-
 bool ImitationProtocol::row_provably_zero(const CongestionGame& game,
                                           const LatencyContext& ctx,
                                           StrategyId from,
@@ -128,7 +65,7 @@ bool ImitationProtocol::row_provably_zero(const CongestionGame& game,
   // same order, and IEEE rounding is monotone, so float summation
   // preserves the dominance; adding the same nu keeps it). Then
   // ℓ_P <= floor + ν implies the gain test !(l_from > l_to + nu) fails for
-  // every destination — exactly the branch fill_move_probabilities takes.
+  // every destination — exactly the mask the row fill's select applies.
   const double floor = params_.virtual_agents > 0 ? bounds.min_latency
                                                   : bounds.min_support_latency;
   return !(ctx.strategy_latency(from) > floor + effective_nu(game));
@@ -141,11 +78,8 @@ double ImitationProtocol::move_probability(const CongestionGame& game,
   const std::int64_t v = params_.virtual_agents;
   const std::int64_t targets = x.count(to) + v;
   if (targets == 0) return 0.0;  // imitation cannot discover unused paths
-  const std::int64_t pool =
-      game.num_players() + v * game.num_strategies() -
-      (params_.convention == SamplingConvention::kExcludeSelf ? 1 : 0);
-  const double sample_prob =
-      static_cast<double>(targets) / static_cast<double>(pool);
+  const double sample_prob = static_cast<double>(targets) /
+                             static_cast<double>(sampling_pool(game));
   if (sample_prob == 0.0) return 0.0;
   return sample_prob * acceptance_probability(game, x, from, to);
 }

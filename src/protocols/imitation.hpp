@@ -14,10 +14,9 @@
 // (Theorem 9 drops ν for large singleton games; bench E6 ablates 1/d).
 #pragma once
 
+#include <cstdint>
 #include <optional>
-#include <span>
 
-#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "protocols/protocol.hpp"
 
@@ -71,14 +70,6 @@ class ImitationProtocol final : public Protocol {
   double move_probability(const CongestionGame& game, const State& x,
                           StrategyId from, StrategyId to) const override;
 
-  /// Cached-latency row fill (batched round kernel). Imitation's sampling
-  /// stage zeroes every empty destination (x_Q + v = 0), so those targets
-  /// skip the ex-post gather entirely — the row costs O(k) plus one O(|Q|)
-  /// gather per *populated* destination, with zero latency-function calls.
-  void fill_move_probabilities(const CongestionGame& game,
-                               const OriginView& origin,
-                               std::span<double> out) const;
-
   /// Imitation's row is all zero when no destination beats ℓ_P(x) by more
   /// than ν: ℓ_Q(x+1_Q−1_P) >= ℓ_Q(x) (plus-dominance) makes
   /// ℓ_P <= min ℓ_Q(x) + ν a proof. With virtual agents the sampling
@@ -86,13 +77,6 @@ class ImitationProtocol final : public Protocol {
   /// without, over the support only (empty targets are zeroed anyway).
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
                          StrategyId from, const RowBounds& bounds) const;
-
-  /// Batched-kernel core shared with CombinedProtocol: the pair probability
-  /// from pre-fetched ℓ_P(x) and ℓ_Q(x+1_Q−1_P). Bitwise identical to
-  /// move_probability for the same state.
-  double move_probability_cached(const CongestionGame& game, const State& x,
-                                 StrategyId from, StrategyId to,
-                                 double l_from, double l_to) const;
 
   /// The acceptance probability μ_PQ alone (second stage of Protocol 1);
   /// exposed for tests and for analytical comparisons.
@@ -103,10 +87,14 @@ class ImitationProtocol final : public Protocol {
 
   const ImitationParams& params() const noexcept { return params_; }
 
- private:
+  /// The terms of μ and of the sampling stage that the row fill hoists
+  /// (protocols/kernel.hpp): ν (0 without the cutoff), d (1 without
+  /// damping), and the sampling pool n + v·|P| (− 1 excluding the sampler).
   double effective_nu(const CongestionGame& game) const;
   double effective_d(const CongestionGame& game) const;
+  std::int64_t sampling_pool(const CongestionGame& game) const;
 
+ private:
   ImitationParams params_;
 };
 

@@ -7,39 +7,49 @@
 // scenario registry hold, and the per-pair REFERENCE ORACLE
 // (move_probability) every kernel is audited against. A ProtocolKernel
 // adds the row API — `row_block`, `fill_row`, `row_provably_zero` — and is
-// dispatched at compile time, so the engines' five phases inline the row
-// fill instead of paying a virtual call per origin, and the paper's
-// protocols on singleton games run a branch-reduced select loop the
-// auto-vectorizer can chew on.
+// dispatched at compile time, so the engines' five phases call the row
+// fill directly instead of paying a virtual call per origin.
 //
 // Layering (how a protocol reaches the hot path):
 //
 //   Protocol (virtual)  --dispatch_protocol_kernel-->  concrete kernel
-//     ImitationProtocol   -> ImitationKernel     (select loop on singletons)
-//     ExplorationProtocol -> ExplorationKernel   (select loop on singletons)
-//     CombinedProtocol    -> CombinedKernel      (select loop on singletons)
+//     ImitationProtocol   -> ImitationKernel
+//     ExplorationProtocol -> ExplorationKernel
+//     CombinedProtocol    -> CombinedKernel
 //     anything else       -> refused (invariant_violation naming it)
 //
-// On non-singleton games each kernel calls its final class's
-// fill_move_probabilities / row_provably_zero directly. ClassImitationKernel
-// has no virtual Protocol: the asymmetric scenario families construct it
-// directly, and its move_probability forwards to the class-wise oracle
-// asymmetric_move_probability (game/asymmetric.hpp).
+// The three symmetric kernels share ONE row path on every game
+// (fill_protocol_row, protocols/kernel.cpp), two passes over the row:
 //
-// A new protocol therefore needs a final class with the same row members
-// plus a kernel and a dispatch case. The tests-only adapter in
+//   gather  out[to] = ℓ_to(x + 1_to − 1_from): on singleton games one
+//           ell/ell_plus read, otherwise OriginView::expost_row;
+//   select  reads l_to back from out[to] and writes the probability in
+//           place — one branch-free loop per protocol, built from one
+//           source for AVX-512, AVX2 and the portable baseline and picked
+//           at run time (best_lane_isa(), util/rng.hpp).
+//
+// Their prune proofs are the final classes' row_provably_zero.
+// ClassImitationKernel has no virtual Protocol: the asymmetric scenario
+// families construct it directly, and its move_probability forwards to
+// the class-wise oracle asymmetric_move_probability (game/asymmetric.hpp).
+//
+// A new protocol therefore needs a final class, a fill_protocol_row
+// overload and a dispatch case. The tests-only adapter in
 // tests/support/reference_round.hpp fills rows pair by pair through
 // move_probability and never prunes; the suites run it beside each kernel
 // to audit both the row fill and the pruning.
 //
 // Bitwise contract: every kernel's fill_row writes the byte-identical row
-// move_probability gives per pair — so batched, monomorphized, vectorized,
-// and per-pair reference paths all consume the RNG identically and produce
-// interchangeable checkpoints (tests/test_kernel_concepts.cpp and
-// tests/test_engine_oracle.cpp enforce this). The singleton fast paths
-// below preserve it by construction: identical hoisted constants,
-// identical expression order, and ternary selects (never multiply-by-mask,
-// which would turn a discarded-lane NaN into an output).
+// move_probability gives per pair — so batched, vectorized and per-pair
+// reference paths all consume the RNG identically and produce
+// interchangeable checkpoints (tests/test_kernel_concepts.cpp audits every
+// row by bit pattern on every ISA the host runs; tests/test_engine_oracle.cpp
+// whole runs). The select pass keeps it by construction: the oracle's
+// hoisted constants and expression order, only IEEE-exact divides,
+// multiplies, subtracts, compares and selects (never multiply-by-mask,
+// which would turn a discarded-lane NaN into an output), and
+// -ffp-contract=off, which covers the target-attributed variants too — so
+// no vector width moves a bit.
 #pragma once
 
 #include <algorithm>
@@ -59,6 +69,7 @@
 #include "protocols/imitation.hpp"
 #include "protocols/protocol.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace cid {
 
@@ -66,9 +77,10 @@ namespace cid {
 ///
 ///   * row_block(game, from) — the destination range of from's row;
 ///     destinations outside it have probability 0.
-///   * fill_row(game, origin, out) — writes, for from = origin.from() and
-///     every j, out[j] = move_probability(from, block.begin + j) (0 for
-///     from itself) over the block. origin.ctx() is the round's latency
+///   * fill_row(game, origin, out) — writes, for from = origin.from() (a
+///     populated origin: the engines fill no other row) and every j,
+///     out[j] = move_probability(from, block.begin + j) (0 for from
+///     itself) over the block. origin.ctx() is the round's latency
 ///     cache, consistent with the pre-round state. Every entry must be
 ///     BITWISE identical to the per-pair value: the engines feed rows
 ///     straight into the RNG samplers, so any drift would silently fork
@@ -96,26 +108,38 @@ concept ProtocolKernel =
       { k.name() } -> std::convertible_to<std::string>;
     };
 
-/// Monomorphized imitation kernel. Non-singleton games delegate to the
-/// final ImitationProtocol methods (direct, devirtualized calls); singleton
-/// games take a contiguous-array select loop: the per-destination ex-post
-/// gather collapses to one ell/ell_plus read, and the branchy zero cases
-/// become one ternary select per entry.
-class ImitationKernel {
+/// One origin's row of a symmetric protocol, in two passes over `out`
+/// (the file comment): the ex-post gather, then `isa`'s select pass. Every
+/// entry is move_probability(from, to), 0.0 for from itself.
+void fill_protocol_row(const ImitationProtocol& protocol,
+                       const CongestionGame& game, const OriginView& origin,
+                       std::span<double> out, LaneIsa isa);
+void fill_protocol_row(const ExplorationProtocol& protocol,
+                       const CongestionGame& game, const OriginView& origin,
+                       std::span<double> out, LaneIsa isa);
+void fill_protocol_row(const CombinedProtocol& protocol,
+                       const CongestionGame& game, const OriginView& origin,
+                       std::span<double> out, LaneIsa isa);
+
+/// The kernel of a symmetric protocol: rows span every strategy, fill
+/// through fill_protocol_row with the select pass of `isa` (by default the
+/// widest this host runs; the row audit passes each), and prune through
+/// the final class's row_provably_zero.
+template <typename ProtocolT>
+class SymmetricKernel {
  public:
-  explicit ImitationKernel(const ImitationProtocol& protocol) noexcept
-      : protocol_(&protocol) {}
+  explicit SymmetricKernel(const ProtocolT& protocol,
+                           LaneIsa isa = best_lane_isa())
+      : protocol_(&protocol), isa_(isa) {
+    CID_ENSURE(lane_isa_supported(isa), "row select: ISA not supported here");
+  }
 
   RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
     return {0, game.num_strategies()};
   }
   void fill_row(const CongestionGame& game, const OriginView& origin,
                 std::span<double> out) const {
-    if (game.is_singleton()) {
-      fill_row_singleton(game, origin.ctx(), origin.from(), out);
-      return;
-    }
-    protocol_->fill_move_probabilities(game, origin, out);
+    fill_protocol_row(*protocol_, game, origin, out, isa_);
   }
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
                          StrategyId from, const RowBounds& bounds) const {
@@ -128,209 +152,13 @@ class ImitationKernel {
   std::string name() const { return protocol_->name(); }
 
  private:
-  void fill_row_singleton(const CongestionGame& game, const LatencyContext& ctx,
-                          StrategyId from, std::span<double> out) const {
-    // Hoisted constants mirror ImitationProtocol::fill_move_probabilities
-    // term for term (effective nu/d reconstructed from the public params —
-    // same expressions as the private effective_* helpers).
-    const ImitationParams& params = protocol_->params();
-    const std::span<const std::int64_t> counts = ctx.state().counts();
-    const std::span<const Strategy> strategies = game.strategies();
-    const std::span<const double> ell = ctx.resource_latencies();
-    const std::span<const double> ell_plus = ctx.resource_latencies_plus();
-    const auto k = static_cast<std::size_t>(game.num_strategies());
-    const std::int64_t v = params.virtual_agents;
-    const std::int64_t pool =
-        game.num_players() + v * game.num_strategies() -
-        (params.convention == SamplingConvention::kExcludeSelf ? 1 : 0);
-    const double l_from = ctx.strategy_latency(from);
-    const double nu =
-        params.nu_cutoff ? params.nu_override.value_or(game.nu()) : 0.0;
-    const double d =
-        params.damping ? params.elasticity_override.value_or(game.elasticity())
-                       : 1.0;
-    const double lambda_over_d = params.lambda / d;
-    const Resource res_from = strategies[static_cast<std::size_t>(from)][0];
-    for (std::size_t to = 0; to < k; ++to) {
-      const std::int64_t targets = counts[to] + v;
-      const double sample_prob =
-          static_cast<double>(targets) / static_cast<double>(pool);
-      const Resource res_to = strategies[to][0];
-      const auto e = static_cast<std::size_t>(res_to);
-      // Singleton ex-post latency: the one destination resource reads ell
-      // when shared with the origin, ell_plus otherwise — exactly what
-      // the origin table's gather computes for |Q| = 1.
-      const double l_to = res_to == res_from ? ell[e] : ell_plus[e];
-      const double mu = lambda_over_d * (l_from - l_to) / l_from;
-      // One select covering every zero case of the scalar loop, in the
-      // same semantics: self, empty target, vanished sample probability,
-      // or failed gain test. Dead lanes may compute inf/NaN in mu — the
-      // ternary discards them (never multiply-by-mask: 0 * NaN != 0).
-      const bool moves = static_cast<StrategyId>(to) != from &&
-                         targets != 0 && sample_prob != 0.0 &&
-                         (l_from > l_to + nu);
-      out[to] = moves ? sample_prob * std::clamp(mu, 0.0, 1.0) : 0.0;
-    }
-  }
-
-  const ImitationProtocol* protocol_;
+  const ProtocolT* protocol_;
+  LaneIsa isa_;
 };
 
-/// Monomorphized exploration kernel (same layering as ImitationKernel).
-class ExplorationKernel {
- public:
-  explicit ExplorationKernel(const ExplorationProtocol& protocol) noexcept
-      : protocol_(&protocol) {}
-
-  RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
-    return {0, game.num_strategies()};
-  }
-  void fill_row(const CongestionGame& game, const OriginView& origin,
-                std::span<double> out) const {
-    if (game.is_singleton()) {
-      fill_row_singleton(game, origin.ctx(), origin.from(), out);
-      return;
-    }
-    protocol_->fill_move_probabilities(game, origin, out);
-  }
-  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from, const RowBounds& bounds) const {
-    return protocol_->row_provably_zero(game, ctx, from, bounds);
-  }
-  double move_probability(const CongestionGame& game, const State& x,
-                          StrategyId from, StrategyId to) const {
-    return protocol_->move_probability(game, x, from, to);
-  }
-  std::string name() const { return protocol_->name(); }
-
- private:
-  void fill_row_singleton(const CongestionGame& game, const LatencyContext& ctx,
-                          StrategyId from, std::span<double> out) const {
-    // Mirrors ExplorationProtocol::fill_move_probabilities. Its
-    // non-improving entries are sample_prob * 0.0 — bitwise +0.0, since
-    // sample_prob = 1/k is positive and finite — so one 0.0 select covers
-    // both zero cases exactly.
-    const ExplorationParams& params = protocol_->params();
-    const std::span<const Strategy> strategies = game.strategies();
-    const std::span<const double> ell = ctx.resource_latencies();
-    const std::span<const double> ell_plus = ctx.resource_latencies_plus();
-    const auto k = static_cast<std::size_t>(game.num_strategies());
-    const double sample_prob =
-        1.0 / static_cast<double>(game.num_strategies());
-    const double l_from = ctx.strategy_latency(from);
-    const double beta = params.beta_override.value_or(game.beta_slope());
-    const double lmin =
-        params.lmin_override.value_or(game.min_nonempty_latency());
-    const double num_strategies = static_cast<double>(game.num_strategies());
-    const double n = static_cast<double>(game.num_players());
-    const double damping = std::min(1.0, num_strategies * lmin / (beta * n));
-    const double lambda_damping = params.lambda * damping;
-    const Resource res_from = strategies[static_cast<std::size_t>(from)][0];
-    for (std::size_t to = 0; to < k; ++to) {
-      const Resource res_to = strategies[to][0];
-      const auto e = static_cast<std::size_t>(res_to);
-      const double l_to = res_to == res_from ? ell[e] : ell_plus[e];
-      const double mu = lambda_damping * (l_from - l_to) / l_from;
-      const bool moves =
-          static_cast<StrategyId>(to) != from && (l_from > l_to);
-      out[to] = moves ? sample_prob * std::clamp(mu, 0.0, 1.0) : 0.0;
-    }
-  }
-
-  const ExplorationProtocol* protocol_;
-};
-
-/// Monomorphized combined kernel: one ell/ell_plus read per destination
-/// feeds both sub-protocol cores, exactly as the scalar row fill shares one
-/// ex-post gather between them.
-class CombinedKernel {
- public:
-  explicit CombinedKernel(const CombinedProtocol& protocol) noexcept
-      : protocol_(&protocol) {}
-
-  RowBlock row_block(const CongestionGame& game, StrategyId /*from*/) const {
-    return {0, game.num_strategies()};
-  }
-  void fill_row(const CongestionGame& game, const OriginView& origin,
-                std::span<double> out) const {
-    if (game.is_singleton()) {
-      fill_row_singleton(game, origin.ctx(), origin.from(), out);
-      return;
-    }
-    protocol_->fill_move_probabilities(game, origin, out);
-  }
-  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from, const RowBounds& bounds) const {
-    return protocol_->row_provably_zero(game, ctx, from, bounds);
-  }
-  double move_probability(const CongestionGame& game, const State& x,
-                          StrategyId from, StrategyId to) const {
-    return protocol_->move_probability(game, x, from, to);
-  }
-  std::string name() const { return protocol_->name(); }
-
- private:
-  void fill_row_singleton(const CongestionGame& game, const LatencyContext& ctx,
-                          StrategyId from, std::span<double> out) const {
-    // Mirrors CombinedProtocol::fill_move_probabilities: per entry, the
-    // exact values the two move_probability_cached cores return, combined
-    // as p·explore + (1−p)·imitate in the same order. The exploration core
-    // returns sample_prob * 0.0 (== +0.0) for non-improving targets, so
-    // its select writes 0.0 exactly like the imitation-style cases.
-    const ImitationParams& ip = protocol_->imitation().params();
-    const ExplorationParams& ep = protocol_->exploration().params();
-    const double p_explore = protocol_->p_explore();
-    const double one_minus_p = 1.0 - p_explore;
-    const std::span<const std::int64_t> counts = ctx.state().counts();
-    const std::span<const Strategy> strategies = game.strategies();
-    const std::span<const double> ell = ctx.resource_latencies();
-    const std::span<const double> ell_plus = ctx.resource_latencies_plus();
-    const auto k = static_cast<std::size_t>(game.num_strategies());
-    const double l_from = ctx.strategy_latency(from);
-    // Imitation core constants (ImitationProtocol::move_probability_cached).
-    const std::int64_t v = ip.virtual_agents;
-    const std::int64_t pool =
-        game.num_players() + v * game.num_strategies() -
-        (ip.convention == SamplingConvention::kExcludeSelf ? 1 : 0);
-    const double nu = ip.nu_cutoff ? ip.nu_override.value_or(game.nu()) : 0.0;
-    const double d =
-        ip.damping ? ip.elasticity_override.value_or(game.elasticity()) : 1.0;
-    const double i_lambda_over_d = ip.lambda / d;
-    // Exploration core constants (ExplorationProtocol::move_probability_cached).
-    const double e_sample =
-        1.0 / static_cast<double>(game.num_strategies());
-    const double beta = ep.beta_override.value_or(game.beta_slope());
-    const double lmin = ep.lmin_override.value_or(game.min_nonempty_latency());
-    const double num_strategies = static_cast<double>(game.num_strategies());
-    const double n = static_cast<double>(game.num_players());
-    const double e_damping =
-        std::min(1.0, num_strategies * lmin / (beta * n));
-    const double e_lambda_damping = ep.lambda * e_damping;
-    const Resource res_from = strategies[static_cast<std::size_t>(from)][0];
-    for (std::size_t to = 0; to < k; ++to) {
-      const Resource res_to = strategies[to][0];
-      const auto e = static_cast<std::size_t>(res_to);
-      const double l_to = res_to == res_from ? ell[e] : ell_plus[e];
-      const double e_mu = e_lambda_damping * (l_from - l_to) / l_from;
-      const double e_val = (l_from > l_to)
-                               ? e_sample * std::clamp(e_mu, 0.0, 1.0)
-                               : e_sample * 0.0;
-      const std::int64_t targets = counts[to] + v;
-      const double i_sample =
-          static_cast<double>(targets) / static_cast<double>(pool);
-      const double i_mu = i_lambda_over_d * (l_from - l_to) / l_from;
-      const bool i_moves =
-          targets != 0 && i_sample != 0.0 && (l_from > l_to + nu);
-      const double i_val =
-          i_moves ? i_sample * std::clamp(i_mu, 0.0, 1.0) : 0.0;
-      out[to] = static_cast<StrategyId>(to) == from
-                    ? 0.0
-                    : p_explore * e_val + one_minus_p * i_val;
-    }
-  }
-
-  const CombinedProtocol* protocol_;
-};
+using ImitationKernel = SymmetricKernel<ImitationProtocol>;
+using ExplorationKernel = SymmetricKernel<ExplorationProtocol>;
+using CombinedKernel = SymmetricKernel<CombinedProtocol>;
 
 /// Class-local imitation (the paper's §3 closing remark) on an asymmetric
 /// game's flat game: a class-c player samples among the other n_c − 1

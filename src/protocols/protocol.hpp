@@ -12,10 +12,11 @@
 // draws the whole origin-strategy cohort as one multinomial — identical
 // joint law, since players act independently given x.
 //
-// The virtual class is the oracle only. The engines' row fills and prune
-// proofs are plain members of the three final classes (imitation.hpp,
-// exploration.hpp, combined.hpp), reached through their kernels
-// (protocols/kernel.hpp), and must match move_probability bit for bit.
+// The virtual class is the oracle only. The engines' prune proofs are
+// plain members of the three final classes (imitation.hpp,
+// exploration.hpp, combined.hpp); their rows are filled by the kernels
+// (protocols/kernel.hpp) from the classes' parameters. Both must match
+// move_probability bit for bit.
 #pragma once
 
 #include <cstddef>

@@ -221,9 +221,18 @@ void Rng::multinomial_tail(std::size_t start, std::int64_t left,
     // Conditional probability of category i given not in categories < i.
     const double cond =
         remaining <= 0.0 ? 1.0 : std::min(1.0, pi / remaining);
-    out[i] = binomial(left, cond);
-    left -= out[i];
     remaining -= pi;
+    // binomial(left, cond)'s inversion regime, its squeeze inlined: most
+    // categories of a mover round draw 0 here, and skip the call.
+    if (left > 32 && cond > 0.0 && cond <= 0.5 &&
+        static_cast<double>(left) * cond < 12.0) {
+      const double u = uniform();
+      if (u < binomial_zero_bound(left, cond)) continue;
+      out[i] = binomial_inversion_from(u, left, cond);
+    } else {
+      out[i] = binomial(left, cond);
+    }
+    left -= out[i];
   }
 }
 

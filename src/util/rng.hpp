@@ -12,7 +12,10 @@
 //     inversion first tests its uniform against binomial_zero_bound, a
 //     cheap lower bound on P[X = 0] (below), and returns 0 without the
 //     pow() when it is under it — same value, same draws as the full walk.
-//   * multinomial(n, probs): sequential conditional binomials.
+//   * multinomial(n, probs): sequential conditional binomials. In the
+//     inversion regime it draws the first uniform itself and skips a
+//     category below binomial_zero_bound without calling binomial — the
+//     same values and draws; most categories of a mover round end there.
 //   * Planned multinomials: plan_zero_multinomial describes the all-zero
 //     outcome of multinomial(n, probs) as ZeroSteps, one per positive
 //     category, each an interval [lo, hi) its uniforms fall in when that
@@ -203,8 +206,9 @@ struct LaneScan {
   double u = 0.0;           // and its uniform
 };
 
-/// The instruction sets Rng::scan_lanes runs on. kPortable is the plain
-/// scan_zero loop, the reference the lane kernel must equal.
+/// The instruction sets the vector kernels run on: Rng::scan_lanes and the
+/// row select pass (protocols/kernel.cpp). kPortable is the plain loop,
+/// the reference each vector variant must equal.
 enum class LaneIsa { kPortable, kAvx2, kAvx512 };
 
 /// Whether this host runs `isa`; best_lane_isa() is the widest that it does.

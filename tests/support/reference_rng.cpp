@@ -29,4 +29,22 @@ std::int64_t binomial_inversion_reference(Rng& rng, std::int64_t n,
   }
 }
 
+std::vector<std::int64_t> multinomial_reference(Rng& rng, std::int64_t n,
+                                                std::span<const double> probs) {
+  std::vector<std::int64_t> out(probs.size(), 0);
+  std::int64_t left = n;
+  double remaining = 1.0;
+  for (std::size_t i = 0; i < probs.size() && left > 0; ++i) {
+    const double pi = probs[i];
+    if (pi <= 0.0) continue;
+    // Conditional probability of category i given not in categories < i.
+    const double cond =
+        remaining <= 0.0 ? 1.0 : std::min(1.0, pi / remaining);
+    out[i] = rng.binomial(left, cond);
+    left -= out[i];
+    remaining -= pi;
+  }
+  return out;
+}
+
 }  // namespace cid::test

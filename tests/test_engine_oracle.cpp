@@ -155,8 +155,8 @@ TEST(EngineOracle, BatchedRowsMatchMoveProbabilityOracle) {
       SCOPED_TRACE(protocol->name());
       std::vector<double> row(k);
       for (StrategyId from = 0; from < game.num_strategies(); ++from) {
-        // On this non-singleton game every kernel's fill_row is its final
-        // class's fill_move_probabilities.
+        // On this non-singleton game every kernel's fill_row gathers
+        // through the table, then runs its select pass.
         dispatch_protocol_kernel(*protocol, [&](const auto& kernel) {
           kernel.fill_row(game, OriginView(table, from), row);
         });

@@ -17,10 +17,11 @@
 //      the integer loads the engines evaluate and at fractional and huge
 //      arguments (LatencyTable::potential, the closed-form Φ, has its own
 //      suite: tests/test_closed_form.cpp);
-//   4. row level — each monomorphized kernel's fill_row (the select loop
-//      on singleton games) is bitwise-identical to its final class's
-//      fill_move_probabilities row, sustained across incremental cache
-//      refreshes;
+//   4. row level — each symmetric kernel's fill_row (the gather, then the
+//      select pass of every ISA the host runs) is bit-identical to
+//      move_probability on singleton and network games, with empty
+//      strategies, exact gain-test ties, n = 1 and counts above 2^53, and
+//      sustained across incremental cache refreshes;
 //   5. round/run level — the templated draw_round<K> / run_dynamics<K>
 //      over the monomorphized kernel, the same templates over the
 //      tests-only VirtualKernel (per-pair rows, never pruned), the
@@ -32,7 +33,10 @@
 //      consulted on the same rounds, and setting both is rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -43,6 +47,7 @@
 #include "dynamics/engine_kernel.hpp"
 #include "dynamics/stop_rule.hpp"
 #include "game/builders.hpp"
+#include "game/expost_table.hpp"
 #include "game/latency_context.hpp"
 #include "latency/kernel.hpp"
 #include "latency/latency.hpp"
@@ -63,9 +68,8 @@ static_assert(ProtocolKernel<test::VirtualKernel>);
 static_assert(ProtocolKernel<ImitationKernel>);
 static_assert(ProtocolKernel<ExplorationKernel>);
 static_assert(ProtocolKernel<CombinedKernel>);
-// The virtual classes expose fill_move_probabilities, not fill_row: the
-// concept genuinely separates the two interfaces instead of accepting
-// anything protocol-shaped.
+// The virtual classes have no fill_row: the concept genuinely separates
+// the two interfaces instead of accepting anything protocol-shaped.
 static_assert(!ProtocolKernel<ImitationProtocol>);
 static_assert(!ProtocolKernel<ExplorationProtocol>);
 static_assert(!ProtocolKernel<CombinedProtocol>);
@@ -206,64 +210,214 @@ CongestionGame network_game_k8(std::int64_t n) {
   return make_network_game(net, std::move(fns), n);
 }
 
-template <typename KernelT, typename ProtocolT>
-void expect_rows_match_protocol(const CongestionGame& game,
-                                const ProtocolT& protocol) {
-  const KernelT kernel(protocol);
+/// Every ISA this host runs the row select on, the portable path first.
+std::vector<LaneIsa> host_isas() {
+  std::vector<LaneIsa> isas;
+  for (LaneIsa isa : {LaneIsa::kPortable, LaneIsa::kAvx2, LaneIsa::kAvx512}) {
+    if (lane_isa_supported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every row the engines fill at x (origins with x_P > 0) through the
+/// protocol's kernel on every host ISA, against move_probability by bit
+/// pattern — +0.0 and −0.0 differ, and a NaN matches only the same NaN —
+/// with 0.0 on the diagonal. ctx must be current for (game, x).
+template <typename ProtocolT>
+void expect_rows_bitwise(const CongestionGame& game, const ProtocolT& protocol,
+                         const State& x, const LatencyContext& ctx) {
   const auto k = static_cast<std::size_t>(game.num_strategies());
-  Rng rng(41);
-  State x = State::uniform_random(game, rng);
-  RoundWorkspace ws;
-  RoundResult rr;
-  LatencyContext ctx;
-  ctx.reset(game, x);
-  ApplyScratch scratch;
-  std::vector<double> kernel_row(k);
-  std::vector<double> virtual_row(k);
+  std::vector<double> want(k);
+  std::vector<double> row(k);
   ExpostTable table;
-  for (int round = 0; round < 20; ++round) {
-    table.sync(ctx);
-    for (StrategyId from = 0; from < game.num_strategies(); ++from) {
+  table.sync(ctx);
+  for (StrategyId from = 0; from < game.num_strategies(); ++from) {
+    if (x.count(from) == 0) continue;
+    for (std::size_t to = 0; to < k; ++to) {
+      const auto to_id = static_cast<StrategyId>(to);
+      want[to] = to_id == from
+                     ? 0.0
+                     : protocol.move_probability(game, x, from, to_id);
+    }
+    for (const LaneIsa isa : host_isas()) {
+      const SymmetricKernel<ProtocolT> kernel(protocol, isa);
       const OriginView origin(table, from);
-      kernel.fill_row(game, origin, kernel_row);
-      protocol.fill_move_probabilities(game, origin, virtual_row);
+      kernel.fill_row(game, origin, row);
       for (std::size_t to = 0; to < k; ++to) {
-        ASSERT_EQ(kernel_row[to], virtual_row[to])
-            << "round " << round << " pair " << from << "->" << to;
+        ASSERT_EQ(bits(row[to]), bits(want[to]))
+            << protocol.name() << " isa " << static_cast<int>(isa)
+            << " pair " << from << "->" << to << ": " << row[to] << " vs "
+            << want[to];
       }
     }
-    // Mutate through a real draw so later iterations audit refreshed
-    // cache entries (and, on singleton games, the select loop over
-    // non-initial ell/ell_plus values).
-    draw_round(game, x, kernel, rng, EngineMode::kAggregate, ws, rr);
-    x.apply(game, rr.moves, scratch);
-    ctx.refresh(scratch.touched);
-    ws.ctx.refresh(scratch.touched);
   }
 }
 
-TEST(KernelRows, SingletonFastPathsMatchVirtualRows) {
-  // Singleton game: this drives the vectorizable select loops, which must
-  // match the final classes' scalar row fills entry for entry.
-  const auto game = make_monomial_fan_game(16, 1.0, 2.0, 4000);
-  ImitationParams virtual_params;
-  virtual_params.virtual_agents = 2;
-  expect_rows_match_protocol<ImitationKernel>(game, ImitationProtocol());
-  expect_rows_match_protocol<ImitationKernel>(
-      game, ImitationProtocol(virtual_params));
-  expect_rows_match_protocol<ExplorationKernel>(game, ExplorationProtocol());
-  expect_rows_match_protocol<CombinedKernel>(
-      game,
-      CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5});
+/// The imitation settings the audit runs: the default, λ = 0.3 (so λ/d is
+/// no power of two and a reassociated μ rounds differently), virtual
+/// agents, no ν cutoff, no damping, and include-self sampling.
+std::vector<ImitationParams> imitation_variants() {
+  std::vector<ImitationParams> variants(6);
+  variants[1].lambda = 0.3;
+  variants[2].virtual_agents = 2;
+  variants[3].nu_cutoff = false;
+  variants[4].damping = false;
+  variants[5].convention = SamplingConvention::kIncludeSelf;
+  return variants;
 }
 
-TEST(KernelRows, NetworkGamesDelegateBitwise) {
-  const auto game = network_game_k8(1500);
-  expect_rows_match_protocol<ImitationKernel>(game, ImitationProtocol());
-  expect_rows_match_protocol<ExplorationKernel>(game, ExplorationProtocol());
-  expect_rows_match_protocol<CombinedKernel>(
-      game,
-      CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5});
+/// Every audited protocol on every state, exploration from `exploration`
+/// and with λ = 0.3. Combined runs p_explore 0, 1/2 and 1 — and 0.3, since
+/// at those three both products p·e and (1−p)·i are exact and an FMA
+/// contraction of their sum could not show.
+void expect_every_protocol_row(const CongestionGame& game,
+                               const std::vector<State>& states,
+                               const ExplorationParams& exploration = {}) {
+  ExplorationParams lambda_03 = exploration;
+  lambda_03.lambda = 0.3;
+  for (const State& x : states) {
+    LatencyContext ctx;
+    ctx.reset(game, x);
+    for (const ImitationParams& params : imitation_variants()) {
+      expect_rows_bitwise(game, ImitationProtocol(params), x, ctx);
+    }
+    for (const ExplorationParams& params : {exploration, lambda_03}) {
+      expect_rows_bitwise(game, ExplorationProtocol(params), x, ctx);
+    }
+    for (const double p : {0.0, 0.3, 0.5, 1.0}) {
+      for (const ImitationParams& params : imitation_variants()) {
+        expect_rows_bitwise(game, CombinedProtocol{params, lambda_03, p}, x,
+                            ctx);
+      }
+    }
+  }
+}
+
+/// Random states, and states with empty strategies: everybody on the last
+/// strategy, and the odd strategies emptied onto the even ones.
+std::vector<State> random_and_sparse_states(const CongestionGame& game,
+                                            std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<State> states;
+  for (int i = 0; i < 3; ++i) states.push_back(State::uniform_random(game, rng));
+  states.push_back(State::all_on(game, game.num_strategies() - 1));
+  std::vector<std::int64_t> even(states[0].counts().begin(),
+                                 states[0].counts().end());
+  for (std::size_t p = 1; p < even.size(); p += 2) {
+    even[p - 1] += even[p];
+    even[p] = 0;
+  }
+  states.emplace_back(game, std::move(even));
+  return states;
+}
+
+/// ℓ_e(x) = x on 8 identical links: ℓ_P = x_P against ℓ_Q(x + 1_Q − 1_P)
+/// = x_Q + 1, so x_P − x_Q = 1 is an exact tie of every strict-improvement
+/// test, and = 1 + ν of the ν-cutoff one when ν is a whole number.
+TEST(KernelRows, SingletonFanBitwiseOnEveryIsa) {
+  const auto fan = make_monomial_fan_game(16, 1.0, 2.0, 4000);
+  expect_every_protocol_row(fan, random_and_sparse_states(fan, 41));
+
+  const auto links = make_monomial_fan_game(8, 1.0, 0.0, 40);
+  const auto nu = static_cast<std::int64_t>(links.nu());
+  ASSERT_EQ(static_cast<double>(nu), links.nu());
+  ASSERT_LE(nu, 8);
+  expect_every_protocol_row(
+      links, {State(links, {6, 5, 5, 4, 6, 5, 4, 5}),
+              State(links, {4 + nu, 3, 5, 5, 5, 5, 5, 8 - nu}),
+              State(links, {8, 7, 6, 5, 5, 4, 3, 2})});
+}
+
+TEST(KernelRows, NetworkGamesBitwiseOnEveryIsa) {
+  // Engine-bound's 64-path game, the 8-path layered game, and a random
+  // series-parallel network whose paths have unequal lengths.
+  const auto net = make_layered_network(4, 3);
+  Rng latency_rng(7);
+  std::vector<LatencyPtr> fns;
+  for (EdgeId e = 0; e < net.graph.num_edges(); ++e) {
+    const double a = 0.5 + latency_rng.uniform();
+    fns.push_back(latency_rng.bernoulli(0.5) ? make_linear(a)
+                                             : make_monomial(0.05 * a, 2.0));
+  }
+  const auto engine_bound = make_network_game(net, std::move(fns), 10000);
+  ASSERT_EQ(engine_bound.num_strategies(), 64);
+  expect_every_protocol_row(engine_bound,
+                            random_and_sparse_states(engine_bound, 43));
+
+  const auto layered = network_game_k8(1500);
+  expect_every_protocol_row(layered, random_and_sparse_states(layered, 45));
+
+  Rng shape_rng(5);  // 18 paths of 3 to 8 edges
+  const auto sp_net = make_series_parallel(12, shape_rng);
+  std::vector<LatencyPtr> sp_fns;
+  for (EdgeId e = 0; e < sp_net.graph.num_edges(); ++e) {
+    sp_fns.push_back(make_monomial(0.5 + shape_rng.uniform(), 1.0));
+  }
+  const auto series_parallel =
+      make_network_game(sp_net, std::move(sp_fns), 900);
+  std::size_t shortest = SIZE_MAX;
+  std::size_t longest = 0;
+  for (const Strategy& path : series_parallel.strategies()) {
+    shortest = std::min(shortest, path.size());
+    longest = std::max(longest, path.size());
+  }
+  ASSERT_LT(shortest, longest);
+  expect_every_protocol_row(series_parallel,
+                            random_and_sparse_states(series_parallel, 47));
+}
+
+TEST(KernelRows, ExtremePopulationsBitwiseOnEveryIsa) {
+  // n = 1 excluding the sampler: the pool is 0, so an empty target's
+  // sample probability is 0/0 and only the targets != 0 mask zeroes it
+  // (ν off, so the gain test passes toward the cheaper links).
+  const auto single = make_monomial_fan_game(6, 1.0, 2.0, 1);
+  ImitationParams no_nu;
+  no_nu.nu_cutoff = false;
+  const State alone = State::all_on(single, 5);
+  LatencyContext ctx;
+  ctx.reset(single, alone);
+  expect_rows_bitwise(single, ImitationProtocol(no_nu), alone, ctx);
+  expect_every_protocol_row(single, {alone});
+  // Counts above 2^53: their conversion to double rounds. (β is given:
+  // the game derives it by scanning every load up to n.)
+  const auto huge = make_monomial_fan_game(5, 1.0, 2.0, (1LL << 60) + 12345);
+  ExplorationParams given_beta;
+  given_beta.beta_override = 1.0;
+  Rng rng(49);
+  expect_every_protocol_row(
+      huge, {State::uniform_random(huge, rng), State::uniform_random(huge, rng)},
+      given_beta);
+}
+
+TEST(KernelRows, RowsStayBitwiseAcrossIncrementalRefreshes) {
+  // States reached by real draws, against a context refreshed round by
+  // round (never reset) — the cache the engines actually read.
+  const auto expect_run = [](const CongestionGame& game,
+                             const auto& protocol) {
+    Rng rng(41);
+    State x = State::uniform_random(game, rng);
+    RoundWorkspace ws;
+    RoundResult rr;
+    LatencyContext ctx;
+    ctx.reset(game, x);
+    ApplyScratch scratch;
+    for (int round = 0; round < 20; ++round) {
+      expect_rows_bitwise(game, protocol, x, ctx);
+      draw_round(game, x, protocol, rng, EngineMode::kAggregate, ws, rr);
+      x.apply(game, rr.moves, scratch);
+      ctx.refresh(scratch.touched);
+      ws.ctx.refresh(scratch.touched);
+    }
+  };
+  for (const auto& game :
+       {make_monomial_fan_game(16, 1.0, 2.0, 4000), network_game_k8(1500)}) {
+    expect_run(game, ImitationProtocol());
+    expect_run(game, ExplorationProtocol());
+    expect_run(game,
+               CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.3});
+  }
 }
 
 // ---- 5. Round- and run-level identity across all four paths -----------------

@@ -15,11 +15,14 @@
 //      plus_dominates() reports false and every row_provably_zero
 //      conservatively declines to prune.
 //   4. Origin-table ex-post latencies: one ExpostTable gathered for every
-//      (from, to) pair, from == to included, equals the uncached
+//      (from, to) pair, from == to included, pair by pair and as whole
+//      interleaved rows, equals the uncached
 //      CongestionGame::expost_latency merge bitwise — on layered networks,
 //      the multicommodity game and an asymmetric flat game.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -72,18 +75,27 @@ std::vector<Migration> random_moves(const CongestionGame& game,
   return moves;
 }
 
-/// Every (from, to) pair through one table synced to `ctx`, against the
-/// uncached merge walk.
+/// Every (from, to) pair through one table synced to `ctx`, pair by pair
+/// and as one interleaved row (expost_row), against the uncached merge
+/// walk — bit for bit.
 void expect_origin_table_matches_oracle(const CongestionGame& game,
                                         const State& x,
                                         const LatencyContext& ctx,
                                         ExpostTable& table) {
   table.sync(ctx);
+  std::vector<double> row(static_cast<std::size_t>(game.num_strategies()));
   for (StrategyId p = 0; p < game.num_strategies(); ++p) {
     const OriginView origin(table, p);
+    origin.expost_row(row);
     for (StrategyId q = 0; q < game.num_strategies(); ++q) {
-      ASSERT_EQ(origin.expost_latency(q), game.expost_latency(x, p, q))
+      const double want = game.expost_latency(x, p, q);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(origin.expost_latency(q)),
+                std::bit_cast<std::uint64_t>(want))
           << p << "->" << q;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                    row[static_cast<std::size_t>(q)]),
+                std::bit_cast<std::uint64_t>(want))
+          << p << "->" << q << " in the row";
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -247,6 +248,77 @@ TEST(BinomialSqueeze, SameValuesAndDrawsAsThePreSqueezeWalk) {
     }
     ASSERT_EQ(production.state(), reference.state())
         << "n=" << n << " p=" << p;
+  }
+}
+
+TEST(BinomialSqueeze, MultinomialSameCountsAndDrawsAsThePreInlineLoop) {
+  // Rng::multinomial draws the inversion's first uniform itself and skips
+  // a category that squeezes to 0. Against the loop that called binomial
+  // for every category: equal counts and equal state after every draw, on
+  // rows that reach each regime of binomial(left, cond) — counted below
+  // from the counts, as the loop sees them.
+  std::vector<std::pair<std::int64_t, std::vector<double>>> rows = {
+      {20, {0.1, 0.3, 0.0, 0.2}},             // n <= 32: Bernoulli sums
+      {32, {0.01, 0.02, 0.0, 0.3}},           // the last Bernoulli n
+      {33, {0.01, 0.02, 0.0, 0.3}},           // the first inversion n
+      {48, {0.25, 0.1}},                      // mean exactly 12: BTRS
+      {10000, {0.01, 0.0, 0.02, 0.005}},      // BTRS (mean >= 12)
+      {5000, {0.1, 0.85}},                    // cond > 1/2: symmetric
+      {600, {0.6, 0.5, 0.3}},                 // remaining <= 0: cond = 1
+      {0, {0.5}},                             // nothing to draw
+      {70, {}},                               // no categories
+  };
+  Rng shape(17);
+  for (int r = 0; r < 60; ++r) {  // mover-round rows: mostly tiny entries
+    std::vector<double> probs(64);
+    for (double& p : probs) {
+      const double v = shape.uniform();
+      p = v < 0.3 ? 0.0 : v < 0.9 ? 1e-5 * shape.uniform() : 1e-3 * v;
+    }
+    rows.emplace_back(std::int64_t{40} + static_cast<std::int64_t>(
+                                             shape.uniform_int(20000)),
+                      probs);
+  }
+  enum Regime { kZeroProb, kBernoulli, kInversionZero, kInversionWalk,
+                kBtrs, kSymmetric, kRegimes };
+  std::array<std::int64_t, kRegimes> seen{};
+  std::uint64_t seed = 1;
+  for (const auto& [n, probs] : rows) {
+    Rng production(seed);
+    Rng reference(seed);
+    ++seed;
+    for (int draw = 0; draw < 300; ++draw) {
+      const std::vector<std::int64_t> counts = production.multinomial(n, probs);
+      ASSERT_EQ(counts, test::multinomial_reference(reference, n, probs))
+          << "n=" << n << " row of " << probs.size() << ", draw " << draw;
+      ASSERT_EQ(production.state(), reference.state())
+          << "n=" << n << " row of " << probs.size() << ", draw " << draw;
+      std::int64_t left = n;
+      double remaining = 1.0;
+      for (std::size_t i = 0; i < probs.size() && left > 0; ++i) {
+        if (probs[i] <= 0.0) {
+          ++seen[kZeroProb];
+          continue;
+        }
+        const double cond =
+            remaining <= 0.0 ? 1.0 : std::min(1.0, probs[i] / remaining);
+        remaining -= probs[i];
+        if (cond > 0.5) {
+          ++seen[kSymmetric];
+        } else if (left <= 32) {
+          ++seen[kBernoulli];
+        } else if (static_cast<double>(left) * cond < 12.0) {
+          ++seen[counts[i] == 0 ? kInversionZero : kInversionWalk];
+        } else {
+          ++seen[kBtrs];
+        }
+        left -= counts[i];
+      }
+    }
+  }
+  for (int regime = 0; regime < kRegimes; ++regime) {
+    EXPECT_GT(seen[static_cast<std::size_t>(regime)], 100)
+        << "regime " << regime << " barely reached";
   }
 }
 
