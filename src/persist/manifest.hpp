@@ -5,10 +5,10 @@
 // (cell, trial) key and full TrialOutcome to the manifest; on restart the
 // runner loads the manifest, fills those outcomes in directly, and runs
 // only the missing trials. Because trial outcomes are a pure function of
-// the grid (streams derive serially from master_seed), the merged result —
-// and every per-trial output file written from it — is byte-identical to
-// an uninterrupted run's, at any thread count (tests/test_sweep_resume.cpp
-// proves both properties).
+// the grid (streams derive from master_seed by (cell, trial)), the merged
+// result — and every per-trial output file written from it — is
+// byte-identical to an uninterrupted run's, at any thread count
+// (tests/test_sweep_resume.cpp proves both properties).
 //
 // The header binds the manifest to its grid with a fingerprint (a hash of
 // every grid field that influences outcomes); resuming with a different
@@ -64,6 +64,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <utility>
@@ -215,5 +216,28 @@ class ManifestWriter {
   /// not the grid — the grid reference does not outlive the factories).
   std::string segment_header_;
 };
+
+/// A resume-or-create manifest, as run_sweep and the cid_serve
+/// coordinator open one: the trials an existing file already holds and
+/// the writer that appends to it, or no trials and a fresh file.
+struct OpenManifest {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, sweep::TrialOutcome>
+      completed;
+  ManifestWriter writer;
+};
+
+/// Opens `path` for `grid`: an existing manifest chain is loaded
+/// (load_manifest, fingerprint-checked) and opened for append; otherwise
+/// a fresh one is created. Inline, so its load_manifest and
+/// ManifestWriter calls are made from its callers' objects, where the
+/// traced e2ebench build's --wrap sees them.
+inline OpenManifest open_manifest(const std::string& path,
+                                  const sweep::SweepGrid& grid) {
+  if (!std::filesystem::exists(path)) {
+    return {{}, ManifestWriter::create(path, grid)};
+  }
+  auto completed = load_manifest(path, grid).completed;
+  return {std::move(completed), ManifestWriter::open_for_append(path, grid)};
+}
 
 }  // namespace cid::persist

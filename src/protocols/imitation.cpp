@@ -78,8 +78,10 @@ double ImitationProtocol::move_probability(const CongestionGame& game,
   const std::int64_t v = params_.virtual_agents;
   const std::int64_t targets = x.count(to) + v;
   if (targets == 0) return 0.0;  // imitation cannot discover unused paths
-  const double sample_prob = static_cast<double>(targets) /
-                             static_cast<double>(sampling_pool(game));
+  const std::int64_t pool = sampling_pool(game);
+  if (pool == 0) return 0.0;  // a lone player excluding itself samples nobody
+  const double sample_prob =
+      static_cast<double>(targets) / static_cast<double>(pool);
   if (sample_prob == 0.0) return 0.0;
   return sample_prob * acceptance_probability(game, x, from, to);
 }

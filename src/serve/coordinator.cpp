@@ -3,10 +3,8 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <deque>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -23,12 +21,6 @@
 
 namespace cid::serve {
 namespace {
-
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void write_port_file(const std::string& path, std::uint16_t port) {
   if (path.empty()) return;
@@ -95,27 +87,15 @@ class Coordinator {
     }
     // Resume-or-create, exactly like the local runner: an existing
     // manifest's trials are merged in and never re-granted.
-    if (std::filesystem::exists(options.manifest_path)) {
-      completed_ =
-          persist::load_manifest(options.manifest_path, grid).completed;
-      for (auto it = completed_.begin(); it != completed_.end();) {
-        const std::size_t index =
-            static_cast<std::size_t>(it->first.first) * trials_per_cell_ +
-            static_cast<std::size_t>(it->first.second);
-        if (index >= total) {
-          it = completed_.erase(it);
-          continue;
-        }
-        state_[index] = TrialState::kDone;
-        ++it;
-      }
-      report_.trials_resumed = completed_.size();
-      manifest_.emplace(persist::ManifestWriter::open_for_append(
-          options.manifest_path, grid));
-    } else {
-      manifest_.emplace(
-          persist::ManifestWriter::create(options.manifest_path, grid));
+    persist::OpenManifest opened =
+        persist::open_manifest(options.manifest_path, grid);
+    completed_ = std::move(opened.completed);
+    for (const auto& [key, outcome] : completed_) {
+      state_[static_cast<std::size_t>(key.first) * trials_per_cell_ +
+             key.second] = TrialState::kDone;
     }
+    report_.trials_resumed = completed_.size();
+    manifest_.emplace(std::move(opened.writer));
     // One flush per complete, issued by handle_complete before its ack.
     manifest_->set_flush_every(0);
     report_.trials_completed = completed_.size();
@@ -146,7 +126,7 @@ class Coordinator {
                    report_.trials_total);
     }
 
-    const std::int64_t start_ns = steady_ns();
+    const std::int64_t start_ns = obs::now_ns();
     const std::int64_t deadline_ns =
         options_.max_seconds > 0.0
             ? start_ns + static_cast<std::int64_t>(options_.max_seconds * 1e9)
@@ -154,7 +134,7 @@ class Coordinator {
 
     while (true) {
       if (work_finished() && connections_.empty()) break;
-      if (deadline_ns != 0 && steady_ns() >= deadline_ns) {
+      if (deadline_ns != 0 && obs::now_ns() >= deadline_ns) {
         report_.timed_out = true;
         break;
       }
@@ -351,7 +331,7 @@ class Coordinator {
   }
 
   void reclaim_expired() {
-    const std::int64_t now = steady_ns();
+    const std::int64_t now = obs::now_ns();
     std::vector<std::uint64_t> expired;
     for (const auto& [lease_id, lease] : leases_) {
       if (lease.poisoned || now >= lease.deadline_ns) {
@@ -459,7 +439,7 @@ class Coordinator {
     }
     lease.open = lease.count;
     lease.conn_id = conn_id;
-    lease.granted_ns = steady_ns();
+    lease.granted_ns = obs::now_ns();
     lease.deadline_ns =
         lease.granted_ns +
         static_cast<std::int64_t>(options_.lease_ttl_seconds * 1e9);
@@ -487,12 +467,12 @@ class Coordinator {
     const std::uint64_t lease_id = message.get_uint("lease_id", kMaxLeaseId);
     const auto it = leases_.find(lease_id);
     if (it == leases_.end() || it->second.poisoned ||
-        steady_ns() >= it->second.deadline_ns) {
+        obs::now_ns() >= it->second.deadline_ns) {
       respond(conn, msg_lease_lost(lease_id));
       return;
     }
     it->second.deadline_ns =
-        steady_ns() +
+        obs::now_ns() +
         static_cast<std::int64_t>(options_.lease_ttl_seconds * 1e9);
     registry_.add_named("serve.leases_renewed", 1);
     respond(conn, msg_renewed(lease_id));
@@ -536,7 +516,7 @@ class Coordinator {
     registry_.add_named("serve.trials_completed",
                         static_cast<std::int64_t>(batch.records.size()));
     registry_.observe(lease_latency_hist_,
-                      static_cast<double>(steady_ns() - lease.granted_ns) /
+                      static_cast<double>(obs::now_ns() - lease.granted_ns) /
                           1e6);
     lease.open -= batch.records.size();
     if (lease.open == 0) leases_.erase(it);

@@ -606,22 +606,26 @@ std::uint64_t decode_fingerprint(const Message& message) {
 
 const std::string& canary_bits() {
   static const std::string bits = [] {
-    sweep::ScenarioSpec spec;
-    spec.name = "network-routing";
-    spec.params = {{"width", 2.0}, {"depth", 2.0}};
-    const auto instance = sweep::make_scenario(spec, 64);
-    const sweep::ProtocolSpec protocol =
-        sweep::parse_protocol_list("imitation").front();
-    sweep::DynamicsConfig dynamics;
-    dynamics.max_rounds = 64;
-    const sweep::TrialAttempts attempts = sweep::run_trial_attempts(
-        *instance, protocol, dynamics, sweep::derive_trial_rng(0x5eed, 0, 0),
-        nullptr, /*max_attempts=*/3, /*backoff_ms=*/0.0,
-        /*backoff_max_ms=*/0.0, [](int, const std::string&) {});
-    if (!attempts.outcome) {
-      throw std::runtime_error("canary trial failed: " + attempts.error);
-    }
-    return outcome_hex(*attempts.outcome);
+    sweep::SweepGrid grid;
+    grid.scenario.name = "network-routing";
+    grid.scenario.params = {{"width", 2.0}, {"depth", 2.0}};
+    grid.protocols = sweep::parse_protocol_list("imitation");
+    grid.ns = {64};
+    grid.trials = 1;
+    grid.master_seed = 0x5eed;
+    grid.dynamics.max_rounds = 64;
+    const auto instance = sweep::make_scenario(grid.scenario, grid.ns[0]);
+    sweep::TrialTotals totals;
+    std::string hex;
+    sweep::run_trial_step(
+        grid, *instance, 0, 0, sweep::RetryPolicy{3, 0.0}, totals, nullptr,
+        [&](sweep::TrialDone& done) {
+          if (!done.outcome) {
+            throw std::runtime_error("canary trial failed: " + done.error);
+          }
+          hex = outcome_hex(*done.outcome);
+        });
+    return hex;
   }();
   return bits;
 }

@@ -223,7 +223,7 @@ sweep::TrialOutcome outcome_from_hex(std::string_view hex);
 
 /// outcome_hex of the canary trial: the fixed tiny grid of the handshake
 /// (network-routing width 2 depth 2, n = 64, imitation, 64 rounds, seed
-/// 0x5eed, cell 0 trial 0) through sweep::run_trial_attempts. Computed
+/// 0x5eed, cell 0 trial 0) through sweep::run_trial_step. Computed
 /// once per process, so it consults the sweep.trial fault site once per
 /// process; throws std::runtime_error if the trial fails.
 const std::string& canary_bits();

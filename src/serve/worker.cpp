@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -20,11 +19,13 @@
 namespace cid::serve {
 namespace {
 
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// Connect/reconnect budget: attempts per (re)connection, with linear
+// backoff between them.
+constexpr int kConnectAttempts = 5;
+constexpr double kConnectBackoffMs = 200.0;
+// Blocking-read timeout on coordinator responses; a silent coordinator is
+// a dead one.
+constexpr double kRecvTimeoutSeconds = 30.0;
 
 void sleep_ms(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
@@ -35,9 +36,8 @@ void sleep_ms(double ms) {
 /// renewer thread can never interleave their conversations.
 class Channel {
  public:
-  Channel(Socket socket, double recv_timeout_seconds)
-      : socket_(std::move(socket)) {
-    set_recv_timeout(socket_, recv_timeout_seconds);
+  explicit Channel(Socket socket) : socket_(std::move(socket)) {
+    set_recv_timeout(socket_, kRecvTimeoutSeconds);
   }
 
   Message rpc(const std::string& payload) {
@@ -136,11 +136,11 @@ class Worker {
       }
       Message response = Message{};
       try {
-        const std::int64_t ask_ns = steady_ns();
+        const std::int64_t ask_ns = obs::now_ns();
         response = channel_->rpc(msg_lease(budget()));
-        queue_wait_ns_ += steady_ns() - ask_ns;
-      } catch (const net_error& e) {
-        reconnect(e.what());
+        queue_wait_ns_ += obs::now_ns() - ask_ns;
+      } catch (const net_error&) {
+        reconnect();
         continue;
       }
       const std::string& type = response.type();
@@ -150,9 +150,9 @@ class Worker {
       }
       if (type == "wait") {
         ++report_.waits;
-        const std::int64_t wait_start = steady_ns();
+        const std::int64_t wait_start = obs::now_ns();
         sleep_ms(static_cast<double>(response.get_int("backoff_ms")));
-        queue_wait_ns_ += steady_ns() - wait_start;
+        queue_wait_ns_ += obs::now_ns() - wait_start;
         continue;
       }
       if (type != "grant") {
@@ -177,12 +177,10 @@ class Worker {
     // The canary runs once per process, before the first connection.
     const std::string& canary = canary_bits();
     net_error last("never connected");
-    for (int attempt = 1; attempt <= std::max(1, options_.connect_attempts);
-         ++attempt) {
+    for (int attempt = 1; attempt <= kConnectAttempts; ++attempt) {
       try {
-        Socket socket = tcp_connect(options_.host, options_.port);
         auto channel = std::make_unique<Channel>(
-            std::move(socket), options_.recv_timeout_seconds);
+            tcp_connect(options_.host, options_.port));
         const Message response =
             channel->rpc(msg_hello(fingerprint_, options_.name, canary));
         if (response.type() == "error") {
@@ -197,39 +195,19 @@ class Worker {
               "cid_sweep worker: unexpected handshake response: " +
               response.type());
         }
-        worker_id_ = response.get_int("worker_id");
         channel_ = std::move(channel);
-        if (options_.verbose) {
-          std::fprintf(stderr,
-                       "cid_sweep worker %s: connected as worker %lld "
-                       "(%lld/%lld trials already done)\n",
-                       options_.name.c_str(),
-                       static_cast<long long>(worker_id_),
-                       static_cast<long long>(response.get_int(
-                           "trials_done")),
-                       static_cast<long long>(response.get_int(
-                           "trials_total")));
-        }
         return;
       } catch (const net_error& e) {
         last = e;
-        if (attempt < options_.connect_attempts) {
-          sleep_ms(options_.connect_backoff_ms * attempt);
-        }
+        if (attempt < kConnectAttempts) sleep_ms(kConnectBackoffMs * attempt);
       }
     }
     throw last;
   }
 
-  void reconnect(const char* why) {
+  void reconnect() {
     ++report_.reconnects;
     registry_.add_named("sweep.reconnects", 1);
-    if (options_.verbose) {
-      std::fprintf(stderr,
-                   "cid_sweep worker %s: connection lost (%s) — "
-                   "reconnecting\n",
-                   options_.name.c_str(), why);
-    }
     channel_.reset();
     connect();
   }
@@ -247,7 +225,6 @@ class Worker {
   /// and pushes metrics once.
   void run_lease(const Grant& grant) {
     const std::size_t n_index = grant.cell / num_protocols_;
-    const std::size_t protocol_index = grant.cell % num_protocols_;
     if (n_index >= grid_.ns.size() ||
         static_cast<std::uint64_t>(grant.trial) + grant.count >
             static_cast<std::uint64_t>(grid_.trials)) {
@@ -264,42 +241,34 @@ class Worker {
                           options_.renew_fraction);
     }
 
-    // The local runner's retry loop: same attempts, fault site and
+    // The local runner's trial step: same attempts, fault site and
     // backoff, on the same stream a local run_sweep would hand each
     // (cell, trial) — outcomes are a pure function of it, so whoever
     // lands the trial lands identical bits.
-    const int max_attempts = std::max(1, options_.trial_max_attempts);
+    const sweep::ScenarioInstance& cell_instance = instance(n_index);
+    sweep::TrialTotals totals;
     std::vector<TrialRecord> landed;
     landed.reserve(grant.count);
-    std::size_t failed = 0;
+    std::int64_t failed = 0;
     std::string last_error;
     for (std::uint32_t trial = grant.trial; trial < grant.trial + grant.count;
          ++trial) {
       if (renewer && renewer->lost()) break;  // re-granted elsewhere
-      sweep::TrialStats stats;
-      const sweep::TrialAttempts attempts = sweep::run_trial_attempts(
-          instance(n_index), grid_.protocols[protocol_index], grid_.dynamics,
-          sweep::derive_trial_rng(grid_.master_seed, grant.cell, trial),
-          &stats, max_attempts, options_.retry_backoff_ms,
-          options_.retry_backoff_max_ms, [&](int, const std::string&) {
-            ++report_.trial_retries;
-            registry_.add_named("sweep.trial_retries", 1);
+      sweep::run_trial_step(
+          grid_, cell_instance, grant.cell, trial, options_.retry, totals,
+          nullptr, [&](sweep::TrialDone& done) {
+            if (done.outcome) {
+              landed.push_back({trial, *done.outcome});
+              return;
+            }
+            ++failed;
+            last_error = std::move(done.error);
           });
-      if (!attempts.outcome) {
-        ++failed;
-        last_error = attempts.error;
-        registry_.add_named("sweep.trial_failures", 1);
-        std::fprintf(stderr,
-                     "cid_sweep worker %s: trial (cell %u trial %u) FAILED "
-                     "after %d attempt(s): %s — requeueing\n",
-                     options_.name.c_str(), grant.cell, trial, max_attempts,
-                     attempts.error.c_str());
-        continue;
-      }
-      registry_.add_named("sweep.ran_rounds", stats.ran_rounds);
-      registry_.add_named("sweep.latency_evals", stats.latency_evals);
-      landed.push_back({trial, *attempts.outcome});
     }
+    report_.trial_retries += totals.trial_retries;
+    sweep::add_trial_totals(registry_, totals,
+                            grid_.dynamics.collect_metrics);
+    if (failed > 0) registry_.add_named("sweep.trial_failures", failed);
     const bool renew_lost = renewer && renewer->lost();
     renewer.reset();  // stop renewing before the closing RPCs
 
@@ -329,19 +298,18 @@ class Worker {
       if (live && failed > 0) {
         // Local budget exhausted: hand those trials back for another
         // worker (the requeue closes the lease).
-        report_.trials_requeued += failed;
+        report_.trials_requeued += static_cast<std::size_t>(failed);
         channel_->rpc(msg_requeue(grant.lease_id, last_error));
       }
       push_metrics();
-    } catch (const net_error& e) {
+    } catch (const net_error&) {
       // Connection died around the closing RPCs; the coordinator's
       // reclaim owns the lease now.
-      reconnect(e.what());
+      reconnect();
     }
   }
 
   void push_metrics() {
-    if (!options_.push_metrics) return;
     registry_.add_named("sweep.queue_wait_ns",
                         queue_wait_ns_ - queue_wait_pushed_ns_);
     queue_wait_pushed_ns_ = queue_wait_ns_;
@@ -351,8 +319,8 @@ class Worker {
     }
     try {
       channel_->rpc(msg_metrics(counters));
-    } catch (const net_error& e) {
-      reconnect(e.what());
+    } catch (const net_error&) {
+      reconnect();
     }
   }
 
@@ -373,7 +341,6 @@ class Worker {
   std::uint64_t fingerprint_ = 0;
   std::vector<std::unique_ptr<sweep::ScenarioInstance>> instances_;
   std::unique_ptr<Channel> channel_;
-  std::int64_t worker_id_ = -1;
   obs::MetricsRegistry registry_;
   std::int64_t queue_wait_ns_ = 0;
   std::int64_t queue_wait_pushed_ns_ = 0;

@@ -6,33 +6,36 @@
 // run the granted run of trials → complete until the coordinator reports
 // the grid drained. Each lease request carries the worker's remaining
 // max_trials budget, so the coordinator never grants more trials than the
-// worker will run. Trial execution reuses the local runner's machinery
-// verbatim: each trial's Rng stream comes from sweep::derive_trial_rng
-// (the shared authority run_sweep uses — one O(1) keyed split of the cell
-// master, so a run deep into a cell costs no more than trial 0), and it
-// runs through sweep::run_trial_attempts, the retry loop run_sweep uses
-// too (fresh stream copy per attempt, same backoff) — so a leased trial's
-// outcome is bit-identical to what a local --threads 1 run would record.
+// worker will run.
 //
-// A run's trials execute in trial order; the ones that succeeded land in
-// one complete, and the ones whose local retry budget ran out go back in
-// one requeue. One background renewer thread per lease extends it at
-// half-TTL intervals while the run executes (the socket is a strict
-// request/response channel guarded by a mutex, so renewals interleave
-// safely with the main loop's RPCs). Lost leases are not an error: the
-// completion is rejected with lease_lost (or the renewal already said
-// so), counted, and the worker simply leases again — the coordinator has
-// already reclaimed the run.
+// A run's trials execute in trial order, each through
+// sweep::run_trial_step — the one trial step run_sweep's pool uses too:
+// the same derive_trial_rng stream, RetryPolicy attempts and backoff,
+// retry and failure lines and sums — so a leased trial's outcome is
+// bit-identical to what a local --threads 1 run would record. The ones
+// that succeeded land in one complete, and the ones whose local retry
+// budget ran out go back in one requeue. One background renewer thread
+// per lease extends it every ttl × renew_fraction while the run executes
+// (the socket is a strict request/response channel guarded by a mutex,
+// so renewals interleave safely with the main loop's RPCs). Lost leases
+// are not an error: the completion is rejected with lease_lost (or the
+// renewal already said so), counted, and the worker simply leases again —
+// the coordinator has already reclaimed the run.
 //
 // Connection loss (including injected net.read/net.write faults) triggers
-// a bounded reconnect-and-rehandshake, HumbleNet-peer style; an in-flight
-// lease is abandoned to the coordinator's reclaim. util::fault_crash
-// always propagates — a crash site kills the worker, it never retries.
+// a reconnect-and-rehandshake, HumbleNet-peer style: 5 attempts per
+// (re)connection, 200 ms × attempt apart, and a 30 s read timeout on
+// every response (a silent coordinator is a dead one). An in-flight lease
+// is abandoned to the coordinator's reclaim. util::fault_crash always
+// propagates — a crash site kills the worker, it never retries.
 //
-// After every lease (and at drain) the worker pushes its cumulative
+// After every lease (and at drain) the worker merges the lease's
+// sweep::TrialTotals into its registry once and pushes the cumulative
 // metrics_version-stamped counter snapshot (sweep.ran_rounds,
-// sweep.queue_wait_ns grant-wait, sweep.trial_failures, ...), which the
-// coordinator folds into the fleet-level /metrics exposition.
+// sweep.latency_evals, sweep.trial_retries, sweep.queue_wait_ns
+// grant-wait, sweep.trial_failures, ... plus engine.* when the grid meters,
+// DynamicsConfig::collect_metrics), which the coordinator sums into the
+// fleet-level /metrics exposition.
 #pragma once
 
 #include <cstdint>
@@ -48,18 +51,8 @@ struct WorkerOptions {
   /// Worker name reported in the hello (diagnostics only).
   std::string name = "worker";
 
-  /// Trial retry policy — same semantics as SweepOptions.
-  int trial_max_attempts = 3;
-  double retry_backoff_ms = 25.0;
-  double retry_backoff_max_ms = 2000.0;
-
-  /// Connect/reconnect budget: attempts per (re)connection, with linear
-  /// backoff between them.
-  int connect_attempts = 5;
-  double connect_backoff_ms = 200.0;
-  /// Blocking-read timeout on coordinator responses; a silent coordinator
-  /// is a dead one.
-  double recv_timeout_seconds = 30.0;
+  /// Trial retry policy — the same as SweepOptions::retry.
+  sweep::RetryPolicy retry;
 
   /// Renew the held lease every ttl*renew_fraction while its run
   /// executes; 0 disables the renewer thread (tests exercising expiry).
@@ -69,11 +62,6 @@ struct WorkerOptions {
   /// drained. Sent with each lease request, so it bounds trials, not
   /// leases. Lets tests pin exactly which worker does how much work.
   std::int64_t max_trials = -1;
-
-  /// Push the cumulative counter snapshot after each lease.
-  bool push_metrics = true;
-
-  bool verbose = false;
 };
 
 struct WorkerReport {

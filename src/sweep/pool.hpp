@@ -1,12 +1,14 @@
 // Deterministic parallel execution substrate for the sweep runtime.
 //
-// The contract that makes the whole subsystem reproducible lives here: all
-// randomness is derived *serially* (one cheap Rng::split per trial) before
-// any worker starts, and every job writes only to its own pre-allocated
-// output slot. Scheduling — which thread runs which job, in which order —
-// then cannot influence results, so a sweep is bitwise identical for every
-// thread count, including the serial threads=1 path the analysis harness
-// has always used.
+// The contract that makes the whole subsystem reproducible lives here:
+// every job's randomness is a pure function of its index — run_sweep
+// derives each trial's stream inside the job with the O(1) keyed
+// derive_trial_rng, map_trials splits its master serially before any
+// worker starts — and every job writes only to its own pre-allocated
+// output slot (or under its caller's lock). Scheduling — which thread
+// runs which job, in which order — then cannot influence results, so a
+// sweep is bitwise identical for every thread count, including the serial
+// threads=1 path the analysis harness has always used.
 #pragma once
 
 #include <cstdint>

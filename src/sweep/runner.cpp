@@ -25,7 +25,6 @@
 #include "sweep/shard.hpp"
 #include "util/assert.hpp"
 #include "util/fault.hpp"
-#include "util/timer.hpp"
 
 namespace cid::sweep {
 
@@ -283,17 +282,26 @@ Rng derive_trial_rng(std::uint64_t master_seed, std::uint32_t cell,
   return cell_master.split(static_cast<std::uint64_t>(trial));
 }
 
-TrialAttempts run_trial_attempts(
-    const ScenarioInstance& instance, const ProtocolSpec& protocol,
-    const DynamicsConfig& dynamics, const Rng& rng, TrialStats* stats,
-    int max_attempts, double backoff_ms, double backoff_max_ms,
-    const std::function<void(int attempt, const std::string& error)>&
-        on_retry) {
-  TrialAttempts result;
-  max_attempts = std::max(1, max_attempts);
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+void add_trial_totals(obs::MetricsRegistry& registry,
+                      const TrialTotals& totals, bool with_engine) {
+  registry.add_named("sweep.ran_rounds", totals.ran_rounds);
+  registry.add_named("sweep.latency_evals", totals.latency_evals);
+  registry.add_named("sweep.trial_retries", totals.trial_retries);
+  if (with_engine) registry.merge_engine("", totals.engine);
+}
+
+namespace detail {
+
+void run_attempts(const SweepGrid& grid, const ScenarioInstance& instance,
+                  const RetryPolicy& retry, const Rng& rng, TrialDone& done) {
+  const std::size_t num_protocols = grid.protocols.size();
+  const ProtocolSpec& protocol = grid.protocols[done.cell % num_protocols];
+  const std::int64_t n = grid.ns[done.cell / num_protocols];
+  const int max_attempts = std::max(1, retry.max_attempts);
+  done.start_ns = obs::now_ns();
+  for (done.attempts = 1;; ++done.attempts) {
     Rng trial_rng = rng;
-    if (stats != nullptr) *stats = TrialStats{};
+    done.stats = TrialStats{};
     try {
       if (util::faults_armed()) {
         const util::FaultAction fault = util::fault_point("sweep.trial");
@@ -302,25 +310,50 @@ TrialAttempts run_trial_attempts(
                                    ")");
         }
       }
-      result.outcome =
-          instance.run_trial(protocol, dynamics, trial_rng, stats);
-      return result;
+      done.outcome = instance.run_trial(protocol, grid.dynamics, trial_rng,
+                                        &done.stats);
+      break;
     } catch (const util::fault_crash&) {
       throw;
     } catch (const std::exception& e) {
-      result.error = e.what();
-      if (attempt >= max_attempts) break;
-      on_retry(attempt, result.error);
-      if (backoff_ms > 0.0) {
-        double delay_ms = backoff_ms;
-        for (int d = 1; d < attempt; ++d) delay_ms *= 2.0;
+      done.error = e.what();
+      if (done.attempts >= max_attempts) {
+        done.stats = TrialStats{};
+        std::fprintf(stderr,
+                     "cid sweep: trial (%s n=%lld trial=%u) FAILED after %d "
+                     "attempt(s): %s\n",
+                     protocol.name.c_str(), static_cast<long long>(n),
+                     done.trial, done.attempts, e.what());
+        break;
+      }
+      std::fprintf(stderr,
+                   "cid sweep: trial (%s n=%lld trial=%u) attempt %d/%d "
+                   "failed (%s) — retrying\n",
+                   protocol.name.c_str(), static_cast<long long>(n),
+                   done.trial, done.attempts, max_attempts, e.what());
+      if (retry.backoff_ms > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            std::min(delay_ms, backoff_max_ms)));
+            std::min(std::ldexp(retry.backoff_ms, done.attempts - 1),
+                     kRetryBackoffMaxMs)));
       }
     }
   }
-  return result;
+  done.end_ns = obs::now_ns();
+  // One complete span per trial on the running thread's own timeline; a
+  // thread runs its trials serially, so its spans never overlap.
+  if (done.outcome && obs::trace_enabled()) {
+    obs::JsonObject args;
+    args.str("scenario", grid.scenario.name);
+    args.str("protocol", protocol.name);
+    args.num("n", n);
+    args.num("cell", std::int64_t{done.cell});
+    args.num("trial", std::int64_t{done.trial});
+    args.num("rounds", static_cast<std::int64_t>(done.outcome->rounds));
+    obs::trace_emit("sweep.trial", done.start_ns, done.end_ns, args.take());
+  }
 }
+
+}  // namespace detail
 
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   CID_ENSURE(!grid.ns.empty(), "sweep needs at least one n");
@@ -345,74 +378,43 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   const std::size_t num_protocols = grid.protocols.size();
   const std::size_t num_cells = grid.ns.size() * num_protocols;
   const auto trials_per_cell = static_cast<std::size_t>(grid.trials);
-
-  struct Job {
-    std::size_t n_index = 0;
-    std::size_t protocol_index = 0;
-    Rng rng{1};
-  };
-  std::vector<Job> jobs;
-  jobs.reserve(num_cells * trials_per_cell);
-  // Stream derivation: a keyed split of the cell master per trial, O(1)
-  // each and a pure function of master_seed, so scheduling cannot perturb
-  // it. derive_trial_rng is the shared authority (the cid_serve worker
-  // derives leased trials through the same function).
-  for (std::size_t cell = 0; cell < num_cells; ++cell) {
-    for (std::size_t t = 0; t < trials_per_cell; ++t) {
-      Job job;
-      job.n_index = cell / num_protocols;
-      job.protocol_index = cell % num_protocols;
-      job.rng = derive_trial_rng(grid.master_seed,
-                                 static_cast<std::uint32_t>(cell),
-                                 static_cast<std::uint32_t>(t));
-      jobs.push_back(job);
-    }
-  }
+  const std::size_t total = num_cells * trials_per_cell;
 
   SweepResult result;
-  result.trials.resize(jobs.size());
+  result.trials.resize(total);
   // Keys are a pure function of the grid; fill them serially for every
   // trial (run, resumed, or skipped by budget alike).
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  for (std::size_t i = 0; i < total; ++i) {
     TrialRow& row = result.trials[i];
-    const Job& job = jobs[i];
-    row.key.cell =
-        static_cast<std::int32_t>(job.n_index * num_protocols +
-                                  job.protocol_index);
+    const std::size_t cell = i / trials_per_cell;
+    row.key.cell = static_cast<std::int32_t>(cell);
     row.key.scenario = grid.scenario.name;
-    row.key.protocol = grid.protocols[job.protocol_index].name;
-    row.key.n = grid.ns[job.n_index];
+    row.key.protocol = grid.protocols[cell % num_protocols].name;
+    row.key.n = grid.ns[cell / num_protocols];
     row.trial = static_cast<int>(i % trials_per_cell);
   }
 
   // Resumable mode: load previously completed trials from the manifest
   // (fingerprint-checked against this grid) and append new completions.
   std::optional<persist::ManifestWriter> manifest;
-  std::mutex manifest_mutex;
-  std::vector<char> done(jobs.size(), 0);
+  std::vector<char> done(total, 0);
   if (!options.manifest_path.empty()) {
-    if (std::filesystem::exists(options.manifest_path)) {
-      const persist::ManifestContents contents =
-          persist::load_manifest(options.manifest_path, grid);
-      for (const auto& [key, outcome] : contents.completed) {
-        const std::size_t i =
-            static_cast<std::size_t>(key.first) * trials_per_cell +
-            static_cast<std::size_t>(key.second);
-        result.trials[i].outcome = outcome;
-        done[i] = 1;
-        ++result.resumed_trials;
-      }
-      manifest.emplace(persist::ManifestWriter::open_for_append(
-          options.manifest_path, grid));
-    } else {
-      manifest.emplace(
-          persist::ManifestWriter::create(options.manifest_path, grid));
+    persist::OpenManifest opened =
+        persist::open_manifest(options.manifest_path, grid);
+    for (const auto& [key, outcome] : opened.completed) {
+      const std::size_t i =
+          static_cast<std::size_t>(key.first) * trials_per_cell +
+          static_cast<std::size_t>(key.second);
+      result.trials[i].outcome = outcome;
+      done[i] = 1;
     }
+    result.resumed_trials = opened.completed.size();
+    manifest.emplace(std::move(opened.writer));
     manifest->set_flush_every(options.manifest_flush_every);
     manifest->set_rotate_bytes(options.manifest_rotate_bytes);
   }
 
-  // Pending jobs in deterministic grid order, truncated to the budget.
+  // Pending trials in deterministic grid order, truncated to the budget.
   // Sharded mode keeps only this shard's trials — the assignment is a
   // pure function of (grid fingerprint, cell, trial), so every shard of a
   // grid agrees on the partition without coordinating.
@@ -420,8 +422,8 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   const std::uint64_t shard_fingerprint =
       result.sharded ? persist::grid_fingerprint(grid) : 0;
   std::vector<std::size_t> pending;
-  pending.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  pending.reserve(total);
+  for (std::size_t i = 0; i < total; ++i) {
     if (done[i]) continue;
     if (result.sharded &&
         trial_shard(shard_fingerprint,
@@ -456,23 +458,20 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
                                                  std::move(totals));
   }
 
-  std::vector<double> wall(jobs.size(), 0.0);
-  std::vector<TrialStats> stats(jobs.size());
-  std::vector<char> failed(jobs.size(), 0);
+  std::vector<double> wall(total, 0.0);
+  result.stats.resize(total);
+  std::vector<char> failed(total, 0);
   const std::int64_t launch_ns = obs::now_ns();
   std::atomic<std::int64_t> queue_wait_ns{0};
-  std::atomic<std::int64_t> trial_run_ns{0};
-  std::atomic<std::int64_t> retries{0};
   std::atomic<std::int64_t> watchdog_flags{0};
-  std::mutex hook_mutex;
+  // One lock over what every trial's sink shares: the sums in `result`,
+  // the manifest, the failures and the per-trial hook.
+  std::mutex sink_mutex;
   std::size_t hooks_fired = 0;
-  std::mutex failures_mutex;
-  std::vector<TrialFailure> failures;
-  // Manifest degradation state, guarded by manifest_mutex while workers
-  // run: once an append permanently fails the manifest is abandoned (the
-  // in-memory results stay complete; only resumability is lost).
+  // Manifest degradation state: once an append permanently fails the
+  // manifest is abandoned (the in-memory results stay complete; only
+  // resumability is lost).
   bool manifest_live = manifest.has_value();
-  std::string manifest_err;
   // Watchdog bookkeeping: one obs::now_ns start stamp per pending slot
   // (-1 = not currently running).
   struct TrialClock {
@@ -545,111 +544,64 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
         static_cast<std::int64_t>(pending.size()), options.threads,
         [&](std::int64_t p) {
           const std::size_t i = pending[static_cast<std::size_t>(p)];
-          const Job& job = jobs[i];
-          TrialRow& row = result.trials[i];
+          const std::size_t cell = i / trials_per_cell;
+          TrialClock& clock = clocks[static_cast<std::size_t>(p)];
           const std::int64_t start_ns = obs::now_ns();
           queue_wait_ns.fetch_add(start_ns - launch_ns,
                                   std::memory_order_relaxed);
-          clocks[static_cast<std::size_t>(p)].start_ns.store(
-              start_ns, std::memory_order_relaxed);
-          const WallTimer timer;
-          const int max_attempts = std::max(1, options.trial_max_attempts);
-          const TrialAttempts attempts = run_trial_attempts(
-              *instances[job.n_index], grid.protocols[job.protocol_index],
-              grid.dynamics, job.rng, &stats[i], max_attempts,
-              options.retry_backoff_ms, options.retry_backoff_max_ms,
-              [&](int attempt, const std::string& error) {
-                retries.fetch_add(1, std::memory_order_relaxed);
-                std::fprintf(stderr,
-                             "cid sweep: trial (%s n=%lld trial=%d) attempt "
-                             "%d/%d failed (%s) — retrying\n",
-                             row.key.protocol.c_str(),
-                             static_cast<long long>(row.key.n), row.trial,
-                             attempt, max_attempts, error.c_str());
+          clock.start_ns.store(start_ns, std::memory_order_relaxed);
+          run_trial_step(
+              grid, *instances[cell / num_protocols],
+              static_cast<std::uint32_t>(cell),
+              static_cast<std::uint32_t>(i % trials_per_cell), options.retry,
+              result, &sink_mutex, [&](TrialDone& trial) {
+                clock.start_ns.store(-1, std::memory_order_relaxed);
+                result.trial_run_ns += trial.end_ns - trial.start_ns;
+                wall[i] = static_cast<double>(trial.end_ns - trial.start_ns) *
+                          1e-9;
+                TrialRow& row = result.trials[i];
+                if (!trial.outcome) {
+                  // Permanently failed: default outcome, no manifest
+                  // record (a resume re-runs it), no per-trial hook — but
+                  // the meter still advances so progress reaches 100%.
+                  result.failures.push_back({i, row.key, row.trial,
+                                             trial.attempts,
+                                             std::move(trial.error)});
+                  failed[i] = 1;
+                  if (meter != nullptr) meter->on_trial_done(cell, 0);
+                  return;
+                }
+                row.outcome = *trial.outcome;
+                result.stats[i] = std::move(trial.stats);
+                if (manifest_live) {
+                  try {
+                    manifest->append(static_cast<std::uint32_t>(row.key.cell),
+                                     static_cast<std::uint32_t>(row.trial),
+                                     row.outcome);
+                  } catch (const util::fault_crash&) {
+                    throw;
+                  } catch (const persist::persist_error& e) {
+                    // Degrade, don't die: the run's results stay complete
+                    // in memory; only resumability of later trials is lost.
+                    manifest_live = false;
+                    result.manifest_error = e.what();
+                    std::fprintf(
+                        stderr,
+                        "cid sweep: %s — manifest disabled for the rest of "
+                        "this run (trials completing from here are not "
+                        "recorded for resume)\n",
+                        e.what());
+                  }
+                }
+                if (meter != nullptr) {
+                  meter->on_trial_done(
+                      cell, static_cast<std::int64_t>(row.outcome.rounds));
+                }
+                if (options.on_trial_done) {
+                  options.on_trial_done(row, result.stats[i], ++hooks_fired,
+                                        pending.size());
+                }
               });
-          wall[i] = timer.seconds();
-          clocks[static_cast<std::size_t>(p)].start_ns.store(
-              -1, std::memory_order_relaxed);
-          const std::int64_t end_ns = obs::now_ns();
-          trial_run_ns.fetch_add(end_ns - start_ns,
-                                 std::memory_order_relaxed);
-          if (!attempts.outcome) {
-            // Permanently failed: default outcome, no manifest record
-            // (a resume re-runs it), no per-trial hook — but the meter
-            // still advances so progress reaches 100%.
-            std::fprintf(stderr,
-                         "cid sweep: trial (%s n=%lld trial=%d) FAILED "
-                         "after %d attempt(s): %s\n",
-                         row.key.protocol.c_str(),
-                         static_cast<long long>(row.key.n), row.trial,
-                         max_attempts, attempts.error.c_str());
-            TrialFailure failure;
-            failure.trial_index = i;
-            failure.key = row.key;
-            failure.trial = row.trial;
-            failure.attempts = max_attempts;
-            failure.error = attempts.error;
-            {
-              const std::lock_guard<std::mutex> lock(failures_mutex);
-              failures.push_back(std::move(failure));
-            }
-            failed[i] = 1;
-            stats[i] = TrialStats{};
-            if (meter != nullptr) {
-              meter->on_trial_done(i / trials_per_cell, 0);
-            }
-            return;
-          }
-          const TrialOutcome& outcome = *attempts.outcome;
-          // One complete span per trial on the worker's own timeline.
-          // Workers run trials serially, so per-thread spans never
-          // overlap; queue wait rides along as an arg rather than its
-          // own span to keep the per-tid nesting clean.
-          if (obs::trace_enabled()) {
-            obs::JsonObject args;
-            args.str("scenario", row.key.scenario);
-            args.str("protocol", row.key.protocol);
-            args.num("n", row.key.n);
-            args.num("cell", std::int64_t{row.key.cell});
-            args.num("trial", std::int64_t{row.trial});
-            args.num("queue_wait_ns", start_ns - launch_ns);
-            args.num("rounds", static_cast<std::int64_t>(outcome.rounds));
-            obs::trace_emit("sweep.trial", start_ns, end_ns, args.take());
-          }
-          row.outcome = outcome;
-          if (manifest.has_value()) {
-            const std::lock_guard<std::mutex> lock(manifest_mutex);
-            if (manifest_live) {
-              try {
-                manifest->append(static_cast<std::uint32_t>(row.key.cell),
-                                 static_cast<std::uint32_t>(row.trial),
-                                 outcome);
-              } catch (const util::fault_crash&) {
-                throw;
-              } catch (const persist::persist_error& e) {
-                // Degrade, don't die: the run's results stay complete in
-                // memory; only resumability of later trials is lost.
-                manifest_live = false;
-                manifest_err = e.what();
-                std::fprintf(
-                    stderr,
-                    "cid sweep: %s — manifest disabled for the rest of this "
-                    "run (trials completing from here are not recorded for "
-                    "resume)\n",
-                    e.what());
-              }
-            }
-          }
-          if (meter != nullptr) {
-            meter->on_trial_done(
-                i / trials_per_cell,
-                static_cast<std::int64_t>(outcome.rounds));
-          }
-          if (options.on_trial_done) {
-            const std::lock_guard<std::mutex> lock(hook_mutex);
-            options.on_trial_done(row, stats[i], ++hooks_fired,
-                                  pending.size());
-          }
         });
   }
   // One final heartbeat after the pool drains (still under the same
@@ -661,7 +613,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
     } catch (const persist::persist_error& e) {
       if (manifest_live) {
         manifest_live = false;
-        manifest_err = e.what();
+        result.manifest_error = e.what();
         std::fprintf(stderr,
                      "cid sweep: %s — manifest close failed (the file may "
                      "be missing its final records)\n",
@@ -670,27 +622,15 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
     }
   }
   result.manifest_degraded = manifest.has_value() && !manifest_live;
-  result.manifest_error = manifest_err;
   // Workers append failures in completion order (scheduling-dependent);
   // report them deterministically.
-  std::sort(failures.begin(), failures.end(),
+  std::sort(result.failures.begin(), result.failures.end(),
             [](const TrialFailure& a, const TrialFailure& b) {
               return a.trial_index < b.trial_index;
             });
-  result.failures = std::move(failures);
-  result.trial_retries = retries.load(std::memory_order_relaxed);
   result.watchdog_flags = watchdog_flags.load(std::memory_order_relaxed);
-  for (const std::size_t i : pending) {
-    if (failed[i]) continue;
-    result.ran_rounds +=
-        static_cast<std::int64_t>(result.trials[i].outcome.rounds);
-    result.latency_evals += stats[i].latency_evals;
-    result.engine.merge(stats[i].engine);
-  }
   result.queue_wait_ns = queue_wait_ns.load(std::memory_order_relaxed);
-  result.trial_run_ns = trial_run_ns.load(std::memory_order_relaxed);
   result.instance_build_ns = instance_build_ns;
-  result.stats = std::move(stats);
   // Cells stay un-aggregated when the grid was not fully run here: budget
   // cut (complete = false) or sharding (other shards hold the rest).
   if (!result.complete || result.sharded) return result;

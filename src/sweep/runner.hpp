@@ -1,24 +1,27 @@
 // Parallel scenario-sweep runner.
 //
 // A SweepGrid is the cross product scenario × protocol × n, each cell run
-// for `trials` independent repetitions. The runner expands the grid into
-// one job per trial, derives every trial's Rng stream serially up front
-// (cell-keyed Rng::split, so streams are a pure function of the master
-// seed), builds each scenario instance once per n, and fans the jobs out
-// over the pool. Per-trial results are therefore bitwise identical for
-// every thread count; wall-clock timing, the one legitimately
+// for `trials` independent repetitions. The runner builds each scenario
+// instance once per n and fans the grid's trials out over the pool. Each
+// trial runs through run_trial_step, the one trial step the cid_serve
+// worker uses too: its Rng stream comes from derive_trial_rng(seed, cell,
+// trial), an O(1) pure function of the master seed derived inside the
+// step, so per-trial results are bitwise identical for every thread count
+// and on every fleet worker. Wall-clock timing, the one legitimately
 // scheduling-dependent output, is reported only per cell.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "sweep/scenario.hpp"
 #include "util/stats.hpp"
@@ -48,10 +51,10 @@ struct TrialRow {
   TrialOutcome outcome;
 };
 
-/// One trial that exhausted its retry budget (SweepOptions::
-/// trial_max_attempts). Failed trials never kill the sweep: they are
-/// recorded here, excluded from cell aggregation, and left with default
-/// outcomes in SweepResult::trials.
+/// One trial that exhausted its retry budget (SweepOptions::retry).
+/// Failed trials never kill the sweep: they are recorded here, excluded
+/// from cell aggregation, and left with default outcomes in
+/// SweepResult::trials.
 struct TrialFailure {
   std::size_t trial_index = 0;  // index into SweepResult::trials
   CellKey key;
@@ -72,7 +75,43 @@ struct CellRow {
   double wall_seconds = 0.0;       // summed trial wall time (not deterministic)
 };
 
-struct SweepResult {
+/// How a throwing trial is retried, by run_sweep and the cid_serve worker
+/// alike: up to max_attempts attempts (at least 1), each on a fresh copy
+/// of the trial's stream (outcomes are a pure function of it, so a
+/// successful retry lands exactly what a fault-free first attempt would
+/// have), sleeping backoff_ms before the first retry and twice as long
+/// before each next one, at most kRetryBackoffMaxMs (0 = no sleep).
+struct RetryPolicy {
+  int max_attempts = 3;
+  double backoff_ms = 25.0;
+};
+inline constexpr double kRetryBackoffMaxMs = 2000.0;
+
+/// Sums over the trials one caller executed — a whole sweep for
+/// run_sweep, one lease for the cid_serve worker — merged by
+/// run_trial_step. Deterministic per grid, except the engine's *_ns wall
+/// times; a permanently failed trial adds only its retries.
+struct TrialTotals {
+  std::int64_t ran_rounds = 0;     // Σ rounds over executed trials
+  std::int64_t latency_evals = 0;  // Σ kernel latency evaluations
+  std::int64_t trial_retries = 0;  // failed attempts that were retried
+  /// Engine phase timers / work counters; zeros unless
+  /// DynamicsConfig::collect_metrics.
+  obs::EngineMetrics engine;
+};
+
+/// Adds `totals` to `registry` as sweep.ran_rounds, sweep.latency_evals,
+/// sweep.trial_retries and, when `with_engine` (the grid meters:
+/// DynamicsConfig::collect_metrics), engine.* — the one naming of these
+/// sums in a local run's metrics and a fleet worker's push.
+void add_trial_totals(obs::MetricsRegistry& registry,
+                      const TrialTotals& totals, bool with_engine);
+
+/// The sums (TrialTotals) cover the trials EXECUTED this invocation:
+/// manifest-resumed trials are excluded, their counters were not
+/// re-measured. They are reported in run summaries only — deliberately
+/// kept out of the CSV/JSONL outputs and manifests.
+struct SweepResult : TrialTotals {
   std::vector<TrialRow> trials;  // cell-major, trial-minor
   std::vector<CellRow> cells;
   /// False when a trial budget (SweepOptions::max_new_trials) exhausted
@@ -86,7 +125,6 @@ struct SweepResult {
   /// trial_index. Non-empty failures excludes those trials from cell
   /// aggregation; cid_sweep exits nonzero when any remain.
   std::vector<TrialFailure> failures;
-  std::int64_t trial_retries = 0;   // failed attempts that were retried
   std::int64_t watchdog_flags = 0;  // trials flagged as stuck (observation)
   /// True when manifest appends failed permanently mid-sweep: the run
   /// finished (results in memory are complete) but the manifest on disk is
@@ -97,18 +135,6 @@ struct SweepResult {
   /// are not aggregated and non-shard trials hold default outcomes.
   bool sharded = false;
 
-  // Throughput observability over the trials EXECUTED this invocation
-  // (manifest-resumed trials are excluded: their counters were not
-  // re-measured). Deterministic per grid; reported in run summaries only —
-  // deliberately kept out of the CSV/JSONL outputs and manifests.
-  std::int64_t ran_rounds = 0;        // Σ rounds over executed trials
-  std::int64_t latency_evals = 0;     // Σ kernel latency evaluations
-
-  /// Engine phase timers / work counters merged over executed trials.
-  /// Work counters (rounds, rows filled/pruned, stop checks) are
-  /// deterministic per grid; the *_ns fields are wall time. Populated only
-  /// under DynamicsConfig::collect_metrics (zeros otherwise).
-  obs::EngineMetrics engine;
   /// Pool-level wall accounting (steady-clock ns): queue_wait_ns sums,
   /// over executed trials, the time between sweep launch and that trial's
   /// start on a worker — scheduling-dependent, reported in summaries
@@ -170,15 +196,9 @@ struct SweepOptions {
                      std::size_t total)>
       on_trial_done;
 
-  /// Trial-level failure isolation: a throwing trial is retried with a
-  /// fresh copy of its Rng stream (outcomes are a pure function of the
-  /// stream, so a successful retry reproduces the identical result), up
-  /// to this many total attempts with capped exponential backoff between
-  /// them. A trial that exhausts its budget lands in
-  /// SweepResult::failures; it never kills the sweep.
-  int trial_max_attempts = 3;
-  double retry_backoff_ms = 25.0;       // first retry; doubles per attempt
-  double retry_backoff_max_ms = 2000.0;
+  /// Trial-level failure isolation: a trial that exhausts its retry
+  /// budget lands in SweepResult::failures; it never kills the sweep.
+  RetryPolicy retry;
 
   /// When > 0, a wall-clock watchdog thread flags (stderr +
   /// SweepResult::watchdog_flags) any trial still running after this many
@@ -201,38 +221,65 @@ struct SweepOptions {
 /// protocol/n axes, trials < 1, or a manifest from a different grid.
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options = {});
 
-/// Derives the Rng stream of one (cell, trial) exactly as run_sweep does:
-/// a fresh grid master, one keyed split for the cell master, then one
-/// keyed split of a copy of the cell master for the trial — O(1), and
-/// trial 0's stream is the cell master's first split. This is the single
-/// authority both run_sweep and the cid_serve worker path use, so a leased
-/// trial's stream can never drift from what the local runner would have
-/// drawn.
+/// Derives the Rng stream of one (cell, trial): a fresh grid master, one
+/// keyed split for the cell master, then one keyed split of a copy of the
+/// cell master for the trial — O(1), and trial 0's stream is the cell
+/// master's first split. run_trial_step calls it for every trial, so a
+/// leased trial's stream can never drift from what the local runner
+/// would have drawn.
 Rng derive_trial_rng(std::uint64_t master_seed, std::uint32_t cell,
                      std::uint32_t trial);
 
-/// What run_trial_attempts hands back: the outcome when an attempt
-/// succeeded, else nullopt and the last attempt's error.
-struct TrialAttempts {
+/// One trial as run_trial_step hands it to its sink.
+struct TrialDone {
+  std::uint32_t cell = 0;
+  std::uint32_t trial = 0;
+  /// nullopt when every attempt failed; then `error` is the last
+  /// attempt's message and `stats` is zeroed.
   std::optional<TrialOutcome> outcome;
   std::string error;
+  int attempts = 0;  // attempts made
+  TrialStats stats;
+  std::int64_t start_ns = 0;  // obs::now_ns() before the first attempt
+  std::int64_t end_ns = 0;    // and after the last
 };
 
-/// The one trial retry loop run_sweep and the cid_serve worker share: up
-/// to `max_attempts` (at least 1) attempts, each on a fresh copy of `rng`
-/// with `*stats` zeroed (outcomes are a pure function of the stream, so a
-/// successful retry yields exactly what a fault-free first attempt would
-/// have), each behind the `sweep.trial` fault site. util::fault_crash
-/// always propagates: a crash is a kill, never an error to isolate.
-/// `on_retry(attempt, error)` runs after each failed attempt that will be
-/// retried, before the capped exponential backoff (`backoff_ms` doubling
-/// per attempt up to `backoff_max_ms`; 0 = no sleep).
-TrialAttempts run_trial_attempts(
-    const ScenarioInstance& instance, const ProtocolSpec& protocol,
-    const DynamicsConfig& dynamics, const Rng& rng, TrialStats* stats,
-    int max_attempts, double backoff_ms, double backoff_max_ms,
-    const std::function<void(int attempt, const std::string& error)>&
-        on_retry);
+namespace detail {
+/// run_trial_step's untemplated half: the attempts, the retry and failure
+/// lines and the sweep.trial span. Fills everything of `done` but its key.
+void run_attempts(const SweepGrid& grid, const ScenarioInstance& instance,
+                  const RetryPolicy& retry, const Rng& rng, TrialDone& done);
+}  // namespace detail
+
+/// The one trial step of run_sweep's pool and the cid_serve worker: runs
+/// trial `trial` of cell `cell` on `instance` (the cell's n) with its
+/// derive_trial_rng stream, then merges its sums into `totals` and calls
+/// `sink(TrialDone&)` once. The step owns the attempts (RetryPolicy, each
+/// behind the sweep.trial fault site; util::fault_crash always
+/// propagates — a crash is a kill, never an error to isolate), one stderr
+/// line per retry and one per permanent failure, and the sweep.trial trace
+/// span. When `lock` is set, `totals` and the sink are touched under it,
+/// so a concurrent pool shares one accumulator and its sink needs no lock
+/// of its own. A template over the sink, not a virtual interface: no
+/// per-trial indirection and no allocation.
+template <class Sink>
+void run_trial_step(const SweepGrid& grid, const ScenarioInstance& instance,
+                    std::uint32_t cell, std::uint32_t trial,
+                    const RetryPolicy& retry, TrialTotals& totals,
+                    std::mutex* lock, Sink&& sink) {
+  TrialDone done;
+  done.cell = cell;
+  done.trial = trial;
+  detail::run_attempts(grid, instance, retry,
+                       derive_trial_rng(grid.master_seed, cell, trial), done);
+  std::unique_lock<std::mutex> held;
+  if (lock != nullptr) held = std::unique_lock<std::mutex>(*lock);
+  totals.ran_rounds += done.stats.ran_rounds;
+  totals.latency_evals += done.stats.latency_evals;
+  totals.trial_retries += done.attempts - 1;
+  totals.engine.merge(done.stats.engine);
+  sink(done);
+}
 
 /// Parses a sweep axis:
 ///   "n=1000:100000:log"     decades from 1000 to 100000 (ratio 10)

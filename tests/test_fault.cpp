@@ -61,7 +61,7 @@ SweepOptions manifest_options(const std::string& manifest) {
   SweepOptions options;
   options.threads = 1;
   options.manifest_path = manifest;
-  options.retry_backoff_ms = 0.0;  // tests should not sleep
+  options.retry.backoff_ms = 0.0;  // tests should not sleep
   return options;
 }
 
@@ -224,7 +224,7 @@ TEST_F(FaultTest, PermanentTrialFailureIsIsolatedAndReported) {
   const SweepGrid grid = small_grid("load-balancing", 200, 500);
   const std::string path = temp_path("permfail.manifest");
   SweepOptions options = manifest_options(path);
-  options.trial_max_attempts = 2;
+  options.retry.max_attempts = 2;
   // Two firings = both attempts of exactly one trial (threads=1 keeps the
   // consultation order serial per trial).
   util::configure_faults("seed=1;sweep.trial:err:every=1:count=2");

@@ -79,6 +79,19 @@ TEST(ImitationProtocol, CannotDiscoverUnusedStrategies) {
   EXPECT_DOUBLE_EQ(protocol.move_probability(game, x, 0, 2), 0.0);
 }
 
+// One player sampling excluding itself has nobody to sample: the pool
+// n + v·|P| − 1 is 0, so every move probability is 0 — not 1/0 × 0 = NaN.
+TEST(ImitationProtocol, LonePlayerExcludingSelfSamplesNobody) {
+  const auto game = make_monomial_fan_game(6, 1.0, 2.0, 1);
+  const State x = State::all_on(game, 5);
+  const ImitationProtocol protocol;
+  ASSERT_EQ(protocol.sampling_pool(game), 0);
+  for (StrategyId from = 0; from < 5; ++from) {
+    EXPECT_EQ(protocol.move_probability(game, x, from, 5), 0.0) << from;
+  }
+  EXPECT_EQ(protocol.move_probability(game, x, 5, 0), 0.0);
+}
+
 TEST(ImitationProtocol, OverridesRespected) {
   const auto game = make_uniform_links_game(2, make_linear(1.0), 10);
   const State x(game, {7, 3});

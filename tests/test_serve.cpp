@@ -24,7 +24,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <future>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -206,6 +209,66 @@ TEST_F(Serve, FleetManifestByteIdenticalToLocalRun) {
   }
 }
 
+/// The counters of a Prometheus exposition file, by name.
+std::map<std::string, std::int64_t> read_prom_counters(
+    const std::string& path) {
+  std::map<std::string, std::int64_t> counters;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name;
+    std::int64_t value = 0;
+    if (fields >> name >> value) counters[name] = value;
+  }
+  return counters;
+}
+
+// One trial step on both paths, so one accounting: a metered grid run
+// locally at --threads 1 and through coordinator + 2 workers reports the
+// same work counters, engine.* included (the fleet sums the workers'
+// pushes).
+TEST_F(Serve, FleetCountersEqualTheLocalRun) {
+  sweep::SweepGrid grid = load_balancing_grid();
+  grid.dynamics.collect_metrics = true;
+  sweep::SweepOptions local_options;
+  local_options.threads = 1;
+  const sweep::SweepResult local = sweep::run_sweep(grid, local_options);
+  ASSERT_GT(local.engine.rounds, 0);
+
+  const std::string manifest = temp_path("serve_counters.manifest");
+  const std::string prom = temp_path("serve_counters.prom");
+  std::remove(manifest.c_str());
+  std::promise<std::uint16_t> port_promise;
+  CoordinatorOptions options = coordinator_options(manifest, port_promise);
+  options.metrics_prom_path = prom;
+  CoordinatorReport report;
+  std::thread coordinator([&] { report = serve_grid(grid, options); });
+  const std::uint16_t port = port_promise.get_future().get();
+  run_fleet(grid, port, 2);
+  coordinator.join();
+  ASSERT_TRUE(report.complete);
+
+  const std::map<std::string, std::int64_t> fleet = read_prom_counters(prom);
+  const std::vector<std::pair<std::string, std::int64_t>> expected = {
+      {"cid_engine_rounds", local.engine.rounds},
+      {"cid_engine_rows_filled", local.engine.rows_filled},
+      {"cid_engine_rows_pruned", local.engine.rows_pruned},
+      {"cid_engine_rows_replayed", local.engine.rows_replayed},
+      {"cid_engine_stop_checks", local.engine.stop_checks},
+      {"cid_sweep_ran_rounds", local.ran_rounds},
+      {"cid_sweep_latency_evals", local.latency_evals},
+  };
+  for (const auto& [name, value] : expected) {
+    const auto it = fleet.find(name);
+    ASSERT_NE(it, fleet.end()) << name << " missing from the fleet";
+    EXPECT_EQ(it->second, value) << name;
+  }
+  std::remove(manifest.c_str());
+  std::remove(prom.c_str());
+}
+
 // A worker killed inside a run: alone on 16 pending trials it leases a
 // run of 4, and the crash fault fires on its 3rd trial (its socket closes
 // exactly as a kill would). The coordinator reclaims the whole run — none
@@ -299,7 +362,7 @@ TEST_F(Serve, WorkerRequeueInsideARunReturnsOnlyTheFailedTrial) {
   const CoordinatorOptions options =
       coordinator_options(manifest, port_promise);
 
-  // The run's 2nd trial fails; with trial_max_attempts=1 the worker has
+  // The run's 2nd trial fails; with retry.max_attempts=1 the worker has
   // no local retry left and must requeue it.
   util::configure_faults("sweep.trial:err:hit=2");
 
@@ -310,7 +373,7 @@ TEST_F(Serve, WorkerRequeueInsideARunReturnsOnlyTheFailedTrial) {
   WorkerOptions worker;
   worker.port = port;
   worker.name = "requeuer";
-  worker.trial_max_attempts = 1;
+  worker.retry.max_attempts = 1;
   const WorkerReport worker_report = run_worker(grid, worker);
   coordinator.join();
 

@@ -1,7 +1,8 @@
 // Tests for the parallel scenario-sweep runtime. The load-bearing contract
 // is thread-count invariance: a sweep's per-trial results must be bitwise
-// identical whether it runs on 1 thread or 8, because all Rng streams are
-// derived serially (Rng::split) before any worker starts. Everything else
+// identical whether it runs on 1 thread or 8, because every trial's Rng
+// stream is a pure function of (seed, cell, trial) (derive_trial_rng's
+// keyed Rng::split), whichever thread derives it. Everything else
 // — registry, grid parsing, writers, the retrofitted analysis harness —
 // rides on that.
 #include <gtest/gtest.h>

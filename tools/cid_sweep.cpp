@@ -261,7 +261,7 @@ Options parse_args(int argc, char** argv) {
             sweep::parse_double_flag(flag, argv[++i], 0.0, kSecondsMax);
       }
     } else if (flag == "--trial-retries") {
-      opt.run.trial_max_attempts = static_cast<int>(int_value(i, 1, kIntMax));
+      opt.run.retry.max_attempts = static_cast<int>(int_value(i, 1, kIntMax));
     } else if (flag == "--watchdog") {
       opt.run.watchdog_seconds =
           sweep::parse_double_flag(flag, need_value(i), 0.0, kSecondsMax);
@@ -367,9 +367,7 @@ int main(int argc, char** argv) {
       worker.host = host;
       worker.port = port;
       worker.name = opt.worker_name.empty() ? "cid_sweep" : opt.worker_name;
-      worker.trial_max_attempts = opt.run.trial_max_attempts;
-      worker.retry_backoff_ms = opt.run.retry_backoff_ms;
-      worker.retry_backoff_max_ms = opt.run.retry_backoff_max_ms;
+      worker.retry = opt.run.retry;
       worker.max_trials = opt.run.max_new_trials;
       std::printf("worker %s: leasing trials from %s:%u\n",
                   worker.name.c_str(), host.c_str(), port);
@@ -471,7 +469,8 @@ int main(int argc, char** argv) {
     auto write_metrics_outputs = [&]() {
       if (sink == nullptr && opt.prom_path.empty()) return;
       registry.reset_values();
-      registry.merge_engine("", result.engine);
+      sweep::add_trial_totals(registry, result,
+                              opt.grid.dynamics.collect_metrics);
       registry.add_named("sweep.trials_total",
                          static_cast<std::int64_t>(result.trials.size()));
       registry.add_named("sweep.trials_run",
@@ -479,12 +478,9 @@ int main(int argc, char** argv) {
       registry.add_named(
           "sweep.trials_resumed",
           static_cast<std::int64_t>(result.resumed_trials));
-      registry.add_named("sweep.ran_rounds", result.ran_rounds);
-      registry.add_named("sweep.latency_evals", result.latency_evals);
       registry.add_named("sweep.queue_wait_ns", result.queue_wait_ns);
       registry.add_named("sweep.trial_run_ns", result.trial_run_ns);
       registry.add_named("sweep.instance_build_ns", result.instance_build_ns);
-      registry.add_named("sweep.trial_retries", result.trial_retries);
       registry.add_named("sweep.trial_failures",
                          static_cast<std::int64_t>(result.failures.size()));
       for (const sweep::TrialRow& row : result.trials) {
