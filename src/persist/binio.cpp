@@ -122,7 +122,7 @@ void BinWriter::vi64(std::int64_t v) {
        static_cast<std::uint64_t>(v >> 63));
 }
 
-void BinWriter::str(const std::string& s) {
+void BinWriter::str(std::string_view s) {
   if (s.size() > 0xFFFFFFFFull) {
     throw persist_error("string too large to serialize");
   }
@@ -182,6 +182,10 @@ std::string BinReader::str() {
   const std::uint32_t size = u32();
   const char* p = static_cast<const char*>(take(size));
   return std::string(p, size);
+}
+
+std::string_view BinReader::bytes(std::size_t size) {
+  return {static_cast<const char*>(take(size)), size};
 }
 
 void BinReader::expect_done() const {

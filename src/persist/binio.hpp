@@ -93,7 +93,7 @@ class BinWriter {
   /// sign stay one byte).
   void vi64(std::int64_t v);
   /// Length-prefixed (u32) byte string.
-  void str(const std::string& s);
+  void str(std::string_view s);
   void raw(const void* data, std::size_t size);
 
   const std::string& buffer() const noexcept { return buffer_; }
@@ -122,6 +122,8 @@ class BinReader {
   std::uint64_t vu64();
   std::int64_t vi64();
   std::string str();
+  /// The next `size` bytes, borrowed from the buffer.
+  std::string_view bytes(std::size_t size);
 
   std::size_t remaining() const noexcept {
     return buffer_.size() - position_;

@@ -1,5 +1,6 @@
 #include "persist/manifest.hpp"
 
+#include <bit>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -11,8 +12,6 @@ namespace cid::persist {
 namespace {
 
 constexpr std::size_t kV1HeaderSize = 7 + 1 + 8 + 4 + 4;
-constexpr std::size_t kRecordPayload = 4 + 4 + 8 + 1 + 8 + 8 + 8;
-constexpr std::size_t kRecordSize = kRecordPayload + 4;
 constexpr std::uint16_t kManiSecGrid = 1;
 constexpr std::uint16_t kManiSecSemantics = 2;
 constexpr AppendArtifact kManifestFile{"manifest", "manifest.header",
@@ -60,22 +59,6 @@ std::string header_bytes(const ManifestInfo& info) {
   out.u32(static_cast<std::uint32_t>(sections.buffer().size()));
   out.raw(sections.buffer().data(), sections.buffer().size());
   return out.take();
-}
-
-std::string record_bytes(std::uint32_t cell, std::uint32_t trial,
-                         const sweep::TrialOutcome& outcome) {
-  BinWriter out;
-  out.u32(cell);
-  out.u32(trial);
-  out.f64(outcome.rounds);
-  out.u8(outcome.converged ? 1 : 0);
-  out.i64(outcome.movers);
-  out.f64(outcome.potential);
-  out.f64(outcome.social_cost);
-  BinWriter framed;
-  framed.raw(out.buffer().data(), out.buffer().size());
-  framed.u32(crc32(out.buffer().data(), out.buffer().size()));
-  return framed.take();
 }
 
 [[noreturn]] void semantics_mismatch(const std::string& path,
@@ -175,36 +158,28 @@ SegmentScan load_segment(const std::string& path, const ManifestInfo& expected,
   contents.file_bytes += data.size();
 
   while (pos < data.size()) {
-    if (data.size() - pos < kRecordSize) {
+    if (data.size() - pos < kRecordBytes) {
       scan.truncated_tail = true;
       break;
     }
-    const std::uint32_t stored = read_le32(data.data() + pos + kRecordPayload);
-    if (stored != crc32(data.data() + pos, kRecordPayload)) {
+    const std::optional<Record> record =
+        read_record(std::string_view(data).substr(pos, kRecordBytes), path);
+    pos += kRecordBytes;
+    if (!record) {
       ++contents.corrupt_records;
-      pos += kRecordSize;
       continue;
     }
-    BinReader record(std::string_view(data).substr(pos, kRecordPayload),
-                     path);
-    const std::uint32_t cell = record.u32();
-    const std::uint32_t trial = record.u32();
-    sweep::TrialOutcome outcome;
-    outcome.rounds = record.f64();
-    outcome.converged = record.u8() != 0;
-    outcome.movers = record.i64();
-    outcome.potential = record.f64();
-    outcome.social_cost = record.f64();
-    if (cell >= contents.cells || trial >= contents.trials_per_cell) {
+    if (record->cell >= contents.cells ||
+        record->trial >= contents.trials_per_cell) {
       // CRC-valid but outside the grid: not bit rot — mixed manifests or
       // a builder bug. Tolerating it would stitch foreign results in.
       throw persist_error(path + ": manifest record (" +
-                          std::to_string(cell) + ", " +
-                          std::to_string(trial) + ") outside the grid");
+                          std::to_string(record->cell) + ", " +
+                          std::to_string(record->trial) +
+                          ") outside the grid");
     }
-    contents.completed[{cell, trial}] = outcome;
+    contents.completed[{record->cell, record->trial}] = record->outcome;
     ++contents.record_count;
-    pos += kRecordSize;
     scan.last_intact_end = pos;
   }
   return scan;
@@ -236,6 +211,48 @@ void load_chain(const std::string& path, const ManifestInfo& expected,
 }
 
 }  // namespace
+
+void write_record(BinWriter& out, std::uint32_t cell, std::uint32_t trial,
+                  const sweep::TrialOutcome& outcome) {
+  const std::size_t start = out.buffer().size();
+  out.u32(cell);
+  out.u32(trial);
+  out.f64(outcome.rounds);
+  out.u8(outcome.converged ? 1 : 0);
+  out.i64(outcome.movers);
+  out.f64(outcome.potential);
+  out.f64(outcome.social_cost);
+  out.u32(crc32(out.buffer().data() + start, kRecordFieldBytes));
+}
+
+std::optional<Record> read_record(std::string_view bytes,
+                                  std::string_view where) {
+  if (bytes.size() != kRecordBytes) {
+    throw persist_error(std::string(where) + ": a record is " +
+                        std::to_string(kRecordBytes) + " bytes, not " +
+                        std::to_string(bytes.size()));
+  }
+  const char* p = bytes.data();
+  if (read_le32(p + kRecordFieldBytes) != crc32(p, kRecordFieldBytes)) {
+    return std::nullopt;
+  }
+  Record record;
+  record.cell = read_le32(p);
+  record.trial = read_le32(p + 4);
+  record.outcome.rounds = std::bit_cast<double>(read_le64(p + 8));
+  const auto converged = static_cast<unsigned char>(p[16]);
+  if (converged > 1) {
+    throw persist_error(std::string(where) + ": record (" +
+                        std::to_string(record.cell) + ", " +
+                        std::to_string(record.trial) + ") has converged byte " +
+                        std::to_string(converged) + ", not 0 or 1");
+  }
+  record.outcome.converged = converged == 1;
+  record.outcome.movers = static_cast<std::int64_t>(read_le64(p + 17));
+  record.outcome.potential = std::bit_cast<double>(read_le64(p + 25));
+  record.outcome.social_cost = std::bit_cast<double>(read_le64(p + 33));
+  return record;
+}
 
 std::uint64_t grid_fingerprint(const sweep::SweepGrid& grid) {
   BinWriter out;
@@ -371,13 +388,14 @@ std::uint64_t write_manifest_canonical(const std::string& path,
   info.cells = report.cells;
   info.trials = report.trials_per_cell;
   info.outcome_semantics = report.outcome_semantics;
-  std::string bytes = header_bytes(info);
+  BinWriter out;
+  const std::string header = header_bytes(info);
+  out.raw(header.data(), header.size());
   for (const auto& [key, outcome] : report.completed) {  // map: sorted
-    bytes += record_bytes(key.first, key.second, outcome);
+    write_record(out, key.first, key.second, outcome);
   }
-
-  write_bytes_atomic(path, bytes, "manifest.merge", nullptr);
-  return bytes.size();
+  write_bytes_atomic(path, out.buffer(), "manifest.merge", nullptr);
+  return out.buffer().size();
 }
 
 ManifestWriter::ManifestWriter(AppendFile file, const sweep::SweepGrid& grid)
@@ -411,7 +429,9 @@ ManifestWriter ManifestWriter::open_for_append(const std::string& path,
 
 void ManifestWriter::append(std::uint32_t cell, std::uint32_t trial,
                             const sweep::TrialOutcome& outcome) {
-  file_.write(record_bytes(cell, trial, outcome), "manifest.append");
+  BinWriter record;
+  write_record(record, cell, trial, outcome);
+  file_.write(record.buffer(), "manifest.append");
   if (flush_every_ > 0 && ++since_flush_ >= flush_every_) flush();
   file_.rotate(rotate_bytes_, segment_header_);
 }

@@ -33,10 +33,14 @@
 // manifest of another version throws grid_mismatch_error: outcomes of two
 // semantics never share one record set.
 //
-// Records (both versions):
+// Records (both versions; 45 bytes each, write_record / read_record —
+// the serve protocol's `complete` carries the same bytes):
 //
 //   record*: cell:u32 trial:u32 rounds:f64 converged:u8 movers:i64
 //            potential:f64 social_cost:f64 crc32(record payload):u32
+//
+// converged is 0 or 1; a CRC-valid record holding any other byte is
+// refused like a record outside the grid.
 //
 // Append order is completion order (scheduling-dependent); the manifest is
 // a set keyed by (cell, trial), so that nondeterminism never reaches the
@@ -66,7 +70,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -77,6 +83,32 @@ namespace cid::persist {
 
 inline constexpr char kManifestMagic[] = "CIDMANI";
 inline constexpr std::uint8_t kManifestVersion = 2;
+
+// ---- The trial record (disk and wire) ---------------------------------------
+
+/// Bytes of one record: the fields, then the CRC-32 of the fields.
+inline constexpr std::size_t kRecordFieldBytes = 4 + 4 + 8 + 1 + 8 + 8 + 8;
+inline constexpr std::size_t kRecordBytes = kRecordFieldBytes + 4;
+
+/// One trial record's fields.
+struct Record {
+  std::uint32_t cell = 0;
+  std::uint32_t trial = 0;
+  sweep::TrialOutcome outcome;
+};
+
+/// Appends the kRecordBytes of one record to `out`: what
+/// ManifestWriter::append writes, and what a serve `complete` carries.
+void write_record(BinWriter& out, std::uint32_t cell, std::uint32_t trial,
+                  const sweep::TrialOutcome& outcome);
+
+/// Decodes the record in `bytes` (exactly kRecordBytes long). Returns
+/// nullopt when its CRC does not match (a bit-rotted slot); throws
+/// persist_error naming `where` when the length is wrong or a CRC-valid
+/// record's converged byte is neither 0 nor 1 (not bit rot: a foreign or
+/// buggy writer).
+std::optional<Record> read_record(std::string_view bytes,
+                                  std::string_view where);
 
 /// Hash of kOutcomeSemantics and every SweepGrid field that influences
 /// trial outcomes (scenario name + params, protocol specs, ns, trials,

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <deque>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <utility>
@@ -49,21 +48,19 @@ struct Lease {
 
 struct Connection {
   Socket socket;
-  FrameReader reader;
+  FrameReader reader{};
   std::int64_t worker_id = -1;  // -1 until a valid hello
-  std::string worker_name;
+  std::string worker_name{};
   bool closing = false;  // error/bye sent; drop after flush
 };
 
 struct HttpConnection {
   Socket socket;
-  std::string request;
+  std::string request{};
+  bool done = false;  // served or dead
 };
 
 enum class TrialState : std::uint8_t { kPending, kLeased, kDone, kFailed };
-
-constexpr std::uint64_t kMaxLeaseId =
-    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
 
 class Coordinator {
  public:
@@ -170,10 +167,8 @@ class Coordinator {
       fds.push_back({conn.socket.fd(), POLLIN, 0});
     }
     const std::size_t http_base = fds.size();
-    std::vector<std::size_t> http_ids;
-    for (std::size_t i = 0; i < http_connections_.size(); ++i) {
-      http_ids.push_back(i);
-      fds.push_back({http_connections_[i].socket.fd(), POLLIN, 0});
+    for (const HttpConnection& http : http_connections_) {
+      fds.push_back({http.socket.fd(), POLLIN, 0});
     }
 
     const int timeout_ms =
@@ -190,18 +185,14 @@ class Coordinator {
         service_connection(conn_ids[i]);
       }
     }
-    std::vector<std::size_t> http_done;
-    for (std::size_t i = 0; i < http_ids.size(); ++i) {
+    // HTTP slots are last; a connection accepted above has none yet.
+    for (std::size_t i = 0; http_base + i < fds.size(); ++i) {
       if ((fds[http_base + i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        if (service_http(http_connections_[http_ids[i]])) {
-          http_done.push_back(http_ids[i]);
-        }
+        http_connections_[i].done = service_http(http_connections_[i]);
       }
     }
-    for (auto it = http_done.rbegin(); it != http_done.rend(); ++it) {
-      http_connections_.erase(http_connections_.begin() +
-                              static_cast<std::ptrdiff_t>(*it));
-    }
+    std::erase_if(http_connections_,
+                  [](const HttpConnection& http) { return http.done; });
   }
 
   void accept_connections() {
@@ -210,17 +201,15 @@ class Coordinator {
       registry_.add_named("serve.accept_drops", 1);
       return;
     }
-    Connection c;
-    c.socket = std::move(conn);
-    connections_.emplace(next_conn_id_++, std::move(c));
+    connections_.emplace(next_conn_id_++,
+                         Connection{.socket = std::move(conn)});
   }
 
   void accept_metrics_connections() {
     Socket conn = metrics_listener_->accept();
-    if (!conn.valid()) return;
-    HttpConnection http;
-    http.socket = std::move(conn);
-    http_connections_.push_back(std::move(http));
+    if (conn.valid()) {
+      http_connections_.push_back(HttpConnection{.socket = std::move(conn)});
+    }
   }
 
   void service_connection(std::uint64_t conn_id) {
@@ -236,17 +225,20 @@ class Coordinator {
         return;
       }
       conn.reader.feed(std::string_view(buffer, got));
-      while (auto payload = conn.reader.next()) {
-        handle_message(conn_id, Message::parse(*payload));
-        // A handler may have marked the connection for teardown (error /
-        // bye); stop reading it.
-        auto again = connections_.find(conn_id);
-        if (again == connections_.end() || again->second.closing) break;
+      // A handler may mark the connection for teardown (error / bye);
+      // nothing after that is read.
+      while (!conn.closing) {
+        std::optional<std::string> payload = conn.reader.next();
+        if (!payload) break;
+        if ((*payload)[0] == '{') {
+          // A pre-v3 (JSON) worker: refuse it in the one format it reads.
+          respond(conn, msg_json_refusal());
+          conn.closing = true;
+        } else {
+          handle_message(conn_id, Message(std::move(*payload)));
+        }
       }
-      auto again = connections_.find(conn_id);
-      if (again != connections_.end() && again->second.closing) {
-        drop_connection(conn_id, "closed");
-      }
+      if (conn.closing) drop_connection(conn_id, "closed");
     } catch (const proto_error& e) {
       if (options_.verbose) {
         std::fprintf(stderr, "cid_serve: conn %llu protocol error: %s\n",
@@ -347,58 +339,57 @@ class Coordinator {
 
   void handle_message(std::uint64_t conn_id, const Message& message) {
     Connection& conn = connections_.at(conn_id);
-    const std::string& type = message.type();
-    if (conn.worker_id < 0 && type != "hello") {
-      respond(conn, msg_error("handshake first: expected hello"));
-      conn.closing = true;
+    const MsgType type = message.type();
+    if (conn.worker_id < 0 && type != MsgType::kHello) {
+      refuse(conn, "handshake first: expected hello");
       return;
     }
-    if (type == "hello") handle_hello(conn, message);
-    else if (type == "lease") handle_lease(conn_id, conn, message);
-    else if (type == "renew") handle_renew(conn, message);
-    else if (type == "complete") handle_complete(conn, message);
-    else if (type == "requeue") handle_requeue(conn, message);
-    else if (type == "metrics") handle_metrics(conn, message);
-    else if (type == "bye") {
-      respond(conn, msg_ack());
-      conn.closing = true;
-    } else {
-      respond(conn, msg_error("unknown message type: " + type));
-      conn.closing = true;
+    switch (type) {
+      case MsgType::kHello: return handle_hello(conn, message);
+      case MsgType::kLease: return handle_lease(conn_id, conn, message);
+      case MsgType::kRenew: return handle_renew(conn, message);
+      case MsgType::kComplete: return handle_complete(conn, message);
+      case MsgType::kRequeue: return handle_requeue(conn, message);
+      case MsgType::kMetrics: return handle_metrics(conn, message);
+      case MsgType::kBye:
+        respond(conn, msg_ack());
+        conn.closing = true;
+        return;
+      default:
+        refuse(conn, std::string("unexpected message type: ") +
+                         type_name(type));
     }
   }
 
+  /// Sends one error and closes after it.
+  void refuse(Connection& conn, const std::string& why) {
+    respond(conn, msg_error(why));
+    conn.closing = true;
+  }
+
   void handle_hello(Connection& conn, const Message& message) {
-    const std::int64_t version = message.get_int("v");
-    if (version != kServeProtoVersion) {
-      respond(conn, msg_error("protocol version mismatch: coordinator " +
+    const Hello hello = decode_hello(message);
+    if (hello.version != kServeProtoVersion) {
+      return refuse(conn, "protocol version mismatch: coordinator " +
                               std::to_string(kServeProtoVersion) +
-                              ", worker " + std::to_string(version)));
-      conn.closing = true;
-      return;
+                              ", worker " + std::to_string(hello.version));
     }
-    const std::uint64_t fingerprint = decode_fingerprint(message);
-    if (fingerprint != fingerprint_) {
-      respond(conn, msg_error("grid fingerprint mismatch: serving " +
+    if (hello.fingerprint != fingerprint_) {
+      return refuse(conn, "grid fingerprint mismatch: serving " +
                               fingerprint_hex(fingerprint_) + ", worker " +
-                              fingerprint_hex(fingerprint)));
-      conn.closing = true;
-      return;
+                              fingerprint_hex(hello.fingerprint));
     }
-    const std::string canary = message.get_string("canary");
-    if (canary != canary_) {
-      respond(conn, msg_error("canary mismatch: coordinator " + canary_ +
-                              ", worker " + canary));
-      conn.closing = true;
-      return;
+    if (hello.canary != canary_) {
+      return refuse(conn, "canary mismatch: coordinator " +
+                              hex_bytes(canary_) + ", worker " +
+                              hex_bytes(hello.canary));
     }
     conn.worker_id = static_cast<std::int64_t>(++report_.workers_seen);
-    conn.worker_name = message.get_string("worker");
+    conn.worker_name = hello.worker;
     registry_.add_named("serve.workers_seen", 1);
-    respond(conn,
-            msg_welcome(conn.worker_id,
-                        static_cast<std::int64_t>(report_.trials_total),
-                        static_cast<std::int64_t>(report_.trials_completed)));
+    respond(conn, msg_welcome(static_cast<std::uint64_t>(conn.worker_id),
+                              report_.trials_total,
+                              report_.trials_completed));
   }
 
   /// The run length of the next grant: a quarter of each connected
@@ -464,7 +455,7 @@ class Coordinator {
   }
 
   void handle_renew(Connection& conn, const Message& message) {
-    const std::uint64_t lease_id = message.get_uint("lease_id", kMaxLeaseId);
+    const std::uint64_t lease_id = decode_lease_id(message);
     const auto it = leases_.find(lease_id);
     if (it == leases_.end() || it->second.poisoned ||
         obs::now_ns() >= it->second.deadline_ns) {
@@ -479,11 +470,11 @@ class Coordinator {
   }
 
   void handle_complete(Connection& conn, const Message& message) {
-    const std::uint64_t lease_id = message.get_uint("lease_id", kMaxLeaseId);
+    const Batch head = decode_complete_head(message);
+    const std::uint64_t lease_id = head.lease_id;
     const auto it = leases_.find(lease_id);
-    const std::uint64_t cell = message.get_uint("cell", kMaxLeaseId);
     if (it == leases_.end() || it->second.poisoned ||
-        it->second.first / trials_per_cell_ != cell) {
+        it->second.first / trials_per_cell_ != head.cell) {
       ++report_.completions_rejected;
       registry_.add_named("serve.completions_rejected", 1);
       respond(conn, msg_lease_lost(lease_id));
@@ -531,8 +522,7 @@ class Coordinator {
   }
 
   void handle_requeue(Connection& conn, const Message& message) {
-    const std::uint64_t lease_id = message.get_uint("lease_id", kMaxLeaseId);
-    const auto it = leases_.find(lease_id);
+    const auto it = leases_.find(decode_requeue(message).lease_id);
     if (it != leases_.end()) {
       const Lease lease = it->second;
       leases_.erase(it);
@@ -545,10 +535,12 @@ class Coordinator {
   }
 
   void handle_metrics(Connection& conn, const Message& message) {
-    if (message.get_int("metrics_version") == obs::kMetricsVersion) {
+    MetricsPush push = decode_metrics(message);
+    if (push.metrics_version ==
+        static_cast<std::uint32_t>(obs::kMetricsVersion)) {
       // Snapshots are cumulative; keep only the latest per worker and sum
       // across workers at exposition time.
-      worker_counters_[conn.worker_id] = message.get_counters("counters");
+      worker_counters_[conn.worker_id] = std::move(push.counters);
       registry_.add_named("serve.metrics_pushes", 1);
     }
     respond(conn, msg_ack());

@@ -17,7 +17,7 @@
 // Sockets stay in blocking mode everywhere. The coordinator's poll() loop
 // only reads fds poll flagged readable, so single recv() calls cannot
 // block; responses are small (<1 KiB) and the largest request (a complete
-// of kMaxLeaseTrials records) is about 19 KiB, so blocking writes cannot
+// of kMaxLeaseTrials records) is about 11 KiB, so blocking writes cannot
 // deadlock against 64 KiB socket buffers.
 #pragma once
 
@@ -33,8 +33,7 @@ namespace cid::serve {
 /// drops the one connection and reclaims its leases.
 class net_error : public std::runtime_error {
  public:
-  explicit net_error(const std::string& message)
-      : std::runtime_error(message) {}
+  using std::runtime_error::runtime_error;
 };
 
 /// Move-only owning fd.

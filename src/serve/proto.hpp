@@ -1,71 +1,57 @@
 // Trial-lease wire protocol for distributed sweeps (cid_serve <-> workers).
 //
-// Transport: a TCP byte stream of length-prefixed frames,
+// Transport: a TCP byte stream of frames, `len:u32 payload:bytes[len]`
+// with 0 < len <= kMaxFrameBytes. The codec here is transport-free (tests
+// run it on plain strings); src/serve/net.* owns the sockets.
 //
-//   frame := len:u32le payload:bytes[len]
+// A payload is binio fields (persist/binio.hpp: little-endian integers,
+// str = len:u32 bytes): a type tag, then that type's fields in a fixed
+// order, and nothing after them. The conversation is strict RPC: the
+// worker sends one request, the coordinator exactly one response, and it
+// never pushes unsolicited frames.
 //
-// with 0 < len <= kMaxFrameBytes and the payload one JSON object. The
-// codec layer here is transport-free (tests exercise it on plain strings);
-// src/serve/net.* owns the sockets.
-//
-// Every message carries a "type". The conversation is strict RPC: the
-// worker sends one request and the coordinator sends exactly one response
-// frame — the coordinator never pushes unsolicited frames, so a reader is
-// never guessing which request a frame answers.
-//
-//   hello    {"type":"hello","v":2,"fingerprint":"<16 hex>","worker":S,
-//             "canary":"<66 hex>"}
-//            -> welcome {"type":"welcome","v":2,"worker_id":N,
-//                        "trials_total":N,"trials_done":N}
-//            or error   {"type":"error","message":S} (version, grid or
-//            canary mismatch; the coordinator closes after sending it)
-//   lease    {"type":"lease","budget":N}   (N >= 1 caps the run; -1 = none)
-//            -> grant   {"type":"grant","lease_id":N,"cell":N,"trial":N,
-//                        "count":N,"ttl_ms":N}
-//            or wait    {"type":"wait","backoff_ms":N}   (all work leased)
-//            or drained {"type":"drained"}               (nothing left, ever)
-//   renew    {"type":"renew","lease_id":N}
-//            -> renewed {"type":"renewed","lease_id":N}
-//            or lease_lost {"type":"lease_lost","lease_id":N}
-//   complete {"type":"complete","lease_id":N,"cell":N,"count":N,
-//             "outcomes":"<count x 74 hex>"}
-//            -> ack {"type":"ack"} or lease_lost
-//   requeue  {"type":"requeue","lease_id":N,"reason":S} -> ack
-//   metrics  {"type":"metrics","metrics_version":1,"counters":{S:N,...}}
+//   hello    1  version:u32 fingerprint:u64 worker:str canary:record
+//            -> welcome 2  version:u32 worker_id:u64 trials_total:u64
+//                          trials_done:u64
+//            or error   3  message:str (version, grid or canary mismatch;
+//                          the coordinator closes after sending it)
+//   lease    4  budget:i64        (>= 1 caps the run; -1 = none)
+//            -> grant   5  lease_id:u64 cell:u32 trial:u32 count:u32
+//                          ttl_ms:i64
+//            or wait    6  backoff_ms:i64      (all work leased)
+//            or drained 7                      (nothing left, ever)
+//   renew    8  lease_id:u64
+//            -> renewed 9 lease_id:u64 or lease_lost 10 lease_id:u64
+//   complete 11 lease_id:u64 cell:u32 count:u32 record[count]
+//            -> ack 15 or lease_lost
+//   requeue  12 lease_id:u64 reason:str -> ack
+//   metrics  13 metrics_version:u32 count:u32 (name:str value:i64)[count]
 //            -> ack
-//   bye      {"type":"bye"} -> ack
+//   bye      14 -> ack
+//
+// A record is the 45-byte CIDMANI trial record, CRC included
+// (persist::write_record, the bytes ManifestWriter::append writes), so
+// outcome doubles cross as their IEEE-754 bits and a fleet manifest is
+// byte-identical to a local --threads 1 one (NaN and -0.0 included).
 //
 // A grant is a RUN: trials [trial, trial + count) of one cell, 1 <= count
-// <= kMaxLeaseTrials. The worker runs them in trial order and lands the
-// ones that succeeded with one complete (records in ascending trial
-// order, any subset of the run); the coordinator appends them to its
-// manifest, flushes once, and only then acks. A lease closes when every
-// trial of its run has landed; requeue closes it early and hands back
-// the trials that have not (the ones whose local retry budget ran out).
-// An expired, poisoned or dropped lease is reclaimed the same way.
+// <= kMaxLeaseTrials. One complete lands any subset of it, in ascending
+// trial order; the coordinator appends them to its manifest, flushes
+// once, and only then acks. requeue hands back the trials not landed.
 //
-// Outcome records are fixed-width lowercase hex, so the grammar stays
-// array-free and a batch's size is known from its count alone:
+// The canary is the record of one fixed tiny trial (canary_bits()): a
+// worker whose build or platform lands other bits for it would land other
+// bits for the grid too, so it is refused before it can take a lease.
 //
-//   outcome := rounds:16 converged:2 movers:16 potential:16 social_cost:16
-//   record  := trial:8 outcome                                  (74 digits)
+// Versions: hello's first field is the version, so a hello of any other
+// version is refused by name before another field is read. A pre-v3 peer
+// speaks JSON (its payloads start with '{', no type tag); it gets one JSON
+// error frame naming the versions (msg_json_refusal), then a close.
 //
-// doubles are the 64 bits of the IEEE-754 value, movers the int64 in
-// two's complement, converged "00" or "01", trial a u32. Manifest
-// byte-identity between a fleet run and a local --threads 1 run rides on
-// outcome doubles crossing the wire bit-exactly; hex bits make that
-// unconditional (NaN and -0.0 included) instead of resting on decimal
-// round-tripping.
-//
-// The canary is the outcome of one fixed tiny trial (canary_bits()): a
-// worker whose build or platform lands different bits for it would land
-// different bits for the grid too, so the coordinator refuses it at the
-// handshake, before it can take a lease.
-//
-// Failure policy: a frame that cannot be parsed (bad length, bad JSON,
-// wrong field types) throws proto_error. Peers treat that as a poisoned
-// connection — there is no way to resynchronize a length-prefixed stream —
-// and close it; the coordinator then reclaims the connection's leases.
+// Failure policy: a payload that cannot be decoded (unknown type, short
+// or trailing bytes, a field out of range) throws proto_error. Peers treat
+// that as a poisoned connection — a length-prefixed stream cannot be
+// resynchronized — and close it; the coordinator reclaims its leases.
 #pragma once
 
 #include <cstdint>
@@ -76,35 +62,30 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/sink.hpp"
-#include "sweep/scenario.hpp"
+#include "sweep/runner.hpp"
 
 namespace cid::serve {
 
-inline constexpr int kServeProtoVersion = 2;
+inline constexpr std::uint32_t kServeProtoVersion = 3;
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 /// The longest run one grant may carry.
 inline constexpr std::uint32_t kMaxLeaseTrials = 256;
 
-/// A malformed frame or message: bad length prefix, invalid JSON, missing
-/// or mistyped fields. Never recoverable on the same connection.
+/// A malformed frame or message (bad length prefix, unknown type, short,
+/// trailing or out-of-range fields): the connection cannot recover.
 class proto_error : public std::runtime_error {
  public:
-  explicit proto_error(const std::string& message)
-      : std::runtime_error(message) {}
+  using std::runtime_error::runtime_error;
 };
 
-/// Wraps one JSON payload in a length-prefixed frame. Throws proto_error
-/// on an empty or oversized payload (the writer-side guard of the same
-/// limits the reader enforces).
+/// Wraps one payload in a frame. Throws proto_error on an empty or
+/// oversized payload: the writer side of the reader's limits.
 std::string encode_frame(std::string_view payload);
 
-/// Incremental frame decoder: feed() raw stream bytes in any chunking,
-/// next() yields complete payloads in order. A zero or oversized length
-/// prefix throws proto_error immediately — before waiting for the payload
-/// — so a garbage stream is rejected, not buffered. buffered() exposes
-/// how many bytes of an incomplete frame are pending (EOF with
-/// buffered() > 0 means the peer died mid-frame).
+/// Incremental frame decoder: feed() stream bytes in any chunking, next()
+/// yields complete payloads in order. A zero or oversized length prefix
+/// throws proto_error at once, before its payload is waited for. EOF with
+/// buffered() > 0 means the peer died mid-frame.
 class FrameReader {
  public:
   void feed(std::string_view bytes);
@@ -116,51 +97,34 @@ class FrameReader {
   std::size_t pos_ = 0;
 };
 
-// ---- Minimal JSON values (the protocol's parse side) ------------------------
+// ---- Messages ---------------------------------------------------------------
 
-/// Parsed JSON value. Only what the protocol grammar needs: objects,
-/// strings, numbers (doubles, with exact int64 retained when the text is
-/// integral), booleans, null. Arrays are rejected — no message uses them,
-/// and a smaller grammar is a smaller attack surface for garbage frames.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::int64_t integer = 0;  // valid when is_integer
-  bool is_integer = false;
-  std::string string;
-  std::map<std::string, JsonValue> object;
+enum class MsgType : std::uint8_t {
+  kHello = 1, kWelcome, kError, kLease, kGrant, kWait, kDrained, kRenew,
+  kRenewed, kLeaseLost, kComplete, kRequeue, kMetrics, kBye, kAck,
 };
 
-/// Parses exactly one JSON object (leading/trailing whitespace allowed;
-/// trailing garbage is an error). Throws proto_error on anything else.
-JsonValue parse_json(std::string_view text);
+/// "hello", "grant", ...: the name of a type, for diagnostics.
+const char* type_name(MsgType type);
 
-/// A parsed protocol message: a JSON object with typed field accessors
-/// that throw proto_error (naming the field) on absence or wrong type.
+/// One received payload. The constructor checks its type tag (proto_error
+/// when empty or unknown); the decoders below read its fields.
 class Message {
  public:
-  /// Parses and requires a string "type" field.
-  static Message parse(std::string_view payload);
+  explicit Message(std::string payload);
 
-  const std::string& type() const noexcept { return type_; }
-  bool has(const std::string& key) const;
-  std::string get_string(const std::string& key) const;
-  std::int64_t get_int(const std::string& key) const;
-  /// An integer field in [0, max].
-  std::uint64_t get_uint(const std::string& key, std::uint64_t max) const;
-  /// The name->integer map of a nested object field (the metrics push).
-  std::map<std::string, std::int64_t> get_counters(
-      const std::string& key) const;
+  MsgType type() const noexcept { return type_; }
+  /// The payload after its type tag.
+  std::string_view fields() const noexcept {
+    return std::string_view(payload_).substr(1);
+  }
 
  private:
-  const JsonValue& field(const std::string& key) const;
-  std::string type_;
-  JsonValue root_;
+  std::string payload_;
+  MsgType type_;
 };
 
-// ---- Message builders (each returns the serialized JSON payload) ------------
+// ---- Message builders (each returns the payload) ----------------------------
 
 /// One landed trial of a run.
 struct TrialRecord {
@@ -168,10 +132,11 @@ struct TrialRecord {
   sweep::TrialOutcome outcome;
 };
 
+/// `canary` is a record (canary_bits()).
 std::string msg_hello(std::uint64_t fingerprint, std::string_view worker,
                       std::string_view canary);
-std::string msg_welcome(std::int64_t worker_id, std::int64_t trials_total,
-                        std::int64_t trials_done);
+std::string msg_welcome(std::uint64_t worker_id, std::uint64_t trials_total,
+                        std::uint64_t trials_done);
 std::string msg_error(std::string_view message);
 /// `budget` >= 1 caps the run's length; -1 leaves it to the coordinator.
 std::string msg_lease(std::int64_t budget);
@@ -190,7 +155,34 @@ std::string msg_metrics(const std::map<std::string, std::int64_t>& counters);
 std::string msg_bye();
 std::string msg_ack();
 
+/// The one JSON frame of v3: the error a pre-v3 hello gets, readable by
+/// the JSON workers of v1 and v2.
+std::string msg_json_refusal();
+
 // ---- Typed decoders (each throws proto_error on any bad field) -------------
+
+/// A hello. One of another version decodes to its version alone.
+struct Hello {
+  std::uint32_t version = 0;
+  std::uint64_t fingerprint = 0;
+  std::string worker;
+  std::string canary;  // a record's bytes
+};
+Hello decode_hello(const Message& message);
+
+struct Welcome {
+  std::uint32_t version = 0;
+  std::uint64_t worker_id = 0;
+  std::uint64_t trials_total = 0;
+  std::uint64_t trials_done = 0;
+};
+Welcome decode_welcome(const Message& message);
+
+/// The message of an error.
+std::string decode_error(const Message& message);
+
+/// The budget of a lease request: -1 or a count >= 1.
+std::int64_t decode_budget(const Message& message);
 
 /// A grant's run.
 struct Grant {
@@ -202,12 +194,16 @@ struct Grant {
 };
 Grant decode_grant(const Message& message);
 
-/// The "budget" of a lease request: -1 or a count >= 1.
-std::int64_t decode_budget(const Message& message);
+/// The backoff of a wait.
+std::int64_t decode_wait(const Message& message);
 
-/// A complete's records. The claimed count is checked against
-/// `max_records` (the lease's unfinished trials) and against the length
-/// of "outcomes" before anything is allocated for it.
+/// The lease of a renew, renewed or lease_lost.
+std::uint64_t decode_lease_id(const Message& message);
+
+/// A complete's records. Its count must be in [1, max_records] (the
+/// lease's unfinished trials) and fit the bytes before anything is sized
+/// by it; every record must pass its CRC and be of the batch's cell, in
+/// ascending trial order.
 struct Batch {
   std::uint64_t lease_id = 0;
   std::uint32_t cell = 0;
@@ -215,23 +211,32 @@ struct Batch {
 };
 Batch decode_complete(const Message& message, std::size_t max_records);
 
-/// One outcome as the fixed-width hex of the record grammar (doubles as
-/// their exact bits), and back; outcome_from_hex throws proto_error
-/// unless `hex` is exactly one outcome.
-std::string outcome_hex(const sweep::TrialOutcome& outcome);
-sweep::TrialOutcome outcome_from_hex(std::string_view hex);
+/// A complete's lease_id and cell alone: what finds its max_records.
+Batch decode_complete_head(const Message& message);
 
-/// outcome_hex of the canary trial: the fixed tiny grid of the handshake
+struct Requeue {
+  std::uint64_t lease_id = 0;
+  std::string reason;
+};
+Requeue decode_requeue(const Message& message);
+
+struct MetricsPush {
+  std::uint32_t metrics_version = 0;
+  std::map<std::string, std::int64_t> counters;
+};
+MetricsPush decode_metrics(const Message& message);
+
+/// The record of the canary trial, (cell 0, trial 0) of a fixed tiny grid
 /// (network-routing width 2 depth 2, n = 64, imitation, 64 rounds, seed
-/// 0x5eed, cell 0 trial 0) through sweep::run_trial_step. Computed
-/// once per process, so it consults the sweep.trial fault site once per
-/// process; throws std::runtime_error if the trial fails.
+/// 0x5eed) run through sweep::run_trial_step. Computed once per process,
+/// so it consults the sweep.trial fault site once per process; throws
+/// std::runtime_error if the trial fails.
 const std::string& canary_bits();
 
-/// Parses the 16-hex-digit grid fingerprint of a "hello".
-std::uint64_t decode_fingerprint(const Message& message);
+/// Lowercase hex of `bytes`, for the canary in error messages.
+std::string hex_bytes(std::string_view bytes);
 
-/// Formats a fingerprint the way msg_hello encodes it (16 hex digits).
+/// A fingerprint as 16 hex digits, for error messages.
 std::string fingerprint_hex(std::uint64_t fingerprint);
 
 }  // namespace cid::serve

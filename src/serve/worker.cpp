@@ -43,7 +43,7 @@ class Channel {
   Message rpc(const std::string& payload) {
     const std::lock_guard<std::mutex> lock(mutex_);
     send_frame(socket_, encode_frame(payload));
-    return Message::parse(read_frame());
+    return Message(read_frame());
   }
 
  private:
@@ -83,7 +83,7 @@ class Renewer {
         bool done = false;
         try {
           const Message response = channel_.rpc(msg_renew(lease_id_));
-          if (response.type() != "renewed") {
+          if (response.type() != MsgType::kRenewed) {
             lost_.store(true, std::memory_order_relaxed);
             done = true;
           }
@@ -134,32 +134,33 @@ class Worker {
               options_.max_trials) {
         break;
       }
-      Message response = Message{};
+      std::optional<Message> response;
       try {
         const std::int64_t ask_ns = obs::now_ns();
-        response = channel_->rpc(msg_lease(budget()));
+        response.emplace(channel_->rpc(msg_lease(budget())));
         queue_wait_ns_ += obs::now_ns() - ask_ns;
       } catch (const net_error&) {
         reconnect();
         continue;
       }
-      const std::string& type = response.type();
-      if (type == "drained") {
+      const MsgType type = response->type();
+      if (type == MsgType::kDrained) {
         report_.drained = true;
         break;
       }
-      if (type == "wait") {
+      if (type == MsgType::kWait) {
         ++report_.waits;
         const std::int64_t wait_start = obs::now_ns();
-        sleep_ms(static_cast<double>(response.get_int("backoff_ms")));
+        sleep_ms(static_cast<double>(decode_wait(*response)));
         queue_wait_ns_ += obs::now_ns() - wait_start;
         continue;
       }
-      if (type != "grant") {
-        throw std::runtime_error("cid_sweep worker: unexpected response to "
-                                 "lease: " + type);
+      if (type != MsgType::kGrant) {
+        throw std::runtime_error(
+            std::string("cid_sweep worker: unexpected response to lease: ") +
+            type_name(type));
       }
-      run_lease(decode_grant(response));
+      run_lease(decode_grant(*response));
     }
     farewell();
     return report_;
@@ -183,18 +184,19 @@ class Worker {
             tcp_connect(options_.host, options_.port));
         const Message response =
             channel->rpc(msg_hello(fingerprint_, options_.name, canary));
-        if (response.type() == "error") {
+        if (response.type() == MsgType::kError) {
           // A handshake rejection is fatal, not retryable: the grids,
           // protocol versions or canary bits genuinely differ.
           throw std::runtime_error("cid_sweep worker: coordinator rejected "
                                    "handshake: " +
-                                   response.get_string("message"));
+                                   decode_error(response));
         }
-        if (response.type() != "welcome") {
-          throw std::runtime_error(
-              "cid_sweep worker: unexpected handshake response: " +
-              response.type());
+        if (response.type() != MsgType::kWelcome) {
+          throw std::runtime_error(std::string("cid_sweep worker: unexpected "
+                                               "handshake response: ") +
+                                   type_name(response.type()));
         }
+        decode_welcome(response);
         channel_ = std::move(channel);
         return;
       } catch (const net_error& e) {
@@ -273,27 +275,23 @@ class Worker {
     renewer.reset();  // stop renewing before the closing RPCs
 
     try {
+      // A lost renewal means the run is already reclaimed: landing it
+      // would only be rejected.
       bool live = !renew_lost;
-      if (renew_lost) {
-        // The coordinator already reclaimed the run; landing it would only
-        // be rejected.
-        ++report_.leases_lost;
-        registry_.add_named("sweep.leases_lost", 1);
-      }
       if (live && !landed.empty()) {
-        const Message response =
-            channel_->rpc(msg_complete(grant.lease_id, grant.cell, landed));
-        if (response.type() == "ack") {
+        live = channel_->rpc(msg_complete(grant.lease_id, grant.cell, landed))
+                   .type() == MsgType::kAck;
+        if (live) {
           report_.trials_completed += landed.size();
           registry_.add_named("sweep.trials_run",
                               static_cast<std::int64_t>(landed.size()));
-        } else {
-          // lease_lost: expired or poisoned underneath us. Not an error —
-          // the coordinator has already reclaimed the run.
-          live = false;
-          ++report_.leases_lost;
-          registry_.add_named("sweep.leases_lost", 1);
         }
+      }
+      if (!live) {
+        // Expired or poisoned underneath us (lease_lost). Not an error —
+        // the coordinator has already reclaimed the run.
+        ++report_.leases_lost;
+        registry_.add_named("sweep.leases_lost", 1);
       }
       if (live && failed > 0) {
         // Local budget exhausted: hand those trials back for another

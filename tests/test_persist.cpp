@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -922,6 +923,51 @@ TEST(Manifest, FingerprintCoversOutcomeRelevantFields) {
   EXPECT_TRUE(differs([](auto& g) { g.master_seed = 123; }));
   EXPECT_TRUE(differs([](auto& g) { g.dynamics.max_rounds = 60; }));
   EXPECT_TRUE(differs([](auto& g) { g.dynamics.delta = 0.2; }));
+}
+
+// A CRC-valid record whose converged byte is neither 0 nor 1 is not bit
+// rot: like a record outside the grid, it is refused naming the path, so
+// no canonical rewrite can quietly turn the byte into 1.
+TEST(Manifest, CrcValidConvergedByteOtherThanZeroOrOneIsFatal) {
+  const std::string path = temp_path("converged2.manifest");
+  const sweep::SweepGrid grid = manifest_grid();
+  sweep::TrialOutcome outcome;
+  outcome.rounds = 9.0;
+  outcome.converged = true;
+  {
+    ManifestWriter writer = ManifestWriter::create(path, grid);
+    writer.append(0, 0, outcome);
+    writer.append(1, 2, outcome);
+    writer.close();
+  }
+  std::string data = slurp_file(path);
+  const std::size_t record = data.size() - kRecordBytes;
+  data[record + 16] = 2;  // the second record's converged byte
+  BinWriter crc;
+  crc.u32(crc32(data.data() + record, kRecordFieldBytes));
+  data.replace(record + kRecordFieldBytes, 4, crc.buffer());
+  EXPECT_THROW(read_record(std::string_view(data).substr(record), "probe"),
+               persist_error);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << data;
+  }
+  for (const auto& load : std::vector<std::function<void()>>{
+           [&] { load_manifest(path, grid); },
+           [&] { load_manifest_raw(path); },
+           [&] { ManifestWriter::open_for_append(path, grid); }}) {
+    try {
+      load();
+      ADD_FAILURE() << "a converged byte of 2 loaded";
+    } catch (const persist_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("converged"), std::string::npos);
+    }
+  }
+  // cid_merge counts it as an unreadable input (fatal unless --max-corrupt
+  // skips the whole input), so no canonical rewrite changes its byte.
+  EXPECT_THROW(merge_manifests({path}), persist_error);
+  std::remove(path.c_str());
 }
 
 // ---- Hostile bytes -----------------------------------------------------------

@@ -507,10 +507,10 @@ TEST_F(Serve, CoordinatorKilledAtFlushNeverAcksTheRun) {
         reader.feed(std::string_view(buffer, got));
       }
     };
-    const Message welcome = Message::parse(
+    const Message welcome(
         rpc(msg_hello(persist::grid_fingerprint(grid), "raw", canary_bits())));
-    ASSERT_EQ(welcome.type(), "welcome");
-    const Grant grant = decode_grant(Message::parse(rpc(msg_lease(-1))));
+    ASSERT_EQ(welcome.type(), MsgType::kWelcome);
+    const Grant grant = decode_grant(Message(rpc(msg_lease(-1))));
     EXPECT_EQ(grant.count, 4u);
     std::vector<TrialRecord> records;
     for (std::uint32_t t = grant.trial; t < grant.trial + grant.count; ++t) {

@@ -14,7 +14,9 @@
 //
 // Loads (or resumes) a manifest for the given grid, then serves the
 // grid's trials as time-bounded leases to cid_sweep --connect workers
-// over a length-prefixed JSON protocol (src/serve/proto.hpp). Expired,
+// over a length-prefixed binary protocol (src/serve/proto.hpp, version 3:
+// binio fields, each landed trial the 45-byte manifest record; a v1/v2
+// JSON worker is refused with one JSON error naming the versions). Expired,
 // requeued, and dropped-connection leases are reclaimed and re-granted;
 // because trial outcomes are a pure function of (grid, master_seed), the
 // final canonical manifest is byte-identical to an unsharded
