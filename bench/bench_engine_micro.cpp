@@ -219,7 +219,7 @@ CellResult run_asymmetric_cell(const AsymmetricGame& game,
     RoundResult rr;
     for (std::int64_t r = 0; r < rounds; ++r) {
       draw_round(flat, flat_x, kernel, rng, EngineMode::kAggregate, ws, rr,
-                 /*row_threads=*/1, &metrics);
+                 &metrics);
       flat_x.apply(flat, rr.moves, ws.apply_scratch);
       ws.ctx.refresh(ws.apply_scratch.touched);
       movers += rr.movers;

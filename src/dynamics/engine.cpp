@@ -33,11 +33,10 @@ RowBounds compute_row_bounds(const State& x, const LatencyContext& ctx,
 
 void draw_round(const CongestionGame& game, const State& x,
                 const Protocol& protocol, Rng& rng, EngineMode mode,
-                RoundWorkspace& ws, RoundResult& out, int row_threads,
+                RoundWorkspace& ws, RoundResult& out,
                 obs::EngineMetrics* metrics, bool trace) {
   dispatch_protocol_kernel(protocol, [&](const auto& kernel) {
-    draw_round(game, x, kernel, rng, mode, ws, out, row_threads, metrics,
-               trace);
+    draw_round(game, x, kernel, rng, mode, ws, out, metrics, trace);
   });
 }
 

@@ -35,17 +35,16 @@
 // additionally PRUNES origins whose whole probability row is provably
 // zero (row_provably_zero — e.g. ℓ_P within ν of the cheapest used
 // strategy under imitation), skipping both the row fill and the
-// conditional-binomial draws without touching the RNG stream, and
-// RunOptions::row_threads can fan the remaining per-origin row fills
-// across persistent sweep-pool workers with a deterministic serial draw
-// phase.
+// conditional-binomial draws without touching the RNG stream. Every
+// round has one row path: all support rows are filled serially into the
+// workspace, then drawn in support order.
 //
 // run_dynamics also REPLAYS QUIET ROUNDS. After a round that moved nobody,
 // the next round sees the same state, cache, prune verdicts and rows; only
-// its uniforms differ. That round fills its rows through the two-phase
-// path and keeps them in the workspace. If it moves nobody either, the
-// next round builds a draw plan from them: per aggregate origin the zero
-// outcome of each conditional binomial as an interval of its uniforms
+// its uniforms differ. That round keeps the rows it filled in the
+// workspace. If it moves nobody either, the next round builds a draw plan
+// from them: per aggregate origin the zero outcome of each conditional
+// binomial as an interval of its uniforms
 // (Rng::plan_zero_multinomial), flattened over the whole round to one
 // integer bound per uniform, and per per-player origin its cumulative
 // row. That round and every following quiet one draw the same uniforms in
@@ -103,24 +102,21 @@ struct RoundResult {
 
 /// Reusable hot-path buffers: the latency cache plus every per-round
 /// scratch vector (probability rows, cumulative rows, multinomial counts,
-/// support list, apply tally, ex-post tables). Default-constructed empty;
+/// support list, apply tally, ex-post table). Default-constructed empty;
 /// the kernel sizes it on first use and run_dynamics keeps one alive for
 /// the whole run.
 struct RoundWorkspace {
   LatencyContext ctx;
-  /// One ex-post table per row-fill worker, re-synced to ctx once per
-  /// round by the worker that owns it.
-  std::vector<ExpostTable> expost;
+  /// The row fill's ex-post table, re-synced to ctx once per filled round.
+  ExpostTable expost;
   std::vector<StrategyId> support;
-  std::vector<double> probs;
   std::vector<double> cumulative;
   std::vector<std::int64_t> counts;
   ApplyScratch apply_scratch;
-  /// Two-phase rounds only (row_threads > 1, metrics, trace, or a quiet
-  /// round of run_dynamics, which keeps them for the plan): one row
-  /// per support entry, each over its own block at its own offset in
-  /// `rows`, so the parallel fill phase writes disjoint slices, plus the
-  /// per-origin prune verdicts.
+  /// The filled round's rows: one per support entry, each over its own
+  /// block at its own offset in `rows`, plus the per-origin prune
+  /// verdicts. They outlive the round, so a quiet round's plan can replay
+  /// them.
   struct RowJob {
     RowBlock block;
     std::size_t offset = 0;
@@ -130,12 +126,12 @@ struct RoundWorkspace {
   std::vector<double> rows;
   std::vector<char> skip;
   /// run_dynamics' draw plan for quiet rounds (engine_kernel.hpp). A round
-  /// whose predecessor moved nobody fills its rows through the two-phase
-  /// path above and arms the plan; if it moves nobody too, the next round
-  /// replays those rows, and every following one until a round moves
-  /// somebody. The plan is built lazily, on the first replayed round: most
-  /// armed plans never replay (their round moves somebody). Other callers
-  /// never arm it.
+  /// whose predecessor moved nobody keeps the rows it filled above and
+  /// arms the plan; if it moves nobody too, the next round replays those
+  /// rows, and every following one until a round moves somebody. The
+  /// plan is built lazily, on the first replayed round: most armed plans
+  /// never replay (their round moves somebody). Other callers never arm
+  /// it.
   struct DrawPlan {
     /// Aggregate mode: the zero outcome of every drawn origin's
     /// multinomial (Rng::plan_zero_multinomial), flattened to one bound per
@@ -166,7 +162,7 @@ struct RoundWorkspace {
     /// Per-player mode: each support entry's cumulative row, at its job's
     /// offset.
     std::vector<double> cumulative;
-    bool armed = false;  // the two-phase rows describe the current (x, ctx)
+    bool armed = false;  // the filled rows describe the current (x, ctx)
     bool built = false;  // the fields above describe those rows
   };
   DrawPlan plan;
@@ -190,10 +186,6 @@ struct RunOptions {
   /// with absolute round numbering, so observers, stop checks, and event
   /// logs line up bit-exactly with the uninterrupted run.
   std::int64_t start_round = 0;
-  /// Worker threads for the per-origin probability-row fills inside one
-  /// round (see draw_round). 1 = serial; results are bitwise identical for
-  /// every value.
-  int row_threads = 1;
   /// Observability hook: when non-null, the run accumulates phase timers
   /// (ctx refresh, row fill, draw, apply, stop check) and work counters
   /// into it. Consumes zero RNG and never changes results — metrics-on
@@ -226,26 +218,20 @@ RoundResult draw_round(const CongestionGame& game, const State& x,
 /// the moves through x.apply(game, moves, ws.apply_scratch) and call
 /// ws.ctx.refresh(ws.apply_scratch.touched), or clear ws.ready.
 ///
-/// `row_threads` > 1 fans the independent per-origin probability-row fills
-/// across that many sweep-pool workers (two-phase: parallel pure fills
-/// into disjoint row slices, then the RNG draws serially in support
-/// order), so output and RNG stream are BITWISE invariant in the thread
-/// count. Workers are persistent (sweep/pool.hpp), so the per-round cost
-/// is a queue handoff, not a thread spawn.
+/// The round fills every support origin's probability row serially, then
+/// draws them in support order.
 ///
 /// `metrics`, when non-null, accumulates row-fill/draw phase times and
 /// rows filled/pruned counts. Purely observational: no RNG is consumed
-/// and the round is bitwise identical with or without it (the metered
-/// serial path routes through the same two-phase fill that row_threads=1
-/// parallel_for executes inline, preserving fill and draw order exactly).
+/// and the round is bitwise identical with or without it (it only reads
+/// the clock around the same two phases).
 ///
 /// `trace` emits row-fill/draw spans into the obs/trace_span.hpp
 /// collector for this one round (the run loop samples which rounds to
-/// trace). Same bitwise contract as `metrics`: the traced path runs the
-/// identical two-phase kernel, only with clock reads around it.
+/// trace). Same bitwise contract as `metrics`.
 void draw_round(const CongestionGame& game, const State& x,
                 const Protocol& protocol, Rng& rng, EngineMode mode,
-                RoundWorkspace& ws, RoundResult& out, int row_threads = 1,
+                RoundWorkspace& ws, RoundResult& out,
                 obs::EngineMetrics* metrics = nullptr, bool trace = false);
 
 /// Draws and applies one round; returns what moved.

@@ -17,6 +17,11 @@
 //       K = ImitationKernel | ExplorationKernel | CombinedKernel
 //         | ClassImitationKernel
 //
+// A round that draws from fresh rows has two phases (draw_filled):
+// fill_rows fills every support origin's row serially into ws.rows, then
+// the draws run in support order. Metering and tracing only read the
+// clock around those two phases.
+//
 // run_dynamics<K> passes each round whether its predecessor moved nobody;
 // such a quiet round keeps its rows and the next one replays them from the
 // workspace's draw plan (engine_detail::draw_round: build_plan,
@@ -54,7 +59,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_span.hpp"
 #include "protocols/kernel.hpp"
-#include "sweep/pool.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -162,19 +166,9 @@ inline void prepare(const CongestionGame& game, const State& x,
                     RoundWorkspace& ws) {
   warm(game, x, ws);
   const auto k = static_cast<std::size_t>(game.num_strategies());
-  ws.probs.resize(k);
   ws.cumulative.resize(k);
   ws.counts.resize(k);
   x.support(ws.support);
-}
-
-/// The serial paths' ex-post table, synced to this round's cache. Kept out
-/// of line: inlined, it costs draw_aggregate's per-origin loop a few percent.
-[[gnu::noinline]] inline ExpostTable& serial_table(RoundWorkspace& ws) {
-  if (ws.expost.empty()) ws.expost.resize(1);
-  ExpostTable& table = ws.expost.front();
-  table.sync(ws.ctx);
-  return table;
 }
 
 /// One origin's row through the kernel, read against `table`.
@@ -187,19 +181,14 @@ void fill_origin_row(const CongestionGame& game, const K& kernel,
   dcheck_row(row, from - block.begin);
 }
 
-/// Parallel phase shared by both engine modes under row_threads > 1: every
-/// support origin's probability row is a pure function of (game, ctx,
-/// from), so the fills run concurrently into disjoint slices of ws.rows
-/// (plus the per-origin prune verdict in ws.skip). A serial pre-pass lays
-/// the rows out over their blocks and, when pruning, computes each block's
-/// bounds once. Each worker then fills one contiguous chunk of the support
-/// through its own ex-post table, synced once for the round. The RNG phase
-/// that follows is strictly serial in support order, which is what makes
-/// the round bitwise invariant in the thread count.
+/// The row phase: every support origin's probability row, filled in
+/// support order into its own slice of ws.rows through ws.expost (synced
+/// once for the round), plus the per-origin prune verdict in ws.skip. A
+/// first pass lays the rows out over their blocks and, when pruning,
+/// computes each block's bounds once.
 template <ProtocolKernel K>
-void fill_rows_parallel(const CongestionGame& game, const State& x,
-                        const K& kernel, RoundWorkspace& ws, bool prune,
-                        int row_threads) {
+void fill_rows(const CongestionGame& game, const State& x, const K& kernel,
+               RoundWorkspace& ws, bool prune) {
   const auto s = ws.support.size();
   ws.jobs.resize(s);
   std::size_t offset = 0;
@@ -217,85 +206,46 @@ void fill_rows_parallel(const CongestionGame& game, const State& x,
   }
   ws.rows.resize(offset);
   ws.skip.assign(s, 0);
-  const std::size_t workers =
-      std::min(s, static_cast<std::size_t>(std::max(row_threads, 1)));
-  if (ws.expost.size() < workers) ws.expost.resize(workers);
-  sweep::parallel_for(
-      static_cast<std::int64_t>(workers), row_threads, [&](std::int64_t w) {
-        const auto wi = static_cast<std::size_t>(w);
-        ExpostTable& table = ws.expost[wi];
-        table.sync(ws.ctx);
-        const std::size_t end = s * (wi + 1) / workers;
-        for (std::size_t i = s * wi / workers; i < end; ++i) {
-          const RoundWorkspace::RowJob& job = ws.jobs[i];
-          const StrategyId from = ws.support[i];
-          const std::span<double> row{ws.rows.data() + job.offset,
-                                      job.block.size()};
-          if (prune &&
-              kernel.row_provably_zero(game, ws.ctx, from, job.bounds)) {
-            ws.skip[i] = 1;
-            dcheck_pruned_row(game, table, kernel, from, row);
-            continue;
-          }
-          fill_origin_row(game, kernel, table, from, job.block, row);
-        }
-      });
+  ws.expost.sync(ws.ctx);
+  for (std::size_t i = 0; i < s; ++i) {
+    const RoundWorkspace::RowJob& job = ws.jobs[i];
+    const StrategyId from = ws.support[i];
+    const std::span<double> row{ws.rows.data() + job.offset,
+                                job.block.size()};
+    if (prune && kernel.row_provably_zero(game, ws.ctx, from, job.bounds)) {
+      ws.skip[i] = 1;
+      dcheck_pruned_row(game, ws.expost, kernel, from, row);
+      continue;
+    }
+    fill_origin_row(game, kernel, ws.expost, from, job.block, row);
+  }
 }
 
-/// The row of the two-phase path's i-th support origin.
+/// The row of the i-th support origin.
 inline std::span<const double> job_row(const RoundWorkspace& ws,
                                        std::size_t i) {
   return {ws.rows.data() + ws.jobs[i].offset, ws.jobs[i].block.size()};
 }
 
-/// `keep` routes the round through the two-phase fill whatever
-/// row_threads, metrics and trace say, so its rows stay in ws.rows for a
-/// replay (ws.plan).
+/// A round drawn from fresh rows: fill_rows, then the draws serially in
+/// support order. The aggregate engine prunes origins whose whole row is
+/// provably zero — no conditional binomials and no RNG consumed
+/// (Rng::multinomial draws nothing for zero categories, so the stream is
+/// bitwise the unpruned one); the bounds are per row block, computed once
+/// per block per round. The per-player engine cannot prune: every player
+/// consumes one uniform whether or not its row is zero, so a skipped
+/// origin would shift the RNG stream. Metered and traced rounds read the
+/// clock around the two phases (three reads a round: the fill's end is
+/// the draw's start) and change nothing else.
 template <ProtocolKernel K>
-void draw_aggregate(const CongestionGame& game, const State& x,
-                    const K& kernel, Rng& rng, RoundWorkspace& ws,
-                    RoundResult& out, int row_threads,
-                    obs::EngineMetrics* metrics, bool trace, bool keep) {
-  // Support/improvement pruning: origins whose whole row is provably zero
-  // are skipped outright — no row fill, no conditional binomials, and no
-  // RNG consumed (Rng::multinomial draws nothing for zero categories, so
-  // the stream stays bitwise identical to the unpruned path). The bounds
-  // are per row block, computed once per block per round.
-  const auto emit = [&](StrategyId from, RowBlock block,
-                        std::span<const double> row) {
-    const std::span<std::int64_t> counts{ws.counts.data(), row.size()};
-    rng.multinomial(x.count(from), row, counts);
-    emit_counts(from, block, counts, out);
-  };
-  if (row_threads <= 1 && metrics == nullptr && !trace && !keep) {
-    ExpostTable& table = serial_table(ws);
-    RowBlock block;
-    RowBounds bounds;
-    for (StrategyId from : ws.support) {
-      const RowBlock from_block = kernel.row_block(game, from);
-      if (from_block != block) {
-        block = from_block;
-        bounds = compute_row_bounds(x, ws.ctx, block);
-      }
-      const std::span<double> probs{ws.probs.data(), block.size()};
-      if (kernel.row_provably_zero(game, ws.ctx, from, bounds)) {
-        dcheck_pruned_row(game, table, kernel, from, probs);
-        continue;
-      }
-      fill_origin_row(game, kernel, table, from, block, probs);
-      emit(from, block, probs);
-    }
-    return;
-  }
-  // Metered (or traced) serial runs take this two-phase route too:
-  // parallel_for with one thread executes inline in support order, so fill
-  // order, prune verdicts, and RNG consumption match the single-pass loop
-  // above bitwise — the only difference is a few extra clock reads (three
-  // a round: the fill's end is the draw's start).
+void draw_filled(const CongestionGame& game, const State& x, const K& kernel,
+                 Rng& rng, EngineMode mode, RoundWorkspace& ws,
+                 RoundResult& out, obs::EngineMetrics* metrics, bool trace) {
+  const bool aggregate = mode == EngineMode::kAggregate;
   const std::int64_t fill_start = metrics != nullptr ? obs::now_ns() : 0;
   {
     obs::TraceSpan fill_span(trace ? "engine.row_fill" : nullptr);
-    fill_rows_parallel(game, x, kernel, ws, /*prune=*/true, row_threads);
+    fill_rows(game, x, kernel, ws, /*prune=*/aggregate);
   }
   const std::int64_t draw_start = metrics != nullptr ? obs::now_ns() : 0;
   if (metrics != nullptr) metrics->row_fill_ns += draw_start - fill_start;
@@ -306,54 +256,24 @@ void draw_aggregate(const CongestionGame& game, const State& x,
       ++pruned;
       continue;
     }
-    emit(ws.support[i], ws.jobs[i].block, job_row(ws, i));
+    const StrategyId from = ws.support[i];
+    const RowBlock block = ws.jobs[i].block;
+    const std::span<const double> row = job_row(ws, i);
+    const std::span<std::int64_t> counts{ws.counts.data(), row.size()};
+    if (aggregate) {
+      rng.multinomial(x.count(from), row, counts);
+      emit_counts(from, block, counts, out);
+    } else {
+      const std::span<double> cumulative{ws.cumulative.data(), row.size()};
+      build_cumulative(row, cumulative);
+      draw_players(x, from, block, cumulative, rng, counts, out);
+    }
   }
   if (metrics != nullptr) {
     metrics->draw_ns += obs::now_ns() - draw_start;
     metrics->rows_pruned += pruned;
     metrics->rows_filled +=
         static_cast<std::int64_t>(ws.support.size()) - pruned;
-  }
-}
-
-template <ProtocolKernel K>
-void draw_per_player(const CongestionGame& game, const State& x,
-                     const K& kernel, Rng& rng, RoundWorkspace& ws,
-                     RoundResult& out, int row_threads,
-                     obs::EngineMetrics* metrics, bool trace, bool keep) {
-  // No pruning here: every player consumes one uniform whether or not its
-  // row is zero, so a skipped origin would shift the RNG stream.
-  const auto emit = [&](StrategyId from, RowBlock block,
-                        std::span<const double> row) {
-    const std::span<double> cumulative{ws.cumulative.data(), row.size()};
-    build_cumulative(row, cumulative);
-    draw_players(x, from, block, cumulative, rng,
-                 {ws.counts.data(), row.size()}, out);
-  };
-  if (row_threads <= 1 && metrics == nullptr && !trace && !keep) {
-    ExpostTable& table = serial_table(ws);
-    for (StrategyId from : ws.support) {
-      const RowBlock block = kernel.row_block(game, from);
-      const std::span<double> probs{ws.probs.data(), block.size()};
-      fill_origin_row(game, kernel, table, from, block, probs);
-      emit(from, block, probs);
-    }
-    return;
-  }
-  const std::int64_t fill_start = metrics != nullptr ? obs::now_ns() : 0;
-  {
-    obs::TraceSpan fill_span(trace ? "engine.row_fill" : nullptr);
-    fill_rows_parallel(game, x, kernel, ws, /*prune=*/false, row_threads);
-  }
-  const std::int64_t draw_start = metrics != nullptr ? obs::now_ns() : 0;
-  if (metrics != nullptr) metrics->row_fill_ns += draw_start - fill_start;
-  obs::TraceSpan draw_span(trace ? "engine.draw" : nullptr);
-  for (std::size_t i = 0; i < ws.support.size(); ++i) {
-    emit(ws.support[i], ws.jobs[i].block, job_row(ws, i));
-  }
-  if (metrics != nullptr) {
-    metrics->draw_ns += obs::now_ns() - draw_start;
-    metrics->rows_filled += static_cast<std::int64_t>(ws.support.size());
   }
 }
 
@@ -451,9 +371,8 @@ inline void draw_scanned(const State& x, Rng& rng, RoundWorkspace& ws,
 }
 
 /// A replayed round: builds the plan on the first replay, then draws
-/// serially in support order over the kept rows whatever row_threads,
-/// metrics and trace say — per-player origins against their cumulative
-/// rows, aggregate ones through draw_scanned.
+/// serially in support order over the kept rows — per-player origins
+/// against their cumulative rows, aggregate ones through draw_scanned.
 inline void draw_replayed(const State& x, EngineMode mode, Rng& rng,
                           RoundWorkspace& ws, RoundResult& out,
                           obs::EngineMetrics* metrics, bool trace,
@@ -491,15 +410,14 @@ inline void draw_replayed(const State& x, EngineMode mode, Rng& rng,
 /// previous round on ws drew against, and that it moved nobody; only
 /// run_dynamics, which owns ws from round to round, can say so. A quiet
 /// round with the plan armed replays it (draw_replayed), with no support
-/// scan and no row fill; one without fills its rows through the two-phase
-/// path, keeps them and arms the plan. A round that is not quiet disarms
-/// it, so an armed plan always describes the current (x, ctx).
+/// scan and no row fill; one without draws from fresh rows (draw_filled),
+/// which stay in ws.rows, and arms the plan. A round that is not quiet
+/// disarms it, so an armed plan always describes the current (x, ctx).
 template <ProtocolKernel K>
 void draw_round(const CongestionGame& game, const State& x, const K& kernel,
                 Rng& rng, EngineMode mode, RoundWorkspace& ws,
-                RoundResult& out, int row_threads,
-                obs::EngineMetrics* metrics, bool trace, bool quiet,
-                const LaneScan* pending = nullptr) {
+                RoundResult& out, obs::EngineMetrics* metrics, bool trace,
+                bool quiet, const LaneScan* pending = nullptr) {
   out.moves.clear();
   out.movers = 0;
   if (quiet && ws.plan.armed) {
@@ -516,17 +434,7 @@ void draw_round(const CongestionGame& game, const State& x, const K& kernel,
   }
   ws.plan.armed = quiet;
   ws.plan.built = false;
-  switch (mode) {
-    case EngineMode::kAggregate:
-      draw_aggregate(game, x, kernel, rng, ws, out, row_threads, metrics,
-                     trace, /*keep=*/quiet);
-      return;
-    case EngineMode::kPerPlayer:
-      draw_per_player(game, x, kernel, rng, ws, out, row_threads, metrics,
-                      trace, /*keep=*/quiet);
-      return;
-  }
-  CID_ENSURE(false, "unreachable engine mode");
+  draw_filled(game, x, kernel, rng, mode, ws, out, metrics, trace);
 }
 
 /// A quiet stretch goes to the lanes once it has drawn this many uniforms
@@ -564,10 +472,10 @@ inline LaneScan scan_quiet_rounds(Rng& rng, const RoundWorkspace& ws,
 template <ProtocolKernel K>
 void draw_round(const CongestionGame& game, const State& x, const K& kernel,
                 Rng& rng, EngineMode mode, RoundWorkspace& ws,
-                RoundResult& out, int row_threads = 1,
-                obs::EngineMetrics* metrics = nullptr, bool trace = false) {
-  engine_detail::draw_round(game, x, kernel, rng, mode, ws, out, row_threads,
-                            metrics, trace, /*quiet=*/false);
+                RoundResult& out, obs::EngineMetrics* metrics = nullptr,
+                bool trace = false) {
+  engine_detail::draw_round(game, x, kernel, rng, mode, ws, out, metrics,
+                            trace, /*quiet=*/false);
 }
 
 /// Monomorphized run — the kernel-typed core of the engine.hpp
@@ -672,9 +580,8 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
       round = result.rounds;
       pending = &lane_scan;
     }
-    engine_detail::draw_round(game, x, kernel, rng, options.mode, ws, rr,
-                              options.row_threads, m, tr,
-                              /*quiet=*/quiet, pending);
+    engine_detail::draw_round(game, x, kernel, rng, options.mode, ws, rr, m,
+                              tr, /*quiet=*/quiet, pending);
     if (call.observer) call.observer(game, x, rr.moves, round, false);
     {
       obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);

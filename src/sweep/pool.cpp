@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <exception>
-#include <memory>
 #include <mutex>
+#include <system_error>
 #include <thread>
 
 #include "util/assert.hpp"
@@ -19,193 +17,50 @@ int resolve_threads(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-namespace {
-
-/// Persistent worker pool behind parallel_for. Workers are spawned lazily,
-/// kept for the process lifetime, and handed work through a small queue —
-/// so a caller that fans out every round (the engines' row fills) pays a
-/// mutex/condvar handoff per round instead of thread create/join.
-///
-/// Scheduling model: the CALLER of run() always participates in its own
-/// job and returns only when every index of that job is accounted for; up
-/// to threads-1 pool workers join in as helpers (per-job helper budget).
-/// That makes nesting safe — a worker whose job function itself calls
-/// parallel_for just becomes the caller of the inner job and drains it
-/// with or without help — and keeps the determinism contract untouched:
-/// which thread runs which index still cannot influence results.
-class WorkerPool {
- public:
-  static WorkerPool& instance() {
-    static WorkerPool pool;
-    return pool;
-  }
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  void run(std::int64_t count, int threads,
-           const std::function<void(std::int64_t)>& fn) {
-    auto job = std::make_shared<Job>();
-    job->fn = &fn;
-    job->count = count;
-    // Chunked claiming: small enough that an uneven job mix still
-    // balances, large enough that the cursor is not contended per index.
-    job->chunk = std::max<std::int64_t>(
-        1, count / (static_cast<std::int64_t>(threads) * 8));
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job->helper_budget = threads - 1;
-      ensure_workers(threads - 1);
-      queue_.push_back(job);
-    }
-    cv_.notify_all();
-    work_on(*job);
-    {
-      std::unique_lock<std::mutex> lock(job->done_mutex);
-      job->done_cv.wait(lock,
-                        [&] { return job->done.load() == job->count; });
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.erase(std::find(queue_.begin(), queue_.end(), job));
-    }
-    if (job->first_error) std::rethrow_exception(job->first_error);
-  }
-
- private:
-  struct Job {
-    const std::function<void(std::int64_t)>* fn = nullptr;
-    std::int64_t count = 0;
-    std::int64_t chunk = 1;
-    std::atomic<std::int64_t> cursor{0};  // next unclaimed index
-    std::atomic<std::int64_t> done{0};    // indices accounted for
-    std::exception_ptr first_error;       // guarded by error_mutex
-    std::mutex error_mutex;
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-    int helper_budget = 0;  // guarded by the pool mutex_
-  };
-
-  WorkerPool() = default;
-
-  ~WorkerPool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& th : workers_) th.join();
-  }
-
-  /// Grows the worker set to `target` threads (capped — a request for
-  /// more helpers than the cap just means fewer helpers join; the caller
-  /// participates regardless, so correctness never depends on growth).
-  /// Pool mutex_ must be held.
-  void ensure_workers(int target) {
-    constexpr int kMaxWorkers = 256;
-    target = std::min(target, kMaxWorkers);
-    while (static_cast<int>(workers_.size()) < target) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  void worker_loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      std::shared_ptr<Job> job;
-      cv_.wait(lock, [&] { return stop_ || eligible_job() != nullptr; });
-      if (stop_) return;
-      job = eligible_job();
-      if (!job) continue;  // another worker claimed the last budget slot
-      --job->helper_budget;
-      lock.unlock();
-      work_on(*job);
-      lock.lock();
-      // The budget slot is not returned: work_on only returns once the
-      // job's cursor is exhausted, so re-joining it would be a no-op.
-    }
-  }
-
-  /// First queued job that still wants helpers and still has unclaimed
-  /// indices. Pool mutex_ must be held.
-  std::shared_ptr<Job> eligible_job() {
-    for (auto& j : queue_) {
-      if (j->helper_budget > 0 &&
-          j->cursor.load(std::memory_order_relaxed) < j->count) {
-        return j;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Claims and runs chunks until the job is exhausted (or failed). Every
-  /// index ends up accounted in job.done exactly once: a worker that
-  /// throws cancels the job by slamming the cursor past count and — being
-  /// the only one to observe the pre-cancel cursor — accounts the entire
-  /// unclaimed tail itself.
-  static void work_on(Job& job) {
-    std::int64_t processed = 0;
-    for (;;) {
-      const std::int64_t begin = job.cursor.fetch_add(job.chunk);
-      if (begin >= job.count) break;
-      const std::int64_t end = std::min(begin + job.chunk, job.count);
-      bool failed = false;
-      for (std::int64_t i = begin; i < end; ++i) {
-        try {
-          (*job.fn)(i);
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lock(job.error_mutex);
-            if (!job.first_error) job.first_error = std::current_exception();
-          }
-          // Cancel: no further chunks will be claimed by anyone. The
-          // exchange is monotone past every claimed range, so [prev,
-          // count) is exactly the never-claimed tail.
-          const std::int64_t prev = job.cursor.exchange(job.count);
-          processed += end - begin;
-          if (prev < job.count) processed += job.count - prev;
-          failed = true;
-          break;
-        }
-      }
-      if (failed) break;
-      processed += end - begin;
-    }
-    finish(job, processed);
-  }
-
-  static void finish(Job& job, std::int64_t processed) {
-    if (processed == 0) return;
-    if (job.done.fetch_add(processed) + processed == job.count) {
-      // Lock-then-notify so the owner cannot check the predicate and
-      // block between our fetch_add and the notify (lost wakeup).
-      std::lock_guard<std::mutex> lock(job.done_mutex);
-      job.done_cv.notify_all();
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<std::thread> workers_;
-  std::deque<std::shared_ptr<Job>> queue_;
-  bool stop_ = false;
-};
-
-}  // namespace
-
 void parallel_for(std::int64_t count, int threads,
                   const std::function<void(std::int64_t)>& fn) {
   CID_ENSURE(count >= 0, "parallel_for requires count >= 0");
   CID_ENSURE(static_cast<bool>(fn), "parallel_for requires a callable");
-  if (count == 0) return;
-  threads = std::min<std::int64_t>(resolve_threads(threads), count);
-
-  if (threads == 1) {
+  constexpr std::int64_t kMaxWorkers = 256;
+  const std::int64_t workers =
+      std::min({static_cast<std::int64_t>(resolve_threads(threads)), count,
+                kMaxWorkers});
+  if (workers <= 1) {
     for (std::int64_t i = 0; i < count; ++i) fn(i);
     return;
   }
 
-  WorkerPool::instance().run(count, threads, fn);
+  // The first failing job stops every worker from claiming more and is
+  // rethrown here once all of them have joined.
+  std::atomic<std::int64_t> cursor{0};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  const auto work = [&] {
+    for (std::int64_t i = cursor.fetch_add(1); i < count;
+         i = cursor.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        cursor.store(count);
+        return;
+      }
+    }
+  };
+  // The caller is one of the workers, so a helper that fails to start
+  // only leaves more of the indices to the others.
+  std::vector<std::thread> helpers;
+  helpers.reserve(static_cast<std::size_t>(workers - 1));
+  try {
+    while (static_cast<std::int64_t>(helpers.size()) + 1 < workers) {
+      helpers.emplace_back(work);
+    }
+  } catch (const std::system_error&) {
+  }
+  work();
+  for (std::thread& helper : helpers) helper.join();
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 std::vector<double> map_trials(int trials, std::uint64_t master_seed,

@@ -23,18 +23,13 @@ namespace cid::sweep {
 /// "one per hardware thread" (floored at 1 when the hardware is coy).
 int resolve_threads(int requested);
 
-/// Runs fn(0..count-1) across `threads` workers. Jobs are claimed in small
-/// chunks off a shared cursor, so stragglers do not serialize the pool.
-/// fn must confine its writes to per-index slots; the pool imposes no
-/// ordering. The first exception thrown by any job is rethrown on the
-/// caller's thread after all workers have drained.
-///
-/// Workers are PERSISTENT: a process-lifetime pool grown on demand, so a
-/// per-round caller (the engines' row-fill fan-out) pays a queue handoff,
-/// not a thread spawn. The calling thread always participates in its own
-/// invocation and returns only when it is fully drained, which makes
-/// nested parallel_for calls safe (the inner caller just works its own
-/// job). threads == 1 stays a plain inline loop on the caller's thread.
+/// Runs fn(0..count-1) on min(threads, count, 256) workers: the caller
+/// plus threads spawned for this call and joined before it returns. Each
+/// worker claims the next index off a shared atomic cursor. fn must
+/// confine its writes to per-index slots; the workers impose no ordering.
+/// The first exception any job throws stops further claims and is
+/// rethrown on the caller's thread after the join. threads == 1 is a
+/// plain inline loop on the caller's thread.
 void parallel_for(std::int64_t count, int threads,
                   const std::function<void(std::int64_t)>& fn);
 

@@ -183,7 +183,6 @@ TrialOutcome run_engine_trial(const DynamicsConfig& dynamics, TrialStart from,
   options.check_interval = dynamics.check_interval;
   options.mode = dynamics.mode;
   options.start_round = from.round;
-  options.row_threads = dynamics.row_threads;
   options.metrics = (stats != nullptr && dynamics.collect_metrics)
                         ? &stats->engine
                         : nullptr;

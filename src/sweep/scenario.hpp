@@ -95,7 +95,7 @@ ProtocolSpec parse_protocol_spec(const std::string& token);
 using cid::StopRule;
 
 /// The scenario layer's dynamics options. Only the six semantic fields
-/// (max_rounds through eps) enter manifest grid fingerprints; the three
+/// (max_rounds through eps) enter manifest grid fingerprints; the two
 /// tuning fields below them can never change a trial's bits, so flipping
 /// one resumes an existing sweep. threshold-lb runs sequential dynamics
 /// and ignores everything but max_rounds.
@@ -106,9 +106,6 @@ struct DynamicsConfig {
   StopRule stop = StopRule::kDeltaEps;
   double delta = 0.1;
   double eps = 0.1;
-  /// Threads for the per-origin row fills inside one round
-  /// (RunOptions::row_threads).
-  int row_threads = 1;
   /// Collect per-trial obs::EngineMetrics into TrialStats::engine.
   bool collect_metrics = false;
   /// Record one telemetry row every N rounds into TrialStats::telemetry

@@ -33,7 +33,7 @@ StopPredicate make_stop(const sweep::DynamicsConfig& dynamics);
 /// round is draw_round_reference over VirtualKernel(protocol) and every
 /// call.cached_stop check gets a freshly rebuilt LatencyContext.
 /// `latency_evals` stays 0 (the oracle does not meter), and
-/// options.row_threads / options.metrics are ignored.
+/// options.metrics is ignored.
 RunResult run_reference(const CongestionGame& game, State& x,
                         const Protocol& protocol, Rng& rng,
                         const EngineInvocation& call);

@@ -27,20 +27,15 @@
 //      killed, and resumed bitwise-matches the uninterrupted REFERENCE
 //      replay, so checkpoint artifacts carry no trace of the kernel
 //      (symmetric AND asymmetric snapshot codecs);
-//   5. thread level — RunOptions/DynamicsConfig::row_threads ∈ {1, 2, 4}
-//      produce byte-identical trials and RNG streams (the parallel row
-//      fills are pure; the draw phase is serial either way);
-//   6. plan level — run_dynamics, which replays quiet rounds from its
+//   5. plan level — run_dynamics, which replays quiet rounds from its
 //      draw plan, matches a loop of full-path draw_round calls round by
 //      round (moves and RNG state), misses included, in both engine
-//      modes, serial and threaded, metered and not.
+//      modes, metered and not.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
-#include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -305,24 +300,10 @@ TEST(EngineOracle, ClassKernelMatchesFullWidthReferenceBothModes) {
         game.flat_state(AsymmetricState::uniform_random(game, batched_rng));
     State reference_x =
         game.flat_state(AsymmetricState::uniform_random(game, reference_rng));
-    RoundResult batched;
     for (int round = 0; round < 15; ++round) {
-      const Rng pre_round = batched_rng;
-      for (const int row_threads : {1, 2}) {
-        SCOPED_TRACE(row_threads);
-        Rng rng = pre_round;
-        RoundResult threaded;
-        RoundWorkspace fresh;
-        draw_round(flat, batched_x, kernel, rng, mode, fresh, threaded,
-                   row_threads);
-        if (row_threads == 1) {
-          batched = threaded;
-          batched_rng = rng;
-          continue;
-        }
-        ASSERT_EQ(threaded.moves, batched.moves);
-        ASSERT_EQ(rng.state(), batched_rng.state());
-      }
+      RoundWorkspace fresh;
+      RoundResult batched;
+      draw_round(flat, batched_x, kernel, batched_rng, mode, fresh, batched);
       const RoundResult reference = test::draw_round_reference(
           flat, reference_x, kernel, reference_rng, mode);
       ASSERT_EQ(batched.moves, reference.moves) << "round " << round;
@@ -332,32 +313,6 @@ TEST(EngineOracle, ClassKernelMatchesFullWidthReferenceBothModes) {
       reference_x.apply(flat, reference.moves);
     }
   }
-}
-
-TEST(EngineOracle, AsymmetricRowThreadsBitwiseInvariant) {
-  const auto game = oracle_asymmetric_game();
-  const CongestionGame& flat = game.flat();
-  const ClassImitationKernel kernel(game, AsymmetricImitationParams{});
-  std::vector<State> finals;
-  std::vector<std::array<std::uint64_t, 4>> rng_states;
-  for (const int row_threads : {1, 2, 4}) {
-    Rng rng(62);
-    State x = game.flat_state(AsymmetricState::uniform_random(game, rng));
-    RoundWorkspace ws;
-    RoundResult rr;
-    for (int round = 0; round < 40; ++round) {
-      draw_round(flat, x, kernel, rng, EngineMode::kAggregate, ws, rr,
-                 row_threads);
-      x.apply(flat, rr.moves, ws.apply_scratch);
-      ws.ctx.refresh(ws.apply_scratch.touched);
-    }
-    finals.push_back(std::move(x));
-    rng_states.push_back(rng.state());
-  }
-  EXPECT_TRUE(finals[0] == finals[1]);
-  EXPECT_TRUE(finals[0] == finals[2]);
-  EXPECT_EQ(rng_states[0], rng_states[1]);
-  EXPECT_EQ(rng_states[0], rng_states[2]);
 }
 
 TEST(EngineOracle, OnePlayerClassPrunedWithoutPlusDominance) {
@@ -408,7 +363,7 @@ TEST(EngineOracle, OnePlayerClassPrunedWithoutPlusDominance) {
       if (!one_player_class) ++class1_origins;
     }
     draw_round(flat, batched_x, kernel, batched_rng, EngineMode::kAggregate,
-               ws, batched, /*row_threads=*/1, &metrics);
+               ws, batched, &metrics);
     const AsymmetricRoundResult reference = draw_asymmetric_round_reference(
         game, reference_x, params, reference_rng);
     expect_round_is_reference(game, batched, reference, batched_rng,
@@ -560,123 +515,6 @@ TEST(EngineOracle, EngineFamiliesMatchReferenceReplay) {
   }
 }
 
-TEST(EngineOracle, RowThreadsByteIdenticalTrials) {
-  // DynamicsConfig::row_threads ∈ {1, 2, 4} must be invisible in every
-  // outcome field and in the RNG stream, for the symmetric families AND
-  // the asymmetric class-local kernel. The 64-path exploration case never
-  // prunes, so every worker fills a full chunk of rows through its own
-  // ex-post table.
-  struct Case {
-    const char* scenario;
-    const char* protocol;
-    std::map<std::string, double> params;
-  };
-  const Case cases[] = {
-      {"network-routing", "imitation", {}},
-      {"network-routing", "exploration", {{"width", 4.0}, {"depth", 3.0}}},
-      {"singleton-uniform", "imitation", {}},
-      {"asymmetric", "imitation", {}},
-      {"multicommodity", "imitation", {}},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(std::string(c.scenario) + " " + c.protocol);
-    sweep::ScenarioSpec spec;
-    spec.name = c.scenario;
-    spec.params = c.params;
-    const auto instance = sweep::make_scenario(spec, 1200);
-    const auto protocol = sweep::parse_protocol_spec(c.protocol);
-    sweep::TrialOutcome first;
-    std::array<std::uint64_t, 4> first_rng{};
-    for (const int row_threads : {1, 2, 4}) {
-      sweep::DynamicsConfig dynamics = family_dynamics(50);
-      dynamics.row_threads = row_threads;
-      Rng rng(77);
-      const sweep::TrialOutcome outcome =
-          instance->run_trial(protocol, dynamics, rng);
-      if (row_threads == 1) {
-        first = outcome;
-        first_rng = rng.state();
-        continue;
-      }
-      EXPECT_EQ(outcome, first) << "row_threads=" << row_threads;
-      EXPECT_EQ(rng.state(), first_rng) << "row_threads=" << row_threads;
-    }
-  }
-}
-
-TEST(EngineOracle, RowThreadsByteIdenticalRunsBothModes) {
-  // Direct run_dynamics invariance for both engine modes (the per-player
-  // engine threads its row fills too).
-  const auto game = network_game_k8(2000);
-  const CombinedProtocol protocol{ImitationParams{}, ExplorationParams{},
-                                  0.5};
-  for (EngineMode mode : {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
-    RunOptions options;
-    options.max_rounds = mode == EngineMode::kAggregate ? 60 : 25;
-    options.mode = mode;
-    std::optional<State> first_x;
-    std::array<std::uint64_t, 4> first_rng{};
-    for (const int row_threads : {1, 2, 4}) {
-      options.row_threads = row_threads;
-      Rng rng(5);
-      State x = State::uniform_random(game, rng);
-      run_dynamics(game, x, protocol, rng, {.options = options});
-      if (!first_x.has_value()) {
-        first_x.emplace(std::move(x));
-        first_rng = rng.state();
-        continue;
-      }
-      EXPECT_TRUE(x == *first_x) << "row_threads=" << row_threads;
-      EXPECT_EQ(rng.state(), first_rng) << "row_threads=" << row_threads;
-    }
-  }
-}
-
-TEST(EngineOracle, RowThreadsFillIdenticalRowsThroughWorkerTables) {
-  // Round-level companion of the trial cases above. Exploration on the
-  // 64-path network moves almost nobody, so its outcomes cannot show a
-  // wrong row; the filled rows themselves can. Each thread count keeps its
-  // own workspace across rounds, so a worker table that missed a re-sync
-  // or was shared between workers shows up as a differing row.
-  const auto net = make_layered_network(4, 3);
-  std::vector<LatencyPtr> fns;
-  for (EdgeId e = 0; e < net.graph.num_edges(); ++e) {
-    fns.push_back(make_linear(1.0 + 0.25 * static_cast<double>(e % 5)));
-  }
-  const auto game = make_network_game(net, std::move(fns), 5000);
-  const ExplorationProtocol protocol;
-  Rng state_rng(3);
-  State x = State::uniform_random(game, state_rng);
-  const int row_threads[] = {1, 2, 4};
-  std::array<RoundWorkspace, 3> ws;
-  obs::EngineMetrics metrics;
-  ApplyScratch scratch;
-  const auto k = game.num_strategies();
-  for (int round = 0; round < 20; ++round) {
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      Rng rng(static_cast<std::uint64_t>(round));
-      RoundResult rr;
-      draw_round(game, x, protocol, rng, EngineMode::kAggregate, ws[i], rr,
-                 row_threads[i], &metrics);
-    }
-    for (std::size_t i = 1; i < ws.size(); ++i) {
-      ASSERT_EQ(ws[i].rows, ws[0].rows)
-          << "round " << round << " row_threads=" << row_threads[i];
-      ASSERT_EQ(ws[i].skip, ws[0].skip)
-          << "round " << round << " row_threads=" << row_threads[i];
-    }
-    // Shift players between two paths so the next round's tables differ.
-    const auto from = static_cast<StrategyId>(round % k);
-    const auto to = static_cast<StrategyId>((7 * round + 1) % k);
-    const std::int64_t count = std::min<std::int64_t>(x.count(from), 40);
-    if (from != to && count > 0) {
-      x.apply(game, std::vector<Migration>{{from, to, count}}, scratch);
-      for (RoundWorkspace& w : ws) w.ctx.refresh(scratch.touched);
-    }
-  }
-  EXPECT_GT(metrics.rows_filled, 0);
-}
-
 TEST(EngineOracle, AsymmetricCheckpointKillResumeMatchesReferenceRun) {
   // Asymmetric persistence-level interchange: a BATCHED-kernel trial of
   // each asymmetric family checkpointed at round 9, killed, and resumed
@@ -786,7 +624,7 @@ RoundLog run_full_path(const CongestionGame& game, State x, Rng rng,
   RoundResult rr;
   for (std::int64_t round = 0; round < options.max_rounds; ++round) {
     draw_round(game, x, engine, rng, options.mode, ws, rr,
-               options.row_threads, metered ? &log.metrics : nullptr);
+               metered ? &log.metrics : nullptr);
     log.moves.push_back(rr.moves);
     log.rng.push_back(rng.state());
     x.apply(game, rr.moves, ws.apply_scratch);
@@ -796,7 +634,7 @@ RoundLog run_full_path(const CongestionGame& game, State x, Rng rng,
 }
 
 /// Runs `engine` from (start, rng) with and without the plan in both engine
-/// modes, row_threads 1 and 4, metered and not, and requires identical
+/// modes, metered and not, and requires identical
 /// moves and RNG states round by round. Metered, replayed plus filled rows
 /// must be the full path's filled rows. Adds the plan misses seen to
 /// `misses`.
@@ -806,34 +644,29 @@ void expect_plan_is_full_path(const CongestionGame& game, const State& start,
                               std::int64_t rounds, std::int64_t& misses) {
   for (const EngineMode mode :
        {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
-    for (const int row_threads : {1, 4}) {
-      for (const bool metered : {false, true}) {
-        SCOPED_TRACE(std::string(mode == EngineMode::kAggregate
-                                     ? "aggregate"
-                                     : "per-player") +
-                     " row_threads=" + std::to_string(row_threads) +
-                     (metered ? " metered" : ""));
-        RunOptions options;
-        options.max_rounds = rounds;
-        options.mode = mode;
-        options.row_threads = row_threads;
-        const RoundLog planned =
-            run_planned(game, start, rng, engine, options, metered);
-        const RoundLog full =
-            run_full_path(game, start, rng, engine, options, metered);
-        EXPECT_EQ(planned.moves.size(), static_cast<std::size_t>(rounds));
-        for (std::size_t r = 0; r < planned.moves.size(); ++r) {
-          ASSERT_EQ(planned.moves[r], full.moves[r]) << "round " << r;
-          ASSERT_EQ(planned.rng[r], full.rng[r]) << "round " << r;
-        }
-        if (!metered) continue;
-        EXPECT_GT(planned.metrics.rows_replayed, 0);
-        EXPECT_EQ(full.metrics.rows_replayed, 0);
-        EXPECT_EQ(planned.metrics.rows_filled + planned.metrics.rows_replayed,
-                  full.metrics.rows_filled);
-        EXPECT_EQ(planned.metrics.rows_pruned, full.metrics.rows_pruned);
-        misses += planned.replayed_mover_rounds;
+    for (const bool metered : {false, true}) {
+      SCOPED_TRACE(std::string(mode == EngineMode::kAggregate ? "aggregate"
+                                                              : "per-player") +
+                   (metered ? " metered" : ""));
+      RunOptions options;
+      options.max_rounds = rounds;
+      options.mode = mode;
+      const RoundLog planned =
+          run_planned(game, start, rng, engine, options, metered);
+      const RoundLog full =
+          run_full_path(game, start, rng, engine, options, metered);
+      EXPECT_EQ(planned.moves.size(), static_cast<std::size_t>(rounds));
+      for (std::size_t r = 0; r < planned.moves.size(); ++r) {
+        ASSERT_EQ(planned.moves[r], full.moves[r]) << "round " << r;
+        ASSERT_EQ(planned.rng[r], full.rng[r]) << "round " << r;
       }
+      if (!metered) continue;
+      EXPECT_GT(planned.metrics.rows_replayed, 0);
+      EXPECT_EQ(full.metrics.rows_replayed, 0);
+      EXPECT_EQ(planned.metrics.rows_filled + planned.metrics.rows_replayed,
+                full.metrics.rows_filled);
+      EXPECT_EQ(planned.metrics.rows_pruned, full.metrics.rows_pruned);
+      misses += planned.replayed_mover_rounds;
     }
   }
 }

@@ -27,14 +27,13 @@
 //      tests-only VirtualKernel (per-pair rows, never pruned), the
 //      type-erased Protocol frontend, and the per-pair reference oracle
 //      all produce identical Migration lists AND consume the RNG stream
-//      identically, including under row_threads ∈ {1,2,4} — so every
-//      pruned row is audited against its unpruned per-pair row;
+//      identically — so every pruned row is audited against its
+//      unpruned per-pair row;
 //   6. API level — EngineInvocation's two stop-predicate forms are
 //      consulted on the same rounds, and setting both is rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -482,34 +481,6 @@ TEST(KernelRounds, MonoVirtualFrontendOracleIdenticalNetwork) {
   expect_four_paths_identical<CombinedKernel>(
       game, CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5},
       EngineMode::kAggregate, 40, 95);
-}
-
-TEST(KernelRounds, TemplatedRowThreadsBitwiseInvariant) {
-  // Direct templated-API thread invariance (the frontends are covered by
-  // the oracle suite): the persistent-pool fan-out must be invisible.
-  const auto game = network_game_k8(2000);
-  const ImitationProtocol protocol;
-  const ImitationKernel kernel(protocol);
-  std::vector<State> finals;
-  std::vector<std::array<std::uint64_t, 4>> rng_states;
-  for (const int row_threads : {1, 2, 4}) {
-    Rng rng(71);
-    State x = State::uniform_random(game, rng);
-    RoundWorkspace ws;
-    RoundResult rr;
-    for (int round = 0; round < 30; ++round) {
-      draw_round(game, x, kernel, rng, EngineMode::kAggregate, ws, rr,
-                 row_threads);
-      x.apply(game, rr.moves, ws.apply_scratch);
-      ws.ctx.refresh(ws.apply_scratch.touched);
-    }
-    finals.push_back(std::move(x));
-    rng_states.push_back(rng.state());
-  }
-  EXPECT_TRUE(finals[0] == finals[1]);
-  EXPECT_TRUE(finals[0] == finals[2]);
-  EXPECT_EQ(rng_states[0], rng_states[1]);
-  EXPECT_EQ(rng_states[0], rng_states[2]);
 }
 
 TEST(KernelRuns, TemplatedRunMatchesFrontendRun) {

@@ -1,9 +1,8 @@
 // Tests for the observability layer (src/obs/). The load-bearing contract
 // is ZERO PERTURBATION: metering a run consumes no RNG and changes no
 // output — trial outcomes, final states, RNG stream positions, and every
-// persisted byte are bitwise identical with metrics on and off, at every
-// row-thread count, across all scenario families, through checkpoint and
-// resume. Everything else (registry semantics, sinks, progress math) is
+// persisted byte are bitwise identical with metrics on and off, across
+// all scenario families, through checkpoint and resume. Everything else (registry semantics, sinks, progress math) is
 // plumbing around that invariant.
 #include <gtest/gtest.h>
 
@@ -165,8 +164,7 @@ struct EngineRun {
   std::array<std::uint64_t, 4> rng_state;
 };
 
-EngineRun run_engine(EngineMode mode, int row_threads,
-                     obs::EngineMetrics* metrics) {
+EngineRun run_engine(EngineMode mode, obs::EngineMetrics* metrics) {
   auto game = make_uniform_links_game(6, make_linear(1.0), 400);
   Rng rng(1234);
   State x = State::uniform_random(game, rng);
@@ -174,7 +172,6 @@ EngineRun run_engine(EngineMode mode, int row_threads,
   RunOptions options;
   options.max_rounds = 60;
   options.mode = mode;
-  options.row_threads = row_threads;
   options.metrics = metrics;
   auto stop = [](const CongestionGame& g, const State& s, std::int64_t) {
     return is_imitation_stable(g, s, g.nu());
@@ -187,24 +184,21 @@ EngineRun run_engine(EngineMode mode, int row_threads,
 TEST(MetricsZeroPerturbation, EngineOutputsIdenticalOnAndOff) {
   for (const EngineMode mode :
        {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
-    for (const int row_threads : {1, 2, 4}) {
-      const EngineRun off = run_engine(mode, row_threads, nullptr);
-      obs::EngineMetrics metrics;
-      const EngineRun on = run_engine(mode, row_threads, &metrics);
-      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
-                   " row_threads=" + std::to_string(row_threads));
-      EXPECT_EQ(on.result.rounds, off.result.rounds);
-      EXPECT_EQ(on.result.converged, off.result.converged);
-      EXPECT_EQ(on.result.total_movers, off.result.total_movers);
-      EXPECT_EQ(on.result.latency_evals, off.result.latency_evals);
-      EXPECT_EQ(on.state, off.state);
-      // The strongest form of "zero RNG": the generator is at the exact
-      // same stream position after a metered run.
-      EXPECT_EQ(on.rng_state, off.rng_state);
-      EXPECT_EQ(metrics.rounds, on.result.rounds);
-      EXPECT_GT(metrics.rows_filled, 0);
-      EXPECT_GT(metrics.stop_checks, 0);
-    }
+    const EngineRun off = run_engine(mode, nullptr);
+    obs::EngineMetrics metrics;
+    const EngineRun on = run_engine(mode, &metrics);
+    SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)));
+    EXPECT_EQ(on.result.rounds, off.result.rounds);
+    EXPECT_EQ(on.result.converged, off.result.converged);
+    EXPECT_EQ(on.result.total_movers, off.result.total_movers);
+    EXPECT_EQ(on.result.latency_evals, off.result.latency_evals);
+    EXPECT_EQ(on.state, off.state);
+    // The strongest form of "zero RNG": the generator is at the exact
+    // same stream position after a metered run.
+    EXPECT_EQ(on.rng_state, off.rng_state);
+    EXPECT_EQ(metrics.rounds, on.result.rounds);
+    EXPECT_GT(metrics.rows_filled, 0);
+    EXPECT_GT(metrics.stop_checks, 0);
   }
 }
 

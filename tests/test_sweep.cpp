@@ -7,6 +7,7 @@
 // rides on that.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -164,11 +165,17 @@ TEST(SweepPool, RunTrialsThreadInvariant) {
 }
 
 TEST(SweepPool, ParallelForCoversEveryIndexOnce) {
-  std::vector<int> hits(1000, 0);
-  parallel_for(1000, 8, [&](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)] += 1;
-  });
-  for (int h : hits) EXPECT_EQ(h, 1);
+  // More indices than threads, more threads than indices, and none.
+  for (const auto& [count, threads] :
+       {std::pair{1000, 8}, std::pair{3, 8}, std::pair{0, 8}}) {
+    SCOPED_TRACE(std::to_string(count) + " indices, " +
+                 std::to_string(threads) + " threads");
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(count));
+    parallel_for(count, threads, [&](std::int64_t i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 TEST(SweepPool, ParallelForPropagatesExceptions) {
@@ -179,6 +186,18 @@ TEST(SweepPool, ParallelForPropagatesExceptions) {
                               }
                             }),
                std::runtime_error);
+  // Every job throws: the caller sees exactly one of them, and none
+  // escapes a worker thread (that would end the process).
+  int caught = 0;
+  try {
+    parallel_for(64, 4, [](std::int64_t i) {
+      throw std::runtime_error("job " + std::to_string(i));
+    });
+  } catch (const std::runtime_error& e) {
+    ++caught;
+    EXPECT_EQ(std::string(e.what()).rfind("job ", 0), 0u);
+  }
+  EXPECT_EQ(caught, 1);
 }
 
 TEST(SweepPool, ResolveThreads) {

@@ -1,10 +1,10 @@
 // Tests for the convergence-telemetry channel (src/obs/telemetry.hpp) and
 // its purity contract: recording consumes no RNG and changes no output
 // (trial outcomes, final states, RNG stream positions identical on and
-// off, at every row-thread count, through both engines), a killed leg's
-// series plus the resumed leg's concatenates bitwise to the uninterrupted
-// series, and a zero-RNG replay from a snapshot + event log regenerates
-// the live capture byte for byte.
+// off, through both engines), a killed leg's series plus the resumed
+// leg's concatenates bitwise to the uninterrupted series, and a zero-RNG
+// replay from a snapshot + event log regenerates the live capture byte
+// for byte.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -98,7 +98,7 @@ struct EngineRun {
   std::vector<obs::TelemetryRecord> telemetry;
 };
 
-EngineRun run_engine(EngineMode mode, int row_threads, bool telemetry) {
+EngineRun run_engine(EngineMode mode, bool telemetry) {
   auto game = make_uniform_links_game(6, make_linear(1.0), 400);
   Rng rng(1234);
   State x = State::uniform_random(game, rng);
@@ -106,7 +106,6 @@ EngineRun run_engine(EngineMode mode, int row_threads, bool telemetry) {
   RunOptions options;
   options.max_rounds = 60;
   options.mode = mode;
-  options.row_threads = row_threads;
   auto stop = [](const CongestionGame& g, const State& s, std::int64_t) {
     return is_imitation_stable(g, s, g.nu());
   };
@@ -124,26 +123,18 @@ EngineRun run_engine(EngineMode mode, int row_threads, bool telemetry) {
 TEST(TelemetryZeroPerturbation, EngineOutputsIdenticalOnAndOff) {
   for (const EngineMode mode :
        {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
-    std::vector<obs::TelemetryRecord> baseline;
-    for (const int row_threads : {1, 2, 4}) {
-      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
-                   " row_threads=" + std::to_string(row_threads));
-      const EngineRun off = run_engine(mode, row_threads, false);
-      const EngineRun on = run_engine(mode, row_threads, true);
-      EXPECT_EQ(on.result.rounds, off.result.rounds);
-      EXPECT_EQ(on.result.converged, off.result.converged);
-      EXPECT_EQ(on.result.total_movers, off.result.total_movers);
-      EXPECT_EQ(on.result.latency_evals, off.result.latency_evals);
-      EXPECT_EQ(on.state, off.state);
-      // The strongest form of "zero RNG": the generator is at the exact
-      // same stream position after a recorded run.
-      EXPECT_EQ(on.rng_state, off.rng_state);
-      EXPECT_FALSE(on.telemetry.empty());
-      // The series itself is a pure function of the trial, so every
-      // row-thread count records the identical records.
-      if (row_threads == 1) baseline = on.telemetry;
-      EXPECT_EQ(on.telemetry, baseline);
-    }
+    SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)));
+    const EngineRun off = run_engine(mode, false);
+    const EngineRun on = run_engine(mode, true);
+    EXPECT_EQ(on.result.rounds, off.result.rounds);
+    EXPECT_EQ(on.result.converged, off.result.converged);
+    EXPECT_EQ(on.result.total_movers, off.result.total_movers);
+    EXPECT_EQ(on.result.latency_evals, off.result.latency_evals);
+    EXPECT_EQ(on.state, off.state);
+    // The strongest form of "zero RNG": the generator is at the exact
+    // same stream position after a recorded run.
+    EXPECT_EQ(on.rng_state, off.rng_state);
+    EXPECT_FALSE(on.telemetry.empty());
   }
 }
 
@@ -194,8 +185,7 @@ TEST(TelemetryZeroPerturbation, ScenarioTrialsIdenticalOnAndOff) {
   }
 }
 
-TEST(TelemetryZeroPerturbation,
-     AsymmetricSeriesIdenticalAcrossKernelsAndRowThreads) {
+TEST(TelemetryZeroPerturbation, AsymmetricSeriesIdenticalAcrossKernels) {
   sweep::ScenarioSpec spec;
   spec.name = "multicommodity";
   const auto instance = sweep::make_scenario(spec, 48);
@@ -204,22 +194,14 @@ TEST(TelemetryZeroPerturbation,
   dynamics.max_rounds = 300;
   dynamics.telemetry_every = 2;
 
-  auto run = [&](int row_threads) {
-    sweep::DynamicsConfig threaded = dynamics;
-    threaded.row_threads = row_threads;
-    sweep::TrialStats stats;
-    Rng rng(21);
-    instance->run_trial(protocol, threaded, rng, &stats);
-    return stats.telemetry;
-  };
-
-  // Row fills are thread-count invariant, and the batched cached-latency
-  // kernel is bitwise-equivalent to the per-pair reference loop — the
-  // telemetry series must inherit both properties exactly.
-  const auto baseline = run(1);
+  // The batched cached-latency kernel is bitwise-equivalent to the
+  // per-pair reference loop — the telemetry series must inherit that
+  // exactly.
+  sweep::TrialStats stats;
+  Rng trial_rng(21);
+  instance->run_trial(protocol, dynamics, trial_rng, &stats);
+  const std::vector<obs::TelemetryRecord>& baseline = stats.telemetry;
   ASSERT_FALSE(baseline.empty());
-  EXPECT_EQ(run(2), baseline);
-  EXPECT_EQ(run(4), baseline);
 
   // The reference loop runs on the trial's own game, read back from an
   // exit snapshot, with a recorder as its observer.

@@ -54,10 +54,6 @@ using namespace cid;
       "  --rounds N      TOTAL round cap, default 100000\n"
       "  --seed S        RNG seed, default 1\n"
       "  --engine E      aggregate (default) | perplayer\n"
-      "  --row-threads K fan per-origin probability-row fills across K\n"
-      "                  threads inside each round (default 1; output is\n"
-      "                  bitwise identical for every K — worth it only for\n"
-      "                  large games)\n"
       "  --start S       uniform (default) | even | all:K | state:PATH\n"
       "                  (state:PATH loads a cid-state v1 file, e.g. a\n"
       "                  previous run's --save-state output)\n"
@@ -116,7 +112,6 @@ struct Options {
   std::int64_t rounds = 100000;
   std::uint64_t seed = 1;
   EngineMode engine = EngineMode::kAggregate;
-  int row_threads = 1;
   std::string start = "uniform";
   std::string stop = "stable";
   std::string checkpoint_path;
@@ -167,9 +162,6 @@ Options parse_args(int argc, char** argv) {
       if (v == "aggregate") opt.engine = EngineMode::kAggregate;
       else if (v == "perplayer") opt.engine = EngineMode::kPerPlayer;
       else usage("unknown engine");
-    } else if (flag == "--row-threads") {
-      opt.row_threads = static_cast<int>(
-          int_value(i, 1, std::numeric_limits<int>::max()));
     } else if (flag == "--start") opt.start = need_value(i);
     else if (flag == "--stop") opt.stop = format_stop(parse_stop(need_value(i)));
     else if (flag == "--checkpoint") opt.checkpoint_path = need_value(i);
@@ -394,7 +386,6 @@ int main(int argc, char** argv) {
     run_options.max_rounds = opt.rounds;
     run_options.mode = engine;
     run_options.start_round = start_round;
-    run_options.row_threads = opt.row_threads;
     if (metrics_sink != nullptr) run_options.metrics = &engine_metrics;
     const WallTimer run_timer;
     const RunResult result =

@@ -100,9 +100,6 @@ using namespace cid;
       "                    asymmetric scenarios check deltaeps as the\n"
       "                    stricter class-wise nu-stability)\n"
       "  --engine E        aggregate (default) | perplayer\n"
-      "  --row-threads K   threads for the per-origin row fills INSIDE one\n"
-      "                    round (default 1; trials stay bitwise identical\n"
-      "                    — prefer --threads unless single trials are huge)\n"
       "  --param K=V       scenario parameter (repeatable)\n"
       "  --lambda L        protocol migration scale, default 0.25\n"
       "  --out PREFIX      write PREFIX_{trials,cells}.{csv,jsonl}\n"
@@ -224,9 +221,6 @@ Options parse_args(int argc, char** argv) {
       std::exit(0);
     } else if (flag == "--threads") {
       opt.run.threads = static_cast<int>(int_value(i, 0, kIntMax));
-    } else if (flag == "--row-threads") {
-      flags.grid.dynamics.row_threads =
-          static_cast<int>(int_value(i, 1, kIntMax));
     } else if (flag == "--manifest") {
       opt.run.manifest_path = need_value(i);
     } else if (flag == "--resume") {
