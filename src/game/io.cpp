@@ -11,35 +11,27 @@ namespace cid {
 namespace {
 
 /// Emits one latency function as a single line body (without the leading
-/// "latency " keyword). Scaled functions recurse once.
+/// "latency " keyword). Scaled functions recurse.
 void emit_latency(std::ostringstream& os, const LatencyFunction& fn) {
-  if (const auto* c = dynamic_cast<const ConstantLatency*>(&fn)) {
-    os << "constant " << c->constant();
-    return;
+  switch (fn.kind()) {
+    case LatencyFunction::Kind::kConstant:
+      os << "constant " << fn.constant();
+      return;
+    case LatencyFunction::Kind::kMonomial:
+      os << "monomial " << fn.coefficient() << ' ' << fn.degree();
+      return;
+    case LatencyFunction::Kind::kPolynomial:
+      os << "polynomial " << fn.coefficients().size();
+      for (double a : fn.coefficients()) os << ' ' << a;
+      return;
+    case LatencyFunction::Kind::kExponential:
+      os << "exponential " << fn.scale() << ' ' << fn.rate();
+      return;
+    case LatencyFunction::Kind::kScaled:
+      os << "scaled " << fn.divisor() << ' ';
+      emit_latency(os, fn.base());
+      return;
   }
-  if (const auto* m = dynamic_cast<const MonomialLatency*>(&fn)) {
-    os << "monomial " << m->coefficient() << ' ' << m->degree();
-    return;
-  }
-  if (const auto* p = dynamic_cast<const PolynomialLatency*>(&fn)) {
-    os << "polynomial " << p->coefficients().size();
-    for (double a : p->coefficients()) os << ' ' << a;
-    return;
-  }
-  if (const auto* e = dynamic_cast<const ExponentialLatency*>(&fn)) {
-    // Reconstruct a and b from values: a = ℓ(0), b = ℓ'(0)/ℓ(0).
-    const double a = e->value(0.0);
-    const double b = e->derivative(0.0) / a;
-    os << "exponential " << a << ' ' << b;
-    return;
-  }
-  if (const auto* s = dynamic_cast<const ScaledLatency*>(&fn)) {
-    os << "scaled " << s->divisor() << ' ';
-    emit_latency(os, s->base());
-    return;
-  }
-  CID_ENSURE(false,
-             "unsupported latency class for serialization: " + fn.describe());
 }
 
 class LineParser {
@@ -80,10 +72,6 @@ class LineParser {
   int line_number_ = 0;
 };
 
-// The binary snapshot codec's caps (persist/codec.cpp).
-constexpr int kMaxScaledNesting = 16;
-constexpr double kMaxElasticity = 1u << 20;
-
 LatencyPtr parse_latency_body(LineParser& p, std::istringstream& line,
                               int depth = 0) {
   std::string kind;
@@ -98,7 +86,7 @@ LatencyPtr parse_latency_body(LineParser& p, std::istringstream& line,
   }
   if (kind == "polynomial") {
     const auto k = p.read<std::size_t>(line, "coefficient count");
-    if (k > 64) p.fail("polynomial degree too large");
+    if (k > kMaxPolynomialCoefficients) p.fail("polynomial degree too large");
     std::vector<double> coef(k);
     for (auto& c : coef) c = p.read<double>(line, "coefficient");
     return make_polynomial(std::move(coef));

@@ -88,7 +88,8 @@ class LatencyContext {
   /// term-by-term (IEEE rounding is monotone, so the dominance survives
   /// the float summation), which is what makes the engines'
   /// provably-zero-row pruning sound. Maintained incrementally: O(1) to
-  /// query. A game with a decreasing latency function simply reports
+  /// query. Every latency kind is non-decreasing, but its evaluation is
+  /// not correctly rounded (pow, exp), so a step that rounds down reports
   /// false and pruning disables itself.
   bool plus_dominates() const noexcept { return non_monotone_ == 0; }
 

@@ -10,16 +10,21 @@ namespace {
 
 /// Extracts `a` from ℓ(x) = a·x; throws for any other shape.
 double linear_coefficient(const LatencyFunction& fn) {
-  if (const auto* mono = dynamic_cast<const MonomialLatency*>(&fn)) {
-    CID_ENSURE(mono->degree() == 1.0, "latency is not linear: " +
-                                          fn.describe());
-    return mono->coefficient();
-  }
-  if (const auto* poly = dynamic_cast<const PolynomialLatency*>(&fn)) {
-    const auto& c = poly->coefficients();
-    CID_ENSURE(c.size() == 2 && c[0] == 0.0 && c[1] > 0.0,
-               "latency is not of the form a*x: " + fn.describe());
-    return c[1];
+  switch (fn.kind()) {
+    case LatencyFunction::Kind::kMonomial:
+      CID_ENSURE(fn.degree() == 1.0, "latency is not linear: " +
+                                         fn.describe());
+      return fn.coefficient();
+    case LatencyFunction::Kind::kPolynomial: {
+      const auto& c = fn.coefficients();
+      CID_ENSURE(c.size() == 2 && c[0] == 0.0 && c[1] > 0.0,
+                 "latency is not of the form a*x: " + fn.describe());
+      return c[1];
+    }
+    case LatencyFunction::Kind::kConstant:
+    case LatencyFunction::Kind::kExponential:
+    case LatencyFunction::Kind::kScaled:
+      break;
   }
   CID_ENSURE(false, "latency is not linear: " + fn.describe());
   return 0.0;  // unreachable

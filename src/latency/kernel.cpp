@@ -87,37 +87,40 @@ bool is_whole(double c) { return c == std::floor(c) && c < 0x1p64; }
 
 void LatencyTable::add(const LatencyFunction& fn) {
   Entry en;
-  en.fn = &fn;
-  // Recognize one level of ScaledLatency as a divisor over its base. n_
-  // was stored from an int64, so double(divisor()) reproduces it exactly;
-  // deeper nesting (scaled-of-scaled, scaled-of-exponential) stays opaque.
+  // One level of scaling becomes the entry's divisor over its base. The
+  // divisor was stored from an int64, so double(divisor()) reproduces it
+  // exactly; scaled-of-scaled evaluates through fn itself.
   const LatencyFunction* inner = &fn;
-  double divisor = 1.0;
-  if (const auto* scaled = dynamic_cast<const ScaledLatency*>(inner)) {
-    divisor = static_cast<double>(scaled->divisor());
-    inner = &scaled->base();
+  if (fn.kind() == Kind::kScaled) {
+    en.divisor = static_cast<double>(fn.divisor());
+    inner = &fn.base();
   }
-  if (const auto* constant = dynamic_cast<const ConstantLatency*>(inner)) {
-    en.kind = Kind::kConstant;
-    en.a = constant->constant();
-    en.closed = true;
-  } else if (const auto* mono = dynamic_cast<const MonomialLatency*>(inner)) {
-    en.kind = Kind::kMonomial;
-    en.a = mono->coefficient();
-    en.b = mono->degree();
-    en.divisor = divisor;
-    en.closed = en.b == std::floor(en.b) && en.b <= kMaxClosedDegree;
-  } else if (const auto* poly =
-                 dynamic_cast<const PolynomialLatency*>(inner)) {
-    en.kind = Kind::kPolynomial;
-    en.offset = static_cast<std::uint32_t>(coef_.size());
-    en.len = static_cast<std::uint32_t>(poly->coefficients().size());
-    en.divisor = divisor;
-    en.closed = en.len <= kMaxClosedDegree + 1;
-    coef_.insert(coef_.end(), poly->coefficients().begin(),
-                 poly->coefficients().end());
-  } else {
-    en.kind = Kind::kOpaque;  // virtual fallback handles any scaling itself
+  en.kind = inner->kind();
+  switch (en.kind) {
+    case Kind::kConstant:
+      en.a = inner->constant();
+      en.closed = true;
+      break;
+    case Kind::kMonomial:
+      en.a = inner->coefficient();
+      en.b = inner->degree();
+      en.closed = en.b == std::floor(en.b) && en.b <= kMaxClosedDegree;
+      break;
+    case Kind::kPolynomial: {
+      const std::vector<double>& c = inner->coefficients();
+      en.offset = static_cast<std::uint32_t>(coef_.size());
+      en.len = static_cast<std::uint32_t>(c.size());
+      en.closed = en.len <= kMaxClosedDegree + 1;
+      coef_.insert(coef_.end(), c.begin(), c.end());
+      break;
+    }
+    case Kind::kExponential:
+      en.a = inner->scale();
+      en.b = inner->rate();
+      break;
+    case Kind::kScaled:
+      en.fn = &fn;
+      break;
   }
   entries_.push_back(en);
 }
@@ -191,8 +194,11 @@ double LatencyTable::potential(std::span<const std::int64_t> loads) const {
       case Kind::kPolynomial:
         add_prefix<Kind::kPolynomial>(en, load, acc);
         break;
-      case Kind::kOpaque:
-        add_prefix<Kind::kOpaque>(en, load, acc);
+      case Kind::kExponential:
+        add_prefix<Kind::kExponential>(en, load, acc);
+        break;
+      case Kind::kScaled:
+        add_prefix<Kind::kScaled>(en, load, acc);
         break;
     }
   }

@@ -1,26 +1,22 @@
-// LatencyTable: devirtualized latency evaluation for the round kernels'
-// hot loops.
+// LatencyTable: flat latency evaluation for the round kernels' hot loops.
 //
 // The batched engines evaluate ℓ_e at integer loads millions of times per
-// run, and every call used to be a virtual LatencyFunction::value dispatch —
-// exactly the indirection that blocks the optimizer from vectorizing the
-// LatencyContext refresh. LatencyTable flattens a game's latency functions
-// into one contiguous parameter array when the game is built (a cold path):
-// each resource is classified once by dynamic_cast into constant / monomial
-// / polynomial (with one level of ScaledLatency recognized as a divisor),
-// and the hot-path value() is a non-virtual switch over plain arithmetic —
-// polynomial coefficients live in a single shared vector, Horner-evaluated
-// in place. Unrecognized function types fall back to the original virtual
-// call per entry, so the table is complete for ANY latency function.
+// run. LatencyTable flattens a game's latency functions into one
+// contiguous parameter array when the game is built (a cold path): each
+// resource's entry is filled from LatencyFunction::kind() and its
+// parameters, with one level of scaling folded in as a divisor, and the
+// hot-path value() is a switch over plain arithmetic — polynomial
+// coefficients live in a single shared vector, Horner-evaluated in place.
+// Only scaled-of-scaled entries evaluate through LatencyFunction::value.
 //
 // Bitwise contract: value(e, x) reproduces game.latency(e).value(x)
-// bit-for-bit — same expressions, same evaluation order, including
-// ScaledLatency's x/n pre-division (the always-applied divisor defaults to
-// 1.0, and x / 1.0 == x bitwise); monomials call the same monomial_value
-// helper as MonomialLatency::value. The only delta is deliberate: the
-// argument-range CID_ENSUREs of the virtual implementations are demoted to
-// CID_DCHECK here (hot loop; the engines only ever pass loads >= 0).
-// tests/test_kernel_concepts.cpp pins value() to every function shape.
+// bit-for-bit — the same formula helpers (monomial_value, horner_value,
+// exponential_value) in the same order, including the scaled kind's x/n
+// pre-division (the always-applied divisor defaults to 1.0, and x / 1.0 ==
+// x bitwise). The only delta is deliberate: the argument-range CID_ENSUREs
+// of LatencyFunction::value are demoted to CID_DCHECK here (hot loop; the
+// engines only ever pass loads >= 0). tests/test_kernel_concepts.cpp pins
+// value() to every function shape.
 #pragma once
 
 #include <cstddef>
@@ -38,16 +34,16 @@ class LatencyTable {
  public:
   void reserve(std::size_t m) { entries_.reserve(m); }
 
-  /// Appends the next resource (index size()) backed by `fn`, classifying
-  /// it into a flat fast-path entry. `fn` must outlive the table — every
-  /// entry keeps a pointer for the virtual fallback (the games and the
-  /// LatencyContexts hold the functions for at least as long).
+  /// Appends the next resource (index size()) backed by `fn`. `fn` must
+  /// outlive the table: a scaled-of-scaled entry keeps a pointer to it (the
+  /// games and the LatencyContexts hold the functions for at least as
+  /// long).
   void add(const LatencyFunction& fn);
 
   std::size_t size() const noexcept { return entries_.size(); }
 
-  /// ℓ_e(x), bitwise equal to the virtual fn.value(x) the entry was built
-  /// from. Precondition (debug-checked only — hot loop): x >= 0.
+  /// ℓ_e(x), bitwise equal to the fn.value(x) the entry was built from.
+  /// Precondition (debug-checked only — hot loop): x >= 0.
   double value(std::size_t e, double x) const {
     const Entry& en = entries_[e];
     switch (en.kind) {
@@ -57,8 +53,10 @@ class LatencyTable {
         return eval<Kind::kMonomial>(en, x);
       case Kind::kPolynomial:
         return eval<Kind::kPolynomial>(en, x);
-      case Kind::kOpaque:
-        return eval<Kind::kOpaque>(en, x);
+      case Kind::kExponential:
+        return eval<Kind::kExponential>(en, x);
+      case Kind::kScaled:
+        return eval<Kind::kScaled>(en, x);
     }
     CID_ENSURE(false, "unreachable latency kind");
     return 0.0;
@@ -67,8 +65,8 @@ class LatencyTable {
   /// Rosenthal's Φ = Σ_e Σ_{i=1..loads[e]} ℓ_e(i), the one Φ behind both
   /// game classes' potential(), under outcome semantics v2: O(m), not
   /// O(Σ loads). Each resource whose latency is a constant, an
-  /// integer-degree monomial or a polynomial (optionally under one
-  /// ScaledLatency) contributes closed-form Faulhaber terms:
+  /// integer-degree monomial or a polynomial (optionally under one level of
+  /// scaling) contributes closed-form Faulhaber terms:
   ///
   ///   * the terms with whole coefficients fold into one exact 128-bit
   ///     integer I = Σ_k c_k·S_k(L)·n^(D−k), with S_k(L) = Σ_{i≤L} i^k,
@@ -77,8 +75,8 @@ class LatencyTable {
   ///   * every other term adds c_k·S_k(L) / n^k, with S_k(L) exact, then
   ///     split into hi + lo doubles for one compensated product by c_k.
   ///
-  /// Anything else (exponential, non-integer degree, a degree above
-  /// kMaxClosedDegree, or a sum that would leave 128 bits) adds
+  /// Anything else (exponential, scaled-of-scaled, non-integer degree, a
+  /// degree above kMaxClosedDegree, or a sum that would leave 128 bits) adds
   /// ℓ_e(1), ..., ℓ_e(L) one by one. Every term goes into one NeumaierSum
   /// in resource order.
   double potential(std::span<const std::int64_t> loads) const;
@@ -87,45 +85,35 @@ class LatencyTable {
   static constexpr int kMaxClosedDegree = 16;
 
  private:
-  enum class Kind : std::uint8_t {
-    kOpaque,
-    kConstant,
-    kMonomial,
-    kPolynomial,
-  };
+  using Kind = LatencyFunction::Kind;
   struct Entry {
-    Kind kind = Kind::kOpaque;
-    double a = 0.0;        // constant c / monomial coefficient
-    double b = 0.0;        // monomial degree
-    double divisor = 1.0;  // ScaledLatency n; x / 1.0 == x bitwise otherwise
+    Kind kind = Kind::kConstant;
+    double a = 0.0;        // constant c / monomial or exponential a
+    double b = 0.0;        // monomial degree / exponential rate
+    double divisor = 1.0;  // scaled n; x / 1.0 == x bitwise otherwise
     std::uint32_t offset = 0;  // polynomial slice [offset, offset+len) of coef_
     std::uint32_t len = 0;
     bool closed = false;  // Φ has closed-form terms (see potential())
-    const LatencyFunction* fn = nullptr;  // fallback target (every entry)
+    const LatencyFunction* fn = nullptr;  // kScaled: scaled-of-scaled
   };
 
-  /// ℓ(x) for an entry of kind K: the one formula per kind.
+  /// ℓ(x) for an entry of kind K: the shared formula helpers.
   template <Kind K>
   double eval(const Entry& en, double x) const {
     if constexpr (K == Kind::kConstant) {
       return en.a;
-    } else if constexpr (K == Kind::kMonomial) {
-      const double xx = x / en.divisor;
-      CID_DCHECK(xx >= 0.0, "latency argument must be non-negative");
-      return monomial_value(en.a, en.b, xx);
-    } else if constexpr (K == Kind::kPolynomial) {
-      const double xx = x / en.divisor;
-      CID_DCHECK(xx >= 0.0, "latency argument must be non-negative");
-      // Horner in descending order — the exact loop
-      // PolynomialLatency::value runs, over the shared coefficient pool.
-      double acc = 0.0;
-      const double* c = coef_.data() + en.offset;
-      for (std::size_t i = en.len; i-- > 0;) acc = acc * xx + c[i];
-      return acc;
-    } else {
-      // Unrecognized type: the original virtual call (which applies any
-      // scaling itself — opaque entries keep divisor at the neutral 1.0).
+    } else if constexpr (K == Kind::kScaled) {
       return en.fn->value(x);
+    } else {
+      const double xx = x / en.divisor;
+      CID_DCHECK(xx >= 0.0, "latency argument must be non-negative");
+      if constexpr (K == Kind::kMonomial) {
+        return monomial_value(en.a, en.b, xx);
+      } else if constexpr (K == Kind::kPolynomial) {
+        return horner_value(coef_.data() + en.offset, en.len, xx);
+      } else {
+        return exponential_value(en.a, en.b, xx);
+      }
     }
   }
 

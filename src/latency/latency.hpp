@@ -8,12 +8,14 @@
 //   * slope       ν_e = max_{x∈{1..⌈d⌉}} ℓ(x)−ℓ(x−1) — the minimum-gain
 //     cutoff that controls probabilistic effects on almost-empty resources.
 //
-// Concrete classes provide analytic elasticity where it is exact (monomials:
-// exactly d; positive-coefficient polynomials: ≤ degree); the base class
-// supplies a conservative numeric fallback on a geometric grid.
+// LatencyFunction is one closed value type over the five kinds the game
+// formats store (constant, monomial, polynomial, exponential, scaled), each
+// with an analytic elasticity bound. Code that needs the shape switches on
+// kind(); with -Wswitch under -Werror a new kind must reach every switch.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,12 +23,33 @@
 
 namespace cid {
 
-/// a·x^d: the one monomial formula, shared by MonomialLatency::value and
-/// LatencyTable::value. Degree 0 is the constant a. Degree 1 returns a·x,
-/// since pow(x, 1) is exactly x. Degree 2 at a whole x ≤ 9e7 returns
-/// a·(x·x): x·x < 2^53 is then exact, and a faithful pow returns an exactly
-/// representable result unchanged. Every other input goes through std::pow,
-/// so for d > 0 the result is bitwise a * std::pow(x, d).
+// ---- Format caps -----------------------------------------------------------
+//
+// Shared by the text format (game/io.cpp) and the binary snapshot codec
+// (persist/codec.cpp). The factories enforce the structural caps, so every
+// function a game holds can be written and read back by both formats; the
+// readers check them again before building anything from hostile bytes.
+
+/// Scaled levels in one function; make_scaled refuses deeper nesting.
+inline constexpr int kMaxScaledNesting = 16;
+/// Coefficients of one polynomial (after trimming trailing zeros);
+/// make_polynomial refuses more.
+inline constexpr std::size_t kMaxPolynomialCoefficients = 64;
+/// Elasticity bound over the player count. Building a game costs O(d)
+/// (slope_nu scans loads 1..⌈d⌉), so the cap bounds what a hostile file
+/// can cost to load.
+inline constexpr double kMaxElasticity = 1u << 20;
+
+// ---- The formulas ----------------------------------------------------------
+//
+// Each is the one expression behind both LatencyFunction::value and
+// LatencyTable::value, so the two agree bit for bit.
+
+/// a·x^d. Degree 0 is the constant a. Degree 1 returns a·x, since pow(x, 1)
+/// is exactly x. Degree 2 at a whole x ≤ 9e7 returns a·(x·x): x·x < 2^53 is
+/// then exact, and a faithful pow returns an exactly representable result
+/// unchanged. Every other input goes through std::pow, so for d > 0 the
+/// result is bitwise a * std::pow(x, d).
 inline double monomial_value(double a, double d, double x) {
   if (d == 0.0) return a;
   if (d == 1.0) return a * x;
@@ -37,108 +60,70 @@ inline double monomial_value(double a, double d, double x) {
   return a * std::pow(x, d);
 }
 
-class LatencyFunction {
- public:
-  virtual ~LatencyFunction() = default;
+/// Σ_k c[k]·x^k by Horner's rule, highest degree first.
+inline double horner_value(const double* c, std::size_t len, double x) {
+  double acc = 0.0;
+  for (std::size_t i = len; i-- > 0;) acc = acc * x + c[i];
+  return acc;
+}
 
-  /// ℓ(x). Precondition: x >= 0.
-  virtual double value(double x) const = 0;
+/// a·exp(b·x).
+inline double exponential_value(double a, double b, double x) {
+  return a * std::exp(b * x);
+}
 
-  /// ℓ'(x). Default: central finite difference.
-  virtual double derivative(double x) const;
-
-  /// Upper bound on the elasticity over (0, x_max].
-  /// Default: numeric sup over a geometric grid (conservatively inflated).
-  virtual double elasticity_upper(double x_max) const;
-
-  /// Human-readable description, e.g. "3.00*x^2".
-  virtual std::string describe() const = 0;
-};
-
+class LatencyFunction;
 using LatencyPtr = std::shared_ptr<const LatencyFunction>;
 
-/// ℓ(x) = c, c > 0. (Elasticity 0; the paper's two-link overshoot example
-/// uses one constant link.)
-class ConstantLatency final : public LatencyFunction {
+class LatencyFunction final {
  public:
-  explicit ConstantLatency(double c);
-  double value(double) const override { return c_; }
-  double derivative(double) const override { return 0.0; }
-  double elasticity_upper(double) const override { return 0.0; }
-  std::string describe() const override;
-  double constant() const noexcept { return c_; }
+  enum class Kind : std::uint8_t {
+    kConstant,     // c > 0; elasticity 0
+    kMonomial,     // a·x^d, a > 0, d >= 0; elasticity exactly d
+    kPolynomial,   // Σ_k a_k·x^k, a_k >= 0, not all zero; elasticity ≤ degree
+    kExponential,  // a·exp(b·x), a > 0, b >= 0; elasticity b·x, unbounded
+    kScaled,       // base(x / n), n > 0: the paper's §5 normalization
+  };
 
- private:
-  double c_;
-};
+  Kind kind() const noexcept { return kind_; }
 
-/// ℓ(x) = a·x^d with a > 0, d >= 0. Elasticity is exactly d.
-class MonomialLatency final : public LatencyFunction {
- public:
-  MonomialLatency(double coefficient, double degree);
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double elasticity_upper(double) const override { return degree_; }
-  std::string describe() const override;
-  double coefficient() const noexcept { return coefficient_; }
-  double degree() const noexcept { return degree_; }
+  /// ℓ(x). Precondition: x >= 0.
+  double value(double x) const;
 
- private:
-  double coefficient_;
-  double degree_;
-};
+  /// Upper bound on the elasticity over (0, x_max].
+  double elasticity_upper(double x_max) const;
 
-/// ℓ(x) = Σ_k a_k·x^k with a_k >= 0, at least one a_k > 0 for k such that
-/// ℓ(x) > 0 for x > 0. Elasticity ≤ max degree with non-zero coefficient.
-class PolynomialLatency final : public LatencyFunction {
- public:
-  /// coefficients[k] is the coefficient of x^k.
-  explicit PolynomialLatency(std::vector<double> coefficients);
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double elasticity_upper(double x_max) const override;
-  std::string describe() const override;
+  /// Human-readable description, e.g. "3*x^2".
+  std::string describe() const;
+
+  // Parameters, each meaningful for the kinds named.
+  double constant() const noexcept { return a_; }     // kConstant
+  double coefficient() const noexcept { return a_; }  // kMonomial
+  double degree() const noexcept { return b_; }       // kMonomial
+  double scale() const noexcept { return a_; }        // kExponential
+  double rate() const noexcept { return b_; }         // kExponential
+  /// kPolynomial: coefficients()[k] multiplies x^k; no trailing zeros.
   const std::vector<double>& coefficients() const noexcept { return coef_; }
-  int degree() const noexcept;
+  std::int64_t divisor() const noexcept { return n_; }              // kScaled
+  const LatencyFunction& base() const noexcept { return *base_; }  // kScaled
 
  private:
-  std::vector<double> coef_;
-};
+  explicit LatencyFunction(Kind kind, double a = 0.0, double b = 0.0)
+      : kind_(kind), a_(a), b_(b) {}
 
-/// ℓⁿ(x) = base(x / n): the paper's §5 normalization for Theorem 9
-/// ("n agents of weight 1/n each"). Elasticity is unchanged; the step size
-/// ν shrinks as n grows — exactly the property Theorem 9 exploits.
-class ScaledLatency final : public LatencyFunction {
- public:
-  ScaledLatency(LatencyPtr base, std::int64_t n);
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double elasticity_upper(double x_max) const override;
-  std::string describe() const override;
-  const LatencyFunction& base() const noexcept { return *base_; }
-  std::int64_t divisor() const noexcept {
-    return static_cast<std::int64_t>(n_);
-  }
+  friend LatencyPtr make_constant(double c);
+  friend LatencyPtr make_monomial(double a, double d);
+  friend LatencyPtr make_polynomial(std::vector<double> coefficients);
+  friend LatencyPtr make_scaled(LatencyPtr base, std::int64_t n);
+  friend LatencyPtr make_exponential(double a, double b);
 
- private:
-  LatencyPtr base_;
-  double n_;
-};
-
-/// ℓ(x) = a·exp(b·x), a > 0, b >= 0. Elasticity b·x is *unbounded* in x;
-/// included as a stress-test class (the protocol's guarantees degrade
-/// gracefully with d — bench E5 sweeps this regime).
-class ExponentialLatency final : public LatencyFunction {
- public:
-  ExponentialLatency(double scale, double rate);
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double elasticity_upper(double x_max) const override;
-  std::string describe() const override;
-
- private:
-  double scale_;
-  double rate_;
+  Kind kind_;
+  double a_;  // constant c / monomial or exponential a
+  double b_;  // monomial degree / exponential rate
+  std::vector<double> coef_;  // kPolynomial
+  std::int64_t n_ = 0;        // kScaled: the divisor as given, so the
+                              // formats write back the n they read
+  LatencyPtr base_;           // kScaled
 };
 
 // ---- Factory helpers -------------------------------------------------------

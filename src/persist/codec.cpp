@@ -21,61 +21,41 @@ enum LatencyTag : std::uint8_t {
   kScaled = 5,
 };
 
-// Structural limits, enforced symmetrically on encode AND decode: a limit
-// the writer does not enforce would let a valid in-memory game produce a
-// snapshot that can never be loaded back — the exact failure this
-// subsystem exists to prevent. Matches the text format's caps.
-constexpr std::uint32_t kMaxPolynomialCoefficients = 64;
-constexpr int kMaxScaledNesting = 16;
+// Structural limits, enforced on encode AND decode: a limit the writer
+// does not enforce would let a valid in-memory game produce a snapshot that
+// can never be loaded back — the exact failure this subsystem exists to
+// prevent. The latency caps (kMaxScaledNesting, kMaxPolynomialCoefficients,
+// kMaxElasticity) live beside the type in latency/latency.hpp.
 constexpr std::uint32_t kMaxResources = 1u << 20;
 constexpr std::uint32_t kMaxStrategies = 1u << 22;
-// Building a game costs O(d) in its elasticity bound d (slope_nu scans
-// loads 1..⌈d⌉), so the bound caps what decoding a hostile file can cost.
-constexpr double kMaxElasticity = 1u << 20;
 
-void encode_latency(BinWriter& out, const LatencyFunction& fn,
-                    int depth = 0) {
-  if (depth > kMaxScaledNesting) {
-    throw persist_error("scaled latency nesting exceeds " +
-                        std::to_string(kMaxScaledNesting));
+void encode_latency(BinWriter& out, const LatencyFunction& fn) {
+  switch (fn.kind()) {
+    case LatencyFunction::Kind::kConstant:
+      out.u8(kConstant);
+      out.f64(fn.constant());
+      return;
+    case LatencyFunction::Kind::kMonomial:
+      out.u8(kMonomial);
+      out.f64(fn.coefficient());
+      out.f64(fn.degree());
+      return;
+    case LatencyFunction::Kind::kPolynomial:
+      out.u8(kPolynomial);
+      out.u32(static_cast<std::uint32_t>(fn.coefficients().size()));
+      for (double a : fn.coefficients()) out.f64(a);
+      return;
+    case LatencyFunction::Kind::kExponential:
+      out.u8(kExponential);
+      out.f64(fn.scale());
+      out.f64(fn.rate());
+      return;
+    case LatencyFunction::Kind::kScaled:
+      out.u8(kScaled);
+      out.i64(fn.divisor());
+      encode_latency(out, fn.base());
+      return;
   }
-  if (const auto* c = dynamic_cast<const ConstantLatency*>(&fn)) {
-    out.u8(kConstant);
-    out.f64(c->constant());
-    return;
-  }
-  if (const auto* m = dynamic_cast<const MonomialLatency*>(&fn)) {
-    out.u8(kMonomial);
-    out.f64(m->coefficient());
-    out.f64(m->degree());
-    return;
-  }
-  if (const auto* p = dynamic_cast<const PolynomialLatency*>(&fn)) {
-    if (p->coefficients().size() > kMaxPolynomialCoefficients) {
-      throw persist_error("polynomial degree too large to serialize (max " +
-                          std::to_string(kMaxPolynomialCoefficients) + ")");
-    }
-    out.u8(kPolynomial);
-    out.u32(static_cast<std::uint32_t>(p->coefficients().size()));
-    for (double a : p->coefficients()) out.f64(a);
-    return;
-  }
-  if (const auto* e = dynamic_cast<const ExponentialLatency*>(&fn)) {
-    // Same reconstruction as the text format: a = ℓ(0), b = ℓ'(0)/ℓ(0).
-    const double a = e->value(0.0);
-    out.u8(kExponential);
-    out.f64(a);
-    out.f64(e->derivative(0.0) / a);
-    return;
-  }
-  if (const auto* s = dynamic_cast<const ScaledLatency*>(&fn)) {
-    out.u8(kScaled);
-    out.i64(s->divisor());
-    encode_latency(out, s->base(), depth + 1);
-    return;
-  }
-  throw persist_error("unsupported latency class for binary serialization: " +
-                      fn.describe());
 }
 
 LatencyPtr decode_latency(BinReader& in, int depth = 0) {

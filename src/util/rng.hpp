@@ -148,8 +148,9 @@ class Xoshiro256pp {
     return result;
   }
 
-  /// 2^128 jump: produces a generator whose stream is disjoint from the
-  /// parent for 2^128 draws. Used to derive independent per-trial streams.
+  /// 2^128 jump: moves this generator 2^128 draws ahead, so its stream
+  /// and the one before the jump do not overlap for 2^128 draws.
+  /// (Per-trial streams come from Rng::split via sweep::derive_trial_rng.)
   void jump() noexcept;
 
   /// Exactly `steps` draws ahead, without drawing them: the state map is

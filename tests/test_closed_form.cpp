@@ -7,8 +7,9 @@
 //   * whole coefficients — Φ of one resource equals the exact integer sum
 //     Σ_{i≤L} ℓ(i) rounded once to double (correct rounding);
 //   * real coefficients — within 1 ulp of a quad-precision reference per
-//     resource (2 ulps under a ScaledLatency divisor, one rounding more);
-//   * opaque kinds (exponential, non-integer degree) and sums that would
+//     resource (2 ulps under a scaled divisor, one rounding more);
+//   * the kinds with no closed form (exponential, non-integer degree) and
+//     sums that would
 //     leave 128 bits keep the step loop, in a NeumaierSum;
 //
 // over L ∈ {0, 1, 2, 1e3, 1e6, 1e9}. There is one build of these closed
@@ -171,7 +172,7 @@ TEST(ClosedForm, PolynomialTermsWithinOneUlpEach) {
 }
 
 /// Σ_{i≤L} ℓ(i) added step by step into one NeumaierSum: the loop the
-/// opaque kinds keep.
+/// kinds with no closed form keep.
 double step_loop(const LatencyFunction& fn, std::int64_t load) {
   NeumaierSum acc;
   for (std::int64_t i = 1; i <= load; ++i) {

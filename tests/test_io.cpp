@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,16 +23,16 @@ void expect_games_equal(const CongestionGame& a, const CongestionGame& b) {
   for (StrategyId s = 0; s < a.num_strategies(); ++s) {
     EXPECT_EQ(a.strategy(s), b.strategy(s));
   }
-  // Latency equality via sampled values.
+  // Latency equality via sampled values, bit for bit.
   for (Resource e = 0; e < a.num_resources(); ++e) {
+    EXPECT_EQ(a.latency(e).kind(), b.latency(e).kind()) << "resource " << e;
     for (double x : {0.0, 1.0, 2.5, 7.0, 100.0}) {
-      EXPECT_NEAR(a.latency(e).value(x), b.latency(e).value(x),
-                  1e-12 * (1.0 + a.latency(e).value(x)))
+      EXPECT_EQ(a.latency(e).value(x), b.latency(e).value(x))
           << "resource " << e << " at x=" << x;
     }
   }
-  EXPECT_DOUBLE_EQ(a.elasticity(), b.elasticity());
-  EXPECT_DOUBLE_EQ(a.nu(), b.nu());
+  EXPECT_EQ(a.elasticity(), b.elasticity());
+  EXPECT_EQ(a.nu(), b.nu());
 }
 
 TEST(GameIo, RoundTripsAllLatencyClasses) {
@@ -40,13 +42,27 @@ TEST(GameIo, RoundTripsAllLatencyClasses) {
       make_polynomial({1.0, 0.0, 0.25}),
       make_exponential(2.0, 0.125),
       make_scaled(make_monomial(1.5, 2.0), 100),
+      // A rate that ℓ'(0)/ℓ(0) does not reproduce: 0.10000000000000002.
+      make_exponential(3.0, 0.1),
+      // A divisor that double(n) does not hold exactly.
+      make_scaled(make_linear(1.0), std::numeric_limits<std::int64_t>::max()),
   };
-  CongestionGame game(std::move(fns), {{0, 1}, {1, 2, 3}, {4}}, 42);
+  CongestionGame game(std::move(fns), {{0, 1}, {1, 2, 3}, {4}, {5}, {6}}, 42);
   const std::string text = serialize_game(game);
   const CongestionGame parsed = parse_game(text);
   expect_games_equal(game, parsed);
   // Serialization is stable (idempotent round trip).
   EXPECT_EQ(serialize_game(parsed), text);
+}
+
+TEST(GameIo, RoundTripsTheDeepestScaledNesting) {
+  // The deepest function make_scaled builds is one the parser reads back.
+  LatencyPtr fn = make_monomial(1.5, 2.0);
+  for (int level = 0; level < kMaxScaledNesting; ++level) {
+    fn = make_scaled(fn, 3);
+  }
+  const CongestionGame game({fn, make_linear(2.0)}, {{0}, {1}}, 20);
+  expect_games_equal(game, parse_game(serialize_game(game)));
 }
 
 TEST(GameIo, RoundTripsNetworkGame) {

@@ -11,9 +11,9 @@
 //   2. dispatch level — dispatch_protocol_kernel resolves each concrete
 //      protocol to its monomorphized kernel and refuses any other protocol
 //      by name;
-//   3. latency level — LatencyTable::value reproduces every registered
-//      latency-function shape (constant, linear, affine, monomial,
-//      polynomial, scaled, and the opaque exponential fallback) bitwise at
+//   3. latency level — LatencyTable::value reproduces every latency kind
+//      (constant, linear, affine, monomial, polynomial, exponential,
+//      scaled, and scaled-of-scaled) bitwise at
 //      the integer loads the engines evaluate and at fractional and huge
 //      arguments (LatencyTable::potential, the closed-form Φ, has its own
 //      suite: tests/test_closed_form.cpp);
@@ -156,11 +156,11 @@ TEST(KernelDispatch, UnknownProtocolIsRefused) {
   EXPECT_GE(rr.movers, 0);
 }
 
-// ---- 3. LatencyTable vs virtual latency functions ---------------------------
+// ---- 3. LatencyTable vs LatencyFunction::value ------------------------------
 
 TEST(LatencyTableKernel, BitwiseMatchesEveryFunctionShape) {
-  // One of each registered shape, including nesting that exercises the
-  // ScaledLatency divisor and the opaque virtual fallback.
+  // One of each kind, including nesting that exercises the scaled divisor
+  // and the scaled-of-scaled entries that evaluate through the function.
   std::vector<LatencyPtr> fns;
   fns.push_back(make_constant(2.5));
   fns.push_back(make_linear(1.5));
@@ -171,7 +171,10 @@ TEST(LatencyTableKernel, BitwiseMatchesEveryFunctionShape) {
   fns.push_back(make_polynomial({4.0}));
   fns.push_back(make_scaled(make_monomial(0.9, 3.0), 50));
   fns.push_back(make_scaled(make_polynomial({0.0, 2.0, 1.0}), 10));
-  fns.push_back(make_exponential(1.1, 0.2));  // opaque fallback entry
+  fns.push_back(make_exponential(1.1, 0.2));
+  fns.push_back(make_scaled(make_exponential(3.0, 0.1), 40));
+  fns.push_back(make_scaled(make_constant(1.5), 7));
+  fns.push_back(make_scaled(make_scaled(make_monomial(0.3, 2.0), 3), 5));
 
   LatencyTable table;
   table.reserve(fns.size());

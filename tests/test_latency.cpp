@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "latency/latency.hpp"
@@ -12,92 +13,123 @@
 namespace cid {
 namespace {
 
-TEST(ConstantLatency, ValueDerivativeElasticity) {
-  ConstantLatency fn(4.0);
-  EXPECT_DOUBLE_EQ(fn.value(0.0), 4.0);
-  EXPECT_DOUBLE_EQ(fn.value(100.0), 4.0);
-  EXPECT_DOUBLE_EQ(fn.derivative(10.0), 0.0);
-  EXPECT_DOUBLE_EQ(fn.elasticity_upper(1000.0), 0.0);
-  EXPECT_THROW(ConstantLatency(0.0), invariant_violation);
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ConstantLatency, ValueAndElasticity) {
+  const LatencyPtr fn = make_constant(4.0);
+  EXPECT_EQ(fn->kind(), LatencyFunction::Kind::kConstant);
+  EXPECT_EQ(fn->constant(), 4.0);
+  EXPECT_DOUBLE_EQ(fn->value(0.0), 4.0);
+  EXPECT_DOUBLE_EQ(fn->value(100.0), 4.0);
+  EXPECT_DOUBLE_EQ(fn->elasticity_upper(1000.0), 0.0);
+  EXPECT_THROW(make_constant(0.0), invariant_violation);
 }
 
 TEST(MonomialLatency, ValueAndExactElasticity) {
-  MonomialLatency fn(2.0, 3.0);  // 2x^3
-  EXPECT_DOUBLE_EQ(fn.value(2.0), 16.0);
-  EXPECT_DOUBLE_EQ(fn.derivative(2.0), 24.0);
-  EXPECT_DOUBLE_EQ(fn.elasticity_upper(1e6), 3.0);
-  EXPECT_THROW(fn.value(-1.0), invariant_violation);
-  EXPECT_THROW(MonomialLatency(-1.0, 2.0), invariant_violation);
-  EXPECT_THROW(MonomialLatency(1.0, -2.0), invariant_violation);
-}
-
-TEST(MonomialLatency, LinearDerivativeAtZero) {
-  MonomialLatency lin(5.0, 1.0);
-  EXPECT_DOUBLE_EQ(lin.derivative(0.0), 5.0);
-  MonomialLatency quad(5.0, 2.0);
-  EXPECT_DOUBLE_EQ(quad.derivative(0.0), 0.0);
+  const LatencyPtr fn = make_monomial(2.0, 3.0);  // 2x^3
+  EXPECT_EQ(fn->kind(), LatencyFunction::Kind::kMonomial);
+  EXPECT_EQ(fn->coefficient(), 2.0);
+  EXPECT_EQ(fn->degree(), 3.0);
+  EXPECT_DOUBLE_EQ(fn->value(2.0), 16.0);
+  EXPECT_DOUBLE_EQ(fn->elasticity_upper(1e6), 3.0);
+  EXPECT_THROW(fn->value(-1.0), invariant_violation);
+  EXPECT_THROW(make_monomial(-1.0, 2.0), invariant_violation);
+  EXPECT_THROW(make_monomial(1.0, -2.0), invariant_violation);
+  const LatencyPtr lin = make_linear(5.0);
+  EXPECT_EQ(lin->kind(), LatencyFunction::Kind::kMonomial);
+  EXPECT_EQ(lin->degree(), 1.0);
 }
 
 TEST(PolynomialLatency, HornerEvaluation) {
-  PolynomialLatency fn({1.0, 2.0, 3.0});  // 1 + 2x + 3x^2
-  EXPECT_DOUBLE_EQ(fn.value(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(fn.value(2.0), 17.0);
-  EXPECT_DOUBLE_EQ(fn.derivative(2.0), 14.0);
-  EXPECT_EQ(fn.degree(), 2);
+  const LatencyPtr fn = make_polynomial({1.0, 2.0, 3.0});  // 1 + 2x + 3x^2
+  EXPECT_EQ(fn->kind(), LatencyFunction::Kind::kPolynomial);
+  EXPECT_DOUBLE_EQ(fn->value(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(fn->value(2.0), 17.0);
+  EXPECT_EQ(fn->coefficients(), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(make_affine(2.0, 1.0)->coefficients(),
+            (std::vector<double>{1.0, 2.0}));
 }
 
 TEST(PolynomialLatency, ElasticityIsMaxActiveDegree) {
-  PolynomialLatency fn({1.0, 0.0, 3.0, 0.0});  // trailing zero trimmed
-  EXPECT_EQ(fn.degree(), 2);
-  EXPECT_DOUBLE_EQ(fn.elasticity_upper(100.0), 2.0);
-  PolynomialLatency constant({5.0});
-  EXPECT_DOUBLE_EQ(constant.elasticity_upper(100.0), 0.0);
+  // Trailing zero trimmed.
+  const LatencyPtr fn = make_polynomial({1.0, 0.0, 3.0, 0.0});
+  EXPECT_EQ(fn->coefficients().size(), 3u);
+  EXPECT_DOUBLE_EQ(fn->elasticity_upper(100.0), 2.0);
+  EXPECT_DOUBLE_EQ(make_polynomial({5.0})->elasticity_upper(100.0), 0.0);
 }
 
 TEST(PolynomialLatency, RejectsInvalidCoefficients) {
-  EXPECT_THROW(PolynomialLatency({}), invariant_violation);
-  EXPECT_THROW(PolynomialLatency({1.0, -2.0}), invariant_violation);
-  EXPECT_THROW(PolynomialLatency({0.0, 0.0}), invariant_violation);
+  EXPECT_THROW(make_polynomial({}), invariant_violation);
+  EXPECT_THROW(make_polynomial({1.0, -2.0}), invariant_violation);
+  EXPECT_THROW(make_polynomial({0.0, 0.0}), invariant_violation);
+}
+
+TEST(PolynomialLatency, CoefficientCapIsTheFormats) {
+  // Both game formats store at most kMaxPolynomialCoefficients; the
+  // factory refuses more, counting after the trailing zeros are trimmed.
+  std::vector<double> coef(kMaxPolynomialCoefficients, 1.0);
+  EXPECT_EQ(make_polynomial(coef)->coefficients().size(),
+            kMaxPolynomialCoefficients);
+  coef.push_back(0.0);
+  EXPECT_EQ(make_polynomial(coef)->coefficients().size(),
+            kMaxPolynomialCoefficients);
+  coef.back() = 1.0;
+  EXPECT_THROW(make_polynomial(coef), invariant_violation);
 }
 
 TEST(ScaledLatency, MatchesBaseOnScaledArgument) {
   auto base = make_monomial(2.0, 2.0);
-  ScaledLatency fn(base, 100);
-  EXPECT_DOUBLE_EQ(fn.value(50.0), base->value(0.5));
+  const LatencyPtr fn = make_scaled(base, 100);
+  EXPECT_EQ(fn->kind(), LatencyFunction::Kind::kScaled);
+  EXPECT_EQ(fn->divisor(), 100);
+  EXPECT_EQ(&fn->base(), base.get());
+  EXPECT_DOUBLE_EQ(fn->value(50.0), base->value(0.5));
   // Elasticity invariant under scaling.
-  EXPECT_NEAR(fn.elasticity_upper(100.0), 2.0, 1e-9);
-  // Derivative shrinks by 1/n (chain rule).
-  EXPECT_NEAR(fn.derivative(50.0), base->derivative(0.5) / 100.0, 1e-9);
+  EXPECT_NEAR(fn->elasticity_upper(100.0), 2.0, 1e-9);
+  EXPECT_THROW(make_scaled(base, 0), invariant_violation);
+  // The divisor reads back as given, also where double(n) rounds.
+  constexpr std::int64_t kHuge = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(make_scaled(base, kHuge)->divisor(), kHuge);
+  EXPECT_THROW(make_scaled(nullptr, 10), invariant_violation);
 }
 
 TEST(ScaledLatency, NuShrinksWithN) {
   // The §5 point: scaling leaves elasticity fixed but shrinks the step ν.
   auto base = make_linear(1.0);
-  const double nu_small = slope_nu(ScaledLatency(base, 10), 1.0);
-  const double nu_large = slope_nu(ScaledLatency(base, 1000), 1.0);
+  const double nu_small = slope_nu(*make_scaled(base, 10), 1.0);
+  const double nu_large = slope_nu(*make_scaled(base, 1000), 1.0);
   EXPECT_NEAR(nu_small / nu_large, 100.0, 1e-6);
 }
 
-TEST(ExponentialLatency, UnboundedElasticityGrowsWithDomain) {
-  ExponentialLatency fn(1.0, 0.1);
-  EXPECT_DOUBLE_EQ(fn.value(0.0), 1.0);
-  EXPECT_NEAR(fn.elasticity_upper(10.0), 1.0, 1e-12);
-  EXPECT_NEAR(fn.elasticity_upper(100.0), 10.0, 1e-12);
+TEST(ScaledLatency, NestingCapIsTheFormats) {
+  // Both game formats read at most kMaxScaledNesting scaled levels, so
+  // the factory builds no deeper function for a writer to emit.
+  LatencyPtr fn = make_linear(1.0);
+  for (int level = 1; level <= kMaxScaledNesting; ++level) {
+    fn = make_scaled(fn, 2);
+  }
+  EXPECT_EQ(bits(fn->value(65536.0)), bits(1.0));
+  EXPECT_THROW(make_scaled(fn, 2), invariant_violation);
 }
 
-TEST(NumericFallback, ElasticityUpperBoundsTruth) {
-  // The generic numeric elasticity (used by classes without closed forms)
-  // must upper-bound the analytic value; check against x^2 via a thin
-  // wrapper that hides the override.
-  class Opaque final : public LatencyFunction {
-   public:
-    double value(double x) const override { return 3.0 * x * x + 1e-9; }
-    std::string describe() const override { return "opaque"; }
-  };
-  Opaque fn;
-  const double est = fn.elasticity_upper(1000.0);
-  EXPECT_GE(est, 2.0 - 1e-6);
-  EXPECT_LE(est, 2.4);  // not wildly conservative either
+TEST(ExponentialLatency, UnboundedElasticityGrowsWithDomain) {
+  const LatencyPtr fn = make_exponential(1.0, 0.1);
+  EXPECT_EQ(fn->kind(), LatencyFunction::Kind::kExponential);
+  EXPECT_DOUBLE_EQ(fn->value(0.0), 1.0);
+  EXPECT_NEAR(fn->elasticity_upper(10.0), 1.0, 1e-12);
+  EXPECT_NEAR(fn->elasticity_upper(100.0), 10.0, 1e-12);
+  EXPECT_THROW(make_exponential(0.0, 0.1), invariant_violation);
+  EXPECT_THROW(make_exponential(1.0, -0.1), invariant_violation);
+}
+
+TEST(ExponentialLatency, KeepsTheParametersItWasBuiltWith) {
+  // The formats store scale() and rate() as given: ℓ'(0)/ℓ(0), the old
+  // reconstruction, turns a rate of 0.1 at scale 3 into
+  // 0.10000000000000002.
+  const LatencyPtr fn = make_exponential(3.0, 0.1);
+  EXPECT_EQ(bits(fn->scale()), bits(3.0));
+  EXPECT_EQ(bits(fn->rate()), bits(0.1));
+  EXPECT_EQ(bits(fn->value(7.0)), bits(3.0 * std::exp(0.1 * 7.0)));
 }
 
 TEST(SlopeNu, MaxStepOnAlmostEmptyResource) {
@@ -117,8 +149,6 @@ TEST(MaxStepSlope, ScansFullRange) {
   EXPECT_DOUBLE_EQ(max_step_slope(*quad, 5), 9.0);
   EXPECT_THROW(max_step_slope(*quad, 0), invariant_violation);
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// The network-routing scenario's coefficients (latency_seed 7, 3x2 layered
 /// network: 15 edges), linear a and quadratic 0.05·a alike.
@@ -159,7 +189,7 @@ TEST(MonomialValue, ExactPowersMatchPowOnEveryWholeNumberUpTo2Pow23) {
 }
 
 TEST(MonomialValue, OtherInputsTakeThePowFallback) {
-  // Fractional, beyond-the-exact-range, and ScaledLatency (x/n) arguments,
+  // Fractional, beyond-the-exact-range, and scaled (x/n) arguments,
   // plus non-integer and higher degrees: all bitwise a * pow(x, d). For a
   // fractional x, pow(x, 2) and x*x can differ in the last bit (glibc does
   // at several of the scaled loads below), so these checks fail if such
@@ -179,10 +209,10 @@ TEST(MonomialValue, OtherInputsTakeThePowFallback) {
   EXPECT_EQ(bits(monomial_value(3.0, 0.0, 5.0)), bits(3.0));
   const double d2 = runtime_exponent(2.0);
   for (const double a : {0.05, 0.7, 1.3}) {
-    const ScaledLatency scaled(make_monomial(a, 2.0), 300);
+    const LatencyPtr scaled = make_scaled(make_monomial(a, 2.0), 300);
     for (std::int64_t load = 0; load <= 2000; ++load) {
       const auto x = static_cast<double>(load);
-      ASSERT_EQ(bits(scaled.value(x)), bits(a * std::pow(x / 300.0, d2)))
+      ASSERT_EQ(bits(scaled->value(x)), bits(a * std::pow(x / 300.0, d2)))
           << "a=" << a << " load=" << load;
     }
   }

@@ -237,26 +237,25 @@ TEST(LatencyContext, SingletonConvergedStatePrunesMinimalOrigins) {
   }
 }
 
-TEST(LatencyContext, DecreasingLatencyDisablesPruning) {
-  // A decreasing link makes ℓ_e(x_e+1) < ℓ_e(x_e): plus-dominance fails
-  // and every protocol must decline to prune (the sufficient condition
-  // ℓ_Q(x+1..) >= ℓ_Q(x) is gone).
-  class DecreasingLatency final : public LatencyFunction {
-   public:
-    double value(double x) const override { return 100.0 - x; }
-    std::string describe() const override { return "100-x"; }
-  };
-  std::vector<LatencyPtr> fns{make_linear(1.0),
-                              std::make_shared<DecreasingLatency>(),
-                              make_linear(2.0)};
-  const auto game = make_singleton_game(std::move(fns), 60);
-  const State x(game, {20, 20, 20});
+TEST(LatencyContext, NoPlusDominanceDisablesPruning) {
+  // Without plus-dominance (ℓ_e(x_e+1) < ℓ_e(x_e) somewhere, which only
+  // non-monotone rounding can bring about) the sufficient condition
+  // ℓ_Q(x+1..) >= ℓ_Q(x) is gone, and every protocol must decline to
+  // prune — even on the balanced state where every row is provably zero.
+  const auto game = make_uniform_links_game(8, make_linear(1.0), 800);
+  const State x(game, std::vector<std::int64_t>(8, 100));
   LatencyContext ctx;
   ctx.reset(game, x);
-  EXPECT_FALSE(ctx.plus_dominates());
-  const RowBounds bounds =
-      compute_row_bounds(x, ctx, {0, game.num_strategies()});
-  EXPECT_FALSE(bounds.plus_dominates);
+  ASSERT_TRUE(ctx.plus_dominates());
+  RowBounds bounds = compute_row_bounds(x, ctx, {0, game.num_strategies()});
+  std::int64_t pruned_with_dominance = 0;
+  for (const auto& protocol : pruning_protocols()) {
+    for (StrategyId p = 0; p < game.num_strategies(); ++p) {
+      pruned_with_dominance += provably_zero(*protocol, game, ctx, p, bounds);
+    }
+  }
+  EXPECT_GT(pruned_with_dominance, 0);
+  bounds.plus_dominates = false;
   for (const auto& protocol : pruning_protocols()) {
     SCOPED_TRACE(protocol->name());
     for (StrategyId p = 0; p < game.num_strategies(); ++p) {

@@ -235,7 +235,18 @@ CongestionGame codec_exercise_game() {
   fns.push_back(make_polynomial({1.0, 0.0, 0.25}));
   fns.push_back(make_exponential(2.0, 0.125));
   fns.push_back(make_scaled(make_monomial(1.5, 2.0), 100));
-  std::vector<Strategy> strategies = {{0, 1}, {2, 3}, {1, 4}, {0}};
+  // A rate that ℓ'(0)/ℓ(0) does not reproduce (0.10000000000000002), and
+  // the deepest nesting make_scaled builds.
+  fns.push_back(make_exponential(3.0, 0.1));
+  LatencyPtr nested = make_polynomial({1.0, 2.0});
+  for (int level = 0; level < kMaxScaledNesting; ++level) {
+    nested = make_scaled(nested, 2);
+  }
+  fns.push_back(std::move(nested));
+  // A divisor that double(n) does not hold exactly.
+  fns.push_back(make_scaled(make_linear(1.0),
+                            std::numeric_limits<std::int64_t>::max()));
+  std::vector<Strategy> strategies = {{0, 1}, {2, 3}, {1, 4}, {0}, {5, 6, 7}};
   return CongestionGame(std::move(fns), std::move(strategies), 400);
 }
 
@@ -246,8 +257,17 @@ TEST(Codec, GameRoundTripPreservesTextSerialization) {
   BinReader in(out.buffer(), "test");
   const CongestionGame decoded = decode_game(in);
   EXPECT_NO_THROW(in.expect_done());
-  // The text format is the canonical description; binary decode must agree
-  // with it exactly (doubles included — the codec stores IEEE words).
+  // The codec stores IEEE words, so every decoded ℓ is the original's bit
+  // for bit, and the text format, the canonical description, agrees.
+  ASSERT_EQ(decoded.num_resources(), game.num_resources());
+  for (Resource e = 0; e < game.num_resources(); ++e) {
+    EXPECT_EQ(decoded.latency(e).kind(), game.latency(e).kind());
+    for (const double x : {0.0, 1.0, 2.5, 7.0, 100.0, 400.0}) {
+      EXPECT_EQ(decoded.latency(e).value(x), game.latency(e).value(x))
+          << "resource " << e << " at x=" << x;
+    }
+  }
+  EXPECT_EQ(decoded.elasticity(), game.elasticity());
   EXPECT_EQ(serialize_game(decoded), serialize_game(game));
 }
 
